@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -199,12 +200,16 @@ def generate_candidates(
     grid: Sequence[GenerationParams] | None = None,
     per_slot_backends: Sequence[BackendSpec | None] | None = None,
     max_workers: int = 4,
+    limiter: AbstractContextManager | None = None,
 ) -> CandidateSet:
     """One translation request per grid entry, assembled in grid order.
 
     Slots whose requests fail permanently (or come back empty after
     cleaning) are dropped along with their grid entry and recorded as
     failures. Fewer than two surviving candidates is an orchestration error.
+    At most `max_workers` slots run at once. Each request holds `limiter`
+    when one is given, e.g. a semaphore shared with other calls to bound
+    their requests in flight together.
     """
     grid = list(grid) if grid is not None else default_grid()
     if len(grid) < 2:
@@ -212,13 +217,15 @@ def generate_candidates(
     if per_slot_backends is not None and len(per_slot_backends) != len(grid):
         raise ValidationError("per_slot_backends must match the grid length")
     prompt = render_translation_prompt(src_lang, tgt_lang, text)
+    limiter = limiter if limiter is not None else nullcontext()
 
     def run_slot(index: int) -> tuple[int, str | None, str]:
         spec = backend
         if per_slot_backends is not None and per_slot_backends[index] is not None:
             spec = per_slot_backends[index]
         try:
-            raw = complete(spec, prompt, grid[index])
+            with limiter:
+                raw = complete(spec, prompt, grid[index])
         except BackendFailure as exc:
             return index, None, str(exc)
         cleaned = clean_generation(raw)
@@ -252,6 +259,19 @@ def generate_candidates(
     )
 
 
+def _score_candidates(
+    scorer: ScorerEndpoint, candidates: Sequence[str], source: str | None
+) -> tuple[list[float | None], int | None]:
+    """All candidate scores and the 0-based index of the highest one (ties
+    take the lowest index), or None when the scorer failed on every one."""
+    scores = scorer.score_many([{"source": source, "hypothesis": c} for c in candidates])
+    best = None
+    for i, score in enumerate(scores):
+        if score is not None and (best is None or score > scores[best]):
+            best = i
+    return scores, best
+
+
 def select_best(
     candidates: Sequence[str],
     scorer: ScorerEndpoint,
@@ -261,29 +281,26 @@ def select_best(
     lowest index. Scorer failure on every candidate is an error."""
     if not candidates:
         raise ValidationError("no candidates to select from")
-    items = [{"source": source, "hypothesis": c} for c in candidates]
-    scores = scorer.score_many(items)
-    if all(s is None for s in scores):
+    scores, best = _score_candidates(scorer, candidates, source)
+    if best is None:
         raise OrchestrationError("scorer failed on every candidate")
-    best_index = None
-    best_score = None
-    for i, score in enumerate(scores):
-        if score is not None and (best_score is None or score > best_score):
-            best_index, best_score = i, score
-    return best_index + 1, best_score
+    return best + 1, scores[best]
 
 
 def fuse(
     backend: BackendSpec,
     candidate_set: CandidateSet,
     fallback_scorer: ScorerEndpoint | None = None,
+    limiter: AbstractContextManager | None = None,
 ) -> FusionResult:
     """Fuse candidates into one output via the fusion backend.
 
     On backend failure or an empty completion, falls back to the
     best-scoring candidate when a scorer is available, else candidate 1.
-    The result is never empty.
+    The result is never empty. The fusion and scoring requests each hold
+    `limiter` when one is given, as in `generate_candidates`.
     """
+    limiter = limiter if limiter is not None else nullcontext()
     prompt = render_fusion_prompt(
         candidate_set.src_lang,
         candidate_set.tgt_lang,
@@ -291,22 +308,19 @@ def fuse(
         candidate_set.candidates,
     )
     try:
-        fused = clean_generation(complete(backend, prompt, GenerationParams(temperature=0.0, seed=0)))
+        with limiter:
+            raw = complete(backend, prompt, GenerationParams(temperature=0.0, seed=0))
+        fused = clean_generation(raw)
         if fused:
             return FusionResult(fused_text=fused, fallback_used=False)
     except BackendFailure:
         pass
     if fallback_scorer is not None:
-        items = [{"source": candidate_set.source_text, "hypothesis": c} for c in candidate_set.candidates]
-        scores = fallback_scorer.score_many(items)
-        if any(s is not None for s in scores):
-            best_index = None
-            best_score = None
-            for i, score in enumerate(scores):
-                if score is not None and (best_score is None or score > best_score):
-                    best_index, best_score = i, score
+        with limiter:
+            scores, best = _score_candidates(fallback_scorer, candidate_set.candidates, candidate_set.source_text)
+        if best is not None:
             return FusionResult(
-                fused_text=candidate_set.candidates[best_index],
+                fused_text=candidate_set.candidates[best],
                 fallback_used=True,
                 candidate_scores=tuple(scores),
             )

@@ -13,6 +13,8 @@ import csv
 import json
 import os
 import sys
+import threading
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from importlib.resources import files as resource_files
 from pathlib import Path
 
@@ -491,26 +493,56 @@ def _read_sources(path: str):
     return sources
 
 
+def _run_segments(sources, jobs, backend, grid, per_slot, fusion=None):
+    """Candidate set, and fusion result when `fusion` = (backend, scorer) is
+    given, for every segment, in input order.
+
+    Segments run on one pool, and every request holds one semaphore of
+    `jobs` permits, so at most `jobs` requests are in flight at once
+    whatever the number of segments, and each grid may use all of them. A
+    segment that raises cancels the queued ones; the error of the first
+    failed segment in input order propagates.
+    """
+    jobs = max(1, jobs)
+    in_flight = threading.BoundedSemaphore(jobs)
+
+    def run(src):
+        # looked up per call so wrappers installed on the chimera module apply
+        cand = chimera_mod.generate_candidates(
+            backend, src["src_lang"], src["tgt_lang"], src["text"],
+            grid=grid, per_slot_backends=per_slot, max_workers=jobs, limiter=in_flight,
+        )
+        if fusion is None:
+            return cand, None
+        return cand, chimera_mod.fuse(fusion[0], cand, fallback_scorer=fusion[1], limiter=in_flight)
+
+    pool = ThreadPoolExecutor(max_workers=jobs)
+    try:
+        futures = [pool.submit(run, src) for src in sources]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    # futures are cancelled only after one raised; result() re-raises it
+    return [future.result() for future in futures if not future.cancelled()]
+
+
+_JOBS_HELP = "At most N requests in flight across all segments [default: the config's max_workers]"
+
+
 @cli.command("translate")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--jobs", type=int, help="Override the config's request concurrency")
+@click.option("--jobs", type=int, metavar="N", help=_JOBS_HELP)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--report", "report_path", type=click.Path())
 def translate(config_path, in_path, out_path, jobs, seed, report_path):
     """Generate a candidate set per source segment over the sampling grid."""
     backend, _fusion, grid, per_slot, _scorer, max_workers = _load_chimera_config(config_path)
-    if jobs is not None:
-        max_workers = jobs
     sources = _read_sources(in_path)
-    out_rows = []
-    for src in sources:
-        cand = chimera_mod.generate_candidates(
-            backend, src["src_lang"], src["tgt_lang"], src["text"],
-            grid=grid, per_slot_backends=per_slot, max_workers=max_workers,
-        )
-        out_rows.append({
+    results = _run_segments(sources, jobs if jobs is not None else max_workers, backend, grid, per_slot)
+    out_rows = [
+        {
             "id": src["id"],
             "source": cand.source_text,
             "src_lang": cand.src_lang,
@@ -518,7 +550,9 @@ def translate(config_path, in_path, out_path, jobs, seed, report_path):
             "candidates": list(cand.candidates),
             "params_used": [p.to_obj() for p in cand.params_used],
             "failed_slots": [f.index for f in cand.failures],
-        })
+        }
+        for src, (cand, _) in zip(sources, results)
+    ]
     write_jsonl(out_path, out_rows)
     _write_report(report_path, "translate", seed, {
         "counts": {"sources": len(sources),
@@ -530,35 +564,30 @@ def translate(config_path, in_path, out_path, jobs, seed, report_path):
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--jobs", type=int, help="Override the config's request concurrency")
+@click.option("--jobs", type=int, metavar="N", help=_JOBS_HELP)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--report", "report_path", type=click.Path())
 def fuse_cmd(config_path, in_path, out_path, jobs, seed, report_path):
     """Generate candidates and fuse them into one refined output per segment."""
     backend, fusion_backend, grid, per_slot, scorer, max_workers = _load_chimera_config(config_path)
-    if jobs is not None:
-        max_workers = jobs
     sources = _read_sources(in_path)
-    out_rows = []
-    fallback_count = 0
-    for src in sources:
-        cand = chimera_mod.generate_candidates(
-            backend, src["src_lang"], src["tgt_lang"], src["text"],
-            grid=grid, per_slot_backends=per_slot, max_workers=max_workers,
-        )
-        result = chimera_mod.fuse(fusion_backend, cand, fallback_scorer=scorer)
-        fallback_count += result.fallback_used
-        out_rows.append({
+    results = _run_segments(sources, jobs if jobs is not None else max_workers, backend, grid, per_slot,
+                            fusion=(fusion_backend, scorer))
+    out_rows = [
+        {
             "id": src["id"],
             "source": cand.source_text,
             "candidates": list(cand.candidates),
             "fused": result.fused_text,
             "fallback_used": result.fallback_used,
             "scores": list(result.candidate_scores) if result.candidate_scores else None,
-        })
+        }
+        for src, (cand, result) in zip(sources, results)
+    ]
     write_jsonl(out_path, out_rows)
     _write_report(report_path, "fuse", seed, {
-        "counts": {"sources": len(sources), "fallbacks": fallback_count},
+        "counts": {"sources": len(sources),
+                   "fallbacks": sum(result.fallback_used for _, result in results)},
     })
 
 

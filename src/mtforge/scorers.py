@@ -15,12 +15,10 @@ An Authorization header is sent when MTFORGE_SCORER_TOKEN is set.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-import requests
-
+from .backends import post_json
 from .errors import ValidationError
 
 Item = dict
@@ -102,22 +100,11 @@ class ScorerEndpoint:
         return self._score_remote(items)
 
     def _score_remote(self, items: Sequence[Item]) -> list[float | None]:
-        headers = {}
-        token = os.environ.get("MTFORGE_SCORER_TOKEN")
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
         payload: dict = {"name": self.name, "items": list(items)}
         if self.extra:
             payload["config"] = dict(self.extra)
         try:
-            resp = requests.post(
-                self.config,
-                json=payload,
-                headers=headers,
-                timeout=self.timeout_ms / 1000.0,
-            )
-            resp.raise_for_status()
-            scores = resp.json()["scores"]
+            scores = post_json(self.config, payload, "MTFORGE_SCORER_TOKEN", self.timeout_ms / 1000.0)["scores"]
         except Exception:
             return [None] * len(items)
         if not isinstance(scores, list) or len(scores) != len(items):

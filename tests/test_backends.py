@@ -18,16 +18,31 @@ from mtforge.scorers import ScorerEndpoint
 
 class _Handler(BaseHTTPRequestHandler):
     requests_seen = []
+    auth_seen = []
     fail_next = 0
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         payload = json.loads(self.rfile.read(length))
         type(self).requests_seen.append((self.path, payload))
+        type(self).auth_seen.append(self.headers.get("Authorization"))
         if type(self).fail_next > 0:
             type(self).fail_next -= 1
             self.send_response(500)
             self.end_headers()
+            return
+        if self.path == "/redirect":
+            self.send_response(302)
+            self.send_header("Location", "/complete")
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
+        if self.path == "/garbage":
+            data = b"<html>not json</html>"
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
             return
         if self.path == "/complete":
             body = {"text": f"echo:{payload['model']}:{payload['temperature']}"}
@@ -44,6 +59,14 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(data)
 
+    def do_GET(self):
+        # a client that follows the 302 of /redirect turns the POST into a GET
+        type(self).requests_seen.append((self.path, None))
+        type(self).auth_seen.append(self.headers.get("Authorization"))
+        self.send_response(405)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
     def log_message(self, *args):
         pass
 
@@ -55,6 +78,7 @@ def http_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 class TestCompletionWire:
@@ -86,6 +110,37 @@ class TestCompletionWire:
         with pytest.raises(BackendFailure):
             complete(spec, "p", GenerationParams())
         _Handler.fail_next = 0
+
+    @pytest.mark.parametrize("token, header", [("gen-secret", "Bearer gen-secret"), (None, None)])
+    def test_token_sent_as_bearer(self, http_server, monkeypatch, token, header):
+        monkeypatch.delenv("MTFORGE_BACKEND_TOKEN", raising=False)
+        if token:
+            monkeypatch.setenv("MTFORGE_BACKEND_TOKEN", token)
+        _Handler.auth_seen.clear()
+        complete(BackendSpec("real", f"{http_server}/complete", "m"), "p", GenerationParams())
+        assert _Handler.auth_seen == [header]
+
+    def test_non_json_reply_raises(self, http_server):
+        spec = BackendSpec("real", f"{http_server}/garbage", "m", max_retries=1)
+        _Handler.requests_seen.clear()
+        with pytest.raises(BackendFailure):
+            complete(spec, "p", GenerationParams())
+        assert len(_Handler.requests_seen) == 2
+
+    def test_redirect_is_not_followed(self, http_server, monkeypatch):
+        monkeypatch.setenv("MTFORGE_BACKEND_TOKEN", "gen-secret")
+        spec = BackendSpec("real", f"{http_server}/redirect", "m", max_retries=0)
+        _Handler.requests_seen.clear()
+        _Handler.auth_seen.clear()
+        with pytest.raises(BackendFailure, match="302"):
+            complete(spec, "p", GenerationParams())
+        assert [path for path, _ in _Handler.requests_seen] == ["/redirect"]
+        assert _Handler.auth_seen == ["Bearer gen-secret"]
+
+    def test_non_http_endpoint_refused(self):
+        spec = BackendSpec("inline", 'data:application/json,{"text": "x"}', "m", max_retries=0)
+        with pytest.raises(BackendFailure, match="not an http"):
+            complete(spec, "p", GenerationParams())
 
     def test_unreachable_endpoint(self):
         spec = BackendSpec("gone", "http://127.0.0.1:1/none", "m", timeout_ms=300, max_retries=0)
@@ -121,6 +176,27 @@ class TestScorerWire:
         _Handler.fail_next = 1
         assert scorer.score_many([{"hypothesis": "x"}]) == [None]
         _Handler.fail_next = 0
+
+    def test_token_sent_as_bearer(self, http_server, monkeypatch):
+        monkeypatch.setenv("MTFORGE_SCORER_TOKEN", "qe-secret")
+        _Handler.auth_seen.clear()
+        ScorerEndpoint("len", "remote_http", f"{http_server}/score").score_many([{"hypothesis": "x"}])
+        assert _Handler.auth_seen == ["Bearer qe-secret"]
+
+    def test_non_json_reply_yields_none(self, http_server):
+        scorer = ScorerEndpoint("len", "remote_http", f"{http_server}/garbage")
+        assert scorer.score_many([{}, {}]) == [None, None]
+
+    def test_redirect_yields_none(self, http_server, monkeypatch):
+        monkeypatch.setenv("MTFORGE_SCORER_TOKEN", "qe-secret")
+        _Handler.requests_seen.clear()
+        scorer = ScorerEndpoint("len", "remote_http", f"{http_server}/redirect")
+        assert scorer.score_many([{}]) == [None]
+        assert [path for path, _ in _Handler.requests_seen] == ["/redirect"]
+
+    def test_non_http_endpoint_yields_none(self):
+        scorer = ScorerEndpoint("inline", "remote_http", 'data:application/json,{"scores": [1.0]}')
+        assert scorer.score_many([{}]) == [None]
 
     def test_unreachable_yields_none_per_item(self):
         scorer = ScorerEndpoint("gone", "remote_http", "http://127.0.0.1:1/s", timeout_ms=300)

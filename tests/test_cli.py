@@ -1,8 +1,13 @@
+import hashlib
 import json
 import math
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from mtforge.cli import main
 from mtforge.corpus import Document, read_corpus, write_corpus
@@ -406,6 +411,101 @@ class TestChimeraCommands:
             "mystery": True,
         }))
         assert run("translate", "--config", config, "--in", _sources(tmp_path), "--out", tmp_path / "o") == 1
+
+
+class _SlowHandler(BaseHTTPRequestHandler):
+    """Completion endpoint that holds each request briefly and records how
+    many are active at once; it answers 500 to prompts containing FAIL."""
+
+    lock = threading.Lock()
+    active = 0
+    peak = 0
+
+    def do_POST(self):
+        cls = type(self)
+        with cls.lock:
+            cls.active += 1
+            cls.peak = max(cls.peak, cls.active)
+        try:
+            payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            time.sleep(0.02)
+        finally:
+            with cls.lock:
+                cls.active -= 1
+        if "FAIL" in payload["prompt"]:
+            self.send_response(500)
+            self.end_headers()
+            return
+        digest = hashlib.sha256(payload["prompt"].encode()).hexdigest()[:8]
+        data = json.dumps({"text": f"{payload['model']}:{payload['temperature']}:{digest}"}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture(scope="module")
+def slow_endpoint():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _SlowHandler)
+    server.daemon_threads = True
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_port}/complete"
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def _peak_of(*args):
+    _SlowHandler.peak = 0
+    code = run(*args)
+    return code, _SlowHandler.peak
+
+
+class TestChimeraFanOut:
+    # 8 in flight is more than one segment's 6-slot grid can issue; the
+    # short inputs have fewer segments than jobs, or do not divide them
+    @pytest.mark.parametrize("segments, jobs", [(8, 3), (8, 8), (2, 3), (3, 2), (4, 3)])
+    def test_jobs_bounds_requests_in_flight(self, tmp_path, slow_endpoint, segments, jobs):
+        config = _chimera_config(tmp_path, endpoint=slow_endpoint, fusion_endpoint=slow_endpoint)
+        code, peak = _peak_of("fuse", "--config", config, "--in", _sources(tmp_path, segments),
+                              "--out", tmp_path / "f.jsonl", "--jobs", jobs)
+        assert code == 0
+        assert peak == jobs
+
+    def test_output_independent_of_jobs(self, tmp_path, slow_endpoint):
+        config = _chimera_config(tmp_path, endpoint=slow_endpoint, fusion_endpoint=slow_endpoint)
+        sources = _sources(tmp_path, 8)
+        out_1, out_4 = tmp_path / "j1.jsonl", tmp_path / "j4.jsonl"
+        assert run("fuse", "--config", config, "--in", sources, "--out", out_1, "--jobs", 1) == 0
+        assert run("fuse", "--config", config, "--in", sources, "--out", out_4, "--jobs", 4) == 0
+        assert out_1.read_bytes() == out_4.read_bytes()
+        assert [json.loads(l)["id"] for l in out_1.read_text().splitlines()] == [f"s{i}" for i in range(8)]
+
+    def test_single_segment_fans_out_over_grid(self, tmp_path, slow_endpoint):
+        config = _chimera_config(tmp_path, endpoint=slow_endpoint)
+        code, peak = _peak_of("translate", "--config", config, "--in", _sources(tmp_path, 1),
+                              "--out", tmp_path / "c.jsonl", "--jobs", 4)
+        assert code == 0
+        assert 1 < peak <= 4
+
+    def test_failing_segment_aborts_without_output(self, tmp_path, slow_endpoint, capfd):
+        config = _chimera_config(tmp_path, endpoint=slow_endpoint, fusion_endpoint=slow_endpoint)
+        rows = [{"id": f"s{i}", "src_lang": "zh", "tgt_lang": "en", "text": f"你好世界{i}"} for i in range(8)]
+        rows[5]["text"] = "FAIL"
+        sources = tmp_path / "sources.jsonl"
+        sources.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows))
+        out_path = tmp_path / "fused.jsonl"
+        capfd.readouterr()
+        assert run("fuse", "--config", config, "--in", sources, "--out", out_path, "--jobs", 3) == 2
+        err = capfd.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out_path.exists()
 
 
 class TestEvalCommand:
