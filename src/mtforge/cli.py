@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import sys
 import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
@@ -139,6 +138,9 @@ def langid_filter(in_path, model_path, expected, min_confidence, out_path, dropp
 
 # -- deduplication -------------------------------------------------------------
 
+# Kept so existing command lines still parse; thread pools only slowed signing.
+_DEDUP_JOBS_HELP = "Accepted and ignored: dedup signs documents in one thread"
+
 
 @cli.command("dedup")
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
@@ -150,15 +152,15 @@ def langid_filter(in_path, model_path, expected, min_confidence, out_path, dropp
 @click.option("--rows", default=8, show_default=True)
 @click.option("--threshold", default=0.8, show_default=True)
 @click.option("--unit", default="word", type=click.Choice(["word", "char"]), show_default=True)
-@click.option("--jobs", type=int, default=lambda: os.cpu_count() or 1, help="Signature threads [default: cores]")
+@click.option("--jobs", type=int, metavar="N", expose_value=False, help=_DEDUP_JOBS_HELP)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--report", "report_path", type=click.Path())
-def dedup_cmd(in_path, out_path, dropped_path, shingle_n, k, bands, rows, threshold, unit, jobs, seed, report_path):
+def dedup_cmd(in_path, out_path, dropped_path, shingle_n, k, bands, rows, threshold, unit, seed, report_path):
     """Remove near-duplicate documents via MinHash + banded LSH."""
     docs = corpus_mod.read_corpus(in_path, "mono")
     kept, dropped = dedup_mod.dedup(
         docs, n=shingle_n, k=k, seed=seed, b=bands, r=rows,
-        jaccard_threshold=threshold, unit=unit, jobs=jobs,
+        jaccard_threshold=threshold, unit=unit,
     )
     corpus_mod.write_corpus(kept, out_path)
     dropped_path = dropped_path or f"{out_path}.dropped.jsonl"
@@ -628,7 +630,7 @@ def eval_cmd(pairs_path, hyps_path, metric, aggregation, out_path, text_mode, se
 # -- pipeline --------------------------------------------------------------------
 
 
-def _build_stages(config: dict, seed: int, jobs: int):
+def _build_stages(config: dict, seed: int):
     stages = []
     for entry in config["stages"]:
         kind = entry["type"]
@@ -647,7 +649,6 @@ def _build_stages(config: dict, seed: int, jobs: int):
                 r=entry.get("rows", 8),
                 jaccard_threshold=entry.get("threshold", 0.8),
                 unit=entry.get("unit", "word"),
-                jobs=jobs,
             ))
         elif kind == "perplexity":
             stages.append(filters_mod.PerplexityStage(
@@ -668,16 +669,16 @@ def _build_stages(config: dict, seed: int, jobs: int):
 
 @cli.command("pipeline-run")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--jobs", type=int, default=lambda: os.cpu_count() or 1, help="Worker threads [default: cores]")
+@click.option("--jobs", type=int, metavar="N", expose_value=False, help=_DEDUP_JOBS_HELP)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--report", "report_path", type=click.Path())
-def pipeline_run(config_path, jobs, seed, report_path):
+def pipeline_run(config_path, seed, report_path):
     """Run a configured cleaning pipeline with per-stage accounting."""
     with open(config_path, encoding="utf-8") as handle:
         config = json.load(handle)
     _validate_config(config, "pipeline_config.schema.json", config_path)
     seed = config.get("seed", seed)
-    stages = _build_stages(config, seed, jobs)
+    stages = _build_stages(config, seed)
     records = corpus_mod.read_corpus(config["input"], config["kind"])
     for stage in stages:
         if stage.record_kind != config["kind"]:

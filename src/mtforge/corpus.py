@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import SchemaError, ValidationError
-from .ioutils import atomic_write, read_jsonl
+from .ioutils import read_jsonl, write_jsonl
 
 # (code, English display name, Chinese display name), in registry order.
 # The registry is closed: tags compare case-sensitively and anything outside
@@ -292,12 +292,4 @@ def read_corpus(path: str | Path, kind: str) -> list[Record]:
 
 def write_corpus(records: Iterable[Record], path: str | Path) -> int:
     """Write records as JSON Lines (atomically); returns the count written."""
-    import json
-
-    count = 0
-    with atomic_write(path) as handle:
-        for record in records:
-            handle.write(json.dumps(record_to_obj(record), ensure_ascii=False, sort_keys=True))
-            handle.write("\n")
-            count += 1
-    return count
+    return write_jsonl(path, (record_to_obj(record) for record in records))

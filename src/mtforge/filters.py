@@ -205,7 +205,6 @@ class DedupStage:
     r: int = 8
     jaccard_threshold: float = 0.8
     unit: str = "word"
-    jobs: int = 1
     name: str = "dedup"
     record_kind: str = "mono"
 
@@ -221,7 +220,6 @@ class DedupStage:
             r=self.r,
             jaccard_threshold=self.jaccard_threshold,
             unit=self.unit,
-            jobs=self.jobs,
         )
         by_id = {rec.id: rec for rec in records}
         annotated = [(by_id[d.dropped_id], f"near_duplicate_of={d.kept_id}") for d in drops]

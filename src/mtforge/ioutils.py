@@ -9,6 +9,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
+from .errors import SchemaError
+
 
 @contextmanager
 def atomic_write(path: str | Path) -> Iterator[Any]:
@@ -44,12 +46,24 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> int:
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield (1-based line number, parsed object) pairs, skipping blank lines."""
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
+    """Yield (1-based line number, parsed object) pairs, skipping blank lines.
+
+    Lines are split at LF only (a CR before it is JSON whitespace). A line
+    that is not UTF-8 or not JSON raises SchemaError naming it.
+    """
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise SchemaError(f"invalid UTF-8 at byte {exc.start + 1}", lineno) from None
             if not line.strip():
                 continue
-            yield lineno, json.loads(line)
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"invalid JSON: {exc.msg} (column {exc.colno})", lineno) from None
+            yield lineno, obj
 
 
 def dump_json(path: str | Path, payload: dict) -> None:

@@ -7,6 +7,7 @@ otherwise in the NumPy fallback; both produce bit-identical signatures.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
@@ -75,11 +76,17 @@ class MinHashSignature:
             raise ValidationError(f"signature length {len(self.values)} != k={self.k}")
 
 
+@functools.lru_cache(maxsize=32)
 def hash_params(k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic (a, b) coefficient arrays for k hash functions."""
+    """Deterministic (a, b) coefficient arrays for k hash functions.
+
+    Computed once per (k, seed) and shared, so the arrays are read-only.
+    """
     rng = np.random.default_rng(seed)
     a = rng.integers(1, MERSENNE61, size=k, dtype=np.uint64)
     b = rng.integers(0, MERSENNE61, size=k, dtype=np.uint64)
+    a.flags.writeable = False
+    b.flags.writeable = False
     return a, b
 
 
@@ -92,7 +99,7 @@ def signature(shingles: ShingleSet, k: int, seed: int) -> MinHashSignature:
     a, b = hash_params(k, seed)
     xs = np.fromiter(shingles.shingles, dtype=np.uint64, count=len(shingles.shingles))
     values = _kernel.min_hash(xs, a, b)
-    return MinHashSignature(tuple(int(v) for v in values), seed=seed, k=k)
+    return MinHashSignature(tuple(values.tolist()), seed=seed, k=k)
 
 
 def estimate_jaccard(sig_a: MinHashSignature, sig_b: MinHashSignature) -> float:
@@ -196,7 +203,6 @@ def dedup(
     jaccard_threshold: float = 0.8,
     unit: str = "word",
     quality_key: str = "quality_composite",
-    jobs: int = 1,
 ) -> tuple[list[Document], list[DropRecord]]:
     """Remove near-duplicates, keeping one representative per duplicate cluster.
 
@@ -206,8 +212,9 @@ def dedup(
     best representative. The kept/dropped partition does not depend on input
     order; kept docs are returned in input order.
 
-    jobs > 1 computes signatures in a thread pool (the compiled kernel
-    releases the GIL); the result is identical at any jobs value.
+    Signatures are computed one document at a time in the calling thread.
+    A per-document thread pool was measured slower with either kernel: the
+    work between kernel calls holds the GIL, so threads only add hand-offs.
     """
     if b * r != k:
         raise ValidationError(f"bands*rows ({b}x{r}) must equal k={k}")
@@ -217,16 +224,7 @@ def dedup(
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate document ids in dedup input")
 
-    def sign(doc: Document) -> MinHashSignature:
-        return signature(shingle(doc.text, n, unit=unit), k, seed)
-
-    if jobs > 1 and len(docs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            sigs = dict(zip(ids, pool.map(sign, docs)))
-    else:
-        sigs = {d.id: sign(d) for d in docs}
+    sigs = {d.id: signature(shingle(d.text, n, unit=unit), k, seed) for d in docs}
     by_id = {d.id: d for d in docs}
 
     index = LshIndex(bands=b, rows_per_band=r)

@@ -91,6 +91,25 @@ class TestExitCodes:
         assert run("dedup", "--in", bad, "--out", out) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad_line, message", [
+        (b"{bad json\n", "error: line 2: invalid JSON: "),
+        (b'{"id": "b", "lang": "en", "text": "caf\xe9"}\n', "error: line 2: invalid UTF-8 at byte 39"),
+    ])
+    def test_malformed_jsonl_is_one_line_exit_1(self, tmp_path, bad_line, message):
+        import subprocess
+        import sys
+
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"id": "a", "lang": "en", "text": "fine"}\n' + bad_line)
+        out = tmp_path / "out.jsonl"
+        proc = subprocess.run([sys.executable, "-m", "mtforge", "dedup", "--in", str(bad), "--out", str(out)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(message), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_io_error_is_exit_2(self, tmp_path):
         docs = _write_mono(tmp_path, _english_docs(4))
         # output directory path collides with an existing file
@@ -123,6 +142,17 @@ class TestDedupCommand:
             json.loads(line) for line in (tmp_path / "kept.jsonl.dropped.jsonl").read_text().splitlines()
         ]
         assert {r["dropped_id"] for r in dropped_rows} == {d.dropped_id for d in dropped_ref}
+
+    def test_jobs_accepted_and_output_unchanged(self, tmp_path):
+        in_path = _write_mono(tmp_path, _planted_dup_docs(seed=4, n_base=15, n_dups=5))
+        outputs = []
+        for jobs in (1, 4):
+            out = tmp_path / f"jobs{jobs}.jsonl"
+            assert run("dedup", "--in", in_path, "--out", out, "--dropped", tmp_path / f"dropped{jobs}.jsonl",
+                       "--jobs", jobs, "--report", tmp_path / f"report{jobs}.json") == 0
+            outputs.append([(tmp_path / name).read_bytes()
+                            for name in (f"jobs{jobs}.jsonl", f"dropped{jobs}.jsonl", f"report{jobs}.json")])
+        assert outputs[0] == outputs[1]
 
     def test_idempotent_byte_identical(self, tmp_path):
         docs = _planted_dup_docs(seed=9, n_base=15, n_dups=5)
@@ -597,6 +627,16 @@ class TestPipelineRun:
         assert run("pipeline-run", "--config", config_path, "--report", report_b) == 0
         assert (tmp_path / "final.jsonl").read_bytes() == final_a
         assert report_a.read_bytes() == report_b.read_bytes()
+
+    def test_jobs_accepted_and_output_unchanged(self, tmp_path):
+        config_path, _ = self._prepare(tmp_path)
+        artifacts = []
+        for jobs in (1, 4):
+            report = tmp_path / f"report{jobs}.json"
+            assert run("pipeline-run", "--config", config_path, "--jobs", jobs, "--report", report) == 0
+            artifacts.append([(tmp_path / name).read_bytes() for name in ("final.jsonl", "dropped.jsonl")]
+                             + [report.read_bytes()])
+        assert artifacts[0] == artifacts[1]
 
     def test_unknown_stage_key_rejected_before_output(self, tmp_path):
         config_path, _ = self._prepare(tmp_path)

@@ -126,6 +126,21 @@ class TestCorpusIo:
         with pytest.raises(SchemaError, match="line 2"):
             read_corpus(path, "parallel")
 
+    def test_crlf_and_blank_lines(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b'{"id": "d1", "lang": "en", "text": "x"}\r\n\r\n{"id": "d2", "lang": "en", "text": "y"}')
+        assert [d.id for d in read_corpus(path, "mono")] == ["d1", "d2"]
+
+    @pytest.mark.parametrize("line, message", [
+        (b"[1, 2\n", "line 2: invalid JSON"),
+        (b'{"id": "d2", "lang": "en", "text": "\xff"}\n', "line 2: invalid UTF-8 at byte 37"),
+    ])
+    def test_undecodable_line_named(self, tmp_path, line, message):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b'{"id": "d1", "lang": "en", "text": "x"}\n' + line)
+        with pytest.raises(SchemaError, match=message):
+            read_corpus(path, "mono")
+
     def test_unknown_language_named_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(json.dumps({"id": "d1", "lang": "klingon", "text": "x"}) + "\n")

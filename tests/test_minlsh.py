@@ -120,18 +120,44 @@ class TestKernelBackends:
         assert KERNEL_BACKEND in ("cython", "numpy")
 
     def test_numpy_matches_bigint_reference(self):
-        rng = np.random.default_rng(99)
-        for trial in range(25):
-            n = int(rng.integers(1, 60))
-            k = int(rng.integers(1, 48))
-            xs = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
-            a, b = hash_params(k, trial)
+        def check(xs, a, b):
             got = _minhash_py.min_hash(xs, a, b)
             ref = [
                 min((int(ai) * (int(x) % MERSENNE61) + int(bi)) % MERSENNE61 for x in xs)
                 for ai, bi in zip(a, b)
             ]
             assert [int(v) for v in got] == ref
+
+        rng = np.random.default_rng(99)
+        for trial in range(25):
+            n = int(rng.integers(1, 60))
+            k = int(rng.integers(1, 48))
+            xs = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
+            check(xs, *hash_params(k, trial))
+
+        p = MERSENNE61
+        edges = np.array([0, 1, p - 1, p, p + 1, 2 * p, 1 << 61, 1 << 63, (1 << 64) - 1], dtype=np.uint64)
+        block = _minhash_py._BLOCK_CELLS
+        # several row blocks with a ragged last one, and a row wider than a block
+        for n, k in [(block // 8 + 3, 20), (300, 130), (block + 5, 4)]:
+            xs = np.concatenate([rng.integers(0, 1 << 64, size=n - len(edges), dtype=np.uint64), edges])
+            a, b = (arr.copy() for arr in hash_params(k, n))
+            a[:4] = [1, p - 1, 1, p - 1]
+            b[:4] = [0, 0, p - 1, p - 1]
+            check(xs, a, b)
+        for a0 in (1, p - 1):
+            for b0 in (0, p - 1):
+                for x in edges:
+                    check(np.array([x], dtype=np.uint64), np.array([a0], dtype=np.uint64),
+                          np.array([b0], dtype=np.uint64))
+
+    def test_hash_params_shared_and_read_only(self):
+        a, b = hash_params(16, 3)
+        assert hash_params(16, 3)[0] is a
+        with pytest.raises(ValueError):
+            a[0] = 1
+        with pytest.raises(ValueError):
+            b[0] = 1
 
     def test_compiled_matches_numpy(self):
         compiled = pytest.importorskip("mtforge._minhash")
