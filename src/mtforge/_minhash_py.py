@@ -1,8 +1,9 @@
-"""NumPy MinHash kernel, used when the compiled extension is unavailable.
+"""NumPy MinHash kernel: h_i(x) = (a_i * x + b_i) mod p, p = 2^61 - 1.
 
 Exact 61-bit Mersenne-prime arithmetic in 64-bit lanes: operands are split
 into 30/31-bit halves so no partial product overflows, and powers of two are
-reduced with 2^61 = 1 (mod p). Bit-identical to mtforge._minhash.
+reduced with 2^61 = 1 (mod p). tests/test_minlsh.py checks it against
+big-integer arithmetic.
 
 The (k, n) hash matrix is walked in blocks of rows of at most _BLOCK_CELLS
 cells, computed in place in three work buffers allocated once per call: no
@@ -23,8 +24,6 @@ _S30 = np.uint64(30)
 _S31 = np.uint64(31)
 _S61 = np.uint64(61)
 
-BACKEND = "numpy"
-
 # Hash-matrix cells per row block: at most 128 KiB per work buffer.
 _BLOCK_CELLS = 16_384
 
@@ -44,7 +43,12 @@ def _fold61(v: np.ndarray, tmp: np.ndarray) -> None:
 
 
 def min_hash(shingles: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Column minima of h_i(x_j) = (a_i * x_j + b_i) mod p; see the .pyx twin."""
+    """Column minima of the hash matrix h_i(x_j) for shingles x and rows (a, b).
+
+    shingles, a, b: uint64 arrays; a and b have equal length k and must
+    satisfy 1 <= a[i] < p, 0 <= b[i] < p. 64-bit shingle values are folded
+    into [0, p) first. Returns a uint64 array of length k.
+    """
     xs = np.array(shingles, dtype=np.uint64)  # a copy: it is folded in place
     av = np.ascontiguousarray(a, dtype=np.uint64)
     bv = np.ascontiguousarray(b, dtype=np.uint64)

@@ -32,7 +32,7 @@ from . import ngram_lm as lm_mod
 from . import rewards as rewards_mod
 from .backends import BackendFailure, backend_from_obj
 from .errors import MtforgeError, OrchestrationError, ValidationError
-from .ioutils import atomic_write, dump_json, read_jsonl, write_jsonl
+from .ioutils import atomic_write, dump_json, load_json, read_jsonl, write_jsonl
 from .scorers import ScorerEndpoint, scorer_from_obj
 
 REPORT_SCHEMA_VERSION = 1
@@ -64,8 +64,7 @@ def _load_scorer(spec: str) -> ScorerEndpoint:
     """A scorer flag is either a JSON config file or a local-function shorthand."""
     path = Path(spec)
     if spec.endswith(".json") or path.exists():
-        with open(path, encoding="utf-8") as handle:
-            return scorer_from_obj(json.load(handle))
+        return scorer_from_obj(load_json(path))
     if spec.startswith("constant:"):
         return ScorerEndpoint(name=spec, kind="local_function", config=spec)
     if spec in _SCORER_SHORTHAND_RANGES:
@@ -348,11 +347,7 @@ def mix_fit(runs_path, ridge_lambda, model_path, seed, report_path):
 @click.option("--report", "report_path", type=click.Path())
 def mix_optimize(model_path, candidates, replay_fraction, replay_domain, out_path, seed, report_path):
     """Pick the mixture minimizing predicted loss; optionally blend a replay share."""
-    with open(model_path, encoding="utf-8") as handle:
-        obj = json.load(handle)
-    model = mixopt_mod.RegressionModel(
-        tuple(obj["domains"]), tuple(obj["coefficients"]), obj["ridge_lambda"]
-    )
+    model = mixopt_mod.RegressionModel.from_obj(load_json(model_path), model_path)
     best = mixopt_mod.optimize_mixture(model, candidates, seed=seed)
     predicted = model.predict(best)
     if (replay_fraction is None) != (replay_domain is None):
@@ -470,8 +465,7 @@ def grpo_advantages_cmd(in_path, epsilon, out_path, seed, report_path):
 
 
 def _load_chimera_config(path: str):
-    with open(path, encoding="utf-8") as handle:
-        obj = json.load(handle)
+    obj = load_json(path)
     _validate_config(obj, "chimera_config.schema.json", path)
     backend = backend_from_obj(obj["backend"])
     fusion_backend = backend_from_obj(obj["fusion_backend"]) if "fusion_backend" in obj else backend
@@ -630,6 +624,11 @@ def eval_cmd(pairs_path, hyps_path, metric, aggregation, out_path, text_mode, se
 # -- pipeline --------------------------------------------------------------------
 
 
+# dedup stage config keys -> minlsh.dedup parameter names
+_DEDUP_STAGE_KEYS = {"shingle_n": "n", "k": "k", "bands": "b", "rows": "r",
+                     "threshold": "jaccard_threshold", "unit": "unit"}
+
+
 def _build_stages(config: dict, seed: int):
     stages = []
     for entry in config["stages"]:
@@ -641,15 +640,8 @@ def _build_stages(config: dict, seed: int):
                 min_confidence=entry.get("min_confidence", 0.5),
             ))
         elif kind == "dedup":
-            stages.append(filters_mod.DedupStage(
-                n=entry.get("shingle_n", 5),
-                k=entry.get("k", 128),
-                seed=seed,
-                b=entry.get("bands", 16),
-                r=entry.get("rows", 8),
-                jaccard_threshold=entry.get("threshold", 0.8),
-                unit=entry.get("unit", "word"),
-            ))
+            params = {name: entry[key] for key, name in _DEDUP_STAGE_KEYS.items() if key in entry}
+            stages.append(filters_mod.DedupStage(params=dict(params, seed=seed)))
         elif kind == "perplexity":
             stages.append(filters_mod.PerplexityStage(
                 lm=lm_mod.load_lm(entry["model"]),
@@ -674,8 +666,7 @@ def _build_stages(config: dict, seed: int):
 @click.option("--report", "report_path", type=click.Path())
 def pipeline_run(config_path, seed, report_path):
     """Run a configured cleaning pipeline with per-stage accounting."""
-    with open(config_path, encoding="utf-8") as handle:
-        config = json.load(handle)
+    config = load_json(config_path)
     _validate_config(config, "pipeline_config.schema.json", config_path)
     seed = config.get("seed", seed)
     stages = _build_stages(config, seed)

@@ -198,29 +198,17 @@ class LangIdStage:
 
 @dataclass
 class DedupStage:
-    n: int = 5
-    k: int = 128
-    seed: int = 0
-    b: int = 16
-    r: int = 8
-    jaccard_threshold: float = 0.8
-    unit: str = "word"
+    """Near-duplicate removal: `params` are keyword arguments of
+    minlsh.dedup, whose own defaults fill in every one left out."""
+
+    params: dict = field(default_factory=dict)
     name: str = "dedup"
     record_kind: str = "mono"
 
     def apply(self, records):
         from .minlsh import dedup
 
-        kept, drops = dedup(
-            records,
-            n=self.n,
-            k=self.k,
-            seed=self.seed,
-            b=self.b,
-            r=self.r,
-            jaccard_threshold=self.jaccard_threshold,
-            unit=self.unit,
-        )
+        kept, drops = dedup(records, **self.params)
         by_id = {rec.id: rec for rec in records}
         annotated = [(by_id[d.dropped_id], f"near_duplicate_of={d.kept_id}") for d in drops]
         return kept, annotated, []

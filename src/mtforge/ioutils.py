@@ -1,4 +1,4 @@
-"""Small IO helpers: atomic file writes and JSON Lines primitives."""
+"""Small IO helpers: atomic file writes, JSON files and JSON Lines primitives."""
 
 from __future__ import annotations
 
@@ -64,6 +64,18 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"invalid JSON: {exc.msg} (column {exc.colno})", lineno) from None
             yield lineno, obj
+
+
+def load_json(path: str | Path) -> Any:
+    """Parse a whole JSON file; content that is not UTF-8 JSON raises
+    SchemaError naming the path."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: invalid UTF-8 at byte {exc.start + 1}") from None
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})") from None
 
 
 def dump_json(path: str | Path, payload: dict) -> None:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .corpus import Document, registry_order, require_tag
 from .errors import ValidationError
-from .ioutils import atomic_write
+from .ioutils import atomic_write, load_json
 
 
 def extract_ngrams(text: str, ngram_range: tuple[int, int]) -> Counter[str]:
@@ -163,9 +163,8 @@ def save_langid(model: LangIdModel, path: str | Path) -> None:
 
 
 def load_langid(path: str | Path) -> LangIdModel:
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("format") != "mtforge-langid":
+    payload = load_json(path)
+    if not isinstance(payload, dict) or payload.get("format") != "mtforge-langid":
         raise ValidationError(f"{path}: not a language-id model file")
     return LangIdModel(
         classes=tuple(payload["classes"]),

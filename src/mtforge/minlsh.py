@@ -1,8 +1,7 @@
 """Near-duplicate detection: MinHash signatures with banded LSH.
 
-The signature kernel runs in the compiled extension when it was built,
-otherwise in the NumPy fallback; both produce bit-identical signatures.
-`KERNEL_BACKEND` names the active one.
+Signatures come from the NumPy kernel in `_minhash_py`; `KERNEL_BACKEND`
+names it in reports.
 """
 
 from __future__ import annotations
@@ -14,18 +13,13 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import _minhash_py
+from . import _minhash_py as _kernel
 from .corpus import Document
 from .errors import ValidationError
 
-try:
-    from . import _minhash as _kernel
-except ImportError:
-    _kernel = _minhash_py
+KERNEL_BACKEND: str = "numpy"
 
-KERNEL_BACKEND: str = _kernel.BACKEND
-
-MERSENNE61 = _minhash_py.P_INT
+MERSENNE61 = _kernel.P_INT
 
 
 def hash64(data: str) -> int:
@@ -213,8 +207,8 @@ def dedup(
     order; kept docs are returned in input order.
 
     Signatures are computed one document at a time in the calling thread.
-    A per-document thread pool was measured slower with either kernel: the
-    work between kernel calls holds the GIL, so threads only add hand-offs.
+    A per-document thread pool was measured slower: the work between kernel
+    calls holds the GIL, so threads only add hand-offs.
     """
     if b * r != k:
         raise ValidationError(f"bands*rows ({b}x{r}) must equal k={k}")

@@ -109,6 +109,26 @@ class RegressionModel:
             "ridge_lambda": self.ridge_lambda,
         }
 
+    @classmethod
+    def from_obj(cls, obj, where: str) -> RegressionModel:
+        """Inverse of to_obj; a missing or ill-typed key raises ValidationError naming `where`."""
+        try:
+            domains = tuple(obj["domains"])
+            coefficients = tuple(float(c) for c in obj["coefficients"])
+            ridge_lambda = float(obj["ridge_lambda"])
+        except KeyError as exc:
+            raise ValidationError(f"{where}: mixture surface has no {exc} key") from None
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{where}: ill-typed mixture surface: {exc}") from None
+        if not domains or not all(isinstance(d, str) for d in domains):
+            raise ValidationError(f"{where}: mixture surface domains must be a non-empty list of names")
+        if len(coefficients) != n_features(len(domains)):
+            raise ValidationError(
+                f"{where}: {len(coefficients)} coefficients for {len(domains)} domains, "
+                f"expected {n_features(len(domains))}"
+            )
+        return cls(domains, coefficients, ridge_lambda)
+
 
 def fit_regression(runs: Sequence[ProxyRun], ridge_lambda: float = 0.0) -> RegressionModel:
     """Closed-form (ridge) least squares from proxy runs to observed loss."""

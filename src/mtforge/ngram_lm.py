@@ -166,18 +166,24 @@ def train_lm(
     return NGramLm(order, discount, min_count, counts, default_lang)
 
 
-def log_prob(lm: NGramLm, text: str | Sequence[str], lang: str | None = None) -> float:
-    """Natural-log probability of a sentence, EOS included.
-
-    Accepts raw text (tokenized per `lang`, default the model's training
-    language) or a pre-tokenized sequence.
-    """
+def _tokens(lm: NGramLm, text: str | Sequence[str], lang: str | None) -> list[str]:
+    """The tokens log_prob and perplexity score; empty input is rejected."""
     if isinstance(text, str):
         tokens = segment_tokens(text, lang or lm.default_lang)
     else:
         tokens = list(text)
     if not tokens:
         raise ValidationError("cannot score empty text")
+    return tokens
+
+
+def log_prob(lm: NGramLm, text: str | Sequence[str], lang: str | None = None) -> float:
+    """Natural-log probability of a sentence, EOS included.
+
+    Accepts raw text (tokenized per `lang`, default the model's training
+    language) or a pre-tokenized sequence.
+    """
+    tokens = _tokens(lm, text, lang)
     mapped = [t if t in lm.vocab else UNK for t in tokens]
     padded = [BOS] * (lm.order - 1) + mapped + [EOS]
     total = 0.0
@@ -191,12 +197,7 @@ def log_prob(lm: NGramLm, text: str | Sequence[str], lang: str | None = None) ->
 
 def perplexity(lm: NGramLm, text: str | Sequence[str], lang: str | None = None) -> float:
     """exp(-log_prob / N) with N = token count + 1 for the EOS position."""
-    if isinstance(text, str):
-        tokens = segment_tokens(text, lang or lm.default_lang)
-    else:
-        tokens = list(text)
-    if not tokens:
-        raise ValidationError("cannot score empty text")
+    tokens = _tokens(lm, text, lang)
     return math.exp(-log_prob(lm, tokens) / (len(tokens) + 1))
 
 

@@ -7,13 +7,13 @@ nothing neural runs in-process.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import ValidationError
+from .ioutils import load_json
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,7 @@ class TermTable:
 
 def load_term_table(path: str | Path) -> TermTable:
     """Read a JSON object mapping each source term to a list of renderings."""
-    with open(path, encoding="utf-8") as handle:
-        raw = json.load(handle)
+    raw = load_json(path)
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: term table must be a JSON object")
     return TermTable({term: frozenset(renderings) for term, renderings in raw.items()})

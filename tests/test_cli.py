@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -9,14 +12,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mtforge
 from mtforge.cli import main
 from mtforge.corpus import Document, read_corpus, write_corpus
 
 DATA = Path(__file__).parent / "data"
+PACKAGE_ROOT = str(Path(mtforge.__file__).resolve().parents[1])
 
 
 def run(*args):
     return main([str(a) for a in args])
+
+
+def run_module(*args):
+    """`python -m mtforge` in a fresh process importing the package under test."""
+    pythonpath = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "mtforge", *map(str, args)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath))
 
 
 def _write_mono(tmp_path, docs, name="corpus.jsonl"):
@@ -50,24 +62,15 @@ def _planted_dup_docs(seed=3, n_base=40, n_dups=10):
 
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
-        import subprocess
-        import sys
-
-        out = subprocess.run(
-            [sys.executable, "-m", "mtforge", "lr-curve", "--warmup", "2", "--total", "10",
-             "--peak", "1.0", "--min-lr", "0.1", "--out", str(tmp_path / "c.csv")],
-            capture_output=True,
-        )
+        out = run_module("lr-curve", "--warmup", "2", "--total", "10",
+                         "--peak", "1.0", "--min-lr", "0.1", "--out", tmp_path / "c.csv")
         assert out.returncode == 0
         assert (tmp_path / "c.csv").exists()
 
     def test_module_invocation_usage_error(self):
-        import subprocess
-        import sys
-
-        out = subprocess.run([sys.executable, "-m", "mtforge", "no-such-command"], capture_output=True)
+        out = run_module("no-such-command")
         assert out.returncode == 1
-        assert b"Usage" in out.stderr
+        assert "Usage" in out.stderr
 
 
 class TestExitCodes:
@@ -96,19 +99,54 @@ class TestExitCodes:
         (b'{"id": "b", "lang": "en", "text": "caf\xe9"}\n', "error: line 2: invalid UTF-8 at byte 39"),
     ])
     def test_malformed_jsonl_is_one_line_exit_1(self, tmp_path, bad_line, message):
-        import subprocess
-        import sys
-
         bad = tmp_path / "bad.jsonl"
         bad.write_bytes(b'{"id": "a", "lang": "en", "text": "fine"}\n' + bad_line)
         out = tmp_path / "out.jsonl"
-        proc = subprocess.run([sys.executable, "-m", "mtforge", "dedup", "--in", str(bad), "--out", str(out)],
-                              capture_output=True, text=True)
+        proc = run_module("dedup", "--in", bad, "--out", out)
         assert proc.returncode == 1
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(message), proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, bad_flag, content", [
+        ("pipeline-run", "--config", b'{"schema_version": 1,'),
+        ("pipeline-run", "--config", b'{"schema_version": 1, "kind": "caf\xe9"}'),
+        ("mix-optimize", "--model", b'{"domains": ["a", "b"],'),
+        ("mix-optimize", "--model", b'{"coefficients": [0.1, 0.2, 0.3], "ridge_lambda": 0.0}'),
+        ("mix-optimize", "--model", b'{"domains": 3, "coefficients": [0.1], "ridge_lambda": 0.0}'),
+        ("mix-optimize", "--model", b'[]'),
+        ("quality-filter", "--scorer", b'{"name": "s", "kind": '),
+        ("fuse", "--config", b'{"schema_version": 1, "backend": {'),
+        ("langid-filter", "--model", b'{"format": "mtforge-langid", '),
+        ("langid-filter", "--model", b'[]'),
+        ("reward-score", "--terms", b'{"blood": ["sang"'),
+    ])
+    def test_bad_json_file_is_one_line_exit_1(self, tmp_path, command, bad_flag, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        mono = _write_mono(tmp_path, _english_docs(2))
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"id": "p", "src_lang": "en", "tgt_lang": "fr",
+                                     "src_text": "a", "tgt_text": "b"}) + "\n")
+        batch = tmp_path / "batch.jsonl"
+        batch.write_text(json.dumps({"id": "r", "source": "s", "hypothesis": "h", "quality": 1.0}) + "\n")
+        other_inputs = {
+            "pipeline-run": [],
+            "mix-optimize": [],
+            "quality-filter": ["--in", pairs, "--tau", 0.5],
+            "fuse": ["--in", _sources(tmp_path)],
+            "langid-filter": ["--in", mono, "--expected", "en"],
+            "reward-score": ["--in", batch],
+        }[command]
+        out_flags = [] if command == "pipeline-run" else ["--out", tmp_path / "out"]
+        before = sorted(tmp_path.iterdir())
+        proc = run_module(command, bad_flag, bad, *other_inputs, *out_flags, "--report", tmp_path / "report.json")
+        assert proc.returncode == 1, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: "), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_io_error_is_exit_2(self, tmp_path):
         docs = _write_mono(tmp_path, _english_docs(4))
