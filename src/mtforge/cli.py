@@ -1,10 +1,12 @@
 """Operator-facing command surface.
 
-Every subcommand accepts --seed (single source of randomness, threaded to
-each stochastic component) and --report (machine-readable JSON with a fixed
-schema_version). Output files are written atomically, so an error exit
-leaves declared outputs absent or untouched. Exit codes: 0 success, 1
-validation/usage error, 2 runtime or IO error.
+Every subcommand is declared with `_command`, which adds --seed (single
+source of randomness, threaded to each stochastic component) and --report
+(machine-readable JSON with a fixed schema_version, naming the command and
+the effective seed; pipeline-run's config seed wins over --seed). Output
+files are written atomically, so an error exit leaves declared outputs
+absent or untouched, and the report is written only after them. Exit codes:
+0 success, 1 validation/usage error, 2 runtime or IO error.
 """
 
 from __future__ import annotations
@@ -41,14 +43,6 @@ REPORT_SCHEMA_VERSION = 1
 _SCORER_SHORTHAND_RANGES = {"chrf": (0.0, 100.0), "length_ratio": (0.0, 1.0)}
 
 
-def _write_report(path: str | None, command: str, seed: int, payload: dict) -> None:
-    if not path:
-        return
-    report = {"schema_version": REPORT_SCHEMA_VERSION, "command": command, "seed": seed}
-    report.update(payload)
-    dump_json(path, report)
-
-
 def _load_schema(name: str) -> dict:
     return json.loads(resource_files("mtforge.schemas").joinpath(name).read_text("utf-8"))
 
@@ -75,50 +69,65 @@ def _load_scorer(spec: str) -> ScorerEndpoint:
     raise ValidationError(f"unknown scorer {spec!r} (not a file or a built-in)")
 
 
-def _dropped_rows(dropped, extra_key: str):
-    for record, value in dropped:
-        obj = corpus_mod.record_to_obj(record)
-        obj[extra_key] = value
-        yield obj
-
-
 @click.group(name="mtforge")
 def cli():
     """Corpus curation, mixture optimization, rewards, and translation fusion."""
 
 
+def _command(name: str):
+    """Register the decorated function as subcommand `name`, with --seed and
+    --report listed after its own options.
+
+    The function is called with `seed` and returns its report payload. With
+    --report, the payload is written after the function's outputs, in an
+    envelope of schema_version, command and seed; a payload `seed` (the
+    effective one) wins over --seed.
+    """
+    def decorate(body):
+        @click.option("--seed", default=0, show_default=True)
+        @click.option("--report", "report_path", type=click.Path())
+        def command(report_path, **params):
+            payload = body(**params)
+            if report_path:
+                dump_json(report_path, {"schema_version": REPORT_SCHEMA_VERSION, "command": name,
+                                        "seed": params["seed"], **payload})
+
+        # click lists options in reverse of this list, so the body's go first
+        command.__click_params__ += body.__click_params__
+        command.__doc__ = body.__doc__
+        return cli.command(name)(command)
+
+    return decorate
+
+
 # -- language identification -------------------------------------------------
 
 
-@cli.command("langid-train")
+@_command("langid-train")
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--model", "model_path", required=True, type=click.Path())
 @click.option("--min-n", default=1, show_default=True)
 @click.option("--max-n", default=3, show_default=True)
 @click.option("--alpha", default=0.5, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--report", "report_path", type=click.Path())
-def langid_train(in_path, model_path, min_n, max_n, alpha, seed, report_path):
+def langid_train(in_path, model_path, min_n, max_n, alpha, seed):
     """Train the character-n-gram language identifier on a labeled corpus."""
     docs = corpus_mod.read_corpus(in_path, "mono")
     model = langid_mod.train_langid(docs, ngram_range=(min_n, max_n), alpha=alpha)
     langid_mod.save_langid(model, model_path)
-    _write_report(report_path, "langid-train", seed, {
+    return {
         "counts": {"documents": len(docs), "classes": len(model.classes), "vocab": len(model.vocab)},
         "params": {"min_n": min_n, "max_n": max_n, "alpha": alpha},
-    })
+    }
 
 
-@cli.command("langid-filter")
+@_command("langid-filter")
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
 @click.option("--expected", required=True)
 @click.option("--min-confidence", default=0.5, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--dropped", "dropped_path", type=click.Path())
-@click.option("--seed", default=0, show_default=True)
-@click.option("--report", "report_path", type=click.Path())
-def langid_filter(in_path, model_path, expected, min_confidence, out_path, dropped_path, seed, report_path):
+def langid_filter(in_path, model_path, expected, min_confidence, out_path, dropped_path, seed):
     """Keep documents identified as the expected language."""
     docs = corpus_mod.read_corpus(in_path, "mono")
     model = langid_mod.load_langid(model_path)
@@ -129,10 +138,10 @@ def langid_filter(in_path, model_path, expected, min_confidence, out_path, dropp
             dict(corpus_mod.record_to_obj(doc), predicted=pred, confidence=conf)
             for doc, pred, conf in dropped
         ))
-    _write_report(report_path, "langid-filter", seed, {
+    return {
         "counts": {"input": len(docs), "kept": len(kept), "dropped": len(dropped)},
         "params": {"expected": expected, "min_confidence": min_confidence},
-    })
+    }
 
 
 # -- deduplication -------------------------------------------------------------
@@ -141,7 +150,7 @@ def langid_filter(in_path, model_path, expected, min_confidence, out_path, dropp
 _DEDUP_JOBS_HELP = "Accepted and ignored: dedup signs documents in one thread"
 
 
-@cli.command("dedup")
+@_command("dedup")
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--dropped", "dropped_path", type=click.Path(), help="Defaults to <out>.dropped.jsonl")
@@ -152,9 +161,7 @@ _DEDUP_JOBS_HELP = "Accepted and ignored: dedup signs documents in one thread"
 @click.option("--threshold", default=0.8, show_default=True)
 @click.option("--unit", default="word", type=click.Choice(["word", "char"]), show_default=True)
 @click.option("--jobs", type=int, metavar="N", expose_value=False, help=_DEDUP_JOBS_HELP)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--report", "report_path", type=click.Path())
-def dedup_cmd(in_path, out_path, dropped_path, shingle_n, k, bands, rows, threshold, unit, seed, report_path):
+def dedup_cmd(in_path, out_path, dropped_path, shingle_n, k, bands, rows, threshold, unit, seed):
     """Remove near-duplicate documents via MinHash + banded LSH."""
     docs = corpus_mod.read_corpus(in_path, "mono")
     kept, dropped = dedup_mod.dedup(
@@ -167,37 +174,35 @@ def dedup_cmd(in_path, out_path, dropped_path, shingle_n, k, bands, rows, thresh
         {"dropped_id": d.dropped_id, "kept_id": d.kept_id, "estimated_jaccard": d.estimated_jaccard}
         for d in dropped
     ))
-    _write_report(report_path, "dedup", seed, {
+    return {
         "counts": {"input": len(docs), "kept": len(kept), "dropped": len(dropped)},
         "params": {"shingle_n": shingle_n, "k": k, "bands": bands, "rows": rows,
                    "threshold": threshold, "unit": unit},
         "kernel_backend": dedup_mod.KERNEL_BACKEND,
-    })
+    }
 
 
 # -- n-gram LM -----------------------------------------------------------------
 
 
-@cli.command("lm-train")
+@_command("lm-train")
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--model", "model_path", required=True, type=click.Path())
 @click.option("--order", default=3, show_default=True)
 @click.option("--discount", default=0.75, show_default=True)
 @click.option("--min-count", default=1, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--report", "report_path", type=click.Path())
-def lm_train(in_path, model_path, order, discount, min_count, seed, report_path):
+def lm_train(in_path, model_path, order, discount, min_count, seed):
     """Train the interpolated Kneser-Ney n-gram model."""
     docs = corpus_mod.read_corpus(in_path, "mono")
     lm = lm_mod.train_lm(docs, order=order, discount=discount, min_count=min_count)
     lm_mod.save_lm(lm, model_path)
-    _write_report(report_path, "lm-train", seed, {
+    return {
         "counts": {"documents": len(docs), "vocab": len(lm.vocab)},
         "params": {"order": order, "discount": discount, "min_count": min_count},
-    })
+    }
 
 
-@cli.command("lm-filter")
+@_command("lm-filter")
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
 @click.option("--mode", default="percentile", type=click.Choice(["percentile", "absolute"]), show_default=True)
@@ -205,32 +210,30 @@ def lm_train(in_path, model_path, order, discount, min_count, seed, report_path)
 @click.option("--max-ppl", type=float)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--dropped", "dropped_path", type=click.Path())
-@click.option("--seed", default=0, show_default=True)
-@click.option("--report", "report_path", type=click.Path())
-def lm_filter(in_path, model_path, mode, q, max_ppl, out_path, dropped_path, seed, report_path):
+def lm_filter(in_path, model_path, mode, q, max_ppl, out_path, dropped_path, seed):
     """Drop high-perplexity documents."""
     docs = corpus_mod.read_corpus(in_path, "mono")
     lm = lm_mod.load_lm(model_path)
     kept, dropped = lm_mod.filter_high_perplexity(docs, lm, mode=mode, max_ppl=max_ppl, q=q)
     corpus_mod.write_corpus(kept, out_path)
     if dropped_path:
-        write_jsonl(dropped_path, _dropped_rows(dropped, "perplexity"))
-    _write_report(report_path, "lm-filter", seed, {
+        write_jsonl(dropped_path, (
+            dict(corpus_mod.record_to_obj(doc), perplexity=ppl) for doc, ppl in dropped
+        ))
+    return {
         "counts": {"input": len(docs), "kept": len(kept), "dropped": len(dropped)},
         "params": {"mode": mode, "q": q, "max_ppl": max_ppl},
-    })
+    }
 
 
 # -- quality -------------------------------------------------------------------
 
 
-@cli.command("quality-score")
+@_command("quality-score")
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--unscored", "unscored_path", type=click.Path())
-@click.option("--seed", default=0, show_default=True)
-@click.option("--report", "report_path", type=click.Path())
-def quality_score(in_path, out_path, unscored_path, seed, report_path):
+def quality_score(in_path, out_path, unscored_path, seed):
     """Attach the weighted composite quality score.
 
     Documents must carry knowledge_value / authenticity / writing_style in
@@ -241,21 +244,19 @@ def quality_score(in_path, out_path, unscored_path, seed, report_path):
     corpus_mod.write_corpus(scored, out_path)
     if unscored_path:
         corpus_mod.write_corpus(missing, unscored_path)
-    _write_report(report_path, "quality-score", seed, {
+    return {
         "counts": {"input": len(docs), "scored": len(scored), "unscored": len(missing)},
-    })
+    }
 
 
-@cli.command("quality-filter")
+@_command("quality-filter")
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--scorer", "scorer_spec", required=True)
 @click.option("--tau", required=True, type=float)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--dropped", "dropped_path", type=click.Path())
 @click.option("--unscored", "unscored_path", type=click.Path())
-@click.option("--seed", default=0, show_default=True)
-@click.option("--report", "report_path", type=click.Path())
-def quality_filter(in_path, scorer_spec, tau, out_path, dropped_path, unscored_path, seed, report_path):
+def quality_filter(in_path, scorer_spec, tau, out_path, dropped_path, unscored_path, seed):
     """Keep parallel pairs whose quality-estimation score is >= tau."""
     pairs = corpus_mod.read_corpus(in_path, "parallel")
     scorer = _load_scorer(scorer_spec)
@@ -265,20 +266,18 @@ def quality_filter(in_path, scorer_spec, tau, out_path, dropped_path, unscored_p
         corpus_mod.write_corpus(dropped, dropped_path)
     if unscored_path:
         corpus_mod.write_corpus(unscored, unscored_path)
-    _write_report(report_path, "quality-filter", seed, {
+    return {
         "counts": {"input": len(pairs), "kept": len(kept),
                    "dropped": len(dropped), "unscored": len(unscored)},
         "params": {"scorer": scorer.name, "tau": tau},
-    })
+    }
 
 
-@cli.command("judge-flag")
+@_command("judge-flag")
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--max-spread", required=True, type=float)
 @click.option("--out", "out_path", type=click.Path())
-@click.option("--seed", default=0, show_default=True)
-@click.option("--report", "report_path", type=click.Path())
-def judge_flag(in_path, max_spread, out_path, seed, report_path):
+def judge_flag(in_path, max_spread, out_path, seed):
     """Flag samples whose judge scores disagree across rounds."""
     records = []
     for lineno, obj in read_jsonl(in_path):
@@ -289,63 +288,57 @@ def judge_flag(in_path, max_spread, out_path, seed, report_path):
     consistent, flagged = filters_mod.flag_inconsistent(records, max_spread)
     if out_path:
         dump_json(out_path, {"consistent": consistent, "flagged": flagged})
-    _write_report(report_path, "judge-flag", seed, {
+    return {
         "counts": {"input": len(records), "consistent": len(consistent), "flagged": len(flagged)},
         "flagged_ids": flagged,
         "params": {"max_spread": max_spread},
-    })
+    }
 
 
 # -- mixture optimization --------------------------------------------------------
 
 
-@cli.command("mix-sample")
+@_command("mix-sample")
 @click.option("--domains", required=True, help="Comma-separated domain names")
 @click.option("--n", required=True, type=int)
 @click.option("--alpha", default=1.0, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--seed", default=0, show_default=True)
-@click.option("--report", "report_path", type=click.Path())
-def mix_sample(domains, n, alpha, out_path, seed, report_path):
+def mix_sample(domains, n, alpha, out_path, seed):
     """Sample candidate mixtures from a symmetric Dirichlet."""
     names = [d.strip() for d in domains.split(",") if d.strip()]
     mixtures = mixopt_mod.sample_mixtures(names, n, dirichlet_alpha=alpha, seed=seed)
     write_jsonl(out_path, (m.to_obj() for m in mixtures))
-    _write_report(report_path, "mix-sample", seed, {
+    return {
         "counts": {"samples": len(mixtures), "domains": len(names)},
         "params": {"alpha": alpha},
-    })
+    }
 
 
-@cli.command("mix-fit")
+@_command("mix-fit")
 @click.option("--runs", "runs_path", required=True, type=click.Path(exists=True))
 @click.option("--ridge-lambda", default=0.0, show_default=True)
 @click.option("--model-out", "model_path", required=True, type=click.Path())
-@click.option("--seed", default=0, show_default=True)
-@click.option("--report", "report_path", type=click.Path())
-def mix_fit(runs_path, ridge_lambda, model_path, seed, report_path):
+def mix_fit(runs_path, ridge_lambda, model_path, seed):
     """Fit the ratio-to-loss regression from proxy runs."""
     runs = mixopt_mod.read_proxy_runs(runs_path)
     model = mixopt_mod.fit_regression(runs, ridge_lambda=ridge_lambda)
     dump_json(model_path, model.to_obj())
     residuals = [model.predict(r.mixture) - r.observed_loss for r in runs]
     rmse = (sum(r * r for r in residuals) / len(residuals)) ** 0.5
-    _write_report(report_path, "mix-fit", seed, {
+    return {
         "counts": {"runs": len(runs), "features": len(model.coefficients)},
         "params": {"ridge_lambda": ridge_lambda},
         "in_sample_rmse": rmse,
-    })
+    }
 
 
-@cli.command("mix-optimize")
+@_command("mix-optimize")
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
 @click.option("--candidates", default=65536, show_default=True)
 @click.option("--replay-fraction", type=float)
 @click.option("--replay-domain")
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--seed", default=0, show_default=True)
-@click.option("--report", "report_path", type=click.Path())
-def mix_optimize(model_path, candidates, replay_fraction, replay_domain, out_path, seed, report_path):
+def mix_optimize(model_path, candidates, replay_fraction, replay_domain, out_path, seed):
     """Pick the mixture minimizing predicted loss; optionally blend a replay share."""
     model = mixopt_mod.RegressionModel.from_obj(load_json(model_path), model_path)
     best = mixopt_mod.optimize_mixture(model, candidates, seed=seed)
@@ -355,23 +348,21 @@ def mix_optimize(model_path, candidates, replay_fraction, replay_domain, out_pat
     if replay_fraction is not None:
         best = mixopt_mod.blend_replay(best, replay_fraction, replay_domain)
     dump_json(out_path, best.to_obj())
-    _write_report(report_path, "mix-optimize", seed, {
+    return {
         "counts": {"candidates": candidates},
         "params": {"replay_fraction": replay_fraction, "replay_domain": replay_domain},
         "predicted_loss": predicted,
-    })
+    }
 
 
-@cli.command("lr-curve")
+@_command("lr-curve")
 @click.option("--warmup", required=True, type=int)
 @click.option("--total", required=True, type=int)
 @click.option("--peak", required=True, type=float)
 @click.option("--min-lr", required=True, type=float)
 @click.option("--shape", default="cosine", type=click.Choice(["cosine", "linear"]), show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--seed", default=0, show_default=True)
-@click.option("--report", "report_path", type=click.Path())
-def lr_curve(warmup, total, peak, min_lr, shape, out_path, seed, report_path):
+def lr_curve(warmup, total, peak, min_lr, shape, out_path, seed):
     """Export the warmup-then-decay learning-rate schedule as CSV."""
     schedule = mixopt_mod.LrSchedule(warmup, total, peak, min_lr, shape)
     with atomic_write(out_path) as handle:
@@ -379,17 +370,17 @@ def lr_curve(warmup, total, peak, min_lr, shape, out_path, seed, report_path):
         writer.writerow(["step", "lr"])
         for step in range(total + 1):
             writer.writerow([step, repr(mixopt_mod.lr_at(schedule, step))])
-    _write_report(report_path, "lr-curve", seed, {
+    return {
         "counts": {"steps": total + 1},
         "params": {"warmup": warmup, "total": total, "peak": peak,
                    "min_lr": min_lr, "shape": shape},
-    })
+    }
 
 
 # -- rewards -------------------------------------------------------------------
 
 
-@cli.command("reward-score")
+@_command("reward-score")
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--terms", "terms_path", required=True, type=click.Path(exists=True))
 @click.option("--scorer", "scorer_spec", help="Quality scorer for records without a quality field")
@@ -397,10 +388,8 @@ def lr_curve(warmup, total, peak, min_lr, shape, out_path, seed, report_path):
 @click.option("--w-terminology", default=0.5, show_default=True)
 @click.option("--w-repetition", default=1.0, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--seed", default=0, show_default=True)
-@click.option("--report", "report_path", type=click.Path())
 def reward_score(in_path, terms_path, scorer_spec, w_quality, w_terminology, w_repetition,
-                 out_path, seed, report_path):
+                 out_path, seed):
     """Compute the full reward breakdown for translation records.
 
     Input lines carry {"id", "source", "hypothesis"} plus an optional
@@ -432,20 +421,18 @@ def reward_score(in_path, terms_path, scorer_spec, w_quality, w_terminology, w_r
         )
         out_rows.append(dict(breakdown.to_obj(), id=rec_id))
     write_jsonl(out_path, out_rows)
-    _write_report(report_path, "reward-score", seed, {
+    return {
         "counts": {"records": len(out_rows)},
         "params": {"w_quality": w_quality, "w_terminology": w_terminology,
                    "w_repetition": w_repetition},
-    })
+    }
 
 
-@cli.command("grpo-advantages")
+@_command("grpo-advantages")
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--epsilon", default=1e-8, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--seed", default=0, show_default=True)
-@click.option("--report", "report_path", type=click.Path())
-def grpo_advantages_cmd(in_path, epsilon, out_path, seed, report_path):
+def grpo_advantages_cmd(in_path, epsilon, out_path, seed):
     """Normalize reward groups to group-relative advantages."""
     out_rows = []
     for lineno, obj in read_jsonl(in_path):
@@ -455,16 +442,18 @@ def grpo_advantages_cmd(in_path, epsilon, out_path, seed, report_path):
         out_rows.append({"id": obj.get("id", str(lineno)), "rewards": obj["rewards"],
                          "advantages": advantages})
     write_jsonl(out_path, out_rows)
-    _write_report(report_path, "grpo-advantages", seed, {
+    return {
         "counts": {"groups": len(out_rows)},
         "params": {"epsilon": epsilon},
-    })
+    }
 
 
 # -- generation and fusion -------------------------------------------------------
 
 
-def _load_chimera_config(path: str):
+def _load_chimera_config(path: str, jobs: int | None):
+    """Backends, grid and fallback scorer from a config file, plus the
+    request limit: `jobs` when given, else the config's max_workers."""
     obj = load_json(path)
     _validate_config(obj, "chimera_config.schema.json", path)
     backend = backend_from_obj(obj["backend"])
@@ -476,7 +465,9 @@ def _load_chimera_config(path: str):
     if "per_slot_backends" in obj:
         per_slot = [backend_from_obj(e) if e is not None else None for e in obj["per_slot_backends"]]
     scorer = scorer_from_obj(obj["fallback_scorer"]) if "fallback_scorer" in obj else None
-    return backend, fusion_backend, grid, per_slot, scorer, obj.get("max_workers", 4)
+    if jobs is None:
+        jobs = obj.get("max_workers", 4)
+    return backend, fusion_backend, grid, per_slot, scorer, jobs
 
 
 def _read_sources(path: str):
@@ -525,18 +516,16 @@ def _run_segments(sources, jobs, backend, grid, per_slot, fusion=None):
 _JOBS_HELP = "At most N requests in flight across all segments [default: the config's max_workers]"
 
 
-@cli.command("translate")
+@_command("translate")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--jobs", type=int, metavar="N", help=_JOBS_HELP)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--report", "report_path", type=click.Path())
-def translate(config_path, in_path, out_path, jobs, seed, report_path):
+def translate(config_path, in_path, out_path, jobs, seed):
     """Generate a candidate set per source segment over the sampling grid."""
-    backend, _fusion, grid, per_slot, _scorer, max_workers = _load_chimera_config(config_path)
+    backend, _fusion, grid, per_slot, _scorer, jobs = _load_chimera_config(config_path, jobs)
     sources = _read_sources(in_path)
-    results = _run_segments(sources, jobs if jobs is not None else max_workers, backend, grid, per_slot)
+    results = _run_segments(sources, jobs, backend, grid, per_slot)
     out_rows = [
         {
             "id": src["id"],
@@ -550,25 +539,22 @@ def translate(config_path, in_path, out_path, jobs, seed, report_path):
         for src, (cand, _) in zip(sources, results)
     ]
     write_jsonl(out_path, out_rows)
-    _write_report(report_path, "translate", seed, {
+    return {
         "counts": {"sources": len(sources),
                    "candidates": sum(len(r["candidates"]) for r in out_rows)},
-    })
+    }
 
 
-@cli.command("fuse")
+@_command("fuse")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--jobs", type=int, metavar="N", help=_JOBS_HELP)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--report", "report_path", type=click.Path())
-def fuse_cmd(config_path, in_path, out_path, jobs, seed, report_path):
+def fuse_cmd(config_path, in_path, out_path, jobs, seed):
     """Generate candidates and fuse them into one refined output per segment."""
-    backend, fusion_backend, grid, per_slot, scorer, max_workers = _load_chimera_config(config_path)
+    backend, fusion_backend, grid, per_slot, scorer, jobs = _load_chimera_config(config_path, jobs)
     sources = _read_sources(in_path)
-    results = _run_segments(sources, jobs if jobs is not None else max_workers, backend, grid, per_slot,
-                            fusion=(fusion_backend, scorer))
+    results = _run_segments(sources, jobs, backend, grid, per_slot, fusion=(fusion_backend, scorer))
     out_rows = [
         {
             "id": src["id"],
@@ -581,16 +567,16 @@ def fuse_cmd(config_path, in_path, out_path, jobs, seed, report_path):
         for src, (cand, result) in zip(sources, results)
     ]
     write_jsonl(out_path, out_rows)
-    _write_report(report_path, "fuse", seed, {
+    return {
         "counts": {"sources": len(sources),
                    "fallbacks": sum(result.fallback_used for _, result in results)},
-    })
+    }
 
 
 # -- evaluation ------------------------------------------------------------------
 
 
-@cli.command("eval")
+@_command("eval")
 @click.option("--pairs", "pairs_path", required=True, type=click.Path(exists=True))
 @click.option("--hyps", "hyps_path", required=True, type=click.Path(exists=True))
 @click.option("--metric", default="chrf", show_default=True,
@@ -598,9 +584,7 @@ def fuse_cmd(config_path, in_path, out_path, jobs, seed, report_path):
 @click.option("--aggregation", default="micro", type=click.Choice(["micro", "macro"]), show_default=True)
 @click.option("--out", "out_path", type=click.Path())
 @click.option("--text", "text_mode", is_flag=True, help="Print the aligned text table")
-@click.option("--seed", default=0, show_default=True)
-@click.option("--report", "report_path", type=click.Path())
-def eval_cmd(pairs_path, hyps_path, metric, aggregation, out_path, text_mode, seed, report_path):
+def eval_cmd(pairs_path, hyps_path, metric, aggregation, out_path, text_mode, seed):
     """Score hypotheses against references and report per direction group."""
     pairs = corpus_mod.read_corpus(pairs_path, "parallel")
     hyps = {}
@@ -615,10 +599,10 @@ def eval_cmd(pairs_path, hyps_path, metric, aggregation, out_path, text_mode, se
         dump_json(out_path, report.to_obj())
     if text_mode:
         click.echo(report.render_text())
-    _write_report(report_path, "eval", seed, {
+    return {
         "counts": {"pairs": len(pairs), "scored": len(scored), "failed": len(failures)},
         "result": report.to_obj(),
-    })
+    }
 
 
 # -- pipeline --------------------------------------------------------------------
@@ -659,12 +643,10 @@ def _build_stages(config: dict, seed: int):
     return stages
 
 
-@cli.command("pipeline-run")
+@_command("pipeline-run")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--jobs", type=int, metavar="N", expose_value=False, help=_DEDUP_JOBS_HELP)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--report", "report_path", type=click.Path())
-def pipeline_run(config_path, seed, report_path):
+def pipeline_run(config_path, seed):
     """Run a configured cleaning pipeline with per-stage accounting."""
     config = load_json(config_path)
     _validate_config(config, "pipeline_config.schema.json", config_path)
@@ -683,11 +665,12 @@ def pipeline_run(config_path, seed, report_path):
             dict(corpus_mod.record_to_obj(record), stage=stage_name, reason=reason)
             for stage_name, record, reason in result.dropped
         ))
-    _write_report(report_path, "pipeline-run", seed, {
+    return {
+        "seed": seed,  # the config's seed, when it sets one
         "counts": {"input": len(records), "output": len(result.final),
                    "dropped": len(result.dropped), "unscored": len(result.unscored)},
         "stages": [r.to_obj() for r in result.reports],
-    })
+    }
 
 
 def main(argv: list[str] | None = None) -> int:

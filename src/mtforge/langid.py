@@ -166,12 +166,17 @@ def load_langid(path: str | Path) -> LangIdModel:
     payload = load_json(path)
     if not isinstance(payload, dict) or payload.get("format") != "mtforge-langid":
         raise ValidationError(f"{path}: not a language-id model file")
-    return LangIdModel(
-        classes=tuple(payload["classes"]),
-        log_priors=dict(payload["log_priors"]),
-        ngram_range=tuple(payload["ngram_range"]),
-        smoothing_alpha=payload["smoothing_alpha"],
-        vocab=frozenset(payload["vocab"]),
-        log_likelihoods={c: dict(t) for c, t in payload["log_likelihoods"].items()},
-        unseen_log_likelihood=dict(payload["unseen_log_likelihood"]),
-    )
+    try:
+        return LangIdModel(
+            classes=tuple(payload["classes"]),
+            log_priors=dict(payload["log_priors"]),
+            ngram_range=tuple(payload["ngram_range"]),
+            smoothing_alpha=payload["smoothing_alpha"],
+            vocab=frozenset(payload["vocab"]),
+            log_likelihoods={c: dict(t) for c, t in payload["log_likelihoods"].items()},
+            unseen_log_likelihood=dict(payload["unseen_log_likelihood"]),
+        )
+    except KeyError as exc:
+        raise ValidationError(f"{path}: missing model key {exc}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ValidationError(f"{path}: ill-typed model ({exc})") from None

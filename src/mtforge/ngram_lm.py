@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import Document, registry_order, segment_tokens
-from .errors import ValidationError
+from .errors import SchemaError, ValidationError
 from .ioutils import atomic_write
 
 BOS = "<s>"
@@ -71,6 +71,10 @@ class NGramLm:
                     table.setdefault(lower_ctx, Counter())[word] += 1
             self.cont[k] = table
             self.cont_totals[k] = {ctx: sum(c.values()) for ctx, c in table.items()}
+        # (table, totals) that order k interpolates from: raw counts at the
+        # highest order, continuation counts below it
+        self._levels = [None] + [(self.cont[k], self.cont_totals[k]) for k in range(1, self.order)]
+        self._levels.append((self.counts[self.order], self.totals[self.order]))
         unigram_types = set(self.counts[1].get((), {}))
         unigram_types.discard(BOS)
         unigram_types.add(UNK)
@@ -82,16 +86,18 @@ class NGramLm:
     def _uniform(self) -> float:
         return 1.0 / len(self.vocab)
 
-    def _prob_cont(self, word: str, context: tuple[str, ...], k: int) -> float:
+    def _interpolate(self, word: str, context: tuple[str, ...], k: int) -> float:
+        """Discounted order-k estimate interpolated with order k-1."""
         if k == 0:
             return self._uniform()
-        table = self.cont[k].get(context)
+        tables, totals = self._levels[k]
+        table = tables.get(context)
         if not table:
-            return self._prob_cont(word, context[1:], k - 1)
-        total = self.cont_totals[k][context]
+            return self._interpolate(word, context[1:], k - 1)
+        total = totals[context]
         top = max(table.get(word, 0) - self.discount, 0.0) / total
         lam = self.discount * len(table) / total
-        return top + lam * self._prob_cont(word, context[1:], k - 1)
+        return top + lam * self._interpolate(word, context[1:], k - 1)
 
     def prob(self, word: str, context: Sequence[str] = ()) -> float:
         """P(word | context), with unknown tokens mapped to UNK and the
@@ -101,13 +107,7 @@ class NGramLm:
         ctx = ctx[max(0, len(ctx) - (self.order - 1)) :]
         if len(ctx) < self.order - 1:
             ctx = (BOS,) * (self.order - 1 - len(ctx)) + ctx
-        table = self.counts[self.order].get(ctx)
-        if not table:
-            return self._prob_cont(word, ctx[1:], self.order - 1)
-        total = self.totals[self.order][ctx]
-        top = max(table.get(word, 0) - self.discount, 0.0) / total
-        lam = self.discount * len(table) / total
-        return top + lam * self._prob_cont(word, ctx[1:], self.order - 1)
+        return self._interpolate(word, ctx, self.order)
 
     def seen_contexts(self, k: int | None = None) -> list[tuple[str, ...]]:
         return sorted(self.counts[k if k is not None else self.order])
@@ -259,24 +259,55 @@ def save_lm(lm: NGramLm, path: str | Path) -> None:
                 handle.write(f"{k}\t{' '.join(gram)}\t{count}\n")
 
 
+# header key -> (accepted types, description), checked by load_lm
+_HEADER_KEYS = {
+    "order": (int, "an integer"),
+    "discount": ((int, float), "a number"),
+    "min_count": (int, "an integer"),
+    "default_lang": (str, "a string"),
+}
+
+
+def _read_header(path: str | Path, line: str) -> dict:
+    try:
+        header = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: line 1: invalid JSON header: {exc.msg} (column {exc.colno})") from None
+    if not isinstance(header, dict) or header.get("format") != "mtforge-ngram-lm":
+        raise ValidationError(f"{path}: not an n-gram model file")
+    for key, (types, description) in _HEADER_KEYS.items():
+        value = header.get(key)
+        if not isinstance(value, types) or isinstance(value, bool):
+            raise SchemaError(f"{path}: header {key!r} must be {description}, got {value!r}")
+    if header["order"] < 1:
+        raise SchemaError(f"{path}: header 'order' must be >= 1, got {header['order']}")
+    return header
+
+
 def load_lm(path: str | Path) -> NGramLm:
-    with open(path, encoding="utf-8") as handle:
-        header = json.loads(handle.readline())
-        if header.get("format") != "mtforge-ngram-lm":
-            raise ValidationError(f"{path}: not an n-gram model file")
-        counts: dict[int, dict[tuple[str, ...], dict[str, int]]] = {
-            k: {} for k in range(1, header["order"] + 1)
-        }
-        for line in handle:
-            if not line.strip():
-                continue
-            k_str, gram_str, count_str = line.rstrip("\n").split("\t")
-            gram = tuple(gram_str.split(" "))
-            counts[int(k_str)].setdefault(gram[:-1], {})[gram[-1]] = int(count_str)
-    return NGramLm(
-        order=header["order"],
-        discount=header["discount"],
-        min_count=header["min_count"],
-        counts=counts,
-        default_lang=header["default_lang"],
-    )
+    """Read a model written by save_lm; a malformed header or count line
+    raises ValidationError naming the path."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            header = _read_header(path, handle.readline())
+            order = header["order"]
+            counts: dict[int, dict[tuple[str, ...], dict[str, int]]] = {k: {} for k in range(1, order + 1)}
+            for lineno, line in enumerate(handle, start=2):
+                if not line.strip():
+                    continue
+                try:
+                    k_str, gram_str, count_str = line.rstrip("\n").split("\t")
+                    k, count = int(k_str), int(count_str)
+                except ValueError:
+                    raise SchemaError(f"{path}: line {lineno}: expected k<TAB>gram<TAB>count") from None
+                table = counts.get(k)
+                if table is None:
+                    raise SchemaError(f"{path}: line {lineno}: order {k} outside 1..{order}")
+                gram = tuple(gram_str.split(" "))
+                table.setdefault(gram[:-1], {})[gram[-1]] = count
+    except UnicodeDecodeError:
+        raise SchemaError(f"{path}: invalid UTF-8") from None
+    try:
+        return NGramLm(order, header["discount"], header["min_count"], counts, header["default_lang"])
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -9,14 +10,16 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 
 import mtforge
-from mtforge.cli import main
+from mtforge.cli import cli, main
 from mtforge.corpus import Document, read_corpus, write_corpus
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE_ROOT = str(Path(mtforge.__file__).resolve().parents[1])
 
 
@@ -73,6 +76,21 @@ class TestConsoleEntry:
         assert "Usage" in out.stderr
 
 
+def _readme_commands():
+    """Command names listed in README's "Commands:" paragraph."""
+    paragraph = README.read_text("utf-8").split("\nCommands: ", 1)[1].split("\n\n", 1)[0]
+    return set(re.findall(r"`([a-z-]+)`", paragraph))
+
+
+class TestCommandSurface:
+    @pytest.mark.parametrize("name", sorted(set(cli.commands) | _readme_commands()))
+    def test_listed_in_readme_with_seed_and_report_last(self, name):
+        assert name in cli.commands and name in _readme_commands()
+        seed, report = cli.commands[name].params[-2:]
+        assert seed.opts == ["--seed"] and seed.type is click.INT and seed.default == 0
+        assert report.opts == ["--report"]
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, capfd):
         assert run("frobnicate") == 1
@@ -120,6 +138,9 @@ class TestExitCodes:
         ("fuse", "--config", b'{"schema_version": 1, "backend": {'),
         ("langid-filter", "--model", b'{"format": "mtforge-langid", '),
         ("langid-filter", "--model", b'[]'),
+        ("langid-filter", "--model", b'{"format": "mtforge-langid"}'),
+        ("lm-filter", "--model", b'garbage'),
+        ("lm-filter", "--model", b'{"format":"mtforge-ngram-lm"}'),
         ("reward-score", "--terms", b'{"blood": ["sang"'),
     ])
     def test_bad_json_file_is_one_line_exit_1(self, tmp_path, command, bad_flag, content):
@@ -137,6 +158,7 @@ class TestExitCodes:
             "quality-filter": ["--in", pairs, "--tau", 0.5],
             "fuse": ["--in", _sources(tmp_path)],
             "langid-filter": ["--in", mono, "--expected", "en"],
+            "lm-filter": ["--in", mono],
             "reward-score": ["--in", batch],
         }[command]
         out_flags = [] if command == "pipeline-run" else ["--out", tmp_path / "out"]
@@ -675,6 +697,18 @@ class TestPipelineRun:
             artifacts.append([(tmp_path / name).read_bytes() for name in ("final.jsonl", "dropped.jsonl")]
                              + [report.read_bytes()])
         assert artifacts[0] == artifacts[1]
+
+    def test_report_envelope_names_command_and_effective_seed(self, tmp_path):
+        report_path = tmp_path / "dedup_report.json"
+        assert run("dedup", "--in", _write_mono(tmp_path, _english_docs(4)), "--out", tmp_path / "kept.jsonl",
+                   "--seed", 5, "--report", report_path) == 0
+        report = json.loads(report_path.read_text())
+        assert (report["command"], report["seed"], report["schema_version"]) == ("dedup", 5, 1)
+
+        config_path, _ = self._prepare(tmp_path)  # the config sets "seed": 13
+        assert run("pipeline-run", "--config", config_path, "--seed", 2, "--report", report_path) == 0
+        report = json.loads(report_path.read_text())
+        assert (report["command"], report["seed"]) == ("pipeline-run", 13)
 
     def test_unknown_stage_key_rejected_before_output(self, tmp_path):
         config_path, _ = self._prepare(tmp_path)
