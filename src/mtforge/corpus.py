@@ -9,10 +9,11 @@ names. All record types are immutable; derive updated records with
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import SchemaError, ValidationError
 from .ioutils import read_jsonl, write_jsonl
@@ -200,6 +201,20 @@ def segment_tokens(text: str, lang: str) -> list[str]:
     if lang in NO_SPACE_TAGS:
         return [ch for ch in text if not ch.isspace()]
     return text.split()
+
+
+def char_ngram_levels(text: str, max_n: int) -> Iterator[list[str]]:
+    """Yield the character n-grams of text for n = 1..max_n (max_n >= 1),
+    one list per n in position order; a level is empty once n > len(text).
+
+    Each level is built from the one before by appending the next character
+    to every gram, so no gram is sliced out of the text.
+    """
+    level = list(text)
+    yield level
+    for n in range(2, max_n + 1):
+        level = list(map(operator.add, level, text[n - 1 :]))
+        yield level
 
 
 _DOC_FIELDS = {"id", "lang", "text", "provenance", "scores", "tags"}

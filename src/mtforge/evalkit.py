@@ -12,13 +12,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .corpus import DirectionGroup, ParallelPair, classify_direction, with_score
+from .corpus import DirectionGroup, ParallelPair, char_ngram_levels, classify_direction, with_score
 from .errors import ValidationError
 from .scorers import ScorerEndpoint
-
-
-def _char_ngrams(text: str, n: int) -> Counter[str]:
-    return Counter(text[i : i + n] for i in range(len(text) - n + 1))
 
 
 def chrf(hypothesis: str, reference: str, max_n: int = 6, beta: float = 2.0) -> float:
@@ -31,13 +27,13 @@ def chrf(hypothesis: str, reference: str, max_n: int = 6, beta: float = 2.0) -> 
         raise ValidationError("reference must be non-empty")
     beta_sq = beta * beta
     f_scores = []
-    for n in range(1, max_n + 1):
-        hyp_grams = _char_ngrams(hyp, n)
-        ref_grams = _char_ngrams(ref, n)
-        hyp_total = sum(hyp_grams.values())
-        ref_total = sum(ref_grams.values())
+    for hyp_level, ref_level in zip(char_ngram_levels(hyp, max_n), char_ngram_levels(ref, max_n)):
+        hyp_total = len(hyp_level)
+        ref_total = len(ref_level)
         if hyp_total == 0 and ref_total == 0:
             continue
+        hyp_grams = Counter(hyp_level)
+        ref_grams = Counter(ref_level)
         overlap = sum(min(count, ref_grams[gram]) for gram, count in hyp_grams.items())
         precision = overlap / hyp_total if hyp_total else 0.0
         recall = overlap / ref_total if ref_total else 0.0

@@ -4,6 +4,16 @@ Self-contained stand-in for an external language-ID model: multinomial
 Naive Bayes over character n-grams with add-alpha smoothing. Text is
 lowercased (per-codepoint, so CJK and other unicameral scripts are
 untouched) before n-gram extraction.
+
+Scoring uses a matrix built once per model: row i of a (V+1, C) float64
+array holds the log-likelihoods of the i-th vocab gram (in sorted order)
+under each of the C classes, and the last row holds the unseen slot. A
+text's distinct grams, in first-occurrence order (by n, then by position),
+gather their rows; each row is scaled by the gram's count, and a cumulative
+sum down the gram axis, starting from the row of log priors, gives every
+class's log posterior. The cumulative sum adds the terms one at a time in
+that order, which is the order of the per-class loop it replaces, so the
+posteriors are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -11,25 +21,27 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Document, registry_order, require_tag
+import numpy as np
+
+from .corpus import Document, char_ngram_levels, registry_order, require_tag
 from .errors import ValidationError
 from .ioutils import atomic_write, load_json
 
 
 def extract_ngrams(text: str, ngram_range: tuple[int, int]) -> Counter[str]:
-    """Multiset of character n-grams for every n in the inclusive range."""
+    """Multiset of character n-grams for every n in the inclusive range,
+    keyed in first-occurrence order: by n, then by position."""
     lo, hi = ngram_range
     if lo < 1 or hi < lo:
         raise ValidationError(f"bad ngram range {ngram_range}")
-    folded = text.lower()
     grams: Counter[str] = Counter()
-    for n in range(lo, hi + 1):
-        for i in range(len(folded) - n + 1):
-            grams[folded[i : i + n]] += 1
+    for level in islice(char_ngram_levels(text.lower(), hi), lo - 1, None):
+        grams.update(level)
     return grams
 
 
@@ -42,6 +54,38 @@ class LangIdModel:
     vocab: frozenset[str]
     log_likelihoods: dict[str, dict[str, float]]
     unseen_log_likelihood: dict[str, float]
+    # scoring tables derived from the fields above (see the module docstring)
+    gram_index: dict[str, int] = field(init=False, repr=False, compare=False)
+    log_likelihood_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    log_prior_row: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        """Check that the fields agree with each other and build the scoring
+        tables from them; an inconsistent model raises ValidationError."""
+        lo_hi = self.ngram_range
+        if (len(lo_hi) != 2 or not all(isinstance(n, int) and not isinstance(n, bool) for n in lo_hi)
+                or not 1 <= lo_hi[0] <= lo_hi[1]):
+            raise ValidationError(f"ngram_range must be two integers 1 <= lo <= hi, got {list(lo_hi)}")
+        if not self.classes:
+            raise ValidationError("model has no classes")
+        for c in self.classes:
+            for name in ("log_priors", "log_likelihoods", "unseen_log_likelihood"):
+                if c not in getattr(self, name):
+                    raise ValidationError(f"{name} has no entry for class {c!r}")
+            table = self.log_likelihoods[c]
+            if table.keys() != self.vocab:
+                gram = min(table.keys() ^ self.vocab)
+                raise ValidationError(f"log_likelihoods[{c!r}] and vocab disagree on gram {gram!r}")
+        grams = sorted(self.vocab)
+        matrix = np.array([[*map(self.log_likelihoods[c].__getitem__, grams), self.unseen_log_likelihood[c]]
+                           for c in self.classes]).T
+        priors = np.array([self.log_priors[c] for c in self.classes])
+        for name, array in (("log_likelihoods", matrix), ("log_priors", priors)):
+            if array.dtype.kind not in "if" or not np.isfinite(array).all():
+                raise ValidationError(f"{name} must hold finite numbers")
+        object.__setattr__(self, "gram_index", {g: i for i, g in enumerate(grams)})
+        object.__setattr__(self, "log_likelihood_matrix", np.ascontiguousarray(matrix, np.float64))
+        object.__setattr__(self, "log_prior_row", priors.astype(np.float64))
 
 
 def train_langid(
@@ -99,14 +143,14 @@ def posteriors(model: LangIdModel, text: str) -> dict[str, float]:
     if not text:
         raise ValidationError("cannot classify empty text")
     grams = extract_ngrams(text, model.ngram_range)
-    log_posts = []
-    for c in model.classes:
-        table = model.log_likelihoods[c]
-        fallback = model.unseen_log_likelihood[c]
-        lp = model.log_priors[c]
-        for gram, count in grams.items():
-            lp += count * table.get(gram, fallback)
-        log_posts.append(lp)
+    index = model.gram_index
+    unseen = len(index)
+    rows = [index.get(gram, unseen) for gram in grams]
+    counts = np.fromiter(grams.values(), np.float64, len(rows))
+    terms = np.empty((len(rows) + 1, len(model.classes)))
+    terms[0] = model.log_prior_row
+    np.multiply(model.log_likelihood_matrix[rows], counts[:, None], out=terms[1:])
+    log_posts = np.cumsum(terms, axis=0)[-1].tolist()
     peak = max(log_posts)
     exps = [math.exp(lp - peak) for lp in log_posts]
     norm = sum(exps)
@@ -176,6 +220,8 @@ def load_langid(path: str | Path) -> LangIdModel:
             log_likelihoods={c: dict(t) for c, t in payload["log_likelihoods"].items()},
             unseen_log_likelihood=dict(payload["unseen_log_likelihood"]),
         )
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     except KeyError as exc:
         raise ValidationError(f"{path}: missing model key {exc}") from None
     except (TypeError, ValueError, AttributeError) as exc:

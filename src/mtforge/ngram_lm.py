@@ -25,6 +25,17 @@ BOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
 
+# Highest accepted order. Tables are allocated per order before any count is
+# read, and NGramLm._interpolate recurses once per order, so the bound keeps
+# a tiny model file from exhausting memory or the interpreter's recursion
+# limit; it is far above the orders Kneser-Ney smoothing is used with.
+MAX_ORDER = 32
+
+
+def _check_order(order: int) -> None:
+    if not 1 <= order <= MAX_ORDER:
+        raise ValidationError(f"order must be in 1..{MAX_ORDER}, got {order}")
+
 
 class NGramLm:
     """Trained model state plus derived tables; build via train_lm or load_lm.
@@ -43,8 +54,7 @@ class NGramLm:
         counts: dict[int, dict[tuple[str, ...], dict[str, int]]],
         default_lang: str,
     ):
-        if order < 1:
-            raise ValidationError(f"order must be >= 1, got {order}")
+        _check_order(order)
         if not 0 <= discount < 1:
             raise ValidationError(f"discount must be in [0, 1), got {discount}")
         self.order = order
@@ -130,8 +140,7 @@ def train_lm(
     """
     if not corpus:
         raise ValidationError("empty training corpus")
-    if order < 1:
-        raise ValidationError(f"order must be >= 1, got {order}")
+    _check_order(order)
     if not 0 <= discount < 1:
         raise ValidationError(f"discount must be in [0, 1), got {discount}")
     if min_count < 1:
@@ -279,8 +288,8 @@ def _read_header(path: str | Path, line: str) -> dict:
         value = header.get(key)
         if not isinstance(value, types) or isinstance(value, bool):
             raise SchemaError(f"{path}: header {key!r} must be {description}, got {value!r}")
-    if header["order"] < 1:
-        raise SchemaError(f"{path}: header 'order' must be >= 1, got {header['order']}")
+    if not 1 <= header["order"] <= MAX_ORDER:
+        raise SchemaError(f"{path}: header 'order' must be in 1..{MAX_ORDER}, got {header['order']}")
     return header
 
 

@@ -91,6 +91,18 @@ class TestCommandSurface:
         assert report.opts == ["--report"]
 
 
+def _langid_model_json(**changes):
+    """A small well-formed langid model file, with some keys replaced."""
+    model = {
+        "format": "mtforge-langid", "version": 1, "classes": ["en", "fr"],
+        "log_priors": {"en": -0.7, "fr": -0.7}, "ngram_range": [1, 1], "smoothing_alpha": 0.5,
+        "vocab": ["a", "b"], "log_likelihoods": {"en": {"a": -0.5, "b": -1.5}, "fr": {"a": -1.5, "b": -0.5}},
+        "unseen_log_likelihood": {"en": -3.0, "fr": -3.0},
+    }
+    model.update(changes)
+    return json.dumps(model).encode()
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, capfd):
         assert run("frobnicate") == 1
@@ -139,8 +151,14 @@ class TestExitCodes:
         ("langid-filter", "--model", b'{"format": "mtforge-langid", '),
         ("langid-filter", "--model", b'[]'),
         ("langid-filter", "--model", b'{"format": "mtforge-langid"}'),
+        ("langid-filter", "--model", _langid_model_json(log_likelihoods={"en": {"a": -0.5, "b": -1.5}})),
+        ("langid-filter", "--model", _langid_model_json(log_priors={"en": -0.7})),
+        ("langid-filter", "--model", _langid_model_json(ngram_range=[1, "x"])),
+        ("langid-filter", "--model", _langid_model_json(vocab=["a", "b", "c"])),
         ("lm-filter", "--model", b'garbage'),
         ("lm-filter", "--model", b'{"format":"mtforge-ngram-lm"}'),
+        ("lm-filter", "--model", b'{"default_lang": "en", "discount": 0.75, "format": "mtforge-ngram-lm", '
+                                 b'"min_count": 1, "order": 100000}\n'),
         ("reward-score", "--terms", b'{"blood": ["sang"'),
     ])
     def test_bad_json_file_is_one_line_exit_1(self, tmp_path, command, bad_flag, content):
@@ -282,6 +300,16 @@ class TestLmCommands:
         assert all(g.id not in kept_ids for g in gibberish)
         counts = json.loads(report_path.read_text())["counts"]
         assert counts["input"] == counts["kept"] + counts["dropped"]
+
+    def test_order_above_bound_is_one_line_exit_1(self, tmp_path):
+        from mtforge.ngram_lm import MAX_ORDER
+
+        train_path = _write_mono(tmp_path, _english_docs(3), "train.jsonl")
+        model_path = tmp_path / "lm.txt"
+        proc = run_module("lm-train", "--in", train_path, "--model", model_path, "--order", MAX_ORDER + 1)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [f"error: order must be in 1..{MAX_ORDER}, got {MAX_ORDER + 1}"]
+        assert not model_path.exists()
 
 
 class TestQualityCommands:

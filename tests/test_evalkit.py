@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -32,6 +33,32 @@ def chrf_oracle(hypothesis, reference, max_n=6, beta=2.0):
     return 100.0 * sum(fs) / len(fs) if fs else 0.0
 
 
+def chrf_slice_reference(hypothesis, reference, max_n=6, beta=2.0):
+    """chrF over slice-built Counters, the implementation the incremental
+    n-gram levels replaced; kept to require bit-identical scores."""
+    ref = "".join(reference.split())
+    hyp = "".join(hypothesis.split())
+    beta_sq = beta * beta
+    f_scores = []
+    for n in range(1, max_n + 1):
+        hyp_grams = Counter(hyp[i : i + n] for i in range(len(hyp) - n + 1))
+        ref_grams = Counter(ref[i : i + n] for i in range(len(ref) - n + 1))
+        hyp_total = sum(hyp_grams.values())
+        ref_total = sum(ref_grams.values())
+        if hyp_total == 0 and ref_total == 0:
+            continue
+        overlap = sum(min(count, ref_grams[gram]) for gram, count in hyp_grams.items())
+        precision = overlap / hyp_total if hyp_total else 0.0
+        recall = overlap / ref_total if ref_total else 0.0
+        if precision + recall == 0:
+            f_scores.append(0.0)
+        else:
+            f_scores.append((1 + beta_sq) * precision * recall / (beta_sq * precision + recall))
+    if not f_scores:
+        return 0.0
+    return 100.0 * sum(f_scores) / len(f_scores)
+
+
 class TestChrf:
     def test_identity_is_100(self):
         assert chrf("the same string", "the same string") == 100.0
@@ -55,6 +82,16 @@ class TestChrf:
             if not ref.strip():
                 ref = "x"
             assert math.isclose(chrf(hyp, ref), chrf_oracle(hyp, ref), abs_tol=1e-6), (hyp, ref)
+
+    @pytest.mark.parametrize("max_n", [1, 3, 6])
+    def test_bit_identical_to_slice_reference(self, max_n):
+        rng = random.Random(f"chrf{max_n}")
+        alphabet = "abab cd ABC漢字áé!"
+        for _ in range(200):
+            # lengths from 0 to well past max_n, so some sides have no n-grams at the top orders
+            hyp = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 3 * max_n + 10)))
+            ref = "x" + "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 3 * max_n + 10)))
+            assert chrf(hyp, ref, max_n) == chrf_slice_reference(hyp, ref, max_n), (hyp, ref)
 
     def test_identity_100_on_random_unicode(self):
         rng = random.Random(77)

@@ -1,11 +1,15 @@
+import dataclasses
 import math
+import random
 from collections import Counter
 
 import pytest
 
+import mtforge.langid
 from mtforge.corpus import Document
 from mtforge.errors import ValidationError
 from mtforge.langid import (
+    LangIdModel,
     extract_ngrams,
     filter_by_language,
     load_langid,
@@ -18,6 +22,46 @@ from mtforge.langid import (
 
 def _doc(i, lang, text):
     return Document(id=f"{lang}{i}", lang=lang, text=text)
+
+
+def _reference_extract(text, ngram_range):
+    """The slice-based extractor the incremental one replaced, kept as the reference."""
+    lo, hi = ngram_range
+    folded = text.lower()
+    grams = Counter()
+    for n in range(lo, hi + 1):
+        for i in range(len(folded) - n + 1):
+            grams[folded[i : i + n]] += 1
+    return grams
+
+
+def _reference_posteriors(model, text):
+    """The per-class dict loop the matrix scorer replaced, kept as the reference."""
+    grams = _reference_extract(text, model.ngram_range)
+    log_posts = []
+    for c in model.classes:
+        table = model.log_likelihoods[c]
+        fallback = model.unseen_log_likelihood[c]
+        lp = model.log_priors[c]
+        for gram, count in grams.items():
+            lp += count * table.get(gram, fallback)
+        log_posts.append(lp)
+    peak = max(log_posts)
+    exps = [math.exp(lp - peak) for lp in log_posts]
+    norm = sum(exps)
+    return {c: e / norm for c, e in zip(model.classes, exps)}
+
+
+def _random_text(rng, alphabet, max_len):
+    text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, max_len)))
+    if rng.random() < 0.3:  # repeated grams
+        text *= rng.randint(2, 4)
+    return text
+
+
+# training letters, CJK included; the query alphabet adds letters no class saw
+TRAIN_ALPHABET = "abcdeABC fghij漢字語áé"
+QUERY_ALPHABET = TRAIN_ALPHABET + "xyzΩψ文!"
 
 
 def _toy_model():
@@ -153,6 +197,22 @@ class TestPredict:
         model = _toy_model()
         assert predict_lang(model, "ab ba") == predict_lang(model, "ab ba")
 
+    @pytest.mark.parametrize("ngram_range", [(1, 1), (1, 3), (2, 4), (1, 5)])
+    def test_bit_identical_to_per_class_loop(self, ngram_range, tmp_path):
+        rng = random.Random(f"posteriors{ngram_range}")
+        docs = [_doc(i, lang, _random_text(rng, TRAIN_ALPHABET, 40))
+                for i in range(6) for lang in ("en", "fr", "de", "zh")]
+        model = train_langid(docs, ngram_range=ngram_range, alpha=0.3)
+        save_langid(model, tmp_path / "langid.json")
+        loaded = load_langid(tmp_path / "langid.json")
+        hi = ngram_range[1]
+        texts = [_random_text(rng, QUERY_ALPHABET, 60) for _ in range(150)]
+        texts += ["".join(rng.choice(QUERY_ALPHABET) for _ in range(n)) for n in range(1, hi)]  # shorter than hi
+        for text in texts:
+            expected = _reference_posteriors(model, text)
+            assert posteriors(model, text) == expected, text
+            assert posteriors(loaded, text) == expected, text
+
 
 class TestFilter:
     def _corpus(self):
@@ -184,11 +244,55 @@ class TestFilter:
         kept, dropped = filter_by_language(docs, model, "en", 0.9)
         assert len(kept) + len(dropped) == len(docs)
 
+    def test_one_predict_lang_call_per_document(self, monkeypatch):
+        # the benchmark times language ID by wrapping predict_lang at module level
+        model, good, bad = self._corpus()
+        calls = []
+        real = mtforge.langid.predict_lang
+
+        def counting(model, text):
+            calls.append(text)
+            return real(model, text)
+
+        monkeypatch.setattr(mtforge.langid, "predict_lang", counting)
+        filter_by_language(good + bad, model, "en")
+        assert calls == [d.text for d in good + bad]
+
     def test_threshold_one_requires_certainty(self):
         model = train_langid([_doc(0, "en", "hello")])
         docs = [Document(id="x", lang="en", text="hello")]
         kept, dropped = filter_by_language(docs, model, "en", min_confidence=1.0)
         assert len(kept) == 1  # single class: posterior exactly 1.0
+
+
+class TestModelChecks:
+    @pytest.mark.parametrize("ngram_range", [(2, 1), (0, 1), (1,), (1, 2, 3), (1, "x"), (True, 2), (1.0, 2)])
+    def test_bad_ngram_range_rejected(self, ngram_range):
+        with pytest.raises(ValidationError, match="ngram_range"):
+            dataclasses.replace(_toy_model(), ngram_range=ngram_range)
+
+    def test_likelihood_table_must_cover_vocab_exactly(self):
+        model = _toy_model()
+        short = {c: dict(t) for c, t in model.log_likelihoods.items()}
+        del short["fr"]["a"]
+        with pytest.raises(ValidationError, match="disagree on gram 'a'"):
+            dataclasses.replace(model, log_likelihoods=short)
+        with pytest.raises(ValidationError, match="disagree on gram 'a'"):
+            dataclasses.replace(model, vocab=model.vocab - {"a"})
+
+    @pytest.mark.parametrize("field", ["log_priors", "log_likelihoods", "unseen_log_likelihood"])
+    def test_every_class_needs_an_entry(self, field):
+        model = _toy_model()
+        partial = {c: v for c, v in getattr(model, field).items() if c != "fr"}
+        with pytest.raises(ValidationError, match=f"{field} has no entry for class 'fr'"):
+            dataclasses.replace(model, **{field: partial})
+
+    def test_non_numbers_rejected(self):
+        model = _toy_model()
+        with pytest.raises(ValidationError, match="log_priors"):
+            dataclasses.replace(model, log_priors={"en": "x", "fr": -1.0})
+        with pytest.raises(ValidationError, match="log_likelihoods"):
+            dataclasses.replace(model, unseen_log_likelihood={"en": float("nan"), "fr": -1.0})
 
 
 class TestSerialization:
@@ -209,6 +313,15 @@ class TestNgramExtraction:
     def test_counts(self):
         grams = extract_ngrams("aab", (1, 2))
         assert grams == Counter({"a": 2, "b": 1, "aa": 1, "ab": 1})
+
+    @pytest.mark.parametrize("ngram_range", [(1, 1), (1, 3), (2, 4), (3, 3), (1, 5)])
+    def test_matches_slice_reference_in_value_and_order(self, ngram_range):
+        rng = random.Random(f"extract{ngram_range}")
+        texts = [_random_text(rng, QUERY_ALPHABET, 50) for _ in range(100)] + ["a", "ab", "AbC"]
+        for text in texts:
+            expected = _reference_extract(text, ngram_range)
+            got = extract_ngrams(text, ngram_range)
+            assert list(got.items()) == list(expected.items()), text
 
     def test_case_folding_alphabetic_only(self):
         assert extract_ngrams("AbA", (1, 1)) == Counter({"a": 2, "b": 1})
