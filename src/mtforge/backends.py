@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import MtforgeError, ValidationError
+from .ioutils import dataclass_from_obj
 
 
 @dataclass(frozen=True)
@@ -140,14 +141,7 @@ def complete(spec: BackendSpec, prompt: str, params: GenerationParams) -> str:
             raise ValidationError(f"unknown mock backend {name!r}")
         return _MOCKS[name](prompt, params, spec.model_id)
 
-    payload = {
-        "model": spec.model_id,
-        "prompt": prompt,
-        "temperature": params.temperature,
-        "top_p": params.top_p,
-        "max_tokens": params.max_tokens,
-        "seed": params.seed,
-    }
+    payload = {"model": spec.model_id, "prompt": prompt, **params.to_obj()}
     last_error: Exception | None = None
     for _attempt in range(spec.max_retries + 1):
         try:
@@ -161,13 +155,4 @@ def complete(spec: BackendSpec, prompt: str, params: GenerationParams) -> str:
 
 
 def backend_from_obj(obj: dict) -> BackendSpec:
-    try:
-        return BackendSpec(
-            name=obj["name"],
-            endpoint=obj["endpoint"],
-            model_id=obj["model_id"],
-            timeout_ms=obj.get("timeout_ms", 30000),
-            max_retries=obj.get("max_retries", 2),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"backend config missing field {exc}") from exc
+    return dataclass_from_obj(BackendSpec, obj, "backend config")

@@ -33,14 +33,11 @@ from . import mixopt as mixopt_mod
 from . import ngram_lm as lm_mod
 from . import rewards as rewards_mod
 from .backends import BackendFailure, backend_from_obj
-from .errors import MtforgeError, OrchestrationError, ValidationError
-from .ioutils import atomic_write, dump_json, load_json, read_jsonl, write_jsonl
-from .scorers import ScorerEndpoint, scorer_from_obj
+from .errors import MtforgeError, OrchestrationError, SchemaError, ValidationError
+from .ioutils import atomic_write, dump_json, load_json, read_records, write_jsonl
+from .scorers import ScorerEndpoint, local_scorer_range, scorer_from_obj
 
 REPORT_SCHEMA_VERSION = 1
-
-# built-in local scorers usable as a --scorer shorthand, with their scales
-_SCORER_SHORTHAND_RANGES = {"chrf": (0.0, 100.0), "length_ratio": (0.0, 1.0)}
 
 
 def _load_schema(name: str) -> dict:
@@ -58,14 +55,16 @@ def _load_scorer(spec: str) -> ScorerEndpoint:
     """A scorer flag is either a JSON config file or a local-function shorthand."""
     path = Path(spec)
     if spec.endswith(".json") or path.exists():
-        return scorer_from_obj(load_json(path))
+        obj = load_json(path)
+        try:
+            return scorer_from_obj(obj)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
     if spec.startswith("constant:"):
         return ScorerEndpoint(name=spec, kind="local_function", config=spec)
-    if spec in _SCORER_SHORTHAND_RANGES:
-        return ScorerEndpoint(
-            name=spec, kind="local_function", config=spec,
-            score_range=_SCORER_SHORTHAND_RANGES[spec],
-        )
+    score_range = local_scorer_range(spec)
+    if score_range is not None:
+        return ScorerEndpoint(name=spec, kind="local_function", config=spec, score_range=score_range)
     raise ValidationError(f"unknown scorer {spec!r} (not a file or a built-in)")
 
 
@@ -280,11 +279,12 @@ def quality_filter(in_path, scorer_spec, tau, out_path, dropped_path, unscored_p
 def judge_flag(in_path, max_spread, out_path, seed):
     """Flag samples whose judge scores disagree across rounds."""
     records = []
-    for lineno, obj in read_jsonl(in_path):
+    fields = {"sample_id": "string", "round_scores": "array"}
+    for lineno, obj in read_records(in_path, fields, required=fields):
         try:
             records.append(filters_mod.JudgeRecord(obj["sample_id"], tuple(obj["round_scores"])))
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"{in_path}: line {lineno}: bad judge record ({exc})") from exc
+        except ValidationError as exc:
+            raise SchemaError(str(exc), lineno, in_path) from exc
     consistent, flagged = filters_mod.flag_inconsistent(records, max_spread)
     if out_path:
         dump_json(out_path, {"consistent": consistent, "flagged": flagged})
@@ -398,12 +398,11 @@ def reward_score(in_path, terms_path, scorer_spec, w_quality, w_terminology, w_r
     table = rewards_mod.load_term_table(terms_path)
     weights = rewards_mod.RewardWeights(w_quality, w_terminology, w_repetition)
     scorer = _load_scorer(scorer_spec) if scorer_spec else None
-    rows = []
-    for lineno, obj in read_jsonl(in_path):
-        try:
-            rows.append((obj.get("id", str(lineno)), obj["source"], obj["hypothesis"], obj.get("quality")))
-        except KeyError as exc:
-            raise ValidationError(f"{in_path}: line {lineno}: missing field {exc}") from exc
+    fields = {"id": "string", "source": "string", "hypothesis": "string", "quality": "number|null"}
+    rows = [
+        (obj.get("id", str(lineno)), obj["source"], obj["hypothesis"], obj.get("quality"))
+        for lineno, obj in read_records(in_path, fields, required=("source", "hypothesis"))
+    ]
 
     out_rows = []
     for rec_id, source, hypothesis, quality in rows:
@@ -435,9 +434,7 @@ def reward_score(in_path, terms_path, scorer_spec, w_quality, w_terminology, w_r
 def grpo_advantages_cmd(in_path, epsilon, out_path, seed):
     """Normalize reward groups to group-relative advantages."""
     out_rows = []
-    for lineno, obj in read_jsonl(in_path):
-        if "rewards" not in obj:
-            raise ValidationError(f"{in_path}: line {lineno}: missing 'rewards'")
+    for lineno, obj in read_records(in_path, {"id": "string", "rewards": "array"}, required=("rewards",)):
         advantages = rewards_mod.grpo_advantages(obj["rewards"], epsilon=epsilon)
         out_rows.append({"id": obj.get("id", str(lineno)), "rewards": obj["rewards"],
                          "advantages": advantages})
@@ -471,13 +468,8 @@ def _load_chimera_config(path: str, jobs: int | None):
 
 
 def _read_sources(path: str):
-    sources = []
-    for lineno, obj in read_jsonl(path):
-        missing = {"id", "src_lang", "tgt_lang", "text"} - set(obj)
-        if missing:
-            raise ValidationError(f"{path}: line {lineno}: missing fields {sorted(missing)}")
-        sources.append(obj)
-    return sources
+    fields = {"id": "string", "src_lang": "string", "tgt_lang": "string", "text": "string"}
+    return [obj for _, obj in read_records(path, fields, required=fields)]
 
 
 def _run_segments(sources, jobs, backend, grid, per_slot, fusion=None):
@@ -587,11 +579,8 @@ def fuse_cmd(config_path, in_path, out_path, jobs, seed):
 def eval_cmd(pairs_path, hyps_path, metric, aggregation, out_path, text_mode, seed):
     """Score hypotheses against references and report per direction group."""
     pairs = corpus_mod.read_corpus(pairs_path, "parallel")
-    hyps = {}
-    for lineno, obj in read_jsonl(hyps_path):
-        if "id" not in obj or "hypothesis" not in obj:
-            raise ValidationError(f"{hyps_path}: line {lineno}: need 'id' and 'hypothesis'")
-        hyps[obj["id"]] = obj["hypothesis"]
+    fields = {"id": "string", "hypothesis": "string"}
+    hyps = {obj["id"]: obj["hypothesis"] for _, obj in read_records(hyps_path, fields, required=fields)}
     metric_arg = metric if metric == "chrf" else _load_scorer(metric)
     scored, failures = evalkit_mod.score_corpus(pairs, hyps, metric_arg)
     report = evalkit_mod.group_report(scored, aggregation=aggregation)

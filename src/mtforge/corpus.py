@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import SchemaError, ValidationError
-from .ioutils import read_jsonl, write_jsonl
+from .ioutils import is_number, read_records, write_jsonl
 
 # (code, English display name, Chinese display name), in registry order.
 # The registry is closed: tags compare case-sensitively and anything outside
@@ -134,7 +134,7 @@ def _check_scores(scores: dict, where: str) -> None:
     for name, value in scores.items():
         if not isinstance(name, str) or not name:
             raise ValidationError(f"{where}: score names must be non-empty strings")
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+        if not is_number(value) or not math.isfinite(value):
             raise ValidationError(f"{where}: score {name!r} must be a finite number")
 
 
@@ -158,6 +158,8 @@ class Document:
         if self.provenance not in PROVENANCES:
             raise ValidationError(f"document {self.id!r}: unknown provenance {self.provenance!r}")
         _check_scores(self.scores, f"document {self.id!r}")
+        if not all(isinstance(tag, str) for tag in self.tags):
+            raise ValidationError(f"document {self.id!r}: tags must be strings")
         object.__setattr__(self, "tags", frozenset(self.tags))
 
 
@@ -217,89 +219,45 @@ def char_ngram_levels(text: str, max_n: int) -> Iterator[list[str]]:
         yield level
 
 
-_DOC_FIELDS = {"id", "lang", "text", "provenance", "scores", "tags"}
-_PAIR_FIELDS = {"id", "src_lang", "tgt_lang", "src_text", "tgt_text", "scores"}
-
-
-def _doc_from_obj(obj: dict, lineno: int) -> Document:
-    unknown = set(obj) - _DOC_FIELDS
-    if unknown:
-        raise SchemaError(f"unknown fields {sorted(unknown)}", lineno)
-    missing = {"id", "lang", "text"} - set(obj)
-    if missing:
-        raise SchemaError(f"missing fields {sorted(missing)}", lineno)
-    try:
-        return Document(
-            id=obj["id"],
-            lang=obj["lang"],
-            text=obj["text"],
-            provenance=obj.get("provenance", "other"),
-            scores=dict(obj.get("scores", {})),
-            tags=frozenset(obj.get("tags", [])),
-        )
-    except ValidationError as exc:
-        raise SchemaError(str(exc), lineno) from exc
-
-
-def _pair_from_obj(obj: dict, lineno: int) -> ParallelPair:
-    unknown = set(obj) - _PAIR_FIELDS
-    if unknown:
-        raise SchemaError(f"unknown fields {sorted(unknown)}", lineno)
-    missing = _PAIR_FIELDS - {"scores"} - set(obj)
-    if missing:
-        raise SchemaError(f"missing fields {sorted(missing)}", lineno)
-    try:
-        return ParallelPair(
-            id=obj["id"],
-            src_lang=obj["src_lang"],
-            tgt_lang=obj["tgt_lang"],
-            src_text=obj["src_text"],
-            tgt_text=obj["tgt_text"],
-            scores=dict(obj.get("scores", {})),
-        )
-    except ValidationError as exc:
-        raise SchemaError(str(exc), lineno) from exc
+# record kind -> (record type, JSON type of each field, required fields)
+_KINDS = {
+    "mono": (Document, {"id": "string", "lang": "string", "text": "string", "provenance": "string",
+                        "scores": "object", "tags": "array"}, ("id", "lang", "text")),
+    "parallel": (ParallelPair, {"id": "string", "src_lang": "string", "tgt_lang": "string",
+                                "src_text": "string", "tgt_text": "string", "scores": "object"},
+                 ("id", "src_lang", "tgt_lang", "src_text", "tgt_text")),
+}
 
 
 def record_to_obj(record: Record) -> dict:
-    """JSON-serializable form of a record (tags sorted for determinism)."""
+    """JSON-serializable form of a record (tags sorted for determinism).
+
+    A record's instance attributes are exactly its fields."""
+    obj = dict(vars(record), scores=dict(record.scores))
     if isinstance(record, Document):
-        return {
-            "id": record.id,
-            "lang": record.lang,
-            "text": record.text,
-            "provenance": record.provenance,
-            "scores": dict(record.scores),
-            "tags": sorted(record.tags),
-        }
-    return {
-        "id": record.id,
-        "src_lang": record.src_lang,
-        "tgt_lang": record.tgt_lang,
-        "src_text": record.src_text,
-        "tgt_text": record.tgt_text,
-        "scores": dict(record.scores),
-    }
+        obj["tags"] = sorted(record.tags)
+    return obj
 
 
 def read_corpus(path: str | Path, kind: str) -> list[Record]:
     """Parse a JSONL corpus file in file order.
 
     kind is "mono" (Document records) or "parallel" (ParallelPair records).
-    Malformed lines raise SchemaError naming the line; duplicate ids are a
-    schema violation.
+    Malformed lines raise SchemaError naming the path and the line; duplicate
+    ids are a schema violation.
     """
-    if kind not in ("mono", "parallel"):
+    if kind not in _KINDS:
         raise ValidationError(f"corpus kind must be 'mono' or 'parallel', not {kind!r}")
+    record_type, fields, required = _KINDS[kind]
     records: list[Record] = []
     seen_ids: set[str] = set()
-    parse = _doc_from_obj if kind == "mono" else _pair_from_obj
-    for lineno, obj in read_jsonl(path):
-        if not isinstance(obj, dict):
-            raise SchemaError("record is not a JSON object", lineno)
-        record = parse(obj, lineno)
+    for lineno, obj in read_records(path, fields, required, closed=True):
+        try:
+            record = record_type(**obj)
+        except ValidationError as exc:
+            raise SchemaError(str(exc), lineno, path) from exc
         if record.id in seen_ids:
-            raise SchemaError(f"duplicate id {record.id!r}", lineno)
+            raise SchemaError(f"duplicate id {record.id!r}", lineno, path)
         seen_ids.add(record.id)
         records.append(record)
     return records

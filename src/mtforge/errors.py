@@ -16,14 +16,16 @@ class ValidationError(MtforgeError):
 class SchemaError(ValidationError):
     """A corpus or config record violates its schema.
 
-    Carries the (1-based) line number when raised while parsing a file.
+    Raised while parsing a file, the message starts with the (1-based) line
+    number, and before it the path when one is given.
     """
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, path: object = None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 class OrchestrationError(MtforgeError):

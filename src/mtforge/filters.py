@@ -13,6 +13,7 @@ from typing import Protocol, Sequence
 
 from .corpus import Document, ParallelPair, Record, with_score
 from .errors import ValidationError
+from .ioutils import is_number
 from .scorers import ScorerEndpoint
 
 QUALITY_COMPOSITE = "quality_composite"
@@ -129,6 +130,8 @@ class JudgeRecord:
     def __post_init__(self):
         if len(self.round_scores) < 2:
             raise ValidationError(f"sample {self.sample_id!r}: need >= 2 judge rounds")
+        if not all(is_number(score) for score in self.round_scores):
+            raise ValidationError(f"sample {self.sample_id!r}: judge scores must be numbers")
 
 
 def flag_inconsistent(

@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
-from .ioutils import atomic_write, read_jsonl
+from .errors import SchemaError, ValidationError
+from .ioutils import atomic_write, read_records
 
 SIMPLEX_TOL = 1e-9
 
@@ -230,12 +230,13 @@ def lr_at(schedule: LrSchedule, step: int) -> float:
 
 def read_proxy_runs(path: str | Path) -> list[ProxyRun]:
     runs: list[ProxyRun] = []
-    for lineno, obj in read_jsonl(path):
+    fields = {"domains": "array", "weights": "array", "loss": "number"}
+    for lineno, obj in read_records(path, fields, required=fields):
         try:
             mixture = MixtureSpec(tuple(obj["domains"]), tuple(obj["weights"]))
             runs.append(ProxyRun(mixture, float(obj["loss"])))
-        except (KeyError, TypeError, ValidationError) as exc:
-            raise ValidationError(f"{path}: line {lineno}: bad proxy run ({exc})") from exc
+        except (TypeError, ValidationError) as exc:
+            raise SchemaError(f"bad proxy run ({exc})", lineno, path) from exc
     return runs
 
 

@@ -65,26 +65,19 @@ class NGramLm:
         self._build_derived()
 
     def _build_derived(self) -> None:
-        self.totals = {
-            k: {ctx: sum(words.values()) for ctx, words in table.items()}
-            for k, table in self.counts.items()
-        }
-        # continuation counts: cont[k][ctx][w] = number of distinct one-token
-        # left-extensions of ctx+w seen at order k+1
-        self.cont: dict[int, dict[tuple[str, ...], Counter[str]]] = {}
-        self.cont_totals: dict[int, dict[tuple[str, ...], int]] = {}
+        # _levels[k] = (table, totals) that order k interpolates from: raw counts
+        # at the highest order, below it continuation counts, where table[ctx][w]
+        # is the number of distinct one-token left-extensions of ctx+w at order k+1
+        self._levels: list = [None]
         for k in range(1, self.order):
             table: dict[tuple[str, ...], Counter[str]] = {}
             for ctx, words in self.counts[k + 1].items():
                 lower_ctx = ctx[1:]
                 for word in words:
                     table.setdefault(lower_ctx, Counter())[word] += 1
-            self.cont[k] = table
-            self.cont_totals[k] = {ctx: sum(c.values()) for ctx, c in table.items()}
-        # (table, totals) that order k interpolates from: raw counts at the
-        # highest order, continuation counts below it
-        self._levels = [None] + [(self.cont[k], self.cont_totals[k]) for k in range(1, self.order)]
-        self._levels.append((self.counts[self.order], self.totals[self.order]))
+            self._levels.append((table, {ctx: sum(c.values()) for ctx, c in table.items()}))
+        top = self.counts[self.order]
+        self._levels.append((top, {ctx: sum(words.values()) for ctx, words in top.items()}))
         unigram_types = set(self.counts[1].get((), {}))
         unigram_types.discard(BOS)
         unigram_types.add(UNK)

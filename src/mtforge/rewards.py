@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import ValidationError
-from .ioutils import load_json
+from .ioutils import is_number, load_json
 
 
 @dataclass(frozen=True)
@@ -160,8 +160,8 @@ def grpo_advantages(rewards: Sequence[float], epsilon: float = 1e-8) -> list[flo
         raise ValidationError(f"need a group of >= 2 rewards, got {len(rewards)}")
     if epsilon <= 0:
         raise ValidationError(f"epsilon must be > 0, got {epsilon}")
-    if any(not math.isfinite(r) for r in rewards):
-        raise ValidationError("rewards must be finite")
+    if not all(is_number(r) and math.isfinite(r) for r in rewards):
+        raise ValidationError("rewards must be finite numbers")
     mean = sum(rewards) / len(rewards)
     variance = sum((r - mean) ** 2 for r in rewards) / len(rewards)
     denom = math.sqrt(variance) + epsilon

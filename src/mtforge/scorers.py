@@ -15,21 +15,30 @@ An Authorization header is sent when MTFORGE_SCORER_TOKEN is set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .backends import post_json
 from .errors import ValidationError
+from .ioutils import dataclass_from_obj, is_number
 
 Item = dict
 ScoreFn = Callable[[Item], float]
 
-_LOCAL_SCORERS: dict[str, ScoreFn] = {}
+# name -> (function, the scale its scores are on)
+_LOCAL_SCORERS: dict[str, tuple[ScoreFn, tuple[float, float]]] = {}
 
 
-def register_scorer(name: str, fn: ScoreFn) -> None:
-    """Register a local scoring function (mainly for tests and extensions)."""
-    _LOCAL_SCORERS[name] = fn
+def register_scorer(name: str, fn: ScoreFn, score_range: tuple[float, float] = (0.0, 1.0)) -> None:
+    """Register a local scoring function and its score scale (for tests and extensions)."""
+    _LOCAL_SCORERS[name] = (fn, score_range)
+
+
+def local_scorer_range(name: str) -> tuple[float, float] | None:
+    """Scale of a registered local scorer; None when no scorer has that name."""
+    entry = _LOCAL_SCORERS.get(name)
+    return entry[1] if entry else None
 
 
 def _length_ratio(item: Item) -> float:
@@ -48,7 +57,7 @@ def _chrf_item(item: Item) -> float:
 
 
 register_scorer("length_ratio", _length_ratio)
-register_scorer("chrf", _chrf_item)
+register_scorer("chrf", _chrf_item, (0.0, 100.0))
 
 
 @dataclass(frozen=True)
@@ -68,11 +77,19 @@ class ScorerEndpoint:
     extra: Mapping[str, object] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str) or not isinstance(self.config, str):
+            raise ValidationError("scorer name and config must be strings")
         if self.kind not in ("local_function", "remote_http"):
             raise ValidationError(f"scorer kind must be local_function or remote_http, got {self.kind!r}")
-        lo, hi = self.score_range
-        if not lo < hi:
-            raise ValidationError(f"empty score range {self.score_range}")
+        lo_hi = self.score_range
+        if (not isinstance(lo_hi, (list, tuple)) or len(lo_hi) != 2
+                or not all(is_number(v) and math.isfinite(v) for v in lo_hi) or not lo_hi[0] < lo_hi[1]):
+            raise ValidationError(f"score_range must be two finite numbers lo < hi, got {lo_hi!r}")
+        object.__setattr__(self, "score_range", tuple(lo_hi))
+        if not isinstance(self.timeout_ms, int) or isinstance(self.timeout_ms, bool) or self.timeout_ms <= 0:
+            raise ValidationError(f"scorer timeout_ms must be a positive integer, got {self.timeout_ms!r}")
+        if self.extra is not None and not isinstance(self.extra, Mapping):
+            raise ValidationError("scorer extra must be an object")
 
     def _clamp(self, value: float) -> float:
         lo, hi = self.score_range
@@ -84,7 +101,7 @@ class ScorerEndpoint:
             return lambda item: value
         if self.config not in _LOCAL_SCORERS:
             raise ValidationError(f"unknown local scorer {self.config!r}")
-        return _LOCAL_SCORERS[self.config]
+        return _LOCAL_SCORERS[self.config][0]
 
     def score_many(self, items: Sequence[Item]) -> list[float | None]:
         """One score per item, None where scoring failed."""
@@ -117,14 +134,4 @@ class ScorerEndpoint:
 
 def scorer_from_obj(obj: dict) -> ScorerEndpoint:
     """Build an endpoint from its JSON form (see the config schemas)."""
-    try:
-        return ScorerEndpoint(
-            name=obj["name"],
-            kind=obj["kind"],
-            config=obj["config"],
-            score_range=tuple(obj.get("score_range", (0.0, 1.0))),
-            timeout_ms=obj.get("timeout_ms", 30000),
-            extra=obj.get("extra"),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"scorer config missing field {exc}") from exc
+    return dataclass_from_obj(ScorerEndpoint, obj, "scorer config")

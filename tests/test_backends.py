@@ -11,9 +11,9 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from mtforge.backends import BackendFailure, BackendSpec, GenerationParams, complete
+from mtforge.backends import BackendFailure, BackendSpec, GenerationParams, backend_from_obj, complete
 from mtforge.errors import ValidationError
-from mtforge.scorers import ScorerEndpoint
+from mtforge.scorers import ScorerEndpoint, local_scorer_range, register_scorer, scorer_from_obj
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -97,6 +97,8 @@ class TestCompletionWire:
             "max_tokens": 1024,
             "seed": 4,
         }
+        # the key order fixes the bytes on the wire
+        assert list(payload) == ["model", "prompt", "temperature", "top_p", "max_tokens", "seed"]
 
     def test_retries_then_succeeds(self, http_server):
         spec = BackendSpec("real", f"{http_server}/complete", "m", max_retries=2)
@@ -201,3 +203,52 @@ class TestScorerWire:
     def test_unreachable_yields_none_per_item(self):
         scorer = ScorerEndpoint("gone", "remote_http", "http://127.0.0.1:1/s", timeout_ms=300)
         assert scorer.score_many([{}, {}]) == [None, None]
+
+
+class TestSpecsFromObj:
+    SCORER = {"name": "s", "kind": "local_function", "config": "length_ratio"}
+    BACKEND = {"name": "b", "endpoint": "mock:echo", "model_id": "m"}
+
+    def test_defaults_live_in_the_dataclasses(self):
+        assert scorer_from_obj(self.SCORER) == ScorerEndpoint("s", "local_function", "length_ratio")
+        assert backend_from_obj(self.BACKEND) == BackendSpec("b", "mock:echo", "m")
+
+    def test_set_keys_pass_through(self):
+        scorer = scorer_from_obj(dict(self.SCORER, score_range=[0, 5], timeout_ms=7, extra={"k": 1}))
+        assert (scorer.score_range, scorer.timeout_ms, scorer.extra) == ((0, 5), 7, {"k": 1})
+        backend = backend_from_obj(dict(self.BACKEND, timeout_ms=9, max_retries=0))
+        assert (backend.timeout_ms, backend.max_retries) == (9, 0)
+
+    @pytest.mark.parametrize("obj", [
+        [1], "s", None,
+        {"name": "s", "kind": "local_function"},
+        dict(SCORER, colour="red"),
+        dict(SCORER, name=5),
+        dict(SCORER, config=["length_ratio"]),
+        dict(SCORER, score_range=[1]),
+        dict(SCORER, score_range=["a", "b"]),
+        dict(SCORER, score_range=[1, 1]),
+        dict(SCORER, score_range=[0, float("inf")]),
+        dict(SCORER, score_range=[False, True]),
+        dict(SCORER, score_range="ab"),
+        dict(SCORER, timeout_ms=0),
+        dict(SCORER, timeout_ms=1.5),
+        dict(SCORER, timeout_ms=True),
+        dict(SCORER, extra=[1]),
+    ])
+    def test_bad_scorer_config_rejected(self, obj):
+        with pytest.raises(ValidationError):
+            scorer_from_obj(obj)
+
+    @pytest.mark.parametrize("obj", [[1], {"name": "b", "endpoint": "mock:echo"}, dict(BACKEND, colour="red")])
+    def test_bad_backend_config_rejected(self, obj):
+        with pytest.raises(ValidationError):
+            backend_from_obj(obj)
+
+    def test_registered_scorer_keeps_its_range(self):
+        assert local_scorer_range("chrf") == (0.0, 100.0)
+        assert local_scorer_range("length_ratio") == (0.0, 1.0)
+        assert local_scorer_range("no-such-scorer") is None
+        register_scorer("ten_point", lambda item: 7.0, (0.0, 10.0))
+        assert local_scorer_range("ten_point") == (0.0, 10.0)
+        assert ScorerEndpoint("t", "local_function", "ten_point", (0.0, 10.0)).score_one({}) == 7.0

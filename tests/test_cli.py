@@ -17,6 +17,7 @@ import pytest
 import mtforge
 from mtforge.cli import cli, main
 from mtforge.corpus import Document, read_corpus, write_corpus
+from mtforge.scorers import register_scorer
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -103,6 +104,11 @@ def _langid_model_json(**changes):
     return json.dumps(model).encode()
 
 
+def _scorer_json(**changes):
+    """A local length_ratio scorer config that quality-filter accepts, with changes."""
+    return json.dumps({"name": "s", "kind": "local_function", "config": "length_ratio", **changes}).encode()
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, capfd):
         assert run("frobnicate") == 1
@@ -124,18 +130,63 @@ class TestExitCodes:
         assert run("dedup", "--in", bad, "--out", out) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("bad_line, message", [
-        (b"{bad json\n", "error: line 2: invalid JSON: "),
-        (b'{"id": "b", "lang": "en", "text": "caf\xe9"}\n', "error: line 2: invalid UTF-8 at byte 39"),
+    @pytest.mark.parametrize("command, flag, bad_line, message", [
+        # the first two keep the ids they had when the test read dedup input only
+        pytest.param("dedup", "--in", b"{bad json\n", "error: line 2: invalid JSON: ",
+                     id="{bad json\n-error: line 2: invalid JSON: "),
+        pytest.param("dedup", "--in", b'{"id": "b", "lang": "en", "text": "caf\xe9"}\n',
+                     "error: line 2: invalid UTF-8 at byte 39",
+                     id='{"id": "b", "lang": "en", "text": "caf\xe9"}\n-error: line 2: invalid UTF-8 at byte 39'),
+        ("dedup", "--in", b'{"id": "b", "lang": "en", "text": 5}\n', "error: {path}: line 2: "),
+        ("dedup", "--in", b'{"id": "b", "lang": "en", "text": "x", "scores": "x"}\n', "error: {path}: line 2: "),
+        ("dedup", "--in", b'{"id": "b", "lang": "en", "text": "x", "tags": 5}\n', "error: {path}: line 2: "),
+        ("dedup", "--in", b'{"id": "b", "lang": "en", "text": "x", "tags": [["t"]]}\n', "error: {path}: line 2: "),
+        ("dedup", "--in", b'{"id": "b", "lang": "en", "text": "x", "tags": ["t", 5]}\n', "error: {path}: line 2: "),
+        ("dedup", "--in", b'{"id": "b", "lang": ["en"], "text": "x"}\n', "error: {path}: line 2: "),
+        ("dedup", "--in", b'{"id": 5, "lang": "en", "text": "x"}\n', "error: {path}: line 2: "),
+        ("quality-filter", "--in", b'{"id": "q", "src_lang": "en", "tgt_lang": "fr", "src_text": "a", '
+                                   b'"tgt_text": "b", "scores": [1]}\n', "error: {path}: line 2: "),
+        ("reward-score", "--in", b"[1, 2]\n", "error: {path}: line 2: "),
+        ("reward-score", "--in", b'{"id": "r2", "source": "s", "hypothesis": 5, "quality": 1.0}\n',
+         "error: {path}: line 2: "),
+        ("reward-score", "--in", b'{"id": "r2", "source": "s", "hypothesis": "h", "quality": "high"}\n',
+         "error: {path}: line 2: "),
+        ("grpo-advantages", "--in", b"5\n", "error: {path}: line 2: "),
+        ("grpo-advantages", "--in", b'{"id": "g2", "rewards": "ab"}\n', "error: {path}: line 2: "),
+        ("translate", "--in", b"5\n", "error: {path}: line 2: "),
+        ("fuse", "--in", b"5\n", "error: {path}: line 2: "),
+        ("eval", "--hyps", b'{"id": "a", "hypothesis": 5}\n', "error: {path}: line 2: "),
+        ("judge-flag", "--in", b'{"sample_id": "t", "round_scores": ["a", "b"]}\n', "error: {path}: line 2: "),
+        ("mix-fit", "--runs", b'{"domains": ["a", "b"], "weights": [0.5, 0.5], "loss": "x"}\n',
+         "error: {path}: line 2: "),
     ])
-    def test_malformed_jsonl_is_one_line_exit_1(self, tmp_path, bad_line, message):
+    def test_malformed_jsonl_is_one_line_exit_1(self, tmp_path, command, flag, bad_line, message):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"id": "p", "src_lang": "en", "tgt_lang": "fr",
+                                     "src_text": "a", "tgt_text": "b"}) + "\n")
+        first_line, other_inputs = {
+            "dedup": ({"id": "a", "lang": "en", "text": "fine"}, []),
+            "quality-filter": ({"id": "p", "src_lang": "en", "tgt_lang": "fr", "src_text": "a",
+                                "tgt_text": "b"}, ["--scorer", "length_ratio", "--tau", 0.5]),
+            "reward-score": ({"id": "r", "source": "s", "hypothesis": "h", "quality": 1.0},
+                             ["--terms", DATA / "terms_medical.json"]),
+            "grpo-advantages": ({"id": "g", "rewards": [0.0, 1.0]}, []),
+            "translate": ({"id": "s", "src_lang": "zh", "tgt_lang": "en", "text": "你好"},
+                          ["--config", _chimera_config(tmp_path)]),
+            "fuse": ({"id": "s", "src_lang": "zh", "tgt_lang": "en", "text": "你好"},
+                     ["--config", _chimera_config(tmp_path, scorer=True)]),
+            "eval": ({"id": "p", "hypothesis": "b"}, ["--pairs", pairs]),
+            "judge-flag": ({"sample_id": "s", "round_scores": [1, 2]}, ["--max-spread", 1]),
+            "mix-fit": ({"domains": ["a", "b"], "weights": [0.5, 0.5], "loss": 1.0}, []),
+        }[command]
         bad = tmp_path / "bad.jsonl"
-        bad.write_bytes(b'{"id": "a", "lang": "en", "text": "fine"}\n' + bad_line)
+        bad.write_bytes(json.dumps(first_line).encode() + b"\n" + bad_line)
         out = tmp_path / "out.jsonl"
-        proc = run_module("dedup", "--in", bad, "--out", out)
-        assert proc.returncode == 1
+        out_flag = "--model-out" if command == "mix-fit" else "--out"
+        proc = run_module(command, flag, bad, *other_inputs, out_flag, out)
+        assert proc.returncode == 1, proc.stderr
         lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith(message), proc.stderr
+        assert len(lines) == 1 and lines[0].startswith(message.format(path=bad)), proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
@@ -147,6 +198,13 @@ class TestExitCodes:
         ("mix-optimize", "--model", b'{"domains": 3, "coefficients": [0.1], "ridge_lambda": 0.0}'),
         ("mix-optimize", "--model", b'[]'),
         ("quality-filter", "--scorer", b'{"name": "s", "kind": '),
+        ("quality-filter", "--scorer", b'[1]'),
+        ("quality-filter", "--scorer", _scorer_json(score_range=[1])),
+        ("quality-filter", "--scorer", _scorer_json(score_range=["a", "b"])),
+        ("quality-filter", "--scorer", _scorer_json(score_range=[1, 0])),
+        ("quality-filter", "--scorer", _scorer_json(timeout_ms=0)),
+        ("quality-filter", "--scorer", _scorer_json(name=5)),
+        ("quality-filter", "--scorer", _scorer_json(colour="red")),
         ("fuse", "--config", b'{"schema_version": 1, "backend": {'),
         ("langid-filter", "--model", b'{"format": "mtforge-langid", '),
         ("langid-filter", "--model", b'[]'),
@@ -345,6 +403,17 @@ class TestQualityCommands:
         kept = read_corpus(out_path, "parallel")
         assert [p.id for p in kept] == ["close"]
         assert kept[0].scores["length_ratio"] == 1.0
+
+    def test_scorer_shorthand_uses_registered_range(self, tmp_path):
+        register_scorer("cli_ten_point", lambda item: 7.0, (0.0, 10.0))
+        in_path = tmp_path / "pairs.jsonl"
+        in_path.write_text(json.dumps({"id": "p", "src_lang": "en", "tgt_lang": "fr",
+                                       "src_text": "a", "tgt_text": "b"}) + "\n")
+        out_path = tmp_path / "kept.jsonl"
+        code = run("quality-filter", "--in", in_path, "--scorer", "cli_ten_point", "--tau", 5,
+                   "--out", out_path)
+        assert code == 0
+        assert read_corpus(out_path, "parallel")[0].scores == {"cli_ten_point": 7.0}
 
     def test_judge_flag(self, tmp_path):
         rows = [

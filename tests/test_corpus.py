@@ -16,6 +16,7 @@ from mtforge.corpus import (
     write_corpus,
 )
 from mtforge.errors import SchemaError, ValidationError
+from mtforge.ioutils import read_records
 
 
 class TestRegistry:
@@ -83,6 +84,11 @@ class TestRecordValidation:
     def test_bad_provenance_rejected(self):
         with pytest.raises(ValidationError):
             Document(id="d1", lang="en", text="hello", provenance="wiki")
+
+    @pytest.mark.parametrize("tags", [["law", 5], [None], [["law"]]])
+    def test_non_string_tags_rejected(self, tags):
+        with pytest.raises(ValidationError, match="tags must be strings"):
+            Document(id="d1", lang="en", text="hello", tags=tags)
 
     def test_with_score_copies(self):
         doc = Document(id="d1", lang="en", text="hello")
@@ -197,6 +203,42 @@ def parallel_pairs(draw):
         tgt_text=draw(_text),
         scores=draw(_scores),
     )
+
+
+class TestReadRecords:
+    FIELDS = {"id": "string", "n": "number", "q": "number|null", "xs": "array", "m": "object"}
+
+    def _read(self, tmp_path, line, **kwargs):
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"id": "a"}\n' + line + "\n")
+        return path, list(read_records(path, self.FIELDS, **kwargs))
+
+    def test_valid_records_in_order(self, tmp_path):
+        _, rows = self._read(tmp_path, '{"id": "b", "n": 1, "q": null, "xs": [], "m": {}, "extra": true}',
+                             required=("id",))
+        assert rows == [(1, {"id": "a"}), (2, {"id": "b", "n": 1, "q": None, "xs": [], "m": {}, "extra": True})]
+
+    @pytest.mark.parametrize("line, kwargs, message", [
+        ("5", {}, "line 2: record is a JSON number, not an object"),
+        ('["id"]', {}, "line 2: record is a JSON array, not an object"),
+        ('{"n": 1}', {"required": ("id",)}, "line 2: missing fields ['id']"),
+        ('{"id": 5}', {}, "line 2: field 'id' must be string, not number"),
+        ('{"id": "b", "n": true}', {}, "line 2: field 'n' must be number, not boolean"),
+        ('{"id": "b", "n": "1"}', {}, "line 2: field 'n' must be number, not string"),
+        ('{"id": "b", "q": "x"}', {}, "line 2: field 'q' must be number or null, not string"),
+        ('{"id": "b", "xs": {}}', {}, "line 2: field 'xs' must be array, not object"),
+        ('{"id": "b", "m": null}', {}, "line 2: field 'm' must be object, not null"),
+        ('{"id": "b", "z": 1, "y": 2}', {"closed": True}, "line 2: unknown fields ['y', 'z']"),
+    ])
+    def test_bad_record_names_path_and_line(self, tmp_path, line, kwargs, message):
+        path = tmp_path / "r.jsonl"
+        with pytest.raises(SchemaError) as info:
+            self._read(tmp_path, line, **kwargs)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_float_and_int_are_numbers(self, tmp_path):
+        _, rows = self._read(tmp_path, '{"id": "b", "n": 1.5, "q": 2}')
+        assert rows[1][1] == {"id": "b", "n": 1.5, "q": 2}
 
 
 class TestRoundTripProperties:

@@ -163,6 +163,11 @@ class TestJudgeFlagging:
         with pytest.raises(ValidationError):
             JudgeRecord("a", (80,))
 
+    @pytest.mark.parametrize("scores", [("a", "b"), (1, None), (1, True), (1, [2])])
+    def test_non_number_rounds_rejected(self, scores):
+        with pytest.raises(ValidationError, match="judge scores must be numbers"):
+            JudgeRecord("a", scores)
+
 
 class _AlwaysPassStage:
     name = "always_pass"

@@ -181,3 +181,8 @@ class TestGrpoAdvantages:
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
             grpo_advantages([1.0, float("nan")])
+
+    @pytest.mark.parametrize("rewards", [["a", "b"], [1.0, None], [True, False], [1.0, [2.0]]])
+    def test_non_numbers_rejected(self, rewards):
+        with pytest.raises(ValidationError, match="rewards must be finite numbers"):
+            grpo_advantages(rewards)
