@@ -18,7 +18,7 @@ import urllib.error
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 from .errors import MtforgeError, ValidationError
 from .ioutils import dataclass_from_obj
@@ -31,8 +31,12 @@ class GenerationParams:
     max_tokens: int = 1024
     seed: Optional[int] = None
 
+    # JSON type of each field, for dataclass_from_obj
+    FIELDS: ClassVar[dict] = {"temperature": "number", "top_p": "number", "max_tokens": "integer",
+                              "seed": "integer|null"}
+
     def __post_init__(self):
-        if self.temperature < 0:
+        if not self.temperature >= 0:  # NaN too
             raise ValidationError(f"temperature must be >= 0, got {self.temperature}")
         if not 0 < self.top_p <= 1:
             raise ValidationError(f"top_p must be in (0, 1], got {self.top_p}")
@@ -55,6 +59,9 @@ class BackendSpec:
     model_id: str
     timeout_ms: int = 30000
     max_retries: int = 2
+
+    FIELDS: ClassVar[dict] = {"name": "string", "endpoint": "string", "model_id": "string",
+                              "timeout_ms": "integer", "max_retries": "integer"}
 
     def __post_init__(self):
         if self.timeout_ms <= 0:
@@ -154,5 +161,5 @@ def complete(spec: BackendSpec, prompt: str, params: GenerationParams) -> str:
     raise BackendFailure(f"backend {spec.name!r} failed after {spec.max_retries + 1} attempts: {last_error}")
 
 
-def backend_from_obj(obj: dict) -> BackendSpec:
-    return dataclass_from_obj(BackendSpec, obj, "backend config")
+def backend_from_obj(obj: dict, where: object = "backend config") -> BackendSpec:
+    return dataclass_from_obj(BackendSpec, obj, where)

@@ -12,15 +12,12 @@ absent or untouched, and the report is written only after them. Exit codes:
 from __future__ import annotations
 
 import csv
-import json
 import sys
 import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from importlib.resources import files as resource_files
 from pathlib import Path
 
 import click
-import jsonschema
 
 from . import backends as backends_mod
 from . import chimera as chimera_mod
@@ -34,32 +31,26 @@ from . import ngram_lm as lm_mod
 from . import rewards as rewards_mod
 from .backends import BackendFailure, backend_from_obj
 from .errors import MtforgeError, OrchestrationError, SchemaError, ValidationError
-from .ioutils import atomic_write, dump_json, load_json, read_records, write_jsonl
+from .ioutils import atomic_write, check_fields, dataclass_from_obj, dump_json, load_json, read_records, write_jsonl
 from .scorers import ScorerEndpoint, local_scorer_range, scorer_from_obj
 
 REPORT_SCHEMA_VERSION = 1
 
 
-def _load_schema(name: str) -> dict:
-    return json.loads(resource_files("mtforge.schemas").joinpath(name).read_text("utf-8"))
-
-
-def _validate_config(obj: dict, schema_name: str, where: str) -> None:
-    try:
-        jsonschema.validate(obj, _load_schema(schema_name))
-    except jsonschema.ValidationError as exc:
-        raise ValidationError(f"{where}: {exc.message}") from exc
+def _load_config(path: str, fields: dict, required: tuple) -> dict:
+    """A config file checked against its field table (see check_fields),
+    with schema_version 1."""
+    config = check_fields(load_json(path), fields, required, closed=True, where=path)
+    if config["schema_version"] != 1:
+        raise SchemaError(f"{path}: schema_version must be 1, got {config['schema_version']}")
+    return config
 
 
 def _load_scorer(spec: str) -> ScorerEndpoint:
     """A scorer flag is either a JSON config file or a local-function shorthand."""
     path = Path(spec)
     if spec.endswith(".json") or path.exists():
-        obj = load_json(path)
-        try:
-            return scorer_from_obj(obj)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
+        return scorer_from_obj(load_json(path), path)
     if spec.startswith("constant:"):
         return ScorerEndpoint(name=spec, kind="local_function", config=spec)
     score_range = local_scorer_range(spec)
@@ -448,23 +439,39 @@ def grpo_advantages_cmd(in_path, epsilon, out_path, seed):
 # -- generation and fusion -------------------------------------------------------
 
 
+# translate/fuse config fields; backends, grid entries and the scorer are
+# checked by their dataclasses' own field tables
+_CHIMERA_FIELDS = {"schema_version": "integer", "backend": "object", "fusion_backend": "object",
+                   "grid": "array", "per_slot_backends": "array", "fallback_scorer": "object",
+                   "max_workers": "integer"}
+_CHIMERA_REQUIRED = ("schema_version", "backend")
+
+
 def _load_chimera_config(path: str, jobs: int | None):
     """Backends, grid and fallback scorer from a config file, plus the
     request limit: `jobs` when given, else the config's max_workers."""
-    obj = load_json(path)
-    _validate_config(obj, "chimera_config.schema.json", path)
-    backend = backend_from_obj(obj["backend"])
-    fusion_backend = backend_from_obj(obj["fusion_backend"]) if "fusion_backend" in obj else backend
+    obj = _load_config(path, _CHIMERA_FIELDS, _CHIMERA_REQUIRED)
+    backend = backend_from_obj(obj["backend"], f"{path}: backend")
+    fusion_backend = backend
+    if "fusion_backend" in obj:
+        fusion_backend = backend_from_obj(obj["fusion_backend"], f"{path}: fusion_backend")
     grid = None
     if "grid" in obj:
-        grid = [backends_mod.GenerationParams(**entry) for entry in obj["grid"]]
+        if len(obj["grid"]) < 2:
+            raise SchemaError(f"{path}: grid must have >= 2 entries, got {len(obj['grid'])}")
+        grid = [dataclass_from_obj(backends_mod.GenerationParams, entry, f"{path}: grid[{i}]")
+                for i, entry in enumerate(obj["grid"])]
     per_slot = None
     if "per_slot_backends" in obj:
-        per_slot = [backend_from_obj(e) if e is not None else None for e in obj["per_slot_backends"]]
-    scorer = scorer_from_obj(obj["fallback_scorer"]) if "fallback_scorer" in obj else None
-    if jobs is None:
-        jobs = obj.get("max_workers", 4)
-    return backend, fusion_backend, grid, per_slot, scorer, jobs
+        per_slot = [None if entry is None else backend_from_obj(entry, f"{path}: per_slot_backends[{i}]")
+                    for i, entry in enumerate(obj["per_slot_backends"])]
+    scorer = None
+    if "fallback_scorer" in obj:
+        scorer = scorer_from_obj(obj["fallback_scorer"], f"{path}: fallback_scorer")
+    max_workers = obj.get("max_workers", 4)
+    if max_workers < 1:
+        raise SchemaError(f"{path}: max_workers must be >= 1, got {max_workers}")
+    return backend, fusion_backend, grid, per_slot, scorer, max_workers if jobs is None else jobs
 
 
 def _read_sources(path: str):
@@ -597,15 +604,32 @@ def eval_cmd(pairs_path, hyps_path, metric, aggregation, out_path, text_mode, se
 # -- pipeline --------------------------------------------------------------------
 
 
-# dedup stage config keys -> minlsh.dedup parameter names
-_DEDUP_STAGE_KEYS = {"shingle_n": "n", "k": "k", "bands": "b", "rows": "r",
-                     "threshold": "jaccard_threshold", "unit": "unit"}
+_PIPELINE_FIELDS = {"schema_version": "integer", "kind": ("mono", "parallel"), "input": "string",
+                    "output": "string", "dropped_output": "string", "seed": "integer", "stages": "array"}
+_PIPELINE_REQUIRED = ("schema_version", "kind", "input", "output", "stages")
+
+# stage type -> (fields besides "type", required fields). Value ranges are
+# checked by the functions the stages call.
+_STAGE_FIELDS = {
+    "langid": ({"model": "string", "expected": "string", "min_confidence": "number"}, ("model", "expected")),
+    "dedup": ({"shingle_n": "integer", "k": "integer", "bands": "integer", "rows": "integer",
+               "threshold": "number", "unit": ("word", "char")}, ()),
+    "perplexity": ({"model": "string", "mode": ("absolute", "percentile"), "max_ppl": "number", "q": "number"},
+                   ("model", "mode")),
+    "quality_threshold": ({"scorer": "object", "tau": "number"}, ("scorer", "tau")),
+}
+
+# dedup stage keys named differently as minlsh.dedup parameters
+_DEDUP_PARAMS = {"shingle_n": "n", "bands": "b", "rows": "r", "threshold": "jaccard_threshold"}
 
 
-def _build_stages(config: dict, seed: int):
+def _build_stages(config: dict, seed: int, path: str):
     stages = []
-    for entry in config["stages"]:
-        kind = entry["type"]
+    for i, entry in enumerate(config["stages"]):
+        where = f"{path}: stages[{i}]"
+        kind = check_fields(entry, {"type": tuple(_STAGE_FIELDS)}, ("type",), where=where)["type"]
+        fields, required = _STAGE_FIELDS[kind]
+        check_fields(entry, {"type": "string", **fields}, required, closed=True, where=where)
         if kind == "langid":
             stages.append(filters_mod.LangIdStage(
                 model=langid_mod.load_langid(entry["model"]),
@@ -613,7 +637,8 @@ def _build_stages(config: dict, seed: int):
                 min_confidence=entry.get("min_confidence", 0.5),
             ))
         elif kind == "dedup":
-            params = {name: entry[key] for key, name in _DEDUP_STAGE_KEYS.items() if key in entry}
+            # only the keys the stage sets, so the defaults live in minlsh.dedup alone
+            params = {_DEDUP_PARAMS.get(key, key): value for key, value in entry.items() if key != "type"}
             stages.append(filters_mod.DedupStage(params=dict(params, seed=seed)))
         elif kind == "perplexity":
             stages.append(filters_mod.PerplexityStage(
@@ -624,11 +649,9 @@ def _build_stages(config: dict, seed: int):
             ))
         elif kind == "quality_threshold":
             stages.append(filters_mod.QualityThresholdStage(
-                scorer=scorer_from_obj(entry["scorer"]),
+                scorer=scorer_from_obj(entry["scorer"], f"{where}.scorer"),
                 tau=entry["tau"],
             ))
-        else:  # unreachable once the schema validated
-            raise ValidationError(f"unknown stage type {kind!r}")
     return stages
 
 
@@ -637,10 +660,9 @@ def _build_stages(config: dict, seed: int):
 @click.option("--jobs", type=int, metavar="N", expose_value=False, help=_DEDUP_JOBS_HELP)
 def pipeline_run(config_path, seed):
     """Run a configured cleaning pipeline with per-stage accounting."""
-    config = load_json(config_path)
-    _validate_config(config, "pipeline_config.schema.json", config_path)
+    config = _load_config(config_path, _PIPELINE_FIELDS, _PIPELINE_REQUIRED)
     seed = config.get("seed", seed)
-    stages = _build_stages(config, seed)
+    stages = _build_stages(config, seed, config_path)
     records = corpus_mod.read_corpus(config["input"], config["kind"])
     for stage in stages:
         if stage.record_kind != config["kind"]:

@@ -8,7 +8,6 @@ names. All record types are immutable; derive updated records with
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -16,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import SchemaError, ValidationError
-from .ioutils import is_number, read_records, write_jsonl
+from .ioutils import is_finite_number, read_records, write_jsonl
 
 # (code, English display name, Chinese display name), in registry order.
 # The registry is closed: tags compare case-sensitively and anything outside
@@ -134,7 +133,7 @@ def _check_scores(scores: dict, where: str) -> None:
     for name, value in scores.items():
         if not isinstance(name, str) or not name:
             raise ValidationError(f"{where}: score names must be non-empty strings")
-        if not is_number(value) or not math.isfinite(value):
+        if not is_finite_number(value):
             raise ValidationError(f"{where}: score {name!r} must be a finite number")
 
 

@@ -210,6 +210,10 @@ def dedup(
     A per-document thread pool was measured slower: the work between kernel
     calls holds the GIL, so threads only add hand-offs.
     """
+    if b < 1 or r < 1:
+        raise ValidationError(f"bands and rows must be >= 1, got {b}x{r}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if b * r != k:
         raise ValidationError(f"bands*rows ({b}x{r}) must equal k={k}")
     if not 0 < jaccard_threshold <= 1:

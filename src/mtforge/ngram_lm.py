@@ -217,7 +217,7 @@ def filter_high_perplexity(
     """
     ppls = [(doc, perplexity(lm, doc.text, doc.lang)) for doc in docs]
     if mode == "absolute":
-        if max_ppl is None or max_ppl <= 1:
+        if max_ppl is None or not max_ppl > 1:  # NaN too
             raise ValidationError("absolute mode requires max_ppl > 1")
         cutoff = max_ppl
     elif mode == "percentile":

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import ValidationError
-from .ioutils import is_number, load_json
+from .ioutils import is_finite_number, load_json
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ def grpo_advantages(rewards: Sequence[float], epsilon: float = 1e-8) -> list[flo
         raise ValidationError(f"need a group of >= 2 rewards, got {len(rewards)}")
     if epsilon <= 0:
         raise ValidationError(f"epsilon must be > 0, got {epsilon}")
-    if not all(is_number(r) and math.isfinite(r) for r in rewards):
+    if not all(is_finite_number(r) for r in rewards):
         raise ValidationError("rewards must be finite numbers")
     mean = sum(rewards) / len(rewards)
     variance = sum((r - mean) ** 2 for r in rewards) / len(rewards)

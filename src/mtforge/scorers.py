@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, ClassVar, Mapping, Sequence
 
 from .backends import post_json
 from .errors import ValidationError
-from .ioutils import dataclass_from_obj, is_number
+from .ioutils import dataclass_from_obj, is_finite_number
 
 Item = dict
 ScoreFn = Callable[[Item], float]
@@ -76,20 +76,27 @@ class ScorerEndpoint:
     timeout_ms: int = 30000
     extra: Mapping[str, object] | None = None
 
+    FIELDS: ClassVar[dict] = {"name": "string", "kind": "string", "config": "string", "score_range": "array",
+                              "timeout_ms": "integer", "extra": "object"}
+
     def __post_init__(self):
-        if not isinstance(self.name, str) or not isinstance(self.config, str):
-            raise ValidationError("scorer name and config must be strings")
         if self.kind not in ("local_function", "remote_http"):
             raise ValidationError(f"scorer kind must be local_function or remote_http, got {self.kind!r}")
+        if self.kind == "local_function" and self.config.startswith("constant:"):
+            text = self.config.split(":", 1)[1]
+            try:
+                value = float(text)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValidationError(f"constant scorer value must be a finite number, got {text!r}")
         lo_hi = self.score_range
         if (not isinstance(lo_hi, (list, tuple)) or len(lo_hi) != 2
-                or not all(is_number(v) and math.isfinite(v) for v in lo_hi) or not lo_hi[0] < lo_hi[1]):
+                or not all(is_finite_number(v) for v in lo_hi) or not lo_hi[0] < lo_hi[1]):
             raise ValidationError(f"score_range must be two finite numbers lo < hi, got {lo_hi!r}")
         object.__setattr__(self, "score_range", tuple(lo_hi))
-        if not isinstance(self.timeout_ms, int) or isinstance(self.timeout_ms, bool) or self.timeout_ms <= 0:
-            raise ValidationError(f"scorer timeout_ms must be a positive integer, got {self.timeout_ms!r}")
-        if self.extra is not None and not isinstance(self.extra, Mapping):
-            raise ValidationError("scorer extra must be an object")
+        if self.timeout_ms <= 0:
+            raise ValidationError(f"scorer timeout_ms must be > 0, got {self.timeout_ms}")
 
     def _clamp(self, value: float) -> float:
         lo, hi = self.score_range
@@ -126,12 +133,12 @@ class ScorerEndpoint:
             return [None] * len(items)
         if not isinstance(scores, list) or len(scores) != len(items):
             return [None] * len(items)
-        return [self._clamp(s) if isinstance(s, (int, float)) else None for s in scores]
+        return [self._clamp(s) if is_finite_number(s) else None for s in scores]
 
     def score_one(self, item: Item) -> float | None:
         return self.score_many([item])[0]
 
 
-def scorer_from_obj(obj: dict) -> ScorerEndpoint:
-    """Build an endpoint from its JSON form (see the config schemas)."""
-    return dataclass_from_obj(ScorerEndpoint, obj, "scorer config")
+def scorer_from_obj(obj: dict, where: object = "scorer config") -> ScorerEndpoint:
+    """Build an endpoint from its JSON form, checked against its FIELDS."""
+    return dataclass_from_obj(ScorerEndpoint, obj, where)

@@ -5,6 +5,7 @@ behind: the completion POST {model, prompt, temperature, top_p, max_tokens,
 seed} -> {text}, and the scorer POST {name, items} -> {scores}.
 """
 
+import dataclasses
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -12,8 +13,15 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from mtforge.backends import BackendFailure, BackendSpec, GenerationParams, backend_from_obj, complete
-from mtforge.errors import ValidationError
+from mtforge.errors import SchemaError, ValidationError
+from mtforge.ioutils import dataclass_from_obj
 from mtforge.scorers import ScorerEndpoint, local_scorer_range, register_scorer, scorer_from_obj
+
+
+# a reply that json.loads accepts, holding one finite number among values
+# that are not: NaN, a bool, an infinity, a string, null and an int too
+# large for a float
+_ODD_SCORES = b'{"scores": [NaN, true, 0.5, Infinity, "0.7", null, 1' + b"0" * 400 + b"]}"
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -37,8 +45,8 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", "0")
             self.end_headers()
             return
-        if self.path == "/garbage":
-            data = b"<html>not json</html>"
+        if self.path in ("/garbage", "/odd_scores"):
+            data = b"<html>not json</html>" if self.path == "/garbage" else _ODD_SCORES
             self.send_response(200)
             self.send_header("Content-Length", str(len(data)))
             self.end_headers()
@@ -153,6 +161,8 @@ class TestCompletionWire:
         with pytest.raises(ValidationError):
             GenerationParams(temperature=-0.1)
         with pytest.raises(ValidationError):
+            GenerationParams(temperature=float("nan"))
+        with pytest.raises(ValidationError):
             GenerationParams(top_p=0.0)
         with pytest.raises(ValidationError):
             BackendSpec("x", "http://e", "m", timeout_ms=0)
@@ -184,6 +194,10 @@ class TestScorerWire:
         _Handler.auth_seen.clear()
         ScorerEndpoint("len", "remote_http", f"{http_server}/score").score_many([{"hypothesis": "x"}])
         assert _Handler.auth_seen == ["Bearer qe-secret"]
+
+    def test_only_finite_numbers_are_scores(self, http_server):
+        scorer = ScorerEndpoint("odd", "remote_http", f"{http_server}/odd_scores")
+        assert scorer.score_many([{}] * 7) == [None, None, 0.5, None, None, None, None]
 
     def test_non_json_reply_yields_none(self, http_server):
         scorer = ScorerEndpoint("len", "remote_http", f"{http_server}/garbage")
@@ -235,6 +249,10 @@ class TestSpecsFromObj:
         dict(SCORER, timeout_ms=1.5),
         dict(SCORER, timeout_ms=True),
         dict(SCORER, extra=[1]),
+        dict(SCORER, config="constant:abc"),
+        dict(SCORER, config="constant:nan"),
+        dict(SCORER, config="constant:1e400"),
+        dict(SCORER, kind="psychic"),
     ])
     def test_bad_scorer_config_rejected(self, obj):
         with pytest.raises(ValidationError):
@@ -244,6 +262,17 @@ class TestSpecsFromObj:
     def test_bad_backend_config_rejected(self, obj):
         with pytest.raises(ValidationError):
             backend_from_obj(obj)
+
+    @pytest.mark.parametrize("cls", [BackendSpec, GenerationParams, ScorerEndpoint])
+    def test_field_table_names_every_field(self, cls):
+        assert set(cls.FIELDS) == {f.name for f in dataclasses.fields(cls)}
+
+    def test_grid_entry_defaults_and_types(self):
+        assert dataclass_from_obj(GenerationParams, {"seed": None}, "grid[0]") == GenerationParams()
+        assert dataclass_from_obj(GenerationParams, {"temperature": 0, "seed": 3}, "grid[0]").temperature == 0
+        for bad in ({"temperature": True}, {"max_tokens": 2.5}, {"seed": "1"}, {"top_p": 0}, {"colour": 1}, [1]):
+            with pytest.raises(SchemaError, match=r"^grid\[0\]"):
+                dataclass_from_obj(GenerationParams, bad, "grid[0]")
 
     def test_registered_scorer_keeps_its_range(self):
         assert local_scorer_range("chrf") == (0.0, 100.0)

@@ -71,6 +71,14 @@ class TestConsoleEntry:
         assert out.returncode == 0
         assert (tmp_path / "c.csv").exists()
 
+    def test_cli_import_loads_no_schema_validator(self):
+        code = ("import sys, mtforge.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith(('jsonschema', 'mtforge.schemas'))))")
+        pythonpath = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=pythonpath))
+        assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
+
     def test_module_invocation_usage_error(self):
         out = run_module("no-such-command")
         assert out.returncode == 1
@@ -104,9 +112,33 @@ def _langid_model_json(**changes):
     return json.dumps(model).encode()
 
 
+_SCORER = {"name": "s", "kind": "local_function", "config": "length_ratio"}
+
+
 def _scorer_json(**changes):
     """A local length_ratio scorer config that quality-filter accepts, with changes."""
-    return json.dumps({"name": "s", "kind": "local_function", "config": "length_ratio", **changes}).encode()
+    return json.dumps({**_SCORER, **changes}).encode()
+
+
+_BACKEND = {"name": "gen", "endpoint": "mock:echo", "model_id": "m"}
+
+
+def _config_json(config, changes, drop):
+    config = {key: value for key, value in dict(config, **changes).items() if key not in drop}
+    return json.dumps(config).encode()
+
+
+def _pipeline_json(*stages, drop=(), **changes):
+    """A pipeline config over the test's corpus.jsonl ("{dir}" is its
+    directory), with its stages replaced, top-level keys changed or dropped."""
+    return _config_json({"schema_version": 1, "kind": "mono", "input": "{dir}/corpus.jsonl",
+                         "output": "{dir}/out.jsonl", "stages": list(stages) or [{"type": "dedup"}]},
+                        changes, drop)
+
+
+def _fuse_json(drop=(), **changes):
+    """A translate/fuse config on the echo mock, with keys changed or dropped."""
+    return _config_json({"schema_version": 1, "backend": _BACKEND}, changes, drop)
 
 
 class TestExitCodes:
@@ -144,6 +176,12 @@ class TestExitCodes:
         ("dedup", "--in", b'{"id": "b", "lang": "en", "text": "x", "tags": ["t", 5]}\n', "error: {path}: line 2: "),
         ("dedup", "--in", b'{"id": "b", "lang": ["en"], "text": "x"}\n', "error: {path}: line 2: "),
         ("dedup", "--in", b'{"id": 5, "lang": "en", "text": "x"}\n', "error: {path}: line 2: "),
+        ("dedup", "--in", b'{"id": "b", "lang": "en", "text": "\\ud800 x"}\n',
+         "error: line 2: unpaired surrogate \\ud800 in a string"),
+        ("dedup", "--in", b'{"id": "b", "lang": "en", "text": "x", "scores": {"q": 1' + b"0" * 400 + b'}}\n',
+         "error: {path}: line 2: "),
+        ("dedup", "--in", b'{"id": "b", "lang": "en", "text": "x", "scores": {"q": 1' + b"0" * 5000 + b'}}\n',
+         "error: line 2: invalid JSON: "),
         ("quality-filter", "--in", b'{"id": "q", "src_lang": "en", "tgt_lang": "fr", "src_text": "a", '
                                    b'"tgt_text": "b", "scores": [1]}\n', "error: {path}: line 2: "),
         ("reward-score", "--in", b"[1, 2]\n", "error: {path}: line 2: "),
@@ -218,10 +256,53 @@ class TestExitCodes:
         ("lm-filter", "--model", b'{"default_lang": "en", "discount": 0.75, "format": "mtforge-ngram-lm", '
                                  b'"min_count": 1, "order": 100000}\n'),
         ("reward-score", "--terms", b'{"blood": ["sang"'),
+        ("quality-filter", "--scorer", _scorer_json(config="constant:abc")),
+        ("quality-filter", "--scorer", b'{"name": "s\\ud800", "kind": "local_function", "config": "length_ratio"}'),
+        # pipeline-run configs: one row per kind of fault the config schema caught
+        ("pipeline-run", "--config", _pipeline_json(mystery=1)),
+        ("pipeline-run", "--config", _pipeline_json({"type": "dedup", "mystery": 1})),
+        ("pipeline-run", "--config", _pipeline_json(
+            {"type": "quality_threshold", "scorer": dict(_SCORER, colour="red"), "tau": 0.5})),
+        ("pipeline-run", "--config", _pipeline_json(drop=("kind",))),
+        ("pipeline-run", "--config", _pipeline_json({"type": "perplexity", "model": "{dir}/lm.txt"})),
+        ("pipeline-run", "--config", _pipeline_json(
+            {"type": "quality_threshold", "scorer": {"name": "s", "kind": "local_function"}, "tau": 0.5})),
+        ("pipeline-run", "--config", _pipeline_json(input=5)),
+        ("pipeline-run", "--config", _pipeline_json(stages={})),
+        ("pipeline-run", "--config", _pipeline_json(5)),
+        ("pipeline-run", "--config", _pipeline_json({"type": "dedup", "threshold": True})),
+        ("pipeline-run", "--config", _pipeline_json({"type": "dedup", "k": 2.5})),
+        ("pipeline-run", "--config", _pipeline_json(seed=1.5)),
+        ("pipeline-run", "--config", _pipeline_json(schema_version=2)),
+        ("pipeline-run", "--config", _pipeline_json(kind="bilingual")),
+        ("pipeline-run", "--config", _pipeline_json({"type": "mystery"})),
+        ("pipeline-run", "--config", _pipeline_json({"mode": "absolute"})),
+        ("pipeline-run", "--config", _pipeline_json({"type": "dedup", "unit": "byte"})),
+        ("pipeline-run", "--config", _pipeline_json({"type": "perplexity", "model": "{dir}/lm.txt", "mode": "median"})),
+        ("pipeline-run", "--config", _pipeline_json(
+            {"type": "quality_threshold", "scorer": dict(_SCORER, kind="psychic"), "tau": 0.5})),
+        # translate/fuse configs
+        ("fuse", "--config", _fuse_json(mystery=1)),
+        ("fuse", "--config", _fuse_json(backend=dict(_BACKEND, colour="red"))),
+        ("fuse", "--config", _fuse_json(grid=[{"temperature": 0.1, "colour": "red"}, {}])),
+        ("fuse", "--config", _fuse_json(fallback_scorer=dict(_SCORER, colour="red"))),
+        ("fuse", "--config", _fuse_json(drop=("backend",))),
+        ("fuse", "--config", _fuse_json(fusion_backend={"name": "f", "endpoint": "mock:echo"})),
+        ("fuse", "--config", _fuse_json(max_workers=True)),
+        ("fuse", "--config", _fuse_json(max_workers=2.5)),
+        ("fuse", "--config", _fuse_json(grid=[{"temperature": True}, {}])),
+        ("fuse", "--config", _fuse_json(grid=[{"max_tokens": 2.5}, {}])),
+        ("fuse", "--config", _fuse_json(backend=dict(_BACKEND, timeout_ms="1"))),
+        ("fuse", "--config", _fuse_json(schema_version=2)),
+        ("fuse", "--config", _fuse_json(fallback_scorer=dict(_SCORER, kind="psychic"))),
+        ("fuse", "--config", _fuse_json(fallback_scorer=dict(_SCORER, config="constant:abc"))),
+        ("fuse", "--config", _fuse_json(grid=[{}])),
+        ("fuse", "--config", _fuse_json(grid=[{}, {}], per_slot_backends=[None, 5])),
+        ("fuse", "--config", _fuse_json(max_workers=0)),
     ])
     def test_bad_json_file_is_one_line_exit_1(self, tmp_path, command, bad_flag, content):
         bad = tmp_path / "bad.json"
-        bad.write_bytes(content)
+        bad.write_bytes(content.replace(b"{dir}", json.dumps(str(tmp_path))[1:-1].encode()))
         mono = _write_mono(tmp_path, _english_docs(2))
         pairs = tmp_path / "pairs.jsonl"
         pairs.write_text(json.dumps({"id": "p", "src_lang": "en", "tgt_lang": "fr",
@@ -245,6 +326,62 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: "), proc.stderr
         assert "Traceback" not in proc.stderr
         assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command, content, message", [
+        ("pipeline-run", _pipeline_json({"type": "dedup", "mystery": 1}), "stages[0]: unknown fields ['mystery']"),
+        ("pipeline-run", _pipeline_json({"type": "dedup"}, {"type": "dedup", "k": 2.5}),
+         "stages[1]: field 'k' must be integer, not number"),
+        ("pipeline-run", _pipeline_json({"type": "dedup", "unit": "byte"}),
+         "stages[0]: field 'unit' must be 'word' or 'char', not 'byte'"),
+        ("pipeline-run", _pipeline_json({"type": "perplexity", "model": "lm.txt"}),
+         "stages[0]: missing fields ['mode']"),
+        ("pipeline-run", _pipeline_json(5), "stages[0]: a JSON number, not an object"),
+        ("pipeline-run", _pipeline_json({"type": "quality_threshold", "scorer": dict(_SCORER, kind="x"), "tau": 1}),
+         "stages[0].scorer: scorer kind must be local_function or remote_http, got 'x'"),
+        ("pipeline-run", _pipeline_json(schema_version=2), "schema_version must be 1, got 2"),
+        ("pipeline-run", _pipeline_json(drop=("kind", "input")), "missing fields ['input', 'kind']"),
+        ("pipeline-run", b"[]", "a JSON array, not an object"),
+        ("fuse", _fuse_json(backend=dict(_BACKEND, max_retries=-1)), "backend: max_retries must be >= 0, got -1"),
+        ("fuse", _fuse_json(fusion_backend=dict(_BACKEND, colour=1)), "fusion_backend: unknown fields ['colour']"),
+        ("fuse", _fuse_json(grid=[{}, {"top_p": True}]), "grid[1]: field 'top_p' must be number, not boolean"),
+        ("fuse", _fuse_json(grid=[{"temperature": float("nan")}, {}]), "grid[0]: temperature must be >= 0, got nan"),
+        ("fuse", _fuse_json(grid=[{}]), "grid must have >= 2 entries, got 1"),
+        ("fuse", _fuse_json(grid=[{}, {}], per_slot_backends=[None, 5]),
+         "per_slot_backends[1]: a JSON number, not an object"),
+        ("fuse", _fuse_json(fallback_scorer=dict(_SCORER, config="constant:abc")),
+         "fallback_scorer: constant scorer value must be a finite number, got 'abc'"),
+        ("fuse", _fuse_json(max_workers=0), "max_workers must be >= 1, got 0"),
+    ])
+    def test_config_error_names_the_place(self, tmp_path, capsys, command, content, message):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content.replace(b"{dir}", json.dumps(str(tmp_path))[1:-1].encode()))
+        other = ["--in", _sources(tmp_path), "--out", tmp_path / "out.jsonl"] if command == "fuse" else []
+        assert run(command, "--config", bad, *other) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+    @pytest.mark.parametrize("bands, rows, k", [(-1, -128, 128), (0, 8, 0), (16, 0, 0)])
+    def test_dedup_rejects_bands_or_rows_below_1(self, tmp_path, capsys, bands, rows, k):
+        corpus = _write_mono(tmp_path, _english_docs(3))
+        out = tmp_path / "kept.jsonl"
+        assert run("dedup", "--in", corpus, "--out", out, "--bands", bands, "--rows", rows, "--k", k) == 1
+        assert capsys.readouterr().err == f"error: bands and rows must be >= 1, got {bands}x{rows}\n"
+        config = tmp_path / "pipeline.json"
+        config.write_bytes(_pipeline_json({"type": "dedup", "bands": bands, "rows": rows, "k": k})
+                           .replace(b"{dir}", json.dumps(str(tmp_path))[1:-1].encode()))
+        assert run("pipeline-run", "--config", config) == 1
+        assert capsys.readouterr().err == f"error: bands and rows must be >= 1, got {bands}x{rows}\n"
+        assert not out.exists() and not (tmp_path / "out.jsonl").exists()
+
+    def test_constant_scorer_shorthand_must_be_a_finite_number(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"id": "p", "src_lang": "en", "tgt_lang": "fr",
+                                     "src_text": "a", "tgt_text": "b"}) + "\n")
+        for value in ("abc", "inf", ""):
+            assert run("quality-filter", "--in", pairs, "--scorer", f"constant:{value}", "--tau", 0.5,
+                       "--out", tmp_path / "out.jsonl") == 1
+            assert capsys.readouterr().err == (
+                f"error: constant scorer value must be a finite number, got {value!r}\n")
+        assert not (tmp_path / "out.jsonl").exists()
 
     def test_io_error_is_exit_2(self, tmp_path):
         docs = _write_mono(tmp_path, _english_docs(4))

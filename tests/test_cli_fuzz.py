@@ -1,13 +1,15 @@
-"""Fuzz the JSON Lines inputs of the record-reading commands through cli.main.
+"""Fuzz the JSON Lines inputs and the JSON configs of the CLI through cli.main.
 
-Each input file holds one valid line and one drawn line: an arbitrary JSON
-value, an object keyed by the command's field names, or the valid line with
-one or two fields set to drawn values. Whatever the drawn line holds, the
-command must return 0, 1 or 2 without raising, and a non-zero exit must print
-exactly one `error:` line and leave --out unwritten.
+Each JSON Lines input file holds one valid line and one drawn line; each
+config file is one drawn config. A drawn value is an arbitrary JSON value, an
+object keyed by the input's field names, or the valid value with one or two
+fields set to drawn values. Whatever was drawn, the command must return 0, 1
+or 2 without raising, and a non-zero exit must print exactly one `error:`
+line and write no output. Drawn strings include lone surrogates.
 """
 
 import contextlib
+import copy
 import io
 import json
 from pathlib import Path
@@ -44,21 +46,48 @@ COMMANDS = {
              ["--pairs", "{dir}/pairs.jsonl"]),
 }
 
-_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+# No "/" or "\": a drawn path then stays inside the working directory. One
+# string in four holds a lone surrogate, which JSON can escape but UTF-8
+# cannot encode.
+_plain = st.text(st.characters(exclude_characters="/\\"), max_size=6)
+_text = st.one_of(_plain, _plain, _plain,
+                  st.builds(lambda a, c, b: a + c + b, _plain, st.characters(categories=["Cs"]), _plain))
+_scalars = st.none() | st.booleans() | st.integers() | st.floats() | _text
 _json = st.recursive(
     _scalars,
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_text, inner, max_size=3),
     max_leaves=6,
 )
 
 
+def _values(valid_values):
+    # an arbitrary value, a list of scalars, a valid value (of the right JSON
+    # type often enough to get past the reader's checks to the domain types'
+    # own) or a valid string ending in a lone surrogate, in equal shares
+    strings = [value for value in valid_values if isinstance(value, str)] or [""]
+    branches = [_json, st.lists(_scalars, max_size=3), st.sampled_from(list(valid_values)),
+                st.builds(str.__add__, st.sampled_from(strings), st.characters(categories=["Cs"]))]
+    return st.integers(0, 3).flatmap(branches.__getitem__)
+
+
+def _edited(valid: dict, place: tuple, change):
+    """`valid` with the object at `place` (a key path) updated by a drawn
+    `change`."""
+    def apply(change):
+        edited = copy.deepcopy(valid)
+        target = edited
+        for key in place:
+            target = target[key]
+        target.update(change)
+        return edited
+
+    return change.map(apply)
+
+
 def _drawn_lines(valid: dict, names: tuple):
-    # values of the right JSON type often enough to get past the reader's
-    # checks to the domain types' own
-    values = st.one_of(_json, st.lists(_scalars, max_size=3), st.sampled_from(list(valid.values())))
+    values = _values(valid.values())
     keyed = st.dictionaries(st.sampled_from(names), values, max_size=len(names))
-    edited = st.dictionaries(st.sampled_from(names), values, min_size=1, max_size=2).map(
-        lambda change: {**valid, **change})
+    edited = _edited(valid, (), st.dictionaries(st.sampled_from(names), values, min_size=1, max_size=2))
     return st.one_of(_json, keyed, edited, edited)
 
 
@@ -70,6 +99,14 @@ def side_dir(tmp_path_factory):
         "schema_version": 1,
         "backend": {"name": "gen", "endpoint": "mock:echo", "model_id": "m"},
     }))
+    (path / "sources.jsonl").write_text(json.dumps(_SOURCE) + "\n")
+    texts = ["the cat sat on the mat", "a dog ran in the park", "the cat sat on the mat", "le chat est ici"]
+    (path / "corpus.jsonl").write_text("".join(
+        json.dumps({"id": f"d{i}", "lang": "fr" if text.startswith("le") else "en", "text": text}) + "\n"
+        for i, text in enumerate(texts)))
+    corpus = str(path / "corpus.jsonl")
+    assert main(["langid-train", "--in", corpus, "--model", str(path / "langid.json")]) == 0
+    assert main(["lm-train", "--in", corpus, "--model", str(path / "lm.txt"), "--order", "2"]) == 0
     return path
 
 
@@ -95,3 +132,120 @@ def test_drawn_line_exits_cleanly(command, side_dir, tmp_path_factory):
             assert not out_path.exists()
 
     check()
+
+
+_SCORER = {"name": "s", "kind": "local_function", "config": "length_ratio"}
+_BACKEND = {"name": "b", "endpoint": "mock:echo", "model_id": "m"}
+
+# Paths are relative: each example runs in its own directory, which holds
+# copies of the side files, so a drawn output path cannot overwrite a file
+# that another example reads.
+_SIDE_FILES = ("corpus.jsonl", "sources.jsonl", "langid.json", "lm.txt")
+_PIPELINE = {
+    "schema_version": 1, "kind": "mono", "input": "corpus.jsonl",
+    "output": "out.jsonl", "dropped_output": "dropped.jsonl", "seed": 3,
+    "stages": [
+        {"type": "langid", "model": "langid.json", "expected": "en", "min_confidence": 0.2},
+        {"type": "dedup", "shingle_n": 2, "k": 16, "bands": 8, "rows": 2, "threshold": 0.5, "unit": "word"},
+        {"type": "perplexity", "model": "lm.txt", "mode": "percentile", "q": 0.9},
+    ],
+}
+_TRANSLATE = {
+    "schema_version": 1,
+    "backend": dict(_BACKEND, timeout_ms=1000, max_retries=1),
+    "grid": [{"temperature": 0.1, "top_p": 0.9, "max_tokens": 8, "seed": 1}, {"temperature": 0.5}],
+    "fallback_scorer": _SCORER,
+    "max_workers": 2,
+}
+
+# command -> (its valid config, {key path of an object in it: field names
+# to draw keys from}, {field name: values of a type that gets past the field
+# checks}, other arguments)
+CONFIGS = {
+    "pipeline-run": (_PIPELINE, {
+        (): ("schema_version", "kind", "input", "output", "dropped_output", "seed", "stages"),
+        # each stage draws its own keys, plus one of another stage type
+        ("stages", 0): ("type", "model", "expected", "min_confidence", "k"),
+        ("stages", 1): ("type", "shingle_n", "k", "bands", "rows", "threshold", "unit", "mode"),
+        ("stages", 2): ("type", "model", "mode", "max_ppl", "q", "tau"),
+    }, {
+        "schema_version": [1, 2], "kind": ["mono", "parallel"], "input": ["corpus.jsonl", "lm.txt"],
+        "output": ["out.jsonl", "corpus.jsonl"], "dropped_output": ["out.jsonl", "dropped.jsonl"],
+        "seed": [0, -1, 2**64], "stages": [[], [{"type": "dedup"}]],
+        "type": ["langid", "dedup", "perplexity", "quality_threshold"], "model": ["lm.txt", "langid.json"],
+        "expected": ["en", "fr", "xx"], "min_confidence": [0, 1, 1.5], "shingle_n": [0, 1, 50],
+        "k": [16, 128, 0], "bands": [1, 16, 0], "rows": [1, 8, -1], "threshold": [0, 0.5, 1],
+        "unit": ["word", "char"], "mode": ["absolute", "percentile"], "max_ppl": [1, 50.0, 1e300],
+        "q": [0, 0.5, 1], "tau": [0.5, 2], "scorer": [_SCORER],
+    }, []),
+    "translate": (_TRANSLATE, {
+        (): ("schema_version", "backend", "fusion_backend", "grid", "per_slot_backends", "fallback_scorer",
+             "max_workers"),
+        ("backend",): ("name", "endpoint", "model_id", "timeout_ms", "max_retries"),
+        ("grid", 0): ("temperature", "top_p", "max_tokens", "seed"),
+        ("grid", 1): ("temperature", "top_p", "max_tokens", "seed"),
+    }, {
+        "schema_version": [1], "backend": [_BACKEND], "fusion_backend": [_BACKEND],
+        "grid": [[{}, {}], [{}], [{}, {}, {}]], "per_slot_backends": [[None, _BACKEND], [None]],
+        "fallback_scorer": [_SCORER], "max_workers": [0, 1, 3],
+        "name": ["b"], "endpoint": ["mock:echo", "mock:fail", "mock:none"], "model_id": ["m"],
+        "timeout_ms": [0, 1], "max_retries": [0, -1, 3],
+        "temperature": [0, 1.5, -1], "top_p": [0, 0.5, 1], "max_tokens": [0, 1, 100], "seed": [None, 0, 5],
+    }, ["--in", "sources.jsonl", "--out", "out.jsonl"]),
+}
+
+
+def _in_copy_of(side: Path, work: Path, monkeypatch) -> dict:
+    """Make `work`, holding copies of the side files, the working directory;
+    returns its files' contents."""
+    for name in _SIDE_FILES:
+        (work / name).write_bytes((side / name).read_bytes())
+    monkeypatch.chdir(work)
+    return {p.name: p.read_bytes() for p in work.iterdir()}
+
+
+def _drawn_configs(valid: dict, places: dict, typed: dict):
+    def edit(place, names):
+        # one or two fields; three values in four are of the field's type
+        def values(name):
+            return st.integers(0, 3).flatmap(lambda i: st.sampled_from(typed[name]) if i else _json)
+
+        change = st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True).flatmap(
+            lambda keys: st.fixed_dictionaries({key: values(key) for key in keys}))
+        return _edited(valid, place, change)
+
+    keyed = st.dictionaries(st.sampled_from(places[()]), _values(valid.values()), max_size=len(places[()]))
+    edited = st.one_of(*(edit(place, names) for place, names in places.items()))
+    return st.one_of(_json, keyed, edited, edited, edited)
+
+
+@pytest.mark.parametrize("command", sorted(CONFIGS))
+def test_drawn_config_exits_cleanly(command, side_dir, tmp_path_factory, monkeypatch):
+    valid, places, typed, other = CONFIGS[command]
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(config=_drawn_configs(valid, places, typed))
+    def check(config):
+        work = tmp_path_factory.mktemp(command)
+        (work / "config.json").write_text(json.dumps(config))
+        before = _in_copy_of(side_dir, work, monkeypatch)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main([command, "--config", "config.json", *other])
+        assert code in (0, 1, 2)
+        if code:
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), stderr.getvalue()
+            assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+
+    check()
+
+
+@pytest.mark.parametrize("command", sorted(CONFIGS))
+def test_valid_config_runs(command, side_dir, tmp_path, monkeypatch):
+    # the drawn edits start from a config that succeeds
+    valid, _, _, other = CONFIGS[command]
+    (tmp_path / "config.json").write_text(json.dumps(valid))
+    _in_copy_of(side_dir, tmp_path, monkeypatch)
+    assert main([command, "--config", "config.json", *other]) == 0
+    assert (tmp_path / "out.jsonl").exists()

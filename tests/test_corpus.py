@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from mtforge.corpus import (
     write_corpus,
 )
 from mtforge.errors import SchemaError, ValidationError
-from mtforge.ioutils import read_records
+from mtforge.ioutils import load_json, read_jsonl, read_records
 
 
 class TestRegistry:
@@ -208,10 +209,10 @@ def parallel_pairs(draw):
 class TestReadRecords:
     FIELDS = {"id": "string", "n": "number", "q": "number|null", "xs": "array", "m": "object"}
 
-    def _read(self, tmp_path, line, **kwargs):
+    def _read(self, tmp_path, line, fields=FIELDS, **kwargs):
         path = tmp_path / "r.jsonl"
         path.write_text('{"id": "a"}\n' + line + "\n")
-        return path, list(read_records(path, self.FIELDS, **kwargs))
+        return path, list(read_records(path, fields, **kwargs))
 
     def test_valid_records_in_order(self, tmp_path):
         _, rows = self._read(tmp_path, '{"id": "b", "n": 1, "q": null, "xs": [], "m": {}, "extra": true}',
@@ -229,6 +230,11 @@ class TestReadRecords:
         ('{"id": "b", "xs": {}}', {}, "line 2: field 'xs' must be array, not object"),
         ('{"id": "b", "m": null}', {}, "line 2: field 'm' must be object, not null"),
         ('{"id": "b", "z": 1, "y": 2}', {"closed": True}, "line 2: unknown fields ['y', 'z']"),
+        ('{"id": "b", "n": 1.0}', {"fields": {"id": "string", "n": "integer"}},
+         "line 2: field 'n' must be integer, not number"),
+        ('{"id": "b", "n": true}', {"fields": {"id": "string", "n": "integer"}},
+         "line 2: field 'n' must be integer, not boolean"),
+        ('{"id": "c"}', {"fields": {"id": ("a", "b")}}, "line 2: field 'id' must be 'a' or 'b', not 'c'"),
     ])
     def test_bad_record_names_path_and_line(self, tmp_path, line, kwargs, message):
         path = tmp_path / "r.jsonl"
@@ -239,6 +245,30 @@ class TestReadRecords:
     def test_float_and_int_are_numbers(self, tmp_path):
         _, rows = self._read(tmp_path, '{"id": "b", "n": 1.5, "q": 2}')
         assert rows[1][1] == {"id": "b", "n": 1.5, "q": 2}
+
+    def test_integer_and_choice_fields(self, tmp_path):
+        _, rows = self._read(tmp_path, '{"id": "b", "n": -3}', fields={"id": ("a", "b"), "n": "integer"},
+                             closed=True)
+        assert rows[1][1] == {"id": "b", "n": -3}
+
+    @pytest.mark.parametrize("escaped, code", [("\\ud800 x", "d800"), ("x \\udfff", "dfff"),
+                                               ("\\ude00\\ud83d", "de00")])
+    def test_lone_surrogate_rejected(self, tmp_path, escaped, code):
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"id": "a"}\n{"id": "%s"}\n' % escaped)
+        with pytest.raises(SchemaError, match=rf"^line 2: unpaired surrogate \\u{code} in a string$"):
+            list(read_jsonl(path))
+        config = tmp_path / "c.json"
+        config.write_text('{"x": ["%s"]}' % escaped)
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(config))}: unpaired surrogate \\u{code}"):
+            load_json(config)
+
+    @pytest.mark.parametrize("escaped, text", [("\\ud83d\\ude00", "\U0001f600"), ("\\\\ud800", "\\ud800"),
+                                               ("\\u00e9", "\u00e9")])
+    def test_paired_or_literal_surrogate_escapes_pass(self, tmp_path, escaped, text):
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"id": "%s"}\n' % escaped)
+        assert list(read_jsonl(path)) == [(1, {"id": text})]
 
 
 class TestRoundTripProperties:

@@ -293,3 +293,11 @@ class TestDedup:
             dedup(docs, k=100, b=16, r=8)
         with pytest.raises(ValidationError):
             dedup(docs, jaccard_threshold=0.0)
+
+    @pytest.mark.parametrize("params", [dict(b=-1, r=-128), dict(b=0, r=8, k=0), dict(b=16, r=0, k=0),
+                                        dict(seed=-1)])
+    def test_nonpositive_bands_rows_or_negative_seed_rejected(self, params):
+        # b*r == k alone lets b=-1, r=-128 through, and then no band is ever built
+        for docs in ([], [Document(id="a", lang="en", text="x y z"), Document(id="b", lang="en", text="x y z")]):
+            with pytest.raises(ValidationError):
+                dedup(docs, **params)

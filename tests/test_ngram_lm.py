@@ -188,6 +188,8 @@ class TestPerplexityFilter:
         with pytest.raises(ValidationError):
             filter_high_perplexity([], lm, mode="absolute", max_ppl=0.5)
         with pytest.raises(ValidationError):
+            filter_high_perplexity([], lm, mode="absolute", max_ppl=math.nan)
+        with pytest.raises(ValidationError):
             filter_high_perplexity([], lm, mode="percentile", q=0.0)
 
 
