@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional
 
 from .errors import MtforgeError, ValidationError
-from .ioutils import dataclass_from_obj
+from .ioutils import dataclass_from_obj, is_finite_number
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,8 @@ class GenerationParams:
     def __post_init__(self):
         if not self.temperature >= 0:  # NaN too
             raise ValidationError(f"temperature must be >= 0, got {self.temperature}")
+        if not is_finite_number(self.temperature):
+            raise ValidationError(f"temperature must be finite, got {self.temperature}")
         if not 0 < self.top_p <= 1:
             raise ValidationError(f"top_p must be in (0, 1], got {self.top_p}")
         if self.max_tokens <= 0:

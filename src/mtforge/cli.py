@@ -12,6 +12,7 @@ absent or untouched, and the report is written only after them. Exit codes:
 from __future__ import annotations
 
 import csv
+import math
 import sys
 import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
@@ -36,6 +37,10 @@ from .scorers import ScorerEndpoint, local_scorer_range, scorer_from_obj
 
 REPORT_SCHEMA_VERSION = 1
 
+# Requests in flight on translate, fuse (the config's max_workers when unset)
+# and reward-score: how hard a command may hit someone else's endpoint.
+DEFAULT_JOBS = 4
+
 
 def _load_config(path: str, fields: dict, required: tuple) -> dict:
     """A config file checked against its field table (see check_fields),
@@ -59,6 +64,23 @@ def _load_scorer(spec: str) -> ScorerEndpoint:
     raise ValidationError(f"unknown scorer {spec!r} (not a file or a built-in)")
 
 
+def _fan_out(fn, items, jobs):
+    """[fn(item) for item in items], run on a pool of `jobs` threads.
+
+    Results come back in input order. The first call to raise cancels the
+    queued ones; the error of the first failed item in input order
+    propagates.
+    """
+    pool = ThreadPoolExecutor(max_workers=jobs)
+    try:
+        futures = [pool.submit(fn, item) for item in items]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    # futures are cancelled only after one raised; result() re-raises it
+    return [future.result() for future in futures if not future.cancelled()]
+
+
 @click.group(name="mtforge")
 def cli():
     """Corpus curation, mixture optimization, rewards, and translation fusion."""
@@ -74,7 +96,7 @@ def _command(name: str):
     effective one) wins over --seed.
     """
     def decorate(body):
-        @click.option("--seed", default=0, show_default=True)
+        @click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
         @click.option("--report", "report_path", type=click.Path())
         def command(report_path, **params):
             payload = body(**params)
@@ -207,8 +229,11 @@ def lm_filter(in_path, model_path, mode, q, max_ppl, out_path, dropped_path, see
     kept, dropped = lm_mod.filter_high_perplexity(docs, lm, mode=mode, max_ppl=max_ppl, q=q)
     corpus_mod.write_corpus(kept, out_path)
     if dropped_path:
+        # a zero-discount model gives an unseen n-gram probability 0, so
+        # perplexity infinity, which JSON has no number for
         write_jsonl(dropped_path, (
-            dict(corpus_mod.record_to_obj(doc), perplexity=ppl) for doc, ppl in dropped
+            dict(corpus_mod.record_to_obj(doc), perplexity=ppl if math.isfinite(ppl) else None)
+            for doc, ppl in dropped
         ))
     return {
         "counts": {"input": len(docs), "kept": len(kept), "dropped": len(dropped)},
@@ -379,12 +404,15 @@ def lr_curve(warmup, total, peak, min_lr, shape, out_path, seed):
 @click.option("--w-terminology", default=0.5, show_default=True)
 @click.option("--w-repetition", default=1.0, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
+@click.option("--jobs", default=DEFAULT_JOBS, show_default=True, type=click.IntRange(min=1), metavar="N",
+              help="At most N quality requests in flight")
 def reward_score(in_path, terms_path, scorer_spec, w_quality, w_terminology, w_repetition,
-                 out_path, seed):
+                 out_path, jobs, seed):
     """Compute the full reward breakdown for translation records.
 
     Input lines carry {"id", "source", "hypothesis"} plus an optional
-    "quality" in [0, 1]; records without one are scored via --scorer.
+    "quality" in [0, 1]; records without one are scored via --scorer, one
+    record per request, up to --jobs requests at once.
     """
     table = rewards_mod.load_term_table(terms_path)
     weights = rewards_mod.RewardWeights(w_quality, w_terminology, w_repetition)
@@ -395,21 +423,30 @@ def reward_score(in_path, terms_path, scorer_spec, w_quality, w_terminology, w_r
         for lineno, obj in read_records(in_path, fields, required=("source", "hypothesis"))
     ]
 
-    out_rows = []
-    for rec_id, source, hypothesis, quality in rows:
-        if quality is None:
-            if scorer is None:
-                raise ValidationError(f"record {rec_id!r} has no quality score and no --scorer was given")
-            quality = scorer.score_one({"source": source, "hypothesis": hypothesis})
-            if quality is None:
-                raise OrchestrationError(f"quality scorer failed on record {rec_id!r}")
+    def reward_row(rec_id, source, hypothesis, quality):
         breakdown = rewards_mod.composite_reward(
             quality,
             rewards_mod.terminology_reward(source, hypothesis, table),
             rewards_mod.repetition_score(hypothesis),
             weights,
         )
-        out_rows.append(dict(breakdown.to_obj(), id=rec_id))
+        return dict(breakdown.to_obj(), id=rec_id)
+
+    def score_row(row):
+        rec_id, source, hypothesis, _ = row
+        quality = scorer.score_one({"source": source, "hypothesis": hypothesis})
+        if quality is None:
+            raise OrchestrationError(f"quality scorer failed on record {rec_id!r}")
+        return reward_row(rec_id, source, hypothesis, quality)
+
+    # records that carry a quality go first, so an error in one exits
+    # before any request is sent
+    out_rows = [None if row[3] is None else reward_row(*row) for row in rows]
+    unscored = [i for i, row in enumerate(rows) if row[3] is None]
+    if unscored and scorer is None:
+        raise ValidationError(f"record {rows[unscored[0]][0]!r} has no quality score and no --scorer was given")
+    for i, out_row in zip(unscored, _fan_out(score_row, [rows[i] for i in unscored], jobs)):
+        out_rows[i] = out_row
     write_jsonl(out_path, out_rows)
     return {
         "counts": {"records": len(out_rows)},
@@ -468,7 +505,7 @@ def _load_chimera_config(path: str, jobs: int | None):
     scorer = None
     if "fallback_scorer" in obj:
         scorer = scorer_from_obj(obj["fallback_scorer"], f"{path}: fallback_scorer")
-    max_workers = obj.get("max_workers", 4)
+    max_workers = obj.get("max_workers", DEFAULT_JOBS)
     if max_workers < 1:
         raise SchemaError(f"{path}: max_workers must be >= 1, got {max_workers}")
     return backend, fusion_backend, grid, per_slot, scorer, max_workers if jobs is None else jobs
@@ -481,15 +518,12 @@ def _read_sources(path: str):
 
 def _run_segments(sources, jobs, backend, grid, per_slot, fusion=None):
     """Candidate set, and fusion result when `fusion` = (backend, scorer) is
-    given, for every segment, in input order.
+    given, for every segment, by `_fan_out` over the segments.
 
-    Segments run on one pool, and every request holds one semaphore of
-    `jobs` permits, so at most `jobs` requests are in flight at once
-    whatever the number of segments, and each grid may use all of them. A
-    segment that raises cancels the queued ones; the error of the first
-    failed segment in input order propagates.
+    Every request also holds one semaphore of `jobs` permits, so at most
+    `jobs` requests are in flight at once whatever the number of segments,
+    and each grid may use all of them.
     """
-    jobs = max(1, jobs)
     in_flight = threading.BoundedSemaphore(jobs)
 
     def run(src):
@@ -502,14 +536,7 @@ def _run_segments(sources, jobs, backend, grid, per_slot, fusion=None):
             return cand, None
         return cand, chimera_mod.fuse(fusion[0], cand, fallback_scorer=fusion[1], limiter=in_flight)
 
-    pool = ThreadPoolExecutor(max_workers=jobs)
-    try:
-        futures = [pool.submit(run, src) for src in sources]
-        wait(futures, return_when=FIRST_EXCEPTION)
-    finally:
-        pool.shutdown(cancel_futures=True)
-    # futures are cancelled only after one raised; result() re-raises it
-    return [future.result() for future in futures if not future.cancelled()]
+    return _fan_out(run, sources, jobs)
 
 
 _JOBS_HELP = "At most N requests in flight across all segments [default: the config's max_workers]"
@@ -519,7 +546,7 @@ _JOBS_HELP = "At most N requests in flight across all segments [default: the con
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--jobs", type=int, metavar="N", help=_JOBS_HELP)
+@click.option("--jobs", type=click.IntRange(min=1), metavar="N", help=_JOBS_HELP)
 def translate(config_path, in_path, out_path, jobs, seed):
     """Generate a candidate set per source segment over the sampling grid."""
     backend, _fusion, grid, per_slot, _scorer, jobs = _load_chimera_config(config_path, jobs)
@@ -548,7 +575,7 @@ def translate(config_path, in_path, out_path, jobs, seed):
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--jobs", type=int, metavar="N", help=_JOBS_HELP)
+@click.option("--jobs", type=click.IntRange(min=1), metavar="N", help=_JOBS_HELP)
 def fuse_cmd(config_path, in_path, out_path, jobs, seed):
     """Generate candidates and fuse them into one refined output per segment."""
     backend, fusion_backend, grid, per_slot, scorer, jobs = _load_chimera_config(config_path, jobs)

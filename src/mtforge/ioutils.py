@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Collection, Iterable, Iterator, Mapping
 
-from .errors import SchemaError, ValidationError
+from .errors import MtforgeError, SchemaError, ValidationError
 
 
 @contextmanager
@@ -38,12 +38,21 @@ def atomic_write(path: str | Path) -> Iterator[Any]:
         raise
 
 
+def _dumps(path: str | Path, obj: Any, indent: int | None = None) -> str:
+    """`obj` as JSON text. A NaN or infinity, which JSON has no number for,
+    raises MtforgeError naming the output `path`."""
+    try:
+        return json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=indent, allow_nan=False)
+    except ValueError:  # allow_nan=False; outputs hold no circular references
+        raise MtforgeError(f"{path}: NaN and infinity cannot be written as JSON") from None
+
+
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> int:
     """Write one compact JSON object per line; returns the number written."""
     count = 0
     with atomic_write(path) as handle:
         for record in records:
-            handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True))
+            handle.write(_dumps(path, record))
             handle.write("\n")
             count += 1
     return count
@@ -205,6 +214,7 @@ def load_json(path: str | Path) -> Any:
 
 def dump_json(path: str | Path, payload: dict) -> None:
     """Atomically write a deterministic, human-readable JSON document."""
+    text = _dumps(path, payload, indent=2)
     with atomic_write(path) as handle:
-        json.dump(payload, handle, ensure_ascii=False, sort_keys=True, indent=2)
+        handle.write(text)
         handle.write("\n")

@@ -17,6 +17,8 @@ import pytest
 import mtforge
 from mtforge.cli import cli, main
 from mtforge.corpus import Document, read_corpus, write_corpus
+from mtforge.errors import MtforgeError
+from mtforge.ioutils import dump_json, write_jsonl
 from mtforge.scorers import register_scorer
 
 DATA = Path(__file__).parent / "data"
@@ -96,8 +98,22 @@ class TestCommandSurface:
     def test_listed_in_readme_with_seed_and_report_last(self, name):
         assert name in cli.commands and name in _readme_commands()
         seed, report = cli.commands[name].params[-2:]
-        assert seed.opts == ["--seed"] and seed.type is click.INT and seed.default == 0
+        assert seed.opts == ["--seed"] and seed.default == 0
+        assert isinstance(seed.type, click.IntRange) and (seed.type.min, seed.type.max) == (0, None)
         assert report.opts == ["--report"]
+
+    @pytest.mark.parametrize("name", sorted(cli.commands))
+    def test_negative_seed_is_one_error_line_exit_1(self, capfd, name):
+        # main returns rather than raises, so no traceback can reach stderr
+        assert run(name, "--seed", -1) == 1
+        err = capfd.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert errors == ["error: Invalid value for '--seed': -1 is not in the range x>=0."], err
+
+    @pytest.mark.parametrize("name", ["translate", "fuse", "reward-score"])
+    def test_jobs_below_1_is_exit_1(self, capfd, name):
+        assert run(name, "--jobs", 0) == 1
+        assert "error: Invalid value for '--jobs': 0 is not in the range x>=1." in capfd.readouterr().err
 
 
 def _langid_model_json(**changes):
@@ -738,12 +754,15 @@ class TestChimeraCommands:
 
 
 class _SlowHandler(BaseHTTPRequestHandler):
-    """Completion endpoint that holds each request briefly and records how
-    many are active at once; it answers 500 to prompts containing FAIL."""
+    """Completion and scorer endpoint that holds each request briefly and
+    records how many are active at once and how many items each scorer
+    request carries. It answers 500 to a prompt, or a scorer item's
+    hypothesis, containing FAIL."""
 
     lock = threading.Lock()
     active = 0
     peak = 0
+    score_batches = []  # items per scorer request
 
     def do_POST(self):
         cls = type(self)
@@ -756,12 +775,20 @@ class _SlowHandler(BaseHTTPRequestHandler):
         finally:
             with cls.lock:
                 cls.active -= 1
-        if "FAIL" in payload["prompt"]:
+        if "items" in payload:
+            with cls.lock:
+                cls.score_batches.append(len(payload["items"]))
+            texts = [item["hypothesis"] for item in payload["items"]]
+            reply = {"scores": [_slow_score(text) for text in texts]}
+        else:
+            texts = [payload["prompt"]]
+            digest = hashlib.sha256(payload["prompt"].encode()).hexdigest()[:8]
+            reply = {"text": f"{payload['model']}:{payload['temperature']}:{digest}"}
+        if any("FAIL" in text for text in texts):
             self.send_response(500)
             self.end_headers()
             return
-        digest = hashlib.sha256(payload["prompt"].encode()).hexdigest()[:8]
-        data = json.dumps({"text": f"{payload['model']}:{payload['temperature']}:{digest}"}).encode()
+        data = json.dumps(reply).encode()
         self.send_response(200)
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -769,6 +796,11 @@ class _SlowHandler(BaseHTTPRequestHandler):
 
     def log_message(self, *args):
         pass
+
+
+def _slow_score(hypothesis):
+    """The slow scorer's score for a hypothesis, in [0, 1]."""
+    return int(hashlib.sha256(hypothesis.encode()).hexdigest()[:8], 16) / 0xFFFFFFFF
 
 
 @pytest.fixture(scope="module")
@@ -830,6 +862,112 @@ class TestChimeraFanOut:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not out_path.exists()
+
+
+def _reward_batch(tmp_path, n, unscored, fail=None):
+    """`n` reward records, the first `unscored` of them without a quality;
+    record `fail` has a hypothesis the slow scorer fails on."""
+    rows = [{"id": f"r{i}", "source": "已知有血液疾病的患者", "hypothesis": f"patients with blood disorders {i}"}
+            for i in range(n)]
+    for row in rows[unscored:]:
+        row["quality"] = 0.5
+    if fail is not None:
+        rows[fail]["hypothesis"] = "FAIL"
+    path = tmp_path / "batch.jsonl"
+    path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows))
+    return path
+
+
+class TestRewardFanOut:
+    @pytest.fixture
+    def scorer(self, tmp_path, slow_endpoint):
+        path = tmp_path / "qe.json"
+        path.write_text(json.dumps({"name": "qe", "kind": "remote_http", "config": slow_endpoint}))
+        _SlowHandler.score_batches = []
+        return path
+
+    def _reward_score(self, scorer, batch, out, jobs):
+        return run("reward-score", "--in", batch, "--terms", DATA / "terms_medical.json",
+                   "--scorer", scorer, "--out", out, "--jobs", jobs)
+
+    # the scored records at the end of the batch send no request
+    @pytest.mark.parametrize("unscored, jobs", [(8, 3), (8, 8), (2, 3), (3, 2)])
+    def test_jobs_bounds_requests_in_flight(self, tmp_path, scorer, unscored, jobs):
+        _SlowHandler.peak = 0
+        batch = _reward_batch(tmp_path, unscored + 2, unscored)
+        assert self._reward_score(scorer, batch, tmp_path / "r.jsonl", jobs) == 0
+        assert _SlowHandler.peak == min(jobs, unscored)
+
+    def test_one_item_per_request(self, tmp_path, scorer):
+        batch = _reward_batch(tmp_path, 10, 6)
+        assert self._reward_score(scorer, batch, tmp_path / "r.jsonl", 4) == 0
+        assert _SlowHandler.score_batches == [1] * 6
+
+    def test_output_independent_of_jobs(self, tmp_path, scorer):
+        batch = _reward_batch(tmp_path, 10, 8)
+        out_1, out_4 = tmp_path / "j1.jsonl", tmp_path / "j4.jsonl"
+        assert self._reward_score(scorer, batch, out_1, 1) == 0
+        assert self._reward_score(scorer, batch, out_4, 4) == 0
+        assert out_1.read_bytes() == out_4.read_bytes()
+        rows = [json.loads(l) for l in out_1.read_text().splitlines()]
+        assert [r["id"] for r in rows] == [f"r{i}" for i in range(10)]
+        assert [r["quality"] for r in rows] == (
+            [_slow_score(f"patients with blood disorders {i}") for i in range(8)] + [0.5, 0.5])
+
+    def test_failing_record_aborts_without_output(self, tmp_path, scorer, capfd):
+        batch = _reward_batch(tmp_path, 8, 8, fail=5)
+        out_path = tmp_path / "r.jsonl"
+        capfd.readouterr()
+        assert self._reward_score(scorer, batch, out_path, 3) == 2
+        assert capfd.readouterr().err == "error: quality scorer failed on record 'r5'\n"
+        assert not out_path.exists()
+
+    def test_missing_scorer_names_the_first_unscored_record(self, tmp_path, capfd):
+        batch = _reward_batch(tmp_path, 6, 0)
+        rows = [json.loads(l) for l in batch.read_text().splitlines()]
+        for i in (2, 4):
+            del rows[i]["quality"]
+        batch.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows))
+        out_path = tmp_path / "r.jsonl"
+        assert run("reward-score", "--in", batch, "--terms", DATA / "terms_medical.json", "--out", out_path) == 1
+        assert capfd.readouterr().err == "error: record 'r2' has no quality score and no --scorer was given\n"
+        assert not out_path.exists()
+
+
+class TestNonFiniteNumbers:
+    def test_infinite_grid_temperature_is_a_config_error(self, tmp_path, capsys):
+        config = tmp_path / "chimera.json"
+        config.write_text('{"schema_version": 1, "backend": {"name": "g", "endpoint": "mock:echo", '
+                          '"model_id": "m"}, "grid": [{"temperature": 1e400}, {}]}')
+        out_path = tmp_path / "cands.jsonl"
+        assert run("translate", "--config", config, "--in", _sources(tmp_path), "--out", out_path) == 1
+        assert capsys.readouterr().err == f"error: {config}: grid[0]: temperature must be finite, got inf\n"
+        assert not out_path.exists()
+
+    def test_non_finite_output_is_one_error_line_exit_2(self, tmp_path, capsys):
+        for path, write in [(tmp_path / "rows.jsonl", lambda p: write_jsonl(p, [{"x": 1.0}, {"x": math.inf}])),
+                            (tmp_path / "doc.json", lambda p: dump_json(p, {"x": math.nan}))]:
+            with pytest.raises(MtforgeError, match=f"^{re.escape(str(path))}: "):
+                write(path)
+            assert list(tmp_path.iterdir()) == []
+        corpus = _write_mono(tmp_path, _english_docs(4))
+        assert run("lm-train", "--in", corpus, "--model", tmp_path / "lm.txt") == 0
+        report = tmp_path / "report.json"
+        assert run("lm-filter", "--in", corpus, "--model", tmp_path / "lm.txt", "--mode", "absolute",
+                   "--max-ppl", "inf", "--out", tmp_path / "kept.jsonl", "--report", report) == 2
+        assert capsys.readouterr().err == f"error: {report}: NaN and infinity cannot be written as JSON\n"
+        assert not report.exists()
+
+    def test_infinite_perplexity_is_written_as_null(self, tmp_path):
+        train = _write_mono(tmp_path, _english_docs(10), "train.jsonl")
+        assert run("lm-train", "--in", train, "--model", tmp_path / "lm.txt", "--discount", 0) == 0
+        docs = _english_docs(3) + [Document(id="unseen", lang="en", text="zebra quartz")]
+        dropped = tmp_path / "dropped.jsonl"
+        assert run("lm-filter", "--in", _write_mono(tmp_path, docs), "--model", tmp_path / "lm.txt",
+                   "--mode", "absolute", "--max-ppl", 1e6, "--out", tmp_path / "kept.jsonl",
+                   "--dropped", dropped) == 0
+        rows = [json.loads(l) for l in dropped.read_text().splitlines()]
+        assert [(r["id"], r["perplexity"]) for r in rows] == [("unseen", None)]
 
 
 class TestEvalCommand:
