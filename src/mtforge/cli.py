@@ -90,15 +90,21 @@ def _command(name: str):
     """Register the decorated function as subcommand `name`, with --seed and
     --report listed after its own options.
 
-    The function is called with `seed` and returns its report payload. With
-    --report, the payload is written after the function's outputs, in an
-    envelope of schema_version, command and seed; a payload `seed` (the
-    effective one) wins over --seed.
+    A float option set to NaN or infinity is a usage error, raised before
+    the function runs. The function is called with `seed` and returns its
+    report payload. With --report, the payload is written after the
+    function's outputs, in an envelope of schema_version, command and seed;
+    a payload `seed` (the effective one) wins over --seed.
     """
     def decorate(body):
         @click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
         @click.option("--report", "report_path", type=click.Path())
         def command(report_path, **params):
+            ctx = click.get_current_context()
+            for param in ctx.command.params:
+                value = params.get(param.name)
+                if isinstance(param.type, click.types.FloatParamType) and not math.isfinite(value or 0):
+                    raise click.BadParameter(f"{value} is not a finite number.", ctx, param)
             payload = body(**params)
             if report_path:
                 dump_json(report_path, {"schema_version": REPORT_SCHEMA_VERSION, "command": name,
@@ -356,7 +362,7 @@ def mix_fit(runs_path, ridge_lambda, model_path, seed):
 @click.option("--out", "out_path", required=True, type=click.Path())
 def mix_optimize(model_path, candidates, replay_fraction, replay_domain, out_path, seed):
     """Pick the mixture minimizing predicted loss; optionally blend a replay share."""
-    model = mixopt_mod.RegressionModel.from_obj(load_json(model_path), model_path)
+    model = dataclass_from_obj(mixopt_mod.RegressionModel, load_json(model_path), model_path)
     best = mixopt_mod.optimize_mixture(model, candidates, seed=seed)
     predicted = model.predict(best)
     if (replay_fraction is None) != (replay_domain is None):

@@ -18,11 +18,10 @@ posteriors are bit-identical to it.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Sequence
 
@@ -30,7 +29,7 @@ import numpy as np
 
 from .corpus import Document, char_ngram_levels, registry_order, require_tag
 from .errors import ValidationError
-from .ioutils import atomic_write, load_json
+from .ioutils import check_fields, is_finite_number, load_json, write_jsonl
 
 
 def extract_ngrams(text: str, ngram_range: tuple[int, int]) -> Counter[str]:
@@ -40,7 +39,9 @@ def extract_ngrams(text: str, ngram_range: tuple[int, int]) -> Counter[str]:
     if lo < 1 or hi < lo:
         raise ValidationError(f"bad ngram range {ngram_range}")
     grams: Counter[str] = Counter()
-    for level in islice(char_ngram_levels(text.lower(), hi), lo - 1, None):
+    text = text.lower()
+    # levels longer than the text are empty: a huge hi costs nothing
+    for level in islice(char_ngram_levels(text, min(hi, len(text) or 1)), lo - 1, None):
         grams.update(level)
     return grams
 
@@ -61,31 +62,39 @@ class LangIdModel:
 
     def __post_init__(self):
         """Check that the fields agree with each other and build the scoring
-        tables from them; an inconsistent model raises ValidationError."""
-        lo_hi = self.ngram_range
+        tables from them; an inconsistent model raises ValidationError. Lists,
+        as a model file holds them, are stored as the field types."""
+        lo_hi = tuple(self.ngram_range)
         if (len(lo_hi) != 2 or not all(isinstance(n, int) and not isinstance(n, bool) for n in lo_hi)
                 or not 1 <= lo_hi[0] <= lo_hi[1]):
             raise ValidationError(f"ngram_range must be two integers 1 <= lo <= hi, got {list(lo_hi)}")
-        if not self.classes:
-            raise ValidationError("model has no classes")
-        for c in self.classes:
+        classes = tuple(self.classes)
+        if not classes or not all(type(s) is str for s in chain(classes, self.vocab)) \
+                or len(set(classes)) < len(classes):
+            raise ValidationError("classes must be distinct names, at least one, and vocab must hold strings")
+        vocab = frozenset(self.vocab)
+        for c in classes:
             for name in ("log_priors", "log_likelihoods", "unseen_log_likelihood"):
                 if c not in getattr(self, name):
                     raise ValidationError(f"{name} has no entry for class {c!r}")
             table = self.log_likelihoods[c]
-            if table.keys() != self.vocab:
-                gram = min(table.keys() ^ self.vocab)
+            if type(table) is not dict:
+                raise ValidationError(f"log_likelihoods[{c!r}] must be an object")
+            if table.keys() != vocab:
+                gram = min(table.keys() ^ vocab)
                 raise ValidationError(f"log_likelihoods[{c!r}] and vocab disagree on gram {gram!r}")
-        grams = sorted(self.vocab)
-        matrix = np.array([[*map(self.log_likelihoods[c].__getitem__, grams), self.unseen_log_likelihood[c]]
-                           for c in self.classes]).T
-        priors = np.array([self.log_priors[c] for c in self.classes])
-        for name, array in (("log_likelihoods", matrix), ("log_priors", priors)):
-            if array.dtype.kind not in "if" or not np.isfinite(array).all():
+        grams = sorted(vocab)
+        rows = [[*map(self.log_likelihoods[c].__getitem__, grams), self.unseen_log_likelihood[c]] for c in classes]
+        priors = [self.log_priors[c] for c in classes]
+        for name, values in (("log_likelihoods", chain.from_iterable(rows)), ("log_priors", priors)):
+            if not all(map(is_finite_number, values)):
                 raise ValidationError(f"{name} must hold finite numbers")
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "ngram_range", lo_hi)
+        object.__setattr__(self, "vocab", vocab)
         object.__setattr__(self, "gram_index", {g: i for i, g in enumerate(grams)})
-        object.__setattr__(self, "log_likelihood_matrix", np.ascontiguousarray(matrix, np.float64))
-        object.__setattr__(self, "log_prior_row", priors.astype(np.float64))
+        object.__setattr__(self, "log_likelihood_matrix", np.ascontiguousarray(np.array(rows, np.float64).T))
+        object.__setattr__(self, "log_prior_row", np.array(priors, np.float64))
 
 
 def train_langid(
@@ -190,7 +199,7 @@ def filter_by_language(
 
 
 def save_langid(model: LangIdModel, path: str | Path) -> None:
-    payload = {
+    write_jsonl(path, [{
         "format": "mtforge-langid",
         "version": 1,
         "classes": list(model.classes),
@@ -200,29 +209,22 @@ def save_langid(model: LangIdModel, path: str | Path) -> None:
         "vocab": sorted(model.vocab),
         "log_likelihoods": {c: model.log_likelihoods[c] for c in model.classes},
         "unseen_log_likelihood": model.unseen_log_likelihood,
-    }
-    with atomic_write(path) as handle:
-        json.dump(payload, handle, ensure_ascii=False, sort_keys=True)
-        handle.write("\n")
+    }])
+
+
+# model file fields, as save_langid writes them; LangIdModel checks the
+# entries of the lists and tables
+_MODEL_FIELDS = {"format": ("mtforge-langid",), "version": "integer", "classes": "array", "log_priors": "object",
+                 "ngram_range": "array", "smoothing_alpha": "number", "vocab": "array", "log_likelihoods": "object",
+                 "unseen_log_likelihood": "object"}
 
 
 def load_langid(path: str | Path) -> LangIdModel:
-    payload = load_json(path)
-    if not isinstance(payload, dict) or payload.get("format") != "mtforge-langid":
-        raise ValidationError(f"{path}: not a language-id model file")
+    """Read a model written by save_langid; a malformed file raises
+    ValidationError naming the path."""
+    payload = check_fields(load_json(path), _MODEL_FIELDS, _MODEL_FIELDS, closed=True, where=path)
+    del payload["format"], payload["version"]
     try:
-        return LangIdModel(
-            classes=tuple(payload["classes"]),
-            log_priors=dict(payload["log_priors"]),
-            ngram_range=tuple(payload["ngram_range"]),
-            smoothing_alpha=payload["smoothing_alpha"],
-            vocab=frozenset(payload["vocab"]),
-            log_likelihoods={c: dict(t) for c, t in payload["log_likelihoods"].items()},
-            unseen_log_likelihood=dict(payload["unseen_log_likelihood"]),
-        )
+        return LangIdModel(**payload)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
-    except KeyError as exc:
-        raise ValidationError(f"{path}: missing model key {exc}") from None
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise ValidationError(f"{path}: ill-typed model ({exc})") from None

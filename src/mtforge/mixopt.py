@@ -9,16 +9,15 @@ simplex vertices.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .errors import SchemaError, ValidationError
-from .ioutils import atomic_write, read_records
+from .ioutils import is_finite_number, read_records, write_jsonl
 
 SIMPLEX_TOL = 1e-9
 
@@ -90,6 +89,23 @@ class RegressionModel:
     coefficients: tuple[float, ...]
     ridge_lambda: float
 
+    # JSON type of each field, for dataclass_from_obj
+    FIELDS: ClassVar[dict] = {"domains": "array", "coefficients": "array", "ridge_lambda": "number"}
+
+    def __post_init__(self):
+        domains = tuple(self.domains)
+        if not domains or not all(type(d) is str for d in domains) or len(set(domains)) != len(domains):
+            raise ValidationError("domains must be a non-empty list of distinct names")
+        if len(self.coefficients) != n_features(len(domains)):
+            raise ValidationError(f"{len(self.coefficients)} coefficients for {len(domains)} domains, "
+                                  f"expected {n_features(len(domains))}")
+        # the magnitudes' sum bounds every prediction, so none can overflow
+        if (not all(is_finite_number(c) for c in (*self.coefficients, self.ridge_lambda))
+                or not math.isfinite(sum(abs(float(c)) for c in self.coefficients))):
+            raise ValidationError("coefficients and ridge_lambda must be finite numbers")
+        object.__setattr__(self, "domains", domains)
+        object.__setattr__(self, "coefficients", tuple(map(float, self.coefficients)))
+
     def predict(self, mixture: MixtureSpec | Sequence[float]) -> float:
         if isinstance(mixture, MixtureSpec):
             if mixture.domains != self.domains:
@@ -108,26 +124,6 @@ class RegressionModel:
             "coefficients": list(self.coefficients),
             "ridge_lambda": self.ridge_lambda,
         }
-
-    @classmethod
-    def from_obj(cls, obj, where: str) -> RegressionModel:
-        """Inverse of to_obj; a missing or ill-typed key raises ValidationError naming `where`."""
-        try:
-            domains = tuple(obj["domains"])
-            coefficients = tuple(float(c) for c in obj["coefficients"])
-            ridge_lambda = float(obj["ridge_lambda"])
-        except KeyError as exc:
-            raise ValidationError(f"{where}: mixture surface has no {exc} key") from None
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{where}: ill-typed mixture surface: {exc}") from None
-        if not domains or not all(isinstance(d, str) for d in domains):
-            raise ValidationError(f"{where}: mixture surface domains must be a non-empty list of names")
-        if len(coefficients) != n_features(len(domains)):
-            raise ValidationError(
-                f"{where}: {len(coefficients)} coefficients for {len(domains)} domains, "
-                f"expected {n_features(len(domains))}"
-            )
-        return cls(domains, coefficients, ridge_lambda)
 
 
 def fit_regression(runs: Sequence[ProxyRun], ridge_lambda: float = 0.0) -> RegressionModel:
@@ -241,8 +237,4 @@ def read_proxy_runs(path: str | Path) -> list[ProxyRun]:
 
 
 def write_proxy_runs(runs: Sequence[ProxyRun], path: str | Path) -> int:
-    with atomic_write(path) as handle:
-        for run in runs:
-            obj = dict(run.mixture.to_obj(), loss=run.observed_loss)
-            handle.write(json.dumps(obj, sort_keys=True) + "\n")
-    return len(runs)
+    return write_jsonl(path, (dict(run.mixture.to_obj(), loss=run.observed_loss) for run in runs))

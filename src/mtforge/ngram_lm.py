@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .corpus import Document, registry_order, segment_tokens
 from .errors import SchemaError, ValidationError
-from .ioutils import atomic_write
+from .ioutils import atomic_write, check_fields
 
 BOS = "<s>"
 EOS = "</s>"
@@ -261,28 +261,18 @@ def save_lm(lm: NGramLm, path: str | Path) -> None:
                 handle.write(f"{k}\t{' '.join(gram)}\t{count}\n")
 
 
-# header key -> (accepted types, description), checked by load_lm
-_HEADER_KEYS = {
-    "order": (int, "an integer"),
-    "discount": ((int, float), "a number"),
-    "min_count": (int, "an integer"),
-    "default_lang": (str, "a string"),
-}
+# header fields, as save_lm writes them
+_HEADER_FIELDS = {"format": ("mtforge-ngram-lm",), "version": "integer", "order": "integer",
+                  "discount": "number", "min_count": "integer", "vocab_size": "integer", "default_lang": "string"}
 
 
-def _read_header(path: str | Path, line: str) -> dict:
+def _read_header(line: str) -> dict:
     try:
         header = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: line 1: invalid JSON header: {exc.msg} (column {exc.colno})") from None
-    if not isinstance(header, dict) or header.get("format") != "mtforge-ngram-lm":
-        raise ValidationError(f"{path}: not an n-gram model file")
-    for key, (types, description) in _HEADER_KEYS.items():
-        value = header.get(key)
-        if not isinstance(value, types) or isinstance(value, bool):
-            raise SchemaError(f"{path}: header {key!r} must be {description}, got {value!r}")
-    if not 1 <= header["order"] <= MAX_ORDER:
-        raise SchemaError(f"{path}: header 'order' must be in 1..{MAX_ORDER}, got {header['order']}")
+    except ValueError as exc:  # JSONDecodeError, or an integer beyond int()'s digit limit
+        raise SchemaError(f"invalid JSON header: {exc}", 1) from None
+    check_fields(header, _HEADER_FIELDS, _HEADER_FIELDS, closed=True, where="header")
+    _check_order(header["order"])  # before any table is allocated
     return header
 
 
@@ -291,7 +281,7 @@ def load_lm(path: str | Path) -> NGramLm:
     raises ValidationError naming the path."""
     try:
         with open(path, encoding="utf-8") as handle:
-            header = _read_header(path, handle.readline())
+            header = _read_header(handle.readline())
             order = header["order"]
             counts: dict[int, dict[tuple[str, ...], dict[str, int]]] = {k: {} for k in range(1, order + 1)}
             for lineno, line in enumerate(handle, start=2):
@@ -301,15 +291,16 @@ def load_lm(path: str | Path) -> NGramLm:
                     k_str, gram_str, count_str = line.rstrip("\n").split("\t")
                     k, count = int(k_str), int(count_str)
                 except ValueError:
-                    raise SchemaError(f"{path}: line {lineno}: expected k<TAB>gram<TAB>count") from None
+                    raise SchemaError("expected k<TAB>gram<TAB>count", lineno) from None
                 table = counts.get(k)
                 if table is None:
-                    raise SchemaError(f"{path}: line {lineno}: order {k} outside 1..{order}")
+                    raise SchemaError(f"order {k} outside 1..{order}", lineno)
                 gram = tuple(gram_str.split(" "))
+                if len(gram) != k or count < 1:
+                    raise SchemaError(f"an order-{k} line needs a {k}-token gram and a count >= 1", lineno)
                 table.setdefault(gram[:-1], {})[gram[-1]] = count
+        return NGramLm(order, header["discount"], header["min_count"], counts, header["default_lang"])
     except UnicodeDecodeError:
         raise SchemaError(f"{path}: invalid UTF-8") from None
-    try:
-        return NGramLm(order, header["discount"], header["min_count"], counts, header["default_lang"])
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None

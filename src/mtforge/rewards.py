@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import ValidationError
-from .ioutils import is_finite_number, load_json
+from .ioutils import check_fields, is_finite_number, load_json
 
 
 @dataclass(frozen=True)
@@ -27,19 +27,21 @@ class TermTable:
         for term, renderings in self.entries.items():
             if not term:
                 raise ValidationError("empty source term in term table")
-            rendering_set = frozenset(renderings)
-            if not rendering_set or any(not r for r in rendering_set):
-                raise ValidationError(f"term {term!r} needs non-empty renderings")
-            frozen[term] = rendering_set
+            if (not isinstance(renderings, (list, tuple, set, frozenset)) or not renderings
+                    or not all(type(r) is str and r for r in renderings)):
+                raise ValidationError(f"term {term!r} needs a list of non-empty renderings")
+            frozen[term] = frozenset(renderings)
         object.__setattr__(self, "entries", frozen)
 
 
 def load_term_table(path: str | Path) -> TermTable:
-    """Read a JSON object mapping each source term to a list of renderings."""
-    raw = load_json(path)
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: term table must be a JSON object")
-    return TermTable({term: frozenset(renderings) for term, renderings in raw.items()})
+    """Read a JSON object mapping each source term to a list of renderings;
+    a malformed file raises ValidationError naming the path."""
+    raw = check_fields(load_json(path), {}, where=path)
+    try:
+        return TermTable(raw)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def terminology_reward(source: str, hypothesis: str, table: TermTable) -> float:
@@ -110,8 +112,9 @@ class RewardWeights:
     w_repetition_penalty: float = 1.0
 
     def __post_init__(self):
-        if self.w_quality < 0 or self.w_terminology < 0 or self.w_repetition_penalty < 0:
-            raise ValidationError("reward weights must be >= 0")
+        if not all(is_finite_number(w) and w >= 0
+                   for w in (self.w_quality, self.w_terminology, self.w_repetition_penalty)):
+            raise ValidationError("reward weights must be finite and >= 0")
         if self.w_quality + self.w_terminology <= 0:
             raise ValidationError("quality and terminology weights cannot both be zero")
 

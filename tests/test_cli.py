@@ -93,6 +93,11 @@ def _readme_commands():
     return set(re.findall(r"`([a-z-]+)`", paragraph))
 
 
+# (command, flag) of every float option
+_FLOAT_FLAGS = [(name, param.opts[0]) for name, command in sorted(cli.commands.items())
+                for param in command.params if isinstance(param.type, click.types.FloatParamType)]
+
+
 class TestCommandSurface:
     @pytest.mark.parametrize("name", sorted(set(cli.commands) | _readme_commands()))
     def test_listed_in_readme_with_seed_and_report_last(self, name):
@@ -114,6 +119,26 @@ class TestCommandSurface:
     def test_jobs_below_1_is_exit_1(self, capfd, name):
         assert run(name, "--jobs", 0) == 1
         assert "error: Invalid value for '--jobs': 0 is not in the range x>=1." in capfd.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("name, flag", _FLOAT_FLAGS)
+    def test_non_finite_float_flag_is_one_error_line_exit_1(self, tmp_path, capfd, name, flag, value):
+        # every other required option gets a value of its type, so the float
+        # check is the one that fails
+        (tmp_path / "in.jsonl").write_text("")
+        args = [flag, value]
+        for i, param in enumerate(cli.commands[name].params):
+            if param.required and flag not in param.opts:
+                if isinstance(param.type, click.Path):
+                    arg = tmp_path / ("in.jsonl" if param.type.exists else f"out{i}")
+                else:
+                    arg = 1 if isinstance(param.type, (click.types.IntParamType, click.types.FloatParamType)) else "x"
+                args += [param.opts[0], arg]
+        assert run(name, *args, "--report", tmp_path / "report.json") == 1
+        err = capfd.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert errors == [f"error: Invalid value for '{flag}': {value} is not a finite number."], err
+        assert [p.name for p in tmp_path.iterdir()] == ["in.jsonl"]
 
 
 def _langid_model_json(**changes):
@@ -155,6 +180,42 @@ def _pipeline_json(*stages, drop=(), **changes):
 def _fuse_json(drop=(), **changes):
     """A translate/fuse config on the echo mock, with keys changed or dropped."""
     return _config_json({"schema_version": 1, "backend": _BACKEND}, changes, drop)
+
+
+def _bad_file_args(tmp_path, command, bad_flag, content):
+    """The path of a file holding `content` ("{dir}" replaced by `tmp_path`)
+    and a command line that reads it as `bad_flag`, with valid other inputs,
+    an output and a report in `tmp_path`."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content.replace(b"{dir}", json.dumps(str(tmp_path))[1:-1].encode()))
+    mono = _write_mono(tmp_path, _english_docs(2))
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(json.dumps({"id": "p", "src_lang": "en", "tgt_lang": "fr",
+                                 "src_text": "a", "tgt_text": "b"}) + "\n")
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text(json.dumps({"id": "r", "source": "the cat", "hypothesis": "le chien", "quality": 1.0}) + "\n")
+    other_inputs = {
+        "pipeline-run": [],
+        "mix-optimize": ["--candidates", 16],
+        "quality-filter": ["--in", pairs, "--tau", 0.5],
+        "fuse": ["--in", _sources(tmp_path)],
+        "langid-filter": ["--in", mono, "--expected", "en"],
+        "lm-filter": ["--in", mono],
+        "reward-score": ["--in", batch],
+    }[command]
+    out_flags = [] if command == "pipeline-run" else ["--out", tmp_path / "out"]
+    return bad, [command, bad_flag, bad, *other_inputs, *out_flags, "--report", tmp_path / "report.json"]
+
+
+# an order-1 model file header
+_LM_HEADER = (b'{"default_lang": "en", "discount": 0.75, "format": "mtforge-ngram-lm", "min_count": 1, "order": 1, '
+              b'"version": 1, "vocab_size": 3}\n')
+
+
+def _mix_model_json(**changes):
+    """A two-domain mixture surface, with some keys replaced."""
+    return json.dumps({"domains": ["a", "b"], "coefficients": [0.1, 0.2, 0.3], "ridge_lambda": 0.0,
+                       **changes}).encode()
 
 
 class TestExitCodes:
@@ -272,6 +333,23 @@ class TestExitCodes:
         ("lm-filter", "--model", b'{"default_lang": "en", "discount": 0.75, "format": "mtforge-ngram-lm", '
                                  b'"min_count": 1, "order": 100000}\n'),
         ("reward-score", "--terms", b'{"blood": ["sang"'),
+        # model files: each of these exited 0, 2 or with a traceback, or named no path
+        ("reward-score", "--terms", b'{"cat": "chat"}'),
+        ("reward-score", "--terms", b'{"cat": 5}'),
+        ("reward-score", "--terms", b'{"cat": [5]}'),
+        ("mix-optimize", "--model", _mix_model_json(domains="ab")),
+        ("mix-optimize", "--model", _mix_model_json(ridge_lambda=True)),
+        ("mix-optimize", "--model", _mix_model_json(coefficients=[0.1, "3", 0.3])),
+        ("mix-optimize", "--model", _mix_model_json(mystery=1)),
+        ("mix-optimize", "--model", b'{"domains": ["a", "b"], "coefficients": [0.1, 0.2, 1e400], "ridge_lambda": 0}'),
+        ("mix-optimize", "--model", _mix_model_json(domains=["a", "a"])),
+        ("langid-filter", "--model", _langid_model_json(smoothing_alpha="x")),
+        ("langid-filter", "--model", _langid_model_json(mystery=1)),
+        ("langid-filter", "--model", _langid_model_json(classes=["en", "fr", "en"])),
+        ("langid-filter", "--model", _langid_model_json(log_priors={"en": True, "fr": -0.7})),
+        ("lm-filter", "--model", _LM_HEADER + b"1\tthe\t-1\n1\t</s>\t1\n"),
+        ("lm-filter", "--model", _LM_HEADER + b"1\tthe\t2\n1\ta b\t3\n"),
+        ("lm-filter", "--model", _LM_HEADER.replace(b"}", b', "mystery": 1}') + b"1\tthe\t2\n"),
         ("quality-filter", "--scorer", _scorer_json(config="constant:abc")),
         ("quality-filter", "--scorer", b'{"name": "s\\ud800", "kind": "local_function", "config": "length_ratio"}'),
         # pipeline-run configs: one row per kind of fault the config schema caught
@@ -317,31 +395,42 @@ class TestExitCodes:
         ("fuse", "--config", _fuse_json(max_workers=0)),
     ])
     def test_bad_json_file_is_one_line_exit_1(self, tmp_path, command, bad_flag, content):
-        bad = tmp_path / "bad.json"
-        bad.write_bytes(content.replace(b"{dir}", json.dumps(str(tmp_path))[1:-1].encode()))
-        mono = _write_mono(tmp_path, _english_docs(2))
-        pairs = tmp_path / "pairs.jsonl"
-        pairs.write_text(json.dumps({"id": "p", "src_lang": "en", "tgt_lang": "fr",
-                                     "src_text": "a", "tgt_text": "b"}) + "\n")
-        batch = tmp_path / "batch.jsonl"
-        batch.write_text(json.dumps({"id": "r", "source": "s", "hypothesis": "h", "quality": 1.0}) + "\n")
-        other_inputs = {
-            "pipeline-run": [],
-            "mix-optimize": [],
-            "quality-filter": ["--in", pairs, "--tau", 0.5],
-            "fuse": ["--in", _sources(tmp_path)],
-            "langid-filter": ["--in", mono, "--expected", "en"],
-            "lm-filter": ["--in", mono],
-            "reward-score": ["--in", batch],
-        }[command]
-        out_flags = [] if command == "pipeline-run" else ["--out", tmp_path / "out"]
+        bad, args = _bad_file_args(tmp_path, command, bad_flag, content)
         before = sorted(tmp_path.iterdir())
-        proc = run_module(command, bad_flag, bad, *other_inputs, *out_flags, "--report", tmp_path / "report.json")
+        proc = run_module(*args)
         assert proc.returncode == 1, proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: "), proc.stderr
         assert "Traceback" not in proc.stderr
         assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command, bad_flag, content, message", [
+        ("langid-filter", "--model", _langid_model_json(log_likelihoods={"en": [["a", -0.5]], "fr": {}}),
+         "log_likelihoods['en'] must be an object"),
+        ("langid-filter", "--model", _langid_model_json(classes=["en", "en"]),
+         "classes must be distinct names, at least one, and vocab must hold strings"),
+        ("langid-filter", "--model", _langid_model_json(format="mtforge-lm"),
+         "field 'format' must be 'mtforge-langid', not 'mtforge-lm'"),
+        ("lm-filter", "--model", _LM_HEADER + b"1\tthe\t-1\n",
+         "line 2: an order-1 line needs a 1-token gram and a count >= 1"),
+        ("lm-filter", "--model", _LM_HEADER + b"1\tthe\t2\n1\ta b\t3\n",
+         "line 3: an order-1 line needs a 1-token gram and a count >= 1"),
+        ("lm-filter", "--model", _LM_HEADER.replace(b'"order": 1', b'"order": 100000'),
+         "order must be in 1..32, got 100000"),
+        ("lm-filter", "--model", b"[1]\n", "header: a JSON array, not an object"),
+        ("reward-score", "--terms", b'{"cat": ["chat", ""]}', "term 'cat' needs a list of non-empty renderings"),
+        ("reward-score", "--terms", b'["cat"]', "a JSON array, not an object"),
+        ("mix-optimize", "--model", _mix_model_json(domains=["a", "a"]),
+         "domains must be a non-empty list of distinct names"),
+        ("mix-optimize", "--model", _mix_model_json(coefficients=[0.1]), "1 coefficients for 2 domains, expected 3"),
+        ("mix-optimize", "--model", _mix_model_json(coefficients=[1e308, 1e308, 0]),
+         "coefficients and ridge_lambda must be finite numbers"),
+    ])
+    def test_model_file_error_names_the_problem(self, tmp_path, capsys, command, bad_flag, content, message):
+        bad, args = _bad_file_args(tmp_path, command, bad_flag, content)
+        assert run(*args) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, content, message", [
         ("pipeline-run", _pipeline_json({"type": "dedup", "mystery": 1}), "stages[0]: unknown fields ['mystery']"),
@@ -944,19 +1033,12 @@ class TestNonFiniteNumbers:
         assert capsys.readouterr().err == f"error: {config}: grid[0]: temperature must be finite, got inf\n"
         assert not out_path.exists()
 
-    def test_non_finite_output_is_one_error_line_exit_2(self, tmp_path, capsys):
+    def test_non_finite_output_is_one_error_line_exit_2(self, tmp_path):
         for path, write in [(tmp_path / "rows.jsonl", lambda p: write_jsonl(p, [{"x": 1.0}, {"x": math.inf}])),
                             (tmp_path / "doc.json", lambda p: dump_json(p, {"x": math.nan}))]:
             with pytest.raises(MtforgeError, match=f"^{re.escape(str(path))}: "):
                 write(path)
             assert list(tmp_path.iterdir()) == []
-        corpus = _write_mono(tmp_path, _english_docs(4))
-        assert run("lm-train", "--in", corpus, "--model", tmp_path / "lm.txt") == 0
-        report = tmp_path / "report.json"
-        assert run("lm-filter", "--in", corpus, "--model", tmp_path / "lm.txt", "--mode", "absolute",
-                   "--max-ppl", "inf", "--out", tmp_path / "kept.jsonl", "--report", report) == 2
-        assert capsys.readouterr().err == f"error: {report}: NaN and infinity cannot be written as JSON\n"
-        assert not report.exists()
 
     def test_infinite_perplexity_is_written_as_null(self, tmp_path):
         train = _write_mono(tmp_path, _english_docs(10), "train.jsonl")

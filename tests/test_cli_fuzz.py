@@ -1,17 +1,22 @@
-"""Fuzz the JSON Lines inputs and the JSON configs of the CLI through cli.main.
+"""Fuzz the JSON Lines inputs, the JSON configs and the model files of the CLI
+through cli.main.
 
 Each JSON Lines input file holds one valid line and one drawn line; each
-config file is one drawn config. A drawn value is an arbitrary JSON value, an
-object keyed by the input's field names, or the valid value with one or two
-fields set to drawn values. Whatever was drawn, the command must return 0, 1
-or 2 without raising, and a non-zero exit must print exactly one `error:`
-line and write no output. Drawn strings include lone surrogates.
+config file is one drawn config; each model file is one drawn object, or for
+an n-gram LM a drawn header or a valid one followed by a drawn count line. A
+drawn value is an arbitrary JSON value, an object keyed by the input's field
+names, or the valid value with one or two fields set to drawn values.
+Whatever was drawn, the command must return 0, 1 or 2 without raising (on
+model files, without a warning either), and a non-zero exit must print
+exactly one `error:` line and write no output. Drawn strings include lone
+surrogates.
 """
 
 import contextlib
 import copy
 import io
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -84,10 +89,19 @@ def _edited(valid: dict, place: tuple, change):
     return change.map(apply)
 
 
-def _drawn_lines(valid: dict, names: tuple):
-    values = _values(valid.values())
-    keyed = st.dictionaries(st.sampled_from(names), values, max_size=len(names))
-    edited = _edited(valid, (), st.dictionaries(st.sampled_from(names), values, min_size=1, max_size=2))
+def _drawn_objects(valid: dict, places: dict):
+    """An arbitrary JSON value, an object keyed by the top-level names, or
+    `valid` with one or two fields of an object in it set to drawn values.
+    `places` maps the key path of each such object to the names to draw."""
+    def edit(place, names):
+        target = valid
+        for key in place:
+            target = target[key]
+        values = _values(target.values())
+        return _edited(valid, place, st.dictionaries(st.sampled_from(names), values, min_size=1, max_size=2))
+
+    keyed = st.dictionaries(st.sampled_from(places[()]), _values(valid.values()), max_size=len(places[()]))
+    edited = st.one_of(*(edit(place, names) for place, names in places.items()))
     return st.one_of(_json, keyed, edited, edited)
 
 
@@ -100,6 +114,8 @@ def side_dir(tmp_path_factory):
         "backend": {"name": "gen", "endpoint": "mock:echo", "model_id": "m"},
     }))
     (path / "sources.jsonl").write_text(json.dumps(_SOURCE) + "\n")
+    (path / "batch.jsonl").write_text(
+        json.dumps({"id": "r", "source": "the cat", "hypothesis": "le chat", "quality": 0.5}) + "\n")
     texts = ["the cat sat on the mat", "a dog ran in the park", "the cat sat on the mat", "le chat est ici"]
     (path / "corpus.jsonl").write_text("".join(
         json.dumps({"id": f"d{i}", "lang": "fr" if text.startswith("le") else "en", "text": text}) + "\n"
@@ -117,7 +133,7 @@ def test_drawn_line_exits_cleanly(command, side_dir, tmp_path_factory):
     out_flag = "--model-out" if command == "mix-fit" else "--out"
 
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
-    @given(line=_drawn_lines(valid, names))
+    @given(line=_drawn_objects(valid, {(): names}))
     def check(line):
         work = tmp_path_factory.mktemp(command)
         in_path, out_path = work / "in.jsonl", work / "out"
@@ -249,3 +265,113 @@ def test_valid_config_runs(command, side_dir, tmp_path, monkeypatch):
     _in_copy_of(side_dir, tmp_path, monkeypatch)
     assert main([command, "--config", "config.json", *other]) == 0
     assert (tmp_path / "out.jsonl").exists()
+
+
+# Model files: command -> (flag of the model file, its valid object, {key
+# path of an object in it: field names to draw}, other arguments)
+_LANGID = {
+    "format": "mtforge-langid", "version": 1, "classes": ["en", "fr"],
+    "log_priors": {"en": -0.7, "fr": -0.7}, "ngram_range": [1, 2], "smoothing_alpha": 0.5,
+    "vocab": ["a", "b"], "log_likelihoods": {"en": {"a": -0.5, "b": -1.5}, "fr": {"a": -1.5, "b": -0.5}},
+    "unseen_log_likelihood": {"en": -3.0, "fr": -3.0},
+}
+MODELS = {
+    "langid-filter": ("--model", _LANGID, {
+        (): tuple(_LANGID) + ("mystery",),
+        ("log_priors",): ("en", "fr", "de"),
+        ("log_likelihoods",): ("en", "fr"),
+        ("log_likelihoods", "en"): ("a", "b", "c"),
+        ("unseen_log_likelihood",): ("en", "fr"),
+    }, ["--in", "{dir}/corpus.jsonl", "--expected", "en"]),
+    "reward-score": ("--terms", {"cat": ["chat"], "dog": ["chien", "toutou"]}, {
+        (): ("cat", "dog", "", "bird"),
+    }, ["--in", "{dir}/batch.jsonl"]),
+    "mix-optimize": ("--model", {"domains": ["a", "b"], "coefficients": [0.3, 0.1, 0.2], "ridge_lambda": 0.0}, {
+        (): ("domains", "coefficients", "ridge_lambda", "mystery"),
+    }, ["--candidates", "16"]),
+}
+
+# an order-2 n-gram LM: its header and count lines, as lm-train writes them
+_LM_HEADER = {"default_lang": "en", "discount": 0.75, "format": "mtforge-ngram-lm", "min_count": 1,
+              "order": 2, "version": 1, "vocab_size": 4}
+_LM_COUNTS = ["1\t</s>\t2", "1\tcat\t1", "1\tthe\t2", "2\t<s> the\t2", "2\tcat </s>\t1",
+              "2\tthe cat\t1", "2\tthe </s>\t1"]
+
+
+# the fields of the count line that drawn lines edit, and for each field
+# values, as a count line spells them, that get past the field's own check
+_LM_LINE = ("2", "the cat", "1")
+_LM_FIELDS = (["1", "2", "3"], ["the cat", "cat", "the cat sat"], ["1", "0", "-1"])
+
+
+def _drawn_lm_files():
+    """An LM file with a drawn header, or with a valid header and count lines
+    followed by a drawn count line: `_LM_LINE` with one or two of its fields
+    set to drawn values (a string as it is, another value as JSON), or a
+    drawn string."""
+    def field(i):
+        return _values(_LM_FIELDS[i]).map(lambda v: v if isinstance(v, str) else json.dumps(v))
+
+    edits = st.lists(st.integers(0, 2), min_size=1, max_size=2, unique=True).flatmap(
+        lambda places: st.fixed_dictionaries({i: field(i) for i in places}))
+    line = st.one_of(_text, edits.map(lambda edit: "\t".join(edit.get(i, f) for i, f in enumerate(_LM_LINE))))
+    headers = _drawn_objects(_LM_HEADER, {(): tuple(_LM_HEADER) + ("mystery",)})
+    return st.one_of(headers.map(lambda header: [json.dumps(header), *_LM_COUNTS]),
+                     line.map(lambda line: [json.dumps(_LM_HEADER), *_LM_COUNTS, line]))
+
+
+def _run_on_model(command, flag, text, other, work):
+    """Run `command` on a model file holding `text` (a lone surrogate goes
+    in as the bytes UTF-8 would give it, so the file is not UTF-8) and
+    check the exit code, stderr and output."""
+    model, out_path = work / "model", work / "out"
+    model.write_bytes(text.encode("utf-8", "surrogatepass"))
+    stderr = io.StringIO()
+    # a warning (say, NumPy's on an overflow) would print a second line
+    with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, flag, str(model), *other, "--out", str(out_path)])
+    assert code in (0, 1, 2)
+    if code:
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), stderr.getvalue()
+        assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", sorted(MODELS))
+def test_drawn_model_exits_cleanly(command, side_dir, tmp_path_factory):
+    flag, valid, places, other = MODELS[command]
+    other = [arg.replace("{dir}", str(side_dir)) for arg in other]
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(model=_drawn_objects(valid, places))
+    def check(model):
+        _run_on_model(command, flag, json.dumps(model), other, tmp_path_factory.mktemp(command))
+
+    check()
+
+
+def test_drawn_lm_file_exits_cleanly(side_dir, tmp_path_factory):
+    other = ["--in", str(side_dir / "corpus.jsonl")]
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(lines=_drawn_lm_files())
+    def check(lines):
+        _run_on_model("lm-filter", "--model", "\n".join(lines) + "\n", other, tmp_path_factory.mktemp("lm"))
+
+    check()
+
+
+@pytest.mark.parametrize("command", sorted(MODELS) + ["lm-filter"])
+def test_valid_model_runs(command, side_dir, tmp_path):
+    # the drawn edits start from a model file that loads
+    if command == "lm-filter":
+        flag, other = "--model", ["--in", "{dir}/corpus.jsonl"]
+        text = "\n".join([json.dumps(_LM_HEADER), *_LM_COUNTS]) + "\n"
+    else:
+        flag, valid, _, other = MODELS[command]
+        text = json.dumps(valid)
+    (tmp_path / "model").write_text(text)
+    other = [arg.replace("{dir}", str(side_dir)) for arg in other]
+    assert main([command, flag, str(tmp_path / "model"), *other, "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out").exists()

@@ -287,6 +287,31 @@ class TestModelChecks:
         with pytest.raises(ValidationError, match=f"{field} has no entry for class 'fr'"):
             dataclasses.replace(model, **{field: partial})
 
+    @pytest.mark.parametrize("classes", [("en", "en"), ("en", 5), ()])
+    def test_classes_must_be_distinct_names(self, classes):
+        with pytest.raises(ValidationError, match="classes must be distinct names"):
+            dataclasses.replace(_toy_model(), classes=classes)
+
+    def test_bool_is_not_a_number(self):
+        model = _toy_model()
+        with pytest.raises(ValidationError, match="log_priors"):
+            dataclasses.replace(model, log_priors={"en": True, "fr": -1.0})
+        table = dict(model.log_likelihoods, en=dict(model.log_likelihoods["en"], a=False))
+        with pytest.raises(ValidationError, match="log_likelihoods"):
+            dataclasses.replace(model, log_likelihoods=table)
+
+    def test_table_must_be_an_object(self):
+        model = _toy_model()
+        with pytest.raises(ValidationError, match=r"log_likelihoods\['en'\] must be an object"):
+            dataclasses.replace(model, log_likelihoods=dict(model.log_likelihoods, en=[["a", -1.0]]))
+
+    def test_json_sequences_stored_as_field_types(self):
+        model = _toy_model()
+        loaded = dataclasses.replace(model, classes=list(model.classes), vocab=sorted(model.vocab),
+                                     ngram_range=list(model.ngram_range))
+        assert (loaded.classes, loaded.vocab, loaded.ngram_range) == (model.classes, model.vocab, model.ngram_range)
+        assert (type(loaded.classes), type(loaded.vocab), type(loaded.ngram_range)) == (tuple, frozenset, tuple)
+
     def test_non_numbers_rejected(self):
         model = _toy_model()
         with pytest.raises(ValidationError, match="log_priors"):
@@ -322,6 +347,21 @@ class TestNgramExtraction:
             expected = _reference_extract(text, ngram_range)
             got = extract_ngrams(text, ngram_range)
             assert list(got.items()) == list(expected.items()), text
+
+    def test_orders_beyond_the_text_are_not_walked(self, monkeypatch):
+        # levels longer than the text are empty, so a model file's huge hi
+        # must not make extraction walk them
+        real = mtforge.langid.char_ngram_levels
+
+        def levels(text, max_n):
+            assert max_n <= max(len(text), 1), max_n
+            return real(text, max_n)
+
+        expected = extract_ngrams("abc", (1, 3))
+        monkeypatch.setattr(mtforge.langid, "char_ngram_levels", levels)
+        assert extract_ngrams("abc", (1, 10**15)) == expected
+        assert extract_ngrams("abc", (4, 10**15)) == Counter()
+        assert extract_ngrams("", (1, 10**15)) == Counter()
 
     def test_case_folding_alphabetic_only(self):
         assert extract_ngrams("AbA", (1, 1)) == Counter({"a": 2, "b": 1})

@@ -8,6 +8,7 @@ from mtforge.mixopt import (
     LrSchedule,
     MixtureSpec,
     ProxyRun,
+    RegressionModel,
     blend_replay,
     fit_regression,
     lr_at,
@@ -123,8 +124,6 @@ class TestOptimize:
     def test_never_worse_than_any_vertex(self):
         rng = np.random.default_rng(13)
         coef = tuple(float(c) for c in rng.normal(size=n_features(3)))
-        from mtforge.mixopt import RegressionModel
-
         model = RegressionModel(DOMAINS3, coef, 0.0)
         best = optimize_mixture(model, 100, seed=14)
         for vertex in np.eye(3):
@@ -137,6 +136,29 @@ class TestOptimize:
         best = optimize_mixture(model, 2048, seed=16)
         samples = np.random.default_rng(16).dirichlet(np.ones(3), size=2048)
         assert best.weights[0] >= samples[:, 0].max() - 1e-12
+
+
+class TestRegressionModel:
+    def test_stores_tuples_of_floats(self):
+        model = RegressionModel(["a", "b"], [1, 2, 3.5], 0)
+        assert model == RegressionModel(("a", "b"), (1.0, 2.0, 3.5), 0)
+        assert all(type(c) is float for c in model.coefficients)
+
+    @pytest.mark.parametrize("domains, coefficients, ridge_lambda, message", [
+        ((), (), 0.0, "non-empty list of distinct names"),
+        (("a", 5), (1.0, 2.0, 3.0), 0.0, "non-empty list of distinct names"),
+        (("a", "a"), (1.0, 2.0, 3.0), 0.0, "non-empty list of distinct names"),
+        (("a", "b"), (1.0, 2.0), 0.0, "2 coefficients for 2 domains, expected 3"),
+        (("a", "b"), (1.0, "3", 3.0), 0.0, "finite numbers"),
+        (("a", "b"), (1.0, True, 3.0), 0.0, "finite numbers"),
+        (("a", "b"), (1.0, math.inf, 3.0), 0.0, "finite numbers"),
+        (("a", "b"), (1.0, 2.0, 3.0), math.nan, "finite numbers"),
+        # finite, but a prediction could overflow
+        (("a", "b"), (1e308, 1e308, 0.0), 0.0, "finite numbers"),
+    ])
+    def test_bad_surface_rejected(self, domains, coefficients, ridge_lambda, message):
+        with pytest.raises(ValidationError, match=message):
+            RegressionModel(domains, coefficients, ridge_lambda)
 
 
 class TestBlendReplay:
@@ -217,6 +239,13 @@ class TestProxyRunIo:
         runs = _runs_from(lambda w: float(w[0]), 8, seed=20)
         path = tmp_path / "runs.jsonl"
         assert write_proxy_runs(runs, path) == 8
+        assert read_proxy_runs(path) == runs
+
+    def test_non_ascii_domains_written_as_utf8(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        runs = [ProxyRun(MixtureSpec(("网页", "books"), (0.5, 0.5)), 1.0)]
+        write_proxy_runs(runs, path)
+        assert "网页" in path.read_text("utf-8")
         assert read_proxy_runs(path) == runs
 
     def test_bad_line_reports_position(self, tmp_path):

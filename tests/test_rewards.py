@@ -67,6 +67,18 @@ class TestTerminologyReward:
         with pytest.raises(ValidationError):
             TermTable({"term": set()})
 
+    @pytest.mark.parametrize("renderings", ["chat", 5, [5], ["chat", ""], None])
+    def test_renderings_must_be_a_list_of_non_empty_strings(self, renderings):
+        # a string would be split into one-character renderings
+        with pytest.raises(ValidationError, match="term 'cat' needs a list of non-empty renderings"):
+            TermTable({"cat": renderings})
+
+    def test_file_error_names_the_path(self, tmp_path):
+        path = tmp_path / "terms.json"
+        path.write_text('{"cat": "chat"}')
+        with pytest.raises(ValidationError, match=f"^{path}: term 'cat'"):
+            load_term_table(path)
+
 
 class TestRepetitionScore:
     def test_consecutive_run_triggers(self):
@@ -140,6 +152,11 @@ class TestCompositeReward:
     def test_degenerate_weights_rejected(self):
         with pytest.raises(ValidationError):
             RewardWeights(0.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("weights", [(math.inf, 0.5, 1.0), (0.5, math.nan, 1.0), (0.5, 0.5, -math.inf)])
+    def test_non_finite_weights_rejected(self, weights):
+        with pytest.raises(ValidationError, match="finite"):
+            RewardWeights(*weights)
 
 
 class TestGrpoAdvantages:
