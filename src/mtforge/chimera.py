@@ -3,17 +3,19 @@
 Prompt rendering is byte-exact and covered by golden files: a Chinese
 instruction template when a Sinitic language is on either side of the pair,
 an English one otherwise, and an English fusion prompt that lists the
-candidates in fenced blocks. Candidate generation fans out over a sampling
-grid against a pluggable completion backend; fusion sends one dependent
-request and falls back to score-based selection (or the first candidate)
-when the fusion backend fails.
+candidates in fenced blocks. Candidate generation sends one request per
+entry of a sampling grid to a pluggable completion backend; fusion sends one
+dependent request and falls back to the best-scoring candidate (or the first
+one) when the fusion backend fails. Both run their requests on a caller's
+executor when given one, so one pool can bound the requests of many
+segments. What they put on it are leaf calls (a completion or a scoring
+request) that never wait on another future.
 """
 
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import AbstractContextManager, nullcontext
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -199,17 +201,16 @@ def generate_candidates(
     text: str,
     grid: Sequence[GenerationParams] | None = None,
     per_slot_backends: Sequence[BackendSpec | None] | None = None,
-    max_workers: int = 4,
-    limiter: AbstractContextManager | None = None,
+    pool: Executor | None = None,
 ) -> CandidateSet:
     """One translation request per grid entry, assembled in grid order.
 
     Slots whose requests fail permanently (or come back empty after
     cleaning) are dropped along with their grid entry and recorded as
     failures. Fewer than two surviving candidates is an orchestration error.
-    At most `max_workers` slots run at once. Each request holds `limiter`
-    when one is given, e.g. a semaphore shared with other calls to bound
-    their requests in flight together.
+    The requests run on `pool` when one is given (e.g. a pool shared with
+    other calls, which bounds their requests in flight together), one after
+    another otherwise.
     """
     grid = list(grid) if grid is not None else default_grid()
     if len(grid) < 2:
@@ -217,29 +218,26 @@ def generate_candidates(
     if per_slot_backends is not None and len(per_slot_backends) != len(grid):
         raise ValidationError("per_slot_backends must match the grid length")
     prompt = render_translation_prompt(src_lang, tgt_lang, text)
-    limiter = limiter if limiter is not None else nullcontext()
 
-    def run_slot(index: int) -> tuple[int, str | None, str]:
+    def run_slot(index: int) -> tuple[str | None, str]:
         spec = backend
         if per_slot_backends is not None and per_slot_backends[index] is not None:
             spec = per_slot_backends[index]
         try:
-            with limiter:
-                raw = complete(spec, prompt, grid[index])
+            raw = complete(spec, prompt, grid[index])
         except BackendFailure as exc:
-            return index, None, str(exc)
+            return None, str(exc)
         cleaned = clean_generation(raw)
         if not cleaned:
-            return index, None, "empty completion"
-        return index, cleaned, ""
+            return None, "empty completion"
+        return cleaned, ""
 
-    with ThreadPoolExecutor(max_workers=max(1, max_workers)) as pool:
-        results = list(pool.map(run_slot, range(len(grid))))
+    results = (pool.map if pool is not None else map)(run_slot, range(len(grid)))
 
     candidates: list[str] = []
     params_used: list[GenerationParams] = []
     failures: list[SlotFailure] = []
-    for index, cleaned, error in sorted(results):
+    for index, (cleaned, error) in enumerate(results):
         if cleaned is None:
             failures.append(SlotFailure(index, grid[index], error))
         else:
@@ -272,35 +270,23 @@ def _score_candidates(
     return scores, best
 
 
-def select_best(
-    candidates: Sequence[str],
-    scorer: ScorerEndpoint,
-    source: str | None = None,
-) -> tuple[int, float]:
-    """Highest-scoring candidate as (1-based index, score); ties take the
-    lowest index. Scorer failure on every candidate is an error."""
-    if not candidates:
-        raise ValidationError("no candidates to select from")
-    scores, best = _score_candidates(scorer, candidates, source)
-    if best is None:
-        raise OrchestrationError("scorer failed on every candidate")
-    return best + 1, scores[best]
-
-
 def fuse(
     backend: BackendSpec,
     candidate_set: CandidateSet,
     fallback_scorer: ScorerEndpoint | None = None,
-    limiter: AbstractContextManager | None = None,
+    pool: Executor | None = None,
 ) -> FusionResult:
     """Fuse candidates into one output via the fusion backend.
 
     On backend failure or an empty completion, falls back to the
     best-scoring candidate when a scorer is available, else candidate 1.
-    The result is never empty. The fusion and scoring requests each hold
-    `limiter` when one is given, as in `generate_candidates`.
+    The result is never empty. The fusion and scoring requests run on
+    `pool` when one is given, as in `generate_candidates`.
     """
-    limiter = limiter if limiter is not None else nullcontext()
+
+    def call(fn, *args):
+        return fn(*args) if pool is None else pool.submit(fn, *args).result()
+
     prompt = render_fusion_prompt(
         candidate_set.src_lang,
         candidate_set.tgt_lang,
@@ -308,16 +294,14 @@ def fuse(
         candidate_set.candidates,
     )
     try:
-        with limiter:
-            raw = complete(backend, prompt, GenerationParams(temperature=0.0, seed=0))
+        raw = call(complete, backend, prompt, GenerationParams(temperature=0.0, seed=0))
         fused = clean_generation(raw)
         if fused:
             return FusionResult(fused_text=fused, fallback_used=False)
     except BackendFailure:
         pass
     if fallback_scorer is not None:
-        with limiter:
-            scores, best = _score_candidates(fallback_scorer, candidate_set.candidates, candidate_set.source_text)
+        scores, best = call(_score_candidates, fallback_scorer, candidate_set.candidates, candidate_set.source_text)
         if best is not None:
             return FusionResult(
                 fused_text=candidate_set.candidates[best],

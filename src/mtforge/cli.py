@@ -3,9 +3,9 @@
 Every subcommand is declared with `_command`, which adds --seed (single
 source of randomness, threaded to each stochastic component) and --report
 (machine-readable JSON with a fixed schema_version, naming the command and
-the effective seed; pipeline-run's config seed wins over --seed). Output
-files are written atomically, so an error exit leaves declared outputs
-absent or untouched, and the report is written only after them. Exit codes:
+the effective seed; pipeline-run's config seed wins over --seed). Each
+output file is replaced atomically, and the report is written only after
+them; an error after one output is written leaves that output. Exit codes:
 0 success, 1 validation/usage error, 2 runtime or IO error.
 """
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import math
 import sys
-import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from . import rewards as rewards_mod
 from .backends import BackendFailure, backend_from_obj
 from .errors import MtforgeError, OrchestrationError, SchemaError, ValidationError
 from .ioutils import atomic_write, check_fields, dataclass_from_obj, dump_json, load_json, read_records, write_jsonl
-from .scorers import ScorerEndpoint, local_scorer_range, scorer_from_obj
+from .scorers import ScorerEndpoint, scorer_from_obj
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -56,12 +55,7 @@ def _load_scorer(spec: str) -> ScorerEndpoint:
     path = Path(spec)
     if spec.endswith(".json") or path.exists():
         return scorer_from_obj(load_json(path), path)
-    if spec.startswith("constant:"):
-        return ScorerEndpoint(name=spec, kind="local_function", config=spec)
-    score_range = local_scorer_range(spec)
-    if score_range is not None:
-        return ScorerEndpoint(name=spec, kind="local_function", config=spec, score_range=score_range)
-    raise ValidationError(f"unknown scorer {spec!r} (not a file or a built-in)")
+    return ScorerEndpoint(name=spec, kind="local_function", config=spec)
 
 
 def _fan_out(fn, items, jobs):
@@ -346,7 +340,8 @@ def mix_fit(runs_path, ridge_lambda, model_path, seed):
     model = mixopt_mod.fit_regression(runs, ridge_lambda=ridge_lambda)
     dump_json(model_path, model.to_obj())
     residuals = [model.predict(r.mixture) - r.observed_loss for r in runs]
-    rmse = (sum(r * r for r in residuals) / len(residuals)) ** 0.5
+    # hypot scales its inputs, so residuals near 1e200 do not overflow
+    rmse = math.hypot(*residuals) / math.sqrt(len(residuals))
     return {
         "counts": {"runs": len(runs), "features": len(model.coefficients)},
         "params": {"ridge_lambda": ridge_lambda},
@@ -526,23 +521,25 @@ def _run_segments(sources, jobs, backend, grid, per_slot, fusion=None):
     """Candidate set, and fusion result when `fusion` = (backend, scorer) is
     given, for every segment, by `_fan_out` over the segments.
 
-    Every request also holds one semaphore of `jobs` permits, so at most
-    `jobs` requests are in flight at once whatever the number of segments,
-    and each grid may use all of them.
+    Every request runs on one pool of `jobs` threads, so at most `jobs` are
+    in flight at once whatever the number of segments, and each grid may
+    use all of them. The segment threads only wait on that pool. It cannot
+    deadlock: its threads run only leaf calls (`complete` and scoring) and
+    never wait on another future.
     """
-    in_flight = threading.BoundedSemaphore(jobs)
+    with ThreadPoolExecutor(max_workers=jobs) as requests:
 
-    def run(src):
-        # looked up per call so wrappers installed on the chimera module apply
-        cand = chimera_mod.generate_candidates(
-            backend, src["src_lang"], src["tgt_lang"], src["text"],
-            grid=grid, per_slot_backends=per_slot, max_workers=jobs, limiter=in_flight,
-        )
-        if fusion is None:
-            return cand, None
-        return cand, chimera_mod.fuse(fusion[0], cand, fallback_scorer=fusion[1], limiter=in_flight)
+        def run(src):
+            # looked up per call so wrappers installed on the chimera module apply
+            cand = chimera_mod.generate_candidates(
+                backend, src["src_lang"], src["tgt_lang"], src["text"],
+                grid=grid, per_slot_backends=per_slot, pool=requests,
+            )
+            if fusion is None:
+                return cand, None
+            return cand, chimera_mod.fuse(fusion[0], cand, fallback_scorer=fusion[1], pool=requests)
 
-    return _fan_out(run, sources, jobs)
+        return _fan_out(run, sources, jobs)
 
 
 _JOBS_HELP = "At most N requests in flight across all segments [default: the config's max_workers]"

@@ -35,12 +35,6 @@ def register_scorer(name: str, fn: ScoreFn, score_range: tuple[float, float] = (
     _LOCAL_SCORERS[name] = (fn, score_range)
 
 
-def local_scorer_range(name: str) -> tuple[float, float] | None:
-    """Scale of a registered local scorer; None when no scorer has that name."""
-    entry = _LOCAL_SCORERS.get(name)
-    return entry[1] if entry else None
-
-
 def _length_ratio(item: Item) -> float:
     source = item.get("source") or ""
     hypothesis = item.get("hypothesis") or ""
@@ -64,6 +58,8 @@ register_scorer("chrf", _chrf_item, (0.0, 100.0))
 class ScorerEndpoint:
     """A named scorer: local function id or remote HTTP URL, plus its scale.
 
+    A local function is a registered name or `constant:<number>`. The scale
+    defaults to a registered function's own and to (0, 1) otherwise.
     `extra` rides along in every remote request (under "config"), which is
     how judge-style scorers receive their prompt template; no judging logic
     lives in this package.
@@ -72,7 +68,7 @@ class ScorerEndpoint:
     name: str
     kind: str  # "local_function" | "remote_http"
     config: str  # function id for local, URL for remote
-    score_range: tuple[float, float] = (0.0, 1.0)
+    score_range: tuple[float, float] | None = None
     timeout_ms: int = 30000
     extra: Mapping[str, object] | None = None
 
@@ -82,6 +78,7 @@ class ScorerEndpoint:
     def __post_init__(self):
         if self.kind not in ("local_function", "remote_http"):
             raise ValidationError(f"scorer kind must be local_function or remote_http, got {self.kind!r}")
+        lo_hi = self.score_range if self.score_range is not None else (0.0, 1.0)
         if self.kind == "local_function" and self.config.startswith("constant:"):
             text = self.config.split(":", 1)[1]
             try:
@@ -90,7 +87,11 @@ class ScorerEndpoint:
                 value = math.nan
             if not math.isfinite(value):
                 raise ValidationError(f"constant scorer value must be a finite number, got {text!r}")
-        lo_hi = self.score_range
+        elif self.kind == "local_function":
+            if self.config not in _LOCAL_SCORERS:
+                raise ValidationError(f"unknown local scorer {self.config!r} (not registered or constant:<number>)")
+            if self.score_range is None:
+                lo_hi = _LOCAL_SCORERS[self.config][1]
         if (not isinstance(lo_hi, (list, tuple)) or len(lo_hi) != 2
                 or not all(is_finite_number(v) for v in lo_hi) or not lo_hi[0] < lo_hi[1]):
             raise ValidationError(f"score_range must be two finite numbers lo < hi, got {lo_hi!r}")
@@ -106,8 +107,6 @@ class ScorerEndpoint:
         if self.config.startswith("constant:"):
             value = float(self.config.split(":", 1)[1])
             return lambda item: value
-        if self.config not in _LOCAL_SCORERS:
-            raise ValidationError(f"unknown local scorer {self.config!r}")
         return _LOCAL_SCORERS[self.config][0]
 
     def score_many(self, items: Sequence[Item]) -> list[float | None]:

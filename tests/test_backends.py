@@ -15,7 +15,7 @@ import pytest
 from mtforge.backends import BackendFailure, BackendSpec, GenerationParams, backend_from_obj, complete
 from mtforge.errors import SchemaError, ValidationError
 from mtforge.ioutils import dataclass_from_obj
-from mtforge.scorers import ScorerEndpoint, local_scorer_range, register_scorer, scorer_from_obj
+from mtforge.scorers import ScorerEndpoint, register_scorer, scorer_from_obj
 
 
 # a reply that json.loads accepts, holding one finite number among values
@@ -275,9 +275,17 @@ class TestSpecsFromObj:
                 dataclass_from_obj(GenerationParams, bad, "grid[0]")
 
     def test_registered_scorer_keeps_its_range(self):
-        assert local_scorer_range("chrf") == (0.0, 100.0)
-        assert local_scorer_range("length_ratio") == (0.0, 1.0)
-        assert local_scorer_range("no-such-scorer") is None
+        assert ScorerEndpoint("c", "local_function", "chrf").score_range == (0.0, 100.0)
+        assert scorer_from_obj({"name": "c", "kind": "local_function", "config": "chrf"}).score_range == (0.0, 100.0)
+        assert ScorerEndpoint("l", "local_function", "length_ratio").score_range == (0.0, 1.0)
         register_scorer("ten_point", lambda item: 7.0, (0.0, 10.0))
-        assert local_scorer_range("ten_point") == (0.0, 10.0)
-        assert ScorerEndpoint("t", "local_function", "ten_point", (0.0, 10.0)).score_one({}) == 7.0
+        assert ScorerEndpoint("t", "local_function", "ten_point").score_one({}) == 7.0
+        assert ScorerEndpoint("t", "local_function", "ten_point", (0.0, 5.0)).score_one({}) == 5.0
+
+    def test_unregistered_scorer_defaults_to_unit_range(self):
+        assert ScorerEndpoint("k", "local_function", "constant:0.5").score_range == (0.0, 1.0)
+        assert ScorerEndpoint("r", "remote_http", "http://127.0.0.1:9/score").score_range == (0.0, 1.0)
+
+    def test_unknown_local_scorer_rejected(self):
+        with pytest.raises(ValidationError, match="unknown local scorer 'no-such-scorer'"):
+            ScorerEndpoint("n", "local_function", "no-such-scorer")

@@ -1,4 +1,6 @@
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,6 @@ from mtforge.chimera import (
     parse_fusion_prompt,
     render_fusion_prompt,
     render_translation_prompt,
-    select_best,
 )
 from mtforge.errors import OrchestrationError, ValidationError
 from mtforge.scorers import ScorerEndpoint, register_scorer
@@ -235,26 +236,57 @@ class TestFuse:
         result = fuse(_mock_backend("fail"), _candidate_set())
         assert result.fused_text in _candidate_set().candidates
 
-
-class TestSelectBest:
-    def test_argmax(self):
-        register_scorer("sb", lambda item: {"a": 0.3, "b": 0.9, "c": 0.5}[item["hypothesis"]])
-        scorer = ScorerEndpoint("sb", "local_function", "sb")
-        assert select_best(["a", "b", "c"], scorer) == (2, 0.9)
-
-    def test_single_candidate(self):
-        scorer = ScorerEndpoint("c", "local_function", "constant:0.4")
-        assert select_best(["only"], scorer) == (1, 0.4)
-
-    def test_tie_takes_lowest_index(self):
+    def test_fallback_tie_takes_lowest_index(self):
         scorer = ScorerEndpoint("c", "local_function", "constant:0.5")
-        assert select_best(["x", "y"], scorer) == (1, 0.5)
+        result = fuse(_mock_backend("fail"), _candidate_set(), fallback_scorer=scorer)
+        assert result.fused_text == "hello there"
+        assert result.candidate_scores == (0.5, 0.5, 0.5)
 
-    def test_all_failures_is_error(self):
+    def test_fallback_scorer_failing_everywhere_takes_first(self):
         def boom(item):
             raise RuntimeError("no")
 
         register_scorer("boom", boom)
         scorer = ScorerEndpoint("boom", "local_function", "boom")
-        with pytest.raises(OrchestrationError):
-            select_best(["x", "y"], scorer)
+        result = fuse(_mock_backend("fail"), _candidate_set(), fallback_scorer=scorer)
+        assert result.fused_text == "hello there"
+        assert result.fallback_used is True
+        assert result.candidate_scores is None
+
+
+class TestRequestPool:
+    """Requests run on the pool a caller passes in, and nowhere else."""
+
+    def _threads_backend(self, name, reply=lambda params: f"out-{params.seed}"):
+        threads = set()
+
+        def record(prompt, params, model_id):
+            threads.add(threading.current_thread().name)
+            return reply(params)
+
+        register_mock_backend(name, record)
+        return threads
+
+    def test_candidates_in_grid_order_on_pool(self):
+        threads = self._threads_backend("pooled")
+        with ThreadPoolExecutor(max_workers=3, thread_name_prefix="req") as pool:
+            cs = generate_candidates(_mock_backend("pooled"), "zh", "en", "你好", pool=pool)
+        assert list(cs.candidates) == [f"out-{p.seed}" for p in default_grid()]
+        assert threads and all(name.startswith("req") for name in threads)
+
+    def test_without_pool_requests_run_in_calling_thread(self):
+        threads = self._threads_backend("serial")
+        generate_candidates(_mock_backend("serial"), "zh", "en", "你好")
+        assert threads == {threading.current_thread().name}
+
+    def test_fusion_and_fallback_scoring_run_on_pool(self):
+        threads = self._threads_backend("pooled_fail", reply=lambda params: "")
+        scoring = set()
+        register_scorer("pooled_len", lambda item: scoring.add(threading.current_thread().name) or 0.5)
+        scorer = ScorerEndpoint("pooled_len", "local_function", "pooled_len")
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="req") as pool:
+            result = fuse(_mock_backend("pooled_fail"), _candidate_set(), fallback_scorer=scorer, pool=pool)
+        assert result.fallback_used is True and result.fused_text == "hello there"
+        assert threads == scoring == {"req_0"}
+
+

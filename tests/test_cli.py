@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import mtforge
+from mtforge.backends import register_mock_backend
 from mtforge.cli import cli, main
 from mtforge.corpus import Document, read_corpus, write_corpus
 from mtforge.errors import MtforgeError
@@ -713,6 +714,18 @@ class TestMixCommands:
         assert math.isclose(best["weights"][0], 0.2, abs_tol=1e-12)
         assert math.isclose(sum(best["weights"]), 1.0, abs_tol=1e-9)
 
+    def test_fit_report_stays_finite_for_huge_losses(self, tmp_path):
+        losses = [1e200, 3e200, -2e200, 5e199, 1e199]
+        runs_path = tmp_path / "runs.jsonl"
+        runs_path.write_text("".join(
+            json.dumps({"domains": ["a", "b"], "weights": [w, 1 - w], "loss": loss}) + "\n"
+            for w, loss in zip((0.1, 0.3, 0.5, 0.7, 0.9), losses)))
+        model_path, report_path = tmp_path / "s.json", tmp_path / "r.json"
+        assert run("mix-fit", "--runs", runs_path, "--model-out", model_path, "--report", report_path) == 0
+        assert model_path.exists()
+        rmse = json.loads(report_path.read_text())["in_sample_rmse"]
+        assert math.isfinite(rmse) and rmse > 0
+
     def test_lr_curve_boundaries(self, tmp_path):
         out_path = tmp_path / "curve.csv"
         code = run(
@@ -846,9 +859,17 @@ class _SlowHandler(BaseHTTPRequestHandler):
     """Completion and scorer endpoint that holds each request briefly and
     records how many are active at once and how many items each scorer
     request carries. It answers 500 to a prompt, or a scorer item's
-    hypothesis, containing FAIL."""
+    hypothesis, containing FAIL.
 
+    With `gate` set to n, the first requests wait (up to GATE_TIMEOUT_S)
+    until n are active at once; then the gate stays open. So a client that
+    keeps n in flight shows a peak of exactly n however loaded the host is,
+    and one that sends more still shows a peak above n."""
+
+    GATE_TIMEOUT_S = 5.0
     lock = threading.Lock()
+    gate_open = threading.Condition(lock)
+    gate = 0
     active = 0
     peak = 0
     score_batches = []  # items per scorer request
@@ -858,6 +879,10 @@ class _SlowHandler(BaseHTTPRequestHandler):
         with cls.lock:
             cls.active += 1
             cls.peak = max(cls.peak, cls.active)
+            if cls.active < cls.gate:
+                cls.gate_open.wait_for(lambda: cls.gate == 0, timeout=cls.GATE_TIMEOUT_S)
+            cls.gate = 0
+            cls.gate_open.notify_all()
         try:
             payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
             time.sleep(0.02)
@@ -905,9 +930,15 @@ def slow_endpoint():
     assert not thread.is_alive()
 
 
-def _peak_of(*args):
+def _peak_of(*args, gate=0):
+    """Exit code of the command and the most requests the slow endpoint had
+    active at once, with its gate set to `gate`."""
     _SlowHandler.peak = 0
-    code = run(*args)
+    _SlowHandler.gate = gate
+    try:
+        code = run(*args)
+    finally:
+        _SlowHandler.gate = 0
     return code, _SlowHandler.peak
 
 
@@ -918,9 +949,23 @@ class TestChimeraFanOut:
     def test_jobs_bounds_requests_in_flight(self, tmp_path, slow_endpoint, segments, jobs):
         config = _chimera_config(tmp_path, endpoint=slow_endpoint, fusion_endpoint=slow_endpoint)
         code, peak = _peak_of("fuse", "--config", config, "--in", _sources(tmp_path, segments),
-                              "--out", tmp_path / "f.jsonl", "--jobs", jobs)
+                              "--out", tmp_path / "f.jsonl", "--jobs", jobs, gate=jobs)
         assert code == 0
         assert peak == jobs
+
+    def test_requests_run_on_jobs_threads(self, tmp_path):
+        threads = set()
+
+        def record(prompt, params, model_id):
+            threads.add(threading.get_ident())
+            time.sleep(0.001)
+            return f"{model_id}:{params.temperature}:{len(prompt)}"
+
+        register_mock_backend("threads", record)
+        config = _chimera_config(tmp_path, endpoint="mock:threads", fusion_endpoint="mock:threads")
+        assert run("fuse", "--config", config, "--in", _sources(tmp_path, 8),
+                   "--out", tmp_path / "f.jsonl", "--jobs", 3) == 0
+        assert 1 <= len(threads) <= 3
 
     def test_output_independent_of_jobs(self, tmp_path, slow_endpoint):
         config = _chimera_config(tmp_path, endpoint=slow_endpoint, fusion_endpoint=slow_endpoint)
@@ -975,17 +1020,21 @@ class TestRewardFanOut:
         _SlowHandler.score_batches = []
         return path
 
-    def _reward_score(self, scorer, batch, out, jobs):
-        return run("reward-score", "--in", batch, "--terms", DATA / "terms_medical.json",
-                   "--scorer", scorer, "--out", out, "--jobs", jobs)
+    def _args(self, scorer, batch, out, jobs):
+        return ("reward-score", "--in", batch, "--terms", DATA / "terms_medical.json",
+                "--scorer", scorer, "--out", out, "--jobs", jobs)
+
+    def _reward_score(self, *args):
+        return run(*self._args(*args))
 
     # the scored records at the end of the batch send no request
     @pytest.mark.parametrize("unscored, jobs", [(8, 3), (8, 8), (2, 3), (3, 2)])
     def test_jobs_bounds_requests_in_flight(self, tmp_path, scorer, unscored, jobs):
-        _SlowHandler.peak = 0
         batch = _reward_batch(tmp_path, unscored + 2, unscored)
-        assert self._reward_score(scorer, batch, tmp_path / "r.jsonl", jobs) == 0
-        assert _SlowHandler.peak == min(jobs, unscored)
+        expected = min(jobs, unscored)
+        code, peak = _peak_of(*self._args(scorer, batch, tmp_path / "r.jsonl", jobs), gate=expected)
+        assert code == 0
+        assert peak == expected
 
     def test_one_item_per_request(self, tmp_path, scorer):
         batch = _reward_batch(tmp_path, 10, 6)
@@ -1071,6 +1120,28 @@ class TestEvalCommand:
         assert report["groups"]["ZH_TO_XX"] == {"mean": 100.0, "count": 1}
         assert report["groups"]["XX_TO_XX"] == {"mean": 0.0, "count": 1}
         assert report["overall"] == {"mean": 50.0, "count": 2}
+
+    def test_scorer_file_naming_chrf_keeps_its_scale(self, tmp_path):
+        pairs = [
+            {"id": "p1", "src_lang": "zh", "tgt_lang": "en", "src_text": "你好", "tgt_text": "hello world"},
+            {"id": "p2", "src_lang": "fr", "tgt_lang": "de", "src_text": "salut", "tgt_text": "hallo"},
+        ]
+        pairs_path = tmp_path / "pairs.jsonl"
+        pairs_path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in pairs))
+        hyps_path = tmp_path / "hyps.jsonl"
+        hyps_path.write_text(json.dumps({"id": "p1", "hypothesis": "hello word"}) + "\n"
+                             + json.dumps({"id": "p2", "hypothesis": "hallo"}) + "\n")
+        scorer_path = tmp_path / "c.json"
+        scorer_path.write_text(json.dumps({"name": "c", "kind": "local_function", "config": "chrf"}))
+        reports = {}
+        for metric in ("chrf", scorer_path):
+            out_path = tmp_path / "report.json"
+            assert run("eval", "--pairs", pairs_path, "--hyps", hyps_path, "--metric", metric,
+                       "--out", out_path) == 0
+            reports[metric] = json.loads(out_path.read_text())
+        assert reports[scorer_path]["groups"] == reports["chrf"]["groups"]
+        assert reports[scorer_path]["overall"] == reports["chrf"]["overall"]
+        assert 1.0 < reports["chrf"]["groups"]["ZH_TO_XX"]["mean"] < 100.0
 
 
 class TestPipelineRun:
