@@ -66,6 +66,8 @@ class BackendSpec:
                               "timeout_ms": "integer", "max_retries": "integer"}
 
     def __post_init__(self):
+        if not (self.endpoint.startswith("mock:") or is_http_url(self.endpoint)):
+            raise ValidationError(f"endpoint must be mock:<name> or an http(s) URL, got {self.endpoint!r}")
         if self.timeout_ms <= 0:
             raise ValidationError(f"timeout_ms must be > 0, got {self.timeout_ms}")
         if self.max_retries < 0:
@@ -109,6 +111,15 @@ class _RefuseRedirect(urllib.request.HTTPRedirectHandler):
 _OPENER = urllib.request.build_opener(_RefuseRedirect)
 
 
+def is_http_url(url: str) -> bool:
+    """True for an http or https URL that names a host."""
+    try:
+        parts = urllib.parse.urlsplit(url)
+    except ValueError:  # such as an unclosed IPv6 bracket
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.netloc)
+
+
 def post_json(url: str, payload: dict, token_env: str, timeout_s: float):
     """POST `payload` as JSON and return the decoded JSON reply.
 
@@ -125,7 +136,7 @@ def post_json(url: str, payload: dict, token_env: str, timeout_s: float):
     44 ms per request against 2.5 ms for a fresh connection, which halved
     `fuse` throughput on the loopback benchmark.
     """
-    if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
+    if not is_http_url(url):
         raise ValueError(f"not an http(s) URL: {url!r}")
     headers = {"Content-Type": "application/json"}
     token = os.environ.get(token_env)

@@ -32,7 +32,7 @@ from . import rewards as rewards_mod
 from .backends import BackendFailure, backend_from_obj
 from .errors import MtforgeError, OrchestrationError, SchemaError, ValidationError
 from .ioutils import atomic_write, check_fields, dataclass_from_obj, dump_json, load_json, read_records, write_jsonl
-from .scorers import ScorerEndpoint, scorer_from_obj
+from .scorers import ScorerEndpoint, is_local_scorer, scorer_from_obj
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -51,9 +51,10 @@ def _load_config(path: str, fields: dict, required: tuple) -> dict:
 
 
 def _load_scorer(spec: str) -> ScorerEndpoint:
-    """A scorer flag is either a JSON config file or a local-function shorthand."""
+    """A scorer flag is a JSON config file or a local-function shorthand; a
+    shorthand wins over a file of that name, whatever the working directory."""
     path = Path(spec)
-    if spec.endswith(".json") or path.exists():
+    if spec.endswith(".json") or (path.exists() and not is_local_scorer(spec)):
         return scorer_from_obj(load_json(path), path)
     return ScorerEndpoint(name=spec, kind="local_function", config=spec)
 
@@ -420,32 +421,35 @@ def reward_score(in_path, terms_path, scorer_spec, w_quality, w_terminology, w_r
     scorer = _load_scorer(scorer_spec) if scorer_spec else None
     fields = {"id": "string", "source": "string", "hypothesis": "string", "quality": "number|null"}
     rows = [
-        (obj.get("id", str(lineno)), obj["source"], obj["hypothesis"], obj.get("quality"))
+        (lineno, obj.get("id", str(lineno)), obj["source"], obj["hypothesis"], obj.get("quality"))
         for lineno, obj in read_records(in_path, fields, required=("source", "hypothesis"))
     ]
 
-    def reward_row(rec_id, source, hypothesis, quality):
-        breakdown = rewards_mod.composite_reward(
-            quality,
-            rewards_mod.terminology_reward(source, hypothesis, table),
-            rewards_mod.repetition_score(hypothesis),
-            weights,
-        )
+    def reward_row(lineno, rec_id, source, hypothesis, quality):
+        try:
+            breakdown = rewards_mod.composite_reward(
+                quality,
+                rewards_mod.terminology_reward(source, hypothesis, table),
+                rewards_mod.repetition_score(hypothesis),
+                weights,
+            )
+        except ValidationError as exc:
+            raise SchemaError(str(exc), lineno, in_path) from exc
         return dict(breakdown.to_obj(), id=rec_id)
 
     def score_row(row):
-        rec_id, source, hypothesis, _ = row
+        lineno, rec_id, source, hypothesis, _ = row
         quality = scorer.score_one({"source": source, "hypothesis": hypothesis})
         if quality is None:
             raise OrchestrationError(f"quality scorer failed on record {rec_id!r}")
-        return reward_row(rec_id, source, hypothesis, quality)
+        return reward_row(lineno, rec_id, source, hypothesis, quality)
 
     # records that carry a quality go first, so an error in one exits
     # before any request is sent
-    out_rows = [None if row[3] is None else reward_row(*row) for row in rows]
-    unscored = [i for i, row in enumerate(rows) if row[3] is None]
+    out_rows = [None if row[4] is None else reward_row(*row) for row in rows]
+    unscored = [i for i, row in enumerate(rows) if row[4] is None]
     if unscored and scorer is None:
-        raise ValidationError(f"record {rows[unscored[0]][0]!r} has no quality score and no --scorer was given")
+        raise ValidationError(f"record {rows[unscored[0]][1]!r} has no quality score and no --scorer was given")
     for i, out_row in zip(unscored, _fan_out(score_row, [rows[i] for i in unscored], jobs)):
         out_rows[i] = out_row
     write_jsonl(out_path, out_rows)
@@ -458,13 +462,16 @@ def reward_score(in_path, terms_path, scorer_spec, w_quality, w_terminology, w_r
 
 @_command("grpo-advantages")
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
-@click.option("--epsilon", default=1e-8, show_default=True)
+@click.option("--epsilon", default=1e-8, show_default=True, type=click.FloatRange(min=0, min_open=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
 def grpo_advantages_cmd(in_path, epsilon, out_path, seed):
     """Normalize reward groups to group-relative advantages."""
     out_rows = []
     for lineno, obj in read_records(in_path, {"id": "string", "rewards": "array"}, required=("rewards",)):
-        advantages = rewards_mod.grpo_advantages(obj["rewards"], epsilon=epsilon)
+        try:
+            advantages = rewards_mod.grpo_advantages(obj["rewards"], epsilon=epsilon)
+        except ValidationError as exc:
+            raise SchemaError(str(exc), lineno, in_path) from exc
         out_rows.append({"id": obj.get("id", str(lineno)), "rewards": obj["rewards"],
                          "advantages": advantages})
     write_jsonl(out_path, out_rows)
@@ -513,8 +520,17 @@ def _load_chimera_config(path: str, jobs: int | None):
 
 
 def _read_sources(path: str):
+    """Source records, each with two known, different language tags, so a
+    bad line fails before any request is sent."""
     fields = {"id": "string", "src_lang": "string", "tgt_lang": "string", "text": "string"}
-    return [obj for _, obj in read_records(path, fields, required=fields)]
+    sources = []
+    for lineno, obj in read_records(path, fields, required=fields):
+        try:
+            corpus_mod.classify_direction(obj["src_lang"], obj["tgt_lang"])
+        except ValidationError as exc:
+            raise SchemaError(str(exc), lineno, path) from exc
+        sources.append(obj)
+    return sources
 
 
 def _run_segments(sources, jobs, backend, grid, per_slot, fusion=None):
@@ -609,7 +625,7 @@ def fuse_cmd(config_path, in_path, out_path, jobs, seed):
 @click.option("--pairs", "pairs_path", required=True, type=click.Path(exists=True))
 @click.option("--hyps", "hyps_path", required=True, type=click.Path(exists=True))
 @click.option("--metric", default="chrf", show_default=True,
-              help="'chrf' or a scorer JSON config file")
+              help="A scorer: a JSON config file, a registered local scorer such as 'chrf', or constant:<number>")
 @click.option("--aggregation", default="micro", type=click.Choice(["micro", "macro"]), show_default=True)
 @click.option("--out", "out_path", type=click.Path())
 @click.option("--text", "text_mode", is_flag=True, help="Print the aligned text table")
@@ -618,9 +634,9 @@ def eval_cmd(pairs_path, hyps_path, metric, aggregation, out_path, text_mode, se
     pairs = corpus_mod.read_corpus(pairs_path, "parallel")
     fields = {"id": "string", "hypothesis": "string"}
     hyps = {obj["id"]: obj["hypothesis"] for _, obj in read_records(hyps_path, fields, required=fields)}
-    metric_arg = metric if metric == "chrf" else _load_scorer(metric)
-    scored, failures = evalkit_mod.score_corpus(pairs, hyps, metric_arg)
-    report = evalkit_mod.group_report(scored, aggregation=aggregation)
+    scorer = _load_scorer(metric)
+    scored, failures = evalkit_mod.score_corpus(pairs, hyps, scorer)
+    report = evalkit_mod.group_report(scored, scorer.name, aggregation=aggregation)
     if out_path:
         dump_json(out_path, report.to_obj())
     if text_mode:

@@ -180,7 +180,7 @@ class ParallelPair:
         require_tag(self.tgt_lang)
         if self.src_lang == self.tgt_lang:
             raise ValidationError(f"pair {self.id!r}: src_lang == tgt_lang == {self.src_lang!r}")
-        if not self.src_text or not self.tgt_text:
+        if not self.src_text.strip() or not self.tgt_text.strip():
             raise ValidationError(f"pair {self.id!r}: empty text")
         _check_scores(self.scores, f"pair {self.id!r}")
 

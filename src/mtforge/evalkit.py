@@ -1,4 +1,8 @@
-"""Desk-scale evaluation: built-in chrF, pluggable scorers, grouped reports.
+"""Desk-scale evaluation: chrF, corpus scoring through a scorer, grouped reports.
+
+Every metric is a ScorerEndpoint; the default, "chrf", is the registered
+local scorer that calls `chrf` below. Each score lives in its pair's
+`scores` map under the scorer's name, where `group_report` reads it.
 
 chrF here is the pure character-n-gram variant: whitespace is removed, F with
 recall weighted beta^2 over precision is computed per order 1..max_n, and
@@ -46,70 +50,31 @@ def chrf(hypothesis: str, reference: str, max_n: int = 6, beta: float = 2.0) -> 
     return 100.0 * sum(f_scores) / len(f_scores)
 
 
-@dataclass(frozen=True)
-class MetricScore:
-    metric_name: str
-    value: float
-    scale: tuple[float, float]
-
-    def __post_init__(self):
-        lo, hi = self.scale
-        if not lo <= self.value <= hi:
-            raise ValidationError(f"{self.metric_name}={self.value} outside scale [{lo}, {hi}]")
-
-
-@dataclass(frozen=True)
-class ScoredPair:
-    pair: ParallelPair
-    hypothesis: str
-    score: MetricScore
-
-
 def score_corpus(
     pairs: Sequence[ParallelPair],
     hypotheses: Mapping[str, str],
-    metric: str | ScorerEndpoint = "chrf",
-) -> tuple[list[ScoredPair], list[tuple[ParallelPair, str]]]:
+    scorer: ScorerEndpoint,
+) -> tuple[list[ParallelPair], list[tuple[ParallelPair, str]]]:
     """Score every pair's hypothesis against its reference (the target text).
 
-    metric is the built-in "chrf" or a ScorerEndpoint. Scoring failures are
-    returned in the second list with a reason, never silently dropped; a
-    missing hypothesis violates the contract and raises.
+    Each scored pair comes back with its score under `scorer.name`. Scoring
+    failures are returned in the second list with a reason, never silently
+    dropped; a missing hypothesis violates the contract and raises.
     """
     missing = [p.id for p in pairs if p.id not in hypotheses]
     if missing:
         raise ValidationError(f"missing hypotheses for ids: {missing[:5]}")
-    scored: list[ScoredPair] = []
-    failures: list[tuple[ParallelPair, str]] = []
-    if metric == "chrf":
-        for pair in pairs:
-            value = chrf(hypotheses[pair.id], pair.tgt_text)
-            scored.append(
-                ScoredPair(
-                    pair=with_score(pair, "chrf", value),
-                    hypothesis=hypotheses[pair.id],
-                    score=MetricScore("chrf", value, (0.0, 100.0)),
-                )
-            )
-        return scored, failures
-    if not isinstance(metric, ScorerEndpoint):
-        raise ValidationError(f"unknown metric {metric!r}")
     items = [
         {"source": p.src_text, "hypothesis": hypotheses[p.id], "reference": p.tgt_text}
         for p in pairs
     ]
-    values = metric.score_many(items)
-    for pair, value in zip(pairs, values):
+    scored: list[ParallelPair] = []
+    failures: list[tuple[ParallelPair, str]] = []
+    for pair, value in zip(pairs, scorer.score_many(items)):
         if value is None:
-            failures.append((pair, f"scorer {metric.name!r} failed"))
-            continue
-        scored.append(
-            ScoredPair(
-                pair=with_score(pair, metric.name, value),
-                hypothesis=hypotheses[pair.id],
-                score=MetricScore(metric.name, value, metric.score_range),
-            )
-        )
+            failures.append((pair, f"scorer {scorer.name!r} failed"))
+        else:
+            scored.append(with_score(pair, scorer.name, value))
     return scored, failures
 
 
@@ -154,34 +119,34 @@ def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
-def group_report(scored: Sequence[ScoredPair], aggregation: str = "micro") -> EvalReport:
-    """Aggregate scores into the five direction groups plus an overall row.
+def group_report(pairs: Sequence[ParallelPair], metric: str, aggregation: str = "micro") -> EvalReport:
+    """Aggregate each pair's `metric` score into the five direction groups
+    plus an overall row.
 
     micro averages over segments; macro first averages each (src, tgt)
-    language pair, then averages those means. Mixing metrics is an error.
+    language pair, then averages those means. A pair without a `metric`
+    score is an error.
     """
     if aggregation not in ("micro", "macro"):
         raise ValidationError(f"aggregation must be micro or macro, not {aggregation!r}")
-    if not scored:
+    if not pairs:
         raise ValidationError("nothing to report")
-    metric_names = {sp.score.metric_name for sp in scored}
-    if len(metric_names) != 1:
-        raise ValidationError(f"mixed metrics in one report: {sorted(metric_names)}")
-    metric_name = metric_names.pop()
+    unscored = [p.id for p in pairs if metric not in p.scores]
+    if unscored:
+        raise ValidationError(f"no {metric!r} score for ids: {unscored[:5]}")
 
-    by_group: dict[DirectionGroup, list[ScoredPair]] = {}
-    for sp in scored:
-        group = classify_direction(sp.pair.src_lang, sp.pair.tgt_lang)
-        by_group.setdefault(group, []).append(sp)
+    by_group: dict[DirectionGroup, list[ParallelPair]] = {}
+    for pair in pairs:
+        by_group.setdefault(classify_direction(pair.src_lang, pair.tgt_lang), []).append(pair)
 
-    def summarize(items: list[ScoredPair]) -> GroupStats:
+    def summarize(items: list[ParallelPair]) -> GroupStats:
         if aggregation == "micro":
-            return GroupStats(_mean([sp.score.value for sp in items]), len(items))
+            return GroupStats(_mean([p.scores[metric] for p in items]), len(items))
         per_pair: dict[tuple[str, str], list[float]] = {}
-        for sp in items:
-            per_pair.setdefault((sp.pair.src_lang, sp.pair.tgt_lang), []).append(sp.score.value)
+        for p in items:
+            per_pair.setdefault((p.src_lang, p.tgt_lang), []).append(p.scores[metric])
         return GroupStats(_mean([_mean(vals) for vals in per_pair.values()]), len(items))
 
     per_group = {group: summarize(items) for group, items in by_group.items()}
-    overall = summarize(list(scored))
-    return EvalReport(metric_name, per_group, overall, aggregation)
+    overall = summarize(list(pairs))
+    return EvalReport(metric, per_group, overall, aggregation)

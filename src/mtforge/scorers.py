@@ -16,10 +16,10 @@ An Authorization header is sent when MTFORGE_SCORER_TOKEN is set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Mapping, Sequence
 
-from .backends import post_json
+from .backends import is_http_url, post_json
 from .errors import ValidationError
 from .ioutils import dataclass_from_obj, is_finite_number
 
@@ -54,12 +54,18 @@ register_scorer("length_ratio", _length_ratio)
 register_scorer("chrf", _chrf_item, (0.0, 100.0))
 
 
+def is_local_scorer(config: str) -> bool:
+    """True for a registered scorer name or a `constant:` scorer."""
+    return config in _LOCAL_SCORERS or config.startswith("constant:")
+
+
 @dataclass(frozen=True)
 class ScorerEndpoint:
     """A named scorer: local function id or remote HTTP URL, plus its scale.
 
-    A local function is a registered name or `constant:<number>`. The scale
-    defaults to a registered function's own and to (0, 1) otherwise.
+    A local function is a registered name or `constant:<number>`, resolved
+    once when the endpoint is built; a remote config is an http(s) URL. The
+    scale defaults to a registered function's own and to (0, 1) otherwise.
     `extra` rides along in every remote request (under "config"), which is
     how judge-style scorers receive their prompt template; no judging logic
     lives in this package.
@@ -71,6 +77,8 @@ class ScorerEndpoint:
     score_range: tuple[float, float] | None = None
     timeout_ms: int = 30000
     extra: Mapping[str, object] | None = None
+    # the resolved local function; a default, so dataclass_from_obj does not require it
+    _fn: ScoreFn | None = field(default=None, init=False, repr=False, compare=False)
 
     FIELDS: ClassVar[dict] = {"name": "string", "kind": "string", "config": "string", "score_range": "array",
                               "timeout_ms": "integer", "extra": "object"}
@@ -87,11 +95,16 @@ class ScorerEndpoint:
                 value = math.nan
             if not math.isfinite(value):
                 raise ValidationError(f"constant scorer value must be a finite number, got {text!r}")
+            object.__setattr__(self, "_fn", lambda item: value)
         elif self.kind == "local_function":
             if self.config not in _LOCAL_SCORERS:
                 raise ValidationError(f"unknown local scorer {self.config!r} (not registered or constant:<number>)")
+            fn, registered_range = _LOCAL_SCORERS[self.config]
+            object.__setattr__(self, "_fn", fn)
             if self.score_range is None:
-                lo_hi = _LOCAL_SCORERS[self.config][1]
+                lo_hi = registered_range
+        elif not is_http_url(self.config):
+            raise ValidationError(f"remote scorer config must be an http(s) URL, got {self.config!r}")
         if (not isinstance(lo_hi, (list, tuple)) or len(lo_hi) != 2
                 or not all(is_finite_number(v) for v in lo_hi) or not lo_hi[0] < lo_hi[1]):
             raise ValidationError(f"score_range must be two finite numbers lo < hi, got {lo_hi!r}")
@@ -103,24 +116,18 @@ class ScorerEndpoint:
         lo, hi = self.score_range
         return min(max(float(value), lo), hi)
 
-    def _local_fn(self) -> ScoreFn:
-        if self.config.startswith("constant:"):
-            value = float(self.config.split(":", 1)[1])
-            return lambda item: value
-        return _LOCAL_SCORERS[self.config][0]
-
     def score_many(self, items: Sequence[Item]) -> list[float | None]:
         """One score per item, None where scoring failed."""
-        if self.kind == "local_function":
-            fn = self._local_fn()
-            out: list[float | None] = []
-            for item in items:
-                try:
-                    out.append(self._clamp(fn(item)))
-                except Exception:
-                    out.append(None)
-            return out
-        return self._score_remote(items)
+        fn = self._fn
+        if fn is None:
+            return self._score_remote(items)
+        out: list[float | None] = []
+        for item in items:
+            try:
+                out.append(self._clamp(fn(item)))
+            except Exception:
+                out.append(None)
+        return out
 
     def _score_remote(self, items: Sequence[Item]) -> list[float | None]:
         payload: dict = {"name": self.name, "items": list(items)}

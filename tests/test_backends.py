@@ -12,7 +12,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from mtforge.backends import BackendFailure, BackendSpec, GenerationParams, backend_from_obj, complete
+from mtforge.backends import BackendFailure, BackendSpec, GenerationParams, backend_from_obj, complete, post_json
 from mtforge.errors import SchemaError, ValidationError
 from mtforge.ioutils import dataclass_from_obj
 from mtforge.scorers import ScorerEndpoint, register_scorer, scorer_from_obj
@@ -147,10 +147,21 @@ class TestCompletionWire:
         assert [path for path, _ in _Handler.requests_seen] == ["/redirect"]
         assert _Handler.auth_seen == ["Bearer gen-secret"]
 
-    def test_non_http_endpoint_refused(self):
-        spec = BackendSpec("inline", 'data:application/json,{"text": "x"}', "m", max_retries=0)
-        with pytest.raises(BackendFailure, match="not an http"):
-            complete(spec, "p", GenerationParams())
+    @pytest.mark.parametrize("endpoint", ['data:application/json,{"text": "x"}', "ftp://127.0.0.1/c",
+                                          "http:/no-host", "http://[::1", "echo", ""])
+    def test_non_http_endpoint_refused(self, endpoint):
+        with pytest.raises(ValidationError, match="endpoint must be mock:<name> or an http"):
+            BackendSpec("inline", endpoint, "m", max_retries=0)
+
+    def test_endpoint_error_names_the_place(self):
+        obj = {"name": "b", "endpoint": "ftp://127.0.0.1/c", "model_id": "m"}
+        with pytest.raises(SchemaError, match=r"^p\.json: backend: endpoint must be"):
+            backend_from_obj(obj, "p.json: backend")
+
+    @pytest.mark.parametrize("url", ['data:application/json,{"text": "x"}', "ftp://127.0.0.1/c", "file:///etc/hosts"])
+    def test_post_json_refuses_non_http_url(self, url):
+        with pytest.raises(ValueError, match="not an http"):
+            post_json(url, {}, "MTFORGE_BACKEND_TOKEN", 1.0)
 
     def test_unreachable_endpoint(self):
         spec = BackendSpec("gone", "http://127.0.0.1:1/none", "m", timeout_ms=300, max_retries=0)
@@ -210,9 +221,10 @@ class TestScorerWire:
         assert scorer.score_many([{}]) == [None]
         assert [path for path, _ in _Handler.requests_seen] == ["/redirect"]
 
-    def test_non_http_endpoint_yields_none(self):
-        scorer = ScorerEndpoint("inline", "remote_http", 'data:application/json,{"scores": [1.0]}')
-        assert scorer.score_many([{}]) == [None]
+    @pytest.mark.parametrize("url", ['data:application/json,{"scores": [1.0]}', "ftp://127.0.0.1/s", "length_ratio"])
+    def test_non_http_endpoint_refused(self, url):
+        with pytest.raises(ValidationError, match="remote scorer config must be an http"):
+            ScorerEndpoint("inline", "remote_http", url)
 
     def test_unreachable_yields_none_per_item(self):
         scorer = ScorerEndpoint("gone", "remote_http", "http://127.0.0.1:1/s", timeout_ms=300)
@@ -253,19 +265,21 @@ class TestSpecsFromObj:
         dict(SCORER, config="constant:nan"),
         dict(SCORER, config="constant:1e400"),
         dict(SCORER, kind="psychic"),
+        dict(SCORER, kind="remote_http", config="ftp://127.0.0.1/s"),
     ])
     def test_bad_scorer_config_rejected(self, obj):
         with pytest.raises(ValidationError):
             scorer_from_obj(obj)
 
-    @pytest.mark.parametrize("obj", [[1], {"name": "b", "endpoint": "mock:echo"}, dict(BACKEND, colour="red")])
+    @pytest.mark.parametrize("obj", [[1], {"name": "b", "endpoint": "mock:echo"}, dict(BACKEND, colour="red"),
+                                     dict(BACKEND, endpoint="ftp://127.0.0.1/c")])
     def test_bad_backend_config_rejected(self, obj):
         with pytest.raises(ValidationError):
             backend_from_obj(obj)
 
     @pytest.mark.parametrize("cls", [BackendSpec, GenerationParams, ScorerEndpoint])
     def test_field_table_names_every_field(self, cls):
-        assert set(cls.FIELDS) == {f.name for f in dataclasses.fields(cls)}
+        assert set(cls.FIELDS) == {f.name for f in dataclasses.fields(cls) if f.init}
 
     def test_grid_entry_defaults_and_types(self):
         assert dataclass_from_obj(GenerationParams, {"seed": None}, "grid[0]") == GenerationParams()
@@ -285,6 +299,16 @@ class TestSpecsFromObj:
     def test_unregistered_scorer_defaults_to_unit_range(self):
         assert ScorerEndpoint("k", "local_function", "constant:0.5").score_range == (0.0, 1.0)
         assert ScorerEndpoint("r", "remote_http", "http://127.0.0.1:9/score").score_range == (0.0, 1.0)
+
+    def test_local_function_resolved_once(self):
+        register_scorer("resolved_once", lambda item: 0.25)
+        scorer = ScorerEndpoint("r", "local_function", "resolved_once")
+        register_scorer("resolved_once", lambda item: 0.75)
+        assert scorer.score_many([{}, {}]) == [0.25, 0.25]
+        assert scorer == ScorerEndpoint("r", "local_function", "resolved_once")
+        assert "_fn" not in repr(scorer)
+        with pytest.raises(ValidationError, match=r"unknown fields \['_fn'\]"):
+            scorer_from_obj({"name": "r", "kind": "local_function", "config": "resolved_once", "_fn": None})
 
     def test_unknown_local_scorer_rejected(self):
         with pytest.raises(ValidationError, match="unknown local scorer 'no-such-scorer'"):

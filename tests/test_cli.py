@@ -267,10 +267,24 @@ class TestExitCodes:
          "error: {path}: line 2: "),
         ("reward-score", "--in", b'{"id": "r2", "source": "s", "hypothesis": "h", "quality": "high"}\n',
          "error: {path}: line 2: "),
+        ("reward-score", "--in", b'{"id": "r2", "source": "s", "hypothesis": "h", "quality": 5}\n',
+         "error: {path}: line 2: quality must be in [0, 1], got 5"),
+        ("reward-score", "--in", b'{"id": "r2", "source": "s", "hypothesis": " ", "quality": 0.5}\n',
+         "error: {path}: line 2: cannot score empty text"),
         ("grpo-advantages", "--in", b"5\n", "error: {path}: line 2: "),
         ("grpo-advantages", "--in", b'{"id": "g2", "rewards": "ab"}\n', "error: {path}: line 2: "),
+        ("grpo-advantages", "--in", b'{"id": "g2", "rewards": [1, "x"]}\n',
+         "error: {path}: line 2: rewards must be finite numbers"),
+        ("grpo-advantages", "--in", b'{"id": "g2", "rewards": [1]}\n',
+         "error: {path}: line 2: need a group of >= 2 rewards, got 1"),
         ("translate", "--in", b"5\n", "error: {path}: line 2: "),
+        ("translate", "--in", b'{"id": "s2", "src_lang": "en", "tgt_lang": "en", "text": "hi"}\n',
+         "error: {path}: line 2: source and target language are both 'en'"),
         ("fuse", "--in", b"5\n", "error: {path}: line 2: "),
+        ("fuse", "--in", b'{"id": "s2", "src_lang": "en", "tgt_lang": "xx", "text": "hi"}\n',
+         "error: {path}: line 2: unknown language tag: 'xx'"),
+        ("quality-filter", "--in", b'{"id": "q", "src_lang": "en", "tgt_lang": "fr", "src_text": "a", '
+                                   b'"tgt_text": " \\t "}\n', "error: {path}: line 2: pair 'q': empty text"),
         ("eval", "--hyps", b'{"id": "a", "hypothesis": 5}\n', "error: {path}: line 2: "),
         ("judge-flag", "--in", b'{"sample_id": "t", "round_scores": ["a", "b"]}\n', "error: {path}: line 2: "),
         ("mix-fit", "--runs", b'{"domains": ["a", "b"], "weights": [0.5, 0.5], "loss": "x"}\n',
@@ -321,6 +335,7 @@ class TestExitCodes:
         ("quality-filter", "--scorer", _scorer_json(timeout_ms=0)),
         ("quality-filter", "--scorer", _scorer_json(name=5)),
         ("quality-filter", "--scorer", _scorer_json(colour="red")),
+        ("quality-filter", "--scorer", _scorer_json(kind="remote_http", config="ftp://127.0.0.1/s")),
         ("fuse", "--config", b'{"schema_version": 1, "backend": {'),
         ("langid-filter", "--model", b'{"format": "mtforge-langid", '),
         ("langid-filter", "--model", b'[]'),
@@ -457,6 +472,12 @@ class TestExitCodes:
         ("fuse", _fuse_json(fallback_scorer=dict(_SCORER, config="constant:abc")),
          "fallback_scorer: constant scorer value must be a finite number, got 'abc'"),
         ("fuse", _fuse_json(max_workers=0), "max_workers must be >= 1, got 0"),
+        ("fuse", _fuse_json(backend=dict(_BACKEND, endpoint="ftp://127.0.0.1/c")),
+         "backend: endpoint must be mock:<name> or an http(s) URL, got 'ftp://127.0.0.1/c'"),
+        ("fuse", _fuse_json(per_slot_backends=[None, dict(_BACKEND, endpoint="127.0.0.1:8000")] + [None] * 4),
+         "per_slot_backends[1]: endpoint must be mock:<name> or an http(s) URL, got '127.0.0.1:8000'"),
+        ("fuse", _fuse_json(fallback_scorer=dict(_SCORER, kind="remote_http", config="ftp://127.0.0.1/s")),
+         "fallback_scorer: remote scorer config must be an http(s) URL, got 'ftp://127.0.0.1/s'"),
     ])
     def test_config_error_names_the_place(self, tmp_path, capsys, command, content, message):
         bad = tmp_path / "bad.json"
@@ -781,6 +802,14 @@ class TestRewardCommands:
         assert math.isclose(row["advantages"][0], -1.0, abs_tol=1e-7)
         assert math.isclose(row["advantages"][1], 1.0, abs_tol=1e-7)
 
+    def test_grpo_epsilon_must_be_positive(self, tmp_path, capsys):
+        in_path = tmp_path / "groups.jsonl"
+        in_path.write_text(json.dumps({"id": "g", "rewards": [0.0, 1.0]}) + "\n")
+        out_path = tmp_path / "adv.jsonl"
+        assert run("grpo-advantages", "--in", in_path, "--out", out_path, "--epsilon", 0) == 1
+        assert "error: Invalid value for '--epsilon': 0.0 is not in the range x>0." in capsys.readouterr().err
+        assert not out_path.exists()
+
 
 def _chimera_config(tmp_path, endpoint="mock:echo", fusion_endpoint=None, scorer=False):
     config = {
@@ -844,6 +873,18 @@ class TestChimeraCommands:
         assert run("fuse", "--config", config, "--in", sources, "--out", out_a, "--seed", 7) == 0
         assert run("fuse", "--config", config, "--in", sources, "--out", out_b, "--seed", 7) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_bad_source_line_fails_before_any_request(self, tmp_path, capsys):
+        prompts = []
+        register_mock_backend("recording", lambda prompt, params, model_id: prompts.append(prompt) or "x")
+        config = _chimera_config(tmp_path, endpoint="mock:recording")
+        sources = tmp_path / "sources.jsonl"
+        sources.write_text(json.dumps({"id": "a", "src_lang": "fr", "tgt_lang": "en", "text": "salut"}) + "\n"
+                           + json.dumps({"id": "b", "src_lang": "fr", "tgt_lang": "fr", "text": "salut"}) + "\n")
+        out_path = tmp_path / "cands.jsonl"
+        assert run("translate", "--config", config, "--in", sources, "--out", out_path) == 1
+        assert capsys.readouterr().err == f"error: {sources}: line 2: source and target language are both 'fr'\n"
+        assert prompts == [] and not out_path.exists()
 
     def test_config_with_unknown_key_rejected(self, tmp_path):
         config = tmp_path / "bad.json"
@@ -1142,6 +1183,45 @@ class TestEvalCommand:
         assert reports[scorer_path]["groups"] == reports["chrf"]["groups"]
         assert reports[scorer_path]["overall"] == reports["chrf"]["overall"]
         assert 1.0 < reports["chrf"]["groups"]["ZH_TO_XX"]["mean"] < 100.0
+
+    @pytest.mark.parametrize("metric, mean", [("length_ratio", 0.5), ("constant:0.25", 0.25)])
+    def test_metric_is_any_scorer_spec(self, tmp_path, metric, mean):
+        pairs_path = tmp_path / "pairs.jsonl"
+        pairs_path.write_text(json.dumps({"id": "p", "src_lang": "en", "tgt_lang": "fr",
+                                          "src_text": "abcd", "tgt_text": "wxyz"}) + "\n")
+        hyps_path = tmp_path / "hyps.jsonl"
+        hyps_path.write_text(json.dumps({"id": "p", "hypothesis": "ab"}) + "\n")
+        out_path = tmp_path / "report.json"
+        assert run("eval", "--pairs", pairs_path, "--hyps", hyps_path, "--metric", metric, "--out", out_path) == 0
+        report = json.loads(out_path.read_text())
+        assert report["metric"] == metric
+        assert report["overall"] == report["groups"]["EN_TO_XX"] == {"mean": mean, "count": 1}
+
+    def test_registered_metric_wins_over_a_file_of_that_name(self, tmp_path, monkeypatch):
+        pairs_path = tmp_path / "pairs.jsonl"
+        pairs_path.write_text(json.dumps({"id": "p", "src_lang": "en", "tgt_lang": "fr",
+                                          "src_text": "hi", "tgt_text": "salut"}) + "\n")
+        hyps_path = tmp_path / "hyps.jsonl"
+        hyps_path.write_text(json.dumps({"id": "p", "hypothesis": "salut"}) + "\n")
+        monkeypatch.chdir(tmp_path)
+        for name in ("chrf", "length_ratio", "constant:0.5"):
+            Path(name).write_text("not a scorer config")
+        for metric in (None, "chrf", "length_ratio", "constant:0.5"):
+            args = [] if metric is None else ["--metric", metric]
+            assert run("eval", "--pairs", pairs_path, "--hyps", hyps_path, *args, "--out", "r.json") == 0
+            assert json.loads(Path("r.json").read_text())["metric"] == (metric or "chrf")
+
+    def test_blank_reference_names_the_file_and_line(self, tmp_path, capsys):
+        pairs_path = tmp_path / "pairs.jsonl"
+        pairs_path.write_text(
+            json.dumps({"id": "p1", "src_lang": "en", "tgt_lang": "fr", "src_text": "hi", "tgt_text": "salut"}) + "\n"
+            + json.dumps({"id": "p2", "src_lang": "en", "tgt_lang": "fr", "src_text": "hi", "tgt_text": "   "}) + "\n")
+        hyps_path = tmp_path / "hyps.jsonl"
+        hyps_path.write_text("".join(json.dumps({"id": i, "hypothesis": "salut"}) + "\n" for i in ("p1", "p2")))
+        out_path = tmp_path / "report.json"
+        assert run("eval", "--pairs", pairs_path, "--hyps", hyps_path, "--out", out_path) == 1
+        assert capsys.readouterr().err == f"error: {pairs_path}: line 2: pair 'p2': empty text\n"
+        assert not out_path.exists()
 
 
 class TestPipelineRun:

@@ -9,6 +9,8 @@ from mtforge.errors import ValidationError
 from mtforge.evalkit import chrf, group_report, score_corpus
 from mtforge.scorers import ScorerEndpoint
 
+CHRF = ScorerEndpoint("chrf", "local_function", "chrf")
+
 
 def chrf_oracle(hypothesis, reference, max_n=6, beta=2.0):
     """Brute-force recount straight from the definition: enumerate substrings
@@ -121,7 +123,7 @@ def _pair(i, src="en", tgt="fr", reference="bonjour le monde"):
 
 class TestScoreCorpus:
     def test_empty_corpus(self):
-        scored, failures = score_corpus([], {})
+        scored, failures = score_corpus([], {}, CHRF)
         assert scored == [] and failures == []
 
     def test_constant_scorer(self):
@@ -130,19 +132,25 @@ class TestScoreCorpus:
         scorer = ScorerEndpoint("const", "local_function", "constant:0.7")
         scored, failures = score_corpus(pairs, hyps, scorer)
         assert len(scored) == 10 and not failures
-        assert all(sp.score.value == 0.7 for sp in scored)
-        assert all(sp.pair.scores["const"] == 0.7 for sp in scored)
+        assert all(p.scores == {"const": 0.7} for p in scored)
+        assert [p.id for p in scored] == [p.id for p in pairs]
 
     def test_chrf_perfect_hypotheses(self):
         pairs = [_pair(i) for i in range(5)]
         hyps = {p.id: p.tgt_text for p in pairs}
-        scored, _ = score_corpus(pairs, hyps, "chrf")
-        assert all(sp.score.value == 100.0 for sp in scored)
+        scored, _ = score_corpus(pairs, hyps, CHRF)
+        assert all(p.scores["chrf"] == 100.0 for p in scored)
+
+    def test_chrf_scorer_matches_chrf(self):
+        pairs = [_pair(i, reference=ref) for i, ref in enumerate(["bonjour le monde", "abcd", "le chat"])]
+        hyps = {"p0": "bonjour monde", "p1": "zzzz", "p2": "le chien"}
+        scored, _ = score_corpus(pairs, hyps, CHRF)
+        assert [p.scores["chrf"] for p in scored] == [chrf(hyps[p.id], p.tgt_text) for p in pairs]
 
     def test_missing_hypothesis_rejected(self):
         pairs = [_pair(0)]
         with pytest.raises(ValidationError):
-            score_corpus(pairs, {})
+            score_corpus(pairs, {}, CHRF)
 
     def test_failures_bucketed(self):
         from mtforge.scorers import register_scorer
@@ -157,16 +165,16 @@ class TestScoreCorpus:
         pairs = [_pair(0), _pair(1)]
         hyps = {"p0": "ok", "p1": "bad"}
         scored, failures = score_corpus(pairs, hyps, scorer)
-        assert len(scored) == 1 and len(failures) == 1
-        assert failures[0][0].id == "p1"
+        assert [p.id for p in scored] == ["p0"]
+        assert failures == [(pairs[1], "scorer 'half_fail' failed")]
 
 
 class TestGroupReport:
     def test_single_group_overall_equals_group(self):
         pairs = [_pair(i, "zh", "fr") for i in range(4)]
         hyps = {p.id: p.tgt_text for p in pairs}
-        scored, _ = score_corpus(pairs, hyps, "chrf")
-        report = group_report(scored)
+        scored, _ = score_corpus(pairs, hyps, CHRF)
+        report = group_report(scored, "chrf")
         assert set(report.per_group) == {DirectionGroup.ZH_TO_XX}
         assert report.overall == report.per_group[DirectionGroup.ZH_TO_XX]
 
@@ -174,8 +182,8 @@ class TestGroupReport:
         a = [_pair(i, "zh", "fr", reference="aaaa") for i in range(3)]
         b = [_pair(i + 10, "fr", "de", reference="aaaa") for i in range(3)]
         hyps = {p.id: ("aaaa" if p.src_lang == "zh" else "bbbb") for p in a + b}
-        scored, _ = score_corpus(a + b, hyps, "chrf")
-        report = group_report(scored)
+        scored, _ = score_corpus(a + b, hyps, CHRF)
+        report = group_report(scored, "chrf")
         mean_a = report.per_group[DirectionGroup.ZH_TO_XX].mean
         mean_b = report.per_group[DirectionGroup.XX_TO_XX].mean
         assert math.isclose(report.overall.mean, (mean_a + mean_b) / 2, abs_tol=1e-9)
@@ -192,8 +200,8 @@ class TestGroupReport:
         for group, (src, tgt, count) in plan.items():
             pairs += [_pair(f"{group.value}{i}", src, tgt) for i in range(count)]
         hyps = {p.id: p.tgt_text for p in pairs}
-        scored, _ = score_corpus(pairs, hyps, "chrf")
-        report = group_report(scored)
+        scored, _ = score_corpus(pairs, hyps, CHRF)
+        report = group_report(scored, "chrf")
         for group, (_, _, count) in plan.items():
             assert report.per_group[group].count == count
         assert report.overall.count == sum(c for _, _, c in plan.values())
@@ -202,12 +210,21 @@ class TestGroupReport:
     def test_mixed_metrics_rejected(self):
         pairs = [_pair(0), _pair(1)]
         hyps = {p.id: p.tgt_text for p in pairs}
-        chrf_scored, _ = score_corpus(pairs[:1], hyps, "chrf")
+        chrf_scored, _ = score_corpus(pairs[:1], hyps, CHRF)
         const_scored, _ = score_corpus(
             pairs[1:], hyps, ScorerEndpoint("other", "local_function", "constant:0.5")
         )
-        with pytest.raises(ValidationError):
-            group_report(chrf_scored + const_scored)
+        assert group_report(chrf_scored, "chrf").overall.count == 1
+        with pytest.raises(ValidationError, match=r"no 'chrf' score for ids: \['p1'\]"):
+            group_report(chrf_scored + const_scored, "chrf")
+
+    def test_report_reads_the_pairs_scores(self):
+        pairs = [ParallelPair(f"p{i}", "en", "fr", "hi", "salut", scores={"qe": v})
+                 for i, v in enumerate([0.25, 0.75])]
+        report = group_report(pairs, "qe")
+        assert report.metric_name == "qe"
+        assert report.overall == report.per_group[DirectionGroup.EN_TO_XX]
+        assert (report.overall.mean, report.overall.count) == (0.5, 2)
 
     def test_macro_weighs_language_pairs_equally(self):
         # 9 perfect fr->de segments and 1 zero-overlap ko->th segment
@@ -215,8 +232,8 @@ class TestGroupReport:
         ko = [_pair(99, "ko", "th", reference="abcd")]
         hyps = {p.id: "abcd" for p in fr}
         hyps["p99"] = "zzzz"
-        scored, _ = score_corpus(fr + ko, hyps, "chrf")
-        micro = group_report(scored, "micro")
-        macro = group_report(scored, "macro")
+        scored, _ = score_corpus(fr + ko, hyps, CHRF)
+        micro = group_report(scored, "chrf", "micro")
+        macro = group_report(scored, "chrf", "macro")
         assert math.isclose(micro.overall.mean, 90.0, abs_tol=1e-9)
         assert math.isclose(macro.overall.mean, 50.0, abs_tol=1e-9)
