@@ -30,15 +30,17 @@ from . import mixopt as mixopt_mod
 from . import ngram_lm as lm_mod
 from . import rewards as rewards_mod
 from .backends import BackendFailure, backend_from_obj
-from .errors import MtforgeError, OrchestrationError, SchemaError, ValidationError
+from .errors import MtforgeError, OrchestrationError, SchemaError, ValidationError, at
 from .ioutils import atomic_write, check_fields, dataclass_from_obj, dump_json, load_json, read_records, write_jsonl
 from .scorers import ScorerEndpoint, is_local_scorer, scorer_from_obj
 
 REPORT_SCHEMA_VERSION = 1
 
-# Requests in flight on translate, fuse (the config's max_workers when unset)
-# and reward-score: how hard a command may hit someone else's endpoint.
+# Requests in flight on translate, fuse and reward-score: how hard a
+# command may hit someone else's endpoint.
 DEFAULT_JOBS = 4
+_jobs_option = click.option("--jobs", default=DEFAULT_JOBS, show_default=True, type=click.IntRange(min=1),
+                            metavar="N", help="At most N requests in flight")
 
 
 def _load_config(path: str, fields: dict, required: tuple) -> dict:
@@ -295,13 +297,10 @@ def quality_filter(in_path, scorer_spec, tau, out_path, dropped_path, unscored_p
 @click.option("--out", "out_path", type=click.Path())
 def judge_flag(in_path, max_spread, out_path, seed):
     """Flag samples whose judge scores disagree across rounds."""
-    records = []
     fields = {"sample_id": "string", "round_scores": "array"}
-    for lineno, obj in read_records(in_path, fields, required=fields):
-        try:
-            records.append(filters_mod.JudgeRecord(obj["sample_id"], tuple(obj["round_scores"])))
-        except ValidationError as exc:
-            raise SchemaError(str(exc), lineno, in_path) from exc
+    records = [record for _, record in read_records(
+        in_path, fields, required=fields,
+        build=lambda obj: filters_mod.JudgeRecord(obj["sample_id"], tuple(obj["round_scores"])))]
     consistent, flagged = filters_mod.flag_inconsistent(records, max_spread)
     if out_path:
         dump_json(out_path, {"consistent": consistent, "flagged": flagged})
@@ -406,8 +405,7 @@ def lr_curve(warmup, total, peak, min_lr, shape, out_path, seed):
 @click.option("--w-terminology", default=0.5, show_default=True)
 @click.option("--w-repetition", default=1.0, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--jobs", default=DEFAULT_JOBS, show_default=True, type=click.IntRange(min=1), metavar="N",
-              help="At most N quality requests in flight")
+@_jobs_option
 def reward_score(in_path, terms_path, scorer_spec, w_quality, w_terminology, w_repetition,
                  out_path, jobs, seed):
     """Compute the full reward breakdown for translation records.
@@ -419,6 +417,10 @@ def reward_score(in_path, terms_path, scorer_spec, w_quality, w_terminology, w_r
     table = rewards_mod.load_term_table(terms_path)
     weights = rewards_mod.RewardWeights(w_quality, w_terminology, w_repetition)
     scorer = _load_scorer(scorer_spec) if scorer_spec else None
+    # composite_reward takes a quality in [0, 1]; a scorer on another scale
+    # fails here, before any request
+    if scorer is not None and (scorer.score_range[0] < 0 or scorer.score_range[1] > 1):
+        raise ValidationError(f"--scorer {scorer.name!r} scores on {list(scorer.score_range)}, not within [0, 1]")
     fields = {"id": "string", "source": "string", "hypothesis": "string", "quality": "number|null"}
     rows = [
         (lineno, obj.get("id", str(lineno)), obj["source"], obj["hypothesis"], obj.get("quality"))
@@ -426,15 +428,13 @@ def reward_score(in_path, terms_path, scorer_spec, w_quality, w_terminology, w_r
     ]
 
     def reward_row(lineno, rec_id, source, hypothesis, quality):
-        try:
+        with at(in_path, f"line {lineno}"):
             breakdown = rewards_mod.composite_reward(
                 quality,
                 rewards_mod.terminology_reward(source, hypothesis, table),
                 rewards_mod.repetition_score(hypothesis),
                 weights,
             )
-        except ValidationError as exc:
-            raise SchemaError(str(exc), lineno, in_path) from exc
         return dict(breakdown.to_obj(), id=rec_id)
 
     def score_row(row):
@@ -466,14 +466,12 @@ def reward_score(in_path, terms_path, scorer_spec, w_quality, w_terminology, w_r
 @click.option("--out", "out_path", required=True, type=click.Path())
 def grpo_advantages_cmd(in_path, epsilon, out_path, seed):
     """Normalize reward groups to group-relative advantages."""
-    out_rows = []
-    for lineno, obj in read_records(in_path, {"id": "string", "rewards": "array"}, required=("rewards",)):
-        try:
-            advantages = rewards_mod.grpo_advantages(obj["rewards"], epsilon=epsilon)
-        except ValidationError as exc:
-            raise SchemaError(str(exc), lineno, in_path) from exc
-        out_rows.append({"id": obj.get("id", str(lineno)), "rewards": obj["rewards"],
-                         "advantages": advantages})
+    out_rows = [
+        {"id": obj.get("id", str(lineno)), "rewards": obj["rewards"], "advantages": advantages}
+        for lineno, (obj, advantages) in read_records(
+            in_path, {"id": "string", "rewards": "array"}, required=("rewards",),
+            build=lambda obj: (obj, rewards_mod.grpo_advantages(obj["rewards"], epsilon=epsilon)))
+    ]
     write_jsonl(out_path, out_rows)
     return {
         "counts": {"groups": len(out_rows)},
@@ -487,14 +485,12 @@ def grpo_advantages_cmd(in_path, epsilon, out_path, seed):
 # translate/fuse config fields; backends, grid entries and the scorer are
 # checked by their dataclasses' own field tables
 _CHIMERA_FIELDS = {"schema_version": "integer", "backend": "object", "fusion_backend": "object",
-                   "grid": "array", "per_slot_backends": "array", "fallback_scorer": "object",
-                   "max_workers": "integer"}
+                   "grid": "array", "per_slot_backends": "array", "fallback_scorer": "object"}
 _CHIMERA_REQUIRED = ("schema_version", "backend")
 
 
-def _load_chimera_config(path: str, jobs: int | None):
-    """Backends, grid and fallback scorer from a config file, plus the
-    request limit: `jobs` when given, else the config's max_workers."""
+def _load_chimera_config(path: str):
+    """Backends, grid and fallback scorer from a config file."""
     obj = _load_config(path, _CHIMERA_FIELDS, _CHIMERA_REQUIRED)
     backend = backend_from_obj(obj["backend"], f"{path}: backend")
     fusion_backend = backend
@@ -513,24 +509,19 @@ def _load_chimera_config(path: str, jobs: int | None):
     scorer = None
     if "fallback_scorer" in obj:
         scorer = scorer_from_obj(obj["fallback_scorer"], f"{path}: fallback_scorer")
-    max_workers = obj.get("max_workers", DEFAULT_JOBS)
-    if max_workers < 1:
-        raise SchemaError(f"{path}: max_workers must be >= 1, got {max_workers}")
-    return backend, fusion_backend, grid, per_slot, scorer, max_workers if jobs is None else jobs
+    return backend, fusion_backend, grid, per_slot, scorer
 
 
 def _read_sources(path: str):
     """Source records, each with two known, different language tags, so a
     bad line fails before any request is sent."""
     fields = {"id": "string", "src_lang": "string", "tgt_lang": "string", "text": "string"}
-    sources = []
-    for lineno, obj in read_records(path, fields, required=fields):
-        try:
-            corpus_mod.classify_direction(obj["src_lang"], obj["tgt_lang"])
-        except ValidationError as exc:
-            raise SchemaError(str(exc), lineno, path) from exc
-        sources.append(obj)
-    return sources
+
+    def source(obj):
+        corpus_mod.classify_direction(obj["src_lang"], obj["tgt_lang"])
+        return obj
+
+    return [obj for _, obj in read_records(path, fields, required=fields, build=source)]
 
 
 def _run_segments(sources, jobs, backend, grid, per_slot, fusion=None):
@@ -558,17 +549,14 @@ def _run_segments(sources, jobs, backend, grid, per_slot, fusion=None):
         return _fan_out(run, sources, jobs)
 
 
-_JOBS_HELP = "At most N requests in flight across all segments [default: the config's max_workers]"
-
-
 @_command("translate")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--jobs", type=click.IntRange(min=1), metavar="N", help=_JOBS_HELP)
+@_jobs_option
 def translate(config_path, in_path, out_path, jobs, seed):
     """Generate a candidate set per source segment over the sampling grid."""
-    backend, _fusion, grid, per_slot, _scorer, jobs = _load_chimera_config(config_path, jobs)
+    backend, _fusion, grid, per_slot, _scorer = _load_chimera_config(config_path)
     sources = _read_sources(in_path)
     results = _run_segments(sources, jobs, backend, grid, per_slot)
     out_rows = [
@@ -594,10 +582,10 @@ def translate(config_path, in_path, out_path, jobs, seed):
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--jobs", type=click.IntRange(min=1), metavar="N", help=_JOBS_HELP)
+@_jobs_option
 def fuse_cmd(config_path, in_path, out_path, jobs, seed):
     """Generate candidates and fuse them into one refined output per segment."""
-    backend, fusion_backend, grid, per_slot, scorer, jobs = _load_chimera_config(config_path, jobs)
+    backend, fusion_backend, grid, per_slot, scorer = _load_chimera_config(config_path)
     sources = _read_sources(in_path)
     results = _run_segments(sources, jobs, backend, grid, per_slot, fusion=(fusion_backend, scorer))
     out_rows = [

@@ -250,13 +250,9 @@ def read_corpus(path: str | Path, kind: str) -> list[Record]:
     record_type, fields, required = _KINDS[kind]
     records: list[Record] = []
     seen_ids: set[str] = set()
-    for lineno, obj in read_records(path, fields, required, closed=True):
-        try:
-            record = record_type(**obj)
-        except ValidationError as exc:
-            raise SchemaError(str(exc), lineno, path) from exc
+    for lineno, record in read_records(path, fields, required, closed=True, build=lambda obj: record_type(**obj)):
         if record.id in seen_ids:
-            raise SchemaError(f"duplicate id {record.id!r}", lineno, path)
+            raise SchemaError(f"{path}: line {lineno}: duplicate id {record.id!r}")
         seen_ids.add(record.id)
         records.append(record)
     return records

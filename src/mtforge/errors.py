@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and `at`, which names the
+place of bad input.
 
 ValidationError maps to CLI exit code 1, OrchestrationError and plain
 IO/runtime failures map to exit code 2.
@@ -14,18 +15,26 @@ class ValidationError(MtforgeError):
 
 
 class SchemaError(ValidationError):
-    """A corpus or config record violates its schema.
+    """A corpus, model or config file violates its schema. The message
+    starts with the place, as `at` gives it: `<path>: line <n>: <what>`."""
 
-    Raised while parsing a file, the message starts with the (1-based) line
-    number, and before it the path when one is given.
-    """
 
-    def __init__(self, message: str, line: int | None = None, path: object = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        if path is not None:
-            message = f"{path}: {message}"
-        super().__init__(message)
+class at:
+    """Context in which bad input names its place: a ValidationError raised
+    in `with at(path, f"line {n}"):` leaves it as SchemaError
+    `<path>: line <n>: <message>`. Places nest, the outer one first."""
+
+    __slots__ = ("place",)
+
+    def __init__(self, *place: object):
+        self.place = place
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if isinstance(exc, ValidationError):
+            raise SchemaError(": ".join(map(str, (*self.place, exc)))) from None
 
 
 class OrchestrationError(MtforgeError):

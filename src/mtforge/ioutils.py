@@ -11,9 +11,9 @@ import re
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Collection, Iterable, Iterator, Mapping
+from typing import Any, Callable, Collection, Iterable, Iterator, Mapping
 
-from .errors import MtforgeError, SchemaError, ValidationError
+from .errors import MtforgeError, SchemaError, ValidationError, at
 
 
 @contextmanager
@@ -82,25 +82,25 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
 
     Lines are split at LF only (a CR before it is JSON whitespace). A line
     that is not UTF-8, not JSON, or holds a string with an unpaired surrogate
-    raises SchemaError naming it.
+    raises SchemaError `line <n>: <what>`.
     """
     with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise SchemaError(f"invalid UTF-8 at byte {exc.start + 1}", lineno) from None
+                raise SchemaError(f"line {lineno}: invalid UTF-8 at byte {exc.start + 1}") from None
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON: {exc.msg} (column {exc.colno})", lineno) from None
+                raise SchemaError(f"line {lineno}: invalid JSON: {exc.msg} (column {exc.colno})") from None
             except ValueError as exc:  # an integer longer than int()'s digit limit
-                raise SchemaError(f"invalid JSON: {exc}", lineno) from None
+                raise SchemaError(f"line {lineno}: invalid JSON: {exc}") from None
             problem = _lone_surrogate(line, obj)
             if problem:
-                raise SchemaError(problem, lineno)
+                raise SchemaError(f"line {lineno}: {problem}")
             yield lineno, obj
 
 
@@ -164,33 +164,38 @@ def check_fields(obj: Any, fields: Mapping[str, str | tuple[str, ...]], required
     return obj
 
 
+def _as_is(obj: dict) -> dict:
+    return obj
+
+
 def read_records(path: str | Path, fields: Mapping[str, str], required: Collection[str] = (),
-                 closed: bool = False) -> Iterator[tuple[int, dict]]:
-    """Yield (1-based line number, object) for each record of a JSON Lines
-    file, checked by `check_fields`. A violation raises SchemaError as
-    `<path>: line <n>: <what>`."""
-    for lineno, obj in read_jsonl(path):
-        try:
-            check_fields(obj, fields, required, closed)
-        except SchemaError as exc:
-            raise SchemaError(str(exc), lineno, path) from None
-        yield lineno, obj
+                 closed: bool = False, build: Callable[[dict], Any] = _as_is) -> Iterator[tuple[int, Any]]:
+    """Yield (1-based line number, `build(obj)`) for each object of a JSON
+    Lines file, checked by `check_fields` before it is built. A
+    ValidationError, from the line's syntax, the check or `build`, raises
+    SchemaError as `<path>: line <n>: <what>`."""
+    with at(path):
+        for lineno, obj in read_jsonl(path):
+            # a plain try, not a context entered per line: this runs on
+            # every line of every input
+            try:
+                record = build(check_fields(obj, fields, required, closed))
+            except ValidationError as exc:
+                raise SchemaError(f"line {lineno}: {exc}") from None
+            yield lineno, record
 
 
 def dataclass_from_obj(cls: type, obj: Any, where: object) -> Any:
     """Dataclass `cls` built from a JSON object checked against `cls.FIELDS`
     (its field table for `check_fields`), with only the fields the object
     sets, so the defaults live in `cls` alone. A field without a default is
-    required and an unknown field is an error. Any SchemaError or
-    ValidationError, the dataclass's own range checks included, names
-    `where`."""
+    required and an unknown field is an error. Any ValidationError, the
+    dataclass's own range checks included, names `where`."""
     required = [f.name for f in dataclasses.fields(cls)
                 if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
     check_fields(obj, cls.FIELDS, required, closed=True, where=where)
-    try:
+    with at(where):
         return cls(**obj)
-    except ValidationError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
 
 
 def load_json(path: str | Path) -> Any:

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Document, char_ngram_levels, registry_order, require_tag
-from .errors import ValidationError
+from .errors import ValidationError, at
 from .ioutils import check_fields, is_finite_number, load_json, write_jsonl
 
 
@@ -224,7 +224,5 @@ def load_langid(path: str | Path) -> LangIdModel:
     ValidationError naming the path."""
     payload = check_fields(load_json(path), _MODEL_FIELDS, _MODEL_FIELDS, closed=True, where=path)
     del payload["format"], payload["version"]
-    try:
+    with at(path):
         return LangIdModel(**payload)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None

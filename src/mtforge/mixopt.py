@@ -16,7 +16,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .errors import SchemaError, ValidationError
+from .errors import ValidationError
 from .ioutils import is_finite_number, read_records, write_jsonl
 
 SIMPLEX_TOL = 1e-9
@@ -32,8 +32,12 @@ class MixtureSpec:
             raise ValidationError("domains and weights differ in length")
         if not self.domains:
             raise ValidationError("mixture needs at least one domain")
+        if not all(type(d) is str for d in self.domains):
+            raise ValidationError("domain names must be strings")
         if len(set(self.domains)) != len(self.domains):
             raise ValidationError("duplicate domain names")
+        if not all(is_finite_number(w) for w in self.weights):
+            raise ValidationError("mixture weights must be finite numbers")
         if any(w < 0 for w in self.weights):
             raise ValidationError("mixture weights must be >= 0")
         if abs(sum(self.weights) - 1.0) > SIMPLEX_TOL:
@@ -49,8 +53,9 @@ class ProxyRun:
     observed_loss: float
 
     def __post_init__(self):
-        if not math.isfinite(self.observed_loss):
+        if not is_finite_number(self.observed_loss):
             raise ValidationError("proxy-run loss must be finite")
+        object.__setattr__(self, "observed_loss", float(self.observed_loss))
 
 
 def sample_mixtures(
@@ -224,16 +229,13 @@ def lr_at(schedule: LrSchedule, step: int) -> float:
 # -- proxy-run IO ------------------------------------------------------------
 
 
+def _proxy_run(obj: dict) -> ProxyRun:
+    return ProxyRun(MixtureSpec(tuple(obj["domains"]), tuple(obj["weights"])), obj["loss"])
+
+
 def read_proxy_runs(path: str | Path) -> list[ProxyRun]:
-    runs: list[ProxyRun] = []
     fields = {"domains": "array", "weights": "array", "loss": "number"}
-    for lineno, obj in read_records(path, fields, required=fields):
-        try:
-            mixture = MixtureSpec(tuple(obj["domains"]), tuple(obj["weights"]))
-            runs.append(ProxyRun(mixture, float(obj["loss"])))
-        except (TypeError, ValidationError) as exc:
-            raise SchemaError(f"bad proxy run ({exc})", lineno, path) from exc
-    return runs
+    return [run for _, run in read_records(path, fields, required=fields, build=_proxy_run)]
 
 
 def write_proxy_runs(runs: Sequence[ProxyRun], path: str | Path) -> int:

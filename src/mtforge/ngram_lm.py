@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import Document, registry_order, segment_tokens
-from .errors import SchemaError, ValidationError
+from .errors import SchemaError, ValidationError, at
 from .ioutils import atomic_write, check_fields
 
 BOS = "<s>"
@@ -270,7 +270,7 @@ def _read_header(line: str) -> dict:
     try:
         header = json.loads(line)
     except ValueError as exc:  # JSONDecodeError, or an integer beyond int()'s digit limit
-        raise SchemaError(f"invalid JSON header: {exc}", 1) from None
+        raise SchemaError(f"line 1: invalid JSON header: {exc}") from None
     check_fields(header, _HEADER_FIELDS, _HEADER_FIELDS, closed=True, where="header")
     _check_order(header["order"])  # before any table is allocated
     return header
@@ -279,28 +279,27 @@ def _read_header(line: str) -> dict:
 def load_lm(path: str | Path) -> NGramLm:
     """Read a model written by save_lm; a malformed header or count line
     raises ValidationError naming the path."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            header = _read_header(handle.readline())
-            order = header["order"]
-            counts: dict[int, dict[tuple[str, ...], dict[str, int]]] = {k: {} for k in range(1, order + 1)}
-            for lineno, line in enumerate(handle, start=2):
-                if not line.strip():
-                    continue
-                try:
-                    k_str, gram_str, count_str = line.rstrip("\n").split("\t")
-                    k, count = int(k_str), int(count_str)
-                except ValueError:
-                    raise SchemaError("expected k<TAB>gram<TAB>count", lineno) from None
-                table = counts.get(k)
-                if table is None:
-                    raise SchemaError(f"order {k} outside 1..{order}", lineno)
-                gram = tuple(gram_str.split(" "))
-                if len(gram) != k or count < 1:
-                    raise SchemaError(f"an order-{k} line needs a {k}-token gram and a count >= 1", lineno)
-                table.setdefault(gram[:-1], {})[gram[-1]] = count
+    with at(path):
+        try:
+            with open(path, encoding="utf-8") as handle:
+                header = _read_header(handle.readline())
+                order = header["order"]
+                counts: dict[int, dict[tuple[str, ...], dict[str, int]]] = {k: {} for k in range(1, order + 1)}
+                for lineno, line in enumerate(handle, start=2):
+                    if not line.strip():
+                        continue
+                    try:
+                        k_str, gram_str, count_str = line.rstrip("\n").split("\t")
+                        k, count = int(k_str), int(count_str)
+                    except ValueError:
+                        raise SchemaError(f"line {lineno}: expected k<TAB>gram<TAB>count") from None
+                    table = counts.get(k)
+                    if table is None:
+                        raise SchemaError(f"line {lineno}: order {k} outside 1..{order}")
+                    gram = tuple(gram_str.split(" "))
+                    if len(gram) != k or count < 1:
+                        raise SchemaError(f"line {lineno}: an order-{k} line needs a {k}-token gram and a count >= 1")
+                    table.setdefault(gram[:-1], {})[gram[-1]] = count
+        except UnicodeDecodeError:
+            raise SchemaError("invalid UTF-8") from None
         return NGramLm(order, header["discount"], header["min_count"], counts, header["default_lang"])
-    except UnicodeDecodeError:
-        raise SchemaError(f"{path}: invalid UTF-8") from None
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, at
 from .ioutils import check_fields, is_finite_number, load_json
 
 
@@ -38,10 +38,8 @@ def load_term_table(path: str | Path) -> TermTable:
     """Read a JSON object mapping each source term to a list of renderings;
     a malformed file raises ValidationError naming the path."""
     raw = check_fields(load_json(path), {}, where=path)
-    try:
+    with at(path):
         return TermTable(raw)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
 
 
 def terminology_reward(source: str, hypothesis: str, table: TermTable) -> float:

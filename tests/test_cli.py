@@ -242,10 +242,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, flag, bad_line, message", [
         # the first two keep the ids they had when the test read dedup input only
-        pytest.param("dedup", "--in", b"{bad json\n", "error: line 2: invalid JSON: ",
+        pytest.param("dedup", "--in", b"{bad json\n", "error: {path}: line 2: invalid JSON: ",
                      id="{bad json\n-error: line 2: invalid JSON: "),
         pytest.param("dedup", "--in", b'{"id": "b", "lang": "en", "text": "caf\xe9"}\n',
-                     "error: line 2: invalid UTF-8 at byte 39",
+                     "error: {path}: line 2: invalid UTF-8 at byte 39",
                      id='{"id": "b", "lang": "en", "text": "caf\xe9"}\n-error: line 2: invalid UTF-8 at byte 39'),
         ("dedup", "--in", b'{"id": "b", "lang": "en", "text": 5}\n', "error: {path}: line 2: "),
         ("dedup", "--in", b'{"id": "b", "lang": "en", "text": "x", "scores": "x"}\n', "error: {path}: line 2: "),
@@ -255,11 +255,16 @@ class TestExitCodes:
         ("dedup", "--in", b'{"id": "b", "lang": ["en"], "text": "x"}\n', "error: {path}: line 2: "),
         ("dedup", "--in", b'{"id": 5, "lang": "en", "text": "x"}\n', "error: {path}: line 2: "),
         ("dedup", "--in", b'{"id": "b", "lang": "en", "text": "\\ud800 x"}\n',
-         "error: line 2: unpaired surrogate \\ud800 in a string"),
+         "error: {path}: line 2: unpaired surrogate \\ud800 in a string"),
         ("dedup", "--in", b'{"id": "b", "lang": "en", "text": "x", "scores": {"q": 1' + b"0" * 400 + b'}}\n',
          "error: {path}: line 2: "),
         ("dedup", "--in", b'{"id": "b", "lang": "en", "text": "x", "scores": {"q": 1' + b"0" * 5000 + b'}}\n',
-         "error: line 2: invalid JSON: "),
+         "error: {path}: line 2: invalid JSON: "),
+        # every other reader of JSON Lines names the file of a syntax error too
+        *[(command, flag, b"{bad json\n", "error: {path}: line 2: invalid JSON: ")
+          for command, flag in [("quality-filter", "--in"), ("reward-score", "--in"), ("grpo-advantages", "--in"),
+                                ("translate", "--in"), ("fuse", "--in"), ("judge-flag", "--in"),
+                                ("eval", "--hyps"), ("mix-fit", "--runs")]],
         ("quality-filter", "--in", b'{"id": "q", "src_lang": "en", "tgt_lang": "fr", "src_text": "a", '
                                    b'"tgt_text": "b", "scores": [1]}\n', "error: {path}: line 2: "),
         ("reward-score", "--in", b"[1, 2]\n", "error: {path}: line 2: "),
@@ -289,6 +294,14 @@ class TestExitCodes:
         ("judge-flag", "--in", b'{"sample_id": "t", "round_scores": ["a", "b"]}\n', "error: {path}: line 2: "),
         ("mix-fit", "--runs", b'{"domains": ["a", "b"], "weights": [0.5, 0.5], "loss": "x"}\n',
          "error: {path}: line 2: "),
+        ("mix-fit", "--runs", b'{"domains": ["a", "b"], "weights": [0.5, "x"], "loss": 1.0}\n',
+         "error: {path}: line 2: mixture weights must be finite numbers"),
+        ("mix-fit", "--runs", b'{"domains": ["a", "b"], "weights": [true, false], "loss": 1.0}\n',
+         "error: {path}: line 2: mixture weights must be finite numbers"),
+        ("mix-fit", "--runs", b'{"domains": [["a"], "b"], "weights": [0.5, 0.5], "loss": 1.0}\n',
+         "error: {path}: line 2: domain names must be strings"),
+        ("mix-fit", "--runs", b'{"domains": ["a", "b"], "weights": [0.5, 0.5], "loss": 1' + b"0" * 400 + b'}\n',
+         "error: {path}: line 2: proxy-run loss must be finite"),
     ])
     def test_malformed_jsonl_is_one_line_exit_1(self, tmp_path, command, flag, bad_line, message):
         pairs = tmp_path / "pairs.jsonl"
@@ -398,8 +411,7 @@ class TestExitCodes:
         ("fuse", "--config", _fuse_json(fallback_scorer=dict(_SCORER, colour="red"))),
         ("fuse", "--config", _fuse_json(drop=("backend",))),
         ("fuse", "--config", _fuse_json(fusion_backend={"name": "f", "endpoint": "mock:echo"})),
-        ("fuse", "--config", _fuse_json(max_workers=True)),
-        ("fuse", "--config", _fuse_json(max_workers=2.5)),
+        ("fuse", "--config", _fuse_json(max_workers=2)),
         ("fuse", "--config", _fuse_json(grid=[{"temperature": True}, {}])),
         ("fuse", "--config", _fuse_json(grid=[{"max_tokens": 2.5}, {}])),
         ("fuse", "--config", _fuse_json(backend=dict(_BACKEND, timeout_ms="1"))),
@@ -408,7 +420,6 @@ class TestExitCodes:
         ("fuse", "--config", _fuse_json(fallback_scorer=dict(_SCORER, config="constant:abc"))),
         ("fuse", "--config", _fuse_json(grid=[{}])),
         ("fuse", "--config", _fuse_json(grid=[{}, {}], per_slot_backends=[None, 5])),
-        ("fuse", "--config", _fuse_json(max_workers=0)),
     ])
     def test_bad_json_file_is_one_line_exit_1(self, tmp_path, command, bad_flag, content):
         bad, args = _bad_file_args(tmp_path, command, bad_flag, content)
@@ -471,7 +482,7 @@ class TestExitCodes:
          "per_slot_backends[1]: a JSON number, not an object"),
         ("fuse", _fuse_json(fallback_scorer=dict(_SCORER, config="constant:abc")),
          "fallback_scorer: constant scorer value must be a finite number, got 'abc'"),
-        ("fuse", _fuse_json(max_workers=0), "max_workers must be >= 1, got 0"),
+        ("fuse", _fuse_json(max_workers=2), "unknown fields ['max_workers']"),
         ("fuse", _fuse_json(backend=dict(_BACKEND, endpoint="ftp://127.0.0.1/c")),
          "backend: endpoint must be mock:<name> or an http(s) URL, got 'ftp://127.0.0.1/c'"),
         ("fuse", _fuse_json(per_slot_backends=[None, dict(_BACKEND, endpoint="127.0.0.1:8000")] + [None] * 4),
@@ -1099,6 +1110,27 @@ class TestRewardFanOut:
         capfd.readouterr()
         assert self._reward_score(scorer, batch, out_path, 3) == 2
         assert capfd.readouterr().err == "error: quality scorer failed on record 'r5'\n"
+        assert not out_path.exists()
+
+    def test_scorer_off_the_unit_scale_fails_before_any_request(self, tmp_path, slow_endpoint, capfd):
+        path = tmp_path / "qe100.json"
+        path.write_text(json.dumps({"name": "qe", "kind": "remote_http", "config": slow_endpoint,
+                                    "score_range": [0, 100]}))
+        _SlowHandler.score_batches = []
+        batch = _reward_batch(tmp_path, 4, 4)
+        out_path = tmp_path / "r.jsonl"
+        capfd.readouterr()
+        assert self._reward_score(path, batch, out_path, 2) == 1
+        assert capfd.readouterr().err == "error: --scorer 'qe' scores on [0, 100], not within [0, 1]\n"
+        assert _SlowHandler.score_batches == []
+        assert not out_path.exists()
+
+    def test_reference_scorer_is_refused(self, tmp_path, capfd):
+        batch = _reward_batch(tmp_path, 4, 4)
+        out_path = tmp_path / "r.jsonl"
+        capfd.readouterr()
+        assert self._reward_score("chrf", batch, out_path, 2) == 1
+        assert capfd.readouterr().err == "error: --scorer 'chrf' scores on [0.0, 100.0], not within [0, 1]\n"
         assert not out_path.exists()
 
     def test_missing_scorer_names_the_first_unscored_record(self, tmp_path, capfd):

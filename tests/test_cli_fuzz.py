@@ -171,7 +171,6 @@ _TRANSLATE = {
     "backend": dict(_BACKEND, timeout_ms=1000, max_retries=1),
     "grid": [{"temperature": 0.1, "top_p": 0.9, "max_tokens": 8, "seed": 1}, {"temperature": 0.5}],
     "fallback_scorer": _SCORER,
-    "max_workers": 2,
 }
 
 # command -> (its valid config, {key path of an object in it: field names
@@ -195,15 +194,14 @@ CONFIGS = {
         "q": [0, 0.5, 1], "tau": [0.5, 2], "scorer": [_SCORER],
     }, []),
     "translate": (_TRANSLATE, {
-        (): ("schema_version", "backend", "fusion_backend", "grid", "per_slot_backends", "fallback_scorer",
-             "max_workers"),
+        (): ("schema_version", "backend", "fusion_backend", "grid", "per_slot_backends", "fallback_scorer"),
         ("backend",): ("name", "endpoint", "model_id", "timeout_ms", "max_retries"),
         ("grid", 0): ("temperature", "top_p", "max_tokens", "seed"),
         ("grid", 1): ("temperature", "top_p", "max_tokens", "seed"),
     }, {
         "schema_version": [1], "backend": [_BACKEND], "fusion_backend": [_BACKEND],
         "grid": [[{}, {}], [{}], [{}, {}, {}]], "per_slot_backends": [[None, _BACKEND], [None]],
-        "fallback_scorer": [_SCORER], "max_workers": [0, 1, 3],
+        "fallback_scorer": [_SCORER],
         "name": ["b"], "endpoint": ["mock:echo", "mock:fail", "mock:none"], "model_id": ["m"],
         "timeout_ms": [0, 1], "max_retries": [0, -1, 3],
         "temperature": [0, 1.5, -1], "top_p": [0, 0.5, 1], "max_tokens": [0, 1, 100], "seed": [None, 0, 5],

@@ -16,7 +16,7 @@ from mtforge.corpus import (
     with_score,
     write_corpus,
 )
-from mtforge.errors import SchemaError, ValidationError
+from mtforge.errors import SchemaError, ValidationError, at
 from mtforge.ioutils import load_json, read_jsonl, read_records
 
 
@@ -206,6 +206,12 @@ def parallel_pairs(draw):
     )
 
 
+def _not_b(obj):
+    if obj["id"] == "b":
+        raise ValidationError("record 'b' is refused")
+    return obj["id"]
+
+
 class TestReadRecords:
     FIELDS = {"id": "string", "n": "number", "q": "number|null", "xs": "array", "m": "object"}
 
@@ -235,12 +241,27 @@ class TestReadRecords:
         ('{"id": "b", "n": true}', {"fields": {"id": "string", "n": "integer"}},
          "line 2: field 'n' must be integer, not boolean"),
         ('{"id": "c"}', {"fields": {"id": ("a", "b")}}, "line 2: field 'id' must be 'a' or 'b', not 'c'"),
+        ('{"id" 5}', {}, "line 2: invalid JSON: Expecting ':' delimiter (column 7)"),
+        ('{"id": "b"}', {"build": _not_b}, "line 2: record 'b' is refused"),
     ])
     def test_bad_record_names_path_and_line(self, tmp_path, line, kwargs, message):
         path = tmp_path / "r.jsonl"
         with pytest.raises(SchemaError) as info:
             self._read(tmp_path, line, **kwargs)
         assert str(info.value) == f"{path}: {message}"
+
+    def test_build_makes_each_record(self, tmp_path):
+        _, rows = self._read(tmp_path, '{"id": "c"}', build=_not_b)
+        assert rows == [(1, "a"), (2, "c")]
+
+    def test_at_names_the_place_of_validation_errors_only(self):
+        with pytest.raises(SchemaError) as info:
+            with at("p.json", "grid[1]"):
+                raise ValidationError("top_p must be in [0, 1]")
+        assert str(info.value) == "p.json: grid[1]: top_p must be in [0, 1]"
+        with pytest.raises(KeyError):
+            with at("p.json"):
+                raise KeyError("top_p")
 
     def test_float_and_int_are_numbers(self, tmp_path):
         _, rows = self._read(tmp_path, '{"id": "b", "n": 1.5, "q": 2}')
