@@ -1,0 +1,174 @@
+"""Outputs of the filter commands, pinned by sha256.
+
+Each case runs one command in-process on small seeded inputs built here and
+hashes every file it writes (outputs, dropped and unscored files, report),
+or its `--help` page. The hashes must equal the committed table in
+`goldens/filter_bytes.json`, so a change meant to keep the bytes shows that
+it did, and one that changes them shows which files.
+
+To rewrite the table after an intended change of bytes:
+
+    MTFORGE_UPDATE_GOLDEN_BYTES=1 PYTHONPATH=src python -m pytest -q tests/test_golden_bytes.py
+
+and name the rows that changed in the change's description.
+"""
+
+import hashlib
+import json
+import os
+import random
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
+
+import pytest
+
+from mtforge.cli import main
+from mtforge.corpus import Document, ParallelPair, write_corpus
+
+TABLE = Path(__file__).parent / "goldens" / "filter_bytes.json"
+UPDATE = os.environ.get("MTFORGE_UPDATE_GOLDEN_BYTES") == "1"
+
+EN = ("the quick brown fox jumps over a lazy dog while every good boy deserves fudge and "
+      "time saves nine when rivers run past the old mill in the quiet morning light").split()
+FR = ("le chat est assis sur le tapis pendant que la maison dort et nous mangeons du pain "
+      "avec du fromage dans une belle journée au bord de la rivière").split()
+
+
+def _text(rng, words, n=12):
+    return " ".join(rng.choice(words) for _ in range(n))
+
+
+def _score(hypothesis):
+    """The test scorer's reply for a hypothesis: null when it holds '??'."""
+    if "??" in hypothesis:
+        return None
+    return int(hashlib.sha256(hypothesis.encode()).hexdigest()[:8], 16) / 0xFFFFFFFF
+
+
+class _ScoreHandler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        data = json.dumps({"scores": [_score(item["hypothesis"]) for item in payload["items"]]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture(scope="module")
+def scorer_url():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _ScoreHandler)
+    server.daemon_threads = True
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_port}/score"
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory, scorer_url):
+    """Seeded corpora, the models trained on them and the scorer and
+    pipeline configs, in one directory."""
+    d = tmp_path_factory.mktemp("golden_inputs")
+    rng = random.Random(16)
+    labeled = [Document(f"l{i:02d}", lang, _text(rng, words))
+               for i, (lang, words) in enumerate([("en", EN), ("fr", FR)] * 20)]
+    write_corpus(labeled, d / "labeled.jsonl")
+    write_corpus([Document(f"t{i:02d}", "en", _text(rng, EN)) for i in range(40)], d / "lm_train.jsonl")
+
+    docs = [Document(f"en{i:02d}", "en", _text(rng, EN)) for i in range(40)]
+    for i in range(8):  # near-duplicates: one token of an English doc edited
+        tokens = docs[i].text.split()
+        tokens[rng.randrange(len(tokens))] = f"edit{i}"
+        docs.append(Document(f"near{i}", "en", " ".join(tokens)))
+    docs += [Document(f"boiler{i}", "en", "click here to accept all cookies and continue to the site")
+             for i in range(6)]
+    docs += [Document(f"fr{i}", "en", _text(rng, FR)) for i in range(8)]  # mislabeled foreign text
+    docs += [Document(f"odd{i}", "en", f"zq{i} xv{i} the dog") for i in range(3)]  # unseen words
+    rng.shuffle(docs)
+    write_corpus(docs, d / "corpus.jsonl")
+
+    pairs = [ParallelPair(f"p{i:02d}", "en", "fr", _text(rng, EN, 8),
+                          _text(rng, FR, 8) + (" ??" if i % 5 == 0 else ""))
+             for i in range(25)]
+    write_corpus(pairs, d / "pairs.jsonl")
+
+    for args in (["langid-train", "--in", d / "labeled.jsonl", "--model", d / "langid.json"],
+                 ["lm-train", "--in", d / "lm_train.jsonl", "--model", d / "lm.txt", "--order", 2],
+                 ["lm-train", "--in", d / "lm_train.jsonl", "--model", d / "lm0.txt", "--order", 1,
+                  "--discount", 0]):
+        assert main([str(a) for a in args]) == 0
+
+    scorer = {"name": "qe", "kind": "remote_http", "config": scorer_url}
+    (d / "scorer.json").write_text(json.dumps(scorer))
+    stages = {
+        "mono": [
+            {"type": "langid", "model": str(d / "langid.json"), "expected": "en", "min_confidence": 0.6},
+            {"type": "dedup", "shingle_n": 2, "k": 64, "bands": 16, "rows": 4, "threshold": 0.5},
+            {"type": "perplexity", "model": str(d / "lm.txt"), "mode": "percentile", "q": 0.8},
+        ],
+        "parallel": [{"type": "quality_threshold", "scorer": scorer, "tau": 0.5}],
+    }
+    for kind, corpus in (("mono", "corpus.jsonl"), ("parallel", "pairs.jsonl")):
+        (d / f"pipeline_{kind}.json").write_text(json.dumps({
+            "schema_version": 1, "kind": kind, "input": str(d / corpus), "output": "OUT/kept.jsonl",
+            "dropped_output": "OUT/dropped.jsonl", "seed": 7, "stages": stages[kind],
+        }))
+    return d
+
+
+# case -> command line; IN is the inputs directory and OUT the case's own
+# output directory, every file of which is hashed
+CASES = {
+    "langid-filter": ["langid-filter", "--in", "IN/corpus.jsonl", "--model", "IN/langid.json", "--expected", "en",
+                      "--min-confidence", "0.6", "--out", "OUT/kept.jsonl", "--dropped", "OUT/dropped.jsonl"],
+    "dedup": ["dedup", "--in", "IN/corpus.jsonl", "--out", "OUT/kept.jsonl", "--shingle-n", "2", "--k", "64",
+              "--bands", "16", "--rows", "4", "--threshold", "0.5", "--seed", "3"],
+    "lm-filter": ["lm-filter", "--in", "IN/corpus.jsonl", "--model", "IN/lm.txt", "--q", "0.7",
+                  "--out", "OUT/kept.jsonl", "--dropped", "OUT/dropped.jsonl"],
+    "lm-filter-infinite": ["lm-filter", "--in", "IN/corpus.jsonl", "--model", "IN/lm0.txt", "--mode", "absolute",
+                           "--max-ppl", "1e6", "--out", "OUT/kept.jsonl", "--dropped", "OUT/dropped.jsonl"],
+    "quality-filter": ["quality-filter", "--in", "IN/pairs.jsonl", "--scorer", "IN/scorer.json", "--tau", "0.5",
+                       "--out", "OUT/kept.jsonl", "--dropped", "OUT/dropped.jsonl",
+                       "--unscored", "OUT/unscored.jsonl"],
+    "pipeline-run-mono": ["pipeline-run", "--config", "IN/pipeline_mono.json"],
+    "pipeline-run-parallel": ["pipeline-run", "--config", "IN/pipeline_parallel.json"],
+}
+HELP = ("langid-filter", "dedup", "lm-filter", "quality-filter", "pipeline-run")
+
+
+def _check(case, digests):
+    if UPDATE:
+        table = json.loads(TABLE.read_text()) if TABLE.exists() else {}
+        table[case] = digests
+        TABLE.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+    assert digests == json.loads(TABLE.read_text())[case]
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outputs_match_table(case, inputs, tmp_path, monkeypatch):
+    # pipeline configs name their outputs relative to the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "OUT").mkdir()
+    argv = [arg.replace("IN/", f"{inputs}/") for arg in CASES[case]]
+    assert main(argv + ["--report", "OUT/report.json"]) == 0
+    digests = {path.name: _sha(path.read_bytes()) for path in sorted((tmp_path / "OUT").iterdir())}
+    _check(case, digests)
+
+
+@pytest.mark.parametrize("command", HELP)
+def test_help_matches_table(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # click wraps help to the terminal width
+    assert main([command, "--help"]) == 0
+    _check(f"help {command}", {"stdout": _sha(capsys.readouterr().out.encode())})
