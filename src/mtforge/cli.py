@@ -78,6 +78,28 @@ def _fan_out(fn, items, jobs):
     return [future.result() for future in futures if not future.cancelled()]
 
 
+def _dropped_with_detail(stage, record, reason, detail):
+    return dict(corpus_mod.record_to_obj(record), **detail)
+
+
+def _run_stages(records, kind, stages, out, dropped=None, unscored=None, dropped_row=_dropped_with_detail):
+    """Run `stages` over `records` of `kind` by `filters.run_pipeline`, write
+    the kept records to `out` and, when their paths are given, one
+    `dropped_row(stage name, record, reason, detail)` per dropped record and
+    the unscored records; returns the PipelineResult."""
+    result = filters_mod.run_pipeline(records, stages, kind)
+    corpus_mod.write_corpus(result.final, out)
+    if dropped:
+        write_jsonl(dropped, (dropped_row(*row) for row in result.dropped))
+    if unscored:
+        corpus_mod.write_corpus((record for _, record in result.unscored), unscored)
+    return result
+
+
+def _stage_counts(report) -> dict:
+    return {"input": report.input_count, "kept": report.kept, "dropped": report.dropped}
+
+
 @click.group(name="mtforge")
 def cli():
     """Corpus curation, mixture optimization, rewards, and translation fusion."""
@@ -145,16 +167,10 @@ def langid_train(in_path, model_path, min_n, max_n, alpha, seed):
 def langid_filter(in_path, model_path, expected, min_confidence, out_path, dropped_path, seed):
     """Keep documents identified as the expected language."""
     docs = corpus_mod.read_corpus(in_path, "mono")
-    model = langid_mod.load_langid(model_path)
-    kept, dropped = langid_mod.filter_by_language(docs, model, expected, min_confidence)
-    corpus_mod.write_corpus(kept, out_path)
-    if dropped_path:
-        write_jsonl(dropped_path, (
-            dict(corpus_mod.record_to_obj(doc), predicted=pred, confidence=conf)
-            for doc, pred, conf in dropped
-        ))
+    stage = filters_mod.LangIdStage(langid_mod.load_langid(model_path), expected, min_confidence)
+    result = _run_stages(docs, "mono", [stage], out_path, dropped_path)
     return {
-        "counts": {"input": len(docs), "kept": len(kept), "dropped": len(dropped)},
+        "counts": _stage_counts(result.reports[0]),
         "params": {"expected": expected, "min_confidence": min_confidence},
     }
 
@@ -179,18 +195,12 @@ _DEDUP_JOBS_HELP = "Accepted and ignored: dedup signs documents in one thread"
 def dedup_cmd(in_path, out_path, dropped_path, shingle_n, k, bands, rows, threshold, unit, seed):
     """Remove near-duplicate documents via MinHash + banded LSH."""
     docs = corpus_mod.read_corpus(in_path, "mono")
-    kept, dropped = dedup_mod.dedup(
-        docs, n=shingle_n, k=k, seed=seed, b=bands, r=rows,
-        jaccard_threshold=threshold, unit=unit,
-    )
-    corpus_mod.write_corpus(kept, out_path)
-    dropped_path = dropped_path or f"{out_path}.dropped.jsonl"
-    write_jsonl(dropped_path, (
-        {"dropped_id": d.dropped_id, "kept_id": d.kept_id, "estimated_jaccard": d.estimated_jaccard}
-        for d in dropped
-    ))
+    stage = filters_mod.DedupStage(dict(n=shingle_n, k=k, seed=seed, b=bands, r=rows,
+                                        jaccard_threshold=threshold, unit=unit))
+    result = _run_stages(docs, "mono", [stage], out_path, dropped_path or f"{out_path}.dropped.jsonl",
+                         dropped_row=lambda _stage, doc, _reason, detail: dict(detail, dropped_id=doc.id))
     return {
-        "counts": {"input": len(docs), "kept": len(kept), "dropped": len(dropped)},
+        "counts": _stage_counts(result.reports[0]),
         "params": {"shingle_n": shingle_n, "k": k, "bands": bands, "rows": rows,
                    "threshold": threshold, "unit": unit},
         "kernel_backend": dedup_mod.KERNEL_BACKEND,
@@ -228,18 +238,10 @@ def lm_train(in_path, model_path, order, discount, min_count, seed):
 def lm_filter(in_path, model_path, mode, q, max_ppl, out_path, dropped_path, seed):
     """Drop high-perplexity documents."""
     docs = corpus_mod.read_corpus(in_path, "mono")
-    lm = lm_mod.load_lm(model_path)
-    kept, dropped = lm_mod.filter_high_perplexity(docs, lm, mode=mode, max_ppl=max_ppl, q=q)
-    corpus_mod.write_corpus(kept, out_path)
-    if dropped_path:
-        # a zero-discount model gives an unseen n-gram probability 0, so
-        # perplexity infinity, which JSON has no number for
-        write_jsonl(dropped_path, (
-            dict(corpus_mod.record_to_obj(doc), perplexity=ppl if math.isfinite(ppl) else None)
-            for doc, ppl in dropped
-        ))
+    stage = filters_mod.PerplexityStage(lm_mod.load_lm(model_path), mode=mode, max_ppl=max_ppl, q=q)
+    result = _run_stages(docs, "mono", [stage], out_path, dropped_path)
     return {
-        "counts": {"input": len(docs), "kept": len(kept), "dropped": len(dropped)},
+        "counts": _stage_counts(result.reports[0]),
         "params": {"mode": mode, "q": q, "max_ppl": max_ppl},
     }
 
@@ -278,15 +280,10 @@ def quality_filter(in_path, scorer_spec, tau, out_path, dropped_path, unscored_p
     """Keep parallel pairs whose quality-estimation score is >= tau."""
     pairs = corpus_mod.read_corpus(in_path, "parallel")
     scorer = _load_scorer(scorer_spec)
-    kept, dropped, unscored = filters_mod.threshold_filter(pairs, scorer, tau)
-    corpus_mod.write_corpus(kept, out_path)
-    if dropped_path:
-        corpus_mod.write_corpus(dropped, dropped_path)
-    if unscored_path:
-        corpus_mod.write_corpus(unscored, unscored_path)
+    result = _run_stages(pairs, "parallel", [filters_mod.QualityThresholdStage(scorer, tau)],
+                         out_path, dropped_path, unscored_path)
     return {
-        "counts": {"input": len(pairs), "kept": len(kept),
-                   "dropped": len(dropped), "unscored": len(unscored)},
+        "counts": dict(_stage_counts(result.reports[0]), unscored=result.reports[0].unscored),
         "params": {"scorer": scorer.name, "tau": tau},
     }
 
@@ -299,7 +296,7 @@ def judge_flag(in_path, max_spread, out_path, seed):
     """Flag samples whose judge scores disagree across rounds."""
     fields = {"sample_id": "string", "round_scores": "array"}
     records = [record for _, record in read_records(
-        in_path, fields, required=fields,
+        in_path, fields, required=fields, key="sample_id",
         build=lambda obj: filters_mod.JudgeRecord(obj["sample_id"], tuple(obj["round_scores"])))]
     consistent, flagged = filters_mod.flag_inconsistent(records, max_spread)
     if out_path:
@@ -424,7 +421,7 @@ def reward_score(in_path, terms_path, scorer_spec, w_quality, w_terminology, w_r
     fields = {"id": "string", "source": "string", "hypothesis": "string", "quality": "number|null"}
     rows = [
         (lineno, obj.get("id", str(lineno)), obj["source"], obj["hypothesis"], obj.get("quality"))
-        for lineno, obj in read_records(in_path, fields, required=("source", "hypothesis"))
+        for lineno, obj in read_records(in_path, fields, required=("source", "hypothesis"), key="id")
     ]
 
     def reward_row(lineno, rec_id, source, hypothesis, quality):
@@ -469,7 +466,7 @@ def grpo_advantages_cmd(in_path, epsilon, out_path, seed):
     out_rows = [
         {"id": obj.get("id", str(lineno)), "rewards": obj["rewards"], "advantages": advantages}
         for lineno, (obj, advantages) in read_records(
-            in_path, {"id": "string", "rewards": "array"}, required=("rewards",),
+            in_path, {"id": "string", "rewards": "array"}, required=("rewards",), key="id",
             build=lambda obj: (obj, rewards_mod.grpo_advantages(obj["rewards"], epsilon=epsilon)))
     ]
     write_jsonl(out_path, out_rows)
@@ -521,7 +518,7 @@ def _read_sources(path: str):
         corpus_mod.classify_direction(obj["src_lang"], obj["tgt_lang"])
         return obj
 
-    return [obj for _, obj in read_records(path, fields, required=fields, build=source)]
+    return [obj for _, obj in read_records(path, fields, required=fields, build=source, key="id")]
 
 
 def _run_segments(sources, jobs, backend, grid, per_slot, fusion=None):
@@ -621,7 +618,7 @@ def eval_cmd(pairs_path, hyps_path, metric, aggregation, out_path, text_mode, se
     """Score hypotheses against references and report per direction group."""
     pairs = corpus_mod.read_corpus(pairs_path, "parallel")
     fields = {"id": "string", "hypothesis": "string"}
-    hyps = {obj["id"]: obj["hypothesis"] for _, obj in read_records(hyps_path, fields, required=fields)}
+    hyps = {obj["id"]: obj["hypothesis"] for _, obj in read_records(hyps_path, fields, required=fields, key="id")}
     scorer = _load_scorer(metric)
     scored, failures = evalkit_mod.score_corpus(pairs, hyps, scorer)
     report = evalkit_mod.group_report(scored, scorer.name, aggregation=aggregation)
@@ -639,7 +636,8 @@ def eval_cmd(pairs_path, hyps_path, metric, aggregation, out_path, text_mode, se
 
 
 _PIPELINE_FIELDS = {"schema_version": "integer", "kind": ("mono", "parallel"), "input": "string",
-                    "output": "string", "dropped_output": "string", "seed": "integer", "stages": "array"}
+                    "output": "string", "dropped_output": "string", "unscored_output": "string",
+                    "seed": "integer", "stages": "array"}
 _PIPELINE_REQUIRED = ("schema_version", "kind", "input", "output", "stages")
 
 # stage type -> (fields besides "type", required fields). Value ranges are
@@ -689,6 +687,10 @@ def _build_stages(config: dict, seed: int, path: str):
     return stages
 
 
+def _dropped_with_stage(stage, record, reason, detail):
+    return dict(corpus_mod.record_to_obj(record), stage=stage, reason=reason)
+
+
 @_command("pipeline-run")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--jobs", type=int, metavar="N", expose_value=False, help=_DEDUP_JOBS_HELP)
@@ -698,18 +700,8 @@ def pipeline_run(config_path, seed):
     seed = config.get("seed", seed)
     stages = _build_stages(config, seed, config_path)
     records = corpus_mod.read_corpus(config["input"], config["kind"])
-    for stage in stages:
-        if stage.record_kind != config["kind"]:
-            raise ValidationError(
-                f"stage {stage.name!r} expects {stage.record_kind} records, config says {config['kind']}"
-            )
-    result = filters_mod.run_pipeline(records, stages)
-    corpus_mod.write_corpus(result.final, config["output"])
-    if "dropped_output" in config:
-        write_jsonl(config["dropped_output"], (
-            dict(corpus_mod.record_to_obj(record), stage=stage_name, reason=reason)
-            for stage_name, record, reason in result.dropped
-        ))
+    result = _run_stages(records, config["kind"], stages, config["output"], config.get("dropped_output"),
+                         config.get("unscored_output"), dropped_row=_dropped_with_stage)
     return {
         "seed": seed,  # the config's seed, when it sets one
         "counts": {"input": len(records), "output": len(result.final),

@@ -14,7 +14,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import SchemaError, ValidationError
+from .errors import ValidationError
 from .ioutils import is_finite_number, read_records, write_jsonl
 
 # (code, English display name, Chinese display name), in registry order.
@@ -248,14 +248,8 @@ def read_corpus(path: str | Path, kind: str) -> list[Record]:
     if kind not in _KINDS:
         raise ValidationError(f"corpus kind must be 'mono' or 'parallel', not {kind!r}")
     record_type, fields, required = _KINDS[kind]
-    records: list[Record] = []
-    seen_ids: set[str] = set()
-    for lineno, record in read_records(path, fields, required, closed=True, build=lambda obj: record_type(**obj)):
-        if record.id in seen_ids:
-            raise SchemaError(f"{path}: line {lineno}: duplicate id {record.id!r}")
-        seen_ids.add(record.id)
-        records.append(record)
-    return records
+    return [record for _, record in read_records(path, fields, required, closed=True,
+                                                 build=lambda obj: record_type(**obj), key="id")]
 
 
 def write_corpus(records: Iterable[Record], path: str | Path) -> int:

@@ -8,6 +8,7 @@ exact per-stage accounting (input = kept + dropped + unscored, every stage).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
@@ -158,8 +159,8 @@ class Stage(Protocol):
 
     def apply(
         self, records: Sequence[Record]
-    ) -> tuple[list[Record], list[tuple[Record, str]], list[Record]]:
-        """-> (kept, dropped-with-reason, unscored)"""
+    ) -> tuple[list[Record], list[tuple[Record, str, dict]], list[Record]]:
+        """-> (kept, dropped as (record, reason, fields for its dropped row), unscored)"""
         ...
 
 
@@ -195,7 +196,7 @@ class LangIdStage:
         from .langid import filter_by_language
 
         kept, dropped = filter_by_language(records, self.model, self.expected, self.min_confidence)
-        annotated = [(doc, f"predicted={pred}") for doc, pred, _conf in dropped]
+        annotated = [(doc, f"predicted={pred}", {"predicted": pred, "confidence": conf}) for doc, pred, conf in dropped]
         return kept, annotated, []
 
 
@@ -213,7 +214,8 @@ class DedupStage:
 
         kept, drops = dedup(records, **self.params)
         by_id = {rec.id: rec for rec in records}
-        annotated = [(by_id[d.dropped_id], f"near_duplicate_of={d.kept_id}") for d in drops]
+        annotated = [(by_id[d.dropped_id], f"near_duplicate_of={d.kept_id}",
+                      {"kept_id": d.kept_id, "estimated_jaccard": d.estimated_jaccard}) for d in drops]
         return kept, annotated, []
 
 
@@ -232,7 +234,10 @@ class PerplexityStage:
         kept, dropped = filter_high_perplexity(
             records, self.lm, mode=self.mode, max_ppl=self.max_ppl, q=self.q
         )
-        annotated = [(doc, "high_perplexity") for doc, _ppl in dropped]
+        # a zero-discount model gives an unseen n-gram probability 0, so
+        # perplexity infinity, which JSON has no number for
+        annotated = [(doc, "high_perplexity", {"perplexity": ppl if math.isfinite(ppl) else None})
+                     for doc, ppl in dropped]
         return kept, annotated, []
 
 
@@ -245,7 +250,7 @@ class QualityThresholdStage:
 
     def apply(self, records):
         kept, dropped, unscored = threshold_filter(records, self.scorer, self.tau)
-        annotated = [(pair, "below_threshold") for pair in dropped]
+        annotated = [(pair, "below_threshold", {}) for pair in dropped]
         return kept, annotated, unscored
 
 
@@ -253,37 +258,37 @@ class QualityThresholdStage:
 class PipelineResult:
     final: list[Record]
     reports: list[StageReport]
-    dropped: list[tuple[str, Record, str]]  # (stage name, record, reason)
+    dropped: list[tuple[str, Record, str, dict]]  # (stage name, record, reason, detail)
     unscored: list[tuple[str, Record]]
 
 
-def run_pipeline(records: Sequence[Record], stages: Sequence[Stage]) -> PipelineResult:
+def run_pipeline(records: Sequence[Record], stages: Sequence[Stage], kind: str) -> PipelineResult:
     """Run stages in order; stage i consumes exactly stage i-1's kept set.
 
-    Stage compatibility is validated before any processing. Dropped and
-    unscored records leave the pipeline at their stage but are carried in
-    the result, never lost.
+    Every stage must take `kind` records, checked before any processing.
+    Dropped and unscored records leave the pipeline at their stage but are
+    carried in the result, never lost.
     """
-    kinds = {stage.record_kind for stage in stages}
-    if len(kinds) > 1:
-        raise ValidationError(f"stages mix record kinds {sorted(kinds)}")
+    for stage in stages:
+        if stage.record_kind != kind:
+            raise ValidationError(f"stage {stage.name!r} expects {stage.record_kind} records, not {kind}")
     names = [stage.name for stage in stages]
     if len(set(names)) != len(names):
         raise ValidationError("stage names must be unique")
 
     current = list(records)
     reports: list[StageReport] = []
-    all_dropped: list[tuple[str, Record, str]] = []
+    all_dropped: list[tuple[str, Record, str, dict]] = []
     all_unscored: list[tuple[str, Record]] = []
     for stage in stages:
         kept, dropped, unscored = stage.apply(current)
         if len(kept) + len(dropped) + len(unscored) != len(current):
             raise RuntimeError(f"stage {stage.name!r} accounting does not reconcile")
         reasons: dict[str, int] = {}
-        for record, reason in dropped:
+        for record, reason, detail in dropped:
             key = reason.split("=", 1)[0]
             reasons[key] = reasons.get(key, 0) + 1
-            all_dropped.append((stage.name, record, reason))
+            all_dropped.append((stage.name, record, reason, detail))
         all_unscored.extend((stage.name, record) for record in unscored)
         reports.append(
             StageReport(

@@ -95,7 +95,8 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise SchemaError(f"line {lineno}: invalid JSON: {exc.msg} (column {exc.colno})") from None
+                column = min(exc.pos, len(line.rstrip("\n"))) + 1  # colno restarts past the line's LF
+                raise SchemaError(f"line {lineno}: invalid JSON: {exc.msg} (column {column})") from None
             except ValueError as exc:  # an integer longer than int()'s digit limit
                 raise SchemaError(f"line {lineno}: invalid JSON: {exc}") from None
             problem = _lone_surrogate(line, obj)
@@ -169,11 +170,14 @@ def _as_is(obj: dict) -> dict:
 
 
 def read_records(path: str | Path, fields: Mapping[str, str], required: Collection[str] = (),
-                 closed: bool = False, build: Callable[[dict], Any] = _as_is) -> Iterator[tuple[int, Any]]:
+                 closed: bool = False, build: Callable[[dict], Any] = _as_is,
+                 key: str | None = None) -> Iterator[tuple[int, Any]]:
     """Yield (1-based line number, `build(obj)`) for each object of a JSON
     Lines file, checked by `check_fields` before it is built. A
     ValidationError, from the line's syntax, the check or `build`, raises
-    SchemaError as `<path>: line <n>: <what>`."""
+    SchemaError as `<path>: line <n>: <what>`. With `key`, a value of that
+    field seen on an earlier line raises `... duplicate <key> <value> (first on line <m>)`."""
+    first_line: dict[str, int] = {}
     with at(path):
         for lineno, obj in read_jsonl(path):
             # a plain try, not a context entered per line: this runs on
@@ -182,6 +186,8 @@ def read_records(path: str | Path, fields: Mapping[str, str], required: Collecti
                 record = build(check_fields(obj, fields, required, closed))
             except ValidationError as exc:
                 raise SchemaError(f"line {lineno}: {exc}") from None
+            if key in obj and first_line.setdefault(obj[key], lineno) != lineno:
+                raise SchemaError(f"line {lineno}: duplicate {key} {obj[key]!r} (first on line {first_line[obj[key]]})")
             yield lineno, record
 
 

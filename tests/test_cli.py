@@ -302,6 +302,14 @@ class TestExitCodes:
          "error: {path}: line 2: domain names must be strings"),
         ("mix-fit", "--runs", b'{"domains": ["a", "b"], "weights": [0.5, 0.5], "loss": 1' + b"0" * 400 + b'}\n',
          "error: {path}: line 2: proxy-run loss must be finite"),
+        # a line that ends inside the JSON names the column within the file's line
+        ("eval", "--hyps", b'{"id": \n', "error: {path}: line 2: invalid JSON: Expecting value (column 8)"),
+        # every reader of records with ids rejects a repeated id; bad.jsonl's first line has the same one
+        *[(command, flag, None, f"error: {{path}}: line 2: duplicate {key} (first on line 1)")
+          for command, flag, key in [("dedup", "--in", "id 'a'"), ("quality-filter", "--in", "id 'p'"),
+                                     ("reward-score", "--in", "id 'r'"), ("grpo-advantages", "--in", "id 'g'"),
+                                     ("translate", "--in", "id 's'"), ("fuse", "--in", "id 's'"),
+                                     ("eval", "--hyps", "id 'p'"), ("judge-flag", "--in", "sample_id 's'")]],
     ])
     def test_malformed_jsonl_is_one_line_exit_1(self, tmp_path, command, flag, bad_line, message):
         pairs = tmp_path / "pairs.jsonl"
@@ -323,7 +331,8 @@ class TestExitCodes:
             "mix-fit": ({"domains": ["a", "b"], "weights": [0.5, 0.5], "loss": 1.0}, []),
         }[command]
         bad = tmp_path / "bad.jsonl"
-        bad.write_bytes(json.dumps(first_line).encode() + b"\n" + bad_line)
+        first_line = json.dumps(first_line).encode() + b"\n"
+        bad.write_bytes(first_line + (first_line if bad_line is None else bad_line))
         out = tmp_path / "out.jsonl"
         out_flag = "--model-out" if command == "mix-fit" else "--out"
         proc = run_module(command, flag, bad, *other_inputs, out_flag, out)
@@ -911,7 +920,8 @@ class _SlowHandler(BaseHTTPRequestHandler):
     """Completion and scorer endpoint that holds each request briefly and
     records how many are active at once and how many items each scorer
     request carries. It answers 500 to a prompt, or a scorer item's
-    hypothesis, containing FAIL.
+    hypothesis, containing FAIL, and a null score to a hypothesis
+    containing NULL.
 
     With `gate` set to n, the first requests wait (up to GATE_TIMEOUT_S)
     until n are active at once; then the gate stays open. So a client that
@@ -945,7 +955,7 @@ class _SlowHandler(BaseHTTPRequestHandler):
             with cls.lock:
                 cls.score_batches.append(len(payload["items"]))
             texts = [item["hypothesis"] for item in payload["items"]]
-            reply = {"scores": [_slow_score(text) for text in texts]}
+            reply = {"scores": [None if "NULL" in text else _slow_score(text) for text in texts]}
         else:
             texts = [payload["prompt"]]
             digest = hashlib.sha256(payload["prompt"].encode()).hexdigest()[:8]
@@ -1324,6 +1334,26 @@ class TestPipelineRun:
         assert run("pipeline-run", "--config", config_path, "--report", report_b) == 0
         assert (tmp_path / "final.jsonl").read_bytes() == final_a
         assert report_a.read_bytes() == report_b.read_bytes()
+
+    def test_unscored_output_holds_every_unscored_record(self, tmp_path, slow_endpoint):
+        pairs = [{"id": f"p{i}", "src_lang": "en", "tgt_lang": "fr", "src_text": f"source {i}",
+                  "tgt_text": f"cible {i}" + (" NULL" if i % 3 == 0 else "")} for i in range(10)]
+        write_jsonl(tmp_path / "pairs.jsonl", pairs)
+        outputs = {name: tmp_path / f"{name}.jsonl" for name in ("output", "dropped_output", "unscored_output")}
+        config_path = tmp_path / "pipeline.json"
+        config_path.write_text(json.dumps({
+            "schema_version": 1, "kind": "parallel", "input": str(tmp_path / "pairs.jsonl"),
+            **{name: str(path) for name, path in outputs.items()},
+            "stages": [{"type": "quality_threshold", "tau": 0.5,
+                        "scorer": {"name": "qe", "kind": "remote_http", "config": slow_endpoint}}],
+        }))
+        report_path = tmp_path / "report.json"
+        assert run("pipeline-run", "--config", config_path, "--report", report_path) == 0
+        ids = {name: [json.loads(line)["id"] for line in path.read_text().splitlines()]
+               for name, path in outputs.items()}
+        assert ids["unscored_output"] == ["p0", "p3", "p6", "p9"]
+        assert json.loads(report_path.read_text())["counts"]["unscored"] == 4
+        assert sorted(sum(ids.values(), [])) == sorted(pair["id"] for pair in pairs)
 
     def test_jobs_accepted_and_output_unchanged(self, tmp_path):
         config_path, _ = self._prepare(tmp_path)

@@ -178,7 +178,7 @@ _TRANSLATE = {
 # checks}, other arguments)
 CONFIGS = {
     "pipeline-run": (_PIPELINE, {
-        (): ("schema_version", "kind", "input", "output", "dropped_output", "seed", "stages"),
+        (): ("schema_version", "kind", "input", "output", "dropped_output", "unscored_output", "seed", "stages"),
         # each stage draws its own keys, plus one of another stage type
         ("stages", 0): ("type", "model", "expected", "min_confidence", "k"),
         ("stages", 1): ("type", "shingle_n", "k", "bands", "rows", "threshold", "unit", "mode"),
@@ -186,6 +186,7 @@ CONFIGS = {
     }, {
         "schema_version": [1, 2], "kind": ["mono", "parallel"], "input": ["corpus.jsonl", "lm.txt"],
         "output": ["out.jsonl", "corpus.jsonl"], "dropped_output": ["out.jsonl", "dropped.jsonl"],
+        "unscored_output": ["dropped.jsonl", "unscored.jsonl"],
         "seed": [0, -1, 2**64], "stages": [[], [{"type": "dedup"}]],
         "type": ["langid", "dedup", "perplexity", "quality_threshold"], "model": ["lm.txt", "langid.json"],
         "expected": ["en", "fr", "xx"], "min_confidence": [0, 1, 1.5], "shingle_n": [0, 1, 50],

@@ -180,12 +180,12 @@ class _AlwaysPassStage:
 class TestPipeline:
     def test_empty_stage_list_is_identity(self):
         docs = [Document(id="d", lang="en", text="x")]
-        result = run_pipeline(docs, [])
+        result = run_pipeline(docs, [], "mono")
         assert result.final == docs and result.reports == []
 
     def test_always_pass_stage_accounting(self):
         docs = [Document(id=f"d{i}", lang="en", text=f"t {i}") for i in range(4)]
-        result = run_pipeline(docs, [_AlwaysPassStage()])
+        result = run_pipeline(docs, [_AlwaysPassStage()], "mono")
         assert result.final == docs
         report = result.reports[0]
         assert (report.input_count, report.kept, report.dropped, report.unscored) == (4, 4, 0, 0)
@@ -193,8 +193,8 @@ class TestPipeline:
     def test_mixed_kinds_rejected_before_processing(self):
         scorer = ScorerEndpoint("c", "local_function", "constant:1.0")
         stages = [_AlwaysPassStage(), QualityThresholdStage(scorer=scorer, tau=0.5)]
-        with pytest.raises(ValidationError):
-            run_pipeline([], stages)
+        with pytest.raises(ValidationError, match="stage 'quality_threshold' expects parallel records, not mono"):
+            run_pipeline([], stages, "mono")
 
     def test_composition_matches_individual_stages(self):
         from mtforge.langid import train_langid
@@ -214,7 +214,7 @@ class TestPipeline:
             LangIdStage(model=langid_model, expected="en", min_confidence=0.5),
             PerplexityStage(lm=lm, mode="percentile", q=0.9),
         ]
-        result = run_pipeline(corpus, stages)
+        result = run_pipeline(corpus, stages, "mono")
 
         # stage-by-stage independent runs must compose to the same counts
         from mtforge.langid import filter_by_language
