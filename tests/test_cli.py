@@ -1335,6 +1335,15 @@ class TestPipelineRun:
         assert (tmp_path / "final.jsonl").read_bytes() == final_a
         assert report_a.read_bytes() == report_b.read_bytes()
 
+    def test_stage_of_another_kind_exits_1_before_any_stage_runs(self, tmp_path, capsys):
+        config = tmp_path / "pipeline.json"
+        stages = [{"type": "dedup"}, {"type": "quality_threshold", "scorer": _SCORER, "tau": 0.5}]
+        config.write_bytes(_pipeline_json(*stages).replace(b"{dir}", json.dumps(str(tmp_path))[1:-1].encode()))
+        _write_mono(tmp_path, _english_docs(3))
+        assert run("pipeline-run", "--config", config) == 1
+        assert capsys.readouterr().err == "error: stage 'quality_threshold' expects parallel records, not mono\n"
+        assert not (tmp_path / "out.jsonl").exists()
+
     def test_unscored_output_holds_every_unscored_record(self, tmp_path, slow_endpoint):
         pairs = [{"id": f"p{i}", "src_lang": "en", "tgt_lang": "fr", "src_text": f"source {i}",
                   "tgt_text": f"cible {i}" + (" NULL" if i % 3 == 0 else "")} for i in range(10)]
