@@ -1,8 +1,9 @@
-"""Outputs of the filter commands, pinned by sha256.
+"""Outputs of every command that needs no network, pinned by sha256.
 
 Each case runs one command in-process on small seeded inputs built here and
-hashes every file it writes (outputs, dropped and unscored files, report),
-or its `--help` page. The hashes must equal the committed table in
+hashes every file it writes (outputs, models, dropped and unscored files,
+report), or its `--help` page. Scoring goes to a local test server, and
+generation to the `mock:` backends. The hashes must equal the committed table in
 `goldens/filter_bytes.json`, so a change meant to keep the bytes shows that
 it did, and one that changes them shows which files.
 
@@ -33,6 +34,13 @@ EN = ("the quick brown fox jumps over a lazy dog while every good boy deserves f
       "time saves nine when rivers run past the old mill in the quiet morning light").split()
 FR = ("le chat est assis sur le tapis pendant que la maison dort et nous mangeons du pain "
       "avec du fromage dans une belle journée au bord de la rivière").split()
+
+
+DIMENSIONS = ("knowledge_value", "authenticity", "writing_style")
+
+
+def _write_lines(path, objs):
+    path.write_text("".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in objs), encoding="utf-8")
 
 
 def _text(rng, words, n=12):
@@ -100,10 +108,47 @@ def inputs(tmp_path_factory, scorer_url):
              for i in range(25)]
     write_corpus(pairs, d / "pairs.jsonl")
 
+    scored = [Document(f"q{i:02d}", "en", _text(rng, EN), provenance=provenance,
+                       scores={key: rng.randrange(3) for key in DIMENSIONS[: 3 - (i % 7 == 0)]})
+              for i, provenance in enumerate(["academic", "book", "general_web", "other"] * 6)]
+    write_corpus(scored, d / "scored.jsonl")
+    _write_lines(d / "judge.jsonl", ({"sample_id": f"s{i:02d}", "round_scores": [rng.randrange(5) for _ in range(3)]}
+                                     for i in range(20)))
+    domains = ["web", "code", "books"]
+    runs = []
+    for i in range(12):
+        weights = [rng.random() + 0.01 for _ in domains]
+        weights = [w / sum(weights) for w in weights]
+        runs.append({"domains": domains, "weights": weights, "loss": 2.0 + weights[0] - weights[1] + rng.random() / 10})
+    _write_lines(d / "runs.jsonl", runs)
+    _write_lines(d / "groups.jsonl", ({"id": f"g{i}", "rewards": [rng.random() for _ in range(4)]} for i in range(10)))
+
+    eval_pairs = [ParallelPair(f"e{i:02d}", *(("en", "fr") if i % 2 else ("fr", "en")), _text(rng, EN, 8),
+                               _text(rng, FR, 8)) for i in range(16)]
+    write_corpus(eval_pairs, d / "eval_pairs.jsonl")
+    _write_lines(d / "hyps.jsonl", ({"id": p.id, "hypothesis": " ".join(p.tgt_text.split()[i % 3:])}
+                                    for i, p in enumerate(eval_pairs)))
+    (d / "terms.json").write_text(json.dumps({"dog": ["chat"], "river": ["rivière"], "mill": ["moulin", "pain"]}))
+    _write_lines(d / "rewards.jsonl", ({"id": f"r{i:02d}", "source": _text(rng, EN, 8),
+                                        "hypothesis": _text(rng, FR, 4 + i % 6), "quality": rng.random()}
+                                       for i in range(20)))
+    _write_lines(d / "sources.jsonl", ({"id": f"s{i}", "src_lang": src, "tgt_lang": tgt, "text": text}
+                                       for i, (src, tgt, text) in enumerate(
+                                           [("en", "fr", _text(rng, EN, 6)), ("fr", "en", _text(rng, FR, 6)),
+                                            ("zh", "en", "你好世界"), ("en", "de", _text(rng, EN, 6))])))
+    backend = {"name": "gen", "endpoint": "mock:echo", "model_id": "m"}
+    grid = [{"temperature": 0.0, "seed": 1}, {"temperature": 0.7, "seed": 2}, {"temperature": 1.0, "top_p": 0.9}]
+    (d / "chimera.json").write_text(json.dumps({"schema_version": 1, "backend": backend, "grid": grid}))
+    (d / "chimera_fallback.json").write_text(json.dumps({
+        "schema_version": 1, "backend": backend, "grid": grid,
+        "fusion_backend": {"name": "fuser", "endpoint": "mock:fail", "model_id": "f"},
+        "fallback_scorer": {"name": "length_ratio", "kind": "local_function", "config": "length_ratio"}}))
+
     for args in (["langid-train", "--in", d / "labeled.jsonl", "--model", d / "langid.json"],
                  ["lm-train", "--in", d / "lm_train.jsonl", "--model", d / "lm.txt", "--order", 2],
                  ["lm-train", "--in", d / "lm_train.jsonl", "--model", d / "lm0.txt", "--order", 1,
-                  "--discount", 0]):
+                  "--discount", 0],
+                 ["mix-fit", "--runs", d / "runs.jsonl", "--model-out", d / "mix_model.json"]):
         assert main([str(a) for a in args]) == 0
 
     scorer = {"name": "qe", "kind": "remote_http", "config": scorer_url}
@@ -140,6 +185,31 @@ CASES = {
                        "--unscored", "OUT/unscored.jsonl"],
     "pipeline-run-mono": ["pipeline-run", "--config", "IN/pipeline_mono.json"],
     "pipeline-run-parallel": ["pipeline-run", "--config", "IN/pipeline_parallel.json"],
+    "langid-train": ["langid-train", "--in", "IN/labeled.jsonl", "--model", "OUT/langid.json", "--max-n", "2",
+                     "--alpha", "0.25"],
+    "lm-train": ["lm-train", "--in", "IN/lm_train.jsonl", "--model", "OUT/lm.txt", "--order", "3",
+                 "--discount", "0.5", "--min-count", "2"],
+    "quality-score": ["quality-score", "--in", "IN/scored.jsonl", "--out", "OUT/scored.jsonl",
+                      "--unscored", "OUT/unscored.jsonl"],
+    "judge-flag": ["judge-flag", "--in", "IN/judge.jsonl", "--max-spread", "2", "--out", "OUT/flags.json"],
+    "mix-sample": ["mix-sample", "--domains", "web,code,books", "--n", "8", "--alpha", "0.5",
+                   "--out", "OUT/mixtures.jsonl", "--seed", "5"],
+    "mix-fit": ["mix-fit", "--runs", "IN/runs.jsonl", "--ridge-lambda", "0.01", "--model-out", "OUT/model.json"],
+    "mix-optimize": ["mix-optimize", "--model", "IN/mix_model.json", "--candidates", "512",
+                     "--replay-fraction", "0.1", "--replay-domain", "replay", "--out", "OUT/mixture.json", "--seed", "2"],
+    "lr-curve": ["lr-curve", "--warmup", "5", "--total", "40", "--peak", "3e-4", "--min-lr", "1e-5",
+                 "--out", "OUT/lr.csv"],
+    "grpo-advantages": ["grpo-advantages", "--in", "IN/groups.jsonl", "--out", "OUT/advantages.jsonl"],
+    "eval-chrf": ["eval", "--pairs", "IN/eval_pairs.jsonl", "--hyps", "IN/hyps.jsonl", "--metric", "chrf",
+                  "--aggregation", "macro", "--out", "OUT/eval.json"],
+    "reward-score": ["reward-score", "--in", "IN/rewards.jsonl", "--terms", "IN/terms.json", "--w-quality", "0.3",
+                     "--out", "OUT/rewards.jsonl"],
+    "translate": ["translate", "--config", "IN/chimera.json", "--in", "IN/sources.jsonl",
+                  "--out", "OUT/candidates.jsonl", "--jobs", "2"],
+    "fuse": ["fuse", "--config", "IN/chimera.json", "--in", "IN/sources.jsonl", "--out", "OUT/fused.jsonl",
+             "--jobs", "2"],
+    "fuse-fallback": ["fuse", "--config", "IN/chimera_fallback.json", "--in", "IN/sources.jsonl",
+                      "--out", "OUT/fused.jsonl"],
 }
 HELP = ("langid-filter", "dedup", "lm-filter", "quality-filter", "pipeline-run")
 
