@@ -29,7 +29,7 @@ from . import langid as langid_mod
 from . import mixopt as mixopt_mod
 from . import ngram_lm as lm_mod
 from . import rewards as rewards_mod
-from .backends import BackendFailure, backend_from_obj
+from .backends import backend_from_obj
 from .errors import MtforgeError, OrchestrationError, SchemaError, ValidationError, at
 from .ioutils import atomic_write, check_fields, dataclass_from_obj, dump_json, load_json, read_records, write_jsonl
 from .scorers import ScorerEndpoint, is_local_scorer, scorer_from_obj
@@ -109,11 +109,12 @@ def _command(name: str):
     """Register the decorated function as subcommand `name`, with --seed and
     --report listed after its own options.
 
-    A float option set to NaN or infinity is a usage error, raised before
-    the function runs. The function is called with `seed` and returns its
-    report payload. With --report, the payload is written after the
-    function's outputs, in an envelope of schema_version, command and seed;
-    a payload `seed` (the effective one) wins over --seed.
+    A float option set to NaN or infinity, or a required path option set to
+    "", is a usage error, raised before the function runs. The function is
+    called with `seed` and returns its report payload. With --report, the
+    payload is written after the function's outputs, in an envelope of
+    schema_version, command and seed; a payload `seed` (the effective one)
+    wins over --seed.
     """
     def decorate(body):
         @click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
@@ -124,6 +125,8 @@ def _command(name: str):
                 value = params.get(param.name)
                 if isinstance(param.type, click.types.FloatParamType) and not math.isfinite(value or 0):
                     raise click.BadParameter(f"{value} is not a finite number.", ctx, param)
+                if param.required and isinstance(param.type, click.Path) and value == "":
+                    raise click.BadParameter("an empty path names no file.", ctx, param)
             payload = body(**params)
             if report_path:
                 dump_json(report_path, {"schema_version": REPORT_SCHEMA_VERSION, "command": name,
@@ -161,7 +164,7 @@ def langid_train(in_path, model_path, min_n, max_n, alpha, seed):
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
 @click.option("--expected", required=True)
-@click.option("--min-confidence", default=0.5, show_default=True)
+@click.option("--min-confidence", default=filters_mod.LangIdStage.min_confidence, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--dropped", "dropped_path", type=click.Path())
 def langid_filter(in_path, model_path, expected, min_confidence, out_path, dropped_path, seed):
@@ -230,8 +233,9 @@ def lm_train(in_path, model_path, order, discount, min_count, seed):
 @_command("lm-filter")
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
-@click.option("--mode", default="percentile", type=click.Choice(["percentile", "absolute"]), show_default=True)
-@click.option("--q", default=0.95, show_default=True)
+@click.option("--mode", default=filters_mod.PerplexityStage.mode, type=click.Choice(["percentile", "absolute"]),
+              show_default=True)
+@click.option("--q", default=filters_mod.PerplexityStage.q, show_default=True)
 @click.option("--max-ppl", type=float)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--dropped", "dropped_path", type=click.Path())
@@ -641,7 +645,7 @@ _PIPELINE_FIELDS = {"schema_version": "integer", "kind": ("mono", "parallel"), "
 _PIPELINE_REQUIRED = ("schema_version", "kind", "input", "output", "stages")
 
 # stage type -> (fields besides "type", required fields). Value ranges are
-# checked by the functions the stages call.
+# checked by the stage classes, and by minlsh.dedup for the dedup stage.
 _STAGE_FIELDS = {
     "langid": ({"model": "string", "expected": "string", "min_confidence": "number"}, ("model", "expected")),
     "dedup": ({"shingle_n": "integer", "k": "integer", "bands": "integer", "rows": "integer",
@@ -656,34 +660,32 @@ _DEDUP_PARAMS = {"shingle_n": "n", "bands": "b", "rows": "r", "threshold": "jacc
 
 
 def _build_stages(config: dict, seed: int, path: str):
+    """The configured stages, each given only the keys its entry sets, so
+    the defaults live in the stage classes (and in minlsh.dedup). A bad
+    value names its entry as `<path>: stages[i]`; model files and scorers
+    are loaded first and name their own place."""
     stages = []
     for i, entry in enumerate(config["stages"]):
         where = f"{path}: stages[{i}]"
         kind = check_fields(entry, {"type": tuple(_STAGE_FIELDS)}, ("type",), where=where)["type"]
         fields, required = _STAGE_FIELDS[kind]
         check_fields(entry, {"type": "string", **fields}, required, closed=True, where=where)
+        params = {key: value for key, value in entry.items() if key != "type"}
         if kind == "langid":
-            stages.append(filters_mod.LangIdStage(
-                model=langid_mod.load_langid(entry["model"]),
-                expected=corpus_mod.require_tag(entry["expected"]),
-                min_confidence=entry.get("min_confidence", 0.5),
-            ))
+            params["model"] = langid_mod.load_langid(params["model"])
+            make = filters_mod.LangIdStage
         elif kind == "dedup":
-            # only the keys the stage sets, so the defaults live in minlsh.dedup alone
-            params = {_DEDUP_PARAMS.get(key, key): value for key, value in entry.items() if key != "type"}
-            stages.append(filters_mod.DedupStage(params=dict(params, seed=seed)))
+            params = {"params": dict({_DEDUP_PARAMS.get(key, key): value for key, value in params.items()},
+                                     seed=seed)}
+            make = filters_mod.DedupStage
         elif kind == "perplexity":
-            stages.append(filters_mod.PerplexityStage(
-                lm=lm_mod.load_lm(entry["model"]),
-                mode=entry["mode"],
-                max_ppl=entry.get("max_ppl"),
-                q=entry.get("q", 0.95),
-            ))
-        elif kind == "quality_threshold":
-            stages.append(filters_mod.QualityThresholdStage(
-                scorer=scorer_from_obj(entry["scorer"], f"{where}.scorer"),
-                tau=entry["tau"],
-            ))
+            params["lm"] = lm_mod.load_lm(params.pop("model"))
+            make = filters_mod.PerplexityStage
+        else:
+            params["scorer"] = scorer_from_obj(params["scorer"], f"{where}.scorer")
+            make = filters_mod.QualityThresholdStage
+        with at(where):
+            stages.append(make(**params))
     return stages
 
 
@@ -697,6 +699,8 @@ def _dropped_with_stage(stage, record, reason, detail):
 def pipeline_run(config_path, seed):
     """Run a configured cleaning pipeline with per-stage accounting."""
     config = _load_config(config_path, _PIPELINE_FIELDS, _PIPELINE_REQUIRED)
+    if not config["output"]:
+        raise SchemaError(f"{config_path}: field 'output' must name a file, not be empty")
     seed = config.get("seed", seed)
     stages = _build_stages(config, seed, config_path)
     records = corpus_mod.read_corpus(config["input"], config["kind"])
@@ -728,7 +732,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
-    except (OrchestrationError, BackendFailure, MtforgeError, OSError, RuntimeError) as exc:
+    except (MtforgeError, OSError, RuntimeError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
     return 0

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
-from .corpus import Document, ParallelPair, Record, with_score
+from .corpus import Document, ParallelPair, Record, require_tag, with_score
 from .errors import ValidationError
 from .ioutils import is_number
 from .scorers import ScorerEndpoint
@@ -103,10 +103,8 @@ def threshold_filter(
 
     Every scored pair (kept or dropped) carries its score under the scorer's
     name; pairs the scorer failed on go to the unscored bucket unchanged.
+    QualityThresholdStage checks tau against the scorer's range.
     """
-    lo, hi = scorer.score_range
-    if not lo <= tau <= hi:
-        raise ValidationError(f"tau={tau} outside scorer range [{lo}, {hi}]")
     items = [
         {"source": p.src_text, "hypothesis": p.tgt_text, "src_lang": p.src_lang, "tgt_lang": p.tgt_lang}
         for p in pairs
@@ -186,18 +184,33 @@ class StageReport:
 
 @dataclass
 class LangIdStage:
+    """Keep documents identified as `expected` with confidence >=
+    min_confidence; a dropped row carries the predicted language and its
+    confidence."""
+
     model: object  # LangIdModel
     expected: str
     min_confidence: float = 0.5
     name: str = "langid"
     record_kind: str = "mono"
 
-    def apply(self, records):
-        from .langid import filter_by_language
+    def __post_init__(self):
+        require_tag(self.expected)
+        if not 0 <= self.min_confidence <= 1:  # NaN too
+            raise ValidationError(f"min_confidence must be in [0, 1], got {self.min_confidence}")
 
-        kept, dropped = filter_by_language(records, self.model, self.expected, self.min_confidence)
-        annotated = [(doc, f"predicted={pred}", {"predicted": pred, "confidence": conf}) for doc, pred, conf in dropped]
-        return kept, annotated, []
+    def apply(self, records):
+        # looked up per call, so a wrapper installed on the module applies
+        from . import langid
+
+        kept, dropped = [], []
+        for doc in records:
+            predicted, confidence = langid.predict_lang(self.model, doc.text)
+            if predicted == self.expected and confidence >= self.min_confidence:
+                kept.append(doc)
+            else:
+                dropped.append((doc, f"predicted={predicted}", {"predicted": predicted, "confidence": confidence}))
+        return kept, dropped, []
 
 
 @dataclass
@@ -221,6 +234,10 @@ class DedupStage:
 
 @dataclass
 class PerplexityStage:
+    """Drop high-perplexity documents: absolute mode keeps ppl <= max_ppl,
+    percentile mode the lowest-q fraction by perplexity, with boundary ties
+    kept."""
+
     lm: object  # NGramLm
     mode: str = "percentile"
     max_ppl: float | None = None
@@ -228,25 +245,50 @@ class PerplexityStage:
     name: str = "perplexity"
     record_kind: str = "mono"
 
-    def apply(self, records):
-        from .ngram_lm import filter_high_perplexity
+    def __post_init__(self):
+        if self.mode == "absolute":
+            if self.max_ppl is None or not self.max_ppl > 1:  # NaN too
+                raise ValidationError("absolute mode requires max_ppl > 1")
+        elif self.mode == "percentile":
+            if self.q is None or not 0 < self.q <= 1:
+                raise ValidationError("percentile mode requires q in (0, 1]")
+        else:
+            raise ValidationError(f"mode must be 'absolute' or 'percentile', not {self.mode!r}")
 
-        kept, dropped = filter_high_perplexity(
-            records, self.lm, mode=self.mode, max_ppl=self.max_ppl, q=self.q
-        )
-        # a zero-discount model gives an unseen n-gram probability 0, so
-        # perplexity infinity, which JSON has no number for
-        annotated = [(doc, "high_perplexity", {"perplexity": ppl if math.isfinite(ppl) else None})
-                     for doc, ppl in dropped]
-        return kept, annotated, []
+    def apply(self, records):
+        # looked up per call, so a wrapper installed on the module applies
+        from . import ngram_lm
+
+        ppls = [ngram_lm.perplexity(self.lm, doc.text, doc.lang) for doc in records]
+        cutoff = self.max_ppl
+        if self.mode == "percentile":
+            target = int(math.floor(self.q * len(ppls) + 1e-9))
+            cutoff = sorted(ppls)[target - 1] if target else -math.inf
+        kept, dropped = [], []
+        for doc, ppl in zip(records, ppls):
+            if ppl <= cutoff:
+                kept.append(doc)
+            else:
+                # a zero-discount model gives an unseen n-gram probability 0, so
+                # perplexity infinity, which JSON has no number for
+                dropped.append((doc, "high_perplexity", {"perplexity": ppl if math.isfinite(ppl) else None}))
+        return kept, dropped, []
 
 
 @dataclass
 class QualityThresholdStage:
+    """Keep parallel pairs scoring >= tau, which must lie in the scorer's
+    range; see threshold_filter."""
+
     scorer: ScorerEndpoint
     tau: float
     name: str = "quality_threshold"
     record_kind: str = "parallel"
+
+    def __post_init__(self):
+        lo, hi = self.scorer.score_range
+        if not lo <= self.tau <= hi:
+            raise ValidationError(f"tau={self.tau} outside scorer range [{lo}, {hi}]")
 
     def apply(self, records):
         kept, dropped, unscored = threshold_filter(records, self.scorer, self.tau)

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Document, char_ngram_levels, registry_order, require_tag
+from .corpus import Document, char_ngram_levels, registry_order
 from .errors import ValidationError, at
 from .ioutils import check_fields, is_finite_number, load_json, write_jsonl
 
@@ -171,31 +171,6 @@ def predict_lang(model: LangIdModel, text: str) -> tuple[str, float]:
     post = posteriors(model, text)
     best = max(model.classes, key=lambda c: post[c])  # first max wins on ties
     return best, post[best]
-
-
-def filter_by_language(
-    docs: Sequence[Document],
-    model: LangIdModel,
-    expected: str,
-    min_confidence: float = 0.5,
-) -> tuple[list[Document], list[tuple[Document, str, float]]]:
-    """Keep docs predicted as `expected` with confidence >= min_confidence.
-
-    Dropped docs are returned with their (predicted, confidence) so nothing
-    is discarded silently.
-    """
-    require_tag(expected)
-    if not 0 <= min_confidence <= 1:
-        raise ValidationError(f"min_confidence must be in [0, 1], got {min_confidence}")
-    kept: list[Document] = []
-    dropped: list[tuple[Document, str, float]] = []
-    for doc in docs:
-        predicted, confidence = predict_lang(model, doc.text)
-        if predicted == expected and confidence >= min_confidence:
-            kept.append(doc)
-        else:
-            dropped.append((doc, predicted, confidence))
-    return kept, dropped
 
 
 def save_langid(model: LangIdModel, path: str | Path) -> None:

@@ -1,4 +1,4 @@
-"""Interpolated Kneser-Ney n-gram language model and perplexity filtering.
+"""Interpolated Kneser-Ney n-gram language model and perplexity scoring.
 
 Single fixed absolute discount, continuation counts for the lower orders,
 and a uniform base distribution over the prediction vocabulary (which always
@@ -201,39 +201,6 @@ def perplexity(lm: NGramLm, text: str | Sequence[str], lang: str | None = None) 
     """exp(-log_prob / N) with N = token count + 1 for the EOS position."""
     tokens = _tokens(lm, text, lang)
     return math.exp(-log_prob(lm, tokens) / (len(tokens) + 1))
-
-
-def filter_high_perplexity(
-    docs: Sequence[Document],
-    lm: NGramLm,
-    mode: str = "percentile",
-    max_ppl: float | None = None,
-    q: float | None = None,
-) -> tuple[list[Document], list[tuple[Document, float]]]:
-    """Drop high-perplexity documents.
-
-    absolute mode keeps ppl <= max_ppl; percentile mode keeps the lowest-q
-    fraction by perplexity, with boundary ties kept.
-    """
-    ppls = [(doc, perplexity(lm, doc.text, doc.lang)) for doc in docs]
-    if mode == "absolute":
-        if max_ppl is None or not max_ppl > 1:  # NaN too
-            raise ValidationError("absolute mode requires max_ppl > 1")
-        cutoff = max_ppl
-    elif mode == "percentile":
-        if q is None or not 0 < q <= 1:
-            raise ValidationError("percentile mode requires q in (0, 1]")
-        if not ppls:
-            return [], []
-        target = int(math.floor(q * len(ppls) + 1e-9))
-        if target == 0:
-            return [], list(ppls)
-        cutoff = sorted(p for _, p in ppls)[target - 1]
-    else:
-        raise ValidationError(f"mode must be 'absolute' or 'percentile', not {mode!r}")
-    kept = [doc for doc, p in ppls if p <= cutoff]
-    dropped = [(doc, p) for doc, p in ppls if p > cutoff]
-    return kept, dropped
 
 
 # -- serialization: JSON header line + sorted plain-text count table --------

@@ -19,7 +19,7 @@ from mtforge.chimera import parse_fusion_prompt, render_fusion_prompt, render_tr
 from mtforge.cli import main as cli_main
 from mtforge.corpus import Document, write_corpus
 from mtforge.evalkit import chrf
-from mtforge.filters import QualityDimensions, WeightProfile, composite_quality
+from mtforge.filters import PerplexityStage, QualityDimensions, WeightProfile, composite_quality
 from mtforge.minlsh import (
     MERSENNE61,
     MinHashSignature,
@@ -31,7 +31,7 @@ from mtforge.minlsh import (
     signature,
 )
 from mtforge.mixopt import LrSchedule, MixtureSpec, blend_replay, fit_regression, lr_at, optimize_mixture, sample_mixtures, ProxyRun
-from mtforge.ngram_lm import UNK, filter_high_perplexity, perplexity, train_lm
+from mtforge.ngram_lm import UNK, perplexity, train_lm
 from mtforge.rewards import grpo_advantages, load_term_table, repetition_score, terminology_reward
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -180,8 +180,8 @@ def test_criterion_05_perplexity_filter_drops_gibberish():
             for i in range(10)
         ]
         lm = train_lm(natural, order=3, discount=0.75)
-        _, dropped = filter_high_perplexity(natural + gibberish, lm, mode="percentile", q=0.9)
-        dropped_ids = {doc.id for doc, _ in dropped}
+        _, dropped, _ = PerplexityStage(lm, mode="percentile", q=0.9).apply(natural + gibberish)
+        dropped_ids = {doc.id for doc, _, _ in dropped}
         assert sum(1 for g in gibberish if g.id in dropped_ids) >= 9
 
 

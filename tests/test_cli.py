@@ -15,11 +15,14 @@ import numpy as np
 import pytest
 
 import mtforge
+import mtforge.corpus
+import mtforge.ngram_lm
 from mtforge.backends import register_mock_backend
 from mtforge.cli import cli, main
 from mtforge.corpus import Document, read_corpus, write_corpus
 from mtforge.errors import MtforgeError
 from mtforge.ioutils import dump_json, write_jsonl
+from mtforge.ngram_lm import save_lm, train_lm
 from mtforge.scorers import register_scorer
 
 DATA = Path(__file__).parent / "data"
@@ -98,6 +101,27 @@ def _readme_commands():
 _FLOAT_FLAGS = [(name, param.opts[0]) for name, command in sorted(cli.commands.items())
                 for param in command.params if isinstance(param.type, click.types.FloatParamType)]
 
+# (command, flag) of every required output path option
+_OUTPUT_FLAGS = [(name, param.opts[0]) for name, command in sorted(cli.commands.items())
+                 for param in command.params
+                 if param.required and isinstance(param.type, click.Path) and not param.type.exists]
+
+
+def _other_required_args(tmp_path, name, flag):
+    """A value of its type for every required option of `name` but `flag`:
+    input paths name an empty `in.jsonl` in `tmp_path`, output paths a file
+    there that does not exist."""
+    (tmp_path / "in.jsonl").write_text("")
+    args = []
+    for i, param in enumerate(cli.commands[name].params):
+        if param.required and flag not in param.opts:
+            if isinstance(param.type, click.Path):
+                arg = tmp_path / ("in.jsonl" if param.type.exists else f"out{i}")
+            else:
+                arg = 1 if isinstance(param.type, (click.types.IntParamType, click.types.FloatParamType)) else "x"
+            args += [param.opts[0], arg]
+    return args
+
 
 class TestCommandSurface:
     @pytest.mark.parametrize("name", sorted(set(cli.commands) | _readme_commands()))
@@ -126,19 +150,22 @@ class TestCommandSurface:
     def test_non_finite_float_flag_is_one_error_line_exit_1(self, tmp_path, capfd, name, flag, value):
         # every other required option gets a value of its type, so the float
         # check is the one that fails
-        (tmp_path / "in.jsonl").write_text("")
-        args = [flag, value]
-        for i, param in enumerate(cli.commands[name].params):
-            if param.required and flag not in param.opts:
-                if isinstance(param.type, click.Path):
-                    arg = tmp_path / ("in.jsonl" if param.type.exists else f"out{i}")
-                else:
-                    arg = 1 if isinstance(param.type, (click.types.IntParamType, click.types.FloatParamType)) else "x"
-                args += [param.opts[0], arg]
+        args = [flag, value, *_other_required_args(tmp_path, name, flag)]
         assert run(name, *args, "--report", tmp_path / "report.json") == 1
         err = capfd.readouterr().err
         errors = [line for line in err.splitlines() if line.startswith("error: ")]
         assert errors == [f"error: Invalid value for '{flag}': {value} is not a finite number."], err
+        assert [p.name for p in tmp_path.iterdir()] == ["in.jsonl"]
+
+    @pytest.mark.parametrize("name, flag", _OUTPUT_FLAGS)
+    def test_empty_output_path_is_one_error_line_exit_1(self, tmp_path, capfd, name, flag):
+        # "" is Path("."), the working directory: the command must stop
+        # before its body runs, not fail on writing there
+        args = [flag, "", *_other_required_args(tmp_path, name, flag)]
+        assert run(name, *args, "--report", tmp_path / "report.json") == 1
+        err = capfd.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert errors == [f"error: Invalid value for '{flag}': an empty path names no file."], err
         assert [p.name for p in tmp_path.iterdir()] == ["in.jsonl"]
 
 
@@ -482,6 +509,20 @@ class TestExitCodes:
         ("pipeline-run", _pipeline_json(schema_version=2), "schema_version must be 1, got 2"),
         ("pipeline-run", _pipeline_json(drop=("kind", "input")), "missing fields ['input', 'kind']"),
         ("pipeline-run", b"[]", "a JSON array, not an object"),
+        ("pipeline-run", _pipeline_json(output=""), "field 'output' must name a file, not be empty"),
+        # stage values, checked when the stage is built, before any input is read
+        ("pipeline-run", _pipeline_json({"type": "dedup"}, {"type": "perplexity", "model": "{dir}/lm.txt",
+                                                            "mode": "percentile", "q": 2}),
+         "stages[1]: percentile mode requires q in (0, 1]"),
+        ("pipeline-run", _pipeline_json({"type": "perplexity", "model": "{dir}/lm.txt", "mode": "absolute"}),
+         "stages[0]: absolute mode requires max_ppl > 1"),
+        ("pipeline-run", _pipeline_json({"type": "langid", "model": "{dir}/langid.json", "expected": "en",
+                                         "min_confidence": 7}),
+         "stages[0]: min_confidence must be in [0, 1], got 7"),
+        ("pipeline-run", _pipeline_json({"type": "langid", "model": "{dir}/langid.json", "expected": "xx"}),
+         "stages[0]: unknown language tag: 'xx'"),
+        ("pipeline-run", _pipeline_json({"type": "quality_threshold", "scorer": _SCORER, "tau": 2}, kind="parallel"),
+         "stages[0]: tau=2 outside scorer range [0.0, 1.0]"),
         ("fuse", _fuse_json(backend=dict(_BACKEND, max_retries=-1)), "backend: max_retries must be >= 0, got -1"),
         ("fuse", _fuse_json(fusion_backend=dict(_BACKEND, colour=1)), "fusion_backend: unknown fields ['colour']"),
         ("fuse", _fuse_json(grid=[{}, {"top_p": True}]), "grid[1]: field 'top_p' must be number, not boolean"),
@@ -500,11 +541,31 @@ class TestExitCodes:
          "fallback_scorer: remote scorer config must be an http(s) URL, got 'ftp://127.0.0.1/s'"),
     ])
     def test_config_error_names_the_place(self, tmp_path, capsys, command, content, message):
+        (tmp_path / "langid.json").write_bytes(_langid_model_json())
+        save_lm(train_lm(_english_docs(3), order=1), tmp_path / "lm.txt")
         bad = tmp_path / "bad.json"
         bad.write_bytes(content.replace(b"{dir}", json.dumps(str(tmp_path))[1:-1].encode()))
         other = ["--in", _sources(tmp_path), "--out", tmp_path / "out.jsonl"] if command == "fuse" else []
         assert run(command, "--config", bad, *other) == 1
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+    def test_bad_stage_value_stops_before_any_work(self, tmp_path, capsys, monkeypatch):
+        corpus = _write_mono(tmp_path, _english_docs(5))
+        save_lm(train_lm(_english_docs(3), order=2), tmp_path / "lm.txt")
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({
+            "schema_version": 1, "kind": "mono", "input": str(corpus), "output": str(tmp_path / "out.jsonl"),
+            "dropped_output": str(tmp_path / "dropped.jsonl"),
+            "stages": [{"type": "dedup"}, {"type": "perplexity", "model": str(tmp_path / "lm.txt"),
+                                           "mode": "percentile", "q": 2}],
+        }))
+        calls = []
+        monkeypatch.setattr(mtforge.ngram_lm, "perplexity", lambda *args: calls.append(args))
+        monkeypatch.setattr(mtforge.corpus, "read_corpus", lambda *args: calls.append(args))
+        assert run("pipeline-run", "--config", config, "--report", tmp_path / "report.json") == 1
+        assert capsys.readouterr().err == f"error: {config}: stages[1]: percentile mode requires q in (0, 1]\n"
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "lm.txt", "pipeline.json"]
 
     @pytest.mark.parametrize("bands, rows, k", [(-1, -128, 128), (0, 8, 0), (16, 0, 0)])
     def test_dedup_rejects_bands_or_rows_below_1(self, tmp_path, capsys, bands, rows, k):

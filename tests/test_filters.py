@@ -98,8 +98,8 @@ class TestThresholdFilter:
 
     def test_above_ceiling_rejected(self):
         scorer = ScorerEndpoint("const", "local_function", "constant:0.4")
-        with pytest.raises(ValidationError):
-            threshold_filter([_pair(0)], scorer, tau=1.5)
+        with pytest.raises(ValidationError, match=r"tau=1.5 outside scorer range \[0.0, 1.0\]"):
+            QualityThresholdStage(scorer, tau=1.5)
 
     def test_boundary_is_inclusive(self):
         scorer = ScorerEndpoint("const", "local_function", "constant:0.7")
@@ -217,11 +217,8 @@ class TestPipeline:
         result = run_pipeline(corpus, stages, "mono")
 
         # stage-by-stage independent runs must compose to the same counts
-        from mtforge.langid import filter_by_language
-        from mtforge.ngram_lm import filter_high_perplexity
-
-        kept1, dropped1 = filter_by_language(corpus, langid_model, "en", 0.5)
-        kept2, dropped2 = filter_high_perplexity(kept1, lm, mode="percentile", q=0.9)
+        kept1, dropped1, _ = LangIdStage(langid_model, "en", 0.5).apply(corpus)
+        kept2, dropped2, _ = PerplexityStage(lm, mode="percentile", q=0.9).apply(kept1)
         assert result.reports[0].dropped == len(dropped1)
         assert result.reports[1].input_count == len(kept1)
         assert [d.id for d in result.final] == [d.id for d in kept2]

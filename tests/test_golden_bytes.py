@@ -132,10 +132,10 @@ def inputs(tmp_path_factory, scorer_url):
     _write_lines(d / "rewards.jsonl", ({"id": f"r{i:02d}", "source": _text(rng, EN, 8),
                                         "hypothesis": _text(rng, FR, 4 + i % 6), "quality": rng.random()}
                                        for i in range(20)))
+    sources = [("en", "fr", _text(rng, EN, 6)), ("fr", "en", _text(rng, FR, 6)), ("zh", "en", "你好世界"),
+               ("en", "de", _text(rng, EN, 6))]
     _write_lines(d / "sources.jsonl", ({"id": f"s{i}", "src_lang": src, "tgt_lang": tgt, "text": text}
-                                       for i, (src, tgt, text) in enumerate(
-                                           [("en", "fr", _text(rng, EN, 6)), ("fr", "en", _text(rng, FR, 6)),
-                                            ("zh", "en", "你好世界"), ("en", "de", _text(rng, EN, 6))])))
+                                       for i, (src, tgt, text) in enumerate(sources)))
     backend = {"name": "gen", "endpoint": "mock:echo", "model_id": "m"}
     grid = [{"temperature": 0.0, "seed": 1}, {"temperature": 0.7, "seed": 2}, {"temperature": 1.0, "top_p": 0.9}]
     (d / "chimera.json").write_text(json.dumps({"schema_version": 1, "backend": backend, "grid": grid}))
@@ -195,8 +195,8 @@ CASES = {
     "mix-sample": ["mix-sample", "--domains", "web,code,books", "--n", "8", "--alpha", "0.5",
                    "--out", "OUT/mixtures.jsonl", "--seed", "5"],
     "mix-fit": ["mix-fit", "--runs", "IN/runs.jsonl", "--ridge-lambda", "0.01", "--model-out", "OUT/model.json"],
-    "mix-optimize": ["mix-optimize", "--model", "IN/mix_model.json", "--candidates", "512",
-                     "--replay-fraction", "0.1", "--replay-domain", "replay", "--out", "OUT/mixture.json", "--seed", "2"],
+    "mix-optimize": ["mix-optimize", "--model", "IN/mix_model.json", "--candidates", "512", "--replay-fraction", "0.1",
+                     "--replay-domain", "replay", "--out", "OUT/mixture.json", "--seed", "2"],
     "lr-curve": ["lr-curve", "--warmup", "5", "--total", "40", "--peak", "3e-4", "--min-lr", "1e-5",
                  "--out", "OUT/lr.csv"],
     "grpo-advantages": ["grpo-advantages", "--in", "IN/groups.jsonl", "--out", "OUT/advantages.jsonl"],

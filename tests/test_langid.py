@@ -8,10 +8,10 @@ import pytest
 import mtforge.langid
 from mtforge.corpus import Document
 from mtforge.errors import ValidationError
+from mtforge.filters import LangIdStage
 from mtforge.langid import (
     LangIdModel,
     extract_ngrams,
-    filter_by_language,
     load_langid,
     posteriors,
     predict_lang,
@@ -215,6 +215,9 @@ class TestPredict:
 
 
 class TestFilter:
+    """LangIdStage, the language filter of langid-filter and the pipeline's
+    langid stage."""
+
     def _corpus(self):
         # disjoint alphabets: en uses a-f tokens, fr uses u-z tokens
         train = [_doc(i, "en", "abc def fed cab") for i in range(3)]
@@ -226,22 +229,23 @@ class TestFilter:
 
     def test_planted_wrong_language_dropped(self):
         model, good, bad = self._corpus()
-        kept, dropped = filter_by_language(good + bad, model, "en", min_confidence=0.5)
+        kept, dropped, unscored = LangIdStage(model, "en", min_confidence=0.5).apply(good + bad)
         assert {d.id for d in kept} == {d.id for d in good}
         assert {d.id for d, _, _ in dropped} == {d.id for d in bad}
-        for _, predicted, confidence in dropped:
-            assert predicted == "fr"
-            assert 0 <= confidence <= 1
+        assert unscored == []
+        for _, reason, detail in dropped:
+            assert reason == "predicted=fr" and detail["predicted"] == "fr"
+            assert 0 <= detail["confidence"] <= 1
 
     def test_zero_threshold_keeps_argmax_matches(self):
         model, good, bad = self._corpus()
-        kept, dropped = filter_by_language(good + bad, model, "en", min_confidence=0.0)
+        kept, _, _ = LangIdStage(model, "en", min_confidence=0.0).apply(good + bad)
         assert {d.id for d in kept} == {d.id for d in good}
 
     def test_partition_is_exact(self):
         model, good, bad = self._corpus()
         docs = good + bad
-        kept, dropped = filter_by_language(docs, model, "en", 0.9)
+        kept, dropped, _ = LangIdStage(model, "en", 0.9).apply(docs)
         assert len(kept) + len(dropped) == len(docs)
 
     def test_one_predict_lang_call_per_document(self, monkeypatch):
@@ -255,13 +259,24 @@ class TestFilter:
             return real(model, text)
 
         monkeypatch.setattr(mtforge.langid, "predict_lang", counting)
-        filter_by_language(good + bad, model, "en")
+        LangIdStage(model, "en").apply(good + bad)
         assert calls == [d.text for d in good + bad]
+
+    @pytest.mark.parametrize("expected, min_confidence, message", [
+        ("xx", 0.5, "unknown language tag: 'xx'"),
+        ("en", 1.5, r"min_confidence must be in \[0, 1\], got 1.5"),
+        ("en", -0.1, r"min_confidence must be in \[0, 1\], got -0.1"),
+        ("en", math.nan, r"min_confidence must be in \[0, 1\], got nan"),
+    ])
+    def test_bad_values_rejected_when_built(self, expected, min_confidence, message):
+        model, _, _ = self._corpus()
+        with pytest.raises(ValidationError, match=message):
+            LangIdStage(model, expected, min_confidence)
 
     def test_threshold_one_requires_certainty(self):
         model = train_langid([_doc(0, "en", "hello")])
         docs = [Document(id="x", lang="en", text="hello")]
-        kept, dropped = filter_by_language(docs, model, "en", min_confidence=1.0)
+        kept, _, _ = LangIdStage(model, "en", min_confidence=1.0).apply(docs)
         assert len(kept) == 1  # single class: posterior exactly 1.0
 
 

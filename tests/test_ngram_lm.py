@@ -3,12 +3,13 @@ import random
 
 import pytest
 
+import mtforge.ngram_lm
 from mtforge.corpus import Document
 from mtforge.errors import ValidationError
+from mtforge.filters import PerplexityStage
 from mtforge.ngram_lm import (
     EOS,
     UNK,
-    filter_high_perplexity,
     load_lm,
     log_prob,
     perplexity,
@@ -159,38 +160,56 @@ class TestPerplexityFilter:
     def test_planted_gibberish_dropped_at_percentile(self):
         natural, gibberish = self._natural_and_gibberish()
         lm = train_lm(natural, order=3, discount=0.75)
-        kept, dropped = filter_high_perplexity(natural + gibberish, lm, mode="percentile", q=0.9)
-        dropped_ids = {doc.id for doc, _ in dropped}
+        kept, dropped, _ = PerplexityStage(lm, mode="percentile", q=0.9).apply(natural + gibberish)
+        dropped_ids = {doc.id for doc, _, _ in dropped}
         assert sum(1 for g in gibberish if g.id in dropped_ids) >= 9
 
     def test_absolute_infinite_threshold_keeps_all(self):
         natural, gibberish = self._natural_and_gibberish()
         lm = train_lm(natural, order=2)
         docs = natural + gibberish
-        kept, dropped = filter_high_perplexity(docs, lm, mode="absolute", max_ppl=math.inf)
+        kept, dropped, _ = PerplexityStage(lm, mode="absolute", max_ppl=math.inf).apply(docs)
         assert len(kept) == len(docs) and not dropped
 
     def test_percentile_one_keeps_all(self):
         natural, _ = self._natural_and_gibberish()
         lm = train_lm(natural, order=2)
-        kept, dropped = filter_high_perplexity(natural, lm, mode="percentile", q=1.0)
+        kept, dropped, _ = PerplexityStage(lm, mode="percentile", q=1.0).apply(natural)
         assert len(kept) == len(natural) and not dropped
 
     def test_dropped_carry_perplexities(self):
         natural, gibberish = self._natural_and_gibberish()
         lm = train_lm(natural, order=2)
-        _, dropped = filter_high_perplexity(natural + gibberish, lm, mode="percentile", q=0.5)
-        for doc, ppl in dropped:
-            assert math.isclose(ppl, perplexity(lm, doc.text, doc.lang), rel_tol=1e-12)
+        _, dropped, _ = PerplexityStage(lm, mode="percentile", q=0.5).apply(natural + gibberish)
+        for doc, reason, detail in dropped:
+            assert reason == "high_perplexity"
+            assert math.isclose(detail["perplexity"], perplexity(lm, doc.text, doc.lang), rel_tol=1e-12)
+
+    def test_one_perplexity_call_per_document(self, monkeypatch):
+        # the benchmark times scoring by wrapping perplexity at module level
+        natural, gibberish = self._natural_and_gibberish()
+        lm = train_lm(natural, order=2)
+        calls = []
+        real = mtforge.ngram_lm.perplexity
+
+        def counting(lm, text, lang=None):
+            calls.append(text)
+            return real(lm, text, lang)
+
+        monkeypatch.setattr(mtforge.ngram_lm, "perplexity", counting)
+        PerplexityStage(lm, mode="percentile", q=0.5).apply(natural + gibberish)
+        assert calls == [d.text for d in natural + gibberish]
 
     def test_bad_thresholds_rejected(self):
         lm = train_lm(_docs(["a b"]), order=1)
-        with pytest.raises(ValidationError):
-            filter_high_perplexity([], lm, mode="absolute", max_ppl=0.5)
-        with pytest.raises(ValidationError):
-            filter_high_perplexity([], lm, mode="absolute", max_ppl=math.nan)
-        with pytest.raises(ValidationError):
-            filter_high_perplexity([], lm, mode="percentile", q=0.0)
+        with pytest.raises(ValidationError, match="absolute mode requires max_ppl > 1"):
+            PerplexityStage(lm, mode="absolute", max_ppl=0.5)
+        with pytest.raises(ValidationError, match="absolute mode requires max_ppl > 1"):
+            PerplexityStage(lm, mode="absolute", max_ppl=math.nan)
+        with pytest.raises(ValidationError, match=r"percentile mode requires q in \(0, 1\]"):
+            PerplexityStage(lm, mode="percentile", q=0.0)
+        with pytest.raises(ValidationError, match="mode must be 'absolute' or 'percentile', not 'median'"):
+            PerplexityStage(lm, mode="median")
 
 
 class TestSerialization:
