@@ -188,18 +188,18 @@ _DEDUP_JOBS_HELP = "Accepted and ignored: dedup signs documents in one thread"
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--dropped", "dropped_path", type=click.Path(), help="Defaults to <out>.dropped.jsonl")
-@click.option("--shingle-n", default=5, show_default=True)
-@click.option("--k", default=128, show_default=True)
-@click.option("--bands", default=16, show_default=True)
-@click.option("--rows", default=8, show_default=True)
-@click.option("--threshold", default=0.8, show_default=True)
-@click.option("--unit", default="word", type=click.Choice(["word", "char"]), show_default=True)
+@click.option("--shingle-n", default=filters_mod.DedupStage.shingle_n, show_default=True)
+@click.option("--k", default=filters_mod.DedupStage.k, show_default=True)
+@click.option("--bands", default=filters_mod.DedupStage.bands, show_default=True)
+@click.option("--rows", default=filters_mod.DedupStage.rows, show_default=True)
+@click.option("--threshold", default=filters_mod.DedupStage.threshold, show_default=True)
+@click.option("--unit", default=filters_mod.DedupStage.unit, type=click.Choice(["word", "char"]), show_default=True)
 @click.option("--jobs", type=int, metavar="N", expose_value=False, help=_DEDUP_JOBS_HELP)
 def dedup_cmd(in_path, out_path, dropped_path, shingle_n, k, bands, rows, threshold, unit, seed):
     """Remove near-duplicate documents via MinHash + banded LSH."""
+    stage = filters_mod.DedupStage(shingle_n=shingle_n, k=k, bands=bands, rows=rows, threshold=threshold,
+                                   unit=unit, seed=seed)
     docs = corpus_mod.read_corpus(in_path, "mono")
-    stage = filters_mod.DedupStage(dict(n=shingle_n, k=k, seed=seed, b=bands, r=rows,
-                                        jaccard_threshold=threshold, unit=unit))
     result = _run_stages(docs, "mono", [stage], out_path, dropped_path or f"{out_path}.dropped.jsonl",
                          dropped_row=lambda _stage, doc, _reason, detail: dict(detail, dropped_id=doc.id))
     return {
@@ -644,8 +644,8 @@ _PIPELINE_FIELDS = {"schema_version": "integer", "kind": ("mono", "parallel"), "
                     "seed": "integer", "stages": "array"}
 _PIPELINE_REQUIRED = ("schema_version", "kind", "input", "output", "stages")
 
-# stage type -> (fields besides "type", required fields). Value ranges are
-# checked by the stage classes, and by minlsh.dedup for the dedup stage.
+# stage type -> (fields besides "type", required fields). Defaults and value
+# ranges live in the stage classes.
 _STAGE_FIELDS = {
     "langid": ({"model": "string", "expected": "string", "min_confidence": "number"}, ("model", "expected")),
     "dedup": ({"shingle_n": "integer", "k": "integer", "bands": "integer", "rows": "integer",
@@ -655,15 +655,13 @@ _STAGE_FIELDS = {
     "quality_threshold": ({"scorer": "object", "tau": "number"}, ("scorer", "tau")),
 }
 
-# dedup stage keys named differently as minlsh.dedup parameters
-_DEDUP_PARAMS = {"shingle_n": "n", "bands": "b", "rows": "r", "threshold": "jaccard_threshold"}
-
 
 def _build_stages(config: dict, seed: int, path: str):
-    """The configured stages, each given only the keys its entry sets, so
-    the defaults live in the stage classes (and in minlsh.dedup). A bad
-    value names its entry as `<path>: stages[i]`; model files and scorers
-    are loaded first and name their own place."""
+    """The configured stages, each given only the keys its entry sets (and
+    a dedup stage the seed), so the defaults live in the stage classes,
+    which check their values when built. A bad value names its entry as
+    `<path>: stages[i]`; model files and scorers are loaded first and name
+    their own place."""
     stages = []
     for i, entry in enumerate(config["stages"]):
         where = f"{path}: stages[{i}]"
@@ -675,8 +673,7 @@ def _build_stages(config: dict, seed: int, path: str):
             params["model"] = langid_mod.load_langid(params["model"])
             make = filters_mod.LangIdStage
         elif kind == "dedup":
-            params = {"params": dict({_DEDUP_PARAMS.get(key, key): value for key, value in params.items()},
-                                     seed=seed)}
+            params["seed"] = seed
             make = filters_mod.DedupStage
         elif kind == "perplexity":
             params["lm"] = lm_mod.load_lm(params.pop("model"))
@@ -702,6 +699,8 @@ def pipeline_run(config_path, seed):
     if not config["output"]:
         raise SchemaError(f"{config_path}: field 'output' must name a file, not be empty")
     seed = config.get("seed", seed)
+    if seed < 0:
+        raise SchemaError(f"{config_path}: field 'seed' must be >= 0, got {seed}")
     stages = _build_stages(config, seed, config_path)
     records = corpus_mod.read_corpus(config["input"], config["kind"])
     result = _run_stages(records, config["kind"], stages, config["output"], config.get("dropped_output"),

@@ -75,6 +75,9 @@ NO_SPACE_TAGS = frozenset({"zh", "zh-Hant", "yue", "ja", "th", "km", "my", "bo"}
 
 PROVENANCES = ("academic", "book", "professional_web", "general_web", "other")
 
+# Composite quality score name: filters.score_documents writes it, minlsh.dedup ranks by it.
+QUALITY_COMPOSITE = "quality_composite"
+
 
 def require_tag(code: str) -> str:
     """Validate a language tag against the closed registry; returns it unchanged."""

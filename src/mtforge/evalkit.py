@@ -4,10 +4,10 @@ Every metric is a ScorerEndpoint; the default, "chrf", is the registered
 local scorer that calls `chrf` below. Each score lives in its pair's
 `scores` map under the scorer's name, where `group_report` reads it.
 
-chrF here is the pure character-n-gram variant: whitespace is removed, F with
-recall weighted beta^2 over precision is computed per order 1..max_n, and
-orders where neither side has any n-grams are skipped so a string always
-scores 100 against itself.
+chrF here is the pure character-n-gram variant: whitespace is removed, F
+with recall weighted beta^2 over precision, at chrF's standard beta of 2, is
+computed per order 1..max_n, and orders where neither side has any n-grams
+are skipped so a string always scores 100 against itself.
 """
 
 from __future__ import annotations
@@ -21,15 +21,15 @@ from .errors import ValidationError
 from .scorers import ScorerEndpoint
 
 
-def chrf(hypothesis: str, reference: str, max_n: int = 6, beta: float = 2.0) -> float:
-    """Character-n-gram F_beta averaged over orders 1..max_n, scaled to [0, 100]."""
+def chrf(hypothesis: str, reference: str, max_n: int = 6) -> float:
+    """Character-n-gram F_2 averaged over orders 1..max_n, scaled to [0, 100]."""
     if max_n < 1:
         raise ValidationError(f"max_n must be >= 1, got {max_n}")
     ref = "".join(reference.split())
     hyp = "".join(hypothesis.split())
     if not ref:
         raise ValidationError("reference must be non-empty")
-    beta_sq = beta * beta
+    beta_sq = 2.0 * 2.0
     f_scores = []
     for hyp_level, ref_level in zip(char_ngram_levels(hyp, max_n), char_ngram_levels(ref, max_n)):
         hyp_total = len(hyp_level)

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import ClassVar, Protocol, Sequence
 
-from .corpus import Document, ParallelPair, Record, require_tag, with_score
+from . import minlsh
+from .corpus import QUALITY_COMPOSITE, Document, ParallelPair, Record, require_tag, with_score
 from .errors import ValidationError
 from .ioutils import is_number
 from .scorers import ScorerEndpoint
-
-QUALITY_COMPOSITE = "quality_composite"
 
 DIMENSION_KEYS = ("knowledge_value", "authenticity", "writing_style")
 
@@ -73,13 +72,10 @@ def composite_quality(dims: QualityDimensions, profile: WeightProfile) -> float:
     return sum(w * s for w, s in zip(weights, scores)) / (2 * sum(weights))
 
 
-def score_documents(
-    docs: Sequence[Document],
-    profiles: dict[str, WeightProfile] | None = None,
-) -> tuple[list[Document], list[Document]]:
-    """Attach the composite score to docs whose scores map carries all three
-    dimension values; docs missing a dimension land in the second list."""
-    profiles = profiles or DEFAULT_PROFILES
+def score_documents(docs: Sequence[Document]) -> tuple[list[Document], list[Document]]:
+    """Attach the composite score, weighted by the doc's DEFAULT_PROFILES
+    entry, to docs whose scores map carries all three dimension values;
+    docs missing a dimension land in the second list."""
     scored: list[Document] = []
     missing: list[Document] = []
     for doc in docs:
@@ -87,10 +83,7 @@ def score_documents(
             missing.append(doc)
             continue
         dims = QualityDimensions(*(int(doc.scores[key]) for key in DIMENSION_KEYS))
-        profile = profiles.get(doc.provenance)
-        if profile is None:
-            raise ValidationError(f"no weight profile for provenance {doc.provenance!r}")
-        scored.append(with_score(doc, QUALITY_COMPOSITE, composite_quality(dims, profile)))
+        scored.append(with_score(doc, QUALITY_COMPOSITE, composite_quality(dims, DEFAULT_PROFILES[doc.provenance])))
     return scored, missing
 
 
@@ -152,8 +145,8 @@ def flag_inconsistent(
 
 
 class Stage(Protocol):
-    name: str
-    record_kind: str  # "mono" | "parallel"
+    name: ClassVar[str]
+    record_kind: ClassVar[str]  # "mono" | "parallel"
 
     def apply(
         self, records: Sequence[Record]
@@ -188,11 +181,11 @@ class LangIdStage:
     min_confidence; a dropped row carries the predicted language and its
     confidence."""
 
+    name: ClassVar[str] = "langid"
+    record_kind: ClassVar[str] = "mono"
     model: object  # LangIdModel
     expected: str
     min_confidence: float = 0.5
-    name: str = "langid"
-    record_kind: str = "mono"
 
     def __post_init__(self):
         require_tag(self.expected)
@@ -215,17 +208,27 @@ class LangIdStage:
 
 @dataclass
 class DedupStage:
-    """Near-duplicate removal: `params` are keyword arguments of
-    minlsh.dedup, whose own defaults fill in every one left out."""
+    """Near-duplicate removal by minlsh.dedup, whose n, b, r and
+    jaccard_threshold are shingle_n, bands, rows and threshold here; a
+    dropped row carries the kept id and the estimated Jaccard."""
 
-    params: dict = field(default_factory=dict)
-    name: str = "dedup"
-    record_kind: str = "mono"
+    name: ClassVar[str] = "dedup"
+    record_kind: ClassVar[str] = "mono"
+    shingle_n: int = 5
+    k: int = 128
+    bands: int = 16
+    rows: int = 8
+    threshold: float = 0.8
+    unit: str = "word"
+    seed: int = 0
+
+    def __post_init__(self):
+        minlsh.check_dedup_params(self.shingle_n, self.k, self.seed, self.bands, self.rows, self.threshold)
 
     def apply(self, records):
-        from .minlsh import dedup
-
-        kept, drops = dedup(records, **self.params)
+        # looked up per call, so a wrapper installed on the module applies
+        kept, drops = minlsh.dedup(records, n=self.shingle_n, k=self.k, seed=self.seed, b=self.bands,
+                                   r=self.rows, jaccard_threshold=self.threshold, unit=self.unit)
         by_id = {rec.id: rec for rec in records}
         annotated = [(by_id[d.dropped_id], f"near_duplicate_of={d.kept_id}",
                       {"kept_id": d.kept_id, "estimated_jaccard": d.estimated_jaccard}) for d in drops]
@@ -238,12 +241,12 @@ class PerplexityStage:
     percentile mode the lowest-q fraction by perplexity, with boundary ties
     kept."""
 
+    name: ClassVar[str] = "perplexity"
+    record_kind: ClassVar[str] = "mono"
     lm: object  # NGramLm
     mode: str = "percentile"
     max_ppl: float | None = None
     q: float | None = 0.95
-    name: str = "perplexity"
-    record_kind: str = "mono"
 
     def __post_init__(self):
         if self.mode == "absolute":
@@ -280,10 +283,10 @@ class QualityThresholdStage:
     """Keep parallel pairs scoring >= tau, which must lie in the scorer's
     range; see threshold_filter."""
 
+    name: ClassVar[str] = "quality_threshold"
+    record_kind: ClassVar[str] = "parallel"
     scorer: ScorerEndpoint
     tau: float
-    name: str = "quality_threshold"
-    record_kind: str = "parallel"
 
     def __post_init__(self):
         lo, hi = self.scorer.score_range

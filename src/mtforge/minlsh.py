@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import _minhash_py as _kernel
-from .corpus import Document
+from .corpus import QUALITY_COMPOSITE, Document
 from .errors import ValidationError
 
 KERNEL_BACKEND: str = "numpy"
@@ -27,16 +27,8 @@ def hash64(data: str) -> int:
     return int.from_bytes(hashlib.blake2b(data.encode("utf-8"), digest_size=8).digest(), "little")
 
 
-@dataclass(frozen=True)
-class ShingleSet:
-    """Hashed word (or character) n-grams of one document."""
-
-    shingles: frozenset[int]
-    n: int
-
-
-def shingle(text: str, n: int, unit: str = "word") -> ShingleSet:
-    """Hash consecutive n-grams of whitespace tokens (or characters).
+def shingle(text: str, n: int, unit: str = "word") -> frozenset[int]:
+    """Hashed consecutive n-grams of whitespace tokens (or characters).
 
     Texts with fewer than n units collapse to a single whole-text shingle,
     so the set is never empty for non-empty text.
@@ -52,9 +44,9 @@ def shingle(text: str, n: int, unit: str = "word") -> ShingleSet:
     else:
         raise ValidationError(f"shingle unit must be 'word' or 'char', not {unit!r}")
     if len(units) < n:
-        return ShingleSet(frozenset({hash64(text)}), n)
+        return frozenset({hash64(text)})
     grams = {joiner.join(units[i : i + n]) for i in range(len(units) - n + 1)}
-    return ShingleSet(frozenset(hash64(g) for g in grams), n)
+    return frozenset(hash64(g) for g in grams)
 
 
 @dataclass(frozen=True)
@@ -84,14 +76,14 @@ def hash_params(k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def signature(shingles: ShingleSet, k: int, seed: int) -> MinHashSignature:
+def signature(shingles: frozenset[int], k: int, seed: int) -> MinHashSignature:
     """MinHash signature of a shingle set under k seeded hash functions."""
     if k < 1:
         raise ValidationError(f"signature length must be >= 1, got {k}")
-    if not shingles.shingles:
+    if not shingles:
         raise ValidationError("cannot sign an empty shingle set")
     a, b = hash_params(k, seed)
-    xs = np.fromiter(shingles.shingles, dtype=np.uint64, count=len(shingles.shingles))
+    xs = np.fromiter(shingles, dtype=np.uint64, count=len(shingles))
     values = _kernel.min_hash(xs, a, b)
     return MinHashSignature(tuple(values.tolist()), seed=seed, k=k)
 
@@ -179,12 +171,26 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def _representative(cluster: list[Document], quality_key: str) -> Document:
-    """Highest quality score wins, then longest text, then smallest id."""
+def _representative(cluster: list[Document]) -> Document:
+    """Highest QUALITY_COMPOSITE score wins, then longest text, then smallest id."""
     return min(
         cluster,
-        key=lambda d: (-d.scores.get(quality_key, float("-inf")), -len(d.text), d.id),
+        key=lambda d: (-d.scores.get(QUALITY_COMPOSITE, float("-inf")), -len(d.text), d.id),
     )
+
+
+def check_dedup_params(n: int, k: int, seed: int, b: int, r: int, jaccard_threshold: float) -> None:
+    """Every check of `dedup`'s values, which filters.DedupStage also runs when built."""
+    if n < 1:
+        raise ValidationError(f"shingle width must be >= 1, got {n}")
+    if b < 1 or r < 1:
+        raise ValidationError(f"bands and rows must be >= 1, got {b}x{r}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    if b * r != k:
+        raise ValidationError(f"bands*rows ({b}x{r}) must equal k={k}")
+    if not 0 < jaccard_threshold <= 1:
+        raise ValidationError(f"jaccard_threshold must be in (0, 1], got {jaccard_threshold}")
 
 
 def dedup(
@@ -196,7 +202,6 @@ def dedup(
     r: int = 8,
     jaccard_threshold: float = 0.8,
     unit: str = "word",
-    quality_key: str = "quality_composite",
 ) -> tuple[list[Document], list[DropRecord]]:
     """Remove near-duplicates, keeping one representative per duplicate cluster.
 
@@ -210,14 +215,7 @@ def dedup(
     A per-document thread pool was measured slower: the work between kernel
     calls holds the GIL, so threads only add hand-offs.
     """
-    if b < 1 or r < 1:
-        raise ValidationError(f"bands and rows must be >= 1, got {b}x{r}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    if b * r != k:
-        raise ValidationError(f"bands*rows ({b}x{r}) must equal k={k}")
-    if not 0 < jaccard_threshold <= 1:
-        raise ValidationError(f"jaccard_threshold must be in (0, 1], got {jaccard_threshold}")
+    check_dedup_params(n, k, seed, b, r, jaccard_threshold)
     ids = [d.id for d in docs]
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate document ids in dedup input")
@@ -241,7 +239,7 @@ def dedup(
     keep_ids: set[str] = set()
     dropped: list[DropRecord] = []
     for members in clusters.values():
-        rep = _representative(members, quality_key)
+        rep = _representative(members)
         keep_ids.add(rep.id)
         for doc in members:
             if doc.id != rep.id:

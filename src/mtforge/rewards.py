@@ -63,32 +63,27 @@ def terminology_reward(source: str, hypothesis: str, table: TermTable) -> float:
     return covered / len(relevant)
 
 
-def repetition_score(
-    text: str,
-    n_range: tuple[int, int] = (2, 4),
-    max_consecutive: int = 3,
-    min_distinct_ratio: float = 0.3,
-) -> float:
+REPETITION_ORDERS = range(2, 5)
+MAX_CONSECUTIVE = 3
+MIN_DISTINCT_RATIO = 0.3
+
+
+def repetition_score(text: str) -> float:
     """Binary degenerate-repetition detector over whitespace tokens.
 
-    Returns 1.0 when any n-gram (n in the inclusive range) repeats
-    back-to-back at least max_consecutive times, or when the distinct-n-gram
-    ratio for some n falls below min_distinct_ratio; otherwise 0.0.
+    Returns 1.0 when any n-gram (n in REPETITION_ORDERS) repeats
+    back-to-back at least MAX_CONSECUTIVE times, or when the distinct-n-gram
+    ratio for some n falls below MIN_DISTINCT_RATIO; otherwise 0.0.
     """
     tokens = text.split()
     if not tokens:
         raise ValidationError("cannot score empty text")
-    lo, hi = n_range
-    if lo < 1 or hi < lo:
-        raise ValidationError(f"bad n-gram range {n_range}")
-    if max_consecutive < 2:
-        raise ValidationError("max_consecutive must be >= 2")
-    for n in range(lo, hi + 1):
+    for n in REPETITION_ORDERS:
         total = len(tokens) - n + 1
         if total < 1:
             continue
         grams = [tuple(tokens[i : i + n]) for i in range(total)]
-        if len(set(grams)) / total < min_distinct_ratio:
+        if len(set(grams)) / total < MIN_DISTINCT_RATIO:
             return 1.0
         # back-to-back repetition: the same n-gram at start, start+n, ...
         for start in range(total):
@@ -97,7 +92,7 @@ def repetition_score(
             pos = start + n
             while pos + n <= len(tokens) and tokens[pos : pos + n] == gram:
                 run += 1
-                if run >= max_consecutive:
+                if run >= MAX_CONSECUTIVE:
                     return 1.0
                 pos += n
     return 0.0

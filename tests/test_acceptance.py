@@ -23,7 +23,6 @@ from mtforge.filters import PerplexityStage, QualityDimensions, WeightProfile, c
 from mtforge.minlsh import (
     MERSENNE61,
     MinHashSignature,
-    ShingleSet,
     collide,
     dedup,
     estimate_jaccard,
@@ -53,14 +52,14 @@ def _synthetic_pair(rng, intersection, union):
     values = list(dict.fromkeys(values))[:union]
     only_a = (union - intersection) // 2
     shared = values[:intersection]
-    a = ShingleSet(frozenset(shared + values[intersection : intersection + only_a]), 1)
-    b = ShingleSet(frozenset(shared + values[intersection + only_a :]), 1)
+    a = frozenset(shared + values[intersection : intersection + only_a])
+    b = frozenset(shared + values[intersection + only_a :])
     return a, b
 
 
 def _exact_jaccard(a, b):
-    union = a.shingles | b.shingles
-    return len(a.shingles & b.shingles) / len(union) if union else 1.0
+    union = a | b
+    return len(a & b) / len(union) if union else 1.0
 
 
 def test_criterion_01_minhash_accuracy():

@@ -16,6 +16,7 @@ import pytest
 
 import mtforge
 import mtforge.corpus
+import mtforge.langid
 import mtforge.ngram_lm
 from mtforge.backends import register_mock_backend
 from mtforge.cli import cli, main
@@ -523,6 +524,15 @@ class TestExitCodes:
          "stages[0]: unknown language tag: 'xx'"),
         ("pipeline-run", _pipeline_json({"type": "quality_threshold", "scorer": _SCORER, "tau": 2}, kind="parallel"),
          "stages[0]: tau=2 outside scorer range [0.0, 1.0]"),
+        ("pipeline-run", _pipeline_json({"type": "dedup", "shingle_n": 0}),
+         "stages[0]: shingle width must be >= 1, got 0"),
+        ("pipeline-run", _pipeline_json({"type": "dedup", "threshold": 0}),
+         "stages[0]: jaccard_threshold must be in (0, 1], got 0"),
+        ("pipeline-run", _pipeline_json({"type": "dedup", "k": 100}), "stages[0]: bands*rows (16x8) must equal k=100"),
+        # a top-level field, so no stage is blamed; a run without a dedup stage used it unchecked
+        ("pipeline-run", _pipeline_json({"type": "perplexity", "model": "{dir}/lm.txt", "mode": "percentile"},
+                                        seed=-1),
+         "field 'seed' must be >= 0, got -1"),
         ("fuse", _fuse_json(backend=dict(_BACKEND, max_retries=-1)), "backend: max_retries must be >= 0, got -1"),
         ("fuse", _fuse_json(fusion_backend=dict(_BACKEND, colour=1)), "fusion_backend: unknown fields ['colour']"),
         ("fuse", _fuse_json(grid=[{}, {"top_p": True}]), "grid[1]: field 'top_p' must be number, not boolean"),
@@ -568,17 +578,32 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "lm.txt", "pipeline.json"]
 
     @pytest.mark.parametrize("bands, rows, k", [(-1, -128, 128), (0, 8, 0), (16, 0, 0)])
-    def test_dedup_rejects_bands_or_rows_below_1(self, tmp_path, capsys, bands, rows, k):
+    def test_dedup_rejects_bands_or_rows_below_1(self, tmp_path, capsys, monkeypatch, bands, rows, k):
         corpus = _write_mono(tmp_path, _english_docs(3))
+        (tmp_path / "langid.json").write_bytes(_langid_model_json())
+        calls = []
+        monkeypatch.setattr(mtforge.langid, "predict_lang", lambda *args: calls.append(args))
+        monkeypatch.setattr(mtforge.corpus, "read_corpus", lambda *args: calls.append(args))
         out = tmp_path / "kept.jsonl"
         assert run("dedup", "--in", corpus, "--out", out, "--bands", bands, "--rows", rows, "--k", k) == 1
         assert capsys.readouterr().err == f"error: bands and rows must be >= 1, got {bands}x{rows}\n"
         config = tmp_path / "pipeline.json"
-        config.write_bytes(_pipeline_json({"type": "dedup", "bands": bands, "rows": rows, "k": k})
+        config.write_bytes(_pipeline_json({"type": "langid", "model": "{dir}/langid.json", "expected": "en"},
+                                          {"type": "dedup", "bands": bands, "rows": rows, "k": k})
                            .replace(b"{dir}", json.dumps(str(tmp_path))[1:-1].encode()))
         assert run("pipeline-run", "--config", config) == 1
-        assert capsys.readouterr().err == f"error: bands and rows must be >= 1, got {bands}x{rows}\n"
-        assert not out.exists() and not (tmp_path / "out.jsonl").exists()
+        assert capsys.readouterr().err == (
+            f"error: {config}: stages[1]: bands and rows must be >= 1, got {bands}x{rows}\n")
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "langid.json", "pipeline.json"]
+
+    def test_dedup_value_is_checked_before_the_corpus_is_read(self, tmp_path, capsys):
+        empty = tmp_path / "corpus.jsonl"
+        empty.write_text("")
+        assert run("dedup", "--in", empty, "--out", tmp_path / "kept.jsonl", "--shingle-n", 0,
+                   "--report", tmp_path / "report.json") == 1
+        assert capsys.readouterr().err == "error: shingle width must be >= 1, got 0\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
 
     def test_constant_scorer_shorthand_must_be_a_finite_number(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.jsonl"

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import pytest
@@ -8,6 +9,7 @@ from mtforge.corpus import Document, ParallelPair
 from mtforge.errors import ValidationError
 from mtforge.filters import (
     DEFAULT_PROFILES,
+    DedupStage,
     JudgeRecord,
     LangIdStage,
     PerplexityStage,
@@ -20,6 +22,7 @@ from mtforge.filters import (
     score_documents,
     threshold_filter,
 )
+from mtforge.minlsh import dedup
 from mtforge.scorers import ScorerEndpoint, register_scorer
 
 
@@ -175,6 +178,46 @@ class _AlwaysPassStage:
 
     def apply(self, records):
         return list(records), [], []
+
+
+class TestStages:
+    def test_name_and_kind_are_not_arguments(self):
+        with pytest.raises(TypeError):
+            LangIdStage(object(), "en", 0.5, "x", "parallel")
+        with pytest.raises(TypeError):
+            DedupStage(name="x")
+        assert [(stage.name, stage.record_kind) for stage in
+                (LangIdStage, DedupStage, PerplexityStage, QualityThresholdStage)] == [
+            ("langid", "mono"), ("dedup", "mono"), ("perplexity", "mono"), ("quality_threshold", "parallel")]
+
+    def test_dedup_defaults_equal_minlsh_dedups(self):
+        defaults = inspect.signature(dedup).parameters
+        stage = DedupStage()
+        assert (stage.shingle_n, stage.k, stage.bands, stage.rows, stage.threshold, stage.unit, stage.seed) == tuple(
+            defaults[key].default for key in ("n", "k", "b", "r", "jaccard_threshold", "unit", "seed"))
+
+    @pytest.mark.parametrize("params, message", [
+        (dict(shingle_n=0), "shingle width must be >= 1, got 0"),
+        (dict(bands=0, k=0), "bands and rows must be >= 1, got 0x8"),
+        (dict(seed=-1), "seed must be >= 0, got -1"),
+        (dict(k=100), r"bands\*rows \(16x8\) must equal k=100"),
+        (dict(threshold=1.5), r"jaccard_threshold must be in \(0, 1\], got 1.5"),
+    ])
+    def test_dedup_values_checked_when_built(self, params, message):
+        with pytest.raises(ValidationError, match=message):
+            DedupStage(**params)
+
+    def test_dedup_apply_passes_every_value(self):
+        # near-duplicates only as single characters at a threshold below the default
+        docs = [Document(id=f"d{i}", lang="en", text=text) for i, text in enumerate(["abcde", "abcdf", "xyz"])]
+        stage = DedupStage(shingle_n=1, k=32, bands=8, rows=4, threshold=0.5, unit="char", seed=3)
+        kept, dropped, unscored = stage.apply(docs)
+        kept_ref, dropped_ref = dedup(docs, n=1, k=32, seed=3, b=8, r=4, jaccard_threshold=0.5, unit="char")
+        assert kept == kept_ref and not unscored
+        assert [(doc.id, reason, detail) for doc, reason, detail in dropped] == [
+            (d.dropped_id, f"near_duplicate_of={d.kept_id}",
+             {"kept_id": d.kept_id, "estimated_jaccard": d.estimated_jaccard}) for d in dropped_ref]
+        assert dropped_ref
 
 
 class TestPipeline:

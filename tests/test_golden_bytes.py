@@ -5,7 +5,9 @@ hashes every file it writes (outputs, models, dropped and unscored files,
 report), or its `--help` page. Scoring goes to a local test server, and
 generation to the `mock:` backends. The hashes must equal the committed table in
 `goldens/filter_bytes.json`, so a change meant to keep the bytes shows that
-it did, and one that changes them shows which files.
+it did, and one that changes them shows which files. The same bytes must come
+out of fresh processes under other `PYTHONHASHSEED` values, and at any
+`--jobs`.
 
 To rewrite the table after an intended change of bytes:
 
@@ -18,16 +20,20 @@ import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
+import mtforge
 from mtforge.cli import main
 from mtforge.corpus import Document, ParallelPair, write_corpus
 
 TABLE = Path(__file__).parent / "goldens" / "filter_bytes.json"
+PACKAGE_ROOT = str(Path(mtforge.__file__).resolve().parents[1])
 UPDATE = os.environ.get("MTFORGE_UPDATE_GOLDEN_BYTES") == "1"
 
 EN = ("the quick brown fox jumps over a lazy dog while every good boy deserves fudge and "
@@ -226,15 +232,54 @@ def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def _argv(args, inputs):
+    return [str(arg).replace("IN/", f"{inputs}/") for arg in args] + ["--report", "OUT/report.json"]
+
+
+def _digests(out):
+    return {path.name: _sha(path.read_bytes()) for path in sorted(out.iterdir())}
+
+
+def _run(argv, cwd, monkeypatch):
+    """The digests of the files `argv` writes, run in-process in `cwd`;
+    pipeline configs name their outputs relative to it."""
+    (cwd / "OUT").mkdir(parents=True)
+    monkeypatch.chdir(cwd)
+    assert main(argv) == 0
+    return _digests(cwd / "OUT")
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_table(case, inputs, tmp_path, monkeypatch):
-    # pipeline configs name their outputs relative to the working directory
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "OUT").mkdir()
-    argv = [arg.replace("IN/", f"{inputs}/") for arg in CASES[case]]
-    assert main(argv + ["--report", "OUT/report.json"]) == 0
-    digests = {path.name: _sha(path.read_bytes()) for path in sorted((tmp_path / "OUT").iterdir())}
-    _check(case, digests)
+    _check(case, _run(_argv(CASES[case], inputs), tmp_path, monkeypatch))
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "4242"])
+def test_outputs_do_not_depend_on_the_hash_seed(hash_seed, inputs, tmp_path):
+    # string hashing, and so set order, is seeded when a process starts
+    pythonpath = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=pythonpath)
+    for case in ("pipeline-run-mono", "dedup", "fuse"):
+        (tmp_path / case / "OUT").mkdir(parents=True)
+        subprocess.run([sys.executable, "-m", "mtforge", *_argv(CASES[case], inputs)], cwd=tmp_path / case,
+                       env=env, check=True, capture_output=True)
+        assert _digests(tmp_path / case / "OUT") == json.loads(TABLE.read_text())[case], case
+
+
+@pytest.mark.parametrize("case", ["translate", "fuse", "reward-score-scorer"])
+def test_outputs_do_not_depend_on_jobs(case, inputs, tmp_path, monkeypatch):
+    if case == "reward-score-scorer":  # every record scored by request
+        unscored = tmp_path / "rewards.jsonl"
+        _write_lines(unscored, ({key: value for key, value in json.loads(line).items() if key != "quality"}
+                                for line in (inputs / "rewards.jsonl").read_text().splitlines()))
+        args = ["reward-score", "--in", unscored, "--terms", "IN/terms.json", "--scorer", "constant:0.5",
+                "--out", "OUT/rewards.jsonl"]
+    else:
+        args = CASES[case][: CASES[case].index("--jobs")]
+    runs = [_run(_argv(args + ["--jobs", jobs], inputs), tmp_path / f"jobs{jobs}", monkeypatch) for jobs in ("1", "4")]
+    assert runs[0] == runs[1]
+    if case in CASES:  # the table holds these at --jobs 2
+        assert runs[0] == json.loads(TABLE.read_text())[case]
 
 
 @pytest.mark.parametrize("command", HELP)

@@ -9,7 +9,6 @@ from mtforge.minlsh import (
     LshIndex,
     MERSENNE61,
     MinHashSignature,
-    ShingleSet,
     collide,
     dedup,
     estimate_jaccard,
@@ -20,15 +19,15 @@ from mtforge.minlsh import (
 )
 
 
-def exact_jaccard(a: ShingleSet, b: ShingleSet) -> float:
+def exact_jaccard(a: frozenset[int], b: frozenset[int]) -> float:
     """Brute-force set arithmetic oracle."""
-    union = a.shingles | b.shingles
+    union = a | b
     if not union:
         return 1.0
-    return len(a.shingles & b.shingles) / len(union)
+    return len(a & b) / len(union)
 
 
-def synthetic_pair(rng, intersection: int, union: int) -> tuple[ShingleSet, ShingleSet]:
+def synthetic_pair(rng, intersection: int, union: int) -> tuple[frozenset[int], frozenset[int]]:
     """Two shingle sets with exactly the requested overlap."""
     only_a = (union - intersection) // 2
     only_b = union - intersection - only_a
@@ -36,29 +35,29 @@ def synthetic_pair(rng, intersection: int, union: int) -> tuple[ShingleSet, Shin
     values = list(dict.fromkeys(values))[:union]
     assert len(values) == union
     shared = values[:intersection]
-    a = ShingleSet(frozenset(shared + values[intersection : intersection + only_a]), 1)
-    b = ShingleSet(frozenset(shared + values[intersection + only_a :]), 1)
+    a = frozenset(shared + values[intersection : intersection + only_a])
+    b = frozenset(shared + values[intersection + only_a :])
     return a, b
 
 
 class TestShingle:
     def test_two_token_bigrams(self):
         got = shingle("a b c", 2)
-        assert got.shingles == frozenset({hash64("a b"), hash64("b c")})
+        assert got == frozenset({hash64("a b"), hash64("b c")})
 
     def test_deterministic(self):
         assert shingle("x y z", 2) == shingle("x y z", 2)
 
     def test_set_semantics(self):
-        assert len(shingle("a a a a", 2).shingles) == 1
+        assert len(shingle("a a a a", 2)) == 1
 
     def test_short_text_whole_text_shingle(self):
         got = shingle("only two", 5)
-        assert got.shingles == frozenset({hash64("only two")})
+        assert got == frozenset({hash64("only two")})
 
     def test_char_unit(self):
         got = shingle("abc", 2, unit="char")
-        assert got.shingles == frozenset({hash64("ab"), hash64("bc")})
+        assert got == frozenset({hash64("ab"), hash64("bc")})
 
 
 class TestSignature:
@@ -72,7 +71,7 @@ class TestSignature:
 
     def test_empty_shingle_set_rejected(self):
         with pytest.raises(ValidationError):
-            signature(ShingleSet(frozenset(), 1), 16, seed=0)
+            signature(frozenset(), 16, seed=0)
 
     def test_mismatched_seed_rejected(self):
         s = shingle("a b c", 1)
