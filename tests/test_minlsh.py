@@ -1,5 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mtforge import _minhash_py, minlsh
 from mtforge.corpus import Document
@@ -300,3 +303,82 @@ class TestDedup:
         for docs in ([], [Document(id="a", lang="en", text="x y z"), Document(id="b", lang="en", text="x y z")]):
             with pytest.raises(ValidationError):
                 dedup(docs, **params)
+
+
+_VOCAB = [f"v{i}" for i in range(30)]
+
+
+def _blake64(gram: str) -> int:
+    return int.from_bytes(hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest(), "little")
+
+
+def _reference_dedup(docs, n, k, seed, b, r, threshold):
+    """Brute force over every pair of docs: a pair that shares an exact band and
+    estimates at or above the threshold is merged; each cluster keeps its
+    `_representative`."""
+    a, c = hash_params(k, seed)
+    sigs = []
+    for doc in docs:
+        tokens = doc.text.split()
+        grams = {" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)} or {doc.text}
+        xs = np.array([_blake64(g) for g in grams], dtype=np.uint64)
+        sigs.append([int(v) for v in _minhash_py.min_hash(xs, a, c)])
+
+    def estimate(i, j):
+        return sum(x == y for x, y in zip(sigs[i], sigs[j])) / k
+
+    parent = list(range(len(docs)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(docs)):
+        for j in range(i + 1, len(docs)):
+            share = any(sigs[i][band * r : (band + 1) * r] == sigs[j][band * r : (band + 1) * r] for band in range(b))
+            if share and estimate(i, j) >= threshold:
+                parent[find(j)] = find(i)
+    clusters = {}
+    for i in range(len(docs)):
+        clusters.setdefault(find(i), []).append(i)
+    kept_ids, drops = set(), []
+    for members in clusters.values():
+        rep = minlsh._representative([docs[i] for i in members])
+        rep_i = next(i for i in members if docs[i] is rep)
+        kept_ids.add(rep.id)
+        drops += [minlsh.DropRecord(docs[i].id, rep.id, estimate(i, rep_i)) for i in members if i != rep_i]
+    return [d for d in docs if d.id in kept_ids], sorted(drops, key=lambda rec: rec.dropped_id)
+
+
+@st.composite
+def _corpora(draw):
+    """Groups of identical docs, near-duplicates of one base with one token
+    edited, and unique docs, in shuffled order; some carry a quality score."""
+    texts = []
+    for kind in draw(st.lists(st.sampled_from(["identical", "near", "unique"]), min_size=1, max_size=4)):
+        base = draw(st.lists(st.sampled_from(_VOCAB), min_size=2, max_size=12))
+        for _ in range(draw(st.integers(1, 6))):
+            tokens = list(base)
+            if kind == "near":
+                tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_VOCAB))
+            elif kind == "unique":
+                tokens = draw(st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=12))
+            texts.append(" ".join(tokens))
+    scores = [draw(st.sampled_from([{}, {"quality_composite": 0.2}, {"quality_composite": 0.5}])) for _ in texts]
+    docs = [Document(id=f"d{i:02d}", lang="en", text=text, scores=score)
+            for i, (text, score) in enumerate(zip(texts, scores))]
+    return draw(st.permutations(docs))
+
+
+class TestDifferential:
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(docs=_corpora(), n=st.integers(1, 3), bands_rows=st.sampled_from([(4, 2), (8, 2), (4, 4), (16, 1)]),
+           threshold=st.sampled_from([0.5, 0.75, 0.8, 1.0]), seed=st.integers(0, 3))
+    def test_dedup_matches_brute_force(self, docs, n, bands_rows, threshold, seed):
+        b, r = bands_rows
+        kept, dropped = dedup(docs, n=n, k=b * r, seed=seed, b=b, r=r, jaccard_threshold=threshold)
+        ref_kept, ref_dropped = _reference_dedup(docs, n, b * r, seed, b, r, threshold)
+        assert [d.id for d in kept] == [d.id for d in ref_kept]
+        assert dropped == ref_dropped
+        assert all(type(rec.estimated_jaccard) is float for rec in dropped)
