@@ -9,7 +9,7 @@ from .corpus import (
     read_corpus,
     write_corpus,
 )
-from .minlsh import KERNEL_BACKEND, MinHashSignature, dedup, estimate_jaccard, shingle, signature
+from .minlsh import KERNEL_BACKEND, dedup, estimate_jaccard, shingle, signature
 from .errors import MtforgeError, OrchestrationError, SchemaError, ValidationError
 
 __version__ = "0.1.0"
@@ -23,7 +23,6 @@ __all__ = [
     "read_corpus",
     "write_corpus",
     "KERNEL_BACKEND",
-    "MinHashSignature",
     "dedup",
     "estimate_jaccard",
     "shingle",

@@ -223,7 +223,7 @@ class DedupStage:
     seed: int = 0
 
     def __post_init__(self):
-        minlsh.check_dedup_params(self.shingle_n, self.k, self.seed, self.bands, self.rows, self.threshold)
+        minlsh.check_dedup_params(self.shingle_n, self.k, self.seed, self.bands, self.rows, self.threshold, self.unit)
 
     def apply(self, records):
         # looked up per call, so a wrapper installed on the module applies

@@ -22,8 +22,7 @@ from mtforge.evalkit import chrf
 from mtforge.filters import PerplexityStage, QualityDimensions, WeightProfile, composite_quality
 from mtforge.minlsh import (
     MERSENNE61,
-    MinHashSignature,
-    collide,
+    LshIndex,
     dedup,
     estimate_jaccard,
     shingle,
@@ -57,6 +56,10 @@ def _synthetic_pair(rng, intersection, union):
     return a, b
 
 
+def _sign(shingles, k, seed):
+    return signature(np.fromiter(shingles, dtype=np.uint64, count=len(shingles)), k, seed)
+
+
 def _exact_jaccard(a, b):
     union = a | b
     return len(a & b) / len(union) if union else 1.0
@@ -71,7 +74,7 @@ def test_criterion_01_minhash_accuracy():
             union = int(rng.integers(40, 200))
             intersection = int(rng.integers(0, union + 1))
             a, b = _synthetic_pair(rng, intersection, union)
-            est = estimate_jaccard(signature(a, 256, seed=9), signature(b, 256, seed=9))
+            est = estimate_jaccard(_sign(a, 256, seed=9), _sign(b, 256, seed=9))
             errors.append(abs(est - _exact_jaccard(a, b)))
         elapsed = time.monotonic() - start
         assert sum(errors) / len(errors) <= 0.03, f"mean error {sum(errors)/len(errors):.4f}"
@@ -95,7 +98,7 @@ def test_criterion_02_dedup_end_to_end():
                 tokens[int(rng.integers(0, len(tokens)))] = f"edit{j}_{int(rng.integers(0, 99))}"
             dups.append(Document(id=f"dup{j:03d}", lang="en", text=" ".join(tokens)))
         docs = base + dups
-        sets = {d.id: shingle(d.text, 5) for d in docs}
+        sets = {d.id: frozenset(shingle(d.text, 5).tolist()) for d in docs}
         for j, dup in enumerate(dups):
             assert _exact_jaccard(sets[dup.id], sets[base[j].id]) >= 0.9
 
@@ -115,6 +118,7 @@ def test_criterion_02_dedup_end_to_end():
 def test_criterion_03_lsh_collision_curve():
     with criterion(3, "band collision rate within 0.05 of 1-(1-s^8)^16 at s in {0.2, 0.7, 0.95}"):
         b, r, k = 16, 8, 128
+        index = LshIndex(bands=b, rows_per_band=r)
         for s in (0.2, 0.7, 0.95):
             rng = np.random.default_rng(int(s * 1000))
             hits = 0
@@ -123,11 +127,8 @@ def test_criterion_03_lsh_collision_curve():
                 other = sig.copy()
                 flip = rng.random(k) >= s
                 other[flip] = (other[flip] + 1 + rng.integers(0, 1000, size=int(flip.sum()), dtype=np.uint64)) % np.uint64(MERSENNE61)
-                hits += collide(
-                    MinHashSignature(tuple(int(v) for v in sig), seed=0, k=k),
-                    MinHashSignature(tuple(int(v) for v in other), seed=0, k=k),
-                    b, r,
-                )
+                index.insert(np.stack([sig, other]))
+                hits += bool(index.candidate_pairs())
             expected = 1 - (1 - s**r) ** b
             assert abs(hits / 2000 - expected) <= 0.05, f"s={s}: {hits/2000:.4f} vs {expected:.4f}"
 

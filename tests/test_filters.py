@@ -202,6 +202,7 @@ class TestStages:
         (dict(seed=-1), "seed must be >= 0, got -1"),
         (dict(k=100), r"bands\*rows \(16x8\) must equal k=100"),
         (dict(threshold=1.5), r"jaccard_threshold must be in \(0, 1\], got 1.5"),
+        (dict(unit="byte"), "shingle unit must be 'word' or 'char', not 'byte'"),
     ])
     def test_dedup_values_checked_when_built(self, params, message):
         with pytest.raises(ValidationError, match=message):

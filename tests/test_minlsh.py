@@ -1,4 +1,9 @@
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,15 +16,20 @@ from mtforge.minlsh import (
     KERNEL_BACKEND,
     LshIndex,
     MERSENNE61,
-    MinHashSignature,
-    collide,
     dedup,
     estimate_jaccard,
-    hash64,
     hash_params,
     shingle,
     signature,
 )
+
+
+def _blake64(gram: str) -> int:
+    return int.from_bytes(hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest(), "little")
+
+
+def sign(shingles: frozenset[int], k: int, seed: int) -> np.ndarray:
+    return signature(np.fromiter(shingles, dtype=np.uint64, count=len(shingles)), k, seed)
 
 
 def exact_jaccard(a: frozenset[int], b: frozenset[int]) -> float:
@@ -46,27 +56,33 @@ def synthetic_pair(rng, intersection: int, union: int) -> tuple[frozenset[int], 
 class TestShingle:
     def test_two_token_bigrams(self):
         got = shingle("a b c", 2)
-        assert got == frozenset({hash64("a b"), hash64("b c")})
+        assert got.dtype == np.dtype("<u8")
+        assert sorted(got.tolist()) == sorted([_blake64("a b"), _blake64("b c")])
 
     def test_deterministic(self):
-        assert shingle("x y z", 2) == shingle("x y z", 2)
+        assert set(shingle("x y z", 2).tolist()) == set(shingle("x y z", 2).tolist())
 
     def test_set_semantics(self):
-        assert len(shingle("a a a a", 2)) == 1
+        assert shingle("a a a a", 2).tolist() == [_blake64("a a")]
 
     def test_short_text_whole_text_shingle(self):
-        got = shingle("only two", 5)
-        assert got == frozenset({hash64("only two")})
+        assert shingle("only two", 5).tolist() == [_blake64("only two")]
 
     def test_char_unit(self):
         got = shingle("abc", 2, unit="char")
-        assert got == frozenset({hash64("ab"), hash64("bc")})
+        assert sorted(got.tolist()) == sorted([_blake64("ab"), _blake64("bc")])
+
+    def test_unknown_unit_rejected(self):
+        with pytest.raises(ValidationError, match="shingle unit must be 'word' or 'char', not 'byte'"):
+            shingle("abc", 2, unit="byte")
 
 
 class TestSignature:
     def test_equal_sets_equal_signatures(self):
         a = shingle("the quick brown fox", 2)
-        assert signature(a, 64, seed=7) == signature(a, 64, seed=7)
+        sig = signature(a, 64, seed=7)
+        assert sig.dtype == np.uint64 and sig.shape == (64,)
+        assert np.array_equal(sig, signature(a[::-1], 64, seed=7))
 
     def test_self_similarity_is_one(self):
         sig = signature(shingle("alpha beta gamma", 1), 128, seed=3)
@@ -74,24 +90,32 @@ class TestSignature:
 
     def test_empty_shingle_set_rejected(self):
         with pytest.raises(ValidationError):
-            signature(frozenset(), 16, seed=0)
+            signature(np.empty(0, dtype=np.uint64), 16, seed=0)
 
-    def test_mismatched_seed_rejected(self):
+    def test_mismatched_lengths_rejected(self):
         s = shingle("a b c", 1)
+        with pytest.raises(ValidationError, match="signatures of length 16 and 32 are not comparable"):
+            estimate_jaccard(signature(s, 16, seed=0), signature(s, 32, seed=0))
         with pytest.raises(ValidationError):
-            estimate_jaccard(signature(s, 16, seed=0), signature(s, 16, seed=1))
+            estimate_jaccard(np.stack([signature(s, 16, seed=0)] * 3), signature(s, 32, seed=0))
+
+    def test_rows_against_one_row(self):
+        rows = np.array([[1, 2, 3, 4], [1, 2, 0, 0], [9, 9, 9, 9]], dtype=np.uint64)
+        got = estimate_jaccard(rows, rows[0])
+        assert got.tolist() == [1.0, 0.5, 0.0]
+        assert estimate_jaccard(rows, rows[[1, 1, 1]]).tolist() == [0.5, 1.0, 0.0]
 
     def test_known_overlap_estimate(self):
         rng = np.random.default_rng(11)
         a, b = synthetic_pair(rng, intersection=50, union=100)
         assert exact_jaccard(a, b) == 0.5
-        est = estimate_jaccard(signature(a, 256, seed=5), signature(b, 256, seed=5))
+        est = estimate_jaccard(sign(a, 256, seed=5), sign(b, 256, seed=5))
         assert abs(est - 0.5) <= 0.10  # 3*sqrt(0.25/256) ~ 0.094
 
     def test_disjoint_sets_estimate_near_zero(self):
         rng = np.random.default_rng(12)
         a, b = synthetic_pair(rng, intersection=0, union=120)
-        est = estimate_jaccard(signature(a, 256, seed=5), signature(b, 256, seed=5))
+        est = estimate_jaccard(sign(a, 256, seed=5), sign(b, 256, seed=5))
         assert est <= 0.05
 
     def test_mean_error_over_200_pairs(self):
@@ -101,7 +125,7 @@ class TestSignature:
             union = int(rng.integers(40, 200))
             intersection = int(rng.integers(0, union + 1))
             a, b = synthetic_pair(rng, intersection, union)
-            est = estimate_jaccard(signature(a, 256, seed=9), signature(b, 256, seed=9))
+            est = estimate_jaccard(sign(a, 256, seed=9), sign(b, 256, seed=9))
             errors.append(abs(est - exact_jaccard(a, b)))
         assert sum(errors) / len(errors) <= 0.03
         assert max(errors) <= 0.12
@@ -111,7 +135,7 @@ class TestSignature:
         a, b = synthetic_pair(rng, intersection=30, union=60)
         true = exact_jaccard(a, b)
         estimates = [
-            estimate_jaccard(signature(a, 128, seed=s), signature(b, 128, seed=s))
+            estimate_jaccard(sign(a, 128, seed=s), sign(b, 128, seed=s))
             for s in range(64)
         ]
         assert abs(sum(estimates) / len(estimates) - true) <= 0.02
@@ -164,16 +188,24 @@ class TestKernelBackends:
 
 
 class TestLsh:
-    def test_indexed_in_exactly_b_buckets(self):
+    def test_equal_rows_share_every_band(self):
         sig = signature(shingle("one two three four five six", 2), 128, seed=1)
         index = LshIndex(bands=16, rows_per_band=8)
-        index.insert("doc", sig)
-        assert sum("doc" in members for members in index.buckets.values()) == 16
+        index.insert(np.stack([sig, sig]))
+        assert [bucket.tolist() for bucket in index.candidate_pairs()] == [[0, 1]] * 16
+
+    def test_buckets_hold_exact_band_matches(self):
+        rows = np.arange(3 * 32, dtype=np.uint64).reshape(3, 32)
+        rows[2] = rows[0]
+        rows[2, 13] += 1  # row 2 differs from row 0 in band 3 only
+        index = LshIndex(bands=8, rows_per_band=4)
+        index.insert(rows)
+        assert [bucket.tolist() for bucket in index.candidate_pairs()] == [[0, 2]] * 7
 
     def test_band_mismatch_rejected(self):
         sig = signature(shingle("a b", 1), 128, seed=1)
         with pytest.raises(ValidationError):
-            LshIndex(bands=10, rows_per_band=10).insert("doc", sig)
+            LshIndex(bands=10, rows_per_band=10).insert(sig[None, :])
 
     @pytest.mark.parametrize("s", [0.2, 0.7, 0.95])
     def test_collision_curve(self, s):
@@ -182,14 +214,14 @@ class TestLsh:
         b, r, k = 16, 8, 128
         hits = 0
         trials = 2000
+        index = LshIndex(bands=b, rows_per_band=r)
         for _ in range(trials):
             base = rng.integers(0, MERSENNE61, size=k, dtype=np.uint64)
             other = base.copy()
             flip = rng.random(k) >= s
             other[flip] = (other[flip] + 1 + rng.integers(0, 1000, size=int(flip.sum()), dtype=np.uint64)) % np.uint64(MERSENNE61)
-            sig_a = MinHashSignature(tuple(int(v) for v in base), seed=0, k=k)
-            sig_b = MinHashSignature(tuple(int(v) for v in other), seed=0, k=k)
-            hits += collide(sig_a, sig_b, b, r)
+            index.insert(np.stack([base, other]))
+            hits += bool(index.candidate_pairs())
         expected = 1 - (1 - s**r) ** b
         assert abs(hits / trials - expected) <= 0.05
 
@@ -244,7 +276,7 @@ class TestDedup:
         docs = base + dups
 
         # oracle: exact all-pairs Jaccard over the same shingle sets
-        sets = {d.id: shingle(d.text, 5) for d in docs}
+        sets = {d.id: frozenset(shingle(d.text, 5).tolist()) for d in docs}
         true_dup_pairs = set()
         for j, dup in enumerate(dups):
             truth = exact_jaccard(sets[dup.id], sets[base[j].id])
@@ -306,10 +338,6 @@ class TestDedup:
 
 
 _VOCAB = [f"v{i}" for i in range(30)]
-
-
-def _blake64(gram: str) -> int:
-    return int.from_bytes(hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest(), "little")
 
 
 def _reference_dedup(docs, n, k, seed, b, r, threshold):
@@ -382,3 +410,63 @@ class TestDifferential:
         assert [d.id for d in kept] == [d.id for d in ref_kept]
         assert dropped == ref_dropped
         assert all(type(rec.estimated_jaccard) is float for rec in dropped)
+
+
+_FLOOD = """
+import json, resource, sys
+from mtforge import minlsh
+from mtforge.corpus import Document
+
+kind, n_docs = sys.argv[1], int(sys.argv[2])
+base = [f"w{i}" for i in range(100)]
+texts = []
+for i in range(n_docs):
+    if kind == "near":  # one edited token in 100: every pair's Jaccard is above 0.9
+        tokens = list(base)
+        tokens[i % 100] = f"edit{i}"
+    else:
+        tokens = base[:20]
+    texts.append(" ".join(tokens))
+docs = [Document(id=f"d{i:05d}", lang="en", text=text) for i, text in enumerate(texts)]
+counts = {"calls": 0, "rows": 0}
+estimate = minlsh.estimate_jaccard
+
+def counting(rows, row):
+    counts["calls"] += 1
+    counts["rows"] += len(rows) if rows.ndim == 2 else 1
+    return estimate(rows, row)
+
+minlsh.estimate_jaccard = counting
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+kept, dropped = minlsh.dedup(docs, n=2, k=128, b=16, r=8)
+growth_mib = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024
+print(json.dumps(dict(counts, kept=len(kept), dropped=len(dropped), growth_mib=growth_mib)))
+"""
+
+
+class TestFloods:
+    """Floods bound the work dedup does, counted as signature rows compared,
+    and its memory, not its wall time."""
+
+    @staticmethod
+    def run_flood(kind, n_docs):
+        src = Path(minlsh.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _FLOOD, kind, str(n_docs)], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_identical_flood_compares_a_handful_of_rows(self):
+        got = self.run_flood("identical", 10_000)
+        assert (got["kept"], got["dropped"]) == (1, 9_999)
+        assert got["rows"] <= 5
+        assert got["growth_mib"] < 100
+
+    def test_near_duplicate_flood_compares_linearly_many_rows(self):
+        n_docs, bands = 2_000, 16
+        got = self.run_flood("near", n_docs)
+        assert (got["kept"], got["dropped"]) == (1, n_docs - 1)
+        # every pair confirms, so a pairwise walk would compare about n^2/2 = 2,000,000 rows
+        assert got["rows"] <= n_docs * bands
+        assert got["growth_mib"] < 100
