@@ -106,7 +106,7 @@ class LshIndex:
         new_bucket[:, 1:] = (ordered[1:] != ordered[:-1]).T
         # band by band, so no bucket spans two bands
         starts = np.flatnonzero(new_bucket)
-        stops = np.append(starts[1:], new_bucket.size)
+        stops = np.append(starts[1:], new_bucket.size)[: starts.size]
         shared = stops - starts > 1
         members = order.T.ravel()
         self.buckets = [members[a:b] for a, b in zip(starts[shared].tolist(), stops[shared].tolist())]

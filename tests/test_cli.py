@@ -605,6 +605,14 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: shingle width must be >= 1, got 0\n"
         assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
 
+    def test_dedup_of_an_empty_corpus_is_exit_0(self, tmp_path):
+        empty = tmp_path / "corpus.jsonl"
+        empty.write_text("")
+        out = tmp_path / "kept.jsonl"
+        assert run("dedup", "--in", empty, "--out", out, "--report", tmp_path / "report.json") == 0
+        assert out.read_bytes() == b""
+        assert json.loads((tmp_path / "report.json").read_text())["counts"] == {"dropped": 0, "input": 0, "kept": 0}
+
     def test_constant_scorer_shorthand_must_be_a_finite_number(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.jsonl"
         pairs.write_text(json.dumps({"id": "p", "src_lang": "en", "tgt_lang": "fr",

@@ -208,6 +208,9 @@ class TestStages:
         with pytest.raises(ValidationError, match=message):
             DedupStage(**params)
 
+    def test_dedup_apply_on_no_docs(self):
+        assert DedupStage().apply([]) == ([], [], [])
+
     def test_dedup_apply_passes_every_value(self):
         # near-duplicates only as single characters at a threshold below the default
         docs = [Document(id=f"d{i}", lang="en", text=text) for i, text in enumerate(["abcde", "abcdf", "xyz"])]

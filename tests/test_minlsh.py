@@ -202,6 +202,11 @@ class TestLsh:
         index.insert(rows)
         assert [bucket.tolist() for bucket in index.candidate_pairs()] == [[0, 2]] * 7
 
+    def test_empty_matrix_has_no_buckets(self):
+        index = LshIndex(bands=16, rows_per_band=8)
+        index.insert(np.empty((0, 128), dtype=np.uint64))
+        assert index.candidate_pairs() == []
+
     def test_band_mismatch_rejected(self):
         sig = signature(shingle("a b", 1), 128, seed=1)
         with pytest.raises(ValidationError):
@@ -247,6 +252,9 @@ def _planted_corpus(rng, n_docs=100, n_dups=20):
 
 
 class TestDedup:
+    def test_empty_corpus(self):
+        assert dedup([]) == ([], [])
+
     def test_all_identical_keeps_one(self):
         docs = [Document(id=f"d{i}", lang="en", text="same text repeated here okay") for i in range(5)]
         kept, dropped = dedup(docs, n=2, k=64, seed=0, b=8, r=8, jaccard_threshold=0.8)
