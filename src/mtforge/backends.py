@@ -12,6 +12,7 @@ header is sent when MTFORGE_BACKEND_TOKEN is set.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import os
 import urllib.error
@@ -72,10 +73,12 @@ class BackendSpec:
             raise ValidationError(f"timeout_ms must be > 0, got {self.timeout_ms}")
         if self.max_retries < 0:
             raise ValidationError(f"max_retries must be >= 0, got {self.max_retries}")
+        if self.max_retries > 10:  # each retry is sent at once, so many would hammer a failing endpoint
+            raise ValidationError(f"max_retries must be <= 10, got {self.max_retries}")
 
 
 class BackendFailure(MtforgeError):
-    """A completion request failed after exhausting its retries."""
+    """An endpoint request failed, after any retries it was allowed."""
 
 
 MockFn = Callable[[str, GenerationParams, str], str]
@@ -120,15 +123,15 @@ def is_http_url(url: str) -> bool:
     return parts.scheme in ("http", "https") and bool(parts.netloc)
 
 
-def post_json(url: str, payload: dict, token_env: str, timeout_s: float):
+def post_json(url: str, payload: dict, token_env: str, timeout_s: float, retries: int = 0):
     """POST `payload` as JSON and return the decoded JSON reply.
 
     Sends `Authorization: Bearer <token>` when the environment variable named
-    by `token_env` is set. Raises on a URL that is not http or https
-    (ValueError), a non-2xx status including any redirect (HTTPError), a
-    failed or timed-out connection (URLError, OSError) and an undecodable
-    body (ValueError). Proxies come from the *_PROXY variables and HTTPS
-    certificates from the system CA store (SSL_CERT_FILE).
+    by `token_env` is set; a URL that is not http(s) raises ValueError. A
+    failed connection, a timeout, a truncated reply and a 5xx are retried at
+    once, up to `retries` more times; a 3xx, a 4xx and an undecodable body are
+    final. Every failure raises BackendFailure naming the URL and the cause.
+    Proxies come from *_PROXY, HTTPS certificates from the system CA store.
 
     Every call opens a fresh connection on purpose. Against an http.server
     handler that writes headers and body in two sends with Nagle on, a
@@ -144,17 +147,25 @@ def post_json(url: str, payload: dict, token_env: str, timeout_s: float):
         headers["Authorization"] = f"Bearer {token}"
     data = json.dumps(payload, allow_nan=False).encode("utf-8")
     request = urllib.request.Request(url, data=data, headers=headers, method="POST")
-    try:
-        with _OPENER.open(request, timeout=timeout_s) as resp:
-            body = resp.read()
-    except urllib.error.HTTPError as exc:
-        exc.close()
-        raise
-    return json.loads(body)
+    for _attempt in range(retries + 1):
+        try:
+            with _OPENER.open(request, timeout=timeout_s) as resp:
+                return json.loads(resp.read())
+        except urllib.error.HTTPError as exc:  # an OSError too, so caught first
+            exc.close()
+            cause = exc
+            if exc.code < 500:
+                break
+        except (OSError, http.client.HTTPException) as exc:  # connection, timeout, truncated reply
+            cause = exc
+        except (ValueError, RecursionError) as exc:  # an undecodable body, or one nested too deep
+            cause = exc
+            break
+    raise BackendFailure(f"{url}: {cause}")
 
 
 def complete(spec: BackendSpec, prompt: str, params: GenerationParams) -> str:
-    """One completion with retries; raises BackendFailure when exhausted."""
+    """One completion, its request retried as post_json does; raises BackendFailure."""
     if spec.endpoint.startswith("mock:"):
         name = spec.endpoint.split(":", 1)[1]
         if name not in _MOCKS:
@@ -162,16 +173,10 @@ def complete(spec: BackendSpec, prompt: str, params: GenerationParams) -> str:
         return _MOCKS[name](prompt, params, spec.model_id)
 
     payload = {"model": spec.model_id, "prompt": prompt, **params.to_obj()}
-    last_error: Exception | None = None
-    for _attempt in range(spec.max_retries + 1):
-        try:
-            body = post_json(spec.endpoint, payload, "MTFORGE_BACKEND_TOKEN", spec.timeout_ms / 1000.0)
-            if "text" not in body or not isinstance(body["text"], str):
-                raise BackendFailure(f"backend {spec.name!r} returned no text field")
-            return body["text"]
-        except Exception as exc:  # connection errors, bad status, bad JSON, no text
-            last_error = exc
-    raise BackendFailure(f"backend {spec.name!r} failed after {spec.max_retries + 1} attempts: {last_error}")
+    body = post_json(spec.endpoint, payload, "MTFORGE_BACKEND_TOKEN", spec.timeout_ms / 1000.0, spec.max_retries)
+    if not isinstance(body, dict) or not isinstance(body.get("text"), str):
+        raise BackendFailure(f"backend {spec.name!r} returned no text field")
+    return body["text"]
 
 
 def backend_from_obj(obj: dict, where: object = "backend config") -> BackendSpec:

@@ -734,6 +734,9 @@ def main(argv: list[str] | None = None) -> int:
     except (MtforgeError, OSError, RuntimeError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
+    except MemoryError as exc:  # such as NumPy refusing an oversized array before allocating it
+        click.echo(f"error: out of memory: {exc}", err=True)
+        return 2
     return 0
 
 

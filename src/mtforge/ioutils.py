@@ -97,7 +97,7 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             except json.JSONDecodeError as exc:
                 column = min(exc.pos, len(line.rstrip("\n"))) + 1  # colno restarts past the line's LF
                 raise SchemaError(f"line {lineno}: invalid JSON: {exc.msg} (column {column})") from None
-            except ValueError as exc:  # an integer longer than int()'s digit limit
+            except (ValueError, RecursionError) as exc:  # an integer beyond int()'s digit limit, deep nesting
                 raise SchemaError(f"line {lineno}: invalid JSON: {exc}") from None
             problem = _lone_surrogate(line, obj)
             if problem:
@@ -215,7 +215,7 @@ def load_json(path: str | Path) -> Any:
         raise SchemaError(f"{path}: invalid UTF-8 at byte {exc.start + 1}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})") from None
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # an integer beyond int()'s digit limit, deep nesting
         raise SchemaError(f"{path}: invalid JSON: {exc}") from None
     problem = _lone_surrogate(text, obj)
     if problem:

@@ -236,7 +236,7 @@ _HEADER_FIELDS = {"format": ("mtforge-ngram-lm",), "version": "integer", "order"
 def _read_header(line: str) -> dict:
     try:
         header = json.loads(line)
-    except ValueError as exc:  # JSONDecodeError, or an integer beyond int()'s digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, an integer beyond int()'s limit, deep nesting
         raise SchemaError(f"line 1: invalid JSON header: {exc}") from None
     check_fields(header, _HEADER_FIELDS, _HEADER_FIELDS, closed=True, where="header")
     _check_order(header["order"])  # before any table is allocated

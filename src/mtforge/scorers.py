@@ -2,9 +2,12 @@
 
 External quality-estimation and judge models are reached only through this
 interface: a scorer is either a named local function or a remote HTTP
-endpoint. Scores are clamped into the endpoint's declared range; a failed
-score is reported as None so callers can route the record to an "unscored"
-bucket instead of dropping it.
+endpoint. Scores are clamped into the endpoint's declared range. A score of
+None means unscored, and callers route the record to an "unscored" bucket
+instead of dropping it. A local function says so only by returning None;
+an exception it raises propagates. A remote request gets one attempt: when
+it fails (as backends.post_json decides) or its reply is not a `scores`
+list with one entry per item, every item is unscored.
 
 Wire format for remote_http scorers:
     POST <url>  {"name": <scorer name>, "items": [<item>, ...]}
@@ -15,16 +18,17 @@ An Authorization header is sent when MTFORGE_SCORER_TOKEN is set.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Mapping, Sequence
 
-from .backends import is_http_url, post_json
+from .backends import BackendFailure, is_http_url, post_json
 from .errors import ValidationError
 from .ioutils import dataclass_from_obj, is_finite_number
 
 Item = dict
-ScoreFn = Callable[[Item], float]
+ScoreFn = Callable[[Item], float | None]  # None: the item is unscored
 
 # name -> (function, the scale its scores are on)
 _LOCAL_SCORERS: dict[str, tuple[ScoreFn, tuple[float, float]]] = {}
@@ -47,6 +51,8 @@ def _length_ratio(item: Item) -> float:
 def _chrf_item(item: Item) -> float:
     from .evalkit import chrf  # local import: evalkit depends on this module
 
+    if "reference" not in item:
+        raise ValidationError("scorer 'chrf' scores against a reference, and its items carry none")
     return chrf(item.get("hypothesis") or "", item["reference"])
 
 
@@ -111,32 +117,31 @@ class ScorerEndpoint:
         object.__setattr__(self, "score_range", tuple(lo_hi))
         if self.timeout_ms <= 0:
             raise ValidationError(f"scorer timeout_ms must be > 0, got {self.timeout_ms}")
+        try:
+            json.dumps(self.extra, allow_nan=False)  # it rides in every remote request
+        except ValueError:
+            raise ValidationError("scorer extra must hold only finite numbers") from None
 
     def _clamp(self, value: float) -> float:
         lo, hi = self.score_range
         return min(max(float(value), lo), hi)
 
     def score_many(self, items: Sequence[Item]) -> list[float | None]:
-        """One score per item, None where scoring failed."""
+        """One score per item, None where it is unscored."""
         fn = self._fn
         if fn is None:
             return self._score_remote(items)
-        out: list[float | None] = []
-        for item in items:
-            try:
-                out.append(self._clamp(fn(item)))
-            except Exception:
-                out.append(None)
-        return out
+        return [None if s is None else self._clamp(s) for s in map(fn, items)]
 
     def _score_remote(self, items: Sequence[Item]) -> list[float | None]:
         payload: dict = {"name": self.name, "items": list(items)}
         if self.extra:
             payload["config"] = dict(self.extra)
         try:
-            scores = post_json(self.config, payload, "MTFORGE_SCORER_TOKEN", self.timeout_ms / 1000.0)["scores"]
-        except Exception:
+            reply = post_json(self.config, payload, "MTFORGE_SCORER_TOKEN", self.timeout_ms / 1000.0)
+        except BackendFailure:
             return [None] * len(items)
+        scores = reply.get("scores") if isinstance(reply, dict) else None
         if not isinstance(scores, list) or len(scores) != len(items):
             return [None] * len(items)
         return [self._clamp(s) if is_finite_number(s) else None for s in scores]

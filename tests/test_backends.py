@@ -23,6 +23,16 @@ from mtforge.scorers import ScorerEndpoint, register_scorer, scorer_from_obj
 # large for a float
 _ODD_SCORES = b'{"scores": [NaN, true, 0.5, Infinity, "0.7", null, 1' + b"0" * 400 + b"]}"
 
+# path -> the body of a 200 reply that is not the protocol's
+_ODD_REPLIES = {
+    "/garbage": b"<html>not json</html>",
+    "/odd_scores": _ODD_SCORES,
+    "/empty_object": b"{}",
+    "/text_number": b'{"text": 5}',
+    "/bare_list": b"[1, 2]",
+    "/deep": b"[" * 100_000 + b"]" * 100_000,  # beyond the JSON decoder's recursion limit
+}
+
 
 class _Handler(BaseHTTPRequestHandler):
     requests_seen = []
@@ -45,12 +55,23 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", "0")
             self.end_headers()
             return
-        if self.path in ("/garbage", "/odd_scores"):
-            data = b"<html>not json</html>" if self.path == "/garbage" else _ODD_SCORES
+        if self.path in _ODD_REPLIES:
+            data = _ODD_REPLIES[self.path]
             self.send_response(200)
             self.send_header("Content-Length", str(len(data)))
             self.end_headers()
             self.wfile.write(data)
+            return
+        if self.path == "/short":  # the connection closes 10 bytes short of the declared length
+            self.send_response(200)
+            self.send_header("Content-Length", "20")
+            self.end_headers()
+            self.wfile.write(b'{"text": "')
+            return
+        if self.path == "/unauthorized":
+            self.send_response(401)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
             return
         if self.path == "/complete":
             body = {"text": f"echo:{payload['model']}:{payload['temperature']}"}
@@ -110,9 +131,11 @@ class TestCompletionWire:
 
     def test_retries_then_succeeds(self, http_server):
         spec = BackendSpec("real", f"{http_server}/complete", "m", max_retries=2)
+        _Handler.requests_seen.clear()
         _Handler.fail_next = 2
         out = complete(spec, "p", GenerationParams())
         assert out.startswith("echo:")
+        assert len(_Handler.requests_seen) == 3  # two 500s, then a 200
 
     def test_exhausted_retries_raise(self, http_server):
         spec = BackendSpec("real", f"{http_server}/complete", "m", max_retries=1)
@@ -135,7 +158,28 @@ class TestCompletionWire:
         _Handler.requests_seen.clear()
         with pytest.raises(BackendFailure):
             complete(spec, "p", GenerationParams())
+        assert len(_Handler.requests_seen) == 1  # a retry cannot fix a reply
+
+    @pytest.mark.parametrize("path, message", [
+        ("/unauthorized", "HTTP Error 401"),
+        ("/empty_object", "returned no text field"),
+        ("/text_number", "returned no text field"),
+        ("/deep", "maximum recursion depth exceeded"),
+    ])
+    def test_final_failure_is_not_retried(self, http_server, path, message):
+        spec = BackendSpec("real", f"{http_server}{path}", "m", max_retries=2)
+        _Handler.requests_seen.clear()
+        with pytest.raises(BackendFailure, match=message):
+            complete(spec, "p", GenerationParams())
+        assert [p for p, _ in _Handler.requests_seen] == [path]
+
+    def test_truncated_reply_is_retried(self, http_server):
+        spec = BackendSpec("real", f"{http_server}/short", "m", max_retries=1)
+        _Handler.requests_seen.clear()
+        with pytest.raises(BackendFailure, match=r"^http://.*/short: IncompleteRead") as caught:
+            complete(spec, "p", GenerationParams())
         assert len(_Handler.requests_seen) == 2
+        assert caught.value.__context__ is None and caught.value.__cause__ is None
 
     def test_redirect_is_not_followed(self, http_server, monkeypatch):
         monkeypatch.setenv("MTFORGE_BACKEND_TOKEN", "gen-secret")
@@ -196,8 +240,10 @@ class TestScorerWire:
 
     def test_failure_yields_none(self, http_server):
         scorer = ScorerEndpoint("len", "remote_http", f"{http_server}/score")
+        _Handler.requests_seen.clear()
         _Handler.fail_next = 1
         assert scorer.score_many([{"hypothesis": "x"}]) == [None]
+        assert len(_Handler.requests_seen) == 1  # scorers make one attempt
         _Handler.fail_next = 0
 
     def test_token_sent_as_bearer(self, http_server, monkeypatch):
@@ -213,6 +259,19 @@ class TestScorerWire:
     def test_non_json_reply_yields_none(self, http_server):
         scorer = ScorerEndpoint("len", "remote_http", f"{http_server}/garbage")
         assert scorer.score_many([{}, {}]) == [None, None]
+
+    @pytest.mark.parametrize("path", ["/bare_list", "/empty_object", "/deep"])
+    def test_reply_without_a_scores_list_yields_none(self, http_server, path):
+        scorer = ScorerEndpoint("len", "remote_http", f"{http_server}{path}")
+        assert scorer.score_many([{}]) == [None]
+
+    def test_raising_local_scorer_propagates(self):
+        def boom(item):
+            raise RuntimeError("scorer bug")
+
+        register_scorer("raises", boom)
+        with pytest.raises(RuntimeError, match="scorer bug"):
+            ScorerEndpoint("r", "local_function", "raises").score_many([{}])
 
     def test_redirect_yields_none(self, http_server, monkeypatch):
         monkeypatch.setenv("MTFORGE_SCORER_TOKEN", "qe-secret")
@@ -261,6 +320,7 @@ class TestSpecsFromObj:
         dict(SCORER, timeout_ms=1.5),
         dict(SCORER, timeout_ms=True),
         dict(SCORER, extra=[1]),
+        dict(SCORER, extra={"t": float("nan")}),
         dict(SCORER, config="constant:abc"),
         dict(SCORER, config="constant:nan"),
         dict(SCORER, config="constant:1e400"),

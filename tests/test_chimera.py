@@ -243,11 +243,8 @@ class TestFuse:
         assert result.candidate_scores == (0.5, 0.5, 0.5)
 
     def test_fallback_scorer_failing_everywhere_takes_first(self):
-        def boom(item):
-            raise RuntimeError("no")
-
-        register_scorer("boom", boom)
-        scorer = ScorerEndpoint("boom", "local_function", "boom")
+        register_scorer("unscored", lambda item: None)
+        scorer = ScorerEndpoint("unscored", "local_function", "unscored")
         result = fuse(_mock_backend("fail"), _candidate_set(), fallback_scorer=scorer)
         assert result.fused_text == "hello there"
         assert result.fallback_used is True

@@ -236,6 +236,9 @@ def _bad_file_args(tmp_path, command, bad_flag, content):
     return bad, [command, bad_flag, bad, *other_inputs, *out_flags, "--report", tmp_path / "report.json"]
 
 
+# JSON nested beyond the decoder's recursion limit
+_DEEP_JSON = b"[" * 50_000 + b"]" * 50_000
+
 # an order-1 model file header
 _LM_HEADER = (b'{"default_lang": "en", "discount": 0.75, "format": "mtforge-ngram-lm", "min_count": 1, "order": 1, '
               b'"version": 1, "vocab_size": 3}\n')
@@ -330,6 +333,7 @@ class TestExitCodes:
          "error: {path}: line 2: domain names must be strings"),
         ("mix-fit", "--runs", b'{"domains": ["a", "b"], "weights": [0.5, 0.5], "loss": 1' + b"0" * 400 + b'}\n',
          "error: {path}: line 2: proxy-run loss must be finite"),
+        ("dedup", "--in", _DEEP_JSON + b"\n", "error: {path}: line 2: invalid JSON: maximum recursion depth exceeded"),
         # a line that ends inside the JSON names the column within the file's line
         ("eval", "--hyps", b'{"id": \n', "error: {path}: line 2: invalid JSON: Expecting value (column 8)"),
         # every reader of records with ids rejects a repeated id; bad.jsonl's first line has the same one
@@ -399,6 +403,8 @@ class TestExitCodes:
         ("lm-filter", "--model", b'{"default_lang": "en", "discount": 0.75, "format": "mtforge-ngram-lm", '
                                  b'"min_count": 1, "order": 100000}\n'),
         ("reward-score", "--terms", b'{"blood": ["sang"'),
+        ("pipeline-run", "--config", b'{"schema_version": ' + _DEEP_JSON + b"}"),
+        ("lm-filter", "--model", _DEEP_JSON + b"\n"),
         # model files: each of these exited 0, 2 or with a traceback, or named no path
         ("reward-score", "--terms", b'{"cat": "chat"}'),
         ("reward-score", "--terms", b'{"cat": 5}'),
@@ -417,6 +423,8 @@ class TestExitCodes:
         ("lm-filter", "--model", _LM_HEADER + b"1\tthe\t2\n1\ta b\t3\n"),
         ("lm-filter", "--model", _LM_HEADER.replace(b"}", b', "mystery": 1}') + b"1\tthe\t2\n"),
         ("quality-filter", "--scorer", _scorer_json(config="constant:abc")),
+        ("quality-filter", "--scorer", _scorer_json(kind="remote_http", config="http://127.0.0.1:9/s",
+                                                    extra={"t": float("nan")})),
         ("quality-filter", "--scorer", b'{"name": "s\\ud800", "kind": "local_function", "config": "length_ratio"}'),
         # pipeline-run configs: one row per kind of fault the config schema caught
         ("pipeline-run", "--config", _pipeline_json(mystery=1)),
@@ -534,6 +542,8 @@ class TestExitCodes:
                                         seed=-1),
          "field 'seed' must be >= 0, got -1"),
         ("fuse", _fuse_json(backend=dict(_BACKEND, max_retries=-1)), "backend: max_retries must be >= 0, got -1"),
+        ("fuse", _fuse_json(backend=dict(_BACKEND, max_retries=10**9)),
+         "backend: max_retries must be <= 10, got 1000000000"),
         ("fuse", _fuse_json(fusion_backend=dict(_BACKEND, colour=1)), "fusion_backend: unknown fields ['colour']"),
         ("fuse", _fuse_json(grid=[{}, {"top_p": True}]), "grid[1]: field 'top_p' must be number, not boolean"),
         ("fuse", _fuse_json(grid=[{"temperature": float("nan")}, {}]), "grid[0]: temperature must be >= 0, got nan"),
@@ -793,6 +803,26 @@ class TestQualityCommands:
         assert code == 0
         assert read_corpus(out_path, "parallel")[0].scores == {"cli_ten_point": 7.0}
 
+    @pytest.mark.parametrize("command", ["quality-filter", "pipeline-run"])
+    def test_reference_scorer_without_references_is_exit_1(self, tmp_path, capsys, command):
+        in_path = tmp_path / "pairs.jsonl"
+        in_path.write_text(json.dumps({"id": "p", "src_lang": "en", "tgt_lang": "fr",
+                                       "src_text": "a", "tgt_text": "b"}) + "\n")
+        out_path = tmp_path / "out.jsonl"
+        inputs = sorted(["pairs.jsonl"] + ["pipeline.json"] * (command == "pipeline-run"))
+        if command == "quality-filter":
+            args = ["--in", in_path, "--scorer", "chrf", "--tau", 10, "--out", out_path]
+        else:
+            config = tmp_path / "pipeline.json"
+            config.write_text(json.dumps({
+                "schema_version": 1, "kind": "parallel", "input": str(in_path), "output": str(out_path),
+                "unscored_output": str(tmp_path / "unscored.jsonl"),
+                "stages": [{"type": "quality_threshold", "scorer": dict(_SCORER, config="chrf"), "tau": 10}]}))
+            args = ["--config", config]
+        assert run(command, *args, "--report", tmp_path / "report.json") == 1
+        assert capsys.readouterr().err == "error: scorer 'chrf' scores against a reference, and its items carry none\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
     def test_judge_flag(self, tmp_path):
         rows = [
             {"sample_id": "steady", "round_scores": [80, 82]},
@@ -860,6 +890,17 @@ class TestMixCommands:
         assert model_path.exists()
         rmse = json.loads(report_path.read_text())["in_sample_rmse"]
         assert math.isfinite(rmse) and rmse > 0
+
+    @pytest.mark.parametrize("command, count_flag", [("mix-sample", "--n"), ("mix-optimize", "--candidates")])
+    def test_oversized_count_is_one_line_exit_2(self, tmp_path, capsys, command, count_flag):
+        # NumPy refuses an array of 10**14 mixtures before allocating any of it
+        model = tmp_path / "model.json"
+        model.write_bytes(_mix_model_json())
+        args = ["--domains", "a,b"] if command == "mix-sample" else ["--model", model]
+        assert run(command, *args, count_flag, 10**14, "--out", tmp_path / "out.json") == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: out of memory: Unable to allocate"), err
+        assert not (tmp_path / "out.json").exists()
 
     def test_lr_curve_boundaries(self, tmp_path):
         out_path = tmp_path / "curve.csv"

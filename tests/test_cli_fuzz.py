@@ -204,7 +204,7 @@ CONFIGS = {
         "grid": [[{}, {}], [{}], [{}, {}, {}]], "per_slot_backends": [[None, _BACKEND], [None]],
         "fallback_scorer": [_SCORER],
         "name": ["b"], "endpoint": ["mock:echo", "mock:fail", "mock:none"], "model_id": ["m"],
-        "timeout_ms": [0, 1], "max_retries": [0, -1, 3],
+        "timeout_ms": [0, 1], "max_retries": [0, -1, 3, 10**9],
         "temperature": [0, 1.5, -1], "top_p": [0, 0.5, 1], "max_tokens": [0, 1, 100], "seed": [None, 0, 5],
     }, ["--in", "sources.jsonl", "--out", "out.jsonl"]),
 }

@@ -156,9 +156,7 @@ class TestScoreCorpus:
         from mtforge.scorers import register_scorer
 
         def half_fail(item):
-            if item["hypothesis"] == "bad":
-                raise RuntimeError("x")
-            return 0.5
+            return None if item["hypothesis"] == "bad" else 0.5
 
         register_scorer("half_fail", half_fail)
         scorer = ScorerEndpoint("half_fail", "local_function", "half_fail")

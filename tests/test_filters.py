@@ -122,9 +122,7 @@ class TestThresholdFilter:
 
     def test_scorer_failure_goes_to_unscored(self):
         def maybe_fail(item):
-            if item["hypothesis"] == "boom":
-                raise RuntimeError("nope")
-            return 1.0
+            return None if item["hypothesis"] == "boom" else 1.0
 
         register_scorer("maybe_fail", maybe_fail)
         scorer = ScorerEndpoint("maybe_fail", "local_function", "maybe_fail")
