@@ -146,8 +146,8 @@ def post_json(url: str, payload: dict, token_env: str, timeout_s: float, retries
     if token:
         headers["Authorization"] = f"Bearer {token}"
     data = json.dumps(payload, allow_nan=False).encode("utf-8")
-    request = urllib.request.Request(url, data=data, headers=headers, method="POST")
     for _attempt in range(retries + 1):
+        request = urllib.request.Request(url, data=data, headers=headers, method="POST")  # the proxy handler edits it
         try:
             with _OPENER.open(request, timeout=timeout_s) as resp:
                 return json.loads(resp.read())

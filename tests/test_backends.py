@@ -7,11 +7,14 @@ seed} -> {text}, and the scorer POST {name, items} -> {scores}.
 
 import dataclasses
 import json
+import socketserver
 import threading
+import urllib.request
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from mtforge import backends
 from mtforge.backends import BackendFailure, BackendSpec, GenerationParams, backend_from_obj, complete, post_json
 from mtforge.errors import SchemaError, ValidationError
 from mtforge.ioutils import dataclass_from_obj
@@ -100,6 +103,28 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
+class _TunnelStub(socketserver.BaseRequestHandler):
+    """A proxy that grants every CONNECT, records the request line and the
+    first bytes sent through the tunnel, then closes the connection."""
+
+    seen = []
+
+    def handle(self):
+        self.request.settimeout(5)
+        head = b""
+        while b"\r\n\r\n" not in head:
+            chunk = self.request.recv(4096)
+            if not chunk:
+                break
+            head += chunk
+        line = head.split(b"\r\n", 1)[0].decode("latin-1")
+        tunneled = b""
+        if line.startswith("CONNECT "):
+            self.request.sendall(b"HTTP/1.1 200 Connection established\r\n\r\n")
+            tunneled = self.request.recv(4)
+        type(self).seen.append((line, tunneled))
+
+
 @pytest.fixture(scope="module")
 def http_server():
     server = HTTPServer(("127.0.0.1", 0), _Handler)
@@ -180,6 +205,32 @@ class TestCompletionWire:
             complete(spec, "p", GenerationParams())
         assert len(_Handler.requests_seen) == 2
         assert caught.value.__context__ is None and caught.value.__cause__ is None
+
+    def test_retries_through_a_proxy_stay_in_tls(self, monkeypatch):
+        # urllib's proxy handling edits the request it is given; a request
+        # reused across attempts would fall back to plain HTTP on the third
+        proxy = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _TunnelStub)
+        proxy.daemon_threads = True
+        thread = threading.Thread(target=proxy.serve_forever, daemon=True)
+        thread.start()
+        try:
+            for name in ("no_proxy", "NO_PROXY", "http_proxy", "HTTP_PROXY", "HTTPS_PROXY"):
+                monkeypatch.delenv(name, raising=False)
+            monkeypatch.setenv("https_proxy", f"http://127.0.0.1:{proxy.server_address[1]}")
+            monkeypatch.setenv("MTFORGE_BACKEND_TOKEN", "gen-secret")
+            # the opener reads the proxy settings when it is built
+            monkeypatch.setattr(backends, "_OPENER", urllib.request.build_opener(backends._RefuseRedirect))
+            _TunnelStub.seen.clear()
+            spec = BackendSpec("real", "https://127.0.0.1:1/complete", "m", timeout_ms=5000, max_retries=2)
+            with pytest.raises(BackendFailure, match=r"^https://127\.0\.0\.1:1/complete: "):
+                complete(spec, "p", GenerationParams())
+        finally:
+            proxy.shutdown()
+            proxy.server_close()
+        assert len(_TunnelStub.seen) == 3
+        for line, tunneled in _TunnelStub.seen:
+            assert line.startswith("CONNECT 127.0.0.1:1 ")
+            assert tunneled[:1] == b"\x16"  # a TLS handshake record, never a plaintext POST
 
     def test_redirect_is_not_followed(self, http_server, monkeypatch):
         monkeypatch.setenv("MTFORGE_BACKEND_TOKEN", "gen-secret")
