@@ -18,7 +18,7 @@ import os
 import urllib.error
 import urllib.parse
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, ClassVar, Optional
 
 from .errors import MtforgeError, ValidationError
@@ -45,14 +45,6 @@ class GenerationParams:
             raise ValidationError(f"top_p must be in (0, 1], got {self.top_p}")
         if self.max_tokens <= 0:
             raise ValidationError(f"max_tokens must be > 0, got {self.max_tokens}")
-
-    def to_obj(self) -> dict:
-        return {
-            "temperature": self.temperature,
-            "top_p": self.top_p,
-            "max_tokens": self.max_tokens,
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True)
@@ -172,7 +164,7 @@ def complete(spec: BackendSpec, prompt: str, params: GenerationParams) -> str:
             raise ValidationError(f"unknown mock backend {name!r}")
         return _MOCKS[name](prompt, params, spec.model_id)
 
-    payload = {"model": spec.model_id, "prompt": prompt, **params.to_obj()}
+    payload = {"model": spec.model_id, "prompt": prompt, **asdict(params)}
     body = post_json(spec.endpoint, payload, "MTFORGE_BACKEND_TOKEN", spec.timeout_ms / 1000.0, spec.max_retries)
     if not isinstance(body, dict) or not isinstance(body.get("text"), str):
         raise BackendFailure(f"backend {spec.name!r} returned no text field")

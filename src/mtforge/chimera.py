@@ -244,9 +244,8 @@ def generate_candidates(
             candidates.append(cleaned)
             params_used.append(grid[index])
     if len(candidates) < 2:
-        raise OrchestrationError(
-            f"only {len(candidates)} of {len(grid)} candidate requests succeeded"
-        )
+        raise OrchestrationError(f"only {len(candidates)} of {len(grid)} candidate requests succeeded; "
+                                 f"slot {failures[0].index}: {failures[0].error}")
     return CandidateSet(
         source_text=text,
         src_lang=src_lang,

@@ -3,9 +3,9 @@
 Every subcommand is declared with `_command`, which adds --seed (single
 source of randomness, threaded to each stochastic component) and --report
 (machine-readable JSON with a fixed schema_version, naming the command and
-the effective seed; pipeline-run's config seed wins over --seed). Each
-output file is replaced atomically, and the report is written only after
-them; an error after one output is written leaves that output. Exit codes:
+the effective seed; pipeline-run's config seed wins over --seed). A
+command's outputs and report are one output transaction: all of them are
+renamed into place after the command succeeds, or none is. Exit codes:
 0 success, 1 validation/usage error, 2 runtime or IO error.
 """
 
@@ -15,6 +15,7 @@ import csv
 import math
 import sys
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -31,7 +32,8 @@ from . import ngram_lm as lm_mod
 from . import rewards as rewards_mod
 from .backends import backend_from_obj
 from .errors import MtforgeError, OrchestrationError, SchemaError, ValidationError, at
-from .ioutils import atomic_write, check_fields, dataclass_from_obj, dump_json, load_json, read_records, write_jsonl
+from .ioutils import (atomic_write, check_fields, dataclass_from_obj, dump_json, load_json, output_transaction,
+                      read_records, write_jsonl)
 from .scorers import ScorerEndpoint, is_local_scorer, scorer_from_obj
 
 REPORT_SCHEMA_VERSION = 1
@@ -114,7 +116,9 @@ def _command(name: str):
     called with `seed` and returns its report payload. With --report, the
     payload is written after the function's outputs, in an envelope of
     schema_version, command and seed; a payload `seed` (the effective one)
-    wins over --seed.
+    wins over --seed. The function and the report write run in one
+    `output_transaction`, so the files appear together, outputs before the
+    report, and an error anywhere leaves none of them.
     """
     def decorate(body):
         @click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
@@ -127,10 +131,11 @@ def _command(name: str):
                     raise click.BadParameter(f"{value} is not a finite number.", ctx, param)
                 if param.required and isinstance(param.type, click.Path) and value == "":
                     raise click.BadParameter("an empty path names no file.", ctx, param)
-            payload = body(**params)
-            if report_path:
-                dump_json(report_path, {"schema_version": REPORT_SCHEMA_VERSION, "command": name,
-                                        "seed": params["seed"], **payload})
+            with output_transaction():
+                payload = body(**params)
+                if report_path:
+                    dump_json(report_path, {"schema_version": REPORT_SCHEMA_VERSION, "command": name,
+                                            "seed": params["seed"], **payload})
 
         # click lists options in reverse of this list, so the body's go first
         command.__click_params__ += body.__click_params__
@@ -324,7 +329,7 @@ def mix_sample(domains, n, alpha, out_path, seed):
     """Sample candidate mixtures from a symmetric Dirichlet."""
     names = [d.strip() for d in domains.split(",") if d.strip()]
     mixtures = mixopt_mod.sample_mixtures(names, n, dirichlet_alpha=alpha, seed=seed)
-    write_jsonl(out_path, (m.to_obj() for m in mixtures))
+    write_jsonl(out_path, (asdict(m) for m in mixtures))
     return {
         "counts": {"samples": len(mixtures), "domains": len(names)},
         "params": {"alpha": alpha},
@@ -339,7 +344,7 @@ def mix_fit(runs_path, ridge_lambda, model_path, seed):
     """Fit the ratio-to-loss regression from proxy runs."""
     runs = mixopt_mod.read_proxy_runs(runs_path)
     model = mixopt_mod.fit_regression(runs, ridge_lambda=ridge_lambda)
-    dump_json(model_path, model.to_obj())
+    dump_json(model_path, asdict(model))
     residuals = [model.predict(r.mixture) - r.observed_loss for r in runs]
     # hypot scales its inputs, so residuals near 1e200 do not overflow
     rmse = math.hypot(*residuals) / math.sqrt(len(residuals))
@@ -365,7 +370,7 @@ def mix_optimize(model_path, candidates, replay_fraction, replay_domain, out_pat
         raise ValidationError("--replay-fraction and --replay-domain go together")
     if replay_fraction is not None:
         best = mixopt_mod.blend_replay(best, replay_fraction, replay_domain)
-    dump_json(out_path, best.to_obj())
+    dump_json(out_path, asdict(best))
     return {
         "counts": {"candidates": candidates},
         "params": {"replay_fraction": replay_fraction, "replay_domain": replay_domain},
@@ -436,7 +441,7 @@ def reward_score(in_path, terms_path, scorer_spec, w_quality, w_terminology, w_r
                 rewards_mod.repetition_score(hypothesis),
                 weights,
             )
-        return dict(breakdown.to_obj(), id=rec_id)
+        return dict(asdict(breakdown), id=rec_id)
 
     def score_row(row):
         lineno, rec_id, source, hypothesis, _ = row
@@ -567,7 +572,7 @@ def translate(config_path, in_path, out_path, jobs, seed):
             "src_lang": cand.src_lang,
             "tgt_lang": cand.tgt_lang,
             "candidates": list(cand.candidates),
-            "params_used": [p.to_obj() for p in cand.params_used],
+            "params_used": [asdict(p) for p in cand.params_used],
             "failed_slots": [f.index for f in cand.failures],
         }
         for src, (cand, _) in zip(sources, results)
@@ -709,7 +714,7 @@ def pipeline_run(config_path, seed):
         "seed": seed,  # the config's seed, when it sets one
         "counts": {"input": len(records), "output": len(result.final),
                    "dropped": len(result.dropped), "unscored": len(result.unscored)},
-        "stages": [r.to_obj() for r in result.reports],
+        "stages": [asdict(r) for r in result.reports],
     }
 
 

@@ -164,16 +164,6 @@ class StageReport:
     unscored: int
     reasons: dict[str, int] = field(default_factory=dict)
 
-    def to_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "input_count": self.input_count,
-            "kept": self.kept,
-            "dropped": self.dropped,
-            "unscored": self.unscored,
-            "reasons": dict(sorted(self.reasons.items())),
-        }
-
 
 @dataclass
 class LangIdStage:

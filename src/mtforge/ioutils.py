@@ -1,7 +1,8 @@
-"""Small IO helpers: atomic file writes, JSON files and typed JSON Lines records."""
+"""Small IO helpers: atomic file writes, output transactions, JSON files and typed JSON Lines records."""
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import functools
 import json
@@ -9,33 +10,63 @@ import math
 import os
 import re
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Any, Callable, Collection, Iterable, Iterator, Mapping
 
 from .errors import MtforgeError, SchemaError, ValidationError, at
 
 
+# The open output transaction of this context: destination -> temp file, in
+# write order. A thread starts with an empty context, so its writes commit on
+# their own.
+_STAGED: contextvars.ContextVar[dict[Path, str] | None] = contextvars.ContextVar("staged", default=None)
+
+
+@contextmanager
+def output_transaction() -> Iterator[None]:
+    """Commit every file written by `atomic_write` in the block together.
+
+    When the block returns, each temp file is renamed into place in write
+    order; on an exception, or when a rename fails, every temp file not yet
+    renamed is removed. A rename failing part-way leaves the renames before
+    it. Entered inside an open transaction, it joins that one.
+    """
+    if _STAGED.get() is not None:
+        yield
+        return
+    staged: dict[Path, str] = {}
+    token = _STAGED.set(staged)
+    try:
+        yield
+        for path, tmp in list(staged.items()):
+            os.replace(tmp, path)
+            del staged[path]
+    finally:
+        _STAGED.reset(token)
+        for tmp in staged.values():
+            with suppress(OSError):
+                os.unlink(tmp)
+
+
 @contextmanager
 def atomic_write(path: str | Path) -> Iterator[Any]:
-    """Write to a temp file in the target directory, rename on success.
-
-    On any exception the temp file is removed and the destination is left
-    untouched (it may not exist).
-    """
+    """Write to a temp file in the target directory, renamed into place when
+    the output transaction commits (a transaction of this file alone when
+    none is open). On any exception the destination is left untouched (it
+    may not exist). A second write to one path in a transaction raises
+    ValidationError."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
+    with output_transaction():
+        staged = _STAGED.get()
+        dest = path.parent.resolve() / path.name  # the directory entry os.replace replaces
+        if dest in staged:
+            raise ValidationError(f"{path}: written twice by one command")
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+        staged[dest] = tmp
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             yield handle
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def _dumps(path: str | Path, obj: Any, indent: int | None = None) -> str:

@@ -10,7 +10,7 @@ simplex vertices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import ClassVar, Sequence
 
@@ -42,9 +42,6 @@ class MixtureSpec:
             raise ValidationError("mixture weights must be >= 0")
         if abs(sum(self.weights) - 1.0) > SIMPLEX_TOL:
             raise ValidationError(f"mixture weights sum to {sum(self.weights)!r}, not 1")
-
-    def to_obj(self) -> dict:
-        return {"domains": list(self.domains), "weights": list(self.weights)}
 
 
 @dataclass(frozen=True)
@@ -122,13 +119,6 @@ class RegressionModel:
 
     def predict_many(self, weight_rows: np.ndarray) -> np.ndarray:
         return _features(weight_rows) @ np.array(self.coefficients)
-
-    def to_obj(self) -> dict:
-        return {
-            "domains": list(self.domains),
-            "coefficients": list(self.coefficients),
-            "ridge_lambda": self.ridge_lambda,
-        }
 
 
 def fit_regression(runs: Sequence[ProxyRun], ridge_lambda: float = 0.0) -> RegressionModel:
@@ -239,4 +229,4 @@ def read_proxy_runs(path: str | Path) -> list[ProxyRun]:
 
 
 def write_proxy_runs(runs: Sequence[ProxyRun], path: str | Path) -> int:
-    return write_jsonl(path, (dict(run.mixture.to_obj(), loss=run.observed_loss) for run in runs))
+    return write_jsonl(path, (dict(asdict(run.mixture), loss=run.observed_loss) for run in runs))

@@ -119,14 +119,6 @@ class RewardBreakdown:
     repetition_penalty: float
     total: float
 
-    def to_obj(self) -> dict:
-        return {
-            "quality": self.quality,
-            "terminology": self.terminology,
-            "repetition_penalty": self.repetition_penalty,
-            "total": self.total,
-        }
-
 
 def composite_reward(
     quality: float,

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import socket
 import subprocess
 import sys
 import threading
@@ -22,7 +23,7 @@ from mtforge.backends import register_mock_backend
 from mtforge.cli import cli, main
 from mtforge.corpus import Document, read_corpus, write_corpus
 from mtforge.errors import MtforgeError
-from mtforge.ioutils import dump_json, write_jsonl
+from mtforge.ioutils import atomic_write, dump_json, output_transaction, write_jsonl
 from mtforge.ngram_lm import save_lm, train_lm
 from mtforge.scorers import register_scorer
 
@@ -642,6 +643,80 @@ class TestExitCodes:
         assert run("dedup", "--in", docs, "--out", blocker / "out.jsonl") == 2
 
 
+def _files(directory):
+    return sorted(path.name for path in directory.iterdir())
+
+
+class TestOutputTransaction:
+    """A command's outputs and report are renamed into place together, after
+    all of them are written, or none is."""
+
+    def _pipeline(self, tmp_path, **outputs):
+        _write_mono(tmp_path, _english_docs(6))
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({"schema_version": 1, "kind": "mono", "input": str(tmp_path / "corpus.jsonl"),
+                                      **{key: str(path) for key, path in outputs.items()},
+                                      "stages": [{"type": "dedup"}]}))
+        return config
+
+    def test_unwritable_last_output_leaves_the_others_unwritten(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("file, not dir")
+        config = self._pipeline(tmp_path, output=tmp_path / "kept.jsonl", dropped_output=tmp_path / "dropped.jsonl",
+                                unscored_output=blocker / "unscored.jsonl")
+        before = _files(tmp_path)
+        assert run("pipeline-run", "--config", config) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert _files(tmp_path) == before
+
+    @pytest.mark.parametrize("command", ["dedup-dropped", "dedup-report", "pipeline-run"])
+    def test_two_outputs_naming_one_file_is_exit_1_and_writes_nothing(self, tmp_path, capsys, monkeypatch, command):
+        kept = tmp_path / "kept.jsonl"
+        monkeypatch.chdir(tmp_path)  # a relative and an absolute path name one file
+        args = {
+            "dedup-dropped": ["dedup", "--in", _write_mono(tmp_path, _english_docs(6)), "--out", kept,
+                              "--dropped", "kept.jsonl"],
+            "dedup-report": ["dedup", "--in", _write_mono(tmp_path, _english_docs(6)), "--out", kept,
+                             "--report", kept],
+            "pipeline-run": ["pipeline-run", "--config", self._pipeline(tmp_path, output=kept, dropped_output=kept)],
+        }[command]
+        before = _files(tmp_path)
+        assert run(*args) == 1
+        assert capsys.readouterr().err.endswith("kept.jsonl: written twice by one command\n")
+        assert _files(tmp_path) == before
+
+    def test_output_may_replace_its_own_input(self, tmp_path):
+        corpus = _write_mono(tmp_path, _english_docs(6))
+        assert run("dedup", "--in", corpus, "--out", corpus, "--dropped", tmp_path / "dropped.jsonl") == 0
+        assert len(read_corpus(corpus, "mono")) == 3
+
+    def test_failed_rename_keeps_the_renames_before_it(self, tmp_path, capsys):
+        # the one window left: --out is renamed before --dropped fails on a
+        # directory; the report, written after, is not
+        (tmp_path / "dropped").mkdir()
+        corpus = _write_mono(tmp_path, _english_docs(6))
+        assert run("dedup", "--in", corpus, "--out", tmp_path / "kept.jsonl", "--dropped", tmp_path / "dropped",
+                   "--report", tmp_path / "report.json") == 2
+        assert "Is a directory" in capsys.readouterr().err
+        assert _files(tmp_path) == ["corpus.jsonl", "dropped", "kept.jsonl"]
+        assert _files(tmp_path / "dropped") == []
+
+    def test_nested_transaction_joins_the_outer_one(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            with output_transaction():
+                with output_transaction():
+                    with atomic_write(tmp_path / "a.txt") as handle:
+                        handle.write("a")
+                assert not (tmp_path / "a.txt").exists()  # the inner block committed nothing
+                raise RuntimeError
+        assert _files(tmp_path) == []
+        with output_transaction():
+            with output_transaction():
+                dump_json(tmp_path / "b.json", {})
+            write_jsonl(tmp_path / "c.jsonl", [])
+        assert _files(tmp_path) == ["b.json", "c.jsonl"]
+
+
 class TestDedupCommand:
     def test_matches_module_level_run(self, tmp_path):
         from mtforge.minlsh import dedup as dedup_fn
@@ -1049,6 +1124,28 @@ class TestChimeraCommands:
             "mystery": True,
         }))
         assert run("translate", "--config", config, "--in", _sources(tmp_path), "--out", tmp_path / "o") == 1
+
+    def _failed_translate_error(self, tmp_path, capsys, endpoint):
+        out_path = tmp_path / "cands.jsonl"
+        assert run("translate", "--config", _chimera_config(tmp_path, endpoint=endpoint),
+                   "--in", _sources(tmp_path), "--out", out_path) == 2
+        assert not out_path.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        return err
+
+    def test_refused_port_names_the_connection_failure(self, tmp_path, capsys):
+        with socket.socket() as sock:  # bound, then closed: nothing listens on the port
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        err = self._failed_translate_error(tmp_path, capsys, f"http://127.0.0.1:{port}/complete")
+        assert err.startswith("error: only 0 of 6 candidate requests succeeded; slot 0: ")
+        assert "Connection refused" in err
+
+    def test_empty_completions_name_the_cause(self, tmp_path, capsys):
+        register_mock_backend("blank", lambda prompt, params, model_id: "  \n")
+        err = self._failed_translate_error(tmp_path, capsys, "mock:blank")
+        assert err == "error: only 0 of 6 candidate requests succeeded; slot 0: empty completion\n"
 
 
 class _SlowHandler(BaseHTTPRequestHandler):

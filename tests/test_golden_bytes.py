@@ -7,7 +7,8 @@ generation to the `mock:` backends. The hashes must equal the committed table in
 `goldens/filter_bytes.json`, so a change meant to keep the bytes shows that
 it did, and one that changes them shows which files. The same bytes must come
 out of fresh processes under other `PYTHONHASHSEED` values, and at any
-`--jobs`.
+`--jobs`. Run with a report that cannot be written, each case must leave no
+file at all, since a command's files are committed together.
 
 To rewrite the table after an intended change of bytes:
 
@@ -252,6 +253,17 @@ def _run(argv, cwd, monkeypatch):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_table(case, inputs, tmp_path, monkeypatch):
     _check(case, _run(_argv(CASES[case], inputs), tmp_path, monkeypatch))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_failed_report_write_leaves_no_output(case, inputs, tmp_path, monkeypatch, capsys):
+    # every output is written before the report, whose directory is a file
+    (tmp_path / "OUT").mkdir()
+    (tmp_path / "OUT" / "blocker").write_text("")
+    monkeypatch.chdir(tmp_path)
+    assert main(_argv(CASES[case], inputs)[:-1] + ["OUT/blocker/report.json"]) == 2
+    assert capsys.readouterr().err == "error: [Errno 17] File exists: 'OUT/blocker'\n"
+    assert sorted(path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*")) == ["OUT", "OUT/blocker"]
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "4242"])

@@ -4,6 +4,10 @@ A handler for `Exception`, for `BaseException` or a bare `except` must end in
 a bare `raise`: it may clean up, but it may not decide what a failure means.
 Which failures are retried or reported lives with the narrow handlers, such
 as `backends.post_json` for endpoint requests.
+
+Only `ioutils` creates, renames or opens files for writing: every output goes
+through `atomic_write`, so `output_transaction` is the one place that decides
+when a written file appears.
 """
 
 import ast
@@ -50,3 +54,79 @@ def test_no_broad_handler_swallows_a_failure():
 def test_rule(handler, swallows):
     source = "def f():\n    try:\n        g()\n" + "".join(f"    {line}\n" for line in handler.splitlines())
     assert swallowing_handlers(source, "m.py") == (["m.py:4"] if swallows else [])
+
+
+# (module, function) pairs that write or rename a file; any tempfile function
+_FILE_WRITERS = {("os", "replace"), ("os", "rename"), ("os", "fdopen")}
+
+
+def _mode(call: ast.Call, position: int) -> ast.expr | None:
+    """The mode argument of an open call, at `position` or given by name."""
+    modes = [*call.args[position:position + 1], *(k.value for k in call.keywords if k.arg == "mode")]
+    return modes[0] if modes else None
+
+
+def _writes(mode: ast.expr | None) -> bool:
+    """Whether an open mode may write; a mode that is not a literal may."""
+    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+        return bool(set(mode.value) & set("wax+"))
+    return mode is not None
+
+
+def _is_file_write(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name == "tempfile" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "tempfile" or any((node.module, alias.name) in _FILE_WRITERS for alias in node.names)
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id == "open" and _writes(_mode(node, 1))
+    if not isinstance(func, ast.Attribute):
+        return False
+    owner = func.value.id if isinstance(func.value, ast.Name) else None
+    if owner == "tempfile" or (owner, func.attr) in _FILE_WRITERS or func.attr in ("write_text", "write_bytes"):
+        return True
+    # Path.open takes the mode first; other objects' open methods (an
+    # urllib opener's) take no literal there
+    return func.attr == "open" and isinstance(_mode(node, 0), ast.Constant) and _writes(_mode(node, 0))
+
+
+def file_writes(source: str, filename: str) -> list[str]:
+    """`<filename>:<line>` of each call or import that writes or renames a
+    file: os.replace, os.rename, os.fdopen, tempfile, Path.write_text and
+    write_bytes, and open or Path.open with a mode that writes."""
+    return [f"{filename}:{node.lineno}" for node in ast.walk(ast.parse(source, filename)) if _is_file_write(node)]
+
+
+def test_only_ioutils_writes_files():
+    found = [place for path in sorted(PACKAGE.rglob("*.py")) if path.name != "ioutils.py"
+             for place in file_writes(path.read_text(encoding="utf-8"), path.name)]
+    assert found == []
+
+
+@pytest.mark.parametrize("line, writes", [
+    ("os.replace(tmp, path)", True),
+    ("os.rename(tmp, path)", True),
+    ("handle = os.fdopen(fd, 'w')", True),
+    ("fd, tmp = tempfile.mkstemp()", True),
+    ("import tempfile", True),
+    ("from tempfile import mkstemp", True),
+    ("from os import replace", True),
+    ("handle = open(path, 'w')", True),
+    ("handle = open(path, mode='a', encoding='utf-8')", True),
+    ("handle = open(path, 'r+b')", True),
+    ("handle = open(path, mode)", True),
+    ("handle = path.open('x')", True),
+    ("path.write_text(text)", True),
+    ("handle = open(path)", False),
+    ("handle = open(path, 'rb')", False),
+    ("handle = open(path, encoding='utf-8')", False),
+    ("handle = path.open()", False),
+    ("reply = opener.open(request, timeout=5)", False),
+    ("from os import path", False),
+    ("os.unlink(tmp)", False),
+])
+def test_file_write_rule(line, writes):
+    assert file_writes(f"def f():\n    {line}\n", "m.py") == (["m.py:2"] if writes else [])
