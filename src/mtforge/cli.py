@@ -269,7 +269,8 @@ def quality_score(in_path, out_path, unscored_path, seed):
     their scores map; those missing a dimension go to the unscored output.
     """
     docs = corpus_mod.read_corpus(in_path, "mono")
-    scored, missing = filters_mod.score_documents(docs)
+    with at(in_path):
+        scored, missing = filters_mod.score_documents(docs)
     corpus_mod.write_corpus(scored, out_path)
     if unscored_path:
         corpus_mod.write_corpus(missing, unscored_path)

@@ -14,7 +14,7 @@ from typing import ClassVar, Protocol, Sequence
 
 from . import minlsh
 from .corpus import QUALITY_COMPOSITE, Document, ParallelPair, Record, require_tag, with_score
-from .errors import ValidationError
+from .errors import ValidationError, at
 from .ioutils import is_number
 from .scorers import ScorerEndpoint
 
@@ -75,14 +75,16 @@ def composite_quality(dims: QualityDimensions, profile: WeightProfile) -> float:
 def score_documents(docs: Sequence[Document]) -> tuple[list[Document], list[Document]]:
     """Attach the composite score, weighted by the doc's DEFAULT_PROFILES
     entry, to docs whose scores map carries all three dimension values;
-    docs missing a dimension land in the second list."""
+    docs missing a dimension land in the second list. A dimension value
+    not 0, 1 or 2 raises SchemaError naming the doc."""
     scored: list[Document] = []
     missing: list[Document] = []
     for doc in docs:
         if not all(key in doc.scores for key in DIMENSION_KEYS):
             missing.append(doc)
             continue
-        dims = QualityDimensions(*(int(doc.scores[key]) for key in DIMENSION_KEYS))
+        with at(f"document {doc.id!r}"):
+            dims = QualityDimensions(*(doc.scores[key] for key in DIMENSION_KEYS))
         scored.append(with_score(doc, QUALITY_COMPOSITE, composite_quality(dims, DEFAULT_PROFILES[doc.provenance])))
     return scored, missing
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextvars
 import dataclasses
+import errno
 import functools
 import json
 import math
@@ -40,7 +41,10 @@ def output_transaction() -> Iterator[None]:
     try:
         yield
         for path, tmp in list(staged.items()):
-            os.replace(tmp, path)
+            try:
+                os.replace(tmp, path)
+            except OSError as exc:  # name the destination, not the temp file the cleanup removes
+                raise OSError(exc.errno, exc.strerror, str(path)) from None
             del staged[path]
     finally:
         _STAGED.reset(token)
@@ -55,7 +59,8 @@ def atomic_write(path: str | Path) -> Iterator[Any]:
     the output transaction commits (a transaction of this file alone when
     none is open). On any exception the destination is left untouched (it
     may not exist). A second write to one path in a transaction raises
-    ValidationError."""
+    ValidationError, and a destination that is a directory IsADirectoryError,
+    both before the file is staged."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with output_transaction():
@@ -63,6 +68,8 @@ def atomic_write(path: str | Path) -> Iterator[Any]:
         dest = path.parent.resolve() / path.name  # the directory entry os.replace replaces
         if dest in staged:
             raise ValidationError(f"{path}: written twice by one command")
+        if dest.is_dir() and not dest.is_symlink():  # os.replace would fail at commit, after earlier renames
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
         staged[dest] = tmp
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:

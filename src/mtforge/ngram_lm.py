@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import Counter
 from pathlib import Path
 from typing import Sequence
@@ -26,9 +27,9 @@ EOS = "</s>"
 UNK = "<unk>"
 
 # Highest accepted order. Tables are allocated per order before any count is
-# read, and NGramLm._interpolate recurses once per order, so the bound keeps
-# a tiny model file from exhausting memory or the interpreter's recursion
-# limit; it is far above the orders Kneser-Ney smoothing is used with.
+# read, so the bound keeps a tiny model file from allocating a table for
+# each of billions of orders; it is far above the orders Kneser-Ney
+# smoothing is used with.
 MAX_ORDER = 32
 
 
@@ -40,10 +41,14 @@ def _check_order(order: int) -> None:
 class NGramLm:
     """Trained model state plus derived tables; build via train_lm or load_lm.
 
-    counts[k] maps a (k-1)-token context to {word: count} for k = 1..order,
-    counted over BOS-padded, EOS-terminated sentences (windows ending in BOS
-    are skipped so BOS is never a predicted word). Continuation tables for
-    orders below the highest are derived from the raw counts.
+    counts[k] maps each k-token gram to its count for k = 1..order, one flat
+    table per order as the model file lists them, counted over BOS-padded,
+    EOS-terminated sentences (windows ending in BOS are skipped so BOS is
+    never a predicted word). _levels[k] = (grams, contexts) is what order k
+    interpolates from: grams is counts[order] at the highest order and,
+    below it, the continuation counts (the number of distinct one-token
+    left-extensions of each k-gram at order k+1); contexts maps each
+    (k-1)-token context in grams to (total count, distinct words).
     """
 
     def __init__(
@@ -51,7 +56,7 @@ class NGramLm:
         order: int,
         discount: float,
         min_count: int,
-        counts: dict[int, dict[tuple[str, ...], dict[str, int]]],
+        counts: dict[int, dict[tuple[str, ...], int]],
         default_lang: str,
     ):
         _check_order(order)
@@ -62,62 +67,41 @@ class NGramLm:
         self.min_count = min_count
         self.counts = counts
         self.default_lang = default_lang
-        self._build_derived()
-
-    def _build_derived(self) -> None:
-        # _levels[k] = (table, totals) that order k interpolates from: raw counts
-        # at the highest order, below it continuation counts, where table[ctx][w]
-        # is the number of distinct one-token left-extensions of ctx+w at order k+1
-        self._levels: list = [None]
-        for k in range(1, self.order):
-            table: dict[tuple[str, ...], Counter[str]] = {}
-            for ctx, words in self.counts[k + 1].items():
-                lower_ctx = ctx[1:]
-                for word in words:
-                    table.setdefault(lower_ctx, Counter())[word] += 1
-            self._levels.append((table, {ctx: sum(c.values()) for ctx, c in table.items()}))
-        top = self.counts[self.order]
-        self._levels.append((top, {ctx: sum(words.values()) for ctx, words in top.items()}))
-        unigram_types = set(self.counts[1].get((), {}))
-        unigram_types.discard(BOS)
-        unigram_types.add(UNK)
-        unigram_types.add(EOS)
-        self.vocab: frozenset[str] = frozenset(unigram_types)
+        self._levels: dict[int, tuple[dict, dict]] = {}
+        for k in range(1, order + 1):
+            grams = counts[k] if k == order else Counter(gram[1:] for gram in counts[k + 1])
+            contexts: dict[tuple[str, ...], tuple[int, int]] = {}
+            for gram, count in grams.items():
+                total, types = contexts.get(gram[:-1], (0, 0))
+                contexts[gram[:-1]] = (total + count, types + 1)
+            self._levels[k] = (grams, contexts)
+        self.vocab: frozenset[str] = frozenset({word for (word,) in counts[1]} - {BOS} | {UNK, EOS})
 
     # -- probabilities ----------------------------------------------------
 
-    def _uniform(self) -> float:
-        return 1.0 / len(self.vocab)
-
-    def _interpolate(self, word: str, context: tuple[str, ...], k: int) -> float:
-        """Discounted order-k estimate interpolated with order k-1."""
-        if k == 0:
-            return self._uniform()
-        tables, totals = self._levels[k]
-        table = tables.get(context)
-        if not table:
-            return self._interpolate(word, context[1:], k - 1)
-        total = totals[context]
-        top = max(table.get(word, 0) - self.discount, 0.0) / total
-        lam = self.discount * len(table) / total
-        return top + lam * self._interpolate(word, context[1:], k - 1)
+    def _prob(self, word: str, context: tuple[str, ...]) -> float:
+        """P(word | context) for a word in vocab and an order-1 token context
+        of vocab words and BOS: the uniform base, then each order's
+        discounted estimate interpolated with the one below it."""
+        p = 1.0 / len(self.vocab)
+        for k in range(1, self.order + 1):
+            grams, contexts = self._levels[k]
+            ctx = context[self.order - k :]
+            seen = contexts.get(ctx)
+            if seen:
+                total, types = seen
+                p = max(grams.get(ctx + (word,), 0) - self.discount, 0.0) / total + self.discount * types / total * p
+        return p
 
     def prob(self, word: str, context: Sequence[str] = ()) -> float:
         """P(word | context), with unknown tokens mapped to UNK and the
         context truncated on the left to order-1 tokens."""
         word = word if word in self.vocab else UNK
         ctx = tuple(t if t in self.vocab or t == BOS else UNK for t in context)
-        ctx = ctx[max(0, len(ctx) - (self.order - 1)) :]
-        if len(ctx) < self.order - 1:
-            ctx = (BOS,) * (self.order - 1 - len(ctx)) + ctx
-        return self._interpolate(word, ctx, self.order)
+        return self._prob(word, ((BOS,) * (self.order - 1) + ctx)[len(ctx) :])  # the last order-1 tokens
 
     def seen_contexts(self, k: int | None = None) -> list[tuple[str, ...]]:
-        return sorted(self.counts[k if k is not None else self.order])
-
-
-def _map_rare(tokens: list[str], keep: set[str]) -> list[str]:
-    return [t if t in keep else UNK for t in tokens]
+        return sorted({gram[:-1] for gram in self.counts[k if k is not None else self.order]})
 
 
 def train_lm(
@@ -143,23 +127,15 @@ def train_lm(
     raw_freq: Counter[str] = Counter()
     for tokens in tokenized:
         raw_freq.update(tokens)
-    keep = {t for t, c in raw_freq.items() if c >= min_count}
+    keep = {t: sys.intern(t) for t, c in raw_freq.items() if c >= min_count}  # one string per token
 
-    counts: dict[int, dict[tuple[str, ...], dict[str, int]]] = {
-        k: {} for k in range(1, order + 1)
-    }
+    counts: dict[int, Counter[tuple[str, ...]]] = {k: Counter() for k in range(1, order + 1)}
     for tokens in tokenized:
         if not tokens:
             continue
-        padded = [BOS] * (order - 1) + _map_rare(tokens, keep) + [EOS]
+        padded = [BOS] * (order - 1) + [keep.get(t, UNK) for t in tokens] + [EOS]
         for k in range(1, order + 1):
-            table = counts[k]
-            for i in range(len(padded) - k + 1):
-                if padded[i + k - 1] == BOS:
-                    continue
-                ctx = tuple(padded[i : i + k - 1])
-                word = padded[i + k - 1]
-                table.setdefault(ctx, {})[word] = table.get(ctx, {}).get(word, 0) + 1
+            counts[k].update(tuple(padded[i - k : i]) for i in range(k, len(padded) + 1) if padded[i - 1] != BOS)
     if not counts[1]:
         raise ValidationError("training corpus has no tokens")
 
@@ -170,13 +146,23 @@ def train_lm(
 
 def _tokens(lm: NGramLm, text: str | Sequence[str], lang: str | None) -> list[str]:
     """The tokens log_prob and perplexity score; empty input is rejected."""
-    if isinstance(text, str):
-        tokens = segment_tokens(text, lang or lm.default_lang)
-    else:
-        tokens = list(text)
+    tokens = segment_tokens(text, lang or lm.default_lang) if isinstance(text, str) else list(text)
     if not tokens:
         raise ValidationError("cannot score empty text")
     return tokens
+
+
+def _log_prob(lm: NGramLm, tokens: Sequence[str]) -> float:
+    """log_prob of non-empty tokens, each mapped to UNK when out of vocab and padded once."""
+    n = lm.order - 1
+    padded = (BOS,) * n + tuple(t if t in lm.vocab else UNK for t in tokens) + (EOS,)
+    total = 0.0
+    for i in range(n, len(padded)):
+        p = lm._prob(padded[i], padded[i - n : i])
+        if p <= 0.0:
+            return float("-inf")  # only reachable with discount == 0
+        total += math.log(p)
+    return total
 
 
 def log_prob(lm: NGramLm, text: str | Sequence[str], lang: str | None = None) -> float:
@@ -185,22 +171,13 @@ def log_prob(lm: NGramLm, text: str | Sequence[str], lang: str | None = None) ->
     Accepts raw text (tokenized per `lang`, default the model's training
     language) or a pre-tokenized sequence.
     """
-    tokens = _tokens(lm, text, lang)
-    mapped = [t if t in lm.vocab else UNK for t in tokens]
-    padded = [BOS] * (lm.order - 1) + mapped + [EOS]
-    total = 0.0
-    for i in range(lm.order - 1, len(padded)):
-        p = lm.prob(padded[i], padded[i - lm.order + 1 : i])
-        if p <= 0.0:
-            return float("-inf")  # only reachable with discount == 0
-        total += math.log(p)
-    return total
+    return _log_prob(lm, _tokens(lm, text, lang))
 
 
 def perplexity(lm: NGramLm, text: str | Sequence[str], lang: str | None = None) -> float:
     """exp(-log_prob / N) with N = token count + 1 for the EOS position."""
     tokens = _tokens(lm, text, lang)
-    return math.exp(-log_prob(lm, tokens) / (len(tokens) + 1))
+    return math.exp(-_log_prob(lm, tokens) / (len(tokens) + 1))
 
 
 # -- serialization: JSON header line + sorted plain-text count table --------
@@ -220,11 +197,7 @@ def save_lm(lm: NGramLm, path: str | Path) -> None:
         handle.write(json.dumps(header, sort_keys=True))
         handle.write("\n")
         for k in sorted(lm.counts):
-            rows = []
-            for ctx, words in lm.counts[k].items():
-                for word, count in words.items():
-                    rows.append((ctx + (word,), count))
-            for gram, count in sorted(rows):
+            for gram, count in sorted(lm.counts[k].items()):
                 handle.write(f"{k}\t{' '.join(gram)}\t{count}\n")
 
 
@@ -251,7 +224,7 @@ def load_lm(path: str | Path) -> NGramLm:
             with open(path, encoding="utf-8") as handle:
                 header = _read_header(handle.readline())
                 order = header["order"]
-                counts: dict[int, dict[tuple[str, ...], dict[str, int]]] = {k: {} for k in range(1, order + 1)}
+                counts: dict[int, dict[tuple[str, ...], int]] = {k: {} for k in range(1, order + 1)}
                 for lineno, line in enumerate(handle, start=2):
                     if not line.strip():
                         continue
@@ -263,10 +236,12 @@ def load_lm(path: str | Path) -> NGramLm:
                     table = counts.get(k)
                     if table is None:
                         raise SchemaError(f"line {lineno}: order {k} outside 1..{order}")
-                    gram = tuple(gram_str.split(" "))
+                    gram = tuple(map(sys.intern, gram_str.split(" ")))
                     if len(gram) != k or count < 1:
                         raise SchemaError(f"line {lineno}: an order-{k} line needs a {k}-token gram and a count >= 1")
-                    table.setdefault(gram[:-1], {})[gram[-1]] = count
+                    if gram in table:
+                        raise SchemaError(f"line {lineno}: repeated {k}-gram")
+                    table[gram] = count
         except UnicodeDecodeError:
             raise SchemaError("invalid UTF-8") from None
         return NGramLm(order, header["discount"], header["min_count"], counts, header["default_lang"])

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import math
@@ -423,6 +424,7 @@ class TestExitCodes:
         ("lm-filter", "--model", _LM_HEADER + b"1\tthe\t-1\n1\t</s>\t1\n"),
         ("lm-filter", "--model", _LM_HEADER + b"1\tthe\t2\n1\ta b\t3\n"),
         ("lm-filter", "--model", _LM_HEADER.replace(b"}", b', "mystery": 1}') + b"1\tthe\t2\n"),
+        ("lm-filter", "--model", _LM_HEADER + b"1\ta\t2\n1\ta\t5\n"),  # exited 0, the last count winning
         ("quality-filter", "--scorer", _scorer_json(config="constant:abc")),
         ("quality-filter", "--scorer", _scorer_json(kind="remote_http", config="http://127.0.0.1:9/s",
                                                     extra={"t": float("nan")})),
@@ -488,6 +490,7 @@ class TestExitCodes:
          "line 2: an order-1 line needs a 1-token gram and a count >= 1"),
         ("lm-filter", "--model", _LM_HEADER + b"1\tthe\t2\n1\ta b\t3\n",
          "line 3: an order-1 line needs a 1-token gram and a count >= 1"),
+        ("lm-filter", "--model", _LM_HEADER + b"1\ta\t2\n1\ta\t5\n", "line 3: repeated 1-gram"),
         ("lm-filter", "--model", _LM_HEADER.replace(b'"order": 1', b'"order": 100000'),
          "order must be in 1..32, got 100000"),
         ("lm-filter", "--model", b"[1]\n", "header: a JSON array, not an object"),
@@ -690,15 +693,35 @@ class TestOutputTransaction:
         assert run("dedup", "--in", corpus, "--out", corpus, "--dropped", tmp_path / "dropped.jsonl") == 0
         assert len(read_corpus(corpus, "mono")) == 3
 
-    def test_failed_rename_keeps_the_renames_before_it(self, tmp_path, capsys):
-        # the one window left: --out is renamed before --dropped fails on a
-        # directory; the report, written after, is not
+    def test_failed_rename_keeps_the_renames_before_it(self, tmp_path, capsys, monkeypatch):
+        # the one window left: --out is renamed before the rename of --dropped
+        # fails; the report, written after, is not renamed
+        corpus = _write_mono(tmp_path, _english_docs(6))
+        real_replace, calls = os.replace, []
+
+        def replace(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError(errno.EIO, os.strerror(errno.EIO), src, dst)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert run("dedup", "--in", corpus, "--out", tmp_path / "kept.jsonl", "--dropped", tmp_path / "dropped.jsonl",
+                   "--report", tmp_path / "report.json") == 2
+        dropped = (tmp_path / "dropped.jsonl").resolve()
+        assert capsys.readouterr().err == f"error: [Errno {errno.EIO}] {os.strerror(errno.EIO)}: '{dropped}'\n"
+        assert _files(tmp_path) == ["corpus.jsonl", "kept.jsonl"]
+
+    def test_directory_destination_is_exit_2_and_writes_nothing(self, tmp_path, capsys):
+        # refused when staged, so the --out written before it is not renamed
         (tmp_path / "dropped").mkdir()
         corpus = _write_mono(tmp_path, _english_docs(6))
+        before = _files(tmp_path)
         assert run("dedup", "--in", corpus, "--out", tmp_path / "kept.jsonl", "--dropped", tmp_path / "dropped",
                    "--report", tmp_path / "report.json") == 2
-        assert "Is a directory" in capsys.readouterr().err
-        assert _files(tmp_path) == ["corpus.jsonl", "dropped", "kept.jsonl"]
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{tmp_path / 'dropped'}'\n"
+        assert _files(tmp_path) == before
         assert _files(tmp_path / "dropped") == []
 
     def test_nested_transaction_joins_the_outer_one(self, tmp_path):
@@ -848,6 +871,29 @@ class TestQualityCommands:
         scored = read_corpus(out_path, "mono")
         assert math.isclose(scored[0].scores["quality_composite"], 0.625)
         assert [d.id for d in read_corpus(unscored_path, "mono")] == ["partial"]
+
+    @pytest.mark.parametrize("scores", [
+        {"knowledge_value": 1.9, "authenticity": 2.7, "writing_style": -0.5},  # exited 0, truncated to (1, 2, 0)
+        {"knowledge_value": 2, "authenticity": 0.5, "writing_style": 1},
+        {"knowledge_value": 2, "authenticity": 1, "writing_style": 3},
+    ])
+    def test_quality_score_rejects_a_dimension_off_the_scale(self, tmp_path, capsys, scores):
+        docs = [Document(id="a", lang="en", text="x", scores={"knowledge_value": 2.0, "authenticity": 1,
+                                                              "writing_style": 0}),
+                Document(id="b", lang="en", text="y", scores=scores)]
+        in_path = _write_mono(tmp_path, docs)
+        before = _files(tmp_path)
+        assert run("quality-score", "--in", in_path, "--out", tmp_path / "scored.jsonl") == 1
+        key, value = next((k, v) for k, v in scores.items() if v not in (0, 1, 2))
+        assert capsys.readouterr().err == f"error: {in_path}: document 'b': {key} must be 0, 1 or 2, got {value!r}\n"
+        assert _files(tmp_path) == before
+
+    def test_quality_score_accepts_an_integral_float(self, tmp_path):
+        doc = Document(id="a", lang="en", text="x", provenance="academic",
+                       scores={"knowledge_value": 2.0, "authenticity": 1.0, "writing_style": 0})
+        out_path = tmp_path / "scored.jsonl"
+        assert run("quality-score", "--in", _write_mono(tmp_path, [doc]), "--out", out_path) == 0
+        assert read_corpus(out_path, "mono")[0].scores["quality_composite"] == 0.625
 
     def test_quality_filter_with_builtin_scorer(self, tmp_path):
         rows = [

@@ -1,13 +1,17 @@
 import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mtforge.ngram_lm
-from mtforge.corpus import Document
+from mtforge.corpus import Document, segment_tokens
 from mtforge.errors import ValidationError
 from mtforge.filters import PerplexityStage
 from mtforge.ngram_lm import (
+    BOS,
     EOS,
     UNK,
     load_lm,
@@ -236,3 +240,111 @@ class TestSerialization:
         assert header["order"] == 2
         body = lines[1:]
         assert body == sorted(body, key=lambda row: (int(row.split("\t")[0]), row.split("\t")[1]))
+
+
+# -- exact reference: nested context -> {word: count} tables and a recursive
+# interpolation, as the model was written before its flat tables ----------
+
+
+def _reference_counts(corpus, order, min_count):
+    tokenized = [segment_tokens(doc.text, doc.lang) for doc in corpus]
+    raw_freq = Counter()
+    for tokens in tokenized:
+        raw_freq.update(tokens)
+    keep = {t for t, c in raw_freq.items() if c >= min_count}
+    counts = {k: {} for k in range(1, order + 1)}
+    for tokens in tokenized:
+        padded = [BOS] * (order - 1) + [t if t in keep else UNK for t in tokens] + [EOS]
+        for k in range(1, order + 1):
+            table = counts[k]
+            for i in range(len(padded) - k + 1):
+                if padded[i + k - 1] == BOS:
+                    continue
+                ctx = tuple(padded[i : i + k - 1])
+                word = padded[i + k - 1]
+                table.setdefault(ctx, {})[word] = table.get(ctx, {}).get(word, 0) + 1
+    return counts
+
+
+class _ReferenceLm:
+    def __init__(self, order, discount, counts):
+        self.order, self.discount = order, discount
+        self._levels = [None]
+        for k in range(1, order):
+            table = {}
+            for ctx, words in counts[k + 1].items():
+                for word in words:
+                    table.setdefault(ctx[1:], Counter())[word] += 1
+            self._levels.append((table, {ctx: sum(c.values()) for ctx, c in table.items()}))
+        top = counts[order]
+        self._levels.append((top, {ctx: sum(words.values()) for ctx, words in top.items()}))
+        self.vocab = frozenset(set(counts[1].get((), {})) - {BOS} | {UNK, EOS})
+
+    def _interpolate(self, word, context, k):
+        if k == 0:
+            return 1.0 / len(self.vocab)
+        tables, totals = self._levels[k]
+        table = tables.get(context)
+        if not table:
+            return self._interpolate(word, context[1:], k - 1)
+        total = totals[context]
+        top = max(table.get(word, 0) - self.discount, 0.0) / total
+        lam = self.discount * len(table) / total
+        return top + lam * self._interpolate(word, context[1:], k - 1)
+
+    def prob(self, word, context=()):
+        word = word if word in self.vocab else UNK
+        ctx = tuple(t if t in self.vocab or t == BOS else UNK for t in context)
+        ctx = ctx[max(0, len(ctx) - (self.order - 1)) :]
+        if len(ctx) < self.order - 1:
+            ctx = (BOS,) * (self.order - 1 - len(ctx)) + ctx
+        return self._interpolate(word, ctx, self.order)
+
+    def log_prob(self, tokens):
+        padded = [BOS] * (self.order - 1) + [t if t in self.vocab else UNK for t in tokens] + [EOS]
+        total = 0.0
+        for i in range(self.order - 1, len(padded)):
+            p = self.prob(padded[i], padded[i - self.order + 1 : i])
+            if p <= 0.0:
+                return float("-inf")
+            total += math.log(p)
+        return total
+
+
+def _flat(nested):
+    return {k: {ctx + (word,): c for ctx, words in table.items() for word, c in words.items()}
+            for k, table in nested.items()}
+
+
+_WORDS = {"en": ["a", "b", "c", "d", "e"], "zh": list("你好世界天")}
+_JOIN = {"en": " ", "zh": ""}
+_texts = st.sampled_from(["en", "zh"]).flatmap(
+    lambda lang: st.lists(st.sampled_from(_WORDS[lang]), min_size=1, max_size=8).map(
+        lambda tokens: (lang, _JOIN[lang].join(tokens))))
+
+
+class TestAgainstNestedReference:
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(corpus=st.lists(_texts, min_size=1, max_size=6), queries=st.lists(_texts, min_size=1, max_size=4),
+           contexts=st.lists(st.lists(st.sampled_from(["a", "b", "你", "zzz", BOS, EOS]), max_size=5), max_size=6),
+           order=st.integers(1, 4), discount=st.sampled_from([0.0, 0.5, 0.75]), min_count=st.integers(1, 2))
+    def test_bit_identical_to_the_nested_recursive_model(self, tmp_path_factory, corpus, queries, contexts, order,
+                                                          discount, min_count):
+        docs = [Document(id=f"d{i}", lang=lang, text=text) for i, (lang, text) in enumerate(corpus)]
+        lm = train_lm(docs, order=order, discount=discount, min_count=min_count)
+        nested = _reference_counts(docs, order, min_count)
+        ref = _ReferenceLm(order, discount, nested)
+        assert lm.counts == _flat(nested)
+        assert lm.vocab == ref.vocab
+        for lang, text in corpus + queries:
+            assert log_prob(lm, text, lang) == ref.log_prob(segment_tokens(text, lang))
+        seen = [ctx for k in range(1, order + 1) for ctx in lm.seen_contexts(k)]
+        for ctx in seen + [tuple(c) for c in contexts]:
+            for word in sorted(lm.vocab) + ["zzz", BOS]:
+                assert lm.prob(word, ctx) == ref.prob(word, ctx), (word, ctx)
+        path = tmp_path_factory.mktemp("lm") / "lm.txt"
+        save_lm(lm, path)
+        loaded = load_lm(path)
+        assert loaded.counts == lm.counts
+        assert [log_prob(loaded, text, lang) for lang, text in queries] == [log_prob(lm, text, lang)
+                                                                          for lang, text in queries]

@@ -8,6 +8,11 @@ as `backends.post_json` for endpoint requests.
 Only `ioutils` creates, renames or opens files for writing: every output goes
 through `atomic_write`, so `output_transaction` is the one place that decides
 when a written file appears.
+
+No function calls itself, by its bare name or, for a method, through its
+first parameter (`self.f()`, `cls.f()`): how deep a call goes may never
+depend on the input, such as the order in a model file, so no input can
+reach the interpreter's recursion limit.
 """
 
 import ast
@@ -130,3 +135,60 @@ def test_only_ioutils_writes_files():
 ])
 def test_file_write_rule(line, writes):
     assert file_writes(f"def f():\n    {line}\n", "m.py") == (["m.py:2"] if writes else [])
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+
+
+def _own_calls(function: ast.FunctionDef | ast.AsyncFunctionDef) -> list[ast.Call]:
+    """The calls in `function`'s body, outside the functions and classes defined in it."""
+    calls, stack = [], list(function.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Call):
+            calls.append(node)
+        stack.extend(child for child in ast.iter_child_nodes(node) if not isinstance(child, _SCOPES))
+    return calls
+
+
+def _calls_itself(call: ast.Call, function: ast.FunctionDef | ast.AsyncFunctionDef, is_method: bool) -> bool:
+    func = call.func
+    if not is_method:  # in a method, a bare name is a module-level function
+        return isinstance(func, ast.Name) and func.id == function.name
+    first = function.args.posonlyargs + function.args.args
+    return (bool(first) and isinstance(func, ast.Attribute) and func.attr == function.name
+            and isinstance(func.value, ast.Name) and func.value.id == first[0].arg)
+
+
+def self_calls(source: str, filename: str) -> list[str]:
+    """`<filename>:<line>` of each call by which a function calls itself."""
+    tree = ast.parse(source, filename)
+    methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for node in cls.body}
+    return [f"{filename}:{call.lineno}" for function in ast.walk(tree)
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for call in _own_calls(function) if _calls_itself(call, function, id(function) in methods)]
+
+
+def test_no_function_calls_itself():
+    found = [place for path in sorted(PACKAGE.rglob("*.py"))
+             for place in self_calls(path.read_text(encoding="utf-8"), path.name)]
+    assert found == []
+
+
+@pytest.mark.parametrize("source, recurses", [
+    ("def f(n):\n    return f(n - 1)", True),
+    ("async def f(n):\n    return await f(n - 1)", True),
+    ("class A:\n    def f(self, k):\n        return self.f(k - 1)", True),
+    ("class A:\n    @classmethod\n    def f(cls):\n        return cls.f()", True),
+    ("def f():\n    def g(n):\n        return g(n - 1)\n    return g(3)", True),
+    ("def f(xs):\n    return [f(x) for x in xs]", True),
+    ("def main(argv):\n    return cli.main(args=argv)", False),
+    ("class A:\n    def main(self, cli):\n        return cli.main()", False),
+    ("class A:\n    def f(self):\n        return f()", False),
+    ("class A:\n    def f(self):\n        return self.g()", False),
+    ("def f():\n    return g()", False),
+    ("def f():\n    def g():\n        return f\n    return g", False),
+])
+def test_recursion_rule(source, recurses):
+    found = self_calls(source + "\n", "m.py")
+    assert len(found) == (1 if recurses else 0), found
