@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, ClassVar, Optional
 
 from .errors import MtforgeError, ValidationError
-from .ioutils import dataclass_from_obj, is_finite_number
+from .ioutils import dataclass_from_obj, decode_utf8, is_finite_number, parse_json
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,9 @@ def post_json(url: str, payload: dict, token_env: str, timeout_s: float, retries
     Sends `Authorization: Bearer <token>` when the environment variable named
     by `token_env` is set; a URL that is not http(s) raises ValueError. A
     failed connection, a timeout, a truncated reply and a 5xx are retried at
-    once, up to `retries` more times; a 3xx, a 4xx and an undecodable body are
-    final. Every failure raises BackendFailure naming the URL and the cause.
+    once, up to `retries` more times; a 3xx, a 4xx, a refused header value
+    and a body that is not UTF-8 JSON are final. Every failure raises
+    BackendFailure naming the URL and the cause.
     Proxies come from *_PROXY, HTTPS certificates from the system CA store.
 
     Every call opens a fresh connection on purpose. Against an http.server
@@ -142,7 +143,7 @@ def post_json(url: str, payload: dict, token_env: str, timeout_s: float, retries
         request = urllib.request.Request(url, data=data, headers=headers, method="POST")  # the proxy handler edits it
         try:
             with _OPENER.open(request, timeout=timeout_s) as resp:
-                return json.loads(resp.read())
+                return parse_json(decode_utf8(resp.read()))
         except urllib.error.HTTPError as exc:  # an OSError too, so caught first
             exc.close()
             cause = exc
@@ -150,7 +151,7 @@ def post_json(url: str, payload: dict, token_env: str, timeout_s: float, retries
                 break
         except (OSError, http.client.HTTPException) as exc:  # connection, timeout, truncated reply
             cause = exc
-        except (ValueError, RecursionError) as exc:  # an undecodable body, or one nested too deep
+        except (ValidationError, ValueError) as exc:  # a body that is not UTF-8 JSON; a header http.client refuses
             cause = exc
             break
     raise BackendFailure(f"{url}: {cause}")

@@ -1,4 +1,5 @@
-"""Small IO helpers: atomic file writes, output transactions, JSON files and typed JSON Lines records."""
+"""Small IO helpers: atomic file writes, output transactions, the one UTF-8
+and JSON decoder of outside bytes, JSON files and typed JSON Lines records."""
 
 from __future__ import annotations
 
@@ -96,23 +97,41 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> int:
     return count
 
 
+def decode_utf8(data: bytes) -> str:
+    """`data` as UTF-8 text; an invalid byte raises ValidationError naming
+    its 1-based offset."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"invalid UTF-8 at byte {exc.start + 1}") from None
+
+
 # A JSON \u escape of a UTF-16 surrogate. json.loads joins an escaped pair
 # into one code point, so a surrogate left in a parsed string is unpaired,
 # and no UTF-8 writer can encode it.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
-def _lone_surrogate(text: str, obj: Any) -> str | None:
-    """What is wrong when `obj`, parsed from `text`, holds a string with an
-    unpaired surrogate; None otherwise. Text without a surrogate escape, as
-    nearly all is, costs one regex scan."""
-    if _SURROGATE_ESCAPE.search(text) is None:
-        return None
+def parse_json(text: str) -> Any:
+    """The JSON value of `text`. A syntax fault raises ValidationError
+    `invalid JSON: <what> (column <c>)`, as `(line <l>, column <c>)` when the
+    text holds an LF; an integer beyond int()'s digit limit or nesting too
+    deep `invalid JSON: <what>`; a string holding an unpaired surrogate
+    `unpaired surrogate \\u<code> in a string`. Text without a surrogate
+    escape, as nearly all is, costs one regex scan for the last check."""
     try:
-        json.dumps(obj, ensure_ascii=False).encode("utf-8")
-    except UnicodeEncodeError as exc:
-        return f"unpaired surrogate \\u{ord(exc.object[exc.start]):04x} in a string"
-    return None
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        where = f"line {exc.lineno}, column {exc.colno}" if "\n" in text else f"column {exc.colno}"
+        raise ValidationError(f"invalid JSON: {exc.msg} ({where})") from None
+    except (ValueError, RecursionError) as exc:  # an integer beyond int()'s digit limit, deep nesting
+        raise ValidationError(f"invalid JSON: {exc}") from None
+    if _SURROGATE_ESCAPE.search(text) is not None:
+        try:
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValidationError(f"unpaired surrogate \\u{ord(exc.object[exc.start]):04x} in a string") from None
+    return obj
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
@@ -125,21 +144,12 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
             try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise SchemaError(f"line {lineno}: invalid UTF-8 at byte {exc.start + 1}") from None
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                column = min(exc.pos, len(line.rstrip("\n"))) + 1  # colno restarts past the line's LF
-                raise SchemaError(f"line {lineno}: invalid JSON: {exc.msg} (column {column})") from None
-            except (ValueError, RecursionError) as exc:  # an integer beyond int()'s digit limit, deep nesting
-                raise SchemaError(f"line {lineno}: invalid JSON: {exc}") from None
-            problem = _lone_surrogate(line, obj)
-            if problem:
-                raise SchemaError(f"line {lineno}: {problem}")
+                line = decode_utf8(raw)
+                if not line.strip():
+                    continue
+                obj = parse_json(line.rstrip("\n"))
+            except ValidationError as exc:
+                raise SchemaError(f"line {lineno}: {exc}") from None
             yield lineno, obj
 
 
@@ -245,20 +255,8 @@ def dataclass_from_obj(cls: type, obj: Any, where: object) -> Any:
 def load_json(path: str | Path) -> Any:
     """Parse a whole JSON file; content that is not UTF-8 JSON, or holds a
     string with an unpaired surrogate, raises SchemaError naming the path."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-        obj = json.loads(text)
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: invalid UTF-8 at byte {exc.start + 1}") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})") from None
-    except (ValueError, RecursionError) as exc:  # an integer beyond int()'s digit limit, deep nesting
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from None
-    problem = _lone_surrogate(text, obj)
-    if problem:
-        raise SchemaError(f"{path}: {problem}")
-    return obj
+    with at(path):
+        return parse_json(decode_utf8(Path(path).read_bytes()))
 
 
 def dump_json(path: str | Path, payload: dict) -> None:

@@ -198,6 +198,8 @@ def load_langid(path: str | Path) -> LangIdModel:
     """Read a model written by save_langid; a malformed file raises
     ValidationError naming the path."""
     payload = check_fields(load_json(path), _MODEL_FIELDS, _MODEL_FIELDS, closed=True, where=path)
-    del payload["format"], payload["version"]
     with at(path):
+        if payload["version"] != 1:
+            raise ValidationError(f"version must be 1, got {payload['version']}")
+        del payload["format"], payload["version"]
         return LangIdModel(**payload)

@@ -18,9 +18,9 @@ from collections import Counter
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Document, registry_order, segment_tokens
+from .corpus import Document, registry_order, require_tag, segment_tokens
 from .errors import SchemaError, ValidationError, at
-from .ioutils import atomic_write, check_fields
+from .ioutils import atomic_write, check_fields, decode_utf8, parse_json
 
 BOS = "<s>"
 EOS = "</s>"
@@ -33,9 +33,13 @@ UNK = "<unk>"
 MAX_ORDER = 32
 
 
-def _check_order(order: int) -> None:
+def _check_params(order: int, discount: float, min_count: int) -> None:
     if not 1 <= order <= MAX_ORDER:
         raise ValidationError(f"order must be in 1..{MAX_ORDER}, got {order}")
+    if not 0 <= discount < 1:
+        raise ValidationError(f"discount must be in [0, 1), got {discount}")
+    if min_count < 1:
+        raise ValidationError(f"min_count must be >= 1, got {min_count}")
 
 
 class NGramLm:
@@ -59,9 +63,8 @@ class NGramLm:
         counts: dict[int, dict[tuple[str, ...], int]],
         default_lang: str,
     ):
-        _check_order(order)
-        if not 0 <= discount < 1:
-            raise ValidationError(f"discount must be in [0, 1), got {discount}")
+        _check_params(order, discount, min_count)
+        require_tag(default_lang)
         self.order = order
         self.discount = discount
         self.min_count = min_count
@@ -117,11 +120,7 @@ def train_lm(
     """
     if not corpus:
         raise ValidationError("empty training corpus")
-    _check_order(order)
-    if not 0 <= discount < 1:
-        raise ValidationError(f"discount must be in [0, 1), got {discount}")
-    if min_count < 1:
-        raise ValidationError(f"min_count must be >= 1, got {min_count}")
+    _check_params(order, discount, min_count)
 
     tokenized = [segment_tokens(doc.text, doc.lang) for doc in corpus]
     raw_freq: Counter[str] = Counter()
@@ -206,42 +205,45 @@ _HEADER_FIELDS = {"format": ("mtforge-ngram-lm",), "version": "integer", "order"
                   "discount": "number", "min_count": "integer", "vocab_size": "integer", "default_lang": "string"}
 
 
-def _read_header(line: str) -> dict:
-    try:
-        header = json.loads(line)
-    except (ValueError, RecursionError) as exc:  # bad JSON, an integer beyond int()'s limit, deep nesting
-        raise SchemaError(f"line 1: invalid JSON header: {exc}") from None
+def _read_header(raw: bytes) -> dict:
+    with at("line 1"):
+        header = parse_json(decode_utf8(raw).rstrip("\n"))
     check_fields(header, _HEADER_FIELDS, _HEADER_FIELDS, closed=True, where="header")
-    _check_order(header["order"])  # before any table is allocated
+    if header["version"] != 1:
+        raise ValidationError(f"version must be 1, got {header['version']}")
+    _check_params(header["order"], header["discount"], header["min_count"])  # before any table is allocated
     return header
 
 
 def load_lm(path: str | Path) -> NGramLm:
-    """Read a model written by save_lm; a malformed header or count line
-    raises ValidationError naming the path."""
-    with at(path):
-        try:
-            with open(path, encoding="utf-8") as handle:
-                header = _read_header(handle.readline())
-                order = header["order"]
-                counts: dict[int, dict[tuple[str, ...], int]] = {k: {} for k in range(1, order + 1)}
-                for lineno, line in enumerate(handle, start=2):
-                    if not line.strip():
-                        continue
-                    try:
-                        k_str, gram_str, count_str = line.rstrip("\n").split("\t")
-                        k, count = int(k_str), int(count_str)
-                    except ValueError:
-                        raise SchemaError(f"line {lineno}: expected k<TAB>gram<TAB>count") from None
-                    table = counts.get(k)
-                    if table is None:
-                        raise SchemaError(f"line {lineno}: order {k} outside 1..{order}")
-                    gram = tuple(map(sys.intern, gram_str.split(" ")))
-                    if len(gram) != k or count < 1:
-                        raise SchemaError(f"line {lineno}: an order-{k} line needs a {k}-token gram and a count >= 1")
-                    if gram in table:
-                        raise SchemaError(f"line {lineno}: repeated {k}-gram")
-                    table[gram] = count
-        except UnicodeDecodeError:
-            raise SchemaError("invalid UTF-8") from None
-        return NGramLm(order, header["discount"], header["min_count"], counts, header["default_lang"])
+    """Read a model written by save_lm; a malformed header or count line, or
+    a header vocab_size other than the counts' vocabulary, raises
+    ValidationError naming the path."""
+    with at(path), open(path, "rb") as handle:
+        header = _read_header(handle.readline())
+        order = header["order"]
+        counts: dict[int, dict[tuple[str, ...], int]] = {k: {} for k in range(1, order + 1)}
+        for lineno, raw in enumerate(handle, start=2):
+            try:
+                line = decode_utf8(raw)
+                if not line.strip():
+                    continue
+                k_str, gram_str, count_str = line.rstrip("\n").split("\t")
+                k, count = int(k_str), int(count_str)
+            except ValidationError as exc:
+                raise SchemaError(f"line {lineno}: {exc}") from None
+            except ValueError:
+                raise SchemaError(f"line {lineno}: expected k<TAB>gram<TAB>count") from None
+            table = counts.get(k)
+            if table is None:
+                raise SchemaError(f"line {lineno}: order {k} outside 1..{order}")
+            gram = tuple(map(sys.intern, gram_str.split(" ")))
+            if len(gram) != k or count < 1:
+                raise SchemaError(f"line {lineno}: an order-{k} line needs a {k}-token gram and a count >= 1")
+            if gram in table:
+                raise SchemaError(f"line {lineno}: repeated {k}-gram")
+            table[gram] = count
+        lm = NGramLm(order, header["discount"], header["min_count"], counts, header["default_lang"])
+        if header["vocab_size"] != len(lm.vocab):
+            raise ValidationError(f"header: vocab_size must be {len(lm.vocab)}, got {header['vocab_size']}")
+        return lm

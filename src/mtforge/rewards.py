@@ -85,16 +85,10 @@ def repetition_score(text: str) -> float:
         grams = [tuple(tokens[i : i + n]) for i in range(total)]
         if len(set(grams)) / total < MIN_DISTINCT_RATIO:
             return 1.0
-        # back-to-back repetition: the same n-gram at start, start+n, ...
-        for start in range(total):
-            gram = tokens[start : start + n]
-            run = 1
-            pos = start + n
-            while pos + n <= len(tokens) and tokens[pos : pos + n] == gram:
-                run += 1
-                if run >= MAX_CONSECUTIVE:
-                    return 1.0
-                pos += n
+        # back-to-back repetition: the same n-gram at i, i+n, ..., i+(MAX_CONSECUTIVE-1)*n
+        runs = zip(*(grams[j * n :] for j in range(MAX_CONSECUTIVE)))
+        if any(run.count(run[0]) == MAX_CONSECUTIVE for run in runs):
+            return 1.0
     return 0.0
 
 

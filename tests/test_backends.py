@@ -34,6 +34,9 @@ _ODD_REPLIES = {
     "/text_number": b'{"text": 5}',
     "/bare_list": b"[1, 2]",
     "/deep": b"[" * 100_000 + b"]" * 100_000,  # beyond the JSON decoder's recursion limit
+    "/surrogate": b'{"text": "ok \\ud800 x"}',  # JSON, but no UTF-8 writer can encode the text
+    "/latin1": '{"text": "caf\u00e9"}'.encode("latin-1"),
+    "/utf16": '{"text": "ok"}'.encode("utf-16"),  # with a BOM, as json.loads(bytes) would have sniffed
 }
 
 
@@ -190,6 +193,10 @@ class TestCompletionWire:
         ("/empty_object", "returned no text field"),
         ("/text_number", "returned no text field"),
         ("/deep", "maximum recursion depth exceeded"),
+        ("/surrogate", r"unpaired surrogate \\ud800 in a string$"),
+        ("/latin1", "invalid UTF-8 at byte 14$"),
+        ("/utf16", "invalid UTF-8 at byte 1$"),
+        ("/garbage", r"invalid JSON: Expecting value \(column 1\)$"),
     ])
     def test_final_failure_is_not_retried(self, http_server, path, message):
         spec = BackendSpec("real", f"{http_server}{path}", "m", max_retries=2)
@@ -197,6 +204,16 @@ class TestCompletionWire:
         with pytest.raises(BackendFailure, match=message):
             complete(spec, "p", GenerationParams())
         assert [p for p, _ in _Handler.requests_seen] == [path]
+
+    def test_refused_header_is_final(self, http_server, monkeypatch):
+        # http.client refuses a header value holding a newline before anything is sent
+        monkeypatch.setenv("MTFORGE_BACKEND_TOKEN", "gen\nsecret")
+        spec = BackendSpec("real", f"{http_server}/complete", "m", max_retries=2)
+        _Handler.requests_seen.clear()
+        with pytest.raises(BackendFailure, match=r"^http://.*/complete: Invalid header value") as caught:
+            complete(spec, "p", GenerationParams())
+        assert _Handler.requests_seen == []
+        assert caught.value.__context__ is None and caught.value.__cause__ is None
 
     def test_truncated_reply_is_retried(self, http_server):
         spec = BackendSpec("real", f"{http_server}/short", "m", max_retries=1)

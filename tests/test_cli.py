@@ -494,6 +494,19 @@ class TestExitCodes:
         ("lm-filter", "--model", _LM_HEADER.replace(b'"order": 1', b'"order": 100000'),
          "order must be in 1..32, got 100000"),
         ("lm-filter", "--model", b"[1]\n", "header: a JSON array, not an object"),
+        ("lm-filter", "--model", _LM_HEADER.replace(b'"version": 1', b'"version": 7') + b"1\tthe\t2\n",
+         "version must be 1, got 7"),
+        ("lm-filter", "--model", _LM_HEADER.replace(b'"en"', b'"xx"') + b"1\tthe\t2\n", "unknown language tag: 'xx'"),
+        ("lm-filter", "--model", _LM_HEADER.replace(b'"min_count": 1', b'"min_count": 0') + b"1\tthe\t2\n",
+         "min_count must be >= 1, got 0"),
+        ("lm-filter", "--model", _LM_HEADER.replace(b'"vocab_size": 3', b'"vocab_size": 999') + b"1\tthe\t2\n",
+         "header: vocab_size must be 3, got 999"),
+        ("lm-filter", "--model", _LM_HEADER + b"1\tthe\t2\n1\tcaf\xe9\t3\n", "line 3: invalid UTF-8 at byte 6"),
+        ("lm-filter", "--model", _LM_HEADER.replace(b'"en"', b'"\\ud800"') + b"1\tthe\t2\n",
+         "line 1: unpaired surrogate \\ud800 in a string"),
+        ("lm-filter", "--model", b"{bad\n1\tthe\t2\n",
+         "line 1: invalid JSON: Expecting property name enclosed in double quotes (column 2)"),
+        ("langid-filter", "--model", _langid_model_json(version=7), "version must be 1, got 7"),
         ("reward-score", "--terms", b'{"cat": ["chat", ""]}', "term 'cat' needs a list of non-empty renderings"),
         ("reward-score", "--terms", b'["cat"]', "a JSON array, not an object"),
         ("mix-optimize", "--model", _mix_model_json(domains=["a", "a"]),
@@ -1188,6 +1201,24 @@ class TestChimeraCommands:
         assert err.startswith("error: only 0 of 6 candidate requests succeeded; slot 0: ")
         assert "Connection refused" in err
 
+    @pytest.mark.parametrize("command", ["translate", "fuse"])
+    def test_unpaired_surrogate_in_a_reply_is_exit_2(self, tmp_path, capsys, slow_endpoint, command):
+        config = _chimera_config(tmp_path, endpoint=slow_endpoint, fusion_endpoint=slow_endpoint)
+        sources = tmp_path / "sources.jsonl"
+        sources.write_text(json.dumps({"id": "s", "src_lang": "zh", "tgt_lang": "en", "text": "你好 SURROGATE"}) + "\n")
+        out_path, report_path = tmp_path / "out.jsonl", tmp_path / "report.json"
+        assert run(command, "--config", config, "--in", sources, "--out", out_path, "--report", report_path) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: only 0 of 6 candidate requests succeeded; slot 0: "
+                            r"http://\S+/complete: unpaired surrogate \\ud800 in a string\n", err), err
+        assert not out_path.exists() and not report_path.exists()
+
+    def test_refused_token_is_one_line_exit_2(self, tmp_path, capsys, monkeypatch, slow_endpoint):
+        monkeypatch.setenv("MTFORGE_BACKEND_TOKEN", "gen\nsecret")  # http.client refuses the header
+        err = self._failed_translate_error(tmp_path, capsys, slow_endpoint)
+        assert err.startswith(f"error: only 0 of 6 candidate requests succeeded; slot 0: {slow_endpoint}: ")
+        assert "Invalid header value" in err
+
     def test_empty_completions_name_the_cause(self, tmp_path, capsys):
         register_mock_backend("blank", lambda prompt, params, model_id: "  \n")
         err = self._failed_translate_error(tmp_path, capsys, "mock:blank")
@@ -1198,8 +1229,9 @@ class _SlowHandler(BaseHTTPRequestHandler):
     """Completion and scorer endpoint that holds each request briefly and
     records how many are active at once and how many items each scorer
     request carries. It answers 500 to a prompt, or a scorer item's
-    hypothesis, containing FAIL, and a null score to a hypothesis
-    containing NULL.
+    hypothesis, containing FAIL, a null score to a hypothesis containing
+    NULL, and a completion holding an unpaired surrogate escape to a prompt
+    containing SURROGATE.
 
     With `gate` set to n, the first requests wait (up to GATE_TIMEOUT_S)
     until n are active at once; then the gate stays open. So a client that
@@ -1242,7 +1274,7 @@ class _SlowHandler(BaseHTTPRequestHandler):
             self.send_response(500)
             self.end_headers()
             return
-        data = json.dumps(reply).encode()
+        data = b'{"text": "ok \\ud800 x"}' if "SURROGATE" in texts[0] else json.dumps(reply).encode()
         self.send_response(200)
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()

@@ -291,6 +291,27 @@ class TestReadRecords:
         path.write_text('{"id": "%s"}\n' % escaped)
         assert list(read_jsonl(path)) == [(1, {"id": text})]
 
+    @pytest.mark.parametrize("content, message", [
+        (b'{"a": }', "invalid JSON: Expecting value (column 7)"),
+        (b'{"a": }\n', "invalid JSON: Expecting value (line 1, column 7)"),
+        (b'{\n  "a": }\n', "invalid JSON: Expecting value (line 2, column 8)"),
+        (b'{\r\n  "a": }\r\n', "invalid JSON: Expecting value (line 2, column 8)"),
+        (b"\xef\xbb\xbf{}\n", "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig) (line 1, column 1)"),
+        ('{"a": 1}'.encode("utf-16"), "invalid UTF-8 at byte 1"),
+        (b'{"a": "caf\xe9"}\n', "invalid UTF-8 at byte 11"),
+    ])
+    def test_json_file_fault_names_its_place(self, tmp_path, content, message):
+        path = tmp_path / "c.json"
+        path.write_bytes(content)
+        with pytest.raises(SchemaError) as info:
+            load_json(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_json_file_with_cr_line_ends_parses(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{\r\n  "a": [1,\r 2]\r\n}\r\n')
+        assert load_json(path) == {"a": [1, 2]}
+
 
 class TestRoundTripProperties:
     @settings(max_examples=60, deadline=None)

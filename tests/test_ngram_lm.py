@@ -241,6 +241,16 @@ class TestSerialization:
         body = lines[1:]
         assert body == sorted(body, key=lambda row: (int(row.split("\t")[0]), row.split("\t")[1]))
 
+    def test_crlf_file_loads_the_same_model(self, tmp_path):
+        lm = train_lm(_docs(["the cat sat", "the dog sat"]), order=2)
+        path = tmp_path / "lm.txt"
+        save_lm(lm, path)
+        data = path.read_bytes()
+        assert b"\r" not in data  # save_lm ends each line in LF alone
+        path.write_bytes(data.replace(b"\n", b"\r\n"))
+        loaded = load_lm(path)
+        assert (loaded.counts, loaded.vocab, loaded.default_lang) == (lm.counts, lm.vocab, lm.default_lang)
+
 
 # -- exact reference: nested context -> {word: count} tables and a recursive
 # interpolation, as the model was written before its flat tables ----------

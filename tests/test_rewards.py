@@ -3,9 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtforge.errors import ValidationError
 from mtforge.rewards import (
+    MAX_CONSECUTIVE,
+    MIN_DISTINCT_RATIO,
+    REPETITION_ORDERS,
     RewardWeights,
     TermTable,
     composite_reward,
@@ -126,6 +131,45 @@ class TestRepetitionScore:
             tokens = rng.permutation(vocab)[:12]
             clean.append(" ".join(tokens))
         assert all(repetition_score(t) == 0.0 for t in clean)
+
+
+def _loop_repetition_score(text):
+    """repetition_score as a while loop over each start position, the
+    reference for the one-pass check."""
+    tokens = text.split()
+    for n in REPETITION_ORDERS:
+        total = len(tokens) - n + 1
+        if total < 1:
+            continue
+        grams = [tuple(tokens[i : i + n]) for i in range(total)]
+        if len(set(grams)) / total < MIN_DISTINCT_RATIO:
+            return 1.0
+        for start in range(total):
+            gram = tokens[start : start + n]
+            run = 1
+            pos = start + n
+            while pos + n <= len(tokens) and tokens[pos : pos + n] == gram:
+                run += 1
+                if run >= MAX_CONSECUTIVE:
+                    return 1.0
+                pos += n
+    return 0.0
+
+
+@st.composite
+def _token_texts(draw):
+    """Texts of few distinct tokens, often with a phrase repeated in the middle."""
+    words = st.lists(st.sampled_from(draw(st.sampled_from(["ab", "abc", "abcdefghij"]))), max_size=30)
+    phrase = draw(st.lists(st.sampled_from("abcxyz"), min_size=1, max_size=4))
+    tokens = draw(words) + phrase * draw(st.integers(0, 4)) + draw(words)
+    return " ".join(tokens or ["a"])
+
+
+class TestRepetitionAgainstLoop:
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(text=_token_texts())
+    def test_same_score_as_the_loop(self, text):
+        assert repetition_score(text) == _loop_repetition_score(text)
 
 
 class TestCompositeReward:

@@ -9,6 +9,11 @@ Only `ioutils` creates, renames or opens files for writing: every output goes
 through `atomic_write`, so `output_transaction` is the one place that decides
 when a written file appears.
 
+Only `ioutils.decode_utf8` decodes bytes (a `.decode(` call) and only
+`ioutils.parse_json` calls `json.load` or `json.loads`: every file and
+endpoint reply goes through these two, so one place decides what is bad
+UTF-8 or bad JSON and how the fault is worded.
+
 No function calls itself, by its bare name or, for a method, through its
 first parameter (`self.f()`, `cls.f()`): how deep a call goes may never
 depend on the input, such as the order in a model file, so no input can
@@ -192,3 +197,59 @@ def test_no_function_calls_itself():
 def test_recursion_rule(source, recurses):
     found = self_calls(source + "\n", "m.py")
     assert len(found) == (1 if recurses else 0), found
+
+
+def _decoding(node: ast.AST) -> str | None:
+    """"json" for a json.load or json.loads call or import, "decode" for a
+    .decode( call, None for anything else."""
+    if isinstance(node, ast.ImportFrom):
+        return "json" if node.module == "json" and any(a.name in ("load", "loads") for a in node.names) else None
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return None
+    func = node.func
+    if func.attr == "decode":
+        return "decode"
+    if func.attr in ("load", "loads") and isinstance(func.value, ast.Name) and func.value.id == "json":
+        return "json"
+    return None
+
+
+def decoding_calls(source: str, filename: str) -> list[str]:
+    """`<filename>:<function>:<kind>` of each place that decodes outside
+    bytes or JSON text, as `_decoding` names its kind, in source order; code
+    outside any function is in `<module>`."""
+    found, stack = [], [(ast.parse(source, filename), "<module>")]
+    while stack:
+        node, scope = stack.pop()
+        kind = _decoding(node)
+        if kind:
+            found.append((node.lineno, f"{filename}:{scope}:{kind}"))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        stack.extend((child, scope) for child in ast.iter_child_nodes(node))
+    return [place for _, place in sorted(found)]
+
+
+def test_only_ioutils_decodes_outside_input():
+    found = [place for path in sorted(PACKAGE.rglob("*.py"))
+             for place in decoding_calls(path.read_text(encoding="utf-8"), path.name)]
+    assert found == ["ioutils.py:decode_utf8:decode", "ioutils.py:parse_json:json"]
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(raw):\n    return raw.decode('utf-8')", ["m.py:f:decode"]),
+    ("def f(resp):\n    return resp.read().decode()", ["m.py:f:decode"]),
+    ("def f(text):\n    return json.loads(text)", ["m.py:f:json"]),
+    ("def f(handle):\n    return json.load(handle)", ["m.py:f:json"]),
+    ("from json import loads", ["m.py:<module>:json"]),
+    ("CONFIG = json.loads('{}')", ["m.py:<module>:json"]),
+    ("class A:\n    def f(self, raw):\n        return raw.decode()", ["m.py:f:decode"]),
+    ("def f(raw):\n    def g():\n        return json.loads(raw)\n    return raw.decode()",
+     ["m.py:g:json", "m.py:f:decode"]),
+    ("def f(obj):\n    return json.dumps(obj).encode('utf-8')", []),
+    ("def f(text):\n    return parse_json(decode_utf8(text))", []),
+    ("from json import dumps, JSONDecodeError", []),
+    ("def f(loader, text):\n    return loader.loads(text)", []),
+])
+def test_decoding_rule(source, found):
+    assert decoding_calls(source + "\n", "m.py") == found
