@@ -160,7 +160,7 @@ def langid_train(in_path, model_path, min_n, max_n, alpha, seed):
     model = langid_mod.train_langid(docs, ngram_range=(min_n, max_n), alpha=alpha)
     langid_mod.save_langid(model, model_path)
     return {
-        "counts": {"documents": len(docs), "classes": len(model.classes), "vocab": len(model.vocab)},
+        "counts": {"documents": len(docs), "classes": len(model.classes), "vocab": len(model.grams)},
         "params": {"min_n": min_n, "max_n": max_n, "alpha": alpha},
     }
 

@@ -5,10 +5,10 @@ Naive Bayes over character n-grams with add-alpha smoothing. Text is
 lowercased (per-codepoint, so CJK and other unicameral scripts are
 untouched) before n-gram extraction.
 
-Scoring uses a matrix built once per model: row i of a (V+1, C) float64
-array holds the log-likelihoods of the i-th vocab gram (in sorted order)
-under each of the C classes, and the last row holds the unseen slot. A
-text's distinct grams, in first-occurrence order (by n, then by position),
+The model is its scoring arrays: row i of a (V+1, C) float64 matrix holds
+the log-likelihoods of the i-th vocab gram (in sorted order) under each of
+the C classes, and the last row holds the unseen slot. A text's distinct
+grams, in first-occurrence order (by n, then by position),
 gather their rows; each row is scaled by the gram's count, and a cumulative
 sum down the gram axis, starting from the row of log priors, gives every
 class's log posterior. The cumulative sum adds the terms one at a time in
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
 from typing import Sequence
@@ -46,55 +46,18 @@ def extract_ngrams(text: str, ngram_range: tuple[int, int]) -> Counter[str]:
     return grams
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LangIdModel:
+    """The scoring arrays of the module docstring: `grams` maps each vocab
+    gram, in sorted order, to its row of `log_likelihood_matrix`, and the
+    columns follow `classes`."""
+
     classes: tuple[str, ...]
-    log_priors: dict[str, float]
     ngram_range: tuple[int, int]
     smoothing_alpha: float
-    vocab: frozenset[str]
-    log_likelihoods: dict[str, dict[str, float]]
-    unseen_log_likelihood: dict[str, float]
-    # scoring tables derived from the fields above (see the module docstring)
-    gram_index: dict[str, int] = field(init=False, repr=False, compare=False)
-    log_likelihood_matrix: np.ndarray = field(init=False, repr=False, compare=False)
-    log_prior_row: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        """Check that the fields agree with each other and build the scoring
-        tables from them; an inconsistent model raises ValidationError. Lists,
-        as a model file holds them, are stored as the field types."""
-        lo_hi = tuple(self.ngram_range)
-        if (len(lo_hi) != 2 or not all(isinstance(n, int) and not isinstance(n, bool) for n in lo_hi)
-                or not 1 <= lo_hi[0] <= lo_hi[1]):
-            raise ValidationError(f"ngram_range must be two integers 1 <= lo <= hi, got {list(lo_hi)}")
-        classes = tuple(self.classes)
-        if not classes or not all(type(s) is str for s in chain(classes, self.vocab)) \
-                or len(set(classes)) < len(classes):
-            raise ValidationError("classes must be distinct names, at least one, and vocab must hold strings")
-        vocab = frozenset(self.vocab)
-        for c in classes:
-            for name in ("log_priors", "log_likelihoods", "unseen_log_likelihood"):
-                if c not in getattr(self, name):
-                    raise ValidationError(f"{name} has no entry for class {c!r}")
-            table = self.log_likelihoods[c]
-            if type(table) is not dict:
-                raise ValidationError(f"log_likelihoods[{c!r}] must be an object")
-            if table.keys() != vocab:
-                gram = min(table.keys() ^ vocab)
-                raise ValidationError(f"log_likelihoods[{c!r}] and vocab disagree on gram {gram!r}")
-        grams = sorted(vocab)
-        rows = [[*map(self.log_likelihoods[c].__getitem__, grams), self.unseen_log_likelihood[c]] for c in classes]
-        priors = [self.log_priors[c] for c in classes]
-        for name, values in (("log_likelihoods", chain.from_iterable(rows)), ("log_priors", priors)):
-            if not all(map(is_finite_number, values)):
-                raise ValidationError(f"{name} must hold finite numbers")
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "ngram_range", lo_hi)
-        object.__setattr__(self, "vocab", vocab)
-        object.__setattr__(self, "gram_index", {g: i for i, g in enumerate(grams)})
-        object.__setattr__(self, "log_likelihood_matrix", np.ascontiguousarray(np.array(rows, np.float64).T))
-        object.__setattr__(self, "log_prior_row", np.array(priors, np.float64))
+    grams: dict[str, int]
+    log_likelihood_matrix: np.ndarray
+    log_prior_row: np.ndarray
 
 
 def train_langid(
@@ -124,26 +87,21 @@ def train_langid(
 
     classes = tuple(sorted(counts, key=registry_order))
     total_docs = sum(doc_counts.values())
-    log_priors = {c: math.log(doc_counts[c] / total_docs) for c in classes}
-    vocab = frozenset().union(*counts.values())
-
-    log_likelihoods: dict[str, dict[str, float]] = {}
-    unseen: dict[str, float] = {}
-    denom_slots = len(vocab) + 1
-    for c in classes:
-        total = sum(counts[c].values())
-        denom = total + alpha * denom_slots
-        log_likelihoods[c] = {g: math.log((counts[c][g] + alpha) / denom) for g in vocab}
-        unseen[c] = math.log(alpha / denom)
+    vocab = sorted(set().union(*counts.values()))
+    matrix = np.empty((len(vocab) + 1, len(classes)))
+    for j, c in enumerate(classes):
+        table = counts[c]
+        denom = sum(table.values()) + alpha * (len(vocab) + 1)
+        matrix[:-1, j] = np.fromiter((math.log((table[g] + alpha) / denom) for g in vocab), np.float64, len(vocab))
+        matrix[-1, j] = math.log(alpha / denom)
 
     return LangIdModel(
         classes=classes,
-        log_priors=log_priors,
         ngram_range=ngram_range,
         smoothing_alpha=alpha,
-        vocab=vocab,
-        log_likelihoods=log_likelihoods,
-        unseen_log_likelihood=unseen,
+        grams={g: i for i, g in enumerate(vocab)},
+        log_likelihood_matrix=matrix,
+        log_prior_row=np.array([math.log(doc_counts[c] / total_docs) for c in classes]),
     )
 
 
@@ -152,7 +110,7 @@ def posteriors(model: LangIdModel, text: str) -> dict[str, float]:
     if not text:
         raise ValidationError("cannot classify empty text")
     grams = extract_ngrams(text, model.ngram_range)
-    index = model.gram_index
+    index = model.grams
     unseen = len(index)
     rows = [index.get(gram, unseen) for gram in grams]
     counts = np.fromiter(grams.values(), np.float64, len(rows))
@@ -174,20 +132,22 @@ def predict_lang(model: LangIdModel, text: str) -> tuple[str, float]:
 
 
 def save_langid(model: LangIdModel, path: str | Path) -> None:
+    vocab = list(model.grams)
+    columns = model.log_likelihood_matrix.T.tolist()
     write_jsonl(path, [{
         "format": "mtforge-langid",
         "version": 1,
         "classes": list(model.classes),
-        "log_priors": model.log_priors,
+        "log_priors": dict(zip(model.classes, model.log_prior_row.tolist())),
         "ngram_range": list(model.ngram_range),
         "smoothing_alpha": model.smoothing_alpha,
-        "vocab": sorted(model.vocab),
-        "log_likelihoods": {c: model.log_likelihoods[c] for c in model.classes},
-        "unseen_log_likelihood": model.unseen_log_likelihood,
+        "vocab": vocab,
+        "log_likelihoods": {c: dict(zip(vocab, column[:-1])) for c, column in zip(model.classes, columns)},
+        "unseen_log_likelihood": {c: column[-1] for c, column in zip(model.classes, columns)},
     }])
 
 
-# model file fields, as save_langid writes them; LangIdModel checks the
+# model file fields, as save_langid writes them; load_langid checks the
 # entries of the lists and tables
 _MODEL_FIELDS = {"format": ("mtforge-langid",), "version": "integer", "classes": "array", "log_priors": "object",
                  "ngram_range": "array", "smoothing_alpha": "number", "vocab": "array", "log_likelihoods": "object",
@@ -195,11 +155,39 @@ _MODEL_FIELDS = {"format": ("mtforge-langid",), "version": "integer", "classes":
 
 
 def load_langid(path: str | Path) -> LangIdModel:
-    """Read a model written by save_langid; a malformed file raises
-    ValidationError naming the path."""
+    """Read a model written by save_langid. A file whose tables disagree
+    with each other or with the classes, or that holds a value save_langid
+    would not write, raises ValidationError naming the path."""
     payload = check_fields(load_json(path), _MODEL_FIELDS, _MODEL_FIELDS, closed=True, where=path)
     with at(path):
         if payload["version"] != 1:
             raise ValidationError(f"version must be 1, got {payload['version']}")
-        del payload["format"], payload["version"]
-        return LangIdModel(**payload)
+        lo_hi = tuple(payload["ngram_range"])
+        if len(lo_hi) != 2 or not all(type(n) is int for n in lo_hi) or not 1 <= lo_hi[0] <= lo_hi[1]:
+            raise ValidationError(f"ngram_range must be two integers 1 <= lo <= hi, got {list(lo_hi)}")
+        classes = tuple(payload["classes"])
+        if not classes or not all(type(s) is str for s in chain(classes, payload["vocab"])) \
+                or len(set(classes)) < len(classes):
+            raise ValidationError("classes must be distinct names, at least one, and vocab must hold strings")
+        vocab = set(payload["vocab"])
+        grams = sorted(vocab)
+        matrix = np.empty((len(grams) + 1, len(classes)))
+        for j, c in enumerate(classes):
+            for name in ("log_priors", "log_likelihoods", "unseen_log_likelihood"):
+                if c not in payload[name]:
+                    raise ValidationError(f"{name} has no entry for class {c!r}")
+            table = payload["log_likelihoods"][c]
+            if type(table) is not dict:
+                raise ValidationError(f"log_likelihoods[{c!r}] must be an object")
+            if table.keys() != vocab:
+                gram = min(table.keys() ^ vocab)
+                raise ValidationError(f"log_likelihoods[{c!r}] and vocab disagree on gram {gram!r}")
+            column = [*map(table.__getitem__, grams), payload["unseen_log_likelihood"][c]]
+            if not all(map(is_finite_number, column)):
+                raise ValidationError("log_likelihoods must hold finite numbers")
+            matrix[:, j] = column
+        priors = [payload["log_priors"][c] for c in classes]
+        if not all(map(is_finite_number, priors)):
+            raise ValidationError("log_priors must hold finite numbers")
+        return LangIdModel(classes, lo_hi, payload["smoothing_alpha"], {g: i for i, g in enumerate(grams)}, matrix,
+                           np.array(priors, np.float64))

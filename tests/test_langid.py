@@ -1,4 +1,4 @@
-import dataclasses
+import json
 import math
 import random
 from collections import Counter
@@ -10,7 +10,6 @@ from mtforge.corpus import Document
 from mtforge.errors import ValidationError
 from mtforge.filters import LangIdStage
 from mtforge.langid import (
-    LangIdModel,
     extract_ngrams,
     load_langid,
     posteriors,
@@ -35,21 +34,22 @@ def _reference_extract(text, ngram_range):
     return grams
 
 
-def _reference_posteriors(model, text):
-    """The per-class dict loop the matrix scorer replaced, kept as the reference."""
-    grams = _reference_extract(text, model.ngram_range)
+def _reference_posteriors(payload, text):
+    """The per-class dict loop the matrix scorer replaced, kept as the
+    reference; it reads the tables of a model file's JSON object."""
+    grams = _reference_extract(text, payload["ngram_range"])
     log_posts = []
-    for c in model.classes:
-        table = model.log_likelihoods[c]
-        fallback = model.unseen_log_likelihood[c]
-        lp = model.log_priors[c]
+    for c in payload["classes"]:
+        table = payload["log_likelihoods"][c]
+        fallback = payload["unseen_log_likelihood"][c]
+        lp = payload["log_priors"][c]
         for gram, count in grams.items():
             lp += count * table.get(gram, fallback)
         log_posts.append(lp)
     peak = max(log_posts)
     exps = [math.exp(lp - peak) for lp in log_posts]
     norm = sum(exps)
-    return {c: e / norm for c, e in zip(model.classes, exps)}
+    return {c: e / norm for c, e in zip(payload["classes"], exps)}
 
 
 def _random_text(rng, alphabet, max_len):
@@ -72,21 +72,22 @@ def _toy_model():
 class TestTraining:
     def test_separable_classes_order(self):
         model = _toy_model()
-        lik = model.log_likelihoods
-        assert lik["en"]["aaa"] > lik["fr"]["aaa"]
+        assert model.classes == ("en", "fr")
+        en, fr = model.log_likelihood_matrix[model.grams["aaa"]]
+        assert en > fr
 
     def test_priors_normalized(self):
         model = train_langid(
             [_doc(0, "en", "hello"), _doc(1, "en", "world"), _doc(0, "de", "hallo")]
         )
-        assert math.isclose(sum(math.exp(v) for v in model.log_priors.values()), 1.0, abs_tol=1e-9)
+        assert math.isclose(sum(map(math.exp, model.log_prior_row.tolist())), 1.0, abs_tol=1e-9)
 
     def test_likelihoods_proper_distribution(self):
+        # each class column, the unseen slot in its last row included
         model = _toy_model()
-        for c in model.classes:
-            total = sum(math.exp(v) for v in model.log_likelihoods[c].values())
-            total += math.exp(model.unseen_log_likelihood[c])
-            assert math.isclose(total, 1.0, abs_tol=1e-9)
+        assert model.log_likelihood_matrix.shape == (len(model.grams) + 1, len(model.classes))
+        for column in model.log_likelihood_matrix.T.tolist():
+            assert math.isclose(sum(map(math.exp, column)), 1.0, abs_tol=1e-9)
 
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValidationError):
@@ -100,8 +101,9 @@ class TestTraining:
         docs = [_doc(0, "en", "one two"), _doc(0, "fr", "un deux"), _doc(1, "en", "three")]
         a = train_langid(docs)
         b = train_langid(list(reversed(docs)))
-        assert a.log_likelihoods == b.log_likelihoods
-        assert a.log_priors == b.log_priors
+        assert list(a.grams.items()) == list(b.grams.items())
+        assert a.log_likelihood_matrix.tolist() == b.log_likelihood_matrix.tolist()
+        assert a.log_prior_row.tolist() == b.log_prior_row.tolist()
 
 
 class TestPredict:
@@ -204,12 +206,13 @@ class TestPredict:
                 for i in range(6) for lang in ("en", "fr", "de", "zh")]
         model = train_langid(docs, ngram_range=ngram_range, alpha=0.3)
         save_langid(model, tmp_path / "langid.json")
+        payload = json.loads((tmp_path / "langid.json").read_bytes())
         loaded = load_langid(tmp_path / "langid.json")
         hi = ngram_range[1]
         texts = [_random_text(rng, QUERY_ALPHABET, 60) for _ in range(150)]
         texts += ["".join(rng.choice(QUERY_ALPHABET) for _ in range(n)) for n in range(1, hi)]  # shorter than hi
         for text in texts:
-            expected = _reference_posteriors(model, text)
+            expected = _reference_posteriors(payload, text)
             assert posteriors(model, text) == expected, text
             assert posteriors(loaded, text) == expected, text
 
@@ -280,73 +283,105 @@ class TestFilter:
         assert len(kept) == 1  # single class: posterior exactly 1.0
 
 
-class TestModelChecks:
-    @pytest.mark.parametrize("ngram_range", [(2, 1), (0, 1), (1,), (1, 2, 3), (1, "x"), (True, 2), (1.0, 2)])
-    def test_bad_ngram_range_rejected(self, ngram_range):
-        with pytest.raises(ValidationError, match="ngram_range"):
-            dataclasses.replace(_toy_model(), ngram_range=ngram_range)
+def _saved(model, tmp_path):
+    """The path of `model` saved under `tmp_path`."""
+    path = tmp_path / "saved.json"
+    save_langid(model, path)
+    return path
 
-    def test_likelihood_table_must_cover_vocab_exactly(self):
-        model = _toy_model()
-        short = {c: dict(t) for c, t in model.log_likelihoods.items()}
-        del short["fr"]["a"]
-        with pytest.raises(ValidationError, match="disagree on gram 'a'"):
-            dataclasses.replace(model, log_likelihoods=short)
-        with pytest.raises(ValidationError, match="disagree on gram 'a'"):
-            dataclasses.replace(model, vocab=model.vocab - {"a"})
+
+def _toy_payload(tmp_path):
+    """The toy model's file as a JSON object."""
+    return json.loads(_saved(_toy_model(), tmp_path).read_bytes())
+
+
+def _load_edited(tmp_path, payload, **changes):
+    """load_langid on a model file holding `payload` with `changes` applied."""
+    path = tmp_path / "langid.json"
+    path.write_text(json.dumps(dict(payload, **changes)))
+    return load_langid(path)
+
+
+class TestModelChecks:
+    """A model file's tables are checked when it is loaded; every fault
+    names the file."""
+
+    @pytest.mark.parametrize("ngram_range", [[2, 1], [0, 1], [1], [1, 2, 3], [1, "x"], [True, 2], [1.0, 2]])
+    def test_bad_ngram_range_rejected(self, ngram_range, tmp_path):
+        with pytest.raises(ValidationError, match=r"langid\.json: ngram_range must be two integers"):
+            _load_edited(tmp_path, _toy_payload(tmp_path), ngram_range=ngram_range)
+
+    def test_likelihood_table_must_cover_vocab_exactly(self, tmp_path):
+        payload = _toy_payload(tmp_path)
+        del payload["log_likelihoods"]["fr"]["a"]
+        with pytest.raises(ValidationError, match="log_likelihoods\\['fr'\\] and vocab disagree on gram 'a'"):
+            _load_edited(tmp_path, payload)
+        payload = _toy_payload(tmp_path)
+        with pytest.raises(ValidationError, match="log_likelihoods\\['en'\\] and vocab disagree on gram 'a'"):
+            _load_edited(tmp_path, payload, vocab=[g for g in payload["vocab"] if g != "a"])
 
     @pytest.mark.parametrize("field", ["log_priors", "log_likelihoods", "unseen_log_likelihood"])
-    def test_every_class_needs_an_entry(self, field):
-        model = _toy_model()
-        partial = {c: v for c, v in getattr(model, field).items() if c != "fr"}
+    def test_every_class_needs_an_entry(self, field, tmp_path):
+        payload = _toy_payload(tmp_path)
+        del payload[field]["fr"]
         with pytest.raises(ValidationError, match=f"{field} has no entry for class 'fr'"):
-            dataclasses.replace(model, **{field: partial})
+            _load_edited(tmp_path, payload)
 
-    @pytest.mark.parametrize("classes", [("en", "en"), ("en", 5), ()])
-    def test_classes_must_be_distinct_names(self, classes):
+    @pytest.mark.parametrize("classes", [["en", "en"], ["en", 5], []])
+    def test_classes_must_be_distinct_names(self, classes, tmp_path):
         with pytest.raises(ValidationError, match="classes must be distinct names"):
-            dataclasses.replace(_toy_model(), classes=classes)
+            _load_edited(tmp_path, _toy_payload(tmp_path), classes=classes)
 
-    def test_bool_is_not_a_number(self):
-        model = _toy_model()
-        with pytest.raises(ValidationError, match="log_priors"):
-            dataclasses.replace(model, log_priors={"en": True, "fr": -1.0})
-        table = dict(model.log_likelihoods, en=dict(model.log_likelihoods["en"], a=False))
-        with pytest.raises(ValidationError, match="log_likelihoods"):
-            dataclasses.replace(model, log_likelihoods=table)
+    def test_vocab_must_hold_strings(self, tmp_path):
+        with pytest.raises(ValidationError, match="vocab must hold strings"):
+            _load_edited(tmp_path, _toy_payload(tmp_path), vocab=["a", 1])
 
-    def test_table_must_be_an_object(self):
-        model = _toy_model()
+    def test_bool_is_not_a_number(self, tmp_path):
+        payload = _toy_payload(tmp_path)
+        with pytest.raises(ValidationError, match="log_priors must hold finite numbers"):
+            _load_edited(tmp_path, payload, log_priors={"en": True, "fr": -1.0})
+        payload["log_likelihoods"]["en"]["a"] = False
+        with pytest.raises(ValidationError, match="log_likelihoods must hold finite numbers"):
+            _load_edited(tmp_path, payload)
+
+    def test_table_must_be_an_object(self, tmp_path):
+        payload = _toy_payload(tmp_path)
+        payload["log_likelihoods"]["en"] = [["a", -1.0]]
         with pytest.raises(ValidationError, match=r"log_likelihoods\['en'\] must be an object"):
-            dataclasses.replace(model, log_likelihoods=dict(model.log_likelihoods, en=[["a", -1.0]]))
+            _load_edited(tmp_path, payload)
 
-    def test_json_sequences_stored_as_field_types(self):
-        model = _toy_model()
-        loaded = dataclasses.replace(model, classes=list(model.classes), vocab=sorted(model.vocab),
-                                     ngram_range=list(model.ngram_range))
-        assert (loaded.classes, loaded.vocab, loaded.ngram_range) == (model.classes, model.vocab, model.ngram_range)
-        assert (type(loaded.classes), type(loaded.vocab), type(loaded.ngram_range)) == (tuple, frozenset, tuple)
+    def test_json_lists_stored_as_tuples(self, tmp_path):
+        model = load_langid(_saved(_toy_model(), tmp_path))
+        assert (model.classes, model.ngram_range) == (("en", "fr"), (1, 3))
+        assert list(model.grams) == sorted(model.grams)
 
-    def test_non_numbers_rejected(self):
-        model = _toy_model()
-        with pytest.raises(ValidationError, match="log_priors"):
-            dataclasses.replace(model, log_priors={"en": "x", "fr": -1.0})
-        with pytest.raises(ValidationError, match="log_likelihoods"):
-            dataclasses.replace(model, unseen_log_likelihood={"en": float("nan"), "fr": -1.0})
+    def test_non_numbers_rejected(self, tmp_path):
+        payload = _toy_payload(tmp_path)
+        with pytest.raises(ValidationError, match="log_priors must hold finite numbers"):
+            _load_edited(tmp_path, payload, log_priors={"en": "x", "fr": -1.0})
+        with pytest.raises(ValidationError, match="log_likelihoods must hold finite numbers"):
+            _load_edited(tmp_path, payload, unseen_log_likelihood={"en": float("nan"), "fr": -1.0})
 
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         model = _toy_model()
-        path = tmp_path / "langid.json"
-        save_langid(model, path)
-        loaded = load_langid(path)
+        loaded = load_langid(_saved(model, tmp_path))
         assert loaded.classes == model.classes
-        assert loaded.vocab == model.vocab
-        assert loaded.log_priors == model.log_priors
-        assert loaded.log_likelihoods == model.log_likelihoods
+        assert list(loaded.grams.items()) == list(model.grams.items())
+        assert loaded.log_prior_row.tolist() == model.log_prior_row.tolist()
+        assert loaded.log_likelihood_matrix.tolist() == model.log_likelihood_matrix.tolist()
         for text in ("aaa", "bb", "ab"):
             assert predict_lang(loaded, text) == predict_lang(model, text)
+
+    @pytest.mark.parametrize("ngram_range, alpha", [((1, 3), 0.5), ((2, 4), 0.3), ((1, 1), 2.0)])
+    def test_save_of_load_rewrites_the_file_byte_for_byte(self, ngram_range, alpha, tmp_path):
+        rng = random.Random(f"bytes{ngram_range}")
+        docs = [_doc(i, lang, _random_text(rng, TRAIN_ALPHABET, 40)) for i in range(4) for lang in ("zh", "en", "fr")]
+        path = _saved(train_langid(docs, ngram_range=ngram_range, alpha=alpha), tmp_path)
+        again = tmp_path / "again.json"
+        save_langid(load_langid(path), again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestNgramExtraction:
