@@ -47,6 +47,11 @@ class GenerationParams:
             raise ValidationError(f"max_tokens must be > 0, got {self.max_tokens}")
 
 
+# Upper bound of a backend's or scorer's timeout_ms: one day. Socket
+# timeouts far beyond it overflow the platform's time_t.
+MAX_TIMEOUT_MS = 24 * 60 * 60 * 1000
+
+
 @dataclass(frozen=True)
 class BackendSpec:
     name: str
@@ -63,6 +68,8 @@ class BackendSpec:
             raise ValidationError(f"endpoint must be mock:<name> or an http(s) URL, got {self.endpoint!r}")
         if self.timeout_ms <= 0:
             raise ValidationError(f"timeout_ms must be > 0, got {self.timeout_ms}")
+        if self.timeout_ms > MAX_TIMEOUT_MS:
+            raise ValidationError(f"timeout_ms must be <= {MAX_TIMEOUT_MS} (one day), got {self.timeout_ms}")
         if self.max_retries < 0:
             raise ValidationError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.max_retries > 10:  # each retry is sent at once, so many would hammer a failing endpoint
@@ -119,11 +126,12 @@ def post_json(url: str, payload: dict, token_env: str, timeout_s: float, retries
     """POST `payload` as JSON and return the decoded JSON reply.
 
     Sends `Authorization: Bearer <token>` when the environment variable named
-    by `token_env` is set; a URL that is not http(s) raises ValueError. A
-    failed connection, a timeout, a truncated reply and a 5xx are retried at
-    once, up to `retries` more times; a 3xx, a 4xx, a refused header value
-    and a body that is not UTF-8 JSON are final. Every failure raises
-    BackendFailure naming the URL and the cause.
+    by `token_env` is set; a token that is not printable ASCII raises
+    BackendFailure naming the variable, never its value, before any request.
+    A URL that is not http(s) raises ValueError. A failed connection, a
+    timeout, a truncated reply and a 5xx are retried at once, up to
+    `retries` more times; a 3xx, a 4xx and a body that is not UTF-8 JSON are
+    final. Every failure raises BackendFailure naming the URL and the cause.
     Proxies come from *_PROXY, HTTPS certificates from the system CA store.
 
     Every call opens a fresh connection on purpose. Against an http.server
@@ -137,6 +145,8 @@ def post_json(url: str, payload: dict, token_env: str, timeout_s: float, retries
     headers = {"Content-Type": "application/json"}
     token = os.environ.get(token_env)
     if token:
+        if not (token.isascii() and token.isprintable()):  # http.client's refusal would quote the token
+            raise BackendFailure(f"{url}: {token_env} must hold printable ASCII to be sent as a header")
         headers["Authorization"] = f"Bearer {token}"
     data = json.dumps(payload, allow_nan=False).encode("utf-8")
     for _attempt in range(retries + 1):
@@ -151,7 +161,7 @@ def post_json(url: str, payload: dict, token_env: str, timeout_s: float, retries
                 break
         except (OSError, http.client.HTTPException) as exc:  # connection, timeout, truncated reply
             cause = exc
-        except (ValidationError, ValueError) as exc:  # a body that is not UTF-8 JSON; a header http.client refuses
+        except (ValidationError, ValueError) as exc:  # a body that is not UTF-8 JSON; a request http.client refuses
             cause = exc
             break
     raise BackendFailure(f"{url}: {cause}")

@@ -503,7 +503,7 @@ def _load_chimera_config(path: str):
     fusion_backend = backend
     if "fusion_backend" in obj:
         fusion_backend = backend_from_obj(obj["fusion_backend"], f"{path}: fusion_backend")
-    grid = None
+    grid = chimera_mod.default_grid()
     if "grid" in obj:
         if len(obj["grid"]) < 2:
             raise SchemaError(f"{path}: grid must have >= 2 entries, got {len(obj['grid'])}")
@@ -511,6 +511,9 @@ def _load_chimera_config(path: str):
                 for i, entry in enumerate(obj["grid"])]
     per_slot = None
     if "per_slot_backends" in obj:
+        if len(obj["per_slot_backends"]) != len(grid):
+            raise SchemaError(f"{path}: per_slot_backends must have one entry per grid entry ({len(grid)}), "
+                              f"got {len(obj['per_slot_backends'])}")
         per_slot = [None if entry is None else backend_from_obj(entry, f"{path}: per_slot_backends[{i}]")
                     for i, entry in enumerate(obj["per_slot_backends"])]
     scorer = None

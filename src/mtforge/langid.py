@@ -50,7 +50,7 @@ def extract_ngrams(text: str, ngram_range: tuple[int, int]) -> Counter[str]:
 class LangIdModel:
     """The scoring arrays of the module docstring: `grams` maps each vocab
     gram, in sorted order, to its row of `log_likelihood_matrix`, and the
-    columns follow `classes`."""
+    columns follow `classes`, registry tags in registry order."""
 
     classes: tuple[str, ...]
     ngram_range: tuple[int, int]
@@ -165,10 +165,15 @@ def load_langid(path: str | Path) -> LangIdModel:
         lo_hi = tuple(payload["ngram_range"])
         if len(lo_hi) != 2 or not all(type(n) is int for n in lo_hi) or not 1 <= lo_hi[0] <= lo_hi[1]:
             raise ValidationError(f"ngram_range must be two integers 1 <= lo <= hi, got {list(lo_hi)}")
+        alpha = payload["smoothing_alpha"]
+        if not (is_finite_number(alpha) and alpha > 0):
+            raise ValidationError(f"smoothing_alpha must be a finite number > 0, got {alpha}")
         classes = tuple(payload["classes"])
         if not classes or not all(type(s) is str for s in chain(classes, payload["vocab"])) \
                 or len(set(classes)) < len(classes):
             raise ValidationError("classes must be distinct names, at least one, and vocab must hold strings")
+        if list(classes) != sorted(classes, key=registry_order):  # ties break toward the first class
+            raise ValidationError(f"classes must be in registry order, got {list(classes)}")
         vocab = set(payload["vocab"])
         grams = sorted(vocab)
         matrix = np.empty((len(grams) + 1, len(classes)))
@@ -189,5 +194,5 @@ def load_langid(path: str | Path) -> LangIdModel:
         priors = [payload["log_priors"][c] for c in classes]
         if not all(map(is_finite_number, priors)):
             raise ValidationError("log_priors must hold finite numbers")
-        return LangIdModel(classes, lo_hi, payload["smoothing_alpha"], {g: i for i, g in enumerate(grams)}, matrix,
+        return LangIdModel(classes, lo_hi, alpha, {g: i for i, g in enumerate(grams)}, matrix,
                            np.array(priors, np.float64))

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Mapping, Sequence
 
-from .backends import BackendFailure, is_http_url, post_json
+from .backends import MAX_TIMEOUT_MS, BackendFailure, is_http_url, post_json
 from .errors import ValidationError
 from .ioutils import dataclass_from_obj, is_finite_number
 
@@ -117,6 +117,8 @@ class ScorerEndpoint:
         object.__setattr__(self, "score_range", tuple(lo_hi))
         if self.timeout_ms <= 0:
             raise ValidationError(f"scorer timeout_ms must be > 0, got {self.timeout_ms}")
+        if self.timeout_ms > MAX_TIMEOUT_MS:
+            raise ValidationError(f"scorer timeout_ms must be <= {MAX_TIMEOUT_MS} (one day), got {self.timeout_ms}")
         try:
             json.dumps(self.extra, allow_nan=False)  # it rides in every remote request
         except ValueError:

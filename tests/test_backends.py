@@ -205,13 +205,15 @@ class TestCompletionWire:
             complete(spec, "p", GenerationParams())
         assert [p for p, _ in _Handler.requests_seen] == [path]
 
-    def test_refused_header_is_final(self, http_server, monkeypatch):
-        # http.client refuses a header value holding a newline before anything is sent
-        monkeypatch.setenv("MTFORGE_BACKEND_TOKEN", "gen\nsecret")
+    @pytest.mark.parametrize("token", ["gen\nsecret", "gen-secret\n", "gen\tsecret", "gen-secr\u00e9t"])
+    def test_unsendable_token_is_final_and_not_quoted(self, http_server, monkeypatch, token):
+        monkeypatch.setenv("MTFORGE_BACKEND_TOKEN", token)
         spec = BackendSpec("real", f"{http_server}/complete", "m", max_retries=2)
         _Handler.requests_seen.clear()
-        with pytest.raises(BackendFailure, match=r"^http://.*/complete: Invalid header value") as caught:
+        with pytest.raises(BackendFailure) as caught:
             complete(spec, "p", GenerationParams())
+        assert str(caught.value) == f"{http_server}/complete: MTFORGE_BACKEND_TOKEN must hold printable ASCII " \
+                                    "to be sent as a header"
         assert _Handler.requests_seen == []
         assert caught.value.__context__ is None and caught.value.__cause__ is None
 
@@ -289,6 +291,17 @@ class TestCompletionWire:
             GenerationParams(top_p=0.0)
         with pytest.raises(ValidationError):
             BackendSpec("x", "http://e", "m", timeout_ms=0)
+
+    def test_timeout_bound_is_shared(self):
+        # a socket timeout far beyond a day overflows the platform's time_t
+        day = backends.MAX_TIMEOUT_MS
+        assert day == 86_400_000
+        assert BackendSpec("x", "http://e", "m", timeout_ms=day).timeout_ms == day
+        assert ScorerEndpoint("s", "remote_http", "http://e", timeout_ms=day).timeout_ms == day
+        with pytest.raises(ValidationError, match=r"^timeout_ms must be <= 86400000 \(one day\), got 86400001$"):
+            BackendSpec("x", "http://e", "m", timeout_ms=day + 1)
+        with pytest.raises(ValidationError, match=r"^scorer timeout_ms must be <= 86400000 \(one day\), got 10{30}$"):
+            ScorerEndpoint("s", "remote_http", "http://e", timeout_ms=10**30)
 
 
 class TestScorerWire:

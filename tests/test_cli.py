@@ -507,6 +507,12 @@ class TestExitCodes:
         ("lm-filter", "--model", b"{bad\n1\tthe\t2\n",
          "line 1: invalid JSON: Expecting property name enclosed in double quotes (column 2)"),
         ("langid-filter", "--model", _langid_model_json(version=7), "version must be 1, got 7"),
+        # the first class wins a tie, so classes out of registry order flipped ties toward fr
+        ("langid-filter", "--model", _langid_model_json(classes=["fr", "en"]),
+         "classes must be in registry order, got ['fr', 'en']"),
+        ("langid-filter", "--model", _langid_model_json(classes=["en", "xx"]), "unknown language tag: 'xx'"),
+        ("langid-filter", "--model", _langid_model_json(smoothing_alpha=0),
+         "smoothing_alpha must be a finite number > 0, got 0"),
         ("reward-score", "--terms", b'{"cat": ["chat", ""]}', "term 'cat' needs a list of non-empty renderings"),
         ("reward-score", "--terms", b'["cat"]', "a JSON array, not an object"),
         ("mix-optimize", "--model", _mix_model_json(domains=["a", "a"]),
@@ -514,6 +520,10 @@ class TestExitCodes:
         ("mix-optimize", "--model", _mix_model_json(coefficients=[0.1]), "1 coefficients for 2 domains, expected 3"),
         ("mix-optimize", "--model", _mix_model_json(coefficients=[1e308, 1e308, 0]),
          "coefficients and ridge_lambda must be finite numbers"),
+        # a timeout this long overflowed the socket's time_t in a traceback
+        ("quality-filter", "--scorer", _scorer_json(kind="remote_http", config="http://127.0.0.1:9/s",
+                                                    timeout_ms=10**30),
+         f"scorer timeout_ms must be <= 86400000 (one day), got {10**30}"),
     ])
     def test_model_file_error_names_the_problem(self, tmp_path, capsys, command, bad_flag, content, message):
         bad, args = _bad_file_args(tmp_path, command, bad_flag, content)
@@ -576,13 +586,23 @@ class TestExitCodes:
          "per_slot_backends[1]: endpoint must be mock:<name> or an http(s) URL, got '127.0.0.1:8000'"),
         ("fuse", _fuse_json(fallback_scorer=dict(_SCORER, kind="remote_http", config="ftp://127.0.0.1/s")),
          "fallback_scorer: remote scorer config must be an http(s) URL, got 'ftp://127.0.0.1/s'"),
+        # a timeout this long overflowed the socket's time_t in a traceback
+        ("translate", _fuse_json(backend=dict(_BACKEND, endpoint="http://127.0.0.1:9/c", timeout_ms=10**30)),
+         f"backend: timeout_ms must be <= 86400000 (one day), got {10**30}"),
+        ("fuse", _fuse_json(fallback_scorer=dict(_SCORER, timeout_ms=86400001)),
+         "fallback_scorer: scorer timeout_ms must be <= 86400000 (one day), got 86400001"),
+        # the length was checked per segment, in a message naming no file
+        ("translate", _fuse_json(per_slot_backends=[None, None]),
+         "per_slot_backends must have one entry per grid entry (6), got 2"),
+        ("fuse", _fuse_json(grid=[{}, {}, {}], per_slot_backends=[None] * 6),
+         "per_slot_backends must have one entry per grid entry (3), got 6"),
     ])
     def test_config_error_names_the_place(self, tmp_path, capsys, command, content, message):
         (tmp_path / "langid.json").write_bytes(_langid_model_json())
         save_lm(train_lm(_english_docs(3), order=1), tmp_path / "lm.txt")
         bad = tmp_path / "bad.json"
         bad.write_bytes(content.replace(b"{dir}", json.dumps(str(tmp_path))[1:-1].encode()))
-        other = ["--in", _sources(tmp_path), "--out", tmp_path / "out.jsonl"] if command == "fuse" else []
+        other = ["--in", _sources(tmp_path), "--out", tmp_path / "out.jsonl"] if command != "pipeline-run" else []
         assert run(command, "--config", bad, *other) == 1
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
@@ -1213,11 +1233,15 @@ class TestChimeraCommands:
                             r"http://\S+/complete: unpaired surrogate \\ud800 in a string\n", err), err
         assert not out_path.exists() and not report_path.exists()
 
-    def test_refused_token_is_one_line_exit_2(self, tmp_path, capsys, monkeypatch, slow_endpoint):
-        monkeypatch.setenv("MTFORGE_BACKEND_TOKEN", "gen\nsecret")  # http.client refuses the header
+    @pytest.mark.parametrize("token", ["gen-secret\n", "gen\nsecret", "gen-secret\u00e9"])
+    def test_unsendable_token_names_the_variable_not_its_value(self, tmp_path, capsys, monkeypatch,
+                                                              slow_endpoint, token):
+        # http.client's refusal quoted the whole header, token included
+        monkeypatch.setenv("MTFORGE_BACKEND_TOKEN", token)
         err = self._failed_translate_error(tmp_path, capsys, slow_endpoint)
-        assert err.startswith(f"error: only 0 of 6 candidate requests succeeded; slot 0: {slow_endpoint}: ")
-        assert "Invalid header value" in err
+        assert err == (f"error: only 0 of 6 candidate requests succeeded; slot 0: {slow_endpoint}: "
+                       "MTFORGE_BACKEND_TOKEN must hold printable ASCII to be sent as a header\n")
+        assert "secret" not in err
 
     def test_empty_completions_name_the_cause(self, tmp_path, capsys):
         register_mock_backend("blank", lambda prompt, params, model_id: "  \n")

@@ -336,6 +336,24 @@ class TestModelChecks:
         with pytest.raises(ValidationError, match="vocab must hold strings"):
             _load_edited(tmp_path, _toy_payload(tmp_path), vocab=["a", 1])
 
+    def test_classes_must_be_in_registry_order(self, tmp_path):
+        # the first class wins a tie, so a file listing fr first would flip ties toward it
+        message = r"langid\.json: classes must be in registry order, got \['fr', 'en'\]"
+        with pytest.raises(ValidationError, match=message):
+            _load_edited(tmp_path, _toy_payload(tmp_path), classes=["fr", "en"])
+
+    def test_classes_must_be_registry_tags(self, tmp_path):
+        payload = _toy_payload(tmp_path)
+        for name in ("log_priors", "log_likelihoods", "unseen_log_likelihood"):
+            payload[name]["xx"] = payload[name]["fr"]
+        with pytest.raises(ValidationError, match=r"langid\.json: unknown language tag: 'xx'"):
+            _load_edited(tmp_path, payload, classes=["en", "xx"])
+
+    @pytest.mark.parametrize("alpha", [0, -0.5, 10**400])
+    def test_smoothing_alpha_must_be_finite_and_positive(self, alpha, tmp_path):
+        with pytest.raises(ValidationError, match=r"langid\.json: smoothing_alpha must be a finite number > 0"):
+            _load_edited(tmp_path, _toy_payload(tmp_path), smoothing_alpha=alpha)
+
     def test_bool_is_not_a_number(self, tmp_path):
         payload = _toy_payload(tmp_path)
         with pytest.raises(ValidationError, match="log_priors must hold finite numbers"):
