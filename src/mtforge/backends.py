@@ -47,6 +47,9 @@ class GenerationParams:
             raise ValidationError(f"max_tokens must be > 0, got {self.max_tokens}")
 
 
+# The environment variable holding the bearer token sent to completion endpoints.
+BACKEND_TOKEN_ENV = "MTFORGE_BACKEND_TOKEN"
+
 # Upper bound of a backend's or scorer's timeout_ms: one day. Socket
 # timeouts far beyond it overflow the platform's time_t.
 MAX_TIMEOUT_MS = 24 * 60 * 60 * 1000
@@ -122,11 +125,31 @@ def is_http_url(url: str) -> bool:
     return parts.scheme in ("http", "https") and bool(parts.netloc)
 
 
+def unsendable_token(token_env: str) -> str | None:
+    """Why the bearer token in environment variable `token_env` cannot be
+    sent, naming the variable and never its value; None when it can, or
+    when the variable is unset or empty."""
+    token = os.environ.get(token_env)
+    if token and not (token.isascii() and token.isprintable()):  # http.client's refusal would quote the token
+        return f"{token_env} must hold printable ASCII to be sent as a header"
+    return None
+
+
+def require_sendable_token(token_env: str, where: object) -> None:
+    """Raise ValidationError `<where>: <reason>` when the token in `token_env`
+    cannot be sent (see unsendable_token). Commands call it where they read
+    a remote endpoint's config, so such a token stops them before any
+    request."""
+    refusal = unsendable_token(token_env)
+    if refusal:
+        raise ValidationError(f"{where}: {refusal}")
+
+
 def post_json(url: str, payload: dict, token_env: str, timeout_s: float, retries: int = 0):
     """POST `payload` as JSON and return the decoded JSON reply.
 
     Sends `Authorization: Bearer <token>` when the environment variable named
-    by `token_env` is set; a token that is not printable ASCII raises
+    by `token_env` is set; a token that unsendable_token refuses raises
     BackendFailure naming the variable, never its value, before any request.
     A URL that is not http(s) raises ValueError. A failed connection, a
     timeout, a truncated reply and a 5xx are retried at once, up to
@@ -142,11 +165,12 @@ def post_json(url: str, payload: dict, token_env: str, timeout_s: float, retries
     """
     if not is_http_url(url):
         raise ValueError(f"not an http(s) URL: {url!r}")
+    refusal = unsendable_token(token_env)
+    if refusal:
+        raise BackendFailure(f"{url}: {refusal}")
     headers = {"Content-Type": "application/json"}
     token = os.environ.get(token_env)
     if token:
-        if not (token.isascii() and token.isprintable()):  # http.client's refusal would quote the token
-            raise BackendFailure(f"{url}: {token_env} must hold printable ASCII to be sent as a header")
         headers["Authorization"] = f"Bearer {token}"
     data = json.dumps(payload, allow_nan=False).encode("utf-8")
     for _attempt in range(retries + 1):
@@ -176,11 +200,16 @@ def complete(spec: BackendSpec, prompt: str, params: GenerationParams) -> str:
         return _MOCKS[name](prompt, params, spec.model_id)
 
     payload = {"model": spec.model_id, "prompt": prompt, **asdict(params)}
-    body = post_json(spec.endpoint, payload, "MTFORGE_BACKEND_TOKEN", spec.timeout_ms / 1000.0, spec.max_retries)
+    body = post_json(spec.endpoint, payload, BACKEND_TOKEN_ENV, spec.timeout_ms / 1000.0, spec.max_retries)
     if not isinstance(body, dict) or not isinstance(body.get("text"), str):
         raise BackendFailure(f"backend {spec.name!r} returned no text field")
     return body["text"]
 
 
 def backend_from_obj(obj: dict, where: object = "backend config") -> BackendSpec:
-    return dataclass_from_obj(BackendSpec, obj, where)
+    """Build a backend from its JSON form, checked against its FIELDS; an
+    http(s) one also checks the token it will send."""
+    spec = dataclass_from_obj(BackendSpec, obj, where)
+    if is_http_url(spec.endpoint):
+        require_sendable_token(BACKEND_TOKEN_ENV, where)
+    return spec

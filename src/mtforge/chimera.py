@@ -256,6 +256,10 @@ def generate_candidates(
     )
 
 
+# the fields of the items _score_candidates sends to a fallback scorer
+FALLBACK_ITEM_FIELDS = ("source", "hypothesis")
+
+
 def _score_candidates(
     scorer: ScorerEndpoint, candidates: Sequence[str], source: str | None
 ) -> tuple[list[float | None], int | None]:

@@ -20,14 +20,13 @@ from pathlib import Path
 
 import click
 
+# langid, minlsh and mixopt load NumPy, so the commands that use them import
+# them in their bodies, and every other command starts without it
 from . import backends as backends_mod
 from . import chimera as chimera_mod
 from . import corpus as corpus_mod
-from . import minlsh as dedup_mod
 from . import evalkit as evalkit_mod
 from . import filters as filters_mod
-from . import langid as langid_mod
-from . import mixopt as mixopt_mod
 from . import ngram_lm as lm_mod
 from . import rewards as rewards_mod
 from .backends import backend_from_obj
@@ -156,6 +155,8 @@ def _command(name: str):
 @click.option("--alpha", default=0.5, show_default=True)
 def langid_train(in_path, model_path, min_n, max_n, alpha, seed):
     """Train the character-n-gram language identifier on a labeled corpus."""
+    from . import langid as langid_mod
+
     docs = corpus_mod.read_corpus(in_path, "mono")
     model = langid_mod.train_langid(docs, ngram_range=(min_n, max_n), alpha=alpha)
     langid_mod.save_langid(model, model_path)
@@ -174,6 +175,8 @@ def langid_train(in_path, model_path, min_n, max_n, alpha, seed):
 @click.option("--dropped", "dropped_path", type=click.Path())
 def langid_filter(in_path, model_path, expected, min_confidence, out_path, dropped_path, seed):
     """Keep documents identified as the expected language."""
+    from . import langid as langid_mod
+
     docs = corpus_mod.read_corpus(in_path, "mono")
     stage = filters_mod.LangIdStage(langid_mod.load_langid(model_path), expected, min_confidence)
     result = _run_stages(docs, "mono", [stage], out_path, dropped_path)
@@ -202,6 +205,8 @@ _DEDUP_JOBS_HELP = "Accepted and ignored: dedup signs documents in one thread"
 @click.option("--jobs", type=int, metavar="N", expose_value=False, help=_DEDUP_JOBS_HELP)
 def dedup_cmd(in_path, out_path, dropped_path, shingle_n, k, bands, rows, threshold, unit, seed):
     """Remove near-duplicate documents via MinHash + banded LSH."""
+    from . import minlsh as dedup_mod
+
     stage = filters_mod.DedupStage(shingle_n=shingle_n, k=k, bands=bands, rows=rows, threshold=threshold,
                                    unit=unit, seed=seed)
     docs = corpus_mod.read_corpus(in_path, "mono")
@@ -328,6 +333,8 @@ def judge_flag(in_path, max_spread, out_path, seed):
 @click.option("--out", "out_path", required=True, type=click.Path())
 def mix_sample(domains, n, alpha, out_path, seed):
     """Sample candidate mixtures from a symmetric Dirichlet."""
+    from . import mixopt as mixopt_mod
+
     names = [d.strip() for d in domains.split(",") if d.strip()]
     mixtures = mixopt_mod.sample_mixtures(names, n, dirichlet_alpha=alpha, seed=seed)
     write_jsonl(out_path, (asdict(m) for m in mixtures))
@@ -343,6 +350,8 @@ def mix_sample(domains, n, alpha, out_path, seed):
 @click.option("--model-out", "model_path", required=True, type=click.Path())
 def mix_fit(runs_path, ridge_lambda, model_path, seed):
     """Fit the ratio-to-loss regression from proxy runs."""
+    from . import mixopt as mixopt_mod
+
     runs = mixopt_mod.read_proxy_runs(runs_path)
     model = mixopt_mod.fit_regression(runs, ridge_lambda=ridge_lambda)
     dump_json(model_path, asdict(model))
@@ -364,6 +373,8 @@ def mix_fit(runs_path, ridge_lambda, model_path, seed):
 @click.option("--out", "out_path", required=True, type=click.Path())
 def mix_optimize(model_path, candidates, replay_fraction, replay_domain, out_path, seed):
     """Pick the mixture minimizing predicted loss; optionally blend a replay share."""
+    from . import mixopt as mixopt_mod
+
     model = dataclass_from_obj(mixopt_mod.RegressionModel, load_json(model_path), model_path)
     best = mixopt_mod.optimize_mixture(model, candidates, seed=seed)
     predicted = model.predict(best)
@@ -388,6 +399,8 @@ def mix_optimize(model_path, candidates, replay_fraction, replay_domain, out_pat
 @click.option("--out", "out_path", required=True, type=click.Path())
 def lr_curve(warmup, total, peak, min_lr, shape, out_path, seed):
     """Export the warmup-then-decay learning-rate schedule as CSV."""
+    from . import mixopt as mixopt_mod
+
     schedule = mixopt_mod.LrSchedule(warmup, total, peak, min_lr, shape)
     with atomic_write(out_path) as handle:
         writer = csv.writer(handle)
@@ -518,7 +531,10 @@ def _load_chimera_config(path: str):
                     for i, entry in enumerate(obj["per_slot_backends"])]
     scorer = None
     if "fallback_scorer" in obj:
-        scorer = scorer_from_obj(obj["fallback_scorer"], f"{path}: fallback_scorer")
+        where = f"{path}: fallback_scorer"
+        scorer = scorer_from_obj(obj["fallback_scorer"], where)
+        with at(where):
+            scorer.check_item_fields(chimera_mod.FALLBACK_ITEM_FIELDS)
     return backend, fusion_backend, grid, per_slot, scorer
 
 
@@ -679,6 +695,8 @@ def _build_stages(config: dict, seed: int, path: str):
         check_fields(entry, {"type": "string", **fields}, required, closed=True, where=where)
         params = {key: value for key, value in entry.items() if key != "type"}
         if kind == "langid":
+            from . import langid as langid_mod
+
             params["model"] = langid_mod.load_langid(params["model"])
             make = filters_mod.LangIdStage
         elif kind == "dedup":

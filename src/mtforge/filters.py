@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Protocol, Sequence
 
-from . import minlsh
 from .corpus import QUALITY_COMPOSITE, Document, ParallelPair, Record, require_tag, with_score
 from .errors import ValidationError, at
 from .ioutils import is_number
@@ -215,10 +214,14 @@ class DedupStage:
     seed: int = 0
 
     def __post_init__(self):
+        from . import minlsh
+
         minlsh.check_dedup_params(self.shingle_n, self.k, self.seed, self.bands, self.rows, self.threshold, self.unit)
 
     def apply(self, records):
         # looked up per call, so a wrapper installed on the module applies
+        from . import minlsh
+
         kept, drops = minlsh.dedup(records, n=self.shingle_n, k=self.k, seed=self.seed, b=self.bands,
                                    r=self.rows, jaccard_threshold=self.threshold, unit=self.unit)
         by_id = {rec.id: rec for rec in records}

@@ -23,20 +23,25 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Mapping, Sequence
 
-from .backends import MAX_TIMEOUT_MS, BackendFailure, is_http_url, post_json
+from .backends import MAX_TIMEOUT_MS, BackendFailure, is_http_url, post_json, require_sendable_token
 from .errors import ValidationError
 from .ioutils import dataclass_from_obj, is_finite_number
+
+# The environment variable holding the bearer token sent to remote scorers.
+SCORER_TOKEN_ENV = "MTFORGE_SCORER_TOKEN"
 
 Item = dict
 ScoreFn = Callable[[Item], float | None]  # None: the item is unscored
 
-# name -> (function, the scale its scores are on)
-_LOCAL_SCORERS: dict[str, tuple[ScoreFn, tuple[float, float]]] = {}
+# name -> (function, the scale its scores are on, the item fields it reads)
+_LOCAL_SCORERS: dict[str, tuple[ScoreFn, tuple[float, float], tuple[str, ...]]] = {}
 
 
-def register_scorer(name: str, fn: ScoreFn, score_range: tuple[float, float] = (0.0, 1.0)) -> None:
-    """Register a local scoring function and its score scale (for tests and extensions)."""
-    _LOCAL_SCORERS[name] = (fn, score_range)
+def register_scorer(name: str, fn: ScoreFn, score_range: tuple[float, float] = (0.0, 1.0),
+                    fields: tuple[str, ...] = ("source", "hypothesis")) -> None:
+    """Register a local scoring function, its score scale and the item
+    fields it reads (for tests and extensions)."""
+    _LOCAL_SCORERS[name] = (fn, score_range, fields)
 
 
 def _length_ratio(item: Item) -> float:
@@ -57,7 +62,7 @@ def _chrf_item(item: Item) -> float:
 
 
 register_scorer("length_ratio", _length_ratio)
-register_scorer("chrf", _chrf_item, (0.0, 100.0))
+register_scorer("chrf", _chrf_item, (0.0, 100.0), ("hypothesis", "reference"))
 
 
 def is_local_scorer(config: str) -> bool:
@@ -83,8 +88,10 @@ class ScorerEndpoint:
     score_range: tuple[float, float] | None = None
     timeout_ms: int = 30000
     extra: Mapping[str, object] | None = None
-    # the resolved local function; a default, so dataclass_from_obj does not require it
+    # the resolved local function and the item fields it reads; defaults, so
+    # dataclass_from_obj does not require them
     _fn: ScoreFn | None = field(default=None, init=False, repr=False, compare=False)
+    _reads: tuple[str, ...] = field(default=(), init=False, repr=False, compare=False)
 
     FIELDS: ClassVar[dict] = {"name": "string", "kind": "string", "config": "string", "score_range": "array",
                               "timeout_ms": "integer", "extra": "object"}
@@ -105,8 +112,9 @@ class ScorerEndpoint:
         elif self.kind == "local_function":
             if self.config not in _LOCAL_SCORERS:
                 raise ValidationError(f"unknown local scorer {self.config!r} (not registered or constant:<number>)")
-            fn, registered_range = _LOCAL_SCORERS[self.config]
+            fn, registered_range, reads = _LOCAL_SCORERS[self.config]
             object.__setattr__(self, "_fn", fn)
+            object.__setattr__(self, "_reads", reads)
             if self.score_range is None:
                 lo_hi = registered_range
         elif not is_http_url(self.config):
@@ -124,6 +132,15 @@ class ScorerEndpoint:
         except ValueError:
             raise ValidationError("scorer extra must hold only finite numbers") from None
 
+    def check_item_fields(self, sent: Sequence[str]) -> None:
+        """Raise ValidationError naming the first item field this scorer
+        reads that a caller sending only the fields `sent` leaves out. A
+        remote scorer declares none."""
+        missing = [name for name in self._reads if name not in sent]
+        if missing:
+            raise ValidationError(f"scorer {self.name!r} reads the item field {missing[0]!r}, "
+                                  f"but items here carry only {', '.join(sent)}")
+
     def _clamp(self, value: float) -> float:
         lo, hi = self.score_range
         return min(max(float(value), lo), hi)
@@ -140,7 +157,7 @@ class ScorerEndpoint:
         if self.extra:
             payload["config"] = dict(self.extra)
         try:
-            reply = post_json(self.config, payload, "MTFORGE_SCORER_TOKEN", self.timeout_ms / 1000.0)
+            reply = post_json(self.config, payload, SCORER_TOKEN_ENV, self.timeout_ms / 1000.0)
         except BackendFailure:
             return [None] * len(items)
         scores = reply.get("scores") if isinstance(reply, dict) else None
@@ -153,5 +170,9 @@ class ScorerEndpoint:
 
 
 def scorer_from_obj(obj: dict, where: object = "scorer config") -> ScorerEndpoint:
-    """Build an endpoint from its JSON form, checked against its FIELDS."""
-    return dataclass_from_obj(ScorerEndpoint, obj, where)
+    """Build an endpoint from its JSON form, checked against its FIELDS; a
+    remote one also checks the token it will send."""
+    scorer = dataclass_from_obj(ScorerEndpoint, obj, where)
+    if scorer.kind == "remote_http":
+        require_sendable_token(SCORER_TOKEN_ENV, where)
+    return scorer

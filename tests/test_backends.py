@@ -451,6 +451,32 @@ class TestSpecsFromObj:
         with pytest.raises(ValidationError, match=r"unknown fields \['_fn'\]"):
             scorer_from_obj({"name": "r", "kind": "local_function", "config": "resolved_once", "_fn": None})
 
+    def test_item_fields_a_scorer_reads_are_checked_against_what_is_sent(self):
+        chrf = ScorerEndpoint("c", "local_function", "chrf")
+        chrf.check_item_fields(("source", "hypothesis", "reference"))
+        with pytest.raises(ValidationError, match=r"^scorer 'c' reads the item field 'reference', "
+                                                  r"but items here carry only source, hypothesis$"):
+            chrf.check_item_fields(("source", "hypothesis"))
+        register_scorer("reads_lang", lambda item: 0.5, fields=("hypothesis", "tgt_lang"))
+        with pytest.raises(ValidationError, match="'tgt_lang'"):
+            ScorerEndpoint("l", "local_function", "reads_lang").check_item_fields(("source", "hypothesis"))
+        # the others read source and hypothesis, a constant nothing, and a remote scorer declares nothing
+        for config in ("length_ratio", "constant:0.5"):
+            ScorerEndpoint("s", "local_function", config).check_item_fields(("source", "hypothesis"))
+        ScorerEndpoint("r", "remote_http", "http://127.0.0.1:9/score").check_item_fields(())
+
+    @pytest.mark.parametrize("token", ["secret\n", "secr\u00e9t"])
+    def test_unsendable_token_refused_where_a_remote_config_is_read(self, monkeypatch, token):
+        monkeypatch.setenv("MTFORGE_BACKEND_TOKEN", token)
+        monkeypatch.setenv("MTFORGE_SCORER_TOKEN", token)
+        with pytest.raises(ValidationError, match=r"^cfg: backend: MTFORGE_BACKEND_TOKEN must hold printable ASCII"):
+            backend_from_obj({"name": "g", "endpoint": "http://127.0.0.1:9/c", "model_id": "m"}, "cfg: backend")
+        with pytest.raises(ValidationError, match=r"^qe\.json: MTFORGE_SCORER_TOKEN must hold printable ASCII"):
+            scorer_from_obj({"name": "qe", "kind": "remote_http", "config": "http://127.0.0.1:9/s"}, "qe.json")
+        # endpoints that send no token do not read it
+        backend_from_obj({"name": "g", "endpoint": "mock:echo", "model_id": "m"})
+        scorer_from_obj({"name": "l", "kind": "local_function", "config": "length_ratio"})
+
     def test_unknown_local_scorer_rejected(self):
         with pytest.raises(ValidationError, match="unknown local scorer 'no-such-scorer'"):
             ScorerEndpoint("n", "local_function", "no-such-scorer")

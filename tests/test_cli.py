@@ -1233,15 +1233,36 @@ class TestChimeraCommands:
                             r"http://\S+/complete: unpaired surrogate \\ud800 in a string\n", err), err
         assert not out_path.exists() and not report_path.exists()
 
+    @pytest.mark.parametrize("command", ["translate", "fuse"])
     @pytest.mark.parametrize("token", ["gen-secret\n", "gen\nsecret", "gen-secret\u00e9"])
     def test_unsendable_token_names_the_variable_not_its_value(self, tmp_path, capsys, monkeypatch,
-                                                              slow_endpoint, token):
-        # http.client's refusal quoted the whole header, token included
+                                                              slow_endpoint, token, command):
+        # http.client's refusal quoted the whole header, token included; the
+        # token is checked where the config is read, before any request
         monkeypatch.setenv("MTFORGE_BACKEND_TOKEN", token)
-        err = self._failed_translate_error(tmp_path, capsys, slow_endpoint)
-        assert err == (f"error: only 0 of 6 candidate requests succeeded; slot 0: {slow_endpoint}: "
-                       "MTFORGE_BACKEND_TOKEN must hold printable ASCII to be sent as a header\n")
+        config, sources = _chimera_config(tmp_path, endpoint=slow_endpoint), _sources(tmp_path)
+        before = _files(tmp_path)
+        _SlowHandler.requests = 0
+        assert run(command, "--config", config, "--in", sources, "--out", tmp_path / "out.jsonl",
+                   "--report", tmp_path / "report.json") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {config}: backend: MTFORGE_BACKEND_TOKEN must hold printable ASCII to be sent as a header\n"
         assert "secret" not in err
+        assert _SlowHandler.requests == 0
+        assert _files(tmp_path) == before
+
+    def test_fallback_scorer_reading_a_reference_fails_before_any_request(self, tmp_path, capsys):
+        prompts = []
+        register_mock_backend("recording", lambda prompt, params, model_id: prompts.append(prompt) or "x")
+        config = tmp_path / "chimera.json"
+        config.write_text(json.dumps({
+            "schema_version": 1, "backend": {"name": "gen", "endpoint": "mock:recording", "model_id": "m"},
+            "fallback_scorer": {"name": "c", "kind": "local_function", "config": "chrf"}}))
+        out_path = tmp_path / "fused.jsonl"
+        assert run("fuse", "--config", config, "--in", _sources(tmp_path), "--out", out_path) == 1
+        assert capsys.readouterr().err == (f"error: {config}: fallback_scorer: scorer 'c' reads the item field "
+                                           "'reference', but items here carry only source, hypothesis\n")
+        assert prompts == [] and not out_path.exists()
 
     def test_empty_completions_name_the_cause(self, tmp_path, capsys):
         register_mock_backend("blank", lambda prompt, params, model_id: "  \n")
@@ -1269,10 +1290,12 @@ class _SlowHandler(BaseHTTPRequestHandler):
     active = 0
     peak = 0
     score_batches = []  # items per scorer request
+    requests = 0
 
     def do_POST(self):
         cls = type(self)
         with cls.lock:
+            cls.requests += 1
             cls.active += 1
             cls.peak = max(cls.peak, cls.active)
             if cls.active < cls.gate:
@@ -1487,6 +1510,53 @@ class TestRewardFanOut:
         assert run("reward-score", "--in", batch, "--terms", DATA / "terms_medical.json", "--out", out_path) == 1
         assert capfd.readouterr().err == "error: record 'r2' has no quality score and no --scorer was given\n"
         assert not out_path.exists()
+
+
+class TestUnsendableScorerToken:
+    """A scorer token that no header can carry stops the command where it
+    reads the remote scorer's config: exit 1, no request, no file."""
+
+    def _args(self, tmp_path, command, scorer):
+        """The place the error names, and the command's arguments."""
+        pairs = tmp_path / "pairs.jsonl"
+        write_jsonl(pairs, [{"id": "p", "src_lang": "en", "tgt_lang": "fr", "src_text": "source",
+                             "tgt_text": "cible"}])
+        qe = tmp_path / "qe.json"
+        qe.write_text(json.dumps(scorer))
+        if command == "quality-filter":
+            return qe, ["--in", pairs, "--scorer", qe, "--tau", 0.5, "--out", tmp_path / "kept.jsonl"]
+        if command == "eval":
+            hyps = tmp_path / "hyps.jsonl"
+            write_jsonl(hyps, [{"id": "p", "hypothesis": "cible"}])
+            return qe, ["--pairs", pairs, "--hyps", hyps, "--metric", qe]
+        if command == "reward-score":
+            batch = _reward_batch(tmp_path, 2, 2)
+            return qe, ["--in", batch, "--terms", DATA / "terms_medical.json", "--scorer", qe,
+                                 "--out", tmp_path / "rewards.jsonl"]
+        config = tmp_path / "config.json"
+        if command == "pipeline-run":
+            config.write_text(json.dumps({
+                "schema_version": 1, "kind": "parallel", "input": str(pairs), "output": str(tmp_path / "kept.jsonl"),
+                "stages": [{"type": "quality_threshold", "scorer": scorer, "tau": 0.5}]}))
+            return f"{config}: stages[0].scorer", ["--config", config]
+        config.write_text(json.dumps({
+            "schema_version": 1, "backend": {"name": "gen", "endpoint": "mock:fail", "model_id": "m"},
+            "fallback_scorer": scorer}))
+        return f"{config}: fallback_scorer", ["--config", config, "--in", _sources(tmp_path),
+                                               "--out", tmp_path / "fused.jsonl"]
+
+    @pytest.mark.parametrize("command", ["quality-filter", "eval", "reward-score", "pipeline-run", "fuse"])
+    def test_exit_1_before_any_request(self, tmp_path, capsys, monkeypatch, slow_endpoint, command):
+        monkeypatch.setenv("MTFORGE_SCORER_TOKEN", "qe-secret\n")
+        scorer = {"name": "qe", "kind": "remote_http", "config": slow_endpoint}
+        where, args = self._args(tmp_path, command, scorer)
+        before = _files(tmp_path)
+        _SlowHandler.requests = 0
+        assert run(command, *args, "--report", tmp_path / "report.json") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {where}: MTFORGE_SCORER_TOKEN must hold printable ASCII to be sent as a header\n"
+        assert _SlowHandler.requests == 0
+        assert _files(tmp_path) == before
 
 
 class TestNonFiniteNumbers:
