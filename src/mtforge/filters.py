@@ -214,6 +214,8 @@ class DedupStage:
     seed: int = 0
 
     def __post_init__(self):
+        # imported here, not at the top, so that importing filters (which
+        # cli.py does for every command) does not load NumPy
         from . import minlsh
 
         minlsh.check_dedup_params(self.shingle_n, self.k, self.seed, self.bands, self.rows, self.threshold, self.unit)
