@@ -293,10 +293,10 @@ def quality_score(in_path, out_path, unscored_path, seed):
 @click.option("--unscored", "unscored_path", type=click.Path())
 def quality_filter(in_path, scorer_spec, tau, out_path, dropped_path, unscored_path, seed):
     """Keep parallel pairs whose quality-estimation score is >= tau."""
-    pairs = corpus_mod.read_corpus(in_path, "parallel")
     scorer = _load_scorer(scorer_spec)
-    result = _run_stages(pairs, "parallel", [filters_mod.QualityThresholdStage(scorer, tau)],
-                         out_path, dropped_path, unscored_path)
+    stage = filters_mod.QualityThresholdStage(scorer, tau)
+    pairs = corpus_mod.read_corpus(in_path, "parallel")
+    result = _run_stages(pairs, "parallel", [stage], out_path, dropped_path, unscored_path)
     return {
         "counts": dict(_stage_counts(result.reports[0]), unscored=result.reports[0].unscored),
         "params": {"scorer": scorer.name, "tau": tau},
@@ -431,8 +431,10 @@ def reward_score(in_path, terms_path, scorer_spec, w_quality, w_terminology, w_r
     """Compute the full reward breakdown for translation records.
 
     Input lines carry {"id", "source", "hypothesis"} plus an optional
-    "quality" in [0, 1]; records without one are scored via --scorer, one
-    record per request, up to --jobs requests at once.
+    "quality" in [0, 1] and an optional "tgt_lang", the hypothesis's
+    language, which sets its word units for repetition scoring; records
+    without a quality are scored via --scorer, one record per request, up
+    to --jobs requests at once.
     """
     table = rewards_mod.load_term_table(terms_path)
     weights = rewards_mod.RewardWeights(w_quality, w_terminology, w_repetition)
@@ -441,33 +443,40 @@ def reward_score(in_path, terms_path, scorer_spec, w_quality, w_terminology, w_r
     # fails here, before any request
     if scorer is not None and (scorer.score_range[0] < 0 or scorer.score_range[1] > 1):
         raise ValidationError(f"--scorer {scorer.name!r} scores on {list(scorer.score_range)}, not within [0, 1]")
-    fields = {"id": "string", "source": "string", "hypothesis": "string", "quality": "number|null"}
+    fields = {"id": "string", "source": "string", "hypothesis": "string", "tgt_lang": "string",
+              "quality": "number|null"}
+
+    def checked(obj):
+        if "tgt_lang" in obj:
+            corpus_mod.require_tag(obj["tgt_lang"])
+        return obj
+
     rows = [
-        (lineno, obj.get("id", str(lineno)), obj["source"], obj["hypothesis"], obj.get("quality"))
-        for lineno, obj in read_records(in_path, fields, required=("source", "hypothesis"), key="id")
+        (lineno, obj.get("id", str(lineno)), obj["source"], obj["hypothesis"], obj.get("tgt_lang"), obj.get("quality"))
+        for lineno, obj in read_records(in_path, fields, required=("source", "hypothesis"), key="id", build=checked)
     ]
 
-    def reward_row(lineno, rec_id, source, hypothesis, quality):
+    def reward_row(lineno, rec_id, source, hypothesis, lang, quality):
         with at(in_path, f"line {lineno}"):
             breakdown = rewards_mod.composite_reward(
                 quality,
                 rewards_mod.terminology_reward(source, hypothesis, table),
-                rewards_mod.repetition_score(hypothesis),
+                rewards_mod.repetition_score(hypothesis, lang),
                 weights,
             )
         return dict(asdict(breakdown), id=rec_id)
 
     def score_row(row):
-        lineno, rec_id, source, hypothesis, _ = row
+        lineno, rec_id, source, hypothesis, lang, _ = row
         quality = scorer.score_one({"source": source, "hypothesis": hypothesis})
         if quality is None:
             raise OrchestrationError(f"quality scorer failed on record {rec_id!r}")
-        return reward_row(lineno, rec_id, source, hypothesis, quality)
+        return reward_row(lineno, rec_id, source, hypothesis, lang, quality)
 
     # records that carry a quality go first, so an error in one exits
     # before any request is sent
-    out_rows = [None if row[4] is None else reward_row(*row) for row in rows]
-    unscored = [i for i, row in enumerate(rows) if row[4] is None]
+    out_rows = [None if row[-1] is None else reward_row(*row) for row in rows]
+    unscored = [i for i, row in enumerate(rows) if row[-1] is None]
     if unscored and scorer is None:
         raise ValidationError(f"record {rows[unscored[0]][1]!r} has no quality score and no --scorer was given")
     for i, out_row in zip(unscored, _fan_out(score_row, [rows[i] for i in unscored], jobs)):

@@ -198,11 +198,13 @@ def with_score(record: Record, name: str, value: float) -> Record:
     return replace(record, scores=scores)
 
 
-def segment_tokens(text: str, lang: str) -> list[str]:
-    """Tokenize per script: whitespace tokens, or single codepoints for
-    scripts written without spaces (whitespace codepoints are skipped)."""
-    require_tag(lang)
-    if lang in NO_SPACE_TAGS:
+def segment_tokens(text: str, lang: str | None) -> list[str]:
+    """The word units of text: single codepoints for scripts written without
+    spaces (whitespace codepoints are skipped), whitespace tokens for every
+    other tag and for a text with no tag (lang None); a given tag is checked.
+    The one place that decides what a word is, for dedup shingles,
+    repetition scoring, the n-gram LM and chrF's whitespace strip."""
+    if lang is not None and require_tag(lang) in NO_SPACE_TAGS:
         return [ch for ch in text if not ch.isspace()]
     return text.split()
 

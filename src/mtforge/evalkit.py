@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .corpus import DirectionGroup, ParallelPair, char_ngram_levels, classify_direction, with_score
+from .corpus import DirectionGroup, ParallelPair, char_ngram_levels, classify_direction, segment_tokens, with_score
 from .errors import ValidationError
 from .scorers import ScorerEndpoint
 
@@ -25,8 +25,8 @@ def chrf(hypothesis: str, reference: str, max_n: int = 6) -> float:
     """Character-n-gram F_2 averaged over orders 1..max_n, scaled to [0, 100]."""
     if max_n < 1:
         raise ValidationError(f"max_n must be >= 1, got {max_n}")
-    ref = "".join(reference.split())
-    hyp = "".join(hypothesis.split())
+    ref = "".join(segment_tokens(reference, None))
+    hyp = "".join(segment_tokens(hypothesis, None))
     if not ref:
         raise ValidationError("reference must be non-empty")
     beta_sq = 2.0 * 2.0

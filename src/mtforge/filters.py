@@ -88,6 +88,10 @@ def score_documents(docs: Sequence[Document]) -> tuple[list[Document], list[Docu
     return scored, missing
 
 
+# the fields of the items threshold_filter sends to its scorer
+THRESHOLD_ITEM_FIELDS = ("source", "hypothesis", "src_lang", "tgt_lang")
+
+
 def threshold_filter(
     pairs: Sequence[ParallelPair],
     scorer: ScorerEndpoint,
@@ -99,10 +103,7 @@ def threshold_filter(
     name; pairs the scorer failed on go to the unscored bucket unchanged.
     QualityThresholdStage checks tau against the scorer's range.
     """
-    items = [
-        {"source": p.src_text, "hypothesis": p.tgt_text, "src_lang": p.src_lang, "tgt_lang": p.tgt_lang}
-        for p in pairs
-    ]
+    items = [dict(zip(THRESHOLD_ITEM_FIELDS, (p.src_text, p.tgt_text, p.src_lang, p.tgt_lang))) for p in pairs]
     kept: list[ParallelPair] = []
     dropped: list[ParallelPair] = []
     unscored: list[ParallelPair] = []
@@ -278,7 +279,8 @@ class PerplexityStage:
 @dataclass
 class QualityThresholdStage:
     """Keep parallel pairs scoring >= tau, which must lie in the scorer's
-    range; see threshold_filter."""
+    range, by a scorer that reads only THRESHOLD_ITEM_FIELDS; see
+    threshold_filter."""
 
     name: ClassVar[str] = "quality_threshold"
     record_kind: ClassVar[str] = "parallel"
@@ -286,6 +288,7 @@ class QualityThresholdStage:
     tau: float
 
     def __post_init__(self):
+        self.scorer.check_item_fields(THRESHOLD_ITEM_FIELDS)
         lo, hi = self.scorer.score_range
         if not lo <= self.tau <= hi:
             raise ValidationError(f"tau={self.tau} outside scorer range [{lo}, {hi}]")

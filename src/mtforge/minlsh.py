@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _minhash_py as _kernel
-from .corpus import QUALITY_COMPOSITE, Document
+from .corpus import QUALITY_COMPOSITE, Document, segment_tokens
 from .errors import ValidationError
 
 KERNEL_BACKEND: str = "numpy"
@@ -29,8 +29,9 @@ def _check_unit(unit: str) -> None:
         raise ValidationError(f"shingle unit must be 'word' or 'char', not {unit!r}")
 
 
-def shingle(text: str, n: int, unit: str = "word") -> np.ndarray:
-    """Hashed distinct n-grams of whitespace tokens (or characters).
+def shingle(text: str, n: int, unit: str = "word", lang: str | None = None) -> np.ndarray:
+    """Hashed distinct n-grams of the text's word units, as
+    `corpus.segment_tokens(text, lang)` gives them, or of its characters.
 
     Each gram is hashed with blake2b-64, read little-endian, into one `<u8`
     array. Texts with fewer than n units collapse to a single whole-text
@@ -39,7 +40,7 @@ def shingle(text: str, n: int, unit: str = "word") -> np.ndarray:
     if n < 1:
         raise ValidationError(f"shingle width must be >= 1, got {n}")
     _check_unit(unit)
-    units: Sequence[str] = text.split() if unit == "word" else text
+    units: Sequence[str] = segment_tokens(text, lang) if unit == "word" else text
     joiner = " " if unit == "word" else ""
     grams = {joiner.join(units[i : i + n]) for i in range(len(units) - n + 1)} or {text}
     digests = b"".join(hashlib.blake2b(g.encode("utf-8"), digest_size=8).digest() for g in grams)
@@ -220,7 +221,7 @@ def dedup(
 
     sigs = np.empty((len(docs), k), dtype=np.uint64)
     for i, doc in enumerate(docs):
-        sigs[i] = signature(shingle(doc.text, n, unit=unit), k, seed)
+        sigs[i] = signature(shingle(doc.text, n, unit=unit, lang=doc.lang), k, seed)
     _, first, inverse = np.unique(_row_keys(sigs), return_index=True, return_inverse=True)
     rows = sigs[first]
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .corpus import segment_tokens
 from .errors import ValidationError, at
 from .ioutils import check_fields, is_finite_number, load_json
 
@@ -68,14 +69,15 @@ MAX_CONSECUTIVE = 3
 MIN_DISTINCT_RATIO = 0.3
 
 
-def repetition_score(text: str) -> float:
-    """Binary degenerate-repetition detector over whitespace tokens.
+def repetition_score(text: str, lang: str | None = None) -> float:
+    """Binary degenerate-repetition detector over the text's word units, as
+    `corpus.segment_tokens(text, lang)` gives them.
 
     Returns 1.0 when any n-gram (n in REPETITION_ORDERS) repeats
     back-to-back at least MAX_CONSECUTIVE times, or when the distinct-n-gram
     ratio for some n falls below MIN_DISTINCT_RATIO; otherwise 0.0.
     """
-    tokens = text.split()
+    tokens = segment_tokens(text, lang)
     if not tokens:
         raise ValidationError("cannot score empty text")
     for n in REPETITION_ORDERS:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from mtforge.backends import register_mock_backend
-from mtforge.chimera import parse_fusion_prompt, render_fusion_prompt, render_translation_prompt
+from mtforge.chimera import render_fusion_prompt, render_translation_prompt
 from mtforge.cli import main as cli_main
 from mtforge.corpus import Document, write_corpus
 from mtforge.evalkit import chrf
@@ -31,6 +31,8 @@ from mtforge.minlsh import (
 from mtforge.mixopt import LrSchedule, MixtureSpec, blend_replay, fit_regression, lr_at, optimize_mixture, sample_mixtures, ProxyRun
 from mtforge.ngram_lm import UNK, perplexity, train_lm
 from mtforge.rewards import grpo_advantages, load_term_table, repetition_score, terminology_reward
+
+from fusion_prompt import parse_fusion_prompt
 
 GOLDENS = Path(__file__).parent / "goldens"
 DATA = Path(__file__).parent / "data"

@@ -12,12 +12,13 @@ from mtforge.chimera import (
     default_grid,
     fuse,
     generate_candidates,
-    parse_fusion_prompt,
     render_fusion_prompt,
     render_translation_prompt,
 )
 from mtforge.errors import OrchestrationError, ValidationError
 from mtforge.scorers import ScorerEndpoint, register_scorer
+
+from fusion_prompt import parse_fusion_prompt
 
 GOLDENS = Path(__file__).parent / "goldens"
 

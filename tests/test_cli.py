@@ -309,6 +309,11 @@ class TestExitCodes:
          "error: {path}: line 2: quality must be in [0, 1], got 5"),
         ("reward-score", "--in", b'{"id": "r2", "source": "s", "hypothesis": " ", "quality": 0.5}\n',
          "error: {path}: line 2: cannot score empty text"),
+        # a record's tag is checked when it is read, before any record is scored
+        ("reward-score", "--in", b'{"id": "r2", "source": "s", "hypothesis": "h", "tgt_lang": "xx"}\n',
+         "error: {path}: line 2: unknown language tag: 'xx'"),
+        ("reward-score", "--in", b'{"id": "r2", "source": "s", "hypothesis": "h", "tgt_lang": 5, "quality": 0.5}\n',
+         "error: {path}: line 2: field 'tgt_lang' must be string, not number"),
         ("grpo-advantages", "--in", b"5\n", "error: {path}: line 2: "),
         ("grpo-advantages", "--in", b'{"id": "g2", "rewards": "ab"}\n', "error: {path}: line 2: "),
         ("grpo-advantages", "--in", b'{"id": "g2", "rewards": [1, "x"]}\n',
@@ -559,6 +564,10 @@ class TestExitCodes:
          "stages[0]: unknown language tag: 'xx'"),
         ("pipeline-run", _pipeline_json({"type": "quality_threshold", "scorer": _SCORER, "tau": 2}, kind="parallel"),
          "stages[0]: tau=2 outside scorer range [0.0, 1.0]"),
+        ("pipeline-run", _pipeline_json({"type": "quality_threshold", "scorer": dict(_SCORER, config="chrf"),
+                                         "tau": 10}, kind="parallel"),
+         "stages[0]: scorer 's' reads the item field 'reference', but items here carry only source, hypothesis, "
+         "src_lang, tgt_lang"),
         ("pipeline-run", _pipeline_json({"type": "dedup", "shingle_n": 0}),
          "stages[0]: shingle width must be >= 1, got 0"),
         ("pipeline-run", _pipeline_json({"type": "dedup", "threshold": 0}),
@@ -958,13 +967,14 @@ class TestQualityCommands:
         assert read_corpus(out_path, "parallel")[0].scores == {"cli_ten_point": 7.0}
 
     @pytest.mark.parametrize("command", ["quality-filter", "pipeline-run"])
-    def test_reference_scorer_without_references_is_exit_1(self, tmp_path, capsys, command):
+    def test_reference_scorer_without_references_is_exit_1(self, tmp_path, capsys, monkeypatch, command):
         in_path = tmp_path / "pairs.jsonl"
         in_path.write_text(json.dumps({"id": "p", "src_lang": "en", "tgt_lang": "fr",
                                        "src_text": "a", "tgt_text": "b"}) + "\n")
         out_path = tmp_path / "out.jsonl"
         if command == "quality-filter":
             args = ["--in", in_path, "--scorer", "chrf", "--tau", 10, "--out", out_path]
+            place, name = "", "chrf"
         else:
             config = tmp_path / "pipeline.json"
             config.write_text(json.dumps({
@@ -972,9 +982,15 @@ class TestQualityCommands:
                 "unscored_output": str(tmp_path / "unscored.jsonl"),
                 "stages": [{"type": "quality_threshold", "scorer": dict(_SCORER, config="chrf"), "tau": 10}]}))
             args = ["--config", config]
+            place, name = f"{config}: stages[0]: ", "s"
+        reads = []
+        monkeypatch.setattr(mtforge.corpus, "read_corpus", lambda *args: reads.append(args))
         before = sorted(tmp_path.iterdir())
         assert run(command, *args, "--report", tmp_path / "report.json") == 1
-        assert capsys.readouterr().err == "error: scorer 'chrf' scores against a reference, and its items carry none\n"
+        # the scorer is checked when it is loaded, before the input is read
+        assert capsys.readouterr().err == (f"error: {place}scorer {name!r} reads the item field 'reference', "
+                                           "but items here carry only source, hypothesis, src_lang, tgt_lang\n")
+        assert reads == []
         assert sorted(tmp_path.iterdir()) == before
 
     def test_judge_flag(self, tmp_path):
@@ -1101,6 +1117,21 @@ class TestRewardCommands:
         assert math.isclose(results["good"]["total"], 0.5 * 0.9 + 0.5 * 1.0)
         assert results["loopy"]["repetition_penalty"] == 1.0
         assert results["loopy"]["total"] == 0.0
+
+    def test_tgt_lang_decides_the_units_of_repetition(self, tmp_path):
+        degenerate = {"source": "你好", "hypothesis": "好的" * 20, "quality": 0.8}
+        rows = [dict(degenerate, id="untagged"), dict(degenerate, id="zh", tgt_lang="zh"),
+                dict(degenerate, id="en", tgt_lang="en")]
+        in_path = tmp_path / "batch.jsonl"
+        in_path.write_text("\n".join(json.dumps(r, ensure_ascii=False) for r in rows) + "\n")
+        out_path = tmp_path / "rewards.jsonl"
+        assert run("reward-score", "--in", in_path, "--terms", DATA / "terms_medical.json", "--out", out_path) == 0
+        # without a tag, or with a spaced one, the hypothesis is one whitespace
+        # token, and the row has the bytes it had before records carried tgt_lang
+        assert out_path.read_text() == (
+            '{"id": "untagged", "quality": 0.8, "repetition_penalty": 0.0, "terminology": 1.0, "total": 0.9}\n'
+            '{"id": "zh", "quality": 0.8, "repetition_penalty": 1.0, "terminology": 1.0, "total": 0.0}\n'
+            '{"id": "en", "quality": 0.8, "repetition_penalty": 0.0, "terminology": 1.0, "total": 0.9}\n')
 
     def test_grpo_advantages_command(self, tmp_path):
         in_path = tmp_path / "groups.jsonl"

@@ -341,3 +341,11 @@ class TestSegmentTokens:
     def test_tibetan_codepoints(self):
         tokens = segment_tokens("བཀྲ་ཤིས", "bo")
         assert len(tokens) == len("བཀྲ་ཤིས")
+
+    def test_no_tag_gives_whitespace_tokens(self):
+        text = "你好 世界\tthe\u3000end"
+        assert segment_tokens(text, None) == ["你好", "世界", "the", "end"] == segment_tokens(text, "en")
+
+    def test_unknown_tag_rejected(self):
+        with pytest.raises(ValidationError, match="^unknown language tag: 'xx'$"):
+            segment_tokens("hello", "xx")

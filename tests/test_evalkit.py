@@ -75,6 +75,15 @@ class TestChrf:
     def test_spaces_removed_before_counting(self):
         assert chrf("ab cd", "abcd") == 100.0
 
+    def test_mixed_whitespace_scores_unchanged(self):
+        # tabs, newlines, an ideographic space, U+001F and NEL are all removed,
+        # as str.split() removes them; the values are those of the plain
+        # "".join(text.split()) strip
+        hyp = "the  cat\tsat on\u3000a\nmat\x1f\x85"
+        ref = "the cat sat on the mat"
+        assert (chrf(hyp, ref), chrf(ref, hyp)) == (65.97613331732558, 72.08020590176027)
+        assert chrf(hyp, ref) == chrf("".join(hyp.split()), "".join(ref.split()))
+
     def test_matches_oracle_on_random_pairs(self):
         rng = random.Random(1234)
         alphabet = "abcde ABC漢字áé!"

@@ -9,6 +9,7 @@ from mtforge.corpus import Document, ParallelPair
 from mtforge.errors import ValidationError
 from mtforge.filters import (
     DEFAULT_PROFILES,
+    THRESHOLD_ITEM_FIELDS,
     DedupStage,
     JudgeRecord,
     LangIdStage,
@@ -103,6 +104,21 @@ class TestThresholdFilter:
         scorer = ScorerEndpoint("const", "local_function", "constant:0.4")
         with pytest.raises(ValidationError, match=r"tau=1.5 outside scorer range \[0.0, 1.0\]"):
             QualityThresholdStage(scorer, tau=1.5)
+
+    def test_items_carry_the_declared_fields(self):
+        seen = []
+        register_scorer("field_spy", lambda item: seen.append(item) or 1.0, fields=THRESHOLD_ITEM_FIELDS)
+        scorer = ScorerEndpoint("spy", "local_function", "field_spy")
+        QualityThresholdStage(scorer, tau=0.5)
+        threshold_filter([ParallelPair(id="p", src_lang="en", tgt_lang="fr", src_text="s", tgt_text="t")],
+                         scorer, tau=0.5)
+        assert seen == [{"source": "s", "hypothesis": "t", "src_lang": "en", "tgt_lang": "fr"}]
+
+    def test_scorer_reading_another_field_rejected_when_built(self):
+        scorer = ScorerEndpoint("c", "local_function", "chrf")
+        with pytest.raises(ValidationError, match=r"^scorer 'c' reads the item field 'reference', but items here "
+                                                  r"carry only source, hypothesis, src_lang, tgt_lang$"):
+            QualityThresholdStage(scorer, tau=10)
 
     def test_boundary_is_inclusive(self):
         scorer = ScorerEndpoint("const", "local_function", "constant:0.7")

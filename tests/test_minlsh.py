@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mtforge import _minhash_py, minlsh
-from mtforge.corpus import Document
+from mtforge.corpus import NO_SPACE_TAGS, REGISTRY, Document
 from mtforge.errors import ValidationError
 from mtforge.minlsh import (
     KERNEL_BACKEND,
@@ -75,6 +76,31 @@ class TestShingle:
     def test_unknown_unit_rejected(self):
         with pytest.raises(ValidationError, match="shingle unit must be 'word' or 'char', not 'byte'"):
             shingle("abc", 2, unit="byte")
+
+
+def _whitespace_shingle(text: str, n: int) -> bytes:
+    """The bytes `shingle` gave for word units before it took them from
+    `corpus.segment_tokens`: whitespace tokens, whatever the language."""
+    units = text.split()
+    grams = {" ".join(units[i : i + n]) for i in range(len(units) - n + 1)} or {text}
+    return b"".join(hashlib.blake2b(g.encode("utf-8"), digest_size=8).digest() for g in grams)
+
+
+class TestWordUnits:
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(text=st.text(alphabet="ab c\t\n\u3000\u00a0\x1f漢字é", max_size=40), n=st.integers(1, 6),
+           lang=st.sampled_from([None, *sorted(set(REGISTRY) - NO_SPACE_TAGS)]))
+    def test_spaced_tags_and_no_tag_keep_whitespace_shingles(self, text, n, lang):
+        assert shingle(text, n, lang=lang).tobytes() == _whitespace_shingle(text, n)
+
+    def test_unspaced_tag_shingles_codepoints(self):
+        assert sorted(shingle("你好 世界", 2, lang="zh").tolist()) == sorted(
+            _blake64(g) for g in ("你 好", "好 世", "世 界"))
+        assert shingle("你好 世界", 2).tolist() == [_blake64("你好 世界")]
+
+    def test_unknown_tag_rejected(self):
+        with pytest.raises(ValidationError, match="^unknown language tag: 'xx'$"):
+            shingle("a b c", 2, lang="xx")
 
 
 class TestSignature:
@@ -418,6 +444,43 @@ class TestDifferential:
         assert [d.id for d in kept] == [d.id for d in ref_kept]
         assert dropped == ref_dropped
         assert all(type(rec.estimated_jaccard) is float for rec in dropped)
+
+
+# a block of letters of each script written without spaces
+_LETTERS = {"zh": (0x4E00, 0x9FFF), "zh-Hant": (0x4E00, 0x9FFF), "yue": (0x4E00, 0x9FFF), "ja": (0x3041, 0x3096),
+            "th": (0x0E01, 0x0E2E), "km": (0x1780, 0x17B3), "my": (0x1000, 0x102A), "bo": (0x0F40, 0x0F6C)}
+
+
+class TestUnspacedScripts:
+    """Word shingles of a script written without spaces are codepoint
+    n-grams, so its near-copies collapse as those of a spaced script do."""
+
+    def test_every_unspaced_tag_has_letters(self):
+        assert set(_LETTERS) == NO_SPACE_TAGS
+
+    @pytest.mark.parametrize("lang", sorted(NO_SPACE_TAGS))
+    def test_near_duplicate_flood_collapses_under_defaults(self, lang):
+        rng = random.Random(lang)
+        letters = [chr(c) for c in range(_LETTERS[lang][0], _LETTERS[lang][1] + 1)]
+        base = [rng.choice(letters) for _ in range(200)]
+        docs = []
+        for i in range(50):  # one letter edited per copy: Jaccard about 0.95 to the base, 0.9 to another copy
+            text = list(base)
+            pos = rng.randrange(len(text))
+            text[pos] = rng.choice([ch for ch in letters if ch != text[pos]])
+            docs.append(Document(id=f"d{i:02d}", lang=lang, text="".join(text)))
+        # whitespace units would give each copy one whole-text shingle
+        assert all(len(shingle(doc.text, 5)) == 1 for doc in docs)
+        kept, dropped = dedup(docs)
+        assert (len(kept), len(dropped)) == (1, 49)
+
+    def test_zh_pair_with_its_last_letter_edited_is_dropped(self):
+        text = "".join(chr(0x4E00 + 37 * i) for i in range(32))
+        docs = [Document(id="a", lang="zh", text=text), Document(id="b", lang="zh", text=text[:-1] + "好")]
+        kept, dropped = dedup(docs, n=3, b=32, r=4, jaccard_threshold=0.6)
+        assert [doc.id for doc in kept] == ["a"]
+        assert [(rec.dropped_id, rec.kept_id) for rec in dropped] == [("b", "a")]
+        assert dropped[0].estimated_jaccard > 0.8
 
 
 _FLOOD = """

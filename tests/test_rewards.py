@@ -133,6 +133,32 @@ class TestRepetitionScore:
         assert all(repetition_score(t) == 0.0 for t in clean)
 
 
+class TestUnspacedRepetition:
+    """An unspaced script is scored over codepoints when its tag is given."""
+
+    def test_degenerate_zh_flags_only_with_its_tag(self):
+        assert repetition_score("好的" * 40, "zh") == 1.0
+        assert repetition_score("好的" * 40) == 0.0
+
+    @pytest.mark.parametrize("lang, pair", [("zh", "好的"), ("zh-Hant", "謝謝"), ("yue", "係咪"), ("ja", "はい"),
+                                            ("th", "ครับ"), ("km", "បាទ"), ("my", "ဟုတ်"), ("bo", "ལགས")])
+    def test_looping_phrase_flags_in_every_unspaced_tag(self, lang, pair):
+        text = pair * 6
+        assert repetition_score(text, lang) == 1.0
+        assert repetition_score(text) == 0.0
+
+    def test_clean_zh_sentence_passes(self):
+        assert repetition_score("已知有血液疾病的患者应在医生指导下用药", "zh") == 0.0
+
+    def test_spaced_tag_scores_whitespace_tokens(self):
+        assert repetition_score("go go go go go go", "en") == 1.0
+        assert repetition_score("好的" * 40, "en") == 0.0
+
+    def test_unknown_tag_rejected(self):
+        with pytest.raises(ValidationError, match="^unknown language tag: 'xx'$"):
+            repetition_score("go go go", "xx")
+
+
 def _loop_repetition_score(text):
     """repetition_score as a while loop over each start position, the
     reference for the one-pass check."""

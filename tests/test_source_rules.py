@@ -14,6 +14,11 @@ Only `ioutils.decode_utf8` decodes bytes (a `.decode(` call) and only
 endpoint reply goes through these two, so one place decides what is bad
 UTF-8 or bad JSON and how the fault is worded.
 
+Only `corpus.segment_tokens` calls `.split()` or `.rsplit()` without a
+separator: one place decides what a word is, so dedup shingles, repetition
+scoring, the n-gram LM and chrF cut a text into the same units, and a
+script written without spaces gets codepoints everywhere or nowhere.
+
 No function calls itself, by its bare name or, for a method, through its
 first parameter (`self.f()`, `cls.f()`): how deep a call goes may never
 depend on the input, such as the order in a model file, so no input can
@@ -214,20 +219,24 @@ def _decoding(node: ast.AST) -> str | None:
     return None
 
 
-def decoding_calls(source: str, filename: str) -> list[str]:
-    """`<filename>:<function>:<kind>` of each place that decodes outside
-    bytes or JSON text, as `_decoding` names its kind, in source order; code
-    outside any function is in `<module>`."""
+def scoped_places(source: str, filename: str, kind_of) -> list[str]:
+    """`<filename>:<function>:<kind>` of each node that `kind_of` gives a
+    kind, in source order; code outside any function is in `<module>`."""
     found, stack = [], [(ast.parse(source, filename), "<module>")]
     while stack:
         node, scope = stack.pop()
-        kind = _decoding(node)
+        kind = kind_of(node)
         if kind:
             found.append((node.lineno, f"{filename}:{scope}:{kind}"))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = node.name
         stack.extend((child, scope) for child in ast.iter_child_nodes(node))
     return [place for _, place in sorted(found)]
+
+
+def decoding_calls(source: str, filename: str) -> list[str]:
+    """The places that decode bytes or JSON text, as `_decoding` names their kind."""
+    return scoped_places(source, filename, _decoding)
 
 
 def test_only_ioutils_decodes_outside_input():
@@ -253,3 +262,44 @@ def test_only_ioutils_decodes_outside_input():
 ])
 def test_decoding_rule(source, found):
     assert decoding_calls(source + "\n", "m.py") == found
+
+
+def _whitespace_split(node: ast.AST) -> str | None:
+    """"split" for a .split( or .rsplit( call that splits on whitespace,
+    since it gives no separator or None; None for anything else."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("split", "rsplit")):
+        return None
+    separators = [*node.args[:1], *(k.value for k in node.keywords if k.arg == "sep")]
+    if not separators or (isinstance(separators[0], ast.Constant) and separators[0].value is None):
+        return "split"
+    return None
+
+
+def whitespace_splits(source: str, filename: str) -> list[str]:
+    """The places that cut text into whitespace tokens."""
+    return scoped_places(source, filename, _whitespace_split)
+
+
+def test_only_segment_tokens_splits_on_whitespace():
+    found = [place for path in sorted(PACKAGE.rglob("*.py"))
+             for place in whitespace_splits(path.read_text(encoding="utf-8"), path.name)]
+    assert found == ["corpus.py:segment_tokens:split"]
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(text):\n    return text.split()", ["m.py:f:split"]),
+    ("def f(text):\n    return text.rsplit()", ["m.py:f:split"]),
+    ("def f(text):\n    return text.split(maxsplit=1)", ["m.py:f:split"]),
+    ("def f(text):\n    return text.split(None, 1)", ["m.py:f:split"]),
+    ("def f(text):\n    return text.split(sep=None)", ["m.py:f:split"]),
+    ("WORDS = 'a b'.split()", ["m.py:<module>:split"]),
+    ("class A:\n    def f(self, text):\n        return ''.join(text.split())", ["m.py:f:split"]),
+    ("def f(text):\n    return text.split('=', 1)", []),
+    ("def f(text):\n    return text.split(' ')", []),
+    ("def f(text):\n    return text.rsplit(sep=',')", []),
+    ("def f(text):\n    return text.splitlines()", []),
+    ("def f(text, lang):\n    return segment_tokens(text, lang)", []),
+])
+def test_whitespace_split_rule(source, found):
+    assert whitespace_splits(source + "\n", "m.py") == found
