@@ -7,9 +7,9 @@ candidates in fenced blocks. Candidate generation sends one request per
 entry of a sampling grid to a pluggable completion backend; fusion sends one
 dependent request and falls back to the best-scoring candidate (or the first
 one) when the fusion backend fails. Both run their requests on a caller's
-executor when given one, so one pool can bound the requests of many
-segments. What they put on it are leaf calls (a completion or a scoring
-request) that never wait on another future.
+executor, so one pool can bound the requests of many segments. What they
+put on it are leaf calls (a completion or a scoring request) that never
+wait on another future.
 """
 
 from __future__ import annotations
@@ -109,7 +109,6 @@ def default_grid() -> list[GenerationParams]:
 @dataclass(frozen=True)
 class SlotFailure:
     index: int
-    params: GenerationParams
     error: str
 
 
@@ -141,20 +140,18 @@ def generate_candidates(
     src_lang: str,
     tgt_lang: str,
     text: str,
-    grid: Sequence[GenerationParams] | None = None,
+    grid: Sequence[GenerationParams],
+    pool: Executor,
     per_slot_backends: Sequence[BackendSpec | None] | None = None,
-    pool: Executor | None = None,
 ) -> CandidateSet:
     """One translation request per grid entry, assembled in grid order.
 
     Slots whose requests fail permanently (or come back empty after
     cleaning) are dropped along with their grid entry and recorded as
     failures. Fewer than two surviving candidates is an orchestration error.
-    The requests run on `pool` when one is given (e.g. a pool shared with
-    other calls, which bounds their requests in flight together), one after
-    another otherwise.
+    The requests run on `pool`, which may be shared with other calls to
+    bound their requests in flight together.
     """
-    grid = list(grid) if grid is not None else default_grid()
     if len(grid) < 2:
         raise ValidationError(f"grid must have >= 2 entries, got {len(grid)}")
     if per_slot_backends is not None and len(per_slot_backends) != len(grid):
@@ -174,14 +171,14 @@ def generate_candidates(
             return None, "empty completion"
         return cleaned, ""
 
-    results = (pool.map if pool is not None else map)(run_slot, range(len(grid)))
+    results = pool.map(run_slot, range(len(grid)))
 
     candidates: list[str] = []
     params_used: list[GenerationParams] = []
     failures: list[SlotFailure] = []
     for index, (cleaned, error) in enumerate(results):
         if cleaned is None:
-            failures.append(SlotFailure(index, grid[index], error))
+            failures.append(SlotFailure(index, error))
         else:
             candidates.append(cleaned)
             params_used.append(grid[index])
@@ -218,20 +215,16 @@ def _score_candidates(
 def fuse(
     backend: BackendSpec,
     candidate_set: CandidateSet,
+    pool: Executor,
     fallback_scorer: ScorerEndpoint | None = None,
-    pool: Executor | None = None,
 ) -> FusionResult:
     """Fuse candidates into one output via the fusion backend.
 
     On backend failure or an empty completion, falls back to the
     best-scoring candidate when a scorer is available, else candidate 1.
     The result is never empty. The fusion and scoring requests run on
-    `pool` when one is given, as in `generate_candidates`.
+    `pool`, as in `generate_candidates`.
     """
-
-    def call(fn, *args):
-        return fn(*args) if pool is None else pool.submit(fn, *args).result()
-
     prompt = render_fusion_prompt(
         candidate_set.src_lang,
         candidate_set.tgt_lang,
@@ -239,14 +232,15 @@ def fuse(
         candidate_set.candidates,
     )
     try:
-        raw = call(complete, backend, prompt, GenerationParams(temperature=0.0, seed=0))
+        raw = pool.submit(complete, backend, prompt, GenerationParams(temperature=0.0, seed=0)).result()
         fused = clean_generation(raw)
         if fused:
             return FusionResult(fused_text=fused, fallback_used=False)
     except BackendFailure:
         pass
     if fallback_scorer is not None:
-        scores, best = call(_score_candidates, fallback_scorer, candidate_set.candidates, candidate_set.source_text)
+        scores, best = pool.submit(_score_candidates, fallback_scorer, candidate_set.candidates,
+                                   candidate_set.source_text).result()
         if best is not None:
             return FusionResult(
                 fused_text=candidate_set.candidates[best],

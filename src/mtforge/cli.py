@@ -375,11 +375,11 @@ def mix_optimize(model_path, candidates, replay_fraction, replay_domain, out_pat
     """Pick the mixture minimizing predicted loss; optionally blend a replay share."""
     from . import mixopt as mixopt_mod
 
+    if (replay_fraction is None) != (replay_domain is None):
+        raise ValidationError("--replay-fraction and --replay-domain go together")
     model = dataclass_from_obj(mixopt_mod.RegressionModel, load_json(model_path), model_path)
     best = mixopt_mod.optimize_mixture(model, candidates, seed=seed)
     predicted = model.predict(best)
-    if (replay_fraction is None) != (replay_domain is None):
-        raise ValidationError("--replay-fraction and --replay-domain go together")
     if replay_fraction is not None:
         best = mixopt_mod.blend_replay(best, replay_fraction, replay_domain)
     dump_json(out_path, asdict(best))
@@ -439,10 +439,12 @@ def reward_score(in_path, terms_path, scorer_spec, w_quality, w_terminology, w_r
     table = rewards_mod.load_term_table(terms_path)
     weights = rewards_mod.RewardWeights(w_quality, w_terminology, w_repetition)
     scorer = _load_scorer(scorer_spec) if scorer_spec else None
-    # composite_reward takes a quality in [0, 1]; a scorer on another scale
-    # fails here, before any request
+    # composite_reward takes a quality in [0, 1], and score_row sends only a
+    # source and a hypothesis; any other scorer fails here, before any request
     if scorer is not None and (scorer.score_range[0] < 0 or scorer.score_range[1] > 1):
         raise ValidationError(f"--scorer {scorer.name!r} scores on {list(scorer.score_range)}, not within [0, 1]")
+    if scorer is not None:
+        scorer.check_item_fields(("source", "hypothesis"))
     fields = {"id": "string", "source": "string", "hypothesis": "string", "tgt_lang": "string",
               "quality": "number|null"}
 
@@ -654,10 +656,11 @@ def fuse_cmd(config_path, in_path, out_path, jobs, seed):
 @click.option("--text", "text_mode", is_flag=True, help="Print the aligned text table")
 def eval_cmd(pairs_path, hyps_path, metric, aggregation, out_path, text_mode, seed):
     """Score hypotheses against references and report per direction group."""
+    scorer = _load_scorer(metric)
+    scorer.check_item_fields(evalkit_mod.SCORE_ITEM_FIELDS)
     pairs = corpus_mod.read_corpus(pairs_path, "parallel")
     fields = {"id": "string", "hypothesis": "string"}
     hyps = {obj["id"]: obj["hypothesis"] for _, obj in read_records(hyps_path, fields, required=fields, key="id")}
-    scorer = _load_scorer(metric)
     scored, failures = evalkit_mod.score_corpus(pairs, hyps, scorer)
     report = evalkit_mod.group_report(scored, scorer.name, aggregation=aggregation)
     if out_path:
@@ -693,9 +696,9 @@ _STAGE_FIELDS = {
 def _build_stages(config: dict, seed: int, path: str):
     """The configured stages, each given only the keys its entry sets (and
     a dedup stage the seed), so the defaults live in the stage classes,
-    which check their values when built. A bad value names its entry as
-    `<path>: stages[i]`; model files and scorers are loaded first and name
-    their own place."""
+    which check their values when built. A bad value, or a second stage of
+    one type, names its entry as `<path>: stages[i]`; model files and
+    scorers are loaded first and name their own place."""
     stages = []
     for i, entry in enumerate(config["stages"]):
         where = f"{path}: stages[{i}]"
@@ -719,6 +722,8 @@ def _build_stages(config: dict, seed: int, path: str):
             make = filters_mod.QualityThresholdStage
         with at(where):
             stages.append(make(**params))
+            if kind in [stage.name for stage in stages[:-1]]:
+                raise ValidationError(f"a second {kind} stage; each stage type may appear once")
     return stages
 
 

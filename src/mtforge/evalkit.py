@@ -45,9 +45,11 @@ def chrf(hypothesis: str, reference: str, max_n: int = 6) -> float:
             f_scores.append(0.0)
         else:
             f_scores.append((1 + beta_sq) * precision * recall / (beta_sq * precision + recall))
-    if not f_scores:
-        return 0.0
     return 100.0 * sum(f_scores) / len(f_scores)
+
+
+# the fields of the items score_corpus sends to its scorer
+SCORE_ITEM_FIELDS = ("source", "hypothesis", "reference")
 
 
 def score_corpus(
@@ -64,10 +66,7 @@ def score_corpus(
     missing = [p.id for p in pairs if p.id not in hypotheses]
     if missing:
         raise ValidationError(f"missing hypotheses for ids: {missing[:5]}")
-    items = [
-        {"source": p.src_text, "hypothesis": hypotheses[p.id], "reference": p.tgt_text}
-        for p in pairs
-    ]
+    items = [dict(zip(SCORE_ITEM_FIELDS, (p.src_text, hypotheses[p.id], p.tgt_text))) for p in pairs]
     scored: list[ParallelPair] = []
     failures: list[tuple[ParallelPair, str]] = []
     for pair, value in zip(pairs, scorer.score_many(items)):

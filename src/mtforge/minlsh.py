@@ -166,12 +166,10 @@ def _merge_bucket(uf: _UnionFind, rows: np.ndarray, bucket: np.ndarray, jaccard_
             roots = uf.roots(bucket)
 
 
-def _representative(cluster: list[Document]) -> Document:
-    """Highest QUALITY_COMPOSITE score wins, then longest text, then smallest id."""
-    return min(
-        cluster,
-        key=lambda d: (-d.scores.get(QUALITY_COMPOSITE, float("-inf")), -len(d.text), d.id),
-    )
+def _preference(doc: Document) -> tuple[float, int, str]:
+    """Sort key of a cluster's representative, which sorts first: highest
+    QUALITY_COMPOSITE score, then longest text, then smallest id."""
+    return -doc.scores.get(QUALITY_COMPOSITE, float("-inf")), -len(doc.text), doc.id
 
 
 def check_dedup_params(n: int, k: int, seed: int, b: int, r: int, jaccard_threshold: float, unit: str) -> None:
@@ -204,7 +202,7 @@ def dedup(
     Candidate pairs are those sharing an LSH bucket; a candidate pair is a
     confirmed duplicate iff its estimated Jaccard >= jaccard_threshold.
     Confirmed pairs are clustered with union-find, and each cluster keeps its
-    best representative. The kept/dropped partition does not depend on input
+    first member in `_preference` order. The kept/dropped partition does not depend on input
     order; kept docs are returned in input order.
 
     Docs with equal signatures are one node, banded once: they estimate 1.0
@@ -231,22 +229,17 @@ def dedup(
     for bucket in index.candidate_pairs():
         _merge_bucket(uf, rows, bucket, jaccard_threshold)
 
-    clusters: dict[int, list[int]] = {}
-    for pos, root in enumerate(uf.roots(inverse).tolist()):
-        clusters.setdefault(root, []).append(pos)
-    rep_of: dict[int, int] = {}  # dropped doc position -> its representative's position
-    for members in clusters.values():
-        if len(members) > 1:
-            rep = _representative([docs[p] for p in members])
-            rep_pos = next(p for p in members if docs[p] is rep)
-            rep_of.update((p, rep_pos) for p in members if p != rep_pos)
+    row_roots = uf.roots(np.arange(len(rows)))
+    row_of = inverse.tolist()
+    root_of = row_roots[inverse].tolist()
+    rep_of: dict[int, int] = {}  # cluster root -> its representative's position
+    for pos in sorted(range(len(docs)), key=lambda p: _preference(docs[p])):
+        rep_of.setdefault(root_of[pos], pos)
 
     # one estimate per distinct row, against the row of its cluster's representative
-    row_of = inverse.tolist()
-    rep_row = np.arange(len(rows))
-    rep_row[[row_of[p] for p in rep_of]] = [row_of[p] for p in rep_of.values()]
-    estimates = estimate_jaccard(rows, rows[rep_row]).tolist()
-    dropped = [DropRecord(docs[p].id, docs[rep_pos].id, estimates[row_of[p]]) for p, rep_pos in rep_of.items()]
-    dropped.sort(key=lambda rec: rec.dropped_id)
-    kept = [doc for pos, doc in enumerate(docs) if pos not in rep_of]
+    rep_rows = [row_of[rep_of[root]] for root in row_roots.tolist()]
+    estimates = estimate_jaccard(rows, rows[rep_rows]).tolist()
+    dropped = sorted(DropRecord(docs[p].id, docs[rep_of[root]].id, estimates[row_of[p]])
+                     for p, root in enumerate(root_of) if rep_of[root] != p)  # by dropped id, which is unique
+    kept = [docs[pos] for pos in sorted(rep_of.values())]
     return kept, dropped

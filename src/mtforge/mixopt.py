@@ -10,14 +10,14 @@ simplex vertices.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .ioutils import is_finite_number, read_records, write_jsonl
+from .ioutils import is_finite_number, read_records
 
 SIMPLEX_TOL = 1e-9
 
@@ -108,14 +108,10 @@ class RegressionModel:
         object.__setattr__(self, "domains", domains)
         object.__setattr__(self, "coefficients", tuple(map(float, self.coefficients)))
 
-    def predict(self, mixture: MixtureSpec | Sequence[float]) -> float:
-        if isinstance(mixture, MixtureSpec):
-            if mixture.domains != self.domains:
-                raise ValidationError("mixture domains do not match the fitted model")
-            w = np.array(mixture.weights)
-        else:
-            w = np.asarray(mixture, dtype=float)
-        return float(_features(w) @ np.array(self.coefficients))
+    def predict(self, mixture: MixtureSpec) -> float:
+        if mixture.domains != self.domains:
+            raise ValidationError("mixture domains do not match the fitted model")
+        return float(self.predict_many(np.array(mixture.weights)))
 
     def predict_many(self, weight_rows: np.ndarray) -> np.ndarray:
         return _features(weight_rows) @ np.array(self.coefficients)
@@ -226,7 +222,3 @@ def _proxy_run(obj: dict) -> ProxyRun:
 def read_proxy_runs(path: str | Path) -> list[ProxyRun]:
     fields = {"domains": "array", "weights": "array", "loss": "number"}
     return [run for _, run in read_records(path, fields, required=fields, build=_proxy_run)]
-
-
-def write_proxy_runs(runs: Sequence[ProxyRun], path: str | Path) -> int:
-    return write_jsonl(path, (dict(asdict(run.mixture), loss=run.observed_loss) for run in runs))

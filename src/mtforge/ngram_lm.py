@@ -130,22 +130,18 @@ def train_lm(
 
     counts: dict[int, Counter[tuple[str, ...]]] = {k: Counter() for k in range(1, order + 1)}
     for tokens in tokenized:
-        if not tokens:
-            continue
         padded = [BOS] * (order - 1) + [keep.get(t, UNK) for t in tokens] + [EOS]
         for k in range(1, order + 1):
             counts[k].update(tuple(padded[i - k : i]) for i in range(k, len(padded) + 1) if padded[i - 1] != BOS)
-    if not counts[1]:
-        raise ValidationError("training corpus has no tokens")
 
     lang_freq = Counter(doc.lang for doc in corpus)
     default_lang = min(lang_freq, key=lambda lang: (-lang_freq[lang], registry_order(lang)))
     return NGramLm(order, discount, min_count, counts, default_lang)
 
 
-def _tokens(lm: NGramLm, text: str | Sequence[str], lang: str | None) -> list[str]:
+def _tokens(lm: NGramLm, text: str, lang: str | None) -> list[str]:
     """The tokens log_prob and perplexity score; empty input is rejected."""
-    tokens = segment_tokens(text, lang or lm.default_lang) if isinstance(text, str) else list(text)
+    tokens = segment_tokens(text, lang or lm.default_lang)
     if not tokens:
         raise ValidationError("cannot score empty text")
     return tokens
@@ -164,16 +160,13 @@ def _log_prob(lm: NGramLm, tokens: Sequence[str]) -> float:
     return total
 
 
-def log_prob(lm: NGramLm, text: str | Sequence[str], lang: str | None = None) -> float:
-    """Natural-log probability of a sentence, EOS included.
-
-    Accepts raw text (tokenized per `lang`, default the model's training
-    language) or a pre-tokenized sequence.
-    """
+def log_prob(lm: NGramLm, text: str, lang: str | None = None) -> float:
+    """Natural-log probability of a sentence, EOS included, tokenized per
+    `lang` (default the model's training language)."""
     return _log_prob(lm, _tokens(lm, text, lang))
 
 
-def perplexity(lm: NGramLm, text: str | Sequence[str], lang: str | None = None) -> float:
+def perplexity(lm: NGramLm, text: str, lang: str | None = None) -> float:
     """exp(-log_prob / N) with N = token count + 1 for the EOS position."""
     tokens = _tokens(lm, text, lang)
     return math.exp(-_log_prob(lm, tokens) / (len(tokens) + 1))

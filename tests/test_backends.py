@@ -315,6 +315,14 @@ class TestScorerWire:
         assert payload["name"] == "len"
         assert payload["items"] == [{"hypothesis": "abc"}, {"hypothesis": "abcdef"}]
 
+    def test_extra_rides_in_the_request_as_config(self, http_server):
+        extra = {"template": "Rate {hypothesis} from 0 to 100", "rounds": 3}
+        scorer = ScorerEndpoint("judge", "remote_http", f"{http_server}/score", score_range=(0, 100), extra=extra)
+        _Handler.requests_seen.clear()
+        assert scorer.score_many([{"hypothesis": "abc"}]) == [3.0]
+        path, payload = _Handler.requests_seen[-1]
+        assert payload == {"name": "judge", "items": [{"hypothesis": "abc"}], "config": extra}
+
     def test_clamped_to_range(self, http_server):
         scorer = ScorerEndpoint("len", "remote_http", f"{http_server}/score", score_range=(0, 4))
         assert scorer.score_many([{"hypothesis": "abcdefgh"}]) == [4.0]

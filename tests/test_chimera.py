@@ -27,6 +27,12 @@ def _mock_backend(name):
     return BackendSpec(name=name, endpoint=f"mock:{name}", model_id="test-model")
 
 
+@pytest.fixture
+def pool():
+    with ThreadPoolExecutor(max_workers=2) as executor:
+        yield executor
+
+
 class TestTranslationPrompt:
     def test_zh_to_en_matches_golden(self):
         expected = (GOLDENS / "translation_zh_to_en.txt").read_bytes()
@@ -140,20 +146,20 @@ class TestGenerateCandidates:
     def test_default_grid_has_six_entries(self):
         assert len(default_grid()) == 6
 
-    def test_mock_backend_in_grid_order(self):
+    def test_mock_backend_in_grid_order(self, pool):
         seen = []
 
         def recorder(prompt, params, model_id):
             return f"out-T{params.temperature:g}-s{params.seed}"
 
         register_mock_backend("recorder", recorder)
-        cs = generate_candidates(_mock_backend("recorder"), "zh", "en", "你好")
+        cs = generate_candidates(_mock_backend("recorder"), "zh", "en", "你好", default_grid(), pool)
         assert len(cs.candidates) == 6
         grid = default_grid()
         assert list(cs.candidates) == [f"out-T{p.temperature:g}-s{p.seed}" for p in grid]
         assert cs.params_used == tuple(grid)
 
-    def test_partial_failures_shrink_set(self):
+    def test_partial_failures_shrink_set(self, pool):
         def flaky(prompt, params, model_id):
             if params.seed in (2, 5):
                 from mtforge.backends import BackendFailure
@@ -162,31 +168,31 @@ class TestGenerateCandidates:
             return f"ok-{params.seed}"
 
         register_mock_backend("flaky", flaky)
-        cs = generate_candidates(_mock_backend("flaky"), "zh", "en", "你好")
+        cs = generate_candidates(_mock_backend("flaky"), "zh", "en", "你好", default_grid(), pool)
         assert len(cs.candidates) == 4
         assert [p.seed for p in cs.params_used] == [1, 3, 4, 6]
         assert sorted(f.index for f in cs.failures) == [1, 4]
 
-    def test_empty_completions_count_as_failures(self):
+    def test_empty_completions_count_as_failures(self, pool):
         def sometimes_empty(prompt, params, model_id):
             return "" if params.seed == 1 else f"ok-{params.seed}"
 
         register_mock_backend("sometimes_empty", sometimes_empty)
-        cs = generate_candidates(_mock_backend("sometimes_empty"), "zh", "en", "你好")
+        cs = generate_candidates(_mock_backend("sometimes_empty"), "zh", "en", "你好", default_grid(), pool)
         assert len(cs.candidates) == 5
 
-    def test_all_failed_is_orchestration_error(self):
+    def test_all_failed_is_orchestration_error(self, pool):
         with pytest.raises(OrchestrationError):
-            generate_candidates(_mock_backend("fail"), "zh", "en", "你好")
+            generate_candidates(_mock_backend("fail"), "zh", "en", "你好", default_grid(), pool)
 
-    def test_per_slot_backend_override(self):
+    def test_per_slot_backend_override(self, pool):
         register_mock_backend("alt", lambda p, params, m: f"alt-{params.seed}")
         register_mock_backend("main", lambda p, params, m: f"main-{params.seed}")
         grid = default_grid()
         per_slot = [None] * 6
         per_slot[2] = _mock_backend("alt")
         cs = generate_candidates(
-            _mock_backend("main"), "zh", "en", "你好", grid=grid, per_slot_backends=per_slot
+            _mock_backend("main"), "zh", "en", "你好", grid=grid, pool=pool, per_slot_backends=per_slot
         )
         assert cs.candidates[2] == "alt-3"
         assert cs.candidates[0] == "main-1"
@@ -207,46 +213,46 @@ def _candidate_set():
 
 
 class TestFuse:
-    def test_successful_fusion(self):
+    def test_successful_fusion(self, pool):
         register_mock_backend("fuser", lambda p, params, m: "the fused output")
-        result = fuse(_mock_backend("fuser"), _candidate_set())
+        result = fuse(_mock_backend("fuser"), _candidate_set(), pool)
         assert result.fused_text == "the fused output"
         assert result.fallback_used is False
 
-    def test_failed_fusion_with_scorer_picks_argmax(self):
+    def test_failed_fusion_with_scorer_picks_argmax(self, pool):
         scores = {"hello there": 0.3, "hi world": 0.9, "greetings": 0.5}
         register_scorer("table", lambda item: scores[item["hypothesis"]])
         scorer = ScorerEndpoint("table", "local_function", "table")
-        result = fuse(_mock_backend("fail"), _candidate_set(), fallback_scorer=scorer)
+        result = fuse(_mock_backend("fail"), _candidate_set(), pool, fallback_scorer=scorer)
         assert result.fused_text == "hi world"
         assert result.fallback_used is True
         assert result.candidate_scores == (0.3, 0.9, 0.5)
 
-    def test_failed_fusion_without_scorer_takes_first(self):
-        result = fuse(_mock_backend("fail"), _candidate_set())
+    def test_failed_fusion_without_scorer_takes_first(self, pool):
+        result = fuse(_mock_backend("fail"), _candidate_set(), pool)
         assert result.fused_text == "hello there"
         assert result.fallback_used is True
 
-    def test_empty_fusion_output_falls_back(self):
+    def test_empty_fusion_output_falls_back(self, pool):
         register_mock_backend("empty", lambda p, params, m: "   ")
-        result = fuse(_mock_backend("empty"), _candidate_set())
+        result = fuse(_mock_backend("empty"), _candidate_set(), pool)
         assert result.fallback_used is True
         assert result.fused_text == "hello there"
 
-    def test_fallback_result_is_a_candidate(self):
-        result = fuse(_mock_backend("fail"), _candidate_set())
+    def test_fallback_result_is_a_candidate(self, pool):
+        result = fuse(_mock_backend("fail"), _candidate_set(), pool)
         assert result.fused_text in _candidate_set().candidates
 
-    def test_fallback_tie_takes_lowest_index(self):
+    def test_fallback_tie_takes_lowest_index(self, pool):
         scorer = ScorerEndpoint("c", "local_function", "constant:0.5")
-        result = fuse(_mock_backend("fail"), _candidate_set(), fallback_scorer=scorer)
+        result = fuse(_mock_backend("fail"), _candidate_set(), pool, fallback_scorer=scorer)
         assert result.fused_text == "hello there"
         assert result.candidate_scores == (0.5, 0.5, 0.5)
 
-    def test_fallback_scorer_failing_everywhere_takes_first(self):
+    def test_fallback_scorer_failing_everywhere_takes_first(self, pool):
         register_scorer("unscored", lambda item: None)
         scorer = ScorerEndpoint("unscored", "local_function", "unscored")
-        result = fuse(_mock_backend("fail"), _candidate_set(), fallback_scorer=scorer)
+        result = fuse(_mock_backend("fail"), _candidate_set(), pool, fallback_scorer=scorer)
         assert result.fused_text == "hello there"
         assert result.fallback_used is True
         assert result.candidate_scores is None
@@ -268,14 +274,9 @@ class TestRequestPool:
     def test_candidates_in_grid_order_on_pool(self):
         threads = self._threads_backend("pooled")
         with ThreadPoolExecutor(max_workers=3, thread_name_prefix="req") as pool:
-            cs = generate_candidates(_mock_backend("pooled"), "zh", "en", "你好", pool=pool)
+            cs = generate_candidates(_mock_backend("pooled"), "zh", "en", "你好", default_grid(), pool)
         assert list(cs.candidates) == [f"out-{p.seed}" for p in default_grid()]
         assert threads and all(name.startswith("req") for name in threads)
-
-    def test_without_pool_requests_run_in_calling_thread(self):
-        threads = self._threads_backend("serial")
-        generate_candidates(_mock_backend("serial"), "zh", "en", "你好")
-        assert threads == {threading.current_thread().name}
 
     def test_fusion_and_fallback_scoring_run_on_pool(self):
         threads = self._threads_backend("pooled_fail", reply=lambda params: "")
@@ -283,7 +284,7 @@ class TestRequestPool:
         register_scorer("pooled_len", lambda item: scoring.add(threading.current_thread().name) or 0.5)
         scorer = ScorerEndpoint("pooled_len", "local_function", "pooled_len")
         with ThreadPoolExecutor(max_workers=1, thread_name_prefix="req") as pool:
-            result = fuse(_mock_backend("pooled_fail"), _candidate_set(), fallback_scorer=scorer, pool=pool)
+            result = fuse(_mock_backend("pooled_fail"), _candidate_set(), pool, fallback_scorer=scorer)
         assert result.fallback_used is True and result.fused_text == "hello there"
         assert threads == scoring == {"req_0"}
 

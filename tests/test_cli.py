@@ -287,6 +287,8 @@ class TestExitCodes:
         ("dedup", "--in", b'{"id": "b", "lang": "en", "text": "x", "tags": ["t", 5]}\n', "error: {path}: line 2: "),
         ("dedup", "--in", b'{"id": "b", "lang": ["en"], "text": "x"}\n', "error: {path}: line 2: "),
         ("dedup", "--in", b'{"id": 5, "lang": "en", "text": "x"}\n', "error: {path}: line 2: "),
+        ("dedup", "--in", b'{"id": "", "lang": "en", "text": "x"}\n',
+         "error: {path}: line 2: document id must be non-empty"),
         ("dedup", "--in", b'{"id": "b", "lang": "en", "text": "\\ud800 x"}\n',
          "error: {path}: line 2: unpaired surrogate \\ud800 in a string"),
         ("dedup", "--in", b'{"id": "b", "lang": "en", "text": "x", "scores": {"q": 1' + b"0" * 400 + b'}}\n',
@@ -340,6 +342,10 @@ class TestExitCodes:
          "error: {path}: line 2: domain names must be strings"),
         ("mix-fit", "--runs", b'{"domains": ["a", "b"], "weights": [0.5, 0.5], "loss": 1' + b"0" * 400 + b'}\n',
          "error: {path}: line 2: proxy-run loss must be finite"),
+        ("mix-fit", "--runs", b'{"domains": ["a", "b"], "weights": [0.5, 0.5], "loss": 1e400}\n',
+         "error: {path}: line 2: proxy-run loss must be finite"),
+        ("mix-fit", "--runs", b'{"domains": ["a", "b"], "weights": [-0.5, 1.5], "loss": 1.0}\n',
+         "error: {path}: line 2: mixture weights must be >= 0"),
         ("dedup", "--in", _DEEP_JSON + b"\n", "error: {path}: line 2: invalid JSON: maximum recursion depth exceeded"),
         # a line that ends inside the JSON names the column within the file's line
         ("eval", "--hyps", b'{"id": \n', "error: {path}: line 2: invalid JSON: Expecting value (column 8)"),
@@ -540,6 +546,8 @@ class TestExitCodes:
         ("pipeline-run", _pipeline_json({"type": "dedup", "mystery": 1}), "stages[0]: unknown fields ['mystery']"),
         ("pipeline-run", _pipeline_json({"type": "dedup"}, {"type": "dedup", "k": 2.5}),
          "stages[1]: field 'k' must be integer, not number"),
+        ("pipeline-run", _pipeline_json({"type": "dedup"}, {"type": "dedup"}),
+         "stages[1]: a second dedup stage; each stage type may appear once"),
         ("pipeline-run", _pipeline_json({"type": "dedup", "unit": "byte"}),
          "stages[0]: field 'unit' must be 'word' or 'char', not 'byte'"),
         ("pipeline-run", _pipeline_json({"type": "perplexity", "model": "lm.txt"}),
@@ -632,6 +640,48 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {config}: stages[1]: percentile mode requires q in (0, 1]\n"
         assert calls == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "lm.txt", "pipeline.json"]
+
+    def test_second_stage_of_a_type_stops_before_any_work(self, tmp_path, capsys, monkeypatch):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("{bad json\n")
+        config = tmp_path / "pipeline.json"
+        config.write_bytes(_pipeline_json({"type": "dedup"}, {"type": "dedup", "threshold": 0.5})
+                           .replace(b"{dir}", json.dumps(str(tmp_path))[1:-1].encode()))
+        calls = []
+        monkeypatch.setattr(mtforge.corpus, "read_corpus", lambda *args: calls.append(args))
+        assert run("pipeline-run", "--config", config, "--report", tmp_path / "report.json") == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}: stages[1]: a second dedup stage; each stage type may appear once\n")
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "pipeline.json"]
+
+    @pytest.mark.parametrize("args, message", [
+        (["judge-flag", "--in", "{judge}", "--max-spread", -1], "max_spread must be >= 0, got -1.0"),
+        (["langid-train", "--in", "{mono}", "--model", "{out}", "--min-n", 0], "bad ngram range (0, 3)"),
+        (["mix-fit", "--runs", "{runs}", "--model-out", "{out}", "--ridge-lambda", -1],
+         "ridge lambda must be >= 0, got -1.0"),
+        (["mix-fit", "--runs", "{empty}", "--model-out", "{out}"], "no proxy runs to fit"),
+        (["mix-fit", "--runs", "{mixed}", "--model-out", "{out}"], "proxy runs disagree on domain list"),
+        (["mix-optimize", "--model", "{model}", "--out", "{out}", "--candidates", 0], "need n_candidates >= 1, got 0"),
+        # checked before any work: the empty model file is never read
+        (["mix-optimize", "--model", "{empty}", "--out", "{out}", "--replay-fraction", 0.1],
+         "--replay-fraction and --replay-domain go together"),
+        (["mix-optimize", "--model", "{empty}", "--out", "{out}", "--replay-domain", "replay"],
+         "--replay-fraction and --replay-domain go together"),
+    ])
+    def test_bad_value_is_one_line_exit_1(self, tmp_path, capsys, args, message):
+        run_line = {"domains": ["a", "b"], "weights": [0.5, 0.5], "loss": 1.0}
+        paths = {name: tmp_path / name for name in ("judge", "mono", "runs", "empty", "mixed", "model", "out")}
+        write_jsonl(paths["judge"], [{"sample_id": "s", "round_scores": [1, 2]}])
+        write_corpus(_english_docs(2), paths["mono"])
+        write_jsonl(paths["runs"], [run_line, dict(run_line, weights=[0.2, 0.8], loss=2.0)])
+        write_jsonl(paths["empty"], [])
+        write_jsonl(paths["mixed"], [run_line, dict(run_line, domains=["a", "c"])])
+        paths["model"].write_bytes(_mix_model_json())
+        before = sorted(tmp_path.iterdir())
+        assert run(*[str(arg).format(**paths) for arg in args], "--report", tmp_path / "report.json") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("bands, rows, k", [(-1, -128, 128), (0, 8, 0), (16, 0, 0)])
     def test_dedup_rejects_bands_or_rows_below_1(self, tmp_path, capsys, monkeypatch, bands, rows, k):
@@ -991,6 +1041,25 @@ class TestQualityCommands:
         assert capsys.readouterr().err == (f"error: {place}scorer {name!r} reads the item field 'reference', "
                                            "but items here carry only source, hypothesis, src_lang, tgt_lang\n")
         assert reads == []
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command, sent", [("reward-score", "source, hypothesis"),
+                                               ("eval", "source, hypothesis, reference")])
+    def test_scorer_reading_a_field_items_lack_is_exit_1(self, tmp_path, capsys, command, sent):
+        register_scorer("by_src_lang", lambda item: float(item["src_lang"] == "en"),
+                        fields=("source", "hypothesis", "src_lang"))
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"id": "p", "src_lang": "en", "tgt_lang": "fr",
+                                     "src_text": "a", "tgt_text": "b"}) + "\n")
+        hyps = tmp_path / "hyps.jsonl"
+        hyps.write_text(json.dumps({"id": "p", "hypothesis": "b"}) + "\n")
+        args = {"reward-score": ["--in", _reward_batch(tmp_path, 2, 2), "--terms", DATA / "terms_medical.json",
+                                 "--scorer", "by_src_lang"],
+                "eval": ["--pairs", pairs, "--hyps", hyps, "--metric", "by_src_lang"]}[command]
+        before = sorted(tmp_path.iterdir())
+        assert run(command, *args, "--out", tmp_path / "out.jsonl", "--report", tmp_path / "report.json") == 1
+        assert capsys.readouterr().err == (
+            f"error: scorer 'by_src_lang' reads the item field 'src_lang', but items here carry only {sent}\n")
         assert sorted(tmp_path.iterdir()) == before
 
     def test_judge_flag(self, tmp_path):
@@ -1638,6 +1707,27 @@ class TestEvalCommand:
         assert report["groups"]["ZH_TO_XX"] == {"mean": 100.0, "count": 1}
         assert report["groups"]["XX_TO_XX"] == {"mean": 0.0, "count": 1}
         assert report["overall"] == {"mean": 50.0, "count": 2}
+
+    def test_text_table(self, tmp_path, capsys):
+        pairs_path = tmp_path / "pairs.jsonl"
+        pairs_path.write_text(
+            json.dumps({"id": "p1", "src_lang": "zh", "tgt_lang": "en", "src_text": "你好", "tgt_text": "hello"},
+                       ensure_ascii=False) + "\n"
+            + json.dumps({"id": "p2", "src_lang": "fr", "tgt_lang": "de", "src_text": "salut", "tgt_text": "hallo"})
+            + "\n")
+        hyps_path = tmp_path / "hyps.jsonl"
+        hyps_path.write_text("".join(json.dumps({"id": i, "hypothesis": h}) + "\n"
+                                     for i, h in (("p1", "hello"), ("p2", "xxxxx"))))
+        assert run("eval", "--pairs", pairs_path, "--hyps", hyps_path, "--text") == 0
+        assert capsys.readouterr().out == (
+            "metric: chrf (micro)\n"
+            "ZH_TO_XX  mean=  100.0000  n=1\n"
+            "XX_TO_ZH  mean=     -  n=0\n"
+            "EN_TO_XX  mean=     -  n=0\n"
+            "XX_TO_EN  mean=     -  n=0\n"
+            "XX_TO_XX  mean=    0.0000  n=1\n"
+            "overall   mean=   50.0000  n=2\n"
+        )
 
     def test_scorer_file_naming_chrf_keeps_its_scale(self, tmp_path):
         pairs = [

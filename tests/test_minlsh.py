@@ -377,7 +377,7 @@ _VOCAB = [f"v{i}" for i in range(30)]
 def _reference_dedup(docs, n, k, seed, b, r, threshold):
     """Brute force over every pair of docs: a pair that shares an exact band and
     estimates at or above the threshold is merged; each cluster keeps its
-    `_representative`."""
+    first member in `_preference` order."""
     a, c = hash_params(k, seed)
     sigs = []
     for doc in docs:
@@ -406,7 +406,7 @@ def _reference_dedup(docs, n, k, seed, b, r, threshold):
         clusters.setdefault(find(i), []).append(i)
     kept_ids, drops = set(), []
     for members in clusters.values():
-        rep = minlsh._representative([docs[i] for i in members])
+        rep = min((docs[i] for i in members), key=minlsh._preference)
         rep_i = next(i for i in members if docs[i] is rep)
         kept_ids.add(rep.id)
         drops += [minlsh.DropRecord(docs[i].id, rep.id, estimate(i, rep_i)) for i in members if i != rep_i]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mtforge.errors import ValidationError
+from mtforge.ioutils import write_jsonl
 from mtforge.mixopt import (
     LrSchedule,
     MixtureSpec,
@@ -16,7 +17,6 @@ from mtforge.mixopt import (
     optimize_mixture,
     read_proxy_runs,
     sample_mixtures,
-    write_proxy_runs,
 )
 
 DOMAINS3 = ("web", "books", "parallel")
@@ -127,7 +127,7 @@ class TestOptimize:
         model = RegressionModel(DOMAINS3, coef, 0.0)
         best = optimize_mixture(model, 100, seed=14)
         for vertex in np.eye(3):
-            assert model.predict(best) <= model.predict(vertex) + 1e-12
+            assert model.predict(best) <= model.predict(MixtureSpec(DOMAINS3, tuple(vertex))) + 1e-12
 
     def test_monotone_loss_prefers_heavy_domain(self):
         # loss strictly decreasing in the first domain's weight
@@ -234,17 +234,23 @@ class TestLrSchedule:
             LrSchedule(0, 10, 1.0, 2.0)
 
 
+def _write_runs(runs, path):
+    """Proxy runs as the JSON Lines that read_proxy_runs reads."""
+    return write_jsonl(path, ({"domains": run.mixture.domains, "weights": run.mixture.weights,
+                               "loss": run.observed_loss} for run in runs))
+
+
 class TestProxyRunIo:
     def test_round_trip(self, tmp_path):
         runs = _runs_from(lambda w: float(w[0]), 8, seed=20)
         path = tmp_path / "runs.jsonl"
-        assert write_proxy_runs(runs, path) == 8
+        assert _write_runs(runs, path) == 8
         assert read_proxy_runs(path) == runs
 
     def test_non_ascii_domains_written_as_utf8(self, tmp_path):
         path = tmp_path / "runs.jsonl"
         runs = [ProxyRun(MixtureSpec(("网页", "books"), (0.5, 0.5)), 1.0)]
-        write_proxy_runs(runs, path)
+        _write_runs(runs, path)
         assert "网页" in path.read_text("utf-8")
         assert read_proxy_runs(path) == runs
 
