@@ -7,7 +7,9 @@ big-integer arithmetic.
 
 The (k, n) hash matrix is walked in blocks of rows of at most _BLOCK_CELLS
 cells, computed in place in three work buffers allocated once per call: no
-operation allocates a temporary, and the buffers stay in cache.
+operation allocates a temporary, and the buffers stay in cache. With
+`starts`, the n columns are several documents' shingles laid end to end,
+and each document takes the minima of its own columns.
 """
 
 from __future__ import annotations
@@ -42,12 +44,15 @@ def _fold61(v: np.ndarray, tmp: np.ndarray) -> None:
     np.minimum(v, tmp, out=v)
 
 
-def min_hash(shingles: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Column minima of the hash matrix h_i(x_j) for shingles x and rows (a, b).
+def min_hash(shingles: np.ndarray, a: np.ndarray, b: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
+    """Row minima of the hash matrix h_i(x_j) for shingles x and rows (a, b).
 
     shingles, a, b: uint64 arrays; a and b have equal length k and must
     satisfy 1 <= a[i] < p, 0 <= b[i] < p. 64-bit shingle values are folded
-    into [0, p) first. Returns a uint64 array of length k.
+    into [0, p) first. Returns a uint64 array of length k. With `starts`,
+    the ascending offsets of m documents' first shingles (starts[0] = 0),
+    returns an (m, k) array: row d holds the minima over columns
+    starts[d] up to the next start.
     """
     xs = np.array(shingles, dtype=np.uint64)  # a copy: it is folded in place
     av = np.ascontiguousarray(a, dtype=np.uint64)
@@ -67,7 +72,8 @@ def min_hash(shingles: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a_lo = (av & _MASK31)[:, None]
     b_col = bv[:, None]
 
-    out = np.empty(k, dtype=np.uint64)
+    offsets = np.zeros(1, dtype=np.intp) if starts is None else np.asarray(starts, dtype=np.intp)
+    out = np.empty((len(offsets), k), dtype=np.uint64)
     step = max(1, _BLOCK_CELLS // n)
     # One allocation, not three: measured on glibc, three separate ~128 KiB
     # buffers went back to the OS after every call and the next call faulted
@@ -93,5 +99,5 @@ def min_hash(shingles: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         np.add(h, t, out=h)
         np.add(h, b_col[start:stop], out=h)  # b < 2^61
         _fold61(h, u)
-        np.minimum.reduce(h, axis=1, out=out[start:stop])
-    return out
+        np.minimum.reduceat(h, offsets, axis=1, out=out[:, start:stop].T)
+    return out[0] if starts is None else out

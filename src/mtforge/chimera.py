@@ -150,12 +150,10 @@ def generate_candidates(
     cleaning) are dropped along with their grid entry and recorded as
     failures. Fewer than two surviving candidates is an orchestration error.
     The requests run on `pool`, which may be shared with other calls to
-    bound their requests in flight together.
+    bound their requests in flight together. The grid has at least two
+    entries and `per_slot_backends`, when given, one per entry; the config
+    loader checks both.
     """
-    if len(grid) < 2:
-        raise ValidationError(f"grid must have >= 2 entries, got {len(grid)}")
-    if per_slot_backends is not None and len(per_slot_backends) != len(grid):
-        raise ValidationError("per_slot_backends must match the grid length")
     prompt = render_translation_prompt(src_lang, tgt_lang, text)
 
     def run_slot(index: int) -> tuple[str | None, str]:

@@ -188,8 +188,10 @@ def langid_filter(in_path, model_path, expected, min_confidence, out_path, dropp
 
 # -- deduplication -------------------------------------------------------------
 
-# Kept so existing command lines still parse; thread pools only slowed signing.
-_DEDUP_JOBS_HELP = "Accepted and ignored: dedup signs documents in one thread"
+# Processes on dedup and pipeline-run: the per-document work of the
+# langid, dedup and perplexity stages is CPU-bound Python under the GIL.
+_process_jobs_option = click.option("--jobs", default=1, show_default=True, type=click.IntRange(min=1),
+                                    metavar="N", help="At most N processes for per-document stage work")
 
 
 @_command("dedup")
@@ -202,13 +204,13 @@ _DEDUP_JOBS_HELP = "Accepted and ignored: dedup signs documents in one thread"
 @click.option("--rows", default=filters_mod.DedupStage.rows, show_default=True)
 @click.option("--threshold", default=filters_mod.DedupStage.threshold, show_default=True)
 @click.option("--unit", default=filters_mod.DedupStage.unit, type=click.Choice(["word", "char"]), show_default=True)
-@click.option("--jobs", type=int, metavar="N", expose_value=False, help=_DEDUP_JOBS_HELP)
-def dedup_cmd(in_path, out_path, dropped_path, shingle_n, k, bands, rows, threshold, unit, seed):
+@_process_jobs_option
+def dedup_cmd(in_path, out_path, dropped_path, shingle_n, k, bands, rows, threshold, unit, jobs, seed):
     """Remove near-duplicate documents via MinHash + banded LSH."""
     from . import minlsh as dedup_mod
 
     stage = filters_mod.DedupStage(shingle_n=shingle_n, k=k, bands=bands, rows=rows, threshold=threshold,
-                                   unit=unit, seed=seed)
+                                   unit=unit, seed=seed, jobs=jobs)
     docs = corpus_mod.read_corpus(in_path, "mono")
     result = _run_stages(docs, "mono", [stage], out_path, dropped_path or f"{out_path}.dropped.jsonl",
                          dropped_row=lambda _stage, doc, _reason, detail: dict(detail, dropped_id=doc.id))
@@ -693,12 +695,13 @@ _STAGE_FIELDS = {
 }
 
 
-def _build_stages(config: dict, seed: int, path: str):
+def _build_stages(config: dict, seed: int, path: str, jobs: int):
     """The configured stages, each given only the keys its entry sets (and
-    a dedup stage the seed), so the defaults live in the stage classes,
-    which check their values when built. A bad value, or a second stage of
-    one type, names its entry as `<path>: stages[i]`; model files and
-    scorers are loaded first and name their own place."""
+    a dedup stage the seed, and the per-document stages `jobs`), so the
+    defaults live in the stage classes, which check their values when
+    built. A bad value, or a second stage of one type, names its entry as
+    `<path>: stages[i]`; model files and scorers are loaded first and name
+    their own place."""
     stages = []
     for i, entry in enumerate(config["stages"]):
         where = f"{path}: stages[{i}]"
@@ -720,6 +723,8 @@ def _build_stages(config: dict, seed: int, path: str):
         else:
             params["scorer"] = scorer_from_obj(params["scorer"], f"{where}.scorer")
             make = filters_mod.QualityThresholdStage
+        if kind != "quality_threshold":
+            params["jobs"] = jobs
         with at(where):
             stages.append(make(**params))
             if kind in [stage.name for stage in stages[:-1]]:
@@ -733,8 +738,8 @@ def _dropped_with_stage(stage, record, reason, detail):
 
 @_command("pipeline-run")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--jobs", type=int, metavar="N", expose_value=False, help=_DEDUP_JOBS_HELP)
-def pipeline_run(config_path, seed):
+@_process_jobs_option
+def pipeline_run(config_path, jobs, seed):
     """Run a configured cleaning pipeline with per-stage accounting."""
     config = _load_config(config_path, _PIPELINE_FIELDS, _PIPELINE_REQUIRED)
     if not config["output"]:
@@ -742,7 +747,7 @@ def pipeline_run(config_path, seed):
     seed = config.get("seed", seed)
     if seed < 0:
         raise SchemaError(f"{config_path}: field 'seed' must be >= 0, got {seed}")
-    stages = _build_stages(config, seed, config_path)
+    stages = _build_stages(config, seed, config_path, jobs)
     records = corpus_mod.read_corpus(config["input"], config["kind"])
     result = _run_stages(records, config["kind"], stages, config["output"], config.get("dropped_output"),
                          config.get("unscored_output"), dropped_row=_dropped_with_stage)

@@ -15,6 +15,7 @@ from typing import ClassVar, Protocol, Sequence
 from .corpus import QUALITY_COMPOSITE, Document, ParallelPair, Record, require_tag, with_score
 from .errors import ValidationError, at
 from .ioutils import is_number
+from .parallel import map_chunks
 from .scorers import ScorerEndpoint
 
 DIMENSION_KEYS = ("knowledge_value", "authenticity", "writing_style")
@@ -146,6 +147,12 @@ def flag_inconsistent(
 # -- pipeline composition ----------------------------------------------------
 
 
+def _per_document(fn, records, jobs):
+    """[fn(record) for record in records], on up to `jobs` processes."""
+    return [value for chunk in map_chunks(lambda part: [fn(record) for record in part], records, jobs)
+            for value in chunk]
+
+
 class Stage(Protocol):
     name: ClassVar[str]
     record_kind: ClassVar[str]  # "mono" | "parallel"
@@ -171,13 +178,14 @@ class StageReport:
 class LangIdStage:
     """Keep documents identified as `expected` with confidence >=
     min_confidence; a dropped row carries the predicted language and its
-    confidence."""
+    confidence. Predictions run on up to `jobs` processes."""
 
     name: ClassVar[str] = "langid"
     record_kind: ClassVar[str] = "mono"
     model: object  # LangIdModel
     expected: str
     min_confidence: float = 0.5
+    jobs: int = 1
 
     def __post_init__(self):
         require_tag(self.expected)
@@ -188,9 +196,9 @@ class LangIdStage:
         # looked up per call, so a wrapper installed on the module applies
         from . import langid
 
+        predictions = _per_document(lambda doc: langid.predict_lang(self.model, doc.text), records, self.jobs)
         kept, dropped = [], []
-        for doc in records:
-            predicted, confidence = langid.predict_lang(self.model, doc.text)
+        for doc, (predicted, confidence) in zip(records, predictions):
             if predicted == self.expected and confidence >= self.min_confidence:
                 kept.append(doc)
             else:
@@ -202,7 +210,8 @@ class LangIdStage:
 class DedupStage:
     """Near-duplicate removal by minlsh.dedup, whose n, b, r and
     jaccard_threshold are shingle_n, bands, rows and threshold here; a
-    dropped row carries the kept id and the estimated Jaccard."""
+    dropped row carries the kept id and the estimated Jaccard. Signing runs
+    on up to `jobs` processes."""
 
     name: ClassVar[str] = "dedup"
     record_kind: ClassVar[str] = "mono"
@@ -213,6 +222,7 @@ class DedupStage:
     threshold: float = 0.8
     unit: str = "word"
     seed: int = 0
+    jobs: int = 1
 
     def __post_init__(self):
         # imported here, not at the top, so that importing filters (which
@@ -226,7 +236,7 @@ class DedupStage:
         from . import minlsh
 
         kept, drops = minlsh.dedup(records, n=self.shingle_n, k=self.k, seed=self.seed, b=self.bands,
-                                   r=self.rows, jaccard_threshold=self.threshold, unit=self.unit)
+                                   r=self.rows, jaccard_threshold=self.threshold, unit=self.unit, jobs=self.jobs)
         by_id = {rec.id: rec for rec in records}
         annotated = [(by_id[d.dropped_id], f"near_duplicate_of={d.kept_id}",
                       {"kept_id": d.kept_id, "estimated_jaccard": d.estimated_jaccard}) for d in drops]
@@ -237,7 +247,7 @@ class DedupStage:
 class PerplexityStage:
     """Drop high-perplexity documents: absolute mode keeps ppl <= max_ppl,
     percentile mode the lowest-q fraction by perplexity, with boundary ties
-    kept."""
+    kept. Perplexities are computed on up to `jobs` processes."""
 
     name: ClassVar[str] = "perplexity"
     record_kind: ClassVar[str] = "mono"
@@ -245,6 +255,7 @@ class PerplexityStage:
     mode: str = "percentile"
     max_ppl: float | None = None
     q: float | None = 0.95
+    jobs: int = 1
 
     def __post_init__(self):
         if self.mode == "absolute":
@@ -260,7 +271,7 @@ class PerplexityStage:
         # looked up per call, so a wrapper installed on the module applies
         from . import ngram_lm
 
-        ppls = [ngram_lm.perplexity(self.lm, doc.text, doc.lang) for doc in records]
+        ppls = _per_document(lambda doc: ngram_lm.perplexity(self.lm, doc.text, doc.lang), records, self.jobs)
         cutoff = self.max_ppl
         if self.mode == "percentile":
             target = int(math.floor(self.q * len(ppls) + 1e-9))

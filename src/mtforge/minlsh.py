@@ -2,14 +2,16 @@
 
 Signatures come from the NumPy kernel in `_minhash_py`; `KERNEL_BACKEND`
 names it in reports. `dedup` signs each document into one row of a uint64
-(N, k) matrix, treats equal rows as one node, buckets the distinct rows band
-by band on the band's exact bytes, and walks each bucket once.
+(N, k) matrix, short documents several to a kernel call, treats equal rows
+as one node, buckets the distinct rows band by band on the band's exact
+bytes, and walks each bucket once.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import mmap
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -18,6 +20,7 @@ import numpy as np
 from . import _minhash_py as _kernel
 from .corpus import QUALITY_COMPOSITE, Document, segment_tokens
 from .errors import ValidationError
+from .parallel import map_chunks
 
 KERNEL_BACKEND: str = "numpy"
 
@@ -61,14 +64,52 @@ def hash_params(k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def signature(shingles: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """MinHash signature (uint64, length k) of a shingle array under k seeded hash functions."""
+def signature(shingles: np.ndarray, k: int, seed: int, starts: np.ndarray | None = None) -> np.ndarray:
+    """MinHash signature (uint64, length k) of a shingle array under k seeded hash functions.
+
+    With `starts`, `shingles` is m documents' shingle arrays laid end to end
+    and starts[d] is where document d's begins; the result is the (m, k)
+    matrix of their signatures, one kernel call for all of them.
+    """
     if k < 1:
         raise ValidationError(f"signature length must be >= 1, got {k}")
     if not len(shingles):
         raise ValidationError("cannot sign an empty shingle set")
+    if starts is not None and not (len(starts) and starts[0] == 0 and starts[-1] < len(shingles)
+                                   and (np.diff(starts) > 0).all()):
+        raise ValidationError("starts must ascend strictly from 0 within the shingle array")
     a, b = hash_params(k, seed)
-    return _kernel.min_hash(shingles, a, b)
+    return _kernel.min_hash(shingles, a, b, starts)
+
+
+# Shingle columns per kernel call in `_sign`: short documents share a call,
+# which spreads its fixed cost, while a document of more columns gets a call
+# of its own and costs what it did alone. The kernel's work buffers for 256
+# columns stay within its _BLOCK_CELLS.
+_BLOCK_COLUMNS = 256
+
+
+def _sign(docs: Sequence[Document], sigs: np.ndarray, n: int, seed: int, unit: str) -> None:
+    """Write each document's signature into its row of the (len(docs), k)
+    matrix `sigs`, a block of consecutive documents at a time: each block's
+    shingle arrays are held only until the block is signed."""
+    k = sigs.shape[1]
+    block: list[np.ndarray] = []
+    width = signed = 0
+    for doc in docs:
+        shingles = shingle(doc.text, n, unit=unit, lang=doc.lang)
+        if block and width + len(shingles) > _BLOCK_COLUMNS:
+            sigs[signed : signed + len(block)] = _sign_block(block, k, seed)
+            signed, block, width = signed + len(block), [], 0
+        block.append(shingles)
+        width += len(shingles)
+    if block:
+        sigs[signed:] = _sign_block(block, k, seed)
+
+
+def _sign_block(block: list[np.ndarray], k: int, seed: int) -> np.ndarray:
+    starts = np.cumsum([0] + [len(shingles) for shingles in block[:-1]])
+    return signature(np.concatenate(block), k, seed, starts=starts)
 
 
 def estimate_jaccard(rows: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -196,6 +237,7 @@ def dedup(
     r: int = 8,
     jaccard_threshold: float = 0.8,
     unit: str = "word",
+    jobs: int = 1,
 ) -> tuple[list[Document], list[DropRecord]]:
     """Remove near-duplicates, keeping one representative per duplicate cluster.
 
@@ -208,18 +250,23 @@ def dedup(
     Docs with equal signatures are one node, banded once: they estimate 1.0
     against each other and share every bucket, so merging them first is exact.
 
-    Signatures are computed one document at a time in the calling thread.
-    A per-document thread pool was measured slower: the work between kernel
-    calls holds the GIL, so threads only add hand-offs.
+    Shingling and signing run on up to `jobs` processes over contiguous
+    chunks of `docs` (`parallel.map_chunks`), each chunk signed in blocks
+    of consecutive documents into its rows of one shared matrix; banding
+    and clustering run in the calling process. The result does not depend
+    on `jobs`. Processes, not threads: the work between kernel calls holds
+    the GIL, and a thread pool was measured slower than one thread.
     """
     check_dedup_params(n, k, seed, b, r, jaccard_threshold, unit)
     ids = [d.id for d in docs]
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate document ids in dedup input")
 
-    sigs = np.empty((len(docs), k), dtype=np.uint64)
-    for i, doc in enumerate(docs):
-        sigs[i] = signature(shingle(doc.text, n, unit=unit, lang=doc.lang), k, seed)
+    # in memory shared with forked signers, which write their rows in place,
+    # so no signature is pickled back or copied into place
+    sigs = np.frombuffer(mmap.mmap(-1, max(1, len(docs) * k * 8)), np.uint64, len(docs) * k).reshape(len(docs), k)
+    map_chunks(lambda part: _sign(docs[part.start : part.stop], sigs[part.start : part.stop], n, seed, unit),
+               range(len(docs)), jobs)
     _, first, inverse = np.unique(_row_keys(sigs), return_index=True, return_inverse=True)
     rows = sigs[first]
 

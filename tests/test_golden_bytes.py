@@ -278,8 +278,11 @@ def test_outputs_do_not_depend_on_the_hash_seed(hash_seed, inputs, tmp_path):
         assert _digests(tmp_path / case / "OUT") == json.loads(TABLE.read_text())[case], case
 
 
-@pytest.mark.parametrize("case", ["translate", "fuse", "reward-score-scorer"])
+@pytest.mark.parametrize("case", ["translate", "fuse", "reward-score-scorer", "dedup", "pipeline-run-mono"])
 def test_outputs_do_not_depend_on_jobs(case, inputs, tmp_path, monkeypatch):
+    # dedup and pipeline-run start at most one process per usable CPU; with
+    # three CPUs seen, --jobs 3 cuts their input into three uneven chunks
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     if case == "reward-score-scorer":  # every record scored by request
         unscored = tmp_path / "rewards.jsonl"
         _write_lines(unscored, ({key: value for key, value in json.loads(line).items() if key != "quality"}
@@ -287,10 +290,11 @@ def test_outputs_do_not_depend_on_jobs(case, inputs, tmp_path, monkeypatch):
         args = ["reward-score", "--in", unscored, "--terms", "IN/terms.json", "--scorer", "constant:0.5",
                 "--out", "OUT/rewards.jsonl"]
     else:
-        args = CASES[case][: CASES[case].index("--jobs")]
-    runs = [_run(_argv(args + ["--jobs", jobs], inputs), tmp_path / f"jobs{jobs}", monkeypatch) for jobs in ("1", "4")]
-    assert runs[0] == runs[1]
-    if case in CASES:  # the table holds these at --jobs 2
+        args = CASES[case][: CASES[case].index("--jobs")] if "--jobs" in CASES[case] else CASES[case]
+    runs = [_run(_argv(args + ["--jobs", jobs], inputs), tmp_path / f"jobs{jobs}", monkeypatch)
+            for jobs in ("1", "2", "3")]
+    assert runs[1:] == [runs[0]] * 2
+    if case in CASES:  # the table holds translate and fuse at --jobs 2, the others at their default
         assert runs[0] == json.loads(TABLE.read_text())[case]
 
 

@@ -33,6 +33,11 @@ def sign(shingles: frozenset[int], k: int, seed: int) -> np.ndarray:
     return signature(np.fromiter(shingles, dtype=np.uint64, count=len(shingles)), k, seed)
 
 
+def _bigint_min_hash(xs, a, b) -> list[int]:
+    """MinHash minima by exact Python integer arithmetic: the kernel's reference."""
+    return [min((int(ai) * (int(x) % MERSENNE61) + int(bi)) % MERSENNE61 for x in xs) for ai, bi in zip(a, b)]
+
+
 def exact_jaccard(a: frozenset[int], b: frozenset[int]) -> float:
     """Brute-force set arithmetic oracle."""
     union = a | b
@@ -174,12 +179,7 @@ class TestKernelBackends:
 
     def test_numpy_matches_bigint_reference(self):
         def check(xs, a, b):
-            got = _minhash_py.min_hash(xs, a, b)
-            ref = [
-                min((int(ai) * (int(x) % MERSENNE61) + int(bi)) % MERSENNE61 for x in xs)
-                for ai, bi in zip(a, b)
-            ]
-            assert [int(v) for v in got] == ref
+            assert [int(v) for v in _minhash_py.min_hash(xs, a, b)] == _bigint_min_hash(xs, a, b)
 
         rng = np.random.default_rng(99)
         for trial in range(25):
@@ -203,6 +203,40 @@ class TestKernelBackends:
                 for x in edges:
                     check(np.array([x], dtype=np.uint64), np.array([a0], dtype=np.uint64),
                           np.array([b0], dtype=np.uint64))
+
+    # shingles per document, and per signing call: a call holds whole
+    # documents, at most a block of them unless one document is longer
+    @pytest.mark.parametrize("lengths, widths", [
+        ([256, 1], [256, 1]),  # one document fills a block exactly
+        ([100, 156, 1], [256, 1]),  # two fill one exactly
+        ([5, 300, 5], [5, 300, 5]),  # a document longer than a block gets one of its own
+        ([1] * 300, [256, 44]),  # one-shingle documents
+        ([26] * 20, [234, 234, 52]),  # many short documents to a block
+        ([255, 2, 254, 3], [255, 256, 3]),  # each next document just overflows the block
+    ], ids=["fills", "two-fill", "longer", "one-shingle", "short", "overflow"])
+    def test_block_signing_matches_bigint_reference(self, lengths, widths, monkeypatch):
+        """dedup's signing lays consecutive documents end to end in blocks of
+        at most _BLOCK_COLUMNS shingles; each row still equals big-int MinHash
+        of its own document."""
+        assert minlsh._BLOCK_COLUMNS == 256
+        docs = [Document(f"d{i}", "en", " ".join(f"w{i}x{j}" for j in range(length)))
+                for i, length in enumerate(lengths)]
+        calls = []
+        monkeypatch.setattr(minlsh, "signature",
+                            lambda xs, *args, **kw: calls.append(len(xs)) or signature(xs, *args, **kw))
+        sigs = np.zeros((len(docs), 16), dtype=np.uint64)
+        minlsh._sign(docs, sigs, 1, 7, "word")
+        assert calls == widths
+        a, b = hash_params(16, 7)
+        for doc, row in zip(docs, sigs, strict=True):
+            assert [int(v) for v in row] == _bigint_min_hash(shingle(doc.text, 1), a, b)
+
+    def test_block_offsets_must_ascend_within_the_shingles(self):
+        xs = np.arange(1, 6, dtype=np.uint64)
+        assert signature(xs, 4, 0, starts=np.array([0, 2, 4])).shape == (3, 4)
+        for starts in ([], [1, 3], [0, 2, 2], [0, 5]):
+            with pytest.raises(ValidationError, match="starts must ascend"):
+                signature(xs, 4, 0, starts=np.array(starts, dtype=np.intp))
 
     def test_hash_params_shared_and_read_only(self):
         a, b = hash_params(16, 3)

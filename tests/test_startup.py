@@ -1,8 +1,10 @@
-"""Start-up: a command loads NumPy only when its work needs it.
+"""Start-up: a command loads NumPy only when its work needs it, and
+`multiprocessing` only when it forks workers.
 
 NumPy takes about half of a bare command's start-up, and only `langid`,
-`minlsh` and `mixopt` use it. Each case runs in a fresh interpreter, since
-the test process has long imported everything.
+`minlsh` and `mixopt` use it; `multiprocessing` is needed only by
+`parallel.map_chunks` at more than one process. Each case runs in a fresh
+interpreter, since the test process has long imported everything.
 """
 
 import json
@@ -18,12 +20,13 @@ from mtforge.corpus import Document, ParallelPair, write_corpus
 
 PACKAGE_ROOT = str(Path(mtforge.__file__).resolve().parents[1])
 
-# prints, on its last line, the exit code of `main(argv)` and whether NumPy was loaded
+# prints, on its last line, the exit code of `main(argv)` and whether NumPy
+# and multiprocessing were loaded
 _RUN = """
 import sys
 from mtforge.cli import main
 code = main(sys.argv[1:])
-print(code, "numpy" in sys.modules)
+print(code, "numpy" in sys.modules, "multiprocessing" in sys.modules)
 """
 
 
@@ -59,16 +62,18 @@ def inputs(tmp_path_factory):
       "--out", "r.jsonl"], False),
     (["translate", "--config", "chimera.json", "--in", "sources.jsonl", "--out", "t.jsonl"], False),
     (["fuse", "--config", "chimera.json", "--in", "sources.jsonl", "--out", "f.jsonl"], False),
-    (["dedup", "--in", "docs.jsonl", "--out", "kept.jsonl"], True),
+    (["dedup", "--in", "docs.jsonl", "--out", "kept.jsonl", "--jobs", "1"], True),
     (["langid-train", "--in", "docs.jsonl", "--model", "langid.json"], True),
     (["mix-sample", "--domains", "web,code", "--n", "3", "--out", "mix.jsonl"], True),
 ], ids=lambda value: value[0] if isinstance(value, list) else None)
 def test_command_loads_numpy_only_when_its_work_needs_it(inputs, argv, loads_numpy):
-    assert _fresh(_RUN, *argv, cwd=inputs) == ["0", str(loads_numpy)]
+    # no case runs more than one process, so none loads multiprocessing
+    assert _fresh(_RUN, *argv, cwd=inputs) == ["0", str(loads_numpy), "False"]
 
 
 def test_importing_the_cli_does_not_load_numpy(tmp_path):
-    assert _fresh("import sys, mtforge.cli; print('numpy' in sys.modules)", cwd=tmp_path) == ["False"]
+    assert _fresh("import sys, mtforge.cli; print('numpy' in sys.modules, 'multiprocessing' in sys.modules)",
+                  cwd=tmp_path) == ["False", "False"]
 
 
 def test_package_exports_resolve_on_use():
