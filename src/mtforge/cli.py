@@ -53,9 +53,11 @@ def _load_config(path: str, fields: dict, required: tuple) -> dict:
     return config
 
 
-def _load_scorer(spec: str) -> ScorerEndpoint:
+def _load_scorer(spec: str, flag: str) -> ScorerEndpoint:
     """A scorer flag is a JSON config file or a local-function shorthand; a
     shorthand wins over a file of that name, whatever the working directory."""
+    if not spec:
+        raise ValidationError(f"{flag} must name a scorer, not be empty")
     path = Path(spec)
     if spec.endswith(".json") or (path.exists() and not is_local_scorer(spec)):
         return scorer_from_obj(load_json(path), path)
@@ -83,12 +85,12 @@ def _dropped_with_detail(stage, record, reason, detail):
     return dict(corpus_mod.record_to_obj(record), **detail)
 
 
-def _run_stages(records, kind, stages, out, dropped=None, unscored=None, dropped_row=_dropped_with_detail):
-    """Run `stages` over `records` of `kind` by `filters.run_pipeline`, write
-    the kept records to `out` and, when their paths are given, one
-    `dropped_row(stage name, record, reason, detail)` per dropped record and
-    the unscored records; returns the PipelineResult."""
-    result = filters_mod.run_pipeline(records, stages, kind)
+def _run_stages(records, kind, stages, out, dropped=None, unscored=None, dropped_row=_dropped_with_detail, jobs=1):
+    """Run `stages` over `records` of `kind` by `filters.run_pipeline` on up
+    to `jobs` processes, write the kept records to `out` and, when their
+    paths are given, one `dropped_row(stage name, record, reason, detail)`
+    per dropped record and the unscored records; returns the PipelineResult."""
+    result = filters_mod.run_pipeline(records, stages, kind, jobs)
     corpus_mod.write_corpus(result.final, out)
     if dropped:
         write_jsonl(dropped, (dropped_row(*row) for row in result.dropped))
@@ -210,10 +212,10 @@ def dedup_cmd(in_path, out_path, dropped_path, shingle_n, k, bands, rows, thresh
     from . import minlsh as dedup_mod
 
     stage = filters_mod.DedupStage(shingle_n=shingle_n, k=k, bands=bands, rows=rows, threshold=threshold,
-                                   unit=unit, seed=seed, jobs=jobs)
+                                   unit=unit, seed=seed)
     docs = corpus_mod.read_corpus(in_path, "mono")
     result = _run_stages(docs, "mono", [stage], out_path, dropped_path or f"{out_path}.dropped.jsonl",
-                         dropped_row=lambda _stage, doc, _reason, detail: dict(detail, dropped_id=doc.id))
+                         dropped_row=lambda _stage, doc, _reason, detail: dict(detail, dropped_id=doc.id), jobs=jobs)
     return {
         "counts": _stage_counts(result.reports[0]),
         "params": {"shingle_n": shingle_n, "k": k, "bands": bands, "rows": rows,
@@ -295,7 +297,7 @@ def quality_score(in_path, out_path, unscored_path, seed):
 @click.option("--unscored", "unscored_path", type=click.Path())
 def quality_filter(in_path, scorer_spec, tau, out_path, dropped_path, unscored_path, seed):
     """Keep parallel pairs whose quality-estimation score is >= tau."""
-    scorer = _load_scorer(scorer_spec)
+    scorer = _load_scorer(scorer_spec, "--scorer")
     stage = filters_mod.QualityThresholdStage(scorer, tau)
     pairs = corpus_mod.read_corpus(in_path, "parallel")
     result = _run_stages(pairs, "parallel", [stage], out_path, dropped_path, unscored_path)
@@ -440,7 +442,7 @@ def reward_score(in_path, terms_path, scorer_spec, w_quality, w_terminology, w_r
     """
     table = rewards_mod.load_term_table(terms_path)
     weights = rewards_mod.RewardWeights(w_quality, w_terminology, w_repetition)
-    scorer = _load_scorer(scorer_spec) if scorer_spec else None
+    scorer = _load_scorer(scorer_spec, "--scorer") if scorer_spec else None
     # composite_reward takes a quality in [0, 1], and score_row sends only a
     # source and a hypothesis; any other scorer fails here, before any request
     if scorer is not None and (scorer.score_range[0] < 0 or scorer.score_range[1] > 1):
@@ -658,7 +660,7 @@ def fuse_cmd(config_path, in_path, out_path, jobs, seed):
 @click.option("--text", "text_mode", is_flag=True, help="Print the aligned text table")
 def eval_cmd(pairs_path, hyps_path, metric, aggregation, out_path, text_mode, seed):
     """Score hypotheses against references and report per direction group."""
-    scorer = _load_scorer(metric)
+    scorer = _load_scorer(metric, "--metric")
     scorer.check_item_fields(evalkit_mod.SCORE_ITEM_FIELDS)
     pairs = corpus_mod.read_corpus(pairs_path, "parallel")
     fields = {"id": "string", "hypothesis": "string"}
@@ -695,13 +697,12 @@ _STAGE_FIELDS = {
 }
 
 
-def _build_stages(config: dict, seed: int, path: str, jobs: int):
+def _build_stages(config: dict, seed: int, path: str):
     """The configured stages, each given only the keys its entry sets (and
-    a dedup stage the seed, and the per-document stages `jobs`), so the
-    defaults live in the stage classes, which check their values when
-    built. A bad value, or a second stage of one type, names its entry as
-    `<path>: stages[i]`; model files and scorers are loaded first and name
-    their own place."""
+    a dedup stage the seed), so the defaults live in the stage classes,
+    which check their values when built. A bad value, or a second stage of
+    one type, names its entry as `<path>: stages[i]`; model files and
+    scorers are loaded first and name their own place."""
     stages = []
     for i, entry in enumerate(config["stages"]):
         where = f"{path}: stages[{i}]"
@@ -718,13 +719,11 @@ def _build_stages(config: dict, seed: int, path: str, jobs: int):
             params["seed"] = seed
             make = filters_mod.DedupStage
         elif kind == "perplexity":
-            params["lm"] = lm_mod.load_lm(params.pop("model"))
+            params["model"] = lm_mod.load_lm(params["model"])
             make = filters_mod.PerplexityStage
         else:
             params["scorer"] = scorer_from_obj(params["scorer"], f"{where}.scorer")
             make = filters_mod.QualityThresholdStage
-        if kind != "quality_threshold":
-            params["jobs"] = jobs
         with at(where):
             stages.append(make(**params))
             if kind in [stage.name for stage in stages[:-1]]:
@@ -742,15 +741,16 @@ def _dropped_with_stage(stage, record, reason, detail):
 def pipeline_run(config_path, jobs, seed):
     """Run a configured cleaning pipeline with per-stage accounting."""
     config = _load_config(config_path, _PIPELINE_FIELDS, _PIPELINE_REQUIRED)
-    if not config["output"]:
-        raise SchemaError(f"{config_path}: field 'output' must name a file, not be empty")
+    for key in ("input", "output"):
+        if not config[key]:
+            raise SchemaError(f"{config_path}: field {key!r} must name a file, not be empty")
     seed = config.get("seed", seed)
     if seed < 0:
         raise SchemaError(f"{config_path}: field 'seed' must be >= 0, got {seed}")
-    stages = _build_stages(config, seed, config_path, jobs)
+    stages = _build_stages(config, seed, config_path)
     records = corpus_mod.read_corpus(config["input"], config["kind"])
     result = _run_stages(records, config["kind"], stages, config["output"], config.get("dropped_output"),
-                         config.get("unscored_output"), dropped_row=_dropped_with_stage)
+                         config.get("unscored_output"), dropped_row=_dropped_with_stage, jobs=jobs)
     return {
         "seed": seed,  # the config's seed, when it sets one
         "counts": {"input": len(records), "output": len(result.final),

@@ -9,12 +9,12 @@ exact per-stage accounting (input = kept + dropped + unscored, every stage).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import ClassVar, Protocol, Sequence
 
 from .corpus import QUALITY_COMPOSITE, Document, ParallelPair, Record, require_tag, with_score
 from .errors import ValidationError, at
-from .ioutils import is_number
+from .ioutils import is_finite_number, is_number
 from .parallel import map_chunks
 from .scorers import ScorerEndpoint
 
@@ -127,6 +127,8 @@ class JudgeRecord:
             raise ValidationError(f"sample {self.sample_id!r}: need >= 2 judge rounds")
         if not all(is_number(score) for score in self.round_scores):
             raise ValidationError(f"sample {self.sample_id!r}: judge scores must be numbers")
+        if not all(is_finite_number(score) for score in self.round_scores):
+            raise ValidationError(f"sample {self.sample_id!r}: judge scores must be finite")
 
 
 def flag_inconsistent(
@@ -154,11 +156,14 @@ def _per_document(fn, records, jobs):
 
 
 class Stage(Protocol):
+    """A filter whose fields are its config keys; `apply` may run on up to
+    `jobs` processes, the run's count, and its result does not depend on it."""
+
     name: ClassVar[str]
     record_kind: ClassVar[str]  # "mono" | "parallel"
 
     def apply(
-        self, records: Sequence[Record]
+        self, records: Sequence[Record], jobs: int = 1
     ) -> tuple[list[Record], list[tuple[Record, str, dict]], list[Record]]:
         """-> (kept, dropped as (record, reason, fields for its dropped row), unscored)"""
         ...
@@ -178,25 +183,24 @@ class StageReport:
 class LangIdStage:
     """Keep documents identified as `expected` with confidence >=
     min_confidence; a dropped row carries the predicted language and its
-    confidence. Predictions run on up to `jobs` processes."""
+    confidence."""
 
     name: ClassVar[str] = "langid"
     record_kind: ClassVar[str] = "mono"
     model: object  # LangIdModel
     expected: str
     min_confidence: float = 0.5
-    jobs: int = 1
 
     def __post_init__(self):
         require_tag(self.expected)
         if not 0 <= self.min_confidence <= 1:  # NaN too
             raise ValidationError(f"min_confidence must be in [0, 1], got {self.min_confidence}")
 
-    def apply(self, records):
+    def apply(self, records, jobs=1):
         # looked up per call, so a wrapper installed on the module applies
         from . import langid
 
-        predictions = _per_document(lambda doc: langid.predict_lang(self.model, doc.text), records, self.jobs)
+        predictions = _per_document(lambda doc: langid.predict_lang(self.model, doc.text), records, jobs)
         kept, dropped = [], []
         for doc, (predicted, confidence) in zip(records, predictions):
             if predicted == self.expected and confidence >= self.min_confidence:
@@ -208,10 +212,8 @@ class LangIdStage:
 
 @dataclass
 class DedupStage:
-    """Near-duplicate removal by minlsh.dedup, whose n, b, r and
-    jaccard_threshold are shingle_n, bands, rows and threshold here; a
-    dropped row carries the kept id and the estimated Jaccard. Signing runs
-    on up to `jobs` processes."""
+    """Near-duplicate removal by minlsh.dedup, which takes these fields by
+    name; a dropped row carries the kept id and the estimated Jaccard."""
 
     name: ClassVar[str] = "dedup"
     record_kind: ClassVar[str] = "mono"
@@ -222,21 +224,19 @@ class DedupStage:
     threshold: float = 0.8
     unit: str = "word"
     seed: int = 0
-    jobs: int = 1
 
     def __post_init__(self):
         # imported here, not at the top, so that importing filters (which
         # cli.py does for every command) does not load NumPy
         from . import minlsh
 
-        minlsh.check_dedup_params(self.shingle_n, self.k, self.seed, self.bands, self.rows, self.threshold, self.unit)
+        minlsh.check_dedup_params(**asdict(self))
 
-    def apply(self, records):
+    def apply(self, records, jobs=1):
         # looked up per call, so a wrapper installed on the module applies
         from . import minlsh
 
-        kept, drops = minlsh.dedup(records, n=self.shingle_n, k=self.k, seed=self.seed, b=self.bands,
-                                   r=self.rows, jaccard_threshold=self.threshold, unit=self.unit, jobs=self.jobs)
+        kept, drops = minlsh.dedup(records, **asdict(self), jobs=jobs)
         by_id = {rec.id: rec for rec in records}
         annotated = [(by_id[d.dropped_id], f"near_duplicate_of={d.kept_id}",
                       {"kept_id": d.kept_id, "estimated_jaccard": d.estimated_jaccard}) for d in drops]
@@ -247,15 +247,14 @@ class DedupStage:
 class PerplexityStage:
     """Drop high-perplexity documents: absolute mode keeps ppl <= max_ppl,
     percentile mode the lowest-q fraction by perplexity, with boundary ties
-    kept. Perplexities are computed on up to `jobs` processes."""
+    kept."""
 
     name: ClassVar[str] = "perplexity"
     record_kind: ClassVar[str] = "mono"
-    lm: object  # NGramLm
+    model: object  # NGramLm
     mode: str = "percentile"
     max_ppl: float | None = None
     q: float | None = 0.95
-    jobs: int = 1
 
     def __post_init__(self):
         if self.mode == "absolute":
@@ -267,11 +266,11 @@ class PerplexityStage:
         else:
             raise ValidationError(f"mode must be 'absolute' or 'percentile', not {self.mode!r}")
 
-    def apply(self, records):
+    def apply(self, records, jobs=1):
         # looked up per call, so a wrapper installed on the module applies
         from . import ngram_lm
 
-        ppls = _per_document(lambda doc: ngram_lm.perplexity(self.lm, doc.text, doc.lang), records, self.jobs)
+        ppls = _per_document(lambda doc: ngram_lm.perplexity(self.model, doc.text, doc.lang), records, jobs)
         cutoff = self.max_ppl
         if self.mode == "percentile":
             target = int(math.floor(self.q * len(ppls) + 1e-9))
@@ -291,7 +290,8 @@ class PerplexityStage:
 class QualityThresholdStage:
     """Keep parallel pairs scoring >= tau, which must lie in the scorer's
     range, by a scorer that reads only THRESHOLD_ITEM_FIELDS; see
-    threshold_filter."""
+    threshold_filter. Every pair goes to the scorer in one call, whatever
+    `jobs` is."""
 
     name: ClassVar[str] = "quality_threshold"
     record_kind: ClassVar[str] = "parallel"
@@ -304,7 +304,7 @@ class QualityThresholdStage:
         if not lo <= self.tau <= hi:
             raise ValidationError(f"tau={self.tau} outside scorer range [{lo}, {hi}]")
 
-    def apply(self, records):
+    def apply(self, records, jobs=1):
         kept, dropped, unscored = threshold_filter(records, self.scorer, self.tau)
         annotated = [(pair, "below_threshold", {}) for pair in dropped]
         return kept, annotated, unscored
@@ -318,8 +318,9 @@ class PipelineResult:
     unscored: list[tuple[str, Record]]
 
 
-def run_pipeline(records: Sequence[Record], stages: Sequence[Stage], kind: str) -> PipelineResult:
-    """Run stages in order; stage i consumes exactly stage i-1's kept set.
+def run_pipeline(records: Sequence[Record], stages: Sequence[Stage], kind: str, jobs: int = 1) -> PipelineResult:
+    """Run stages in order, each on up to `jobs` processes; stage i consumes
+    exactly stage i-1's kept set.
 
     Every stage must take `kind` records, checked before any processing.
     Dropped and unscored records leave the pipeline at their stage but are
@@ -337,7 +338,7 @@ def run_pipeline(records: Sequence[Record], stages: Sequence[Stage], kind: str) 
     all_dropped: list[tuple[str, Record, str, dict]] = []
     all_unscored: list[tuple[str, Record]] = []
     for stage in stages:
-        kept, dropped, unscored = stage.apply(current)
+        kept, dropped, unscored = stage.apply(current, jobs)
         if len(kept) + len(dropped) + len(unscored) != len(current):
             raise RuntimeError(f"stage {stage.name!r} accounting does not reconcile")
         reasons: dict[str, int] = {}

@@ -89,7 +89,7 @@ def signature(shingles: np.ndarray, k: int, seed: int, starts: np.ndarray | None
 _BLOCK_COLUMNS = 256
 
 
-def _sign(docs: Sequence[Document], sigs: np.ndarray, n: int, seed: int, unit: str) -> None:
+def _sign(docs: Sequence[Document], sigs: np.ndarray, shingle_n: int, seed: int, unit: str) -> None:
     """Write each document's signature into its row of the (len(docs), k)
     matrix `sigs`, a block of consecutive documents at a time: each block's
     shingle arrays are held only until the block is signed."""
@@ -97,7 +97,7 @@ def _sign(docs: Sequence[Document], sigs: np.ndarray, n: int, seed: int, unit: s
     block: list[np.ndarray] = []
     width = signed = 0
     for doc in docs:
-        shingles = shingle(doc.text, n, unit=unit, lang=doc.lang)
+        shingles = shingle(doc.text, shingle_n, unit=unit, lang=doc.lang)
         if block and width + len(shingles) > _BLOCK_COLUMNS:
             sigs[signed : signed + len(block)] = _sign_block(block, k, seed)
             signed, block, width = signed + len(block), [], 0
@@ -187,7 +187,7 @@ class _UnionFind:
         self.parent[roots] = roots.min()
 
 
-def _merge_bucket(uf: _UnionFind, rows: np.ndarray, bucket: np.ndarray, jaccard_threshold: float) -> None:
+def _merge_bucket(uf: _UnionFind, rows: np.ndarray, bucket: np.ndarray, threshold: float) -> None:
     """Union every pair in the bucket whose estimate reaches the threshold.
 
     Each member is compared only with later members outside its component,
@@ -201,7 +201,7 @@ def _merge_bucket(uf: _UnionFind, rows: np.ndarray, bucket: np.ndarray, jaccard_
         later = bucket[pos + 1 :][roots[pos + 1 :] != roots[pos]]
         if not later.size:
             continue
-        near = later[estimate_jaccard(rows[later], rows[bucket[pos]]) >= jaccard_threshold]
+        near = later[estimate_jaccard(rows[later], rows[bucket[pos]]) >= threshold]
         if near.size:
             uf.union(np.append(near, bucket[pos]))
             roots = uf.roots(bucket)
@@ -213,36 +213,37 @@ def _preference(doc: Document) -> tuple[float, int, str]:
     return -doc.scores.get(QUALITY_COMPOSITE, float("-inf")), -len(doc.text), doc.id
 
 
-def check_dedup_params(n: int, k: int, seed: int, b: int, r: int, jaccard_threshold: float, unit: str) -> None:
+def check_dedup_params(shingle_n: int, k: int, bands: int, rows: int, threshold: float, unit: str, seed: int) -> None:
     """Every check of `dedup`'s values, which filters.DedupStage also runs when built."""
-    if n < 1:
-        raise ValidationError(f"shingle width must be >= 1, got {n}")
+    if shingle_n < 1:
+        raise ValidationError(f"shingle width must be >= 1, got {shingle_n}")
     _check_unit(unit)
-    if b < 1 or r < 1:
-        raise ValidationError(f"bands and rows must be >= 1, got {b}x{r}")
+    if bands < 1 or rows < 1:
+        raise ValidationError(f"bands and rows must be >= 1, got {bands}x{rows}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    if b * r != k:
-        raise ValidationError(f"bands*rows ({b}x{r}) must equal k={k}")
-    if not 0 < jaccard_threshold <= 1:
-        raise ValidationError(f"jaccard_threshold must be in (0, 1], got {jaccard_threshold}")
+    if bands * rows != k:
+        raise ValidationError(f"bands*rows ({bands}x{rows}) must equal k={k}")
+    if not 0 < threshold <= 1:
+        raise ValidationError(f"threshold must be in (0, 1], got {threshold}")
 
 
 def dedup(
     docs: Sequence[Document],
-    n: int = 5,
+    shingle_n: int = 5,
     k: int = 128,
-    seed: int = 0,
-    b: int = 16,
-    r: int = 8,
-    jaccard_threshold: float = 0.8,
+    bands: int = 16,
+    rows: int = 8,
+    threshold: float = 0.8,
     unit: str = "word",
+    seed: int = 0,
     jobs: int = 1,
 ) -> tuple[list[Document], list[DropRecord]]:
     """Remove near-duplicates, keeping one representative per duplicate cluster.
 
     Candidate pairs are those sharing an LSH bucket; a candidate pair is a
-    confirmed duplicate iff its estimated Jaccard >= jaccard_threshold.
+    confirmed duplicate iff its estimated Jaccard >= threshold. The other
+    parameters but `jobs` are filters.DedupStage's fields, by name.
     Confirmed pairs are clustered with union-find, and each cluster keeps its
     first member in `_preference` order. The kept/dropped partition does not depend on input
     order; kept docs are returned in input order.
@@ -257,7 +258,7 @@ def dedup(
     on `jobs`. Processes, not threads: the work between kernel calls holds
     the GIL, and a thread pool was measured slower than one thread.
     """
-    check_dedup_params(n, k, seed, b, r, jaccard_threshold, unit)
+    check_dedup_params(shingle_n, k, bands, rows, threshold, unit, seed)
     ids = [d.id for d in docs]
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate document ids in dedup input")
@@ -265,18 +266,18 @@ def dedup(
     # in memory shared with forked signers, which write their rows in place,
     # so no signature is pickled back or copied into place
     sigs = np.frombuffer(mmap.mmap(-1, max(1, len(docs) * k * 8)), np.uint64, len(docs) * k).reshape(len(docs), k)
-    map_chunks(lambda part: _sign(docs[part.start : part.stop], sigs[part.start : part.stop], n, seed, unit),
+    map_chunks(lambda part: _sign(docs[part.start : part.stop], sigs[part.start : part.stop], shingle_n, seed, unit),
                range(len(docs)), jobs)
     _, first, inverse = np.unique(_row_keys(sigs), return_index=True, return_inverse=True)
-    rows = sigs[first]
+    distinct = sigs[first]
 
-    index = LshIndex(bands=b, rows_per_band=r)
-    index.insert(rows)
-    uf = _UnionFind(len(rows))
+    index = LshIndex(bands=bands, rows_per_band=rows)
+    index.insert(distinct)
+    uf = _UnionFind(len(distinct))
     for bucket in index.candidate_pairs():
-        _merge_bucket(uf, rows, bucket, jaccard_threshold)
+        _merge_bucket(uf, distinct, bucket, threshold)
 
-    row_roots = uf.roots(np.arange(len(rows)))
+    row_roots = uf.roots(np.arange(len(distinct)))
     row_of = inverse.tolist()
     root_of = row_roots[inverse].tolist()
     rep_of: dict[int, int] = {}  # cluster root -> its representative's position
@@ -285,7 +286,7 @@ def dedup(
 
     # one estimate per distinct row, against the row of its cluster's representative
     rep_rows = [row_of[rep_of[root]] for root in row_roots.tolist()]
-    estimates = estimate_jaccard(rows, rows[rep_rows]).tolist()
+    estimates = estimate_jaccard(distinct, distinct[rep_rows]).tolist()
     dropped = sorted(DropRecord(docs[p].id, docs[rep_of[root]].id, estimates[row_of[p]])
                      for p, root in enumerate(root_of) if rep_of[root] != p)  # by dropped id, which is unique
     kept = [docs[pos] for pos in sorted(rep_of.values())]

@@ -104,7 +104,7 @@ def test_criterion_02_dedup_end_to_end():
         for j, dup in enumerate(dups):
             assert _exact_jaccard(sets[dup.id], sets[base[j].id]) >= 0.9
 
-        kept, dropped = dedup(docs, n=5, k=128, seed=0, b=16, r=8, jaccard_threshold=0.8)
+        kept, dropped = dedup(docs, shingle_n=5, k=128, seed=0, bands=16, rows=8, threshold=0.8)
         elapsed = time.monotonic() - start
         dropped_ids = {rec.dropped_id for rec in dropped}
         removed = sum(

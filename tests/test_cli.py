@@ -171,6 +171,17 @@ class TestCommandSurface:
         assert errors == [f"error: Invalid value for '{flag}': an empty path names no file."], err
         assert [p.name for p in tmp_path.iterdir()] == ["in.jsonl"]
 
+    @pytest.mark.parametrize("name, flag", [("quality-filter", "--scorer"), ("eval", "--metric")])
+    def test_empty_scorer_spec_is_one_error_line_exit_1(self, tmp_path, capfd, monkeypatch, name, flag):
+        # "" is Path("."), which exists: it must not be read as a scorer file
+        calls = []
+        monkeypatch.setattr(mtforge.corpus, "read_corpus", lambda *args: calls.append(args))
+        args = [flag, "", *_other_required_args(tmp_path, name, flag)]
+        assert run(name, *args, "--report", tmp_path / "report.json") == 1
+        assert capfd.readouterr().err == f"error: {flag} must name a scorer, not be empty\n"
+        assert calls == []
+        assert [p.name for p in tmp_path.iterdir()] == ["in.jsonl"]
+
 
 def _langid_model_json(**changes):
     """A small well-formed langid model file, with some keys replaced."""
@@ -332,6 +343,10 @@ class TestExitCodes:
                                    b'"tgt_text": " \\t "}\n', "error: {path}: line 2: pair 'q': empty text"),
         ("eval", "--hyps", b'{"id": "a", "hypothesis": 5}\n', "error: {path}: line 2: "),
         ("judge-flag", "--in", b'{"sample_id": "t", "round_scores": ["a", "b"]}\n', "error: {path}: line 2: "),
+        # inf - inf is NaN, which no spread exceeds
+        *[("judge-flag", "--in", b'{"sample_id": "t", "round_scores": %s}\n' % scores,
+           "error: {path}: line 2: sample 't': judge scores must be finite")
+          for scores in (b"[1e400, 1e400]", b"[1e400, 0]", b"[1" + b"0" * 400 + b", 0]")],
         ("mix-fit", "--runs", b'{"domains": ["a", "b"], "weights": [0.5, 0.5], "loss": "x"}\n',
          "error: {path}: line 2: "),
         ("mix-fit", "--runs", b'{"domains": ["a", "b"], "weights": [0.5, "x"], "loss": 1.0}\n',
@@ -559,6 +574,7 @@ class TestExitCodes:
         ("pipeline-run", _pipeline_json(drop=("kind", "input")), "missing fields ['input', 'kind']"),
         ("pipeline-run", b"[]", "a JSON array, not an object"),
         ("pipeline-run", _pipeline_json(output=""), "field 'output' must name a file, not be empty"),
+        ("pipeline-run", _pipeline_json(input=""), "field 'input' must name a file, not be empty"),
         # stage values, checked when the stage is built, before any input is read
         ("pipeline-run", _pipeline_json({"type": "dedup"}, {"type": "perplexity", "model": "{dir}/lm.txt",
                                                             "mode": "percentile", "q": 2}),
@@ -579,7 +595,7 @@ class TestExitCodes:
         ("pipeline-run", _pipeline_json({"type": "dedup", "shingle_n": 0}),
          "stages[0]: shingle width must be >= 1, got 0"),
         ("pipeline-run", _pipeline_json({"type": "dedup", "threshold": 0}),
-         "stages[0]: jaccard_threshold must be in (0, 1], got 0"),
+         "stages[0]: threshold must be in (0, 1], got 0"),
         ("pipeline-run", _pipeline_json({"type": "dedup", "k": 100}), "stages[0]: bands*rows (16x8) must equal k=100"),
         # a top-level field, so no stage is blamed; a run without a dedup stage used it unchecked
         ("pipeline-run", _pipeline_json({"type": "perplexity", "model": "{dir}/lm.txt", "mode": "percentile"},

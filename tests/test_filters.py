@@ -1,5 +1,8 @@
+import dataclasses
 import inspect
 import math
+import os
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -190,7 +193,7 @@ class _AlwaysPassStage:
     name = "always_pass"
     record_kind = "mono"
 
-    def apply(self, records):
+    def apply(self, records, jobs):
         return list(records), [], []
 
 
@@ -204,18 +207,26 @@ class TestStages:
                 (LangIdStage, DedupStage, PerplexityStage, QualityThresholdStage)] == [
             ("langid", "mono"), ("dedup", "mono"), ("perplexity", "mono"), ("quality_threshold", "parallel")]
 
+    def test_stage_fields_are_their_config_keys(self):
+        from mtforge.cli import _STAGE_FIELDS
+
+        stages = {stage.name: stage for stage in (LangIdStage, DedupStage, PerplexityStage, QualityThresholdStage)}
+        assert stages.keys() == _STAGE_FIELDS.keys()
+        for name, (keys, _) in _STAGE_FIELDS.items():
+            extra = {"seed"} if name == "dedup" else set()  # the run's seed, not a config key
+            assert {f.name for f in dataclasses.fields(stages[name])} == keys.keys() | extra
+
     def test_dedup_defaults_equal_minlsh_dedups(self):
-        defaults = inspect.signature(dedup).parameters
-        stage = DedupStage()
-        assert (stage.shingle_n, stage.k, stage.bands, stage.rows, stage.threshold, stage.unit, stage.seed) == tuple(
-            defaults[key].default for key in ("n", "k", "b", "r", "jaccard_threshold", "unit", "seed"))
+        defaults = {name: param.default for name, param in inspect.signature(dedup).parameters.items()}
+        fields = {f.name: f.default for f in dataclasses.fields(DedupStage)}
+        assert fields == {name: defaults[name] for name in fields}
 
     @pytest.mark.parametrize("params, message", [
         (dict(shingle_n=0), "shingle width must be >= 1, got 0"),
         (dict(bands=0, k=0), "bands and rows must be >= 1, got 0x8"),
         (dict(seed=-1), "seed must be >= 0, got -1"),
         (dict(k=100), r"bands\*rows \(16x8\) must equal k=100"),
-        (dict(threshold=1.5), r"jaccard_threshold must be in \(0, 1\], got 1.5"),
+        (dict(threshold=1.5), r"threshold must be in \(0, 1\], got 1.5"),
         (dict(unit="byte"), "shingle unit must be 'word' or 'char', not 'byte'"),
     ])
     def test_dedup_values_checked_when_built(self, params, message):
@@ -230,7 +241,7 @@ class TestStages:
         docs = [Document(id=f"d{i}", lang="en", text=text) for i, text in enumerate(["abcde", "abcdf", "xyz"])]
         stage = DedupStage(shingle_n=1, k=32, bands=8, rows=4, threshold=0.5, unit="char", seed=3)
         kept, dropped, unscored = stage.apply(docs)
-        kept_ref, dropped_ref = dedup(docs, n=1, k=32, seed=3, b=8, r=4, jaccard_threshold=0.5, unit="char")
+        kept_ref, dropped_ref = dedup(docs, shingle_n=1, k=32, seed=3, bands=8, rows=4, threshold=0.5, unit="char")
         assert kept == kept_ref and not unscored
         assert [(doc.id, reason, detail) for doc, reason, detail in dropped] == [
             (d.dropped_id, f"near_duplicate_of={d.kept_id}",
@@ -273,7 +284,7 @@ class TestPipeline:
         lm = train_lm(english, order=2)
         stages = [
             LangIdStage(model=langid_model, expected="en", min_confidence=0.5),
-            PerplexityStage(lm=lm, mode="percentile", q=0.9),
+            PerplexityStage(model=lm, mode="percentile", q=0.9),
         ]
         result = run_pipeline(corpus, stages, "mono")
 
@@ -287,3 +298,26 @@ class TestPipeline:
         # accounting reconciles at every stage
         for report in result.reports:
             assert report.input_count == report.kept + report.dropped + report.unscored
+
+    def test_result_does_not_depend_on_jobs(self, monkeypatch):
+        from mtforge.langid import train_langid
+        from mtforge.ngram_lm import train_lm
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)  # so jobs=2 forks
+        rng = random.Random(5)
+        words = "the cat sat on a mat and the dog ran to the big red house by the sea".split()
+        english = [Document(id=f"en{i:02d}", lang="en", text=" ".join(rng.choices(words, k=12))) for i in range(40)]
+        dupes = [Document(id=f"dup{i}", lang="en", text=english[i].text) for i in range(5)]
+        french = [Document(id=f"fr{i}", lang="en", text=f"le chat est assis sur la table {i}") for i in range(4)]
+        langid_model = train_langid([Document(id="ten", lang="en", text=" ".join(words)),
+                                     Document(id="tfr", lang="fr", text="le chat est assis sur la table")])
+        lm = train_lm(english[:10], order=2)
+
+        def run(jobs):
+            stages = [LangIdStage(langid_model, "en"), DedupStage(shingle_n=2, seed=1),
+                      PerplexityStage(lm, mode="percentile", q=0.8)]
+            return run_pipeline(english + dupes + french, stages, "mono", jobs=jobs)
+
+        serial = run(1)
+        assert [report.dropped > 0 for report in serial.reports] == [True, True, True]
+        assert run(2) == serial
