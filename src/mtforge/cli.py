@@ -32,7 +32,7 @@ from . import rewards as rewards_mod
 from .backends import backend_from_obj
 from .errors import MtforgeError, OrchestrationError, SchemaError, ValidationError, at
 from .ioutils import (atomic_write, check_fields, dataclass_from_obj, dump_json, load_json, output_transaction,
-                      read_records, write_jsonl)
+                      read_records, required_fields, write_jsonl)
 from .scorers import ScorerEndpoint, is_local_scorer, scorer_from_obj
 
 REPORT_SCHEMA_VERSION = 1
@@ -53,15 +53,24 @@ def _load_config(path: str, fields: dict, required: tuple) -> dict:
     return config
 
 
-def _load_scorer(spec: str, flag: str) -> ScorerEndpoint:
+def _load_scorer(spec: str, flag: str, fields: tuple, within: tuple | None = None) -> ScorerEndpoint:
     """A scorer flag is a JSON config file or a local-function shorthand; a
-    shorthand wins over a file of that name, whatever the working directory."""
+    shorthand wins over a file of that name, whatever the working directory.
+    The scorer must score within `within`, when given, and read no item
+    field but `fields`, the ones the command sends."""
     if not spec:
         raise ValidationError(f"{flag} must name a scorer, not be empty")
     path = Path(spec)
     if spec.endswith(".json") or (path.exists() and not is_local_scorer(spec)):
-        return scorer_from_obj(load_json(path), path)
-    return ScorerEndpoint(name=spec, kind="local_function", config=spec)
+        if not path.is_file():
+            raise ValidationError(f"{flag}: no such file: {spec!r}")
+        scorer = scorer_from_obj(load_json(path), path)
+    else:
+        scorer = ScorerEndpoint(name=spec, kind="local_function", config=spec)
+    if within is not None and not within[0] <= scorer.score_range[0] <= scorer.score_range[1] <= within[1]:
+        raise ValidationError(f"{flag} {scorer.name!r} scores on {list(scorer.score_range)}, not within {list(within)}")
+    scorer.check_item_fields(fields)
+    return scorer
 
 
 def _fan_out(fn, items, jobs):
@@ -201,24 +210,23 @@ _process_jobs_option = click.option("--jobs", default=1, show_default=True, type
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--dropped", "dropped_path", type=click.Path(), help="Defaults to <out>.dropped.jsonl")
 @click.option("--shingle-n", default=filters_mod.DedupStage.shingle_n, show_default=True)
-@click.option("--k", default=filters_mod.DedupStage.k, show_default=True)
 @click.option("--bands", default=filters_mod.DedupStage.bands, show_default=True)
 @click.option("--rows", default=filters_mod.DedupStage.rows, show_default=True)
 @click.option("--threshold", default=filters_mod.DedupStage.threshold, show_default=True)
 @click.option("--unit", default=filters_mod.DedupStage.unit, type=click.Choice(["word", "char"]), show_default=True)
 @_process_jobs_option
-def dedup_cmd(in_path, out_path, dropped_path, shingle_n, k, bands, rows, threshold, unit, jobs, seed):
+def dedup_cmd(in_path, out_path, dropped_path, shingle_n, bands, rows, threshold, unit, jobs, seed):
     """Remove near-duplicate documents via MinHash + banded LSH."""
     from . import minlsh as dedup_mod
 
-    stage = filters_mod.DedupStage(shingle_n=shingle_n, k=k, bands=bands, rows=rows, threshold=threshold,
-                                   unit=unit, seed=seed)
+    stage = filters_mod.DedupStage(shingle_n=shingle_n, bands=bands, rows=rows, threshold=threshold, unit=unit,
+                                   seed=seed)
     docs = corpus_mod.read_corpus(in_path, "mono")
     result = _run_stages(docs, "mono", [stage], out_path, dropped_path or f"{out_path}.dropped.jsonl",
                          dropped_row=lambda _stage, doc, _reason, detail: dict(detail, dropped_id=doc.id), jobs=jobs)
     return {
         "counts": _stage_counts(result.reports[0]),
-        "params": {"shingle_n": shingle_n, "k": k, "bands": bands, "rows": rows,
+        "params": {"shingle_n": shingle_n, "k": bands * rows, "bands": bands, "rows": rows,
                    "threshold": threshold, "unit": unit},
         "kernel_backend": dedup_mod.KERNEL_BACKEND,
     }
@@ -247,8 +255,7 @@ def lm_train(in_path, model_path, order, discount, min_count, seed):
 @_command("lm-filter")
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
-@click.option("--mode", default=filters_mod.PerplexityStage.mode, type=click.Choice(["percentile", "absolute"]),
-              show_default=True)
+@click.option("--mode", default="percentile", type=click.Choice(["percentile", "absolute"]), show_default=True)
 @click.option("--q", default=filters_mod.PerplexityStage.q, show_default=True)
 @click.option("--max-ppl", type=float)
 @click.option("--out", "out_path", required=True, type=click.Path())
@@ -297,7 +304,7 @@ def quality_score(in_path, out_path, unscored_path, seed):
 @click.option("--unscored", "unscored_path", type=click.Path())
 def quality_filter(in_path, scorer_spec, tau, out_path, dropped_path, unscored_path, seed):
     """Keep parallel pairs whose quality-estimation score is >= tau."""
-    scorer = _load_scorer(scorer_spec, "--scorer")
+    scorer = _load_scorer(scorer_spec, "--scorer", filters_mod.THRESHOLD_ITEM_FIELDS)
     stage = filters_mod.QualityThresholdStage(scorer, tau)
     pairs = corpus_mod.read_corpus(in_path, "parallel")
     result = _run_stages(pairs, "parallel", [stage], out_path, dropped_path, unscored_path)
@@ -440,15 +447,11 @@ def reward_score(in_path, terms_path, scorer_spec, w_quality, w_terminology, w_r
     without a quality are scored via --scorer, one record per request, up
     to --jobs requests at once.
     """
+    # composite_reward takes a quality in [0, 1], and score_row sends only a
+    # source and a hypothesis; any other scorer fails here, before any input is read
+    scorer = None if scorer_spec is None else _load_scorer(scorer_spec, "--scorer", ("source", "hypothesis"), (0, 1))
     table = rewards_mod.load_term_table(terms_path)
     weights = rewards_mod.RewardWeights(w_quality, w_terminology, w_repetition)
-    scorer = _load_scorer(scorer_spec, "--scorer") if scorer_spec else None
-    # composite_reward takes a quality in [0, 1], and score_row sends only a
-    # source and a hypothesis; any other scorer fails here, before any request
-    if scorer is not None and (scorer.score_range[0] < 0 or scorer.score_range[1] > 1):
-        raise ValidationError(f"--scorer {scorer.name!r} scores on {list(scorer.score_range)}, not within [0, 1]")
-    if scorer is not None:
-        scorer.check_item_fields(("source", "hypothesis"))
     fields = {"id": "string", "source": "string", "hypothesis": "string", "tgt_lang": "string",
               "quality": "number|null"}
 
@@ -660,8 +663,7 @@ def fuse_cmd(config_path, in_path, out_path, jobs, seed):
 @click.option("--text", "text_mode", is_flag=True, help="Print the aligned text table")
 def eval_cmd(pairs_path, hyps_path, metric, aggregation, out_path, text_mode, seed):
     """Score hypotheses against references and report per direction group."""
-    scorer = _load_scorer(metric, "--metric")
-    scorer.check_item_fields(evalkit_mod.SCORE_ITEM_FIELDS)
+    scorer = _load_scorer(metric, "--metric", evalkit_mod.SCORE_ITEM_FIELDS)
     pairs = corpus_mod.read_corpus(pairs_path, "parallel")
     fields = {"id": "string", "hypothesis": "string"}
     hyps = {obj["id"]: obj["hypothesis"] for _, obj in read_records(hyps_path, fields, required=fields, key="id")}
@@ -685,45 +687,30 @@ _PIPELINE_FIELDS = {"schema_version": "integer", "kind": ("mono", "parallel"), "
                     "seed": "integer", "stages": "array"}
 _PIPELINE_REQUIRED = ("schema_version", "kind", "input", "output", "stages")
 
-# stage type -> (fields besides "type", required fields). Defaults and value
-# ranges live in the stage classes.
-_STAGE_FIELDS = {
-    "langid": ({"model": "string", "expected": "string", "min_confidence": "number"}, ("model", "expected")),
-    "dedup": ({"shingle_n": "integer", "k": "integer", "bands": "integer", "rows": "integer",
-               "threshold": "number", "unit": ("word", "char")}, ()),
-    "perplexity": ({"model": "string", "mode": ("absolute", "percentile"), "max_ppl": "number", "q": "number"},
-                   ("model", "mode")),
-    "quality_threshold": ({"scorer": "object", "tau": "number"}, ("scorer", "tau")),
-}
-
 
 def _build_stages(config: dict, seed: int, path: str):
-    """The configured stages, each given only the keys its entry sets (and
-    a dedup stage the seed), so the defaults live in the stage classes,
-    which check their values when built. A bad value, or a second stage of
-    one type, names its entry as `<path>: stages[i]`; model files and
-    scorers are loaded first and name their own place."""
+    """The configured stages, each entry checked against its class's FIELDS
+    and given only the keys it sets (and a dedup stage the seed), so the
+    schema, defaults and value checks live in the stage classes. A bad value,
+    or a second stage of one type, names its entry as `<path>: stages[i]`;
+    model files and scorers are loaded first and name their own place."""
     stages = []
     for i, entry in enumerate(config["stages"]):
         where = f"{path}: stages[{i}]"
-        kind = check_fields(entry, {"type": tuple(_STAGE_FIELDS)}, ("type",), where=where)["type"]
-        fields, required = _STAGE_FIELDS[kind]
-        check_fields(entry, {"type": "string", **fields}, required, closed=True, where=where)
+        kind = check_fields(entry, {"type": tuple(filters_mod.STAGES)}, ("type",), where=where)["type"]
+        make = filters_mod.STAGES[kind]
+        check_fields(entry, {"type": "string", **make.FIELDS}, required_fields(make), closed=True, where=where)
         params = {key: value for key, value in entry.items() if key != "type"}
         if kind == "langid":
             from . import langid as langid_mod
 
             params["model"] = langid_mod.load_langid(params["model"])
-            make = filters_mod.LangIdStage
         elif kind == "dedup":
             params["seed"] = seed
-            make = filters_mod.DedupStage
         elif kind == "perplexity":
             params["model"] = lm_mod.load_lm(params["model"])
-            make = filters_mod.PerplexityStage
         else:
             params["scorer"] = scorer_from_obj(params["scorer"], f"{where}.scorer")
-            make = filters_mod.QualityThresholdStage
         with at(where):
             stages.append(make(**params))
             if kind in [stage.name for stage in stages[:-1]]:

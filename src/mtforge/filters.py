@@ -156,11 +156,13 @@ def _per_document(fn, records, jobs):
 
 
 class Stage(Protocol):
-    """A filter whose fields are its config keys; `apply` may run on up to
-    `jobs` processes, the run's count, and its result does not depend on it."""
+    """A filter whose fields are its config keys, typed by FIELDS; `apply`
+    may run on up to `jobs` processes, the run's count, and its result does
+    not depend on it."""
 
     name: ClassVar[str]
     record_kind: ClassVar[str]  # "mono" | "parallel"
+    FIELDS: ClassVar[dict]
 
     def apply(
         self, records: Sequence[Record], jobs: int = 1
@@ -187,6 +189,7 @@ class LangIdStage:
 
     name: ClassVar[str] = "langid"
     record_kind: ClassVar[str] = "mono"
+    FIELDS: ClassVar[dict] = {"model": "string", "expected": "string", "min_confidence": "number"}
     model: object  # LangIdModel
     expected: str
     min_confidence: float = 0.5
@@ -213,12 +216,14 @@ class LangIdStage:
 @dataclass
 class DedupStage:
     """Near-duplicate removal by minlsh.dedup, which takes these fields by
-    name; a dropped row carries the kept id and the estimated Jaccard."""
+    name; a dropped row carries the kept id and the estimated Jaccard. The
+    signature holds bands x rows hashes. `seed` is the run's, not a config key."""
 
     name: ClassVar[str] = "dedup"
     record_kind: ClassVar[str] = "mono"
+    FIELDS: ClassVar[dict] = {"shingle_n": "integer", "bands": "integer", "rows": "integer", "threshold": "number",
+                              "unit": ("word", "char")}
     shingle_n: int = 5
-    k: int = 128
     bands: int = 16
     rows: int = 8
     threshold: float = 0.8
@@ -251,8 +256,9 @@ class PerplexityStage:
 
     name: ClassVar[str] = "perplexity"
     record_kind: ClassVar[str] = "mono"
+    FIELDS: ClassVar[dict] = {"model": "string", "mode": ("absolute", "percentile"), "max_ppl": "number", "q": "number"}
     model: object  # NGramLm
-    mode: str = "percentile"
+    mode: str
     max_ppl: float | None = None
     q: float | None = 0.95
 
@@ -295,6 +301,7 @@ class QualityThresholdStage:
 
     name: ClassVar[str] = "quality_threshold"
     record_kind: ClassVar[str] = "parallel"
+    FIELDS: ClassVar[dict] = {"scorer": "object", "tau": "number"}
     scorer: ScorerEndpoint
     tau: float
 
@@ -308,6 +315,10 @@ class QualityThresholdStage:
         kept, dropped, unscored = threshold_filter(records, self.scorer, self.tau)
         annotated = [(pair, "below_threshold", {}) for pair in dropped]
         return kept, annotated, unscored
+
+
+# stage type -> class, for pipeline configs
+STAGES = {stage.name: stage for stage in (LangIdStage, DedupStage, PerplexityStage, QualityThresholdStage)}
 
 
 @dataclass

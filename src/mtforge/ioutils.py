@@ -239,15 +239,20 @@ def read_records(path: str | Path, fields: Mapping[str, str], required: Collecti
             yield lineno, record
 
 
+def required_fields(cls: type) -> list[str]:
+    """The fields of dataclass `cls` without a default: a JSON object it is
+    built from must set them."""
+    return [f.name for f in dataclasses.fields(cls)
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+
+
 def dataclass_from_obj(cls: type, obj: Any, where: object) -> Any:
     """Dataclass `cls` built from a JSON object checked against `cls.FIELDS`
     (its field table for `check_fields`), with only the fields the object
     sets, so the defaults live in `cls` alone. A field without a default is
     required and an unknown field is an error. Any ValidationError, the
     dataclass's own range checks included, names `where`."""
-    required = [f.name for f in dataclasses.fields(cls)
-                if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
-    check_fields(obj, cls.FIELDS, required, closed=True, where=where)
+    check_fields(obj, cls.FIELDS, required_fields(cls), closed=True, where=where)
     with at(where):
         return cls(**obj)
 

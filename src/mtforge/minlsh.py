@@ -213,7 +213,7 @@ def _preference(doc: Document) -> tuple[float, int, str]:
     return -doc.scores.get(QUALITY_COMPOSITE, float("-inf")), -len(doc.text), doc.id
 
 
-def check_dedup_params(shingle_n: int, k: int, bands: int, rows: int, threshold: float, unit: str, seed: int) -> None:
+def check_dedup_params(shingle_n: int, bands: int, rows: int, threshold: float, unit: str, seed: int) -> None:
     """Every check of `dedup`'s values, which filters.DedupStage also runs when built."""
     if shingle_n < 1:
         raise ValidationError(f"shingle width must be >= 1, got {shingle_n}")
@@ -222,28 +222,18 @@ def check_dedup_params(shingle_n: int, k: int, bands: int, rows: int, threshold:
         raise ValidationError(f"bands and rows must be >= 1, got {bands}x{rows}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    if bands * rows != k:
-        raise ValidationError(f"bands*rows ({bands}x{rows}) must equal k={k}")
     if not 0 < threshold <= 1:
         raise ValidationError(f"threshold must be in (0, 1], got {threshold}")
 
 
-def dedup(
-    docs: Sequence[Document],
-    shingle_n: int = 5,
-    k: int = 128,
-    bands: int = 16,
-    rows: int = 8,
-    threshold: float = 0.8,
-    unit: str = "word",
-    seed: int = 0,
-    jobs: int = 1,
-) -> tuple[list[Document], list[DropRecord]]:
+def dedup(docs: Sequence[Document], *, shingle_n: int, bands: int, rows: int, threshold: float, unit: str, seed: int,
+          jobs: int = 1) -> tuple[list[Document], list[DropRecord]]:
     """Remove near-duplicates, keeping one representative per duplicate cluster.
 
-    Candidate pairs are those sharing an LSH bucket; a candidate pair is a
-    confirmed duplicate iff its estimated Jaccard >= threshold. The other
-    parameters but `jobs` are filters.DedupStage's fields, by name.
+    Each document is signed with bands x rows hashes. Candidate pairs are
+    those sharing an LSH bucket; a candidate pair is a confirmed duplicate
+    iff its estimated Jaccard >= threshold. The parameters but `jobs` are
+    filters.DedupStage's fields, by name, whose defaults live there.
     Confirmed pairs are clustered with union-find, and each cluster keeps its
     first member in `_preference` order. The kept/dropped partition does not depend on input
     order; kept docs are returned in input order.
@@ -258,7 +248,8 @@ def dedup(
     on `jobs`. Processes, not threads: the work between kernel calls holds
     the GIL, and a thread pool was measured slower than one thread.
     """
-    check_dedup_params(shingle_n, k, bands, rows, threshold, unit, seed)
+    check_dedup_params(shingle_n, bands, rows, threshold, unit, seed)
+    k = bands * rows
     ids = [d.id for d in docs]
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate document ids in dedup input")

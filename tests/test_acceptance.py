@@ -104,7 +104,7 @@ def test_criterion_02_dedup_end_to_end():
         for j, dup in enumerate(dups):
             assert _exact_jaccard(sets[dup.id], sets[base[j].id]) >= 0.9
 
-        kept, dropped = dedup(docs, shingle_n=5, k=128, seed=0, bands=16, rows=8, threshold=0.8)
+        kept, dropped = dedup(docs, shingle_n=5, seed=0, bands=16, rows=8, threshold=0.8, unit="word")
         elapsed = time.monotonic() - start
         dropped_ids = {rec.dropped_id for rec in dropped}
         removed = sum(
@@ -379,7 +379,7 @@ def test_criterion_15_end_to_end_orchestration(tmp_path):
             "seed": 3,
             "stages": [
                 {"type": "langid", "model": str(langid_model), "expected": "en"},
-                {"type": "dedup", "shingle_n": 2, "k": 64, "bands": 8, "rows": 8},
+                {"type": "dedup", "shingle_n": 2, "bands": 8, "rows": 8},
                 {"type": "perplexity", "model": str(lm_path), "mode": "percentile", "q": 0.95},
             ],
         }

@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -18,12 +19,14 @@ import pytest
 
 import mtforge
 import mtforge.corpus
+import mtforge.ioutils
 import mtforge.langid
 import mtforge.ngram_lm
 from mtforge.backends import register_mock_backend
 from mtforge.cli import cli, main
 from mtforge.corpus import Document, read_corpus, write_corpus
 from mtforge.errors import MtforgeError
+from mtforge.filters import DedupStage
 from mtforge.ioutils import atomic_write, dump_json, output_transaction, write_jsonl
 from mtforge.ngram_lm import save_lm, train_lm
 from mtforge.scorers import register_scorer
@@ -110,6 +113,10 @@ _OUTPUT_FLAGS = [(name, param.opts[0]) for name, command in sorted(cli.commands.
                  if param.required and isinstance(param.type, click.Path) and not param.type.exists]
 
 
+# the commands' flags that name a scorer
+_SCORER_FLAGS = [("quality-filter", "--scorer"), ("eval", "--metric"), ("reward-score", "--scorer")]
+
+
 def _other_required_args(tmp_path, name, flag):
     """A value of its type for every required option of `name` but `flag`:
     input paths name an empty `in.jsonl` in `tmp_path`, output paths a file
@@ -171,14 +178,25 @@ class TestCommandSurface:
         assert errors == [f"error: Invalid value for '{flag}': an empty path names no file."], err
         assert [p.name for p in tmp_path.iterdir()] == ["in.jsonl"]
 
-    @pytest.mark.parametrize("name, flag", [("quality-filter", "--scorer"), ("eval", "--metric")])
+    @pytest.mark.parametrize("name, flag", _SCORER_FLAGS)
     def test_empty_scorer_spec_is_one_error_line_exit_1(self, tmp_path, capfd, monkeypatch, name, flag):
         # "" is Path("."), which exists: it must not be read as a scorer file
         calls = []
-        monkeypatch.setattr(mtforge.corpus, "read_corpus", lambda *args: calls.append(args))
+        monkeypatch.setattr(mtforge.ioutils, "read_jsonl", lambda *args: calls.append(args))
         args = [flag, "", *_other_required_args(tmp_path, name, flag)]
         assert run(name, *args, "--report", tmp_path / "report.json") == 1
         assert capfd.readouterr().err == f"error: {flag} must name a scorer, not be empty\n"
+        assert calls == []
+        assert [p.name for p in tmp_path.iterdir()] == ["in.jsonl"]
+
+    @pytest.mark.parametrize("name, flag", _SCORER_FLAGS)
+    def test_missing_scorer_file_is_one_error_line_exit_1(self, tmp_path, capfd, monkeypatch, name, flag):
+        calls = []
+        monkeypatch.setattr(mtforge.ioutils, "read_jsonl", lambda *args: calls.append(args))
+        missing = str(tmp_path / "missing.json")
+        args = [flag, missing, *_other_required_args(tmp_path, name, flag)]
+        assert run(name, *args, "--report", tmp_path / "report.json") == 1
+        assert capfd.readouterr().err == f"error: {flag}: no such file: {missing!r}\n"
         assert calls == []
         assert [p.name for p in tmp_path.iterdir()] == ["in.jsonl"]
 
@@ -468,7 +486,7 @@ class TestExitCodes:
         ("pipeline-run", "--config", _pipeline_json(stages={})),
         ("pipeline-run", "--config", _pipeline_json(5)),
         ("pipeline-run", "--config", _pipeline_json({"type": "dedup", "threshold": True})),
-        ("pipeline-run", "--config", _pipeline_json({"type": "dedup", "k": 2.5})),
+        ("pipeline-run", "--config", _pipeline_json({"type": "dedup", "bands": 2.5})),
         ("pipeline-run", "--config", _pipeline_json(seed=1.5)),
         ("pipeline-run", "--config", _pipeline_json(schema_version=2)),
         ("pipeline-run", "--config", _pipeline_json(kind="bilingual")),
@@ -559,8 +577,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, content, message", [
         ("pipeline-run", _pipeline_json({"type": "dedup", "mystery": 1}), "stages[0]: unknown fields ['mystery']"),
-        ("pipeline-run", _pipeline_json({"type": "dedup"}, {"type": "dedup", "k": 2.5}),
-         "stages[1]: field 'k' must be integer, not number"),
+        ("pipeline-run", _pipeline_json({"type": "dedup"}, {"type": "dedup", "rows": 2.5}),
+         "stages[1]: field 'rows' must be integer, not number"),
+        # the signature length is bands x rows, not a setting
+        ("pipeline-run", _pipeline_json({"type": "dedup", "k": 128}), "stages[0]: unknown fields ['k']"),
         ("pipeline-run", _pipeline_json({"type": "dedup"}, {"type": "dedup"}),
          "stages[1]: a second dedup stage; each stage type may appear once"),
         ("pipeline-run", _pipeline_json({"type": "dedup", "unit": "byte"}),
@@ -596,7 +616,6 @@ class TestExitCodes:
          "stages[0]: shingle width must be >= 1, got 0"),
         ("pipeline-run", _pipeline_json({"type": "dedup", "threshold": 0}),
          "stages[0]: threshold must be in (0, 1], got 0"),
-        ("pipeline-run", _pipeline_json({"type": "dedup", "k": 100}), "stages[0]: bands*rows (16x8) must equal k=100"),
         # a top-level field, so no stage is blamed; a run without a dedup stage used it unchecked
         ("pipeline-run", _pipeline_json({"type": "perplexity", "model": "{dir}/lm.txt", "mode": "percentile"},
                                         seed=-1),
@@ -701,19 +720,19 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
         assert sorted(tmp_path.iterdir()) == before
 
-    @pytest.mark.parametrize("bands, rows, k", [(-1, -128, 128), (0, 8, 0), (16, 0, 0)])
-    def test_dedup_rejects_bands_or_rows_below_1(self, tmp_path, capsys, monkeypatch, bands, rows, k):
+    @pytest.mark.parametrize("bands, rows", [(-1, -128), (0, 8), (16, 0)])
+    def test_dedup_rejects_bands_or_rows_below_1(self, tmp_path, capsys, monkeypatch, bands, rows):
         corpus = _write_mono(tmp_path, _english_docs(3))
         (tmp_path / "langid.json").write_bytes(_langid_model_json())
         calls = []
         monkeypatch.setattr(mtforge.langid, "predict_lang", lambda *args: calls.append(args))
         monkeypatch.setattr(mtforge.corpus, "read_corpus", lambda *args: calls.append(args))
         out = tmp_path / "kept.jsonl"
-        assert run("dedup", "--in", corpus, "--out", out, "--bands", bands, "--rows", rows, "--k", k) == 1
+        assert run("dedup", "--in", corpus, "--out", out, "--bands", bands, "--rows", rows) == 1
         assert capsys.readouterr().err == f"error: bands and rows must be >= 1, got {bands}x{rows}\n"
         config = tmp_path / "pipeline.json"
         config.write_bytes(_pipeline_json({"type": "langid", "model": "{dir}/langid.json", "expected": "en"},
-                                          {"type": "dedup", "bands": bands, "rows": rows, "k": k})
+                                          {"type": "dedup", "bands": bands, "rows": rows})
                            .replace(b"{dir}", json.dumps(str(tmp_path))[1:-1].encode()))
         assert run("pipeline-run", "--config", config) == 1
         assert capsys.readouterr().err == (
@@ -862,7 +881,7 @@ class TestDedupCommand:
             "dedup", "--in", in_path, "--out", out_path, "--report", report_path, "--seed", 5
         )
         assert code == 0
-        kept_ref, dropped_ref = dedup_fn(docs, seed=5)
+        kept_ref, dropped_ref = dedup_fn(docs, **asdict(DedupStage(seed=5)))
         kept = read_corpus(out_path, "mono")
         assert [d.id for d in kept] == [d.id for d in kept_ref]
         report = json.loads(report_path.read_text())
@@ -886,6 +905,19 @@ class TestDedupCommand:
             outputs.append([(tmp_path / name).read_bytes()
                             for name in (f"jobs{jobs}.jsonl", f"dropped{jobs}.jsonl", f"report{jobs}.json")])
         assert outputs[1:] == [outputs[0]] * 2
+
+    def test_signature_length_is_bands_times_rows(self, tmp_path):
+        in_path = _write_mono(tmp_path, _planted_dup_docs(seed=4, n_base=15, n_dups=5))
+        report_path = tmp_path / "report.json"
+        assert run("dedup", "--in", in_path, "--out", tmp_path / "kept.jsonl", "--bands", 20, "--rows", 8,
+                   "--report", report_path) == 0
+        assert json.loads(report_path.read_text())["params"]["k"] == 160
+
+    def test_k_is_not_an_option(self, tmp_path, capsys):
+        in_path = _write_mono(tmp_path, _planted_dup_docs(seed=4, n_base=15, n_dups=5))
+        assert run("dedup", "--in", in_path, "--out", tmp_path / "kept.jsonl", "--k", 128) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == "error: No such option '--k'."
+        assert not (tmp_path / "kept.jsonl").exists()
 
     def test_idempotent_byte_identical(self, tmp_path):
         docs = _planted_dup_docs(seed=9, n_base=15, n_dups=5)
@@ -1842,7 +1874,7 @@ class TestPipelineRun:
             "seed": 13,
             "stages": [
                 {"type": "langid", "model": str(langid_model), "expected": "en"},
-                {"type": "dedup", "shingle_n": 2, "k": 64, "bands": 8, "rows": 8, "threshold": 0.5},
+                {"type": "dedup", "shingle_n": 2, "bands": 8, "rows": 8, "threshold": 0.5},
                 {"type": "perplexity", "model": str(lm_model), "mode": "percentile", "q": 0.9},
             ],
         }

@@ -162,7 +162,7 @@ _PIPELINE = {
     "output": "out.jsonl", "dropped_output": "dropped.jsonl", "seed": 3,
     "stages": [
         {"type": "langid", "model": "langid.json", "expected": "en", "min_confidence": 0.2},
-        {"type": "dedup", "shingle_n": 2, "k": 16, "bands": 8, "rows": 2, "threshold": 0.5, "unit": "word"},
+        {"type": "dedup", "shingle_n": 2, "bands": 8, "rows": 2, "threshold": 0.5, "unit": "word"},
         {"type": "perplexity", "model": "lm.txt", "mode": "percentile", "q": 0.9},
     ],
 }
@@ -180,8 +180,8 @@ CONFIGS = {
     "pipeline-run": (_PIPELINE, {
         (): ("schema_version", "kind", "input", "output", "dropped_output", "unscored_output", "seed", "stages"),
         # each stage draws its own keys, plus one of another stage type
-        ("stages", 0): ("type", "model", "expected", "min_confidence", "k"),
-        ("stages", 1): ("type", "shingle_n", "k", "bands", "rows", "threshold", "unit", "mode"),
+        ("stages", 0): ("type", "model", "expected", "min_confidence", "bands"),
+        ("stages", 1): ("type", "shingle_n", "bands", "rows", "threshold", "unit", "mode"),
         ("stages", 2): ("type", "model", "mode", "max_ppl", "q", "tau"),
     }, {
         "schema_version": [1, 2], "kind": ["mono", "parallel"], "input": ["corpus.jsonl", "lm.txt"],
@@ -190,7 +190,7 @@ CONFIGS = {
         "seed": [0, -1, 2**64], "stages": [[], [{"type": "dedup"}]],
         "type": ["langid", "dedup", "perplexity", "quality_threshold"], "model": ["lm.txt", "langid.json"],
         "expected": ["en", "fr", "xx"], "min_confidence": [0, 1, 1.5], "shingle_n": [0, 1, 50],
-        "k": [16, 128, 0], "bands": [1, 16, 0], "rows": [1, 8, -1], "threshold": [0, 0.5, 1],
+        "bands": [1, 16, 0], "rows": [1, 8, -1], "threshold": [0, 0.5, 1],
         "unit": ["word", "char"], "mode": ["absolute", "percentile"], "max_ppl": [1, 50.0, 1e300],
         "q": [0, 0.5, 1], "tau": [0.5, 2], "scorer": [_SCORER],
     }, []),

@@ -19,6 +19,7 @@ from mtforge.filters import (
     PerplexityStage,
     QualityDimensions,
     QualityThresholdStage,
+    STAGES,
     WeightProfile,
     composite_quality,
     flag_inconsistent,
@@ -208,24 +209,21 @@ class TestStages:
             ("langid", "mono"), ("dedup", "mono"), ("perplexity", "mono"), ("quality_threshold", "parallel")]
 
     def test_stage_fields_are_their_config_keys(self):
-        from mtforge.cli import _STAGE_FIELDS
-
-        stages = {stage.name: stage for stage in (LangIdStage, DedupStage, PerplexityStage, QualityThresholdStage)}
-        assert stages.keys() == _STAGE_FIELDS.keys()
-        for name, (keys, _) in _STAGE_FIELDS.items():
+        assert list(STAGES.items()) == [(stage.name, stage) for stage in
+                                        (LangIdStage, DedupStage, PerplexityStage, QualityThresholdStage)]
+        for name, stage in STAGES.items():
             extra = {"seed"} if name == "dedup" else set()  # the run's seed, not a config key
-            assert {f.name for f in dataclasses.fields(stages[name])} == keys.keys() | extra
+            assert {f.name for f in dataclasses.fields(stage)} == stage.FIELDS.keys() | extra
 
-    def test_dedup_defaults_equal_minlsh_dedups(self):
-        defaults = {name: param.default for name, param in inspect.signature(dedup).parameters.items()}
-        fields = {f.name: f.default for f in dataclasses.fields(DedupStage)}
-        assert fields == {name: defaults[name] for name in fields}
+    def test_dedup_takes_every_value_from_the_stage(self):
+        params = inspect.signature(dedup).parameters
+        assert [name for name, param in params.items() if param.default is not param.empty] == ["jobs"]
+        assert {f.name for f in dataclasses.fields(DedupStage)} == params.keys() - {"docs", "jobs"}
 
     @pytest.mark.parametrize("params, message", [
         (dict(shingle_n=0), "shingle width must be >= 1, got 0"),
-        (dict(bands=0, k=0), "bands and rows must be >= 1, got 0x8"),
+        (dict(bands=0), "bands and rows must be >= 1, got 0x8"),
         (dict(seed=-1), "seed must be >= 0, got -1"),
-        (dict(k=100), r"bands\*rows \(16x8\) must equal k=100"),
         (dict(threshold=1.5), r"threshold must be in \(0, 1\], got 1.5"),
         (dict(unit="byte"), "shingle unit must be 'word' or 'char', not 'byte'"),
     ])
@@ -239,9 +237,9 @@ class TestStages:
     def test_dedup_apply_passes_every_value(self):
         # near-duplicates only as single characters at a threshold below the default
         docs = [Document(id=f"d{i}", lang="en", text=text) for i, text in enumerate(["abcde", "abcdf", "xyz"])]
-        stage = DedupStage(shingle_n=1, k=32, bands=8, rows=4, threshold=0.5, unit="char", seed=3)
+        stage = DedupStage(shingle_n=1, bands=8, rows=4, threshold=0.5, unit="char", seed=3)
         kept, dropped, unscored = stage.apply(docs)
-        kept_ref, dropped_ref = dedup(docs, shingle_n=1, k=32, seed=3, bands=8, rows=4, threshold=0.5, unit="char")
+        kept_ref, dropped_ref = dedup(docs, shingle_n=1, seed=3, bands=8, rows=4, threshold=0.5, unit="char")
         assert kept == kept_ref and not unscored
         assert [(doc.id, reason, detail) for doc, reason, detail in dropped] == [
             (d.dropped_id, f"near_duplicate_of={d.kept_id}",

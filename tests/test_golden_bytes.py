@@ -163,7 +163,7 @@ def inputs(tmp_path_factory, scorer_url):
     stages = {
         "mono": [
             {"type": "langid", "model": str(d / "langid.json"), "expected": "en", "min_confidence": 0.6},
-            {"type": "dedup", "shingle_n": 2, "k": 64, "bands": 16, "rows": 4, "threshold": 0.5},
+            {"type": "dedup", "shingle_n": 2, "bands": 16, "rows": 4, "threshold": 0.5},
             {"type": "perplexity", "model": str(d / "lm.txt"), "mode": "percentile", "q": 0.8},
         ],
         "parallel": [{"type": "quality_threshold", "scorer": scorer, "tau": 0.5}],
@@ -181,7 +181,7 @@ def inputs(tmp_path_factory, scorer_url):
 CASES = {
     "langid-filter": ["langid-filter", "--in", "IN/corpus.jsonl", "--model", "IN/langid.json", "--expected", "en",
                       "--min-confidence", "0.6", "--out", "OUT/kept.jsonl", "--dropped", "OUT/dropped.jsonl"],
-    "dedup": ["dedup", "--in", "IN/corpus.jsonl", "--out", "OUT/kept.jsonl", "--shingle-n", "2", "--k", "64",
+    "dedup": ["dedup", "--in", "IN/corpus.jsonl", "--out", "OUT/kept.jsonl", "--shingle-n", "2",
               "--bands", "16", "--rows", "4", "--threshold", "0.5", "--seed", "3"],
     "lm-filter": ["lm-filter", "--in", "IN/corpus.jsonl", "--model", "IN/lm.txt", "--q", "0.7",
                   "--out", "OUT/kept.jsonl", "--dropped", "OUT/dropped.jsonl"],

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from mtforge import _minhash_py, minlsh
 from mtforge.corpus import NO_SPACE_TAGS, REGISTRY, Document
 from mtforge.errors import ValidationError
+from mtforge.filters import DedupStage
 from mtforge.minlsh import (
     KERNEL_BACKEND,
     LshIndex,
@@ -311,13 +313,18 @@ def _planted_corpus(rng, n_docs=100, n_dups=20):
     return docs, duplicates
 
 
+def _dedup(docs, **params):
+    """minlsh.dedup with DedupStage's defaults for the values not given."""
+    return dedup(docs, **{**asdict(DedupStage()), **params})
+
+
 class TestDedup:
     def test_empty_corpus(self):
-        assert dedup([]) == ([], [])
+        assert _dedup([]) == ([], [])
 
     def test_all_identical_keeps_one(self):
         docs = [Document(id=f"d{i}", lang="en", text="same text repeated here okay") for i in range(5)]
-        kept, dropped = dedup(docs, shingle_n=2, k=64, seed=0, bands=8, rows=8, threshold=0.8)
+        kept, dropped = _dedup(docs, shingle_n=2, seed=0, bands=8, rows=8, threshold=0.8)
         assert len(kept) == 1
         assert len(dropped) == 4
         assert all(rec.kept_id == kept[0].id for rec in dropped)
@@ -328,13 +335,13 @@ class TestDedup:
             Document(id=f"d{i}", lang="en", text=" ".join(f"tok{i}_{j}" for j in range(30)))
             for i in range(10)
         ]
-        kept, dropped = dedup(docs, shingle_n=2, k=64, seed=0, bands=8, rows=8, threshold=0.8)
+        kept, dropped = _dedup(docs, shingle_n=2, seed=0, bands=8, rows=8, threshold=0.8)
         assert len(kept) == 10
         assert dropped == []
 
     def test_partition_is_exact(self):
         docs = [Document(id=f"d{i}", lang="en", text=f"text number {i} with shared suffix tokens") for i in range(12)]
-        kept, dropped = dedup(docs, shingle_n=3, k=64, seed=1, bands=8, rows=8, threshold=0.8)
+        kept, dropped = _dedup(docs, shingle_n=3, seed=1, bands=8, rows=8, threshold=0.8)
         assert {d.id for d in kept} | {rec.dropped_id for rec in dropped} == {d.id for d in docs}
         assert not ({d.id for d in kept} & {rec.dropped_id for rec in dropped})
 
@@ -351,7 +358,7 @@ class TestDedup:
             assert truth >= 0.9, f"construction broke: {truth}"
             true_dup_pairs.add((base[j].id, dup.id))
 
-        kept, dropped = dedup(docs, shingle_n=5, k=128, seed=0, bands=16, rows=8, threshold=0.8)
+        kept, dropped = _dedup(docs, shingle_n=5, seed=0, bands=16, rows=8, threshold=0.8)
         dropped_ids = {rec.dropped_id for rec in dropped}
 
         removed_dup_count = sum(
@@ -370,39 +377,39 @@ class TestDedup:
         rng = np.random.default_rng(77)
         base, dups = _planted_corpus(rng, n_docs=30, n_dups=8)
         docs = base + dups
-        kept_a, dropped_a = dedup(docs, shingle_n=5, k=128, seed=3, bands=16, rows=8)
+        kept_a, dropped_a = _dedup(docs, shingle_n=5, seed=3, bands=16, rows=8)
         perm = [docs[i] for i in rng.permutation(len(docs))]
-        kept_b, dropped_b = dedup(perm, shingle_n=5, k=128, seed=3, bands=16, rows=8)
+        kept_b, dropped_b = _dedup(perm, shingle_n=5, seed=3, bands=16, rows=8)
         assert {d.id for d in kept_a} == {d.id for d in kept_b}
         assert sorted(dropped_a) == sorted(dropped_b)
 
     def test_representative_prefers_quality_score(self):
         good = Document(id="zz", lang="en", text="alpha beta gamma delta", scores={"quality_composite": 0.9})
         bad = Document(id="aa", lang="en", text="alpha beta gamma delta", scores={"quality_composite": 0.2})
-        kept, dropped = dedup([bad, good], shingle_n=2, k=64, seed=0, bands=8, rows=8)
+        kept, dropped = _dedup([bad, good], shingle_n=2, seed=0, bands=8, rows=8)
         assert [d.id for d in kept] == ["zz"]
         assert dropped[0].dropped_id == "aa"
 
     def test_representative_falls_back_to_length_then_id(self):
         long = Document(id="zz", lang="en", text="alpha beta gamma delta extra")
         short = Document(id="aa", lang="en", text="alpha beta gamma delta")
-        kept, _ = dedup([short, long], shingle_n=1, k=64, seed=0, bands=8, rows=8, threshold=0.5)
+        kept, _ = _dedup([short, long], shingle_n=1, seed=0, bands=8, rows=8, threshold=0.5)
         assert [d.id for d in kept] == ["zz"]
 
     def test_bad_params_rejected(self):
         docs = [Document(id="a", lang="en", text="x y z")]
+        with pytest.raises(TypeError):  # the signature length is bands x rows
+            _dedup(docs, k=128)
         with pytest.raises(ValidationError):
-            dedup(docs, k=100, bands=16, rows=8)
-        with pytest.raises(ValidationError):
-            dedup(docs, threshold=0.0)
+            _dedup(docs, threshold=0.0)
 
-    @pytest.mark.parametrize("params", [dict(bands=-1, rows=-128), dict(bands=0, rows=8, k=0),
-                                        dict(bands=16, rows=0, k=0), dict(seed=-1)])
+    @pytest.mark.parametrize("params", [dict(bands=-1, rows=-128), dict(bands=0, rows=8),
+                                        dict(bands=16, rows=0), dict(seed=-1)])
     def test_nonpositive_bands_rows_or_negative_seed_rejected(self, params):
-        # b*r == k alone lets b=-1, r=-128 through, and then no band is ever built
+        # b*r is 128 for b=-1, r=-128, and then no band is ever built
         for docs in ([], [Document(id="a", lang="en", text="x y z"), Document(id="b", lang="en", text="x y z")]):
             with pytest.raises(ValidationError):
-                dedup(docs, **params)
+                _dedup(docs, **params)
 
 
 _VOCAB = [f"v{i}" for i in range(30)]
@@ -473,7 +480,7 @@ class TestDifferential:
            threshold=st.sampled_from([0.5, 0.75, 0.8, 1.0]), seed=st.integers(0, 3))
     def test_dedup_matches_brute_force(self, docs, n, bands_rows, threshold, seed):
         b, r = bands_rows
-        kept, dropped = dedup(docs, shingle_n=n, k=b * r, seed=seed, bands=b, rows=r, threshold=threshold)
+        kept, dropped = dedup(docs, shingle_n=n, seed=seed, bands=b, rows=r, threshold=threshold, unit="word")
         ref_kept, ref_dropped = _reference_dedup(docs, n, b * r, seed, b, r, threshold)
         assert [d.id for d in kept] == [d.id for d in ref_kept]
         assert dropped == ref_dropped
@@ -505,13 +512,13 @@ class TestUnspacedScripts:
             docs.append(Document(id=f"d{i:02d}", lang=lang, text="".join(text)))
         # whitespace units would give each copy one whole-text shingle
         assert all(len(shingle(doc.text, 5)) == 1 for doc in docs)
-        kept, dropped = dedup(docs)
+        kept, dropped = _dedup(docs)
         assert (len(kept), len(dropped)) == (1, 49)
 
     def test_zh_pair_with_its_last_letter_edited_is_dropped(self):
         text = "".join(chr(0x4E00 + 37 * i) for i in range(32))
         docs = [Document(id="a", lang="zh", text=text), Document(id="b", lang="zh", text=text[:-1] + "好")]
-        kept, dropped = dedup(docs, shingle_n=3, bands=32, rows=4, threshold=0.6)
+        kept, dropped = _dedup(docs, shingle_n=3, bands=32, rows=4, threshold=0.6)
         assert [doc.id for doc in kept] == ["a"]
         assert [(rec.dropped_id, rec.kept_id) for rec in dropped] == [("b", "a")]
         assert dropped[0].estimated_jaccard > 0.8
@@ -543,7 +550,7 @@ def counting(rows, row):
 
 minlsh.estimate_jaccard = counting
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-kept, dropped = minlsh.dedup(docs, shingle_n=2, k=128, bands=16, rows=8)
+kept, dropped = minlsh.dedup(docs, shingle_n=2, bands=16, rows=8, threshold=0.8, unit="word", seed=0)
 growth_mib = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024
 print(json.dumps(dict(counts, kept=len(kept), dropped=len(dropped), growth_mib=growth_mib)))
 """
