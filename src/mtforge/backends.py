@@ -11,13 +11,11 @@ header is sent when MTFORGE_BACKEND_TOKEN is set.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import http.client
 import json
 import os
-import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import asdict, dataclass
 from typing import Callable, ClassVar, Optional
 
@@ -105,17 +103,6 @@ register_mock_backend("echo", _mock_echo)
 register_mock_backend("fail", _mock_fail)
 
 
-class _RefuseRedirect(urllib.request.HTTPRedirectHandler):
-    """Follow no redirect: a 3xx then raises HTTPError like any other
-    non-2xx status, and the Authorization header never reaches another URL."""
-
-    def redirect_request(self, req, fp, code, msg, headers, newurl):
-        return None
-
-
-_OPENER = urllib.request.build_opener(_RefuseRedirect)
-
-
 def is_http_url(url: str) -> bool:
     """True for an http or https URL that names a host."""
     try:
@@ -145,6 +132,24 @@ def require_sendable_token(token_env: str, where: object) -> None:
         raise ValidationError(f"{where}: {refusal}")
 
 
+@functools.cache
+def _opener():
+    """The opener post_json sends through, built at the first request and
+    kept for the process; it reads the proxy settings when it is built.
+    Two threads that make the first request together may each build one:
+    the two are alike and hold no connection, so either may be used."""
+    import urllib.request  # with http.client and ssl, only for commands that send requests
+
+    class _RefuseRedirect(urllib.request.HTTPRedirectHandler):
+        """Follow no redirect: a 3xx then raises HTTPError like any other
+        non-2xx status, and the Authorization header never reaches another URL."""
+
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            return None
+
+    return urllib.request.build_opener(_RefuseRedirect)
+
+
 def post_json(url: str, payload: dict, token_env: str, timeout_s: float, retries: int = 0):
     """POST `payload` as JSON and return the decoded JSON reply.
 
@@ -155,7 +160,8 @@ def post_json(url: str, payload: dict, token_env: str, timeout_s: float, retries
     timeout, a truncated reply and a 5xx are retried at once, up to
     `retries` more times; a 3xx, a 4xx and a body that is not UTF-8 JSON are
     final. Every failure raises BackendFailure naming the URL and the cause.
-    Proxies come from *_PROXY, HTTPS certificates from the system CA store.
+    Proxies come from *_PROXY, read at the process's first request, and
+    HTTPS certificates from the system CA store.
 
     Every call opens a fresh connection on purpose. Against an http.server
     handler that writes headers and body in two sends with Nagle on, a
@@ -163,6 +169,10 @@ def post_json(url: str, payload: dict, token_env: str, timeout_s: float, retries
     44 ms per request against 2.5 ms for a fresh connection, which halved
     `fuse` throughput on the loopback benchmark.
     """
+    import http.client
+    import urllib.error
+    import urllib.request
+
     if not is_http_url(url):
         raise ValueError(f"not an http(s) URL: {url!r}")
     refusal = unsendable_token(token_env)
@@ -176,7 +186,7 @@ def post_json(url: str, payload: dict, token_env: str, timeout_s: float, retries
     for _attempt in range(retries + 1):
         request = urllib.request.Request(url, data=data, headers=headers, method="POST")  # the proxy handler edits it
         try:
-            with _OPENER.open(request, timeout=timeout_s) as resp:
+            with _opener().open(request, timeout=timeout_s) as resp:
                 return parse_json(decode_utf8(resp.read()))
         except urllib.error.HTTPError as exc:  # an OSError too, so caught first
             exc.close()

@@ -15,14 +15,16 @@ wait on another future.
 from __future__ import annotations
 
 import re
-from concurrent.futures import Executor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .backends import BackendFailure, BackendSpec, GenerationParams, complete
 from .corpus import SINITIC_TAGS, display_name, require_tag
 from .errors import OrchestrationError, ValidationError
 from .scorers import ScorerEndpoint
+
+if TYPE_CHECKING:  # the caller's pool brings concurrent.futures
+    from concurrent.futures import Executor
 
 ZH_TEMPLATE = "把下面的文本翻译成{target}，不要额外解释。\n\n{text}"
 EN_TEMPLATE = "Translate the following segment into {target}, without additional explanation.\n\n{text}"

@@ -14,21 +14,19 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import asdict
 from pathlib import Path
 
 import click
 
-# langid, minlsh and mixopt load NumPy, so the commands that use them import
-# them in their bodies, and every other command starts without it
+# Only what `--help` and config loading read is imported here. Every other
+# module (langid, minlsh and mixopt, which load NumPy; chimera, evalkit,
+# rewards and ngram_lm; concurrent.futures) is imported in the bodies that
+# use it, and looked up on its module at call time, so wrappers installed
+# there apply.
 from . import backends as backends_mod
-from . import chimera as chimera_mod
 from . import corpus as corpus_mod
-from . import evalkit as evalkit_mod
 from . import filters as filters_mod
-from . import ngram_lm as lm_mod
-from . import rewards as rewards_mod
 from .backends import backend_from_obj
 from .errors import MtforgeError, OrchestrationError, SchemaError, ValidationError, at
 from .ioutils import (atomic_write, check_fields, dataclass_from_obj, dump_json, load_json, output_transaction,
@@ -66,7 +64,8 @@ def _load_scorer(spec: str, flag: str, fields: tuple, within: tuple | None = Non
             raise ValidationError(f"{flag}: no such file: {spec!r}")
         scorer = scorer_from_obj(load_json(path), path)
     else:
-        scorer = ScorerEndpoint(name=spec, kind="local_function", config=spec)
+        with at(flag):
+            scorer = ScorerEndpoint(name=spec, kind="local_function", config=spec)
     if within is not None and not within[0] <= scorer.score_range[0] <= scorer.score_range[1] <= within[1]:
         raise ValidationError(f"{flag} {scorer.name!r} scores on {list(scorer.score_range)}, not within {list(within)}")
     scorer.check_item_fields(fields)
@@ -80,6 +79,8 @@ def _fan_out(fn, items, jobs):
     queued ones; the error of the first failed item in input order
     propagates.
     """
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+
     pool = ThreadPoolExecutor(max_workers=jobs)
     try:
         futures = [pool.submit(fn, item) for item in items]
@@ -243,6 +244,8 @@ def dedup_cmd(in_path, out_path, dropped_path, shingle_n, bands, rows, threshold
 @click.option("--min-count", default=1, show_default=True)
 def lm_train(in_path, model_path, order, discount, min_count, seed):
     """Train the interpolated Kneser-Ney n-gram model."""
+    from . import ngram_lm as lm_mod
+
     docs = corpus_mod.read_corpus(in_path, "mono")
     lm = lm_mod.train_lm(docs, order=order, discount=discount, min_count=min_count)
     lm_mod.save_lm(lm, model_path)
@@ -262,6 +265,8 @@ def lm_train(in_path, model_path, order, discount, min_count, seed):
 @click.option("--dropped", "dropped_path", type=click.Path())
 def lm_filter(in_path, model_path, mode, q, max_ppl, out_path, dropped_path, seed):
     """Drop high-perplexity documents."""
+    from . import ngram_lm as lm_mod
+
     docs = corpus_mod.read_corpus(in_path, "mono")
     stage = filters_mod.PerplexityStage(lm_mod.load_lm(model_path), mode=mode, max_ppl=max_ppl, q=q)
     result = _run_stages(docs, "mono", [stage], out_path, dropped_path)
@@ -447,6 +452,8 @@ def reward_score(in_path, terms_path, scorer_spec, w_quality, w_terminology, w_r
     without a quality are scored via --scorer, one record per request, up
     to --jobs requests at once.
     """
+    from . import rewards as rewards_mod
+
     # composite_reward takes a quality in [0, 1], and score_row sends only a
     # source and a hypothesis; any other scorer fails here, before any input is read
     scorer = None if scorer_spec is None else _load_scorer(scorer_spec, "--scorer", ("source", "hypothesis"), (0, 1))
@@ -504,6 +511,8 @@ def reward_score(in_path, terms_path, scorer_spec, w_quality, w_terminology, w_r
 @click.option("--out", "out_path", required=True, type=click.Path())
 def grpo_advantages_cmd(in_path, epsilon, out_path, seed):
     """Normalize reward groups to group-relative advantages."""
+    from . import rewards as rewards_mod
+
     out_rows = [
         {"id": obj.get("id", str(lineno)), "rewards": obj["rewards"], "advantages": advantages}
         for lineno, (obj, advantages) in read_records(
@@ -529,6 +538,8 @@ _CHIMERA_REQUIRED = ("schema_version", "backend")
 
 def _load_chimera_config(path: str):
     """Backends, grid and fallback scorer from a config file."""
+    from . import chimera as chimera_mod
+
     obj = _load_config(path, _CHIMERA_FIELDS, _CHIMERA_REQUIRED)
     backend = backend_from_obj(obj["backend"], f"{path}: backend")
     fusion_backend = backend
@@ -578,6 +589,10 @@ def _run_segments(sources, jobs, backend, grid, per_slot, fusion=None):
     deadlock: its threads run only leaf calls (`complete` and scoring) and
     never wait on another future.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
+    from . import chimera as chimera_mod
+
     with ThreadPoolExecutor(max_workers=jobs) as requests:
 
         def run(src):
@@ -663,6 +678,8 @@ def fuse_cmd(config_path, in_path, out_path, jobs, seed):
 @click.option("--text", "text_mode", is_flag=True, help="Print the aligned text table")
 def eval_cmd(pairs_path, hyps_path, metric, aggregation, out_path, text_mode, seed):
     """Score hypotheses against references and report per direction group."""
+    from . import evalkit as evalkit_mod
+
     scorer = _load_scorer(metric, "--metric", evalkit_mod.SCORE_ITEM_FIELDS)
     pairs = corpus_mod.read_corpus(pairs_path, "parallel")
     fields = {"id": "string", "hypothesis": "string"}
@@ -708,6 +725,8 @@ def _build_stages(config: dict, seed: int, path: str):
         elif kind == "dedup":
             params["seed"] = seed
         elif kind == "perplexity":
+            from . import ngram_lm as lm_mod
+
             params["model"] = lm_mod.load_lm(params["model"])
         else:
             params["scorer"] = scorer_from_obj(params["scorer"], f"{where}.scorer")
@@ -768,7 +787,8 @@ def main(argv: list[str] | None = None) -> int:
         click.echo(f"error: {exc}", err=True)
         return 2
     except MemoryError as exc:  # such as NumPy refusing an oversized array before allocating it
-        click.echo(f"error: out of memory: {exc}", err=True)
+        click.echo(f"error: out of memory: {exc}" if str(exc) else
+                   "error: out of memory; no output was written", err=True)
         return 2
     return 0
 

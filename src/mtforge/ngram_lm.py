@@ -80,8 +80,6 @@ class NGramLm:
             self._levels[k] = (grams, contexts)
         self.vocab: frozenset[str] = frozenset({word for (word,) in counts[1]} - {BOS} | {UNK, EOS})
 
-    # -- probabilities ----------------------------------------------------
-
     def _prob(self, word: str, context: tuple[str, ...]) -> float:
         """P(word | context) for a word in vocab and an order-1 token context
         of vocab words and BOS: the uniform base, then each order's
@@ -95,16 +93,6 @@ class NGramLm:
                 total, types = seen
                 p = max(grams.get(ctx + (word,), 0) - self.discount, 0.0) / total + self.discount * types / total * p
         return p
-
-    def prob(self, word: str, context: Sequence[str] = ()) -> float:
-        """P(word | context), with unknown tokens mapped to UNK and the
-        context truncated on the left to order-1 tokens."""
-        word = word if word in self.vocab else UNK
-        ctx = tuple(t if t in self.vocab or t == BOS else UNK for t in context)
-        return self._prob(word, ((BOS,) * (self.order - 1) + ctx)[len(ctx) :])  # the last order-1 tokens
-
-    def seen_contexts(self, k: int | None = None) -> list[tuple[str, ...]]:
-        return sorted({gram[:-1] for gram in self.counts[k if k is not None else self.order]})
 
 
 def train_lm(

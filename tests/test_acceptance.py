@@ -33,6 +33,7 @@ from mtforge.ngram_lm import UNK, perplexity, train_lm
 from mtforge.rewards import grpo_advantages, load_term_table, repetition_score, terminology_reward
 
 from fusion_prompt import parse_fusion_prompt
+from ngram_probs import prob, seen_contexts
 
 GOLDENS = Path(__file__).parent / "goldens"
 DATA = Path(__file__).parent / "data"
@@ -144,24 +145,24 @@ def test_criterion_04_kneser_ney_normalization_and_oracles():
         lm = train_lm(docs, order=3, discount=0.75)
         rng = random.Random(4)
         words = sorted(lm.vocab)
-        seen = lm.seen_contexts()
+        seen = seen_contexts(lm)
         contexts = [seen[rng.randrange(len(seen))] for _ in range(50)]
         contexts += [
             (rng.choice(words + ["zzz"]), rng.choice(words + ["qqq"])) for _ in range(50)
         ]
         for ctx in contexts:
-            total = sum(lm.prob(w, ctx) for w in lm.vocab)
+            total = sum(prob(lm, w, ctx) for w in lm.vocab)
             assert abs(total - 1.0) <= 1e-9, (ctx, total)
 
         toy = train_lm(
             [Document(id="1", lang="en", text="the cat"), Document(id="2", lang="en", text="the dog")],
             order=2, discount=0.75,
         )
-        assert abs(toy.prob("cat", ("the",)) - 0.2525) <= 1e-9
+        assert abs(prob(toy, "cat", ("the",)) - 0.2525) <= 1e-9
 
         uniform = train_lm([Document(id=str(i), lang="en", text="a b c") for i in range(5)],
                            order=1, discount=0.0)
-        assert uniform.prob(UNK) == 0.0
+        assert prob(uniform, UNK) == 0.0
         vocab_size = len(uniform.vocab) - 1  # UNK carries no mass in this configuration
         assert abs(perplexity(uniform, "a b c") - vocab_size) <= 1e-9
         assert vocab_size == 4

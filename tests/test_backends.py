@@ -6,10 +6,12 @@ seed} -> {text}, and the scorer POST {name, items} -> {scores}.
 """
 
 import dataclasses
+import functools
 import json
 import socketserver
+import sys
 import threading
-import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -237,8 +239,9 @@ class TestCompletionWire:
                 monkeypatch.delenv(name, raising=False)
             monkeypatch.setenv("https_proxy", f"http://127.0.0.1:{proxy.server_address[1]}")
             monkeypatch.setenv("MTFORGE_BACKEND_TOKEN", "gen-secret")
-            # the opener reads the proxy settings when it is built
-            monkeypatch.setattr(backends, "_OPENER", urllib.request.build_opener(backends._RefuseRedirect))
+            # the opener reads the proxy settings when the first request
+            # builds it, so this test's requests get an opener of their own
+            monkeypatch.setattr(backends, "_opener", functools.cache(backends._opener.__wrapped__))
             _TunnelStub.seen.clear()
             spec = BackendSpec("real", "https://127.0.0.1:1/complete", "m", timeout_ms=5000, max_retries=2)
             with pytest.raises(BackendFailure, match=r"^https://127\.0\.0\.1:1/complete: "):
@@ -250,6 +253,26 @@ class TestCompletionWire:
         for line, tunneled in _TunnelStub.seen:
             assert line.startswith("CONNECT 127.0.0.1:1 ")
             assert tunneled[:1] == b"\x16"  # a TLS handshake record, never a plaintext POST
+
+    def test_first_requests_racing_to_build_the_opener_all_succeed(self, http_server, monkeypatch):
+        # the opener is built at the process's first request, and threads
+        # that make it together (as fuse's pool threads do) may each build one
+        monkeypatch.setattr(backends, "_opener", functools.cache(backends._opener.__wrapped__))
+        spec = BackendSpec("real", f"{http_server}/complete", "m", max_retries=0)
+        start = threading.Barrier(4, timeout=10)
+
+        def first_request(_):
+            start.wait()
+            return complete(spec, "p", GenerationParams())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                texts = list(pool.map(first_request, range(4), timeout=30))
+        finally:
+            sys.setswitchinterval(interval)
+        assert texts == ["echo:m:0.7"] * 4
 
     def test_redirect_is_not_followed(self, http_server, monkeypatch):
         monkeypatch.setenv("MTFORGE_BACKEND_TOKEN", "gen-secret")

@@ -200,6 +200,17 @@ class TestCommandSurface:
         assert calls == []
         assert [p.name for p in tmp_path.iterdir()] == ["in.jsonl"]
 
+    @pytest.mark.parametrize("name, flag", _SCORER_FLAGS)
+    def test_unknown_scorer_names_its_flag(self, tmp_path, capfd, monkeypatch, name, flag):
+        calls = []
+        monkeypatch.setattr(mtforge.ioutils, "read_jsonl", lambda *args: calls.append(args))
+        args = [flag, "nope", *_other_required_args(tmp_path, name, flag)]
+        assert run(name, *args, "--report", tmp_path / "report.json") == 1
+        assert capfd.readouterr().err == (
+            f"error: {flag}: unknown local scorer 'nope' (not registered or constant:<number>)\n")
+        assert calls == []
+        assert [p.name for p in tmp_path.iterdir()] == ["in.jsonl"]
+
 
 def _langid_model_json(**changes):
     """A small well-formed langid model file, with some keys replaced."""
@@ -764,8 +775,19 @@ class TestExitCodes:
             assert run("quality-filter", "--in", pairs, "--scorer", f"constant:{value}", "--tau", 0.5,
                        "--out", tmp_path / "out.jsonl") == 1
             assert capsys.readouterr().err == (
-                f"error: constant scorer value must be a finite number, got {value!r}\n")
+                f"error: --scorer: constant scorer value must be a finite number, got {value!r}\n")
         assert not (tmp_path / "out.jsonl").exists()
+
+    def test_out_of_memory_without_a_message_says_what_happened(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError()  # as a failed allocation raises it, with no message
+
+        monkeypatch.setattr(mtforge.corpus, "read_corpus", exhausted)
+        docs = _write_mono(tmp_path, _english_docs(4))
+        model = tmp_path / "lm.txt"
+        assert run("lm-train", "--in", docs, "--model", model, "--report", tmp_path / "report.json") == 2
+        assert capsys.readouterr().err == "error: out of memory; no output was written\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
 
     def test_io_error_is_exit_2(self, tmp_path):
         docs = _write_mono(tmp_path, _english_docs(4))

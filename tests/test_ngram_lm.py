@@ -21,6 +21,8 @@ from mtforge.ngram_lm import (
     train_lm,
 )
 
+from ngram_probs import prob, seen_contexts
+
 
 def _docs(texts, lang="en"):
     return [Document(id=f"d{i}", lang=lang, text=t) for i, t in enumerate(texts)]
@@ -39,12 +41,12 @@ HAND_P_CAT_GIVEN_THE = 0.2525
 class TestTraining:
     def test_toy_bigram_matches_hand_oracle(self):
         lm = train_lm(_docs(["the cat", "the dog"]), order=2, discount=0.75)
-        assert math.isclose(lm.prob("cat", ("the",)), HAND_P_CAT_GIVEN_THE, abs_tol=1e-9)
-        assert math.isclose(lm.prob("dog", ("the",)), HAND_P_CAT_GIVEN_THE, abs_tol=1e-9)
+        assert math.isclose(prob(lm, "cat", ("the",)), HAND_P_CAT_GIVEN_THE, abs_tol=1e-9)
+        assert math.isclose(prob(lm, "dog", ("the",)), HAND_P_CAT_GIVEN_THE, abs_tol=1e-9)
 
     def test_unigram_model_has_unk_mass(self):
         lm = train_lm(_docs(["a a a"]), order=1, discount=0.75)
-        assert lm.prob("a") > lm.prob(UNK) > 0
+        assert prob(lm, "a") > prob(lm, UNK) > 0
 
     def test_normalization_at_seen_contexts(self):
         lm = train_lm(
@@ -52,8 +54,8 @@ class TestTraining:
             order=3,
             discount=0.75,
         )
-        for ctx in lm.seen_contexts():
-            total = sum(lm.prob(w, ctx) for w in lm.vocab)
+        for ctx in seen_contexts(lm):
+            total = sum(prob(lm, w, ctx) for w in lm.vocab)
             assert math.isclose(total, 1.0, abs_tol=1e-9), ctx
 
     def test_normalization_at_unseen_contexts(self):
@@ -62,7 +64,7 @@ class TestTraining:
         words = sorted(lm.vocab)
         for _ in range(25):
             ctx = (rng.choice(words + ["zzz"]), rng.choice(words + ["qqq"]))
-            total = sum(lm.prob(w, ctx) for w in lm.vocab)
+            total = sum(prob(lm, w, ctx) for w in lm.vocab)
             assert math.isclose(total, 1.0, abs_tol=1e-9), ctx
 
     def test_min_count_maps_rare_tokens(self):
@@ -105,7 +107,7 @@ class TestScoring:
         # 4 equally frequent outcomes {a, b, c, EOS}; discount 0 gives pure ML
         # with zero unknown-token mass
         lm = train_lm(_docs(["a b c"] * 5), order=1, discount=0.0)
-        assert lm.prob(UNK) == 0.0
+        assert prob(lm, UNK) == 0.0
         for text in ("a b c", "c a", "b b b b"):
             assert math.isclose(perplexity(lm, text), 4.0, abs_tol=1e-9)
 
@@ -137,7 +139,7 @@ class TestScoring:
             return max(c - d, 0) / total + d * len(counts) / total / vocab_size
 
         for w in ("a", "b", "c", EOS, UNK):
-            assert math.isclose(lm.prob(w), direct(w), abs_tol=1e-12)
+            assert math.isclose(prob(lm, w), direct(w), abs_tol=1e-12)
         ref = math.exp(-sum(math.log(direct(w)) for w in ["a", "b", EOS]) / 3)
         assert math.isclose(perplexity(lm, "a b"), ref, abs_tol=1e-9)
 
@@ -348,10 +350,10 @@ class TestAgainstNestedReference:
         assert lm.vocab == ref.vocab
         for lang, text in corpus + queries:
             assert log_prob(lm, text, lang) == ref.log_prob(segment_tokens(text, lang))
-        seen = [ctx for k in range(1, order + 1) for ctx in lm.seen_contexts(k)]
+        seen = [ctx for k in range(1, order + 1) for ctx in seen_contexts(lm, k)]
         for ctx in seen + [tuple(c) for c in contexts]:
             for word in sorted(lm.vocab) + ["zzz", BOS]:
-                assert lm.prob(word, ctx) == ref.prob(word, ctx), (word, ctx)
+                assert prob(lm, word, ctx) == ref.prob(word, ctx), (word, ctx)
         path = tmp_path_factory.mktemp("lm") / "lm.txt"
         save_lm(lm, path)
         loaded = load_lm(path)

@@ -23,6 +23,12 @@ No function calls itself, by its bare name or, for a method, through its
 first parameter (`self.f()`, `cls.f()`): how deep a call goes may never
 depend on the input, such as the order in a model file, so no input can
 reach the interpreter's recursion limit.
+
+Only `langid`, `minlsh`, `_minhash_py` and `mixopt` import NumPy when they
+are imported, and no module imports the HTTP stack (`http.client`,
+`urllib.request`, `urllib.error`, `ssl`), `concurrent.futures` or
+`multiprocessing` then: a command loads each only when it runs code that
+uses it, as `test_startup.py` checks in fresh interpreters.
 """
 
 import ast
@@ -303,3 +309,75 @@ def test_only_segment_tokens_splits_on_whitespace():
 ])
 def test_whitespace_split_rule(source, found):
     assert whitespace_splits(source + "\n", "m.py") == found
+
+
+# Modules that cost a command's start-up, and the package modules that may
+# import them at module level: NumPy only where the work needs it, and the
+# HTTP stack, the thread pool and multiprocessing nowhere, so only the
+# commands that use them load them.
+_STARTUP_IMPORTS = {"numpy": {"langid", "minlsh", "_minhash_py", "mixopt"}, "multiprocessing": set(),
+                    "http.client": set(), "urllib.request": set(), "urllib.error": set(), "ssl": set(),
+                    "concurrent.futures": set()}
+
+
+def _imported(node: ast.AST) -> list[str]:
+    """The absolute module names an import statement loads."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and not node.level:
+        return [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+    return []
+
+
+def _is_type_checking(node: ast.AST) -> bool:
+    return isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"
+
+
+def startup_imports(source: str, filename: str) -> list[str]:
+    """`<filename>:<line>:<module>` of each module of `_STARTUP_IMPORTS` that
+    importing the file loads and may not: every import outside a function
+    body and an `if TYPE_CHECKING:` block."""
+    found, stack = [], [ast.parse(source, filename)]
+    while stack:
+        node = stack.pop()
+        for name in _imported(node):
+            for module, allowed in _STARTUP_IMPORTS.items():
+                if (name == module or name.startswith(module + ".")) and filename[:-3] not in allowed:
+                    found.append((node.lineno, f"{filename}:{node.lineno}:{module}"))
+        if _is_type_checking(node):
+            stack.extend(node.orelse)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):  # a class body runs
+            stack.extend(ast.iter_child_nodes(node))
+    return [place for _, place in sorted(set(found))]
+
+
+def test_startup_modules_load_only_where_used():
+    found = [place for path in sorted(PACKAGE.rglob("*.py"))
+             for place in startup_imports(path.read_text(encoding="utf-8"), path.name)]
+    assert found == []
+
+
+@pytest.mark.parametrize("filename, source, found", [
+    ("m.py", "import numpy as np", ["m.py:1:numpy"]),
+    ("m.py", "from numpy.linalg import lstsq", ["m.py:1:numpy"]),
+    ("minlsh.py", "import numpy as np", []),
+    ("langid.py", "import multiprocessing", ["langid.py:1:multiprocessing"]),
+    ("m.py", "import http.client", ["m.py:1:http.client"]),
+    ("m.py", "from http import client", ["m.py:1:http.client"]),
+    ("m.py", "import urllib.error, urllib.parse", ["m.py:1:urllib.error"]),
+    ("m.py", "from urllib import request", ["m.py:1:urllib.request"]),
+    ("m.py", "from concurrent.futures import ThreadPoolExecutor", ["m.py:1:concurrent.futures"]),
+    ("m.py", "import multiprocessing.pool", ["m.py:1:multiprocessing"]),
+    ("m.py", "try:\n    import ssl\nexcept ImportError:\n    ssl = None", ["m.py:2:ssl"]),
+    ("m.py", "class A:\n    import ssl", ["m.py:2:ssl"]),
+    ("m.py", "if TYPE_CHECKING:\n    pass\nelse:\n    import ssl", ["m.py:4:ssl"]),
+    ("m.py", "if TYPE_CHECKING:\n    from concurrent.futures import Executor", []),
+    ("m.py", "def f():\n    import http.client", []),
+    ("m.py", "class A:\n    def f(self):\n        from concurrent.futures import wait", []),
+    ("m.py", "import urllib.parse", []),
+    ("m.py", "from urllib import parse", []),
+    ("m.py", "from . import minlsh", []),
+    ("m.py", "from .parallel import map_chunks", []),
+])
+def test_startup_import_rule(filename, source, found):
+    assert startup_imports(source + "\n", filename) == found

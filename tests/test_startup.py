@@ -1,16 +1,21 @@
-"""Start-up: a command loads NumPy only when its work needs it, and
-`multiprocessing` only when it forks workers.
+"""Start-up: a command loads NumPy, the thread pool, the HTTP stack and
+`multiprocessing` only when its work needs them.
 
 NumPy takes about half of a bare command's start-up, and only `langid`,
-`minlsh` and `mixopt` use it; `multiprocessing` is needed only by
-`parallel.map_chunks` at more than one process. Each case runs in a fresh
-interpreter, since the test process has long imported everything.
+`minlsh` and `mixopt` use it. `concurrent.futures` (which brings `logging`)
+is needed only by the commands that fan requests out; `http.client`,
+`urllib.request` and `ssl` only by the first request to an http(s)
+endpoint; `multiprocessing` only by `parallel.map_chunks` at more than one
+process. Each case runs in a fresh interpreter, since the test process has
+long imported everything.
 """
 
 import json
 import os
 import subprocess
 import sys
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
@@ -20,21 +25,42 @@ from mtforge.corpus import Document, ParallelPair, write_corpus
 
 PACKAGE_ROOT = str(Path(mtforge.__file__).resolve().parents[1])
 
-# prints, on its last line, the exit code of `main(argv)` and whether NumPy
-# and multiprocessing were loaded
-_RUN = """
+# the modules a case reports as loaded, in this order
+_WATCHED = ("numpy", "multiprocessing", "concurrent.futures", "http.client", "urllib.request", "ssl")
+_HTTP = ["http.client", "urllib.request", "ssl"]
+
+# prints, on its last line, the exit code of `main(argv)` and the watched
+# modules it loaded
+_RUN = f"""
 import sys
 from mtforge.cli import main
 code = main(sys.argv[1:])
-print(code, "numpy" in sys.modules, "multiprocessing" in sys.modules)
+print(code, *(name for name in {_WATCHED!r} if name in sys.modules))
 """
 
 
 def _fresh(code, *args, cwd):
+    # no proxy, so a request to the local stub goes straight to it
+    env = {key: value for key, value in os.environ.items() if not key.lower().endswith("_proxy")}
     proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], cwd=cwd, capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT), timeout=60)
+                          env=dict(env, PYTHONPATH=PACKAGE_ROOT), timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1].split()
+
+
+class _ScoreStub(BaseHTTPRequestHandler):
+    """A remote scorer that gives every item 1.0."""
+
+    def do_POST(self):
+        items = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["items"]
+        body = json.dumps({"scores": [1.0] * len(items)}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
 
 
 @pytest.fixture(scope="module")
@@ -50,30 +76,43 @@ def inputs(tmp_path_factory):
     (d / "sources.jsonl").write_text(json.dumps({"id": "s", "src_lang": "en", "tgt_lang": "fr", "text": "hi"}) + "\n")
     (d / "chimera.json").write_text(json.dumps(
         {"schema_version": 1, "backend": {"name": "gen", "endpoint": "mock:echo", "model_id": "m"}}))
-    return d
+    server = HTTPServer(("127.0.0.1", 0), _ScoreStub)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    (d / "remote.json").write_text(json.dumps(
+        {"name": "qe", "kind": "remote_http", "config": f"http://127.0.0.1:{server.server_address[1]}/score"}))
+    yield d
+    server.shutdown()
+    server.server_close()
 
 
-@pytest.mark.parametrize("argv, loads_numpy", [
-    (["--help"], False),
-    (["lm-train", "--in", "docs.jsonl", "--model", "lm.txt"], False),
-    (["eval", "--pairs", "pairs.jsonl", "--hyps", "hyps.jsonl", "--metric", "chrf"], False),
-    (["quality-filter", "--in", "pairs.jsonl", "--scorer", "constant:0.5", "--tau", "0.5", "--out", "q.jsonl"], False),
+_CASES = [
+    (["--help"], []),
+    (["lm-train", "--in", "docs.jsonl", "--model", "lm.txt"], []),
+    (["eval", "--pairs", "pairs.jsonl", "--hyps", "hyps.jsonl", "--metric", "chrf"], []),
+    (["quality-filter", "--in", "pairs.jsonl", "--scorer", "constant:0.5", "--tau", "0.5", "--out", "q.jsonl"], []),
+    (["quality-filter", "--in", "pairs.jsonl", "--scorer", "remote.json", "--tau", "0.5", "--out", "qr.jsonl"],
+     _HTTP),
     (["reward-score", "--in", "rewards.jsonl", "--terms", "terms.json", "--scorer", "constant:0.5",
-      "--out", "r.jsonl"], False),
-    (["translate", "--config", "chimera.json", "--in", "sources.jsonl", "--out", "t.jsonl"], False),
-    (["fuse", "--config", "chimera.json", "--in", "sources.jsonl", "--out", "f.jsonl"], False),
-    (["dedup", "--in", "docs.jsonl", "--out", "kept.jsonl", "--jobs", "1"], True),
-    (["langid-train", "--in", "docs.jsonl", "--model", "langid.json"], True),
-    (["mix-sample", "--domains", "web,code", "--n", "3", "--out", "mix.jsonl"], True),
-], ids=lambda value: value[0] if isinstance(value, list) else None)
-def test_command_loads_numpy_only_when_its_work_needs_it(inputs, argv, loads_numpy):
-    # no case runs more than one process, so none loads multiprocessing
-    assert _fresh(_RUN, *argv, cwd=inputs) == ["0", str(loads_numpy), "False"]
+      "--out", "r.jsonl"], ["concurrent.futures"]),
+    (["translate", "--config", "chimera.json", "--in", "sources.jsonl", "--out", "t.jsonl"], ["concurrent.futures"]),
+    (["fuse", "--config", "chimera.json", "--in", "sources.jsonl", "--out", "f.jsonl"], ["concurrent.futures"]),
+    (["dedup", "--in", "docs.jsonl", "--out", "kept.jsonl", "--jobs", "1"], ["numpy"]),
+    (["langid-train", "--in", "docs.jsonl", "--model", "langid.json"], ["numpy"]),
+    (["mix-sample", "--domains", "web,code", "--n", "3", "--out", "mix.jsonl"], ["numpy"]),
+]
 
 
-def test_importing_the_cli_does_not_load_numpy(tmp_path):
-    assert _fresh("import sys, mtforge.cli; print('numpy' in sys.modules, 'multiprocessing' in sys.modules)",
-                  cwd=tmp_path) == ["False", "False"]
+# no case runs more than one process, so none loads multiprocessing
+@pytest.mark.parametrize("argv, loads", _CASES,
+                         ids=[" ".join([argv[0], *loads[:1]]) for argv, loads in _CASES])
+def test_command_loads_only_what_its_work_needs(inputs, argv, loads):
+    assert _fresh(_RUN, *argv, cwd=inputs) == ["0", *loads]
+
+
+def test_importing_the_cli_loads_none_of_them(tmp_path):
+    code = f"import sys, mtforge.cli; print('loaded', *(name for name in {_WATCHED!r} if name in sys.modules))"
+    assert _fresh(code, cwd=tmp_path) == ["loaded"]
 
 
 def test_package_exports_resolve_on_use():
