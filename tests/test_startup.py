@@ -105,7 +105,7 @@ _CASES = [
 
 # no case runs more than one process, so none loads multiprocessing
 @pytest.mark.parametrize("argv, loads", _CASES,
-                         ids=[" ".join([argv[0], *loads[:1]]) for argv, loads in _CASES])
+                         ids=["-".join([argv[0], *loads[:1]]) for argv, loads in _CASES])
 def test_command_loads_only_what_its_work_needs(inputs, argv, loads):
     assert _fresh(_RUN, *argv, cwd=inputs) == ["0", *loads]
 
