@@ -12,7 +12,6 @@ header is sent when MTFORGE_BACKEND_TOKEN is set.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import os
 import urllib.parse
@@ -91,6 +90,8 @@ def register_mock_backend(name: str, fn: MockFn) -> None:
 
 
 def _mock_echo(prompt: str, params: GenerationParams, model_id: str) -> str:
+    import hashlib  # here, so only the commands that call the echo mock load it
+
     digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()[:12]
     return f"[{model_id}:{digest}:T{params.temperature:g}:s{params.seed}]"
 

@@ -484,7 +484,7 @@ def reward_score(in_path, terms_path, scorer_spec, w_quality, w_terminology, w_r
 
     def score_row(row):
         lineno, rec_id, source, hypothesis, lang, _ = row
-        quality = scorer.score_one({"source": source, "hypothesis": hypothesis})
+        [quality] = scorer.score_many([{"source": source, "hypothesis": hypothesis}])
         if quality is None:
             raise OrchestrationError(f"quality scorer failed on record {rec_id!r}")
         return reward_row(lineno, rec_id, source, hypothesis, lang, quality)
@@ -493,10 +493,11 @@ def reward_score(in_path, terms_path, scorer_spec, w_quality, w_terminology, w_r
     # before any request is sent
     out_rows = [None if row[-1] is None else reward_row(*row) for row in rows]
     unscored = [i for i, row in enumerate(rows) if row[-1] is None]
-    if unscored and scorer is None:
-        raise ValidationError(f"record {rows[unscored[0]][1]!r} has no quality score and no --scorer was given")
-    for i, out_row in zip(unscored, _fan_out(score_row, [rows[i] for i in unscored], jobs)):
-        out_rows[i] = out_row
+    if unscored:
+        if scorer is None:
+            raise ValidationError(f"record {rows[unscored[0]][1]!r} has no quality score and no --scorer was given")
+        for i, out_row in zip(unscored, _fan_out(score_row, [rows[i] for i in unscored], jobs)):
+            out_rows[i] = out_row
     write_jsonl(out_path, out_rows)
     return {
         "counts": {"records": len(out_rows)},

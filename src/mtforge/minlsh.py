@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import mmap
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -25,6 +24,10 @@ from .parallel import map_chunks
 KERNEL_BACKEND: str = "numpy"
 
 MERSENNE61 = _kernel.P_INT
+
+# The most hashes a signature may hold (bands x rows); the goldens and
+# workloads use at most 256.
+MAX_SIGNATURE_LENGTH = 4096
 
 
 def _check_unit(unit: str) -> None:
@@ -89,11 +92,11 @@ def signature(shingles: np.ndarray, k: int, seed: int, starts: np.ndarray | None
 _BLOCK_COLUMNS = 256
 
 
-def _sign(docs: Sequence[Document], sigs: np.ndarray, shingle_n: int, seed: int, unit: str) -> None:
-    """Write each document's signature into its row of the (len(docs), k)
-    matrix `sigs`, a block of consecutive documents at a time: each block's
-    shingle arrays are held only until the block is signed."""
-    k = sigs.shape[1]
+def _sign(docs: Sequence[Document], k: int, shingle_n: int, seed: int, unit: str) -> np.ndarray:
+    """The (len(docs), k) matrix of the documents' signatures, signed a block
+    of consecutive documents at a time: each block's shingle arrays are held
+    only until the block is signed."""
+    sigs = np.empty((len(docs), k), dtype=np.uint64)
     block: list[np.ndarray] = []
     width = signed = 0
     for doc in docs:
@@ -105,6 +108,7 @@ def _sign(docs: Sequence[Document], sigs: np.ndarray, shingle_n: int, seed: int,
         width += len(shingles)
     if block:
         sigs[signed:] = _sign_block(block, k, seed)
+    return sigs
 
 
 def _sign_block(block: list[np.ndarray], k: int, seed: int) -> np.ndarray:
@@ -137,8 +141,6 @@ class LshIndex:
 
     def insert(self, rows: np.ndarray) -> None:
         """Bucket every row of the (m, k) matrix, replacing what was indexed before."""
-        if self.bands * self.rows_per_band != rows.shape[1]:
-            raise ValidationError(f"bands*rows ({self.bands}x{self.rows_per_band}) != signature k={rows.shape[1]}")
         m = len(rows)
         # (m, bands) keys; a stable sort down each band keeps every bucket's row indices ascending
         keys = _row_keys(rows.reshape(m, self.bands, self.rows_per_band))
@@ -220,6 +222,8 @@ def check_dedup_params(shingle_n: int, bands: int, rows: int, threshold: float, 
     _check_unit(unit)
     if bands < 1 or rows < 1:
         raise ValidationError(f"bands and rows must be >= 1, got {bands}x{rows}")
+    if bands * rows > MAX_SIGNATURE_LENGTH:
+        raise ValidationError(f"bands x rows must be <= {MAX_SIGNATURE_LENGTH}, got {bands}x{rows}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     if not 0 < threshold <= 1:
@@ -243,10 +247,11 @@ def dedup(docs: Sequence[Document], *, shingle_n: int, bands: int, rows: int, th
 
     Shingling and signing run on up to `jobs` processes over contiguous
     chunks of `docs` (`parallel.map_chunks`), each chunk signed in blocks
-    of consecutive documents into its rows of one shared matrix; banding
-    and clustering run in the calling process. The result does not depend
-    on `jobs`. Processes, not threads: the work between kernel calls holds
-    the GIL, and a thread pool was measured slower than one thread.
+    of consecutive documents into rows of its own, which the calling
+    process stacks in input order; banding and clustering run there too.
+    The result does not depend on `jobs`. Processes, not threads: the work
+    between kernel calls holds the GIL, and a thread pool was measured
+    slower than one thread.
     """
     check_dedup_params(shingle_n, bands, rows, threshold, unit, seed)
     k = bands * rows
@@ -254,11 +259,7 @@ def dedup(docs: Sequence[Document], *, shingle_n: int, bands: int, rows: int, th
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate document ids in dedup input")
 
-    # in memory shared with forked signers, which write their rows in place,
-    # so no signature is pickled back or copied into place
-    sigs = np.frombuffer(mmap.mmap(-1, max(1, len(docs) * k * 8)), np.uint64, len(docs) * k).reshape(len(docs), k)
-    map_chunks(lambda part: _sign(docs[part.start : part.stop], sigs[part.start : part.stop], shingle_n, seed, unit),
-               range(len(docs)), jobs)
+    sigs = np.concatenate(map_chunks(lambda part: _sign(part, k, shingle_n, seed, unit), docs, jobs))
     _, first, inverse = np.unique(_row_keys(sigs), return_index=True, return_inverse=True)
     distinct = sigs[first]
 

@@ -22,6 +22,13 @@ from .ioutils import is_finite_number, read_records
 SIMPLEX_TOL = 1e-9
 
 
+def _check_indexable(what: str, n: int, d: int) -> None:
+    """Reject n mixtures of d domains whose float64 array reaches 2**63 bytes,
+    which NumPy cannot index; a smaller one too big for memory raises MemoryError."""
+    if n * d * 8 >= 2**63:
+        raise ValidationError(f"{what} {n} is more mixtures of {d} domains than NumPy can index")
+
+
 @dataclass(frozen=True)
 class MixtureSpec:
     domains: tuple[str, ...]
@@ -64,6 +71,7 @@ def sample_mixtures(
     if dirichlet_alpha <= 0:
         raise ValidationError(f"dirichlet alpha must be > 0, got {dirichlet_alpha}")
     domains = tuple(domains)
+    _check_indexable("n", n, len(domains))
     rng = np.random.default_rng(seed)
     draws = rng.dirichlet(np.full(len(domains), dirichlet_alpha), size=n)
     return [MixtureSpec(domains, tuple(float(w) for w in row)) for row in draws]
@@ -146,6 +154,7 @@ def optimize_mixture(model: RegressionModel, n_candidates: int, seed: int = 0) -
     if n_candidates < 1:
         raise ValidationError(f"need n_candidates >= 1, got {n_candidates}")
     d = len(model.domains)
+    _check_indexable("n_candidates", n_candidates, d)
     rng = np.random.default_rng(seed)
     candidates = rng.dirichlet(np.ones(d), size=n_candidates)
     pool = np.vstack([candidates, np.eye(d)])

@@ -163,9 +163,6 @@ class ScorerEndpoint:
             return [None] * len(items)
         return [self._clamp(s) if is_finite_number(s) else None for s in scores]
 
-    def score_one(self, item: Item) -> float | None:
-        return self.score_many([item])[0]
-
 
 def scorer_from_obj(obj: dict, where: object = "scorer config") -> ScorerEndpoint:
     """Build an endpoint from its JSON form, checked against its FIELDS; a

@@ -465,8 +465,8 @@ class TestSpecsFromObj:
         assert scorer_from_obj({"name": "c", "kind": "local_function", "config": "chrf"}).score_range == (0.0, 100.0)
         assert ScorerEndpoint("l", "local_function", "length_ratio").score_range == (0.0, 1.0)
         register_scorer("ten_point", lambda item: 7.0, (0.0, 10.0))
-        assert ScorerEndpoint("t", "local_function", "ten_point").score_one({}) == 7.0
-        assert ScorerEndpoint("t", "local_function", "ten_point", (0.0, 5.0)).score_one({}) == 5.0
+        assert ScorerEndpoint("t", "local_function", "ten_point").score_many([{}]) == [7.0]
+        assert ScorerEndpoint("t", "local_function", "ten_point", (0.0, 5.0)).score_many([{}]) == [5.0]
 
     def test_unregistered_scorer_defaults_to_unit_range(self):
         assert ScorerEndpoint("k", "local_function", "constant:0.5").score_range == (0.0, 1.0)

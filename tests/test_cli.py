@@ -716,6 +716,13 @@ class TestExitCodes:
          "--replay-fraction and --replay-domain go together"),
         (["mix-optimize", "--model", "{empty}", "--out", "{out}", "--replay-domain", "replay"],
          "--replay-fraction and --replay-domain go together"),
+        # NumPy cannot index an array of 2**63 bytes: 2**59 mixtures of 2 float64 weights is the first such
+        (["mix-sample", "--domains", "a,b", "--n", 10**19, "--out", "{out}"],
+         f"n {10**19} is more mixtures of 2 domains than NumPy can index"),
+        (["mix-sample", "--domains", "a,b", "--n", 2**59, "--out", "{out}"],
+         f"n {2**59} is more mixtures of 2 domains than NumPy can index"),
+        (["mix-optimize", "--model", "{model}", "--out", "{out}", "--candidates", 10**19],
+         f"n_candidates {10**19} is more mixtures of 2 domains than NumPy can index"),
     ])
     def test_bad_value_is_one_line_exit_1(self, tmp_path, capsys, args, message):
         run_line = {"domains": ["a", "b"], "weights": [0.5, 0.5], "loss": 1.0}
@@ -750,6 +757,19 @@ class TestExitCodes:
             f"error: {config}: stages[1]: bands and rows must be >= 1, got {bands}x{rows}\n")
         assert calls == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "langid.json", "pipeline.json"]
+
+    @pytest.mark.parametrize("bands, rows", [(4097, 1), (65, 64), (10**9, 10**9)])
+    def test_dedup_rejects_a_signature_over_the_bound(self, tmp_path, capsys, bands, rows):
+        corpus = _write_mono(tmp_path, _english_docs(3))
+        message = f"bands x rows must be <= 4096, got {bands}x{rows}"
+        assert run("dedup", "--in", corpus, "--out", tmp_path / "kept.jsonl", "--bands", bands, "--rows", rows) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        config = tmp_path / "pipeline.json"
+        config.write_bytes(_pipeline_json({"type": "dedup", "bands": bands, "rows": rows})
+                           .replace(b"{dir}", json.dumps(str(tmp_path))[1:-1].encode()))
+        assert run("pipeline-run", "--config", config) == 1
+        assert capsys.readouterr().err == f"error: {config}: stages[0]: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "pipeline.json"]
 
     def test_dedup_value_is_checked_before_the_corpus_is_read(self, tmp_path, capsys):
         empty = tmp_path / "corpus.jsonl"

@@ -226,9 +226,9 @@ class TestKernelBackends:
         calls = []
         monkeypatch.setattr(minlsh, "signature",
                             lambda xs, *args, **kw: calls.append(len(xs)) or signature(xs, *args, **kw))
-        sigs = np.zeros((len(docs), 16), dtype=np.uint64)
-        minlsh._sign(docs, sigs, 1, 7, "word")
+        sigs = minlsh._sign(docs, 16, 1, 7, "word")
         assert calls == widths
+        assert sigs.shape == (len(docs), 16) and sigs.dtype == np.uint64
         a, b = hash_params(16, 7)
         for doc, row in zip(docs, sigs, strict=True):
             assert [int(v) for v in row] == _bigint_min_hash(shingle(doc.text, 1), a, b)
@@ -268,11 +268,6 @@ class TestLsh:
         index = LshIndex(bands=16, rows_per_band=8)
         index.insert(np.empty((0, 128), dtype=np.uint64))
         assert index.candidate_pairs() == []
-
-    def test_band_mismatch_rejected(self):
-        sig = signature(shingle("a b", 1), 128, seed=1)
-        with pytest.raises(ValidationError):
-            LshIndex(bands=10, rows_per_band=10).insert(sig[None, :])
 
     @pytest.mark.parametrize("s", [0.2, 0.7, 0.95])
     def test_collision_curve(self, s):
@@ -410,6 +405,32 @@ class TestDedup:
         for docs in ([], [Document(id="a", lang="en", text="x y z"), Document(id="b", lang="en", text="x y z")]):
             with pytest.raises(ValidationError):
                 _dedup(docs, **params)
+
+    @pytest.mark.parametrize("bands, rows", [(4097, 1), (1, 4097), (65, 64), (10**9, 10**9)])
+    def test_signature_length_bounded(self, bands, rows):
+        assert minlsh.MAX_SIGNATURE_LENGTH == 4096
+        with pytest.raises(ValidationError, match=f"bands x rows must be <= 4096, got {bands}x{rows}"):
+            _dedup([Document(id="a", lang="en", text="x y z")], bands=bands, rows=rows)
+
+    def test_longest_signature_accepted(self):
+        docs = [Document(id=f"d{i}", lang="en", text="x y z") for i in range(2)]
+        kept, dropped = _dedup(docs, shingle_n=1, bands=64, rows=64)
+        assert [d.id for d in kept] == ["d0"] and [rec.dropped_id for rec in dropped] == ["d1"]
+
+    @pytest.mark.parametrize("n_docs", [0, 1, 2, 5])
+    def test_jobs_do_not_change_the_partition(self, n_docs, monkeypatch):
+        """Each process signs its chunk into rows of its own, and the rows are
+        stacked in input order. With three CPUs seen, 5 documents split 2 + 3
+        at --jobs 2 and 1 + 2 + 2 at --jobs 3, so the near-duplicates at
+        positions 1 and 3 are signed by different processes at both."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        texts = [" ".join(f"t{i}w{j}" for j in range(20)) for i in range(n_docs)]
+        if n_docs == 5:
+            texts[3] = texts[1].replace("t1w19", "x")  # shorter, so d1 is kept
+        docs = [Document(id=f"d{i}", lang="en", text=text) for i, text in enumerate(texts)]
+        runs = [_dedup(docs, shingle_n=2, bands=16, rows=4, threshold=0.7, jobs=jobs) for jobs in (1, 2, 3)]
+        assert runs[1:] == [runs[0]] * 2
+        assert [rec.dropped_id for rec in runs[0][1]] == (["d3"] if n_docs == 5 else [])
 
 
 _VOCAB = [f"v{i}" for i in range(30)]

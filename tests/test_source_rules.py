@@ -312,12 +312,12 @@ def test_whitespace_split_rule(source, found):
 
 
 # Modules that cost a command's start-up, and the package modules that may
-# import them at module level: NumPy only where the work needs it, and the
-# HTTP stack, the thread pool and multiprocessing nowhere, so only the
-# commands that use them load them.
+# import them at module level: NumPy only where the work needs it, hashlib
+# only in minlsh, and the HTTP stack, the thread pool and multiprocessing
+# nowhere, so only the commands that use them load them.
 _STARTUP_IMPORTS = {"numpy": {"langid", "minlsh", "_minhash_py", "mixopt"}, "multiprocessing": set(),
                     "http.client": set(), "urllib.request": set(), "urllib.error": set(), "ssl": set(),
-                    "concurrent.futures": set()}
+                    "concurrent.futures": set(), "hashlib": {"minlsh"}}
 
 
 def _imported(node: ast.AST) -> list[str]:

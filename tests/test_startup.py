@@ -1,12 +1,12 @@
-"""Start-up: a command loads NumPy, the thread pool, the HTTP stack and
-`multiprocessing` only when its work needs them.
+"""Start-up: a command loads NumPy, the thread pool, the HTTP stack,
+`multiprocessing` and `hashlib` only when its work needs them.
 
 NumPy takes about half of a bare command's start-up, and only `langid`,
 `minlsh` and `mixopt` use it. `concurrent.futures` (which brings `logging`)
 is needed only by the commands that fan requests out; `http.client`,
 `urllib.request` and `ssl` only by the first request to an http(s)
 endpoint; `multiprocessing` only by `parallel.map_chunks` at more than one
-process. Each case runs in a fresh interpreter, since the test process has
+process; `hashlib` only by dedup's shingles and the echo mock backend. Each case runs in a fresh interpreter, since the test process has
 long imported everything.
 """
 
@@ -26,8 +26,9 @@ from mtforge.corpus import Document, ParallelPair, write_corpus
 PACKAGE_ROOT = str(Path(mtforge.__file__).resolve().parents[1])
 
 # the modules a case reports as loaded, in this order
-_WATCHED = ("numpy", "multiprocessing", "concurrent.futures", "http.client", "urllib.request", "ssl")
-_HTTP = ["http.client", "urllib.request", "ssl"]
+_WATCHED = ("numpy", "multiprocessing", "concurrent.futures", "http.client", "urllib.request", "ssl", "hashlib")
+# urllib.request loads hashlib, for digest authentication
+_HTTP = ["http.client", "urllib.request", "ssl", "hashlib"]
 
 # prints, on its last line, the exit code of `main(argv)` and the watched
 # modules it loaded
@@ -72,6 +73,8 @@ def inputs(tmp_path_factory):
     write_corpus(pairs, d / "pairs.jsonl")
     (d / "hyps.jsonl").write_text("".join(json.dumps({"id": p.id, "hypothesis": "le chat"}) + "\n" for p in pairs))
     (d / "rewards.jsonl").write_text(json.dumps({"id": "r", "source": "the dog", "hypothesis": "le chien"}) + "\n")
+    (d / "scored.jsonl").write_text(
+        json.dumps({"id": "r", "source": "the dog", "hypothesis": "le chien", "quality": 0.5}) + "\n")
     (d / "terms.json").write_text(json.dumps({"dog": ["chien"]}))
     (d / "sources.jsonl").write_text(json.dumps({"id": "s", "src_lang": "en", "tgt_lang": "fr", "text": "hi"}) + "\n")
     (d / "chimera.json").write_text(json.dumps(
@@ -95,11 +98,17 @@ _CASES = [
      _HTTP),
     (["reward-score", "--in", "rewards.jsonl", "--terms", "terms.json", "--scorer", "constant:0.5",
       "--out", "r.jsonl"], ["concurrent.futures"]),
-    (["translate", "--config", "chimera.json", "--in", "sources.jsonl", "--out", "t.jsonl"], ["concurrent.futures"]),
-    (["fuse", "--config", "chimera.json", "--in", "sources.jsonl", "--out", "f.jsonl"], ["concurrent.futures"]),
-    (["dedup", "--in", "docs.jsonl", "--out", "kept.jsonl", "--jobs", "1"], ["numpy"]),
+    # every record carries its quality, so no request is sent and no pool starts
+    (["reward-score", "--in", "scored.jsonl", "--terms", "terms.json", "--scorer", "constant:0.5",
+      "--out", "rs.jsonl"], []),
+    (["translate", "--config", "chimera.json", "--in", "sources.jsonl", "--out", "t.jsonl"],
+     ["concurrent.futures", "hashlib"]),
+    (["fuse", "--config", "chimera.json", "--in", "sources.jsonl", "--out", "f.jsonl"],
+     ["concurrent.futures", "hashlib"]),
+    (["dedup", "--in", "docs.jsonl", "--out", "kept.jsonl", "--jobs", "1"], ["numpy", "hashlib"]),
     (["langid-train", "--in", "docs.jsonl", "--model", "langid.json"], ["numpy"]),
-    (["mix-sample", "--domains", "web,code", "--n", "3", "--out", "mix.jsonl"], ["numpy"]),
+    # numpy.random loads hashlib, through secrets and hmac
+    (["mix-sample", "--domains", "web,code", "--n", "3", "--out", "mix.jsonl"], ["numpy", "hashlib"]),
 ]
 
 
