@@ -204,7 +204,7 @@ def _score_candidates(
 ) -> tuple[list[float | None], int | None]:
     """All candidate scores and the 0-based index of the highest one (ties
     take the lowest index), or None when the scorer failed on every one."""
-    scores = scorer.score_many([{"source": source, "hypothesis": c} for c in candidates])
+    scores = scorer.score_many([dict(zip(FALLBACK_ITEM_FIELDS, (source, c))) for c in candidates])
     best = None
     for i, score in enumerate(scores):
         if score is not None and (best is None or score > scores[best]):

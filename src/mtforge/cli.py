@@ -433,6 +433,10 @@ def lr_curve(warmup, total, peak, min_lr, shape, out_path, seed):
 # -- rewards -------------------------------------------------------------------
 
 
+# the fields of the items reward-score sends to its quality scorer
+REWARD_ITEM_FIELDS = ("source", "hypothesis")
+
+
 @_command("reward-score")
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--terms", "terms_path", required=True, type=click.Path(exists=True))
@@ -454,9 +458,9 @@ def reward_score(in_path, terms_path, scorer_spec, w_quality, w_terminology, w_r
     """
     from . import rewards as rewards_mod
 
-    # composite_reward takes a quality in [0, 1], and score_row sends only a
-    # source and a hypothesis; any other scorer fails here, before any input is read
-    scorer = None if scorer_spec is None else _load_scorer(scorer_spec, "--scorer", ("source", "hypothesis"), (0, 1))
+    # composite_reward takes a quality in [0, 1], and score_row sends only
+    # REWARD_ITEM_FIELDS; any other scorer fails here, before any input is read
+    scorer = None if scorer_spec is None else _load_scorer(scorer_spec, "--scorer", REWARD_ITEM_FIELDS, (0, 1))
     table = rewards_mod.load_term_table(terms_path)
     weights = rewards_mod.RewardWeights(w_quality, w_terminology, w_repetition)
     fields = {"id": "string", "source": "string", "hypothesis": "string", "tgt_lang": "string",
@@ -484,7 +488,7 @@ def reward_score(in_path, terms_path, scorer_spec, w_quality, w_terminology, w_r
 
     def score_row(row):
         lineno, rec_id, source, hypothesis, lang, _ = row
-        [quality] = scorer.score_many([{"source": source, "hypothesis": hypothesis}])
+        [quality] = scorer.score_many([dict(zip(REWARD_ITEM_FIELDS, (source, hypothesis)))])
         if quality is None:
             raise OrchestrationError(f"quality scorer failed on record {rec_id!r}")
         return reward_row(lineno, rec_id, source, hypothesis, lang, quality)
@@ -767,11 +771,9 @@ def pipeline_run(config_path, jobs, seed):
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point with explicit exit-code mapping."""
+    """Entry point: the exit code click gives (None, from a normal run, is 0) or the one an error maps to."""
     try:
-        cli.main(args=argv, prog_name="mtforge", standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
+        return cli.main(args=argv, prog_name="mtforge", standalone_mode=False) or 0
     except click.UsageError as exc:
         message = exc.format_message()
         if exc.ctx is not None:
@@ -791,7 +793,6 @@ def main(argv: list[str] | None = None) -> int:
         click.echo(f"error: out of memory: {exc}" if str(exc) else
                    "error: out of memory; no output was written", err=True)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

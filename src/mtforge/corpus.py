@@ -12,10 +12,10 @@ import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import ClassVar, Iterable, Iterator
 
 from .errors import ValidationError
-from .ioutils import is_finite_number, read_records, write_jsonl
+from .ioutils import is_finite_number, read_records, required_fields, write_jsonl
 
 # (code, English display name, Chinese display name), in registry order.
 # The registry is closed: tags compare case-sensitively and anything outside
@@ -151,6 +151,10 @@ class Document:
     scores: dict[str, float] = field(default_factory=dict)
     tags: frozenset[str] = field(default_factory=frozenset)
 
+    # JSON type of each field, for read_corpus
+    FIELDS: ClassVar[dict] = {"id": "string", "lang": "string", "text": "string", "provenance": "string",
+                              "scores": "object", "tags": "array"}
+
     def __post_init__(self):
         if not self.id:
             raise ValidationError("document id must be non-empty")
@@ -175,6 +179,10 @@ class ParallelPair:
     src_text: str
     tgt_text: str
     scores: dict[str, float] = field(default_factory=dict)
+
+    # JSON type of each field, for read_corpus
+    FIELDS: ClassVar[dict] = {"id": "string", "src_lang": "string", "tgt_lang": "string", "src_text": "string",
+                              "tgt_text": "string", "scores": "object"}
 
     def __post_init__(self):
         if not self.id:
@@ -223,14 +231,7 @@ def char_ngram_levels(text: str, max_n: int) -> Iterator[list[str]]:
         yield level
 
 
-# record kind -> (record type, JSON type of each field, required fields)
-_KINDS = {
-    "mono": (Document, {"id": "string", "lang": "string", "text": "string", "provenance": "string",
-                        "scores": "object", "tags": "array"}, ("id", "lang", "text")),
-    "parallel": (ParallelPair, {"id": "string", "src_lang": "string", "tgt_lang": "string",
-                                "src_text": "string", "tgt_text": "string", "scores": "object"},
-                 ("id", "src_lang", "tgt_lang", "src_text", "tgt_text")),
-}
+_KINDS = {"mono": Document, "parallel": ParallelPair}
 
 
 def record_to_obj(record: Record) -> dict:
@@ -252,8 +253,8 @@ def read_corpus(path: str | Path, kind: str) -> list[Record]:
     """
     if kind not in _KINDS:
         raise ValidationError(f"corpus kind must be 'mono' or 'parallel', not {kind!r}")
-    record_type, fields, required = _KINDS[kind]
-    return [record for _, record in read_records(path, fields, required, closed=True,
+    record_type = _KINDS[kind]
+    return [record for _, record in read_records(path, record_type.FIELDS, required_fields(record_type), closed=True,
                                                  build=lambda obj: record_type(**obj), key="id")]
 
 

@@ -81,12 +81,8 @@ def _features(weights: np.ndarray) -> np.ndarray:
     """Degree-2 feature map: [w_1..w_d, w_i*w_j for i<j]; no intercept
     (constants are already in the span on the simplex)."""
     w = np.asarray(weights, dtype=float)
-    single = w
-    d = w.shape[-1]
-    pairs = [w[..., i] * w[..., j] for i in range(d) for j in range(i + 1, d)]
-    if pairs:
-        return np.concatenate([single, np.stack(pairs, axis=-1)], axis=-1)
-    return single
+    i, j = np.triu_indices(w.shape[-1], 1)
+    return np.concatenate([w, w[..., i] * w[..., j]], axis=-1)
 
 
 def n_features(d: int) -> int:

@@ -7,12 +7,10 @@ seed} -> {text}, and the scorer POST {name, items} -> {scores}.
 
 import dataclasses
 import functools
-import json
 import socketserver
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -21,6 +19,8 @@ from mtforge.backends import BackendFailure, BackendSpec, GenerationParams, back
 from mtforge.errors import SchemaError, ValidationError
 from mtforge.ioutils import dataclass_from_obj
 from mtforge.scorers import ScorerEndpoint, register_scorer, scorer_from_obj
+
+from endpoint import JsonHandler, serving
 
 
 # a reply that json.loads accepts, holding one finite number among values
@@ -42,70 +42,41 @@ _ODD_REPLIES = {
 }
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(JsonHandler):
     requests_seen = []
     auth_seen = []
     fail_next = 0
 
     def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        payload = json.loads(self.rfile.read(length))
+        payload = self.payload()
         type(self).requests_seen.append((self.path, payload))
         type(self).auth_seen.append(self.headers.get("Authorization"))
         if type(self).fail_next > 0:
             type(self).fail_next -= 1
-            self.send_response(500)
-            self.end_headers()
-            return
-        if self.path == "/redirect":
-            self.send_response(302)
-            self.send_header("Location", "/complete")
-            self.send_header("Content-Length", "0")
-            self.end_headers()
-            return
-        if self.path in _ODD_REPLIES:
-            data = _ODD_REPLIES[self.path]
-            self.send_response(200)
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-            return
-        if self.path == "/short":  # the connection closes 10 bytes short of the declared length
+            self.reply(500)
+        elif self.path == "/redirect":
+            self.reply(302, Location="/complete")
+        elif self.path in _ODD_REPLIES:
+            self.reply(200, _ODD_REPLIES[self.path])
+        elif self.path == "/short":  # the connection closes 10 bytes short of the declared length
             self.send_response(200)
             self.send_header("Content-Length", "20")
             self.end_headers()
             self.wfile.write(b'{"text": "')
-            return
-        if self.path == "/unauthorized":
-            self.send_response(401)
-            self.send_header("Content-Length", "0")
-            self.end_headers()
-            return
-        if self.path == "/complete":
-            body = {"text": f"echo:{payload['model']}:{payload['temperature']}"}
+        elif self.path == "/unauthorized":
+            self.reply(401)
+        elif self.path == "/complete":
+            self.reply(200, {"text": f"echo:{payload['model']}:{payload['temperature']}"})
         elif self.path == "/score":
-            body = {"scores": [float(len(item.get("hypothesis") or "")) for item in payload["items"]]}
+            self.reply(200, {"scores": [float(len(item.get("hypothesis") or "")) for item in payload["items"]]})
         else:
-            self.send_response(404)
-            self.end_headers()
-            return
-        data = json.dumps(body).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+            self.reply(404)
 
     def do_GET(self):
         # a client that follows the 302 of /redirect turns the POST into a GET
         type(self).requests_seen.append((self.path, None))
         type(self).auth_seen.append(self.headers.get("Authorization"))
-        self.send_response(405)
-        self.send_header("Content-Length", "0")
-        self.end_headers()
-
-    def log_message(self, *args):
-        pass
+        self.reply(405)
 
 
 class _TunnelStub(socketserver.BaseRequestHandler):
@@ -132,12 +103,8 @@ class _TunnelStub(socketserver.BaseRequestHandler):
 
 @pytest.fixture(scope="module")
 def http_server():
-    server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
-    server.server_close()
+    with serving(_Handler) as url:
+        yield url
 
 
 class TestCompletionWire:

@@ -7,6 +7,7 @@ import pytest
 
 from mtforge.backends import BackendSpec, GenerationParams, register_mock_backend
 from mtforge.chimera import (
+    FALLBACK_ITEM_FIELDS,
     CandidateSet,
     clean_generation,
     default_grid,
@@ -248,6 +249,14 @@ class TestFuse:
         result = fuse(_mock_backend("fail"), _candidate_set(), pool, fallback_scorer=scorer)
         assert result.fused_text == "hello there"
         assert result.candidate_scores == (0.5, 0.5, 0.5)
+
+    def test_fallback_items_carry_the_declared_fields(self, pool):
+        seen = []
+        register_scorer("fallback_spy", lambda item: seen.append(item) or 0.5, fields=FALLBACK_ITEM_FIELDS)
+        scorer = ScorerEndpoint("spy", "local_function", "fallback_spy")
+        scorer.check_item_fields(FALLBACK_ITEM_FIELDS)
+        fuse(_mock_backend("fail"), _candidate_set(), pool, fallback_scorer=scorer)
+        assert seen == [{"source": "你好", "hypothesis": c} for c in _candidate_set().candidates]
 
     def test_fallback_scorer_failing_everywhere_takes_first(self, pool):
         register_scorer("unscored", lambda item: None)

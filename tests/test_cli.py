@@ -9,7 +9,6 @@ import subprocess
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from dataclasses import asdict
 from pathlib import Path
 
@@ -23,13 +22,15 @@ import mtforge.ioutils
 import mtforge.langid
 import mtforge.ngram_lm
 from mtforge.backends import register_mock_backend
-from mtforge.cli import cli, main
+from mtforge.cli import REWARD_ITEM_FIELDS, cli, main
 from mtforge.corpus import Document, read_corpus, write_corpus
 from mtforge.errors import MtforgeError
 from mtforge.filters import DedupStage
 from mtforge.ioutils import atomic_write, dump_json, output_transaction, write_jsonl
 from mtforge.ngram_lm import save_lm, train_lm
 from mtforge.scorers import register_scorer
+
+from endpoint import JsonHandler, serving
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -816,6 +817,11 @@ class TestExitCodes:
         blocker.write_text("file, not dir")
         assert run("dedup", "--in", docs, "--out", blocker / "out.jsonl") == 2
 
+    def test_exit_code_given_to_click_is_returned(self, monkeypatch):
+        exit_3 = click.Command("exit-3", callback=lambda: click.get_current_context().exit(3))
+        monkeypatch.setitem(cli.commands, "exit-3", exit_3)
+        assert run("exit-3") == 3
+
 
 def _files(directory):
     return sorted(path.name for path in directory.iterdir())
@@ -1463,7 +1469,7 @@ class TestChimeraCommands:
         assert err == "error: only 0 of 6 candidate requests succeeded; slot 0: empty completion\n"
 
 
-class _SlowHandler(BaseHTTPRequestHandler):
+class _SlowHandler(JsonHandler):
     """Completion and scorer endpoint that holds each request briefly and
     records how many are active at once and how many items each scorer
     request carries. It answers 500 to a prompt, or a scorer item's
@@ -1496,7 +1502,7 @@ class _SlowHandler(BaseHTTPRequestHandler):
             cls.gate = 0
             cls.gate_open.notify_all()
         try:
-            payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            payload = self.payload()
             time.sleep(0.02)
         finally:
             with cls.lock:
@@ -1511,17 +1517,9 @@ class _SlowHandler(BaseHTTPRequestHandler):
             digest = hashlib.sha256(payload["prompt"].encode()).hexdigest()[:8]
             reply = {"text": f"{payload['model']}:{payload['temperature']}:{digest}"}
         if any("FAIL" in text for text in texts):
-            self.send_response(500)
-            self.end_headers()
-            return
-        data = b'{"text": "ok \\ud800 x"}' if "SURROGATE" in texts[0] else json.dumps(reply).encode()
-        self.send_response(200)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
+            self.reply(500)
+        else:
+            self.reply(200, b'{"text": "ok \\ud800 x"}' if "SURROGATE" in texts[0] else reply)
 
 
 def _slow_score(hypothesis):
@@ -1531,15 +1529,8 @@ def _slow_score(hypothesis):
 
 @pytest.fixture(scope="module")
 def slow_endpoint():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _SlowHandler)
-    server.daemon_threads = True
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/complete"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=10)
-    assert not thread.is_alive()
+    with serving(_SlowHandler) as url:
+        yield f"{url}/complete"
 
 
 def _peak_of(*args, gate=0):
@@ -1692,6 +1683,13 @@ class TestRewardFanOut:
         assert self._reward_score("chrf", batch, out_path, 2) == 1
         assert capfd.readouterr().err == "error: --scorer 'chrf' scores on [0.0, 100.0], not within [0, 1]\n"
         assert not out_path.exists()
+
+    def test_items_carry_the_declared_fields(self, tmp_path):
+        seen = []
+        register_scorer("reward_spy", lambda item: seen.append(item) or 1.0, fields=REWARD_ITEM_FIELDS)
+        batch = _reward_batch(tmp_path, 2, 1)
+        assert self._reward_score("reward_spy", batch, tmp_path / "r.jsonl", 1) == 0
+        assert seen == [{"source": "已知有血液疾病的患者", "hypothesis": "patients with blood disorders 0"}]
 
     def test_missing_scorer_names_the_first_unscored_record(self, tmp_path, capfd):
         batch = _reward_batch(tmp_path, 6, 0)

@@ -6,8 +6,8 @@ import pytest
 
 from mtforge.corpus import DirectionGroup, ParallelPair
 from mtforge.errors import ValidationError
-from mtforge.evalkit import chrf, group_report, score_corpus
-from mtforge.scorers import ScorerEndpoint
+from mtforge.evalkit import SCORE_ITEM_FIELDS, chrf, group_report, score_corpus
+from mtforge.scorers import ScorerEndpoint, register_scorer
 
 CHRF = ScorerEndpoint("chrf", "local_function", "chrf")
 
@@ -156,14 +156,20 @@ class TestScoreCorpus:
         scored, _ = score_corpus(pairs, hyps, CHRF)
         assert [p.scores["chrf"] for p in scored] == [chrf(hyps[p.id], p.tgt_text) for p in pairs]
 
+    def test_items_carry_the_declared_fields(self):
+        seen = []
+        register_scorer("eval_spy", lambda item: seen.append(item) or 1.0, fields=SCORE_ITEM_FIELDS)
+        scorer = ScorerEndpoint("spy", "local_function", "eval_spy")
+        scorer.check_item_fields(SCORE_ITEM_FIELDS)
+        score_corpus([_pair(0)], {"p0": "salut"}, scorer)
+        assert seen == [{"source": "hello world", "hypothesis": "salut", "reference": "bonjour le monde"}]
+
     def test_missing_hypothesis_rejected(self):
         pairs = [_pair(0)]
         with pytest.raises(ValidationError):
             score_corpus(pairs, {}, CHRF)
 
     def test_failures_bucketed(self):
-        from mtforge.scorers import register_scorer
-
         def half_fail(item):
             return None if item["hypothesis"] == "bad" else 0.5
 

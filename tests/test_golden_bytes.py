@@ -23,8 +23,6 @@ import os
 import random
 import subprocess
 import sys
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -32,6 +30,8 @@ import pytest
 import mtforge
 from mtforge.cli import main
 from mtforge.corpus import Document, ParallelPair, write_corpus
+
+from endpoint import JsonHandler, serving
 
 TABLE = Path(__file__).parent / "goldens" / "filter_bytes.json"
 PACKAGE_ROOT = str(Path(mtforge.__file__).resolve().parents[1])
@@ -61,30 +61,15 @@ def _score(hypothesis):
     return int(hashlib.sha256(hypothesis.encode()).hexdigest()[:8], 16) / 0xFFFFFFFF
 
 
-class _ScoreHandler(BaseHTTPRequestHandler):
+class _ScoreHandler(JsonHandler):
     def do_POST(self):
-        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        data = json.dumps({"scores": [_score(item["hypothesis"]) for item in payload["items"]]}).encode()
-        self.send_response(200)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
+        self.reply(200, {"scores": [_score(item["hypothesis"]) for item in self.payload()["items"]]})
 
 
 @pytest.fixture(scope="module")
 def scorer_url():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _ScoreHandler)
-    server.daemon_threads = True
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/score"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=10)
-    assert not thread.is_alive()
+    with serving(_ScoreHandler) as url:
+        yield f"{url}/score"
 
 
 @pytest.fixture(scope="module")

@@ -417,6 +417,15 @@ class TestDedup:
         kept, dropped = _dedup(docs, shingle_n=1, bands=64, rows=64)
         assert [d.id for d in kept] == ["d0"] and [rec.dropped_id for rec in dropped] == ["d1"]
 
+    def test_bucket_walk_skips_a_member_with_no_later_one_outside_its_component(self):
+        rows = np.array([[1, 2, 3, 4], [5, 6, 7, 8], [5, 6, 7, 9]], dtype=np.uint64)
+        uf = minlsh._UnionFind(3)
+        uf.union(np.array([1, 2]))
+        # member 0 matches neither later member, and member 1's only later
+        # member is already in its component, so it has nothing to compare
+        minlsh._merge_bucket(uf, rows, np.array([0, 1, 2]), threshold=0.5)
+        assert uf.roots(np.arange(3)).tolist() == [0, 1, 1]
+
     @pytest.mark.parametrize("n_docs", [0, 1, 2, 5])
     def test_jobs_do_not_change_the_partition(self, n_docs, monkeypatch):
         """Each process signs its chunk into rows of its own, and the rows are

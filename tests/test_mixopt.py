@@ -10,6 +10,7 @@ from mtforge.mixopt import (
     MixtureSpec,
     ProxyRun,
     RegressionModel,
+    _features,
     blend_replay,
     fit_regression,
     lr_at,
@@ -87,6 +88,13 @@ class TestRegression:
         errs = [model.predict(m) - loss(np.array(m.weights)) for m in held]
         rmse = math.sqrt(sum(e * e for e in errs) / len(errs))
         assert rmse <= 0.02
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_features_are_the_weights_then_each_product_i_before_j(self, d):
+        weights = np.random.default_rng(d).random((5, d))
+        products = [weights[:, i] * weights[:, j] for i in range(d) for j in range(i + 1, d)]
+        assert np.array_equal(_features(weights), np.column_stack([weights, *products]))
+        assert _features(weights).shape == (5, n_features(d))
 
     def test_too_few_runs_rejected_at_lambda_zero(self):
         runs = _runs_from(lambda w: 1.0, n_features(3) - 1, seed=8)

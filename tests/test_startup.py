@@ -14,14 +14,14 @@ import json
 import os
 import subprocess
 import sys
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
 
 import mtforge
 from mtforge.corpus import Document, ParallelPair, write_corpus
+
+from endpoint import JsonHandler, serving
 
 PACKAGE_ROOT = str(Path(mtforge.__file__).resolve().parents[1])
 
@@ -49,19 +49,11 @@ def _fresh(code, *args, cwd):
     return proc.stdout.splitlines()[-1].split()
 
 
-class _ScoreStub(BaseHTTPRequestHandler):
+class _ScoreStub(JsonHandler):
     """A remote scorer that gives every item 1.0."""
 
     def do_POST(self):
-        items = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["items"]
-        body = json.dumps({"scores": [1.0] * len(items)}).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
+        self.reply(200, {"scores": [1.0] * len(self.payload()["items"])})
 
 
 @pytest.fixture(scope="module")
@@ -79,14 +71,9 @@ def inputs(tmp_path_factory):
     (d / "sources.jsonl").write_text(json.dumps({"id": "s", "src_lang": "en", "tgt_lang": "fr", "text": "hi"}) + "\n")
     (d / "chimera.json").write_text(json.dumps(
         {"schema_version": 1, "backend": {"name": "gen", "endpoint": "mock:echo", "model_id": "m"}}))
-    server = HTTPServer(("127.0.0.1", 0), _ScoreStub)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    (d / "remote.json").write_text(json.dumps(
-        {"name": "qe", "kind": "remote_http", "config": f"http://127.0.0.1:{server.server_address[1]}/score"}))
-    yield d
-    server.shutdown()
-    server.server_close()
+    with serving(_ScoreStub) as url:
+        (d / "remote.json").write_text(json.dumps({"name": "qe", "kind": "remote_http", "config": f"{url}/score"}))
+        yield d
 
 
 _CASES = [
