@@ -158,39 +158,28 @@ def generate_candidates(
     """
     prompt = render_translation_prompt(src_lang, tgt_lang, text)
 
-    def run_slot(index: int) -> tuple[str | None, str]:
+    def run_slot(index: int) -> str | SlotFailure:
         spec = backend
         if per_slot_backends is not None and per_slot_backends[index] is not None:
             spec = per_slot_backends[index]
         try:
             raw = complete(spec, prompt, grid[index])
         except BackendFailure as exc:
-            return None, str(exc)
-        cleaned = clean_generation(raw)
-        if not cleaned:
-            return None, "empty completion"
-        return cleaned, ""
+            return SlotFailure(index, str(exc))
+        return clean_generation(raw) or SlotFailure(index, "empty completion")
 
-    results = pool.map(run_slot, range(len(grid)))
-
-    candidates: list[str] = []
-    params_used: list[GenerationParams] = []
-    failures: list[SlotFailure] = []
-    for index, (cleaned, error) in enumerate(results):
-        if cleaned is None:
-            failures.append(SlotFailure(index, error))
-        else:
-            candidates.append(cleaned)
-            params_used.append(grid[index])
-    if len(candidates) < 2:
-        raise OrchestrationError(f"only {len(candidates)} of {len(grid)} candidate requests succeeded; "
+    results = list(pool.map(run_slot, range(len(grid))))
+    kept = [index for index, result in enumerate(results) if isinstance(result, str)]
+    failures = [result for result in results if isinstance(result, SlotFailure)]
+    if len(kept) < 2:
+        raise OrchestrationError(f"only {len(kept)} of {len(grid)} candidate requests succeeded; "
                                  f"slot {failures[0].index}: {failures[0].error}")
     return CandidateSet(
         source_text=text,
         src_lang=src_lang,
         tgt_lang=tgt_lang,
-        candidates=tuple(candidates),
-        params_used=tuple(params_used),
+        candidates=tuple(results[index] for index in kept),
+        params_used=tuple(grid[index] for index in kept),
         failures=tuple(failures),
     )
 

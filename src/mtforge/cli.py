@@ -77,8 +77,10 @@ def _fan_out(fn, items, jobs):
 
     Results come back in input order. The first call to raise cancels the
     queued ones; the error of the first failed item in input order
-    propagates.
+    propagates. No items start no pool.
     """
+    if not items:
+        return []
     from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 
     pool = ThreadPoolExecutor(max_workers=jobs)
@@ -458,7 +460,7 @@ def reward_score(in_path, terms_path, scorer_spec, w_quality, w_terminology, w_r
     """
     from . import rewards as rewards_mod
 
-    # composite_reward takes a quality in [0, 1], and score_row sends only
+    # composite_reward takes a quality in [0, 1], and score sends only
     # REWARD_ITEM_FIELDS; any other scorer fails here, before any input is read
     scorer = None if scorer_spec is None else _load_scorer(scorer_spec, "--scorer", REWARD_ITEM_FIELDS, (0, 1))
     table = rewards_mod.load_term_table(terms_path)
@@ -466,42 +468,33 @@ def reward_score(in_path, terms_path, scorer_spec, w_quality, w_terminology, w_r
     fields = {"id": "string", "source": "string", "hypothesis": "string", "tgt_lang": "string",
               "quality": "number|null"}
 
-    def checked(obj):
-        if "tgt_lang" in obj:
-            corpus_mod.require_tag(obj["tgt_lang"])
-        return obj
+    # the read pass computes every reward part that needs no request, so bad
+    # input (an unknown tgt_lang too, which repetition_score checks) exits
+    # before any request
+    def build(obj):
+        parts = (rewards_mod.terminology_reward(obj["source"], obj["hypothesis"], table),
+                 rewards_mod.repetition_score(obj["hypothesis"], obj.get("tgt_lang")))
+        quality = obj.get("quality")
+        return obj, parts, None if quality is None else rewards_mod.composite_reward(quality, *parts, weights)
 
-    rows = [
-        (lineno, obj.get("id", str(lineno)), obj["source"], obj["hypothesis"], obj.get("tgt_lang"), obj.get("quality"))
-        for lineno, obj in read_records(in_path, fields, required=("source", "hypothesis"), key="id", build=checked)
-    ]
+    records = list(read_records(in_path, fields, required=("source", "hypothesis"), key="id", build=build))
+    missing = [(lineno, obj, parts) for lineno, (obj, parts, reward) in records if reward is None]
+    if missing and scorer is None:
+        lineno, obj, _ = missing[0]
+        raise ValidationError(f"record {obj.get('id', str(lineno))!r} has no quality score and no --scorer was given")
 
-    def reward_row(lineno, rec_id, source, hypothesis, lang, quality):
-        with at(in_path, f"line {lineno}"):
-            breakdown = rewards_mod.composite_reward(
-                quality,
-                rewards_mod.terminology_reward(source, hypothesis, table),
-                rewards_mod.repetition_score(hypothesis, lang),
-                weights,
-            )
-        return dict(asdict(breakdown), id=rec_id)
-
-    def score_row(row):
-        lineno, rec_id, source, hypothesis, lang, _ = row
-        [quality] = scorer.score_many([dict(zip(REWARD_ITEM_FIELDS, (source, hypothesis)))])
+    # the request pass: one request per record still without a reward
+    def score(record):
+        lineno, obj, parts = record
+        [quality] = scorer.score_many([{name: obj[name] for name in REWARD_ITEM_FIELDS}])
         if quality is None:
-            raise OrchestrationError(f"quality scorer failed on record {rec_id!r}")
-        return reward_row(lineno, rec_id, source, hypothesis, lang, quality)
+            raise OrchestrationError(f"quality scorer failed on record {obj.get('id', str(lineno))!r}")
+        with at(in_path, f"line {lineno}"):
+            return rewards_mod.composite_reward(quality, *parts, weights)
 
-    # records that carry a quality go first, so an error in one exits
-    # before any request is sent
-    out_rows = [None if row[-1] is None else reward_row(*row) for row in rows]
-    unscored = [i for i, row in enumerate(rows) if row[-1] is None]
-    if unscored:
-        if scorer is None:
-            raise ValidationError(f"record {rows[unscored[0]][1]!r} has no quality score and no --scorer was given")
-        for i, out_row in zip(unscored, _fan_out(score_row, [rows[i] for i in unscored], jobs)):
-            out_rows[i] = out_row
+    scored = iter(_fan_out(score, missing, jobs))
+    out_rows = [dict(asdict(next(scored) if reward is None else reward), id=obj.get("id", str(lineno)))
+                for lineno, (obj, _, reward) in records]
     write_jsonl(out_path, out_rows)
     return {
         "counts": {"records": len(out_rows)},

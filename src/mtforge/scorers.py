@@ -7,7 +7,8 @@ None means unscored, and callers route the record to an "unscored" bucket
 instead of dropping it. A local function says so only by returning None;
 an exception it raises propagates. A remote request gets one attempt: when
 it fails (as backends.post_json decides) or its reply is not a `scores`
-list with one entry per item, every item is unscored.
+list with one entry per item, every item is unscored. No request is sent
+for zero items.
 
 Wire format for remote_http scorers:
     POST <url>  {"name": <scorer name>, "items": [<item>, ...]}
@@ -151,6 +152,8 @@ class ScorerEndpoint:
         return [None if s is None else self._clamp(s) for s in map(fn, items)]
 
     def _score_remote(self, items: Sequence[Item]) -> list[float | None]:
+        if not items:
+            return []
         payload: dict = {"name": self.name, "items": list(items)}
         if self.extra:
             payload["config"] = dict(self.extra)

@@ -26,13 +26,13 @@ from mtforge.minlsh import (
     dedup,
     estimate_jaccard,
     shingle,
-    signature,
 )
 from mtforge.mixopt import LrSchedule, MixtureSpec, blend_replay, fit_regression, lr_at, optimize_mixture, sample_mixtures, ProxyRun
 from mtforge.ngram_lm import UNK, perplexity, train_lm
 from mtforge.rewards import grpo_advantages, load_term_table, repetition_score, terminology_reward
 
 from fusion_prompt import parse_fusion_prompt
+from minhash_oracles import exact_jaccard, sign, synthetic_pair
 from ngram_probs import prob, seen_contexts
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -49,25 +49,6 @@ def criterion(number, description):
     print(f"[PASS] criterion {number:02d}: {description}")
 
 
-def _synthetic_pair(rng, intersection, union):
-    values = [int(v) for v in rng.integers(0, MERSENNE61, size=union + 64)]
-    values = list(dict.fromkeys(values))[:union]
-    only_a = (union - intersection) // 2
-    shared = values[:intersection]
-    a = frozenset(shared + values[intersection : intersection + only_a])
-    b = frozenset(shared + values[intersection + only_a :])
-    return a, b
-
-
-def _sign(shingles, k, seed):
-    return signature(np.fromiter(shingles, dtype=np.uint64, count=len(shingles)), k, seed)
-
-
-def _exact_jaccard(a, b):
-    union = a | b
-    return len(a & b) / len(union) if union else 1.0
-
-
 def test_criterion_01_minhash_accuracy():
     with criterion(1, "MinHash estimate error over 200 known-Jaccard pairs (k=256)"):
         rng = np.random.default_rng(2024)
@@ -76,9 +57,9 @@ def test_criterion_01_minhash_accuracy():
         for _ in range(200):
             union = int(rng.integers(40, 200))
             intersection = int(rng.integers(0, union + 1))
-            a, b = _synthetic_pair(rng, intersection, union)
-            est = estimate_jaccard(_sign(a, 256, seed=9), _sign(b, 256, seed=9))
-            errors.append(abs(est - _exact_jaccard(a, b)))
+            a, b = synthetic_pair(rng, intersection, union)
+            est = estimate_jaccard(sign(a, 256, seed=9), sign(b, 256, seed=9))
+            errors.append(abs(est - exact_jaccard(a, b)))
         elapsed = time.monotonic() - start
         assert sum(errors) / len(errors) <= 0.03, f"mean error {sum(errors)/len(errors):.4f}"
         assert max(errors) <= 0.12, f"max error {max(errors):.4f}"
@@ -103,7 +84,7 @@ def test_criterion_02_dedup_end_to_end():
         docs = base + dups
         sets = {d.id: frozenset(shingle(d.text, 5).tolist()) for d in docs}
         for j, dup in enumerate(dups):
-            assert _exact_jaccard(sets[dup.id], sets[base[j].id]) >= 0.9
+            assert exact_jaccard(sets[dup.id], sets[base[j].id]) >= 0.9
 
         kept, dropped = dedup(docs, shingle_n=5, seed=0, bands=16, rows=8, threshold=0.8, unit="word")
         elapsed = time.monotonic() - start
@@ -113,7 +94,7 @@ def test_criterion_02_dedup_end_to_end():
         )
         assert removed >= 19, f"removed only {removed}/20 planted duplicates"
         for rec in dropped:
-            truth = _exact_jaccard(sets[rec.dropped_id], sets[rec.kept_id])
+            truth = exact_jaccard(sets[rec.dropped_id], sets[rec.kept_id])
             assert truth > 0.3, f"removed pair with true Jaccard {truth:.3f}"
         assert elapsed < 5.0, f"took {elapsed:.2f}s"
 

@@ -1702,6 +1702,34 @@ class TestRewardFanOut:
         assert capfd.readouterr().err == "error: record 'r2' has no quality score and no --scorer was given\n"
         assert not out_path.exists()
 
+    def _edited_batch(self, tmp_path, unscored, edits):
+        """A batch of 4 records, the first `unscored` without a quality, with
+        `edits` mapping a 1-based line number to the fields it overrides."""
+        batch = _reward_batch(tmp_path, 4, unscored)
+        rows = [json.loads(l) for l in batch.read_text().splitlines()]
+        for line, fields in edits.items():
+            rows[line - 1].update(fields)
+        batch.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows))
+        return batch
+
+    def test_bad_record_exits_before_any_request(self, tmp_path, scorer, capfd):
+        batch = self._edited_batch(tmp_path, 4, {2: {"hypothesis": "  "}})
+        out_path = tmp_path / "r.jsonl"
+        _SlowHandler.requests = 0
+        capfd.readouterr()
+        assert self._reward_score(scorer, batch, out_path, 2) == 1
+        assert capfd.readouterr().err == f"error: {batch}: line 2: cannot score empty text\n"
+        assert _SlowHandler.requests == 0
+        assert not out_path.exists()
+
+    def test_first_bad_line_is_reported(self, tmp_path, scorer, capfd):
+        batch = self._edited_batch(tmp_path, 0, {2: {"quality": 5}, 3: {"hypothesis": 5}})
+        out_path = tmp_path / "r.jsonl"
+        capfd.readouterr()
+        assert self._reward_score(scorer, batch, out_path, 2) == 1
+        assert capfd.readouterr().err == f"error: {batch}: line 2: quality must be in [0, 1], got 5\n"
+        assert not out_path.exists()
+
 
 class TestUnsendableScorerToken:
     """A scorer token that no header can carry stops the command where it
@@ -1748,6 +1776,20 @@ class TestUnsendableScorerToken:
         assert err == f"error: {where}: MTFORGE_SCORER_TOKEN must hold printable ASCII to be sent as a header\n"
         assert _SlowHandler.requests == 0
         assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize("command, code, err", [("eval", 1, "error: nothing to report\n"), ("quality-filter", 0, "")])
+def test_remote_scorer_is_sent_no_request_for_zero_items(tmp_path, capsys, slow_endpoint, command, code, err):
+    pairs, hyps, qe = tmp_path / "pairs.jsonl", tmp_path / "hyps.jsonl", tmp_path / "qe.json"
+    pairs.write_text("")
+    hyps.write_text("")
+    qe.write_text(json.dumps({"name": "qe", "kind": "remote_http", "config": slow_endpoint}))
+    args = (["--pairs", pairs, "--hyps", hyps, "--metric", qe] if command == "eval"
+            else ["--in", pairs, "--scorer", qe, "--tau", 0.5, "--out", tmp_path / "kept.jsonl"])
+    _SlowHandler.requests = 0
+    assert run(command, *args) == code
+    assert _SlowHandler.requests == 0
+    assert capsys.readouterr().err == err
 
 
 class TestNonFiniteNumbers:

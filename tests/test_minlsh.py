@@ -26,39 +26,16 @@ from mtforge.minlsh import (
     signature,
 )
 
+from minhash_oracles import exact_jaccard, sign, synthetic_pair
+
 
 def _blake64(gram: str) -> int:
     return int.from_bytes(hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest(), "little")
 
 
-def sign(shingles: frozenset[int], k: int, seed: int) -> np.ndarray:
-    return signature(np.fromiter(shingles, dtype=np.uint64, count=len(shingles)), k, seed)
-
-
 def _bigint_min_hash(xs, a, b) -> list[int]:
     """MinHash minima by exact Python integer arithmetic: the kernel's reference."""
     return [min((int(ai) * (int(x) % MERSENNE61) + int(bi)) % MERSENNE61 for x in xs) for ai, bi in zip(a, b)]
-
-
-def exact_jaccard(a: frozenset[int], b: frozenset[int]) -> float:
-    """Brute-force set arithmetic oracle."""
-    union = a | b
-    if not union:
-        return 1.0
-    return len(a & b) / len(union)
-
-
-def synthetic_pair(rng, intersection: int, union: int) -> tuple[frozenset[int], frozenset[int]]:
-    """Two shingle sets with exactly the requested overlap."""
-    only_a = (union - intersection) // 2
-    only_b = union - intersection - only_a
-    values = [int(v) for v in rng.integers(0, MERSENNE61, size=union + 64)]
-    values = list(dict.fromkeys(values))[:union]
-    assert len(values) == union
-    shared = values[:intersection]
-    a = frozenset(shared + values[intersection : intersection + only_a])
-    b = frozenset(shared + values[intersection + only_a :])
-    return a, b
 
 
 class TestShingle:
