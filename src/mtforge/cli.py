@@ -97,12 +97,13 @@ def _dropped_with_detail(stage, record, reason, detail):
     return dict(corpus_mod.record_to_obj(record), **detail)
 
 
-def _run_stages(records, kind, stages, out, dropped=None, unscored=None, dropped_row=_dropped_with_detail, jobs=1):
-    """Run `stages` over `records` of `kind` by `filters.run_pipeline` on up
-    to `jobs` processes, write the kept records to `out` and, when their
-    paths are given, one `dropped_row(stage name, record, reason, detail)`
-    per dropped record and the unscored records; returns the PipelineResult."""
-    result = filters_mod.run_pipeline(records, stages, kind, jobs)
+def _run_stages(in_path, kind, stages, out, dropped=None, unscored=None, dropped_row=_dropped_with_detail, jobs=1):
+    """Read the `kind` corpus at `in_path`, run `stages` (built, with their
+    model files and scorers, before any input is read) over it by
+    `filters.run_pipeline` on up to `jobs` processes, write the kept records
+    to `out` and, when their paths are given, one `dropped_row(stage name,
+    record, reason, detail)` per dropped record and the unscored records."""
+    result = filters_mod.run_pipeline(corpus_mod.read_corpus(in_path, kind), stages, kind, jobs)
     corpus_mod.write_corpus(result.final, out)
     if dropped:
         write_jsonl(dropped, (dropped_row(*row) for row in result.dropped))
@@ -191,9 +192,8 @@ def langid_filter(in_path, model_path, expected, min_confidence, out_path, dropp
     """Keep documents identified as the expected language."""
     from . import langid as langid_mod
 
-    docs = corpus_mod.read_corpus(in_path, "mono")
     stage = filters_mod.LangIdStage(langid_mod.load_langid(model_path), expected, min_confidence)
-    result = _run_stages(docs, "mono", [stage], out_path, dropped_path)
+    result = _run_stages(in_path, "mono", [stage], out_path, dropped_path)
     return {
         "counts": _stage_counts(result.reports[0]),
         "params": {"expected": expected, "min_confidence": min_confidence},
@@ -224,8 +224,7 @@ def dedup_cmd(in_path, out_path, dropped_path, shingle_n, bands, rows, threshold
 
     stage = filters_mod.DedupStage(shingle_n=shingle_n, bands=bands, rows=rows, threshold=threshold, unit=unit,
                                    seed=seed)
-    docs = corpus_mod.read_corpus(in_path, "mono")
-    result = _run_stages(docs, "mono", [stage], out_path, dropped_path or f"{out_path}.dropped.jsonl",
+    result = _run_stages(in_path, "mono", [stage], out_path, dropped_path or f"{out_path}.dropped.jsonl",
                          dropped_row=lambda _stage, doc, _reason, detail: dict(detail, dropped_id=doc.id), jobs=jobs)
     return {
         "counts": _stage_counts(result.reports[0]),
@@ -269,9 +268,8 @@ def lm_filter(in_path, model_path, mode, q, max_ppl, out_path, dropped_path, see
     """Drop high-perplexity documents."""
     from . import ngram_lm as lm_mod
 
-    docs = corpus_mod.read_corpus(in_path, "mono")
     stage = filters_mod.PerplexityStage(lm_mod.load_lm(model_path), mode=mode, max_ppl=max_ppl, q=q)
-    result = _run_stages(docs, "mono", [stage], out_path, dropped_path)
+    result = _run_stages(in_path, "mono", [stage], out_path, dropped_path)
     return {
         "counts": _stage_counts(result.reports[0]),
         "params": {"mode": mode, "q": q, "max_ppl": max_ppl},
@@ -313,8 +311,7 @@ def quality_filter(in_path, scorer_spec, tau, out_path, dropped_path, unscored_p
     """Keep parallel pairs whose quality-estimation score is >= tau."""
     scorer = _load_scorer(scorer_spec, "--scorer", filters_mod.THRESHOLD_ITEM_FIELDS)
     stage = filters_mod.QualityThresholdStage(scorer, tau)
-    pairs = corpus_mod.read_corpus(in_path, "parallel")
-    result = _run_stages(pairs, "parallel", [stage], out_path, dropped_path, unscored_path)
+    result = _run_stages(in_path, "parallel", [stage], out_path, dropped_path, unscored_path)
     return {
         "counts": dict(_stage_counts(result.reports[0]), unscored=result.reports[0].unscored),
         "params": {"scorer": scorer.name, "tau": tau},
@@ -706,14 +703,17 @@ _PIPELINE_REQUIRED = ("schema_version", "kind", "input", "output", "stages")
 def _build_stages(config: dict, seed: int, path: str):
     """The configured stages, each entry checked against its class's FIELDS
     and given only the keys it sets (and a dedup stage the seed), so the
-    schema, defaults and value checks live in the stage classes. A bad value,
-    or a second stage of one type, names its entry as `<path>: stages[i]`;
-    model files and scorers are loaded first and name their own place."""
+    schema, defaults and value checks live in the stage classes. A stage of
+    the other record kind, a bad value or a second stage of one type names
+    its entry as `<path>: stages[i]`; model files and scorers are loaded
+    first and name their own place."""
     stages = []
     for i, entry in enumerate(config["stages"]):
         where = f"{path}: stages[{i}]"
         kind = check_fields(entry, {"type": tuple(filters_mod.STAGES)}, ("type",), where=where)["type"]
         make = filters_mod.STAGES[kind]
+        if make.record_kind != config["kind"]:
+            raise SchemaError(f"{where}: stage {kind!r} expects {make.record_kind} records, not {config['kind']}")
         check_fields(entry, {"type": "string", **make.FIELDS}, required_fields(make), closed=True, where=where)
         params = {key: value for key, value in entry.items() if key != "type"}
         if kind == "langid":
@@ -752,13 +752,12 @@ def pipeline_run(config_path, jobs, seed):
     if seed < 0:
         raise SchemaError(f"{config_path}: field 'seed' must be >= 0, got {seed}")
     stages = _build_stages(config, seed, config_path)
-    records = corpus_mod.read_corpus(config["input"], config["kind"])
-    result = _run_stages(records, config["kind"], stages, config["output"], config.get("dropped_output"),
+    result = _run_stages(config["input"], config["kind"], stages, config["output"], config.get("dropped_output"),
                          config.get("unscored_output"), dropped_row=_dropped_with_stage, jobs=jobs)
     return {
         "seed": seed,  # the config's seed, when it sets one
-        "counts": {"input": len(records), "output": len(result.final),
-                   "dropped": len(result.dropped), "unscored": len(result.unscored)},
+        "counts": {"input": len(result.final) + len(result.dropped) + len(result.unscored),
+                   "output": len(result.final), "dropped": len(result.dropped), "unscored": len(result.unscored)},
         "stages": [asdict(r) for r in result.reports],
     }
 

@@ -6,7 +6,7 @@ local scorer that calls `chrf` below. Each score lives in its pair's
 
 chrF here is the pure character-n-gram variant: whitespace is removed, F
 with recall weighted beta^2 over precision, at chrF's standard beta of 2, is
-computed per order 1..max_n, and orders where neither side has any n-grams
+computed per order 1 to 6, and orders where neither side has any n-grams
 are skipped so a string always scores 100 against itself.
 """
 
@@ -21,17 +21,18 @@ from .errors import ValidationError
 from .scorers import ScorerEndpoint
 
 
-def chrf(hypothesis: str, reference: str, max_n: int = 6) -> float:
-    """Character-n-gram F_2 averaged over orders 1..max_n, scaled to [0, 100]."""
-    if max_n < 1:
-        raise ValidationError(f"max_n must be >= 1, got {max_n}")
+CHRF_ORDER = 6  # chrF's highest character n-gram order
+
+
+def chrf(hypothesis: str, reference: str) -> float:
+    """Character-n-gram F_2 averaged over orders 1..CHRF_ORDER, scaled to [0, 100]."""
     ref = "".join(segment_tokens(reference, None))
     hyp = "".join(segment_tokens(hypothesis, None))
     if not ref:
         raise ValidationError("reference must be non-empty")
     beta_sq = 2.0 * 2.0
     f_scores = []
-    for hyp_level, ref_level in zip(char_ngram_levels(hyp, max_n), char_ngram_levels(ref, max_n)):
+    for hyp_level, ref_level in zip(char_ngram_levels(hyp, CHRF_ORDER), char_ngram_levels(ref, CHRF_ORDER)):
         hyp_total = len(hyp_level)
         ref_total = len(ref_level)
         if hyp_total == 0 and ref_total == 0:

@@ -2,13 +2,13 @@
 
 External quality-estimation and judge models are reached only through this
 interface: a scorer is either a named local function or a remote HTTP
-endpoint. Scores are clamped into the endpoint's declared range. A score of
-None means unscored, and callers route the record to an "unscored" bucket
-instead of dropping it. A local function says so only by returning None;
-an exception it raises propagates. A remote request gets one attempt: when
-it fails (as backends.post_json decides) or its reply is not a `scores`
-list with one entry per item, every item is unscored. No request is sent
-for zero items.
+endpoint. A raw score, local or remote, that is a finite number is clamped
+into the endpoint's declared range; any other (None, NaN, an infinity, a
+bool, a string) is None, which means unscored: callers route the record to
+an "unscored" bucket instead of dropping it. An exception a local function
+raises propagates. A remote request gets one attempt: when it fails (as
+backends.post_json decides) or its reply is not a `scores` list with one
+entry per item, every item is unscored. No request is sent for zero items.
 
 Wire format for remote_http scorers:
     POST <url>  {"name": <scorer name>, "items": [<item>, ...]}
@@ -140,18 +140,14 @@ class ScorerEndpoint:
             raise ValidationError(f"scorer {self.name!r} reads the item field {missing[0]!r}, "
                                   f"but items here carry only {', '.join(sent)}")
 
-    def _clamp(self, value: float) -> float:
-        lo, hi = self.score_range
-        return min(max(float(value), lo), hi)
-
     def score_many(self, items: Sequence[Item]) -> list[float | None]:
         """One score per item, None where it is unscored."""
-        fn = self._fn
-        if fn is None:
-            return self._score_remote(items)
-        return [None if s is None else self._clamp(s) for s in map(fn, items)]
+        raw = self._score_remote(items) if self._fn is None else map(self._fn, items)
+        lo, hi = self.score_range
+        return [min(max(float(s), lo), hi) if is_finite_number(s) else None for s in raw]
 
-    def _score_remote(self, items: Sequence[Item]) -> list[float | None]:
+    def _score_remote(self, items: Sequence[Item]) -> list:
+        """The reply's raw scores, one per item, or None for each item."""
         if not items:
             return []
         payload: dict = {"name": self.name, "items": list(items)}
@@ -164,7 +160,7 @@ class ScorerEndpoint:
         scores = reply.get("scores") if isinstance(reply, dict) else None
         if not isinstance(scores, list) or len(scores) != len(items):
             return [None] * len(items)
-        return [self._clamp(s) if is_finite_number(s) else None for s in scores]
+        return scores
 
 
 def scorer_from_obj(obj: dict, where: object = "scorer config") -> ScorerEndpoint:

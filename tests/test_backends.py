@@ -7,6 +7,7 @@ seed} -> {text}, and the scorer POST {name, items} -> {scores}.
 
 import dataclasses
 import functools
+import math
 import socketserver
 import sys
 import threading
@@ -333,6 +334,13 @@ class TestScorerWire:
 
     def test_only_finite_numbers_are_scores(self, http_server):
         scorer = ScorerEndpoint("odd", "remote_http", f"{http_server}/odd_scores")
+        assert scorer.score_many([{}] * 7) == [None, None, 0.5, None, None, None, None]
+
+    def test_local_scores_follow_the_remote_rule(self):
+        # the values of _ODD_SCORES, returned in turn by a registered function
+        values = iter([math.nan, True, 0.5, math.inf, "0.7", None, 10**400])
+        register_scorer("odd_values", lambda item: next(values))
+        scorer = ScorerEndpoint("odd", "local_function", "odd_values")
         assert scorer.score_many([{}] * 7) == [None, None, 0.5, None, None, None, None]
 
     def test_non_json_reply_yields_none(self, http_server):

@@ -587,6 +587,34 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, args, fault", [
+        ("langid-filter", ["--model", "{dir}/langid.json", "--expected", "en"],
+         "{dir}/langid.json: invalid JSON: Expecting value (column 41)"),
+        ("lm-filter", ["--model", "{dir}/lm.txt"],
+         "{dir}/lm.txt: line 1: invalid JSON: Expecting property name enclosed in double quotes (column 41)"),
+        ("dedup", ["--threshold", 0], "threshold must be in (0, 1], got 0.0"),
+        ("quality-filter", ["--scorer", "chrf", "--tau", 10],
+         "scorer 'chrf' reads the item field 'reference', but items here carry only source, hypothesis, "
+         "src_lang, tgt_lang"),
+        ("pipeline-run", ["--config", "{dir}/pipeline.json"],
+         "{dir}/pipeline.json: stages[0]: stage 'dedup' expects mono records, not parallel"),
+    ])
+    def test_stage_fault_is_reported_before_an_input_fault(self, tmp_path, capsys, command, args, fault):
+        # each filter command builds its stage, with its model file or
+        # scorer, before it reads --in
+        (tmp_path / "langid.json").write_bytes(_langid_model_json()[:40])
+        (tmp_path / "lm.txt").write_bytes(_LM_HEADER[:40])
+        (tmp_path / "in.jsonl").write_text("{bad json\n")
+        (tmp_path / "pipeline.json").write_bytes(
+            _pipeline_json({"type": "dedup"}, kind="parallel", input="{dir}/in.jsonl")
+            .replace(b"{dir}", json.dumps(str(tmp_path))[1:-1].encode()))
+        io = [] if command == "pipeline-run" else ["--in", tmp_path / "in.jsonl", "--out", tmp_path / "out.jsonl"]
+        before = sorted(tmp_path.iterdir())
+        args = [str(arg).replace("{dir}", str(tmp_path)) for arg in args]
+        assert run(command, *args, *io, "--report", tmp_path / "report.json") == 1
+        assert capsys.readouterr().err == f"error: {fault.replace('{dir}', str(tmp_path))}\n"
+        assert sorted(tmp_path.iterdir()) == before
+
     @pytest.mark.parametrize("command, content, message", [
         ("pipeline-run", _pipeline_json({"type": "dedup", "mystery": 1}), "stages[0]: unknown fields ['mystery']"),
         ("pipeline-run", _pipeline_json({"type": "dedup"}, {"type": "dedup", "rows": 2.5}),
@@ -600,8 +628,12 @@ class TestExitCodes:
         ("pipeline-run", _pipeline_json({"type": "perplexity", "model": "lm.txt"}),
          "stages[0]: missing fields ['mode']"),
         ("pipeline-run", _pipeline_json(5), "stages[0]: a JSON number, not an object"),
-        ("pipeline-run", _pipeline_json({"type": "quality_threshold", "scorer": dict(_SCORER, kind="x"), "tau": 1}),
+        ("pipeline-run", _pipeline_json({"type": "quality_threshold", "scorer": dict(_SCORER, kind="x"), "tau": 1},
+                                        kind="parallel"),
          "stages[0].scorer: scorer kind must be local_function or remote_http, got 'x'"),
+        # checked when the entry's type is read, before any model file or scorer is loaded
+        ("pipeline-run", _pipeline_json({"type": "dedup"}, kind="parallel"),
+         "stages[0]: stage 'dedup' expects mono records, not parallel"),
         ("pipeline-run", _pipeline_json(schema_version=2), "schema_version must be 1, got 2"),
         ("pipeline-run", _pipeline_json(drop=("kind", "input")), "missing fields ['input', 'kind']"),
         ("pipeline-run", b"[]", "a JSON array, not an object"),
@@ -1820,6 +1852,29 @@ class TestNonFiniteNumbers:
         rows = [json.loads(l) for l in dropped.read_text().splitlines()]
         assert [(r["id"], r["perplexity"]) for r in rows] == [("unseen", None)]
 
+    def _nan_for_b(self, tmp_path):
+        """Pairs a and b, and a registered scorer that gives b's hypothesis NaN."""
+        register_scorer("nan_for_b", lambda item: math.nan if item["hypothesis"] == "b" else 0.5)
+        pairs = tmp_path / "pairs.jsonl"
+        write_jsonl(pairs, [{"id": i, "src_lang": "en", "tgt_lang": "fr", "src_text": "x", "tgt_text": i}
+                            for i in "ab"])
+        return pairs
+
+    def test_nan_score_leaves_the_pair_unscored(self, tmp_path):
+        kept, unscored = tmp_path / "kept.jsonl", tmp_path / "unscored.jsonl"
+        assert run("quality-filter", "--in", self._nan_for_b(tmp_path), "--scorer", "nan_for_b", "--tau", 0.1,
+                   "--out", kept, "--unscored", unscored) == 0
+        assert [p.id for p in read_corpus(kept, "parallel")] == ["a"]
+        assert [p.id for p in read_corpus(unscored, "parallel")] == ["b"]
+
+    def test_nan_score_is_a_failed_pair_in_eval(self, tmp_path):
+        hyps = tmp_path / "hyps.jsonl"
+        write_jsonl(hyps, [{"id": i, "hypothesis": i} for i in "ab"])
+        report = tmp_path / "report.json"
+        assert run("eval", "--pairs", self._nan_for_b(tmp_path), "--hyps", hyps, "--metric", "nan_for_b",
+                   "--report", report) == 0
+        assert json.loads(report.read_text())["counts"] == {"pairs": 2, "scored": 1, "failed": 1}
+
 
 class TestEvalCommand:
     def test_chrf_report(self, tmp_path):
@@ -1999,7 +2054,8 @@ class TestPipelineRun:
         config.write_bytes(_pipeline_json(*stages).replace(b"{dir}", json.dumps(str(tmp_path))[1:-1].encode()))
         _write_mono(tmp_path, _english_docs(3))
         assert run("pipeline-run", "--config", config) == 1
-        assert capsys.readouterr().err == "error: stage 'quality_threshold' expects parallel records, not mono\n"
+        assert capsys.readouterr().err == (
+            f"error: {config}: stages[1]: stage 'quality_threshold' expects parallel records, not mono\n")
         assert not (tmp_path / "out.jsonl").exists()
 
     def test_unscored_output_holds_every_unscored_record(self, tmp_path, slow_endpoint):

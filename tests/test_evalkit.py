@@ -94,15 +94,16 @@ class TestChrf:
                 ref = "x"
             assert math.isclose(chrf(hyp, ref), chrf_oracle(hyp, ref), abs_tol=1e-6), (hyp, ref)
 
-    @pytest.mark.parametrize("max_n", [1, 3, 6])
-    def test_bit_identical_to_slice_reference(self, max_n):
-        rng = random.Random(f"chrf{max_n}")
+    @pytest.mark.parametrize("longest", [4, 10, 28])
+    def test_bit_identical_to_slice_reference(self, longest):
+        rng = random.Random(f"chrf{longest}")
         alphabet = "abab cd ABC漢字áé!"
         for _ in range(200):
-            # lengths from 0 to well past max_n, so some sides have no n-grams at the top orders
-            hyp = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 3 * max_n + 10)))
-            ref = "x" + "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 3 * max_n + 10)))
-            assert chrf(hyp, ref, max_n) == chrf_slice_reference(hyp, ref, max_n), (hyp, ref)
+            # lengths from 0 to `longest`, below and past order 6, so some
+            # sides have no n-grams at the top orders
+            hyp = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, longest)))
+            ref = "x" + "".join(rng.choice(alphabet) for _ in range(rng.randint(0, longest)))
+            assert chrf(hyp, ref) == chrf_slice_reference(hyp, ref), (hyp, ref)
 
     def test_identity_100_on_random_unicode(self):
         rng = random.Random(77)

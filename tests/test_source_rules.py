@@ -19,6 +19,11 @@ separator: one place decides what a word is, so dedup shingles, repetition
 scoring, the n-gram LM and chrF cut a text into the same units, and a
 script written without spaces gets codepoints everywhere or nowhere.
 
+In `cli.py`, no function both calls `_run_stages` and reads a corpus with
+`read_corpus`: `_run_stages` reads its input itself, so a filter command
+builds its stages, loading their model files and scorers, before any input
+is read, and a bad stage is reported before a bad input.
+
 No function calls itself, by its bare name or, for a method, through its
 first parameter (`self.f()`, `cls.f()`): how deep a call goes may never
 depend on the input, such as the order in a model file, so no input can
@@ -243,6 +248,45 @@ def scoped_places(source: str, filename: str, kind_of) -> list[str]:
 def decoding_calls(source: str, filename: str) -> list[str]:
     """The places that decode bytes or JSON text, as `_decoding` names their kind."""
     return scoped_places(source, filename, _decoding)
+
+
+def _runs_or_reads(node: ast.AST) -> str | None:
+    """"runs" for a call of `_run_stages`, "reads" for a call of
+    `read_corpus`, bare or as an attribute; None for anything else."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+    return {"_run_stages": "runs", "read_corpus": "reads"}.get(name)
+
+
+def stage_runners_that_read(source: str, filename: str) -> list[str]:
+    """`<filename>:<function>` of each function that calls `_run_stages` and
+    also `read_corpus`, in source order."""
+    places = scoped_places(source, filename, _runs_or_reads)
+    scopes = dict.fromkeys(place.rsplit(":", 1)[0] for place in places)
+    return [scope for scope in scopes if f"{scope}:runs" in places and f"{scope}:reads" in places]
+
+
+def test_only_run_stages_reads_a_filter_commands_input():
+    assert stage_runners_that_read((PACKAGE / "cli.py").read_text(encoding="utf-8"), "cli.py") == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(p):\n    docs = corpus_mod.read_corpus(p, 'mono')\n    return _run_stages(docs, 'mono', [], 'o')",
+     ["m.py:f"]),
+    ("def f(p):\n    return _run_stages(read_corpus(p, 'mono'), 'mono', [], 'o')", ["m.py:f"]),
+    ("class A:\n    def f(self, p):\n        return self._run_stages(mtforge.corpus.read_corpus(p, 'mono'))",
+     ["m.py:f"]),
+    ("def f(p):\n    return _run_stages(p, 'mono', [], 'o', dropped_row=lambda *row: read_corpus(p, 'mono'))",
+     ["m.py:f"]),
+    ("def f(p):\n    return _run_stages(p, 'mono', [], 'o')", []),
+    ("def _run_stages(p, kind, stages):\n    return run_pipeline(corpus_mod.read_corpus(p, kind), stages, kind)", []),
+    ("def f(p):\n    return read_corpus(p, 'mono')\n\n\ndef g(p):\n    return _run_stages(p, 'mono', [], 'o')", []),
+    ("def f(p):\n    reader = corpus_mod.read_corpus\n    return _run_stages(p, 'mono', [], 'o')", []),
+])
+def test_stage_reading_rule(source, found):
+    assert stage_runners_that_read(source + "\n", "m.py") == found
 
 
 def test_only_ioutils_decodes_outside_input():
