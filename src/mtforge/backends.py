@@ -6,7 +6,8 @@
 
 Endpoints with a "mock:" scheme resolve to deterministic in-process fakes so
 orchestration can run and be tested without any network. An Authorization
-header is sent when MTFORGE_BACKEND_TOKEN is set.
+header is sent when MTFORGE_BACKEND_TOKEN is set; an http(s) BackendSpec
+cannot be built while that token is one unsendable_token refuses.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, ClassVar, Optional
 
 from .errors import MtforgeError, ValidationError
-from .ioutils import dataclass_from_obj, decode_utf8, is_finite_number, parse_json
+from .ioutils import decode_utf8, is_finite_number, parse_json
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,8 @@ class BackendSpec:
             raise ValidationError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.max_retries > 10:  # each retry is sent at once, so many would hammer a failing endpoint
             raise ValidationError(f"max_retries must be <= 10, got {self.max_retries}")
+        if is_http_url(self.endpoint) and (refusal := unsendable_token(BACKEND_TOKEN_ENV)):
+            raise ValidationError(refusal)
 
 
 class BackendFailure(MtforgeError):
@@ -121,16 +124,6 @@ def unsendable_token(token_env: str) -> str | None:
     if token and not (token.isascii() and token.isprintable()):  # http.client's refusal would quote the token
         return f"{token_env} must hold printable ASCII to be sent as a header"
     return None
-
-
-def require_sendable_token(token_env: str, where: object) -> None:
-    """Raise ValidationError `<where>: <reason>` when the token in `token_env`
-    cannot be sent (see unsendable_token). Commands call it where they read
-    a remote endpoint's config, so such a token stops them before any
-    request."""
-    refusal = unsendable_token(token_env)
-    if refusal:
-        raise ValidationError(f"{where}: {refusal}")
 
 
 @functools.cache
@@ -215,12 +208,3 @@ def complete(spec: BackendSpec, prompt: str, params: GenerationParams) -> str:
     if not isinstance(body, dict) or not isinstance(body.get("text"), str):
         raise BackendFailure(f"backend {spec.name!r} returned no text field")
     return body["text"]
-
-
-def backend_from_obj(obj: dict, where: object = "backend config") -> BackendSpec:
-    """Build a backend from its JSON form, checked against its FIELDS; an
-    http(s) one also checks the token it will send."""
-    spec = dataclass_from_obj(BackendSpec, obj, where)
-    if is_http_url(spec.endpoint):
-        require_sendable_token(BACKEND_TOKEN_ENV, where)
-    return spec

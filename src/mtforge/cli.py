@@ -27,11 +27,10 @@ import click
 from . import backends as backends_mod
 from . import corpus as corpus_mod
 from . import filters as filters_mod
-from .backends import backend_from_obj
 from .errors import MtforgeError, OrchestrationError, SchemaError, ValidationError, at
 from .ioutils import (atomic_write, check_fields, dataclass_from_obj, dump_json, load_json, output_transaction,
                       read_records, required_fields, write_jsonl)
-from .scorers import ScorerEndpoint, is_local_scorer, scorer_from_obj
+from .scorers import ScorerEndpoint, is_local_scorer
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -62,7 +61,7 @@ def _load_scorer(spec: str, flag: str, fields: tuple, within: tuple | None = Non
     if spec.endswith(".json") or (path.exists() and not is_local_scorer(spec)):
         if not path.is_file():
             raise ValidationError(f"{flag}: no such file: {spec!r}")
-        scorer = scorer_from_obj(load_json(path), path)
+        scorer = dataclass_from_obj(ScorerEndpoint, load_json(path), path)
     else:
         with at(flag):
             scorer = ScorerEndpoint(name=spec, kind="local_function", config=spec)
@@ -536,10 +535,10 @@ def _load_chimera_config(path: str):
     from . import chimera as chimera_mod
 
     obj = _load_config(path, _CHIMERA_FIELDS, _CHIMERA_REQUIRED)
-    backend = backend_from_obj(obj["backend"], f"{path}: backend")
+    backend = dataclass_from_obj(backends_mod.BackendSpec, obj["backend"], f"{path}: backend")
     fusion_backend = backend
     if "fusion_backend" in obj:
-        fusion_backend = backend_from_obj(obj["fusion_backend"], f"{path}: fusion_backend")
+        fusion_backend = dataclass_from_obj(backends_mod.BackendSpec, obj["fusion_backend"], f"{path}: fusion_backend")
     grid = chimera_mod.default_grid()
     if "grid" in obj:
         if len(obj["grid"]) < 2:
@@ -551,12 +550,13 @@ def _load_chimera_config(path: str):
         if len(obj["per_slot_backends"]) != len(grid):
             raise SchemaError(f"{path}: per_slot_backends must have one entry per grid entry ({len(grid)}), "
                               f"got {len(obj['per_slot_backends'])}")
-        per_slot = [None if entry is None else backend_from_obj(entry, f"{path}: per_slot_backends[{i}]")
+        per_slot = [None if entry is None
+                    else dataclass_from_obj(backends_mod.BackendSpec, entry, f"{path}: per_slot_backends[{i}]")
                     for i, entry in enumerate(obj["per_slot_backends"])]
     scorer = None
     if "fallback_scorer" in obj:
         where = f"{path}: fallback_scorer"
-        scorer = scorer_from_obj(obj["fallback_scorer"], where)
+        scorer = dataclass_from_obj(ScorerEndpoint, obj["fallback_scorer"], where)
         with at(where):
             scorer.check_item_fields(chimera_mod.FALLBACK_ITEM_FIELDS)
     return backend, fusion_backend, grid, per_slot, scorer
@@ -727,7 +727,7 @@ def _build_stages(config: dict, seed: int, path: str):
 
             params["model"] = lm_mod.load_lm(params["model"])
         else:
-            params["scorer"] = scorer_from_obj(params["scorer"], f"{where}.scorer")
+            params["scorer"] = dataclass_from_obj(ScorerEndpoint, params["scorer"], f"{where}.scorer")
         with at(where):
             stages.append(make(**params))
             if kind in [stage.name for stage in stages[:-1]]:

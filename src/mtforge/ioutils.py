@@ -11,7 +11,6 @@ import json
 import math
 import os
 import re
-import tempfile
 from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Any, Callable, Collection, Iterable, Iterator, Mapping
@@ -61,7 +60,8 @@ def atomic_write(path: str | Path) -> Iterator[Any]:
     none is open). On any exception the destination is left untouched (it
     may not exist). A second write to one path in a transaction raises
     ValidationError, and a destination that is a directory IsADirectoryError,
-    both before the file is staged."""
+    both before the file is staged. The file gets mode 0o666 less the umask,
+    as open() gives a new file, also when it replaces an existing one."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with output_transaction():
@@ -71,7 +71,8 @@ def atomic_write(path: str | Path) -> Iterator[Any]:
             raise ValidationError(f"{path}: written twice by one command")
         if dest.is_dir() and not dest.is_symlink():  # os.replace would fail at commit, after earlier renames
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+        tmp = str(path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         staged[dest] = tmp
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             yield handle

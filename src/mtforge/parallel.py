@@ -13,6 +13,7 @@ command at one job neither forks nor loads it.
 from __future__ import annotations
 
 import os
+from contextlib import suppress
 from typing import Callable, Sequence, TypeVar
 
 from .errors import MtforgeError, ValidationError
@@ -37,16 +38,23 @@ def chunk_bounds(n_items: int, jobs: int) -> list[tuple[int, int]]:
     return [(n_items * i // procs, n_items * (i + 1) // procs) for i in range(procs)]
 
 
-def _run_chunk(fn, chunk, conn) -> None:
+def _run_chunk(fn, chunk, conn, inherited) -> None:
     """Child body: send (True, result), or (False, exc) for an exception
     that the CLI reports in one line, which the parent raises as if fn had
     run there. Any other exception prints its traceback here, as it would
-    serially, and the parent sees a child without a result."""
+    serially, and the parent sees a child without a result.
+
+    The receive ends `inherited` through fork are closed first, so once the
+    parent dies no pipe of this child has a reader: the send then fails,
+    and the child ends quietly instead of blocking forever."""
+    for receive in inherited:
+        receive.close()
     try:
         message = (True, fn(chunk))
     except (MtforgeError, OSError, RuntimeError, MemoryError) as exc:
         message = (False, exc)
-    conn.send(message)
+    with suppress(BrokenPipeError):  # the parent is gone
+        conn.send(message)
     conn.close()
 
 
@@ -71,7 +79,8 @@ def map_chunks(fn: Callable[[Sequence[T]], R], items: Sequence[T], jobs: int) ->
     try:
         for start, stop in bounds[1:]:
             receive, send = context.Pipe(duplex=False)
-            child = context.Process(target=_run_chunk, args=(fn, items[start:stop], send), daemon=True)
+            inherited = [receive, *(earlier for _, earlier in children)]
+            child = context.Process(target=_run_chunk, args=(fn, items[start:stop], send, inherited), daemon=True)
             child.start()
             # the parent's copy of the send end closed, so a dead child reads as EOF
             send.close()

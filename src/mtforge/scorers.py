@@ -14,7 +14,9 @@ Wire format for remote_http scorers:
     POST <url>  {"name": <scorer name>, "items": [<item>, ...]}
     -> 200      {"scores": [<number or null>, ...]}
 Items are JSON objects, typically {"source", "hypothesis", "reference"}.
-An Authorization header is sent when MTFORGE_SCORER_TOKEN is set.
+An Authorization header is sent when MTFORGE_SCORER_TOKEN is set; a
+remote_http endpoint cannot be built while that token is one
+backends.unsendable_token refuses.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Mapping, Sequence
 
-from .backends import MAX_TIMEOUT_MS, BackendFailure, is_http_url, post_json, require_sendable_token
+from .backends import MAX_TIMEOUT_MS, BackendFailure, is_http_url, post_json, unsendable_token
 from .errors import ValidationError
-from .ioutils import dataclass_from_obj, is_finite_number
+from .ioutils import is_finite_number
 
 # The environment variable holding the bearer token sent to remote scorers.
 SCORER_TOKEN_ENV = "MTFORGE_SCORER_TOKEN"
@@ -130,6 +132,8 @@ class ScorerEndpoint:
             json.dumps(self.extra, allow_nan=False)  # it rides in every remote request
         except ValueError:
             raise ValidationError("scorer extra must hold only finite numbers") from None
+        if self.kind == "remote_http" and (refusal := unsendable_token(SCORER_TOKEN_ENV)):
+            raise ValidationError(refusal)
 
     def check_item_fields(self, sent: Sequence[str]) -> None:
         """Raise ValidationError naming the first item field this scorer
@@ -161,12 +165,3 @@ class ScorerEndpoint:
         if not isinstance(scores, list) or len(scores) != len(items):
             return [None] * len(items)
         return scores
-
-
-def scorer_from_obj(obj: dict, where: object = "scorer config") -> ScorerEndpoint:
-    """Build an endpoint from its JSON form, checked against its FIELDS; a
-    remote one also checks the token it will send."""
-    scorer = dataclass_from_obj(ScorerEndpoint, obj, where)
-    if scorer.kind == "remote_http":
-        require_sendable_token(SCORER_TOKEN_ENV, where)
-    return scorer

@@ -16,10 +16,10 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from mtforge import backends
-from mtforge.backends import BackendFailure, BackendSpec, GenerationParams, backend_from_obj, complete, post_json
+from mtforge.backends import BackendFailure, BackendSpec, GenerationParams, complete, post_json
 from mtforge.errors import SchemaError, ValidationError
 from mtforge.ioutils import dataclass_from_obj
-from mtforge.scorers import ScorerEndpoint, register_scorer, scorer_from_obj
+from mtforge.scorers import ScorerEndpoint, register_scorer
 
 from endpoint import JsonHandler, serving
 
@@ -177,8 +177,10 @@ class TestCompletionWire:
 
     @pytest.mark.parametrize("token", ["gen\nsecret", "gen-secret\n", "gen\tsecret", "gen-secr\u00e9t"])
     def test_unsendable_token_is_final_and_not_quoted(self, http_server, monkeypatch, token):
-        monkeypatch.setenv("MTFORGE_BACKEND_TOKEN", token)
+        # the spec is built first, since building refuses such a token too;
+        # this covers a library caller whose token changes after that
         spec = BackendSpec("real", f"{http_server}/complete", "m", max_retries=2)
+        monkeypatch.setenv("MTFORGE_BACKEND_TOKEN", token)
         _Handler.requests_seen.clear()
         with pytest.raises(BackendFailure) as caught:
             complete(spec, "p", GenerationParams())
@@ -261,7 +263,7 @@ class TestCompletionWire:
     def test_endpoint_error_names_the_place(self):
         obj = {"name": "b", "endpoint": "ftp://127.0.0.1/c", "model_id": "m"}
         with pytest.raises(SchemaError, match=r"^p\.json: backend: endpoint must be"):
-            backend_from_obj(obj, "p.json: backend")
+            dataclass_from_obj(BackendSpec, obj, "p.json: backend")
 
     @pytest.mark.parametrize("url", ['data:application/json,{"text": "x"}', "ftp://127.0.0.1/c", "file:///etc/hosts"])
     def test_post_json_refuses_non_http_url(self, url):
@@ -382,13 +384,15 @@ class TestSpecsFromObj:
     BACKEND = {"name": "b", "endpoint": "mock:echo", "model_id": "m"}
 
     def test_defaults_live_in_the_dataclasses(self):
-        assert scorer_from_obj(self.SCORER) == ScorerEndpoint("s", "local_function", "length_ratio")
-        assert backend_from_obj(self.BACKEND) == BackendSpec("b", "mock:echo", "m")
+        scorer = dataclass_from_obj(ScorerEndpoint, self.SCORER, "s")
+        assert scorer == ScorerEndpoint("s", "local_function", "length_ratio")
+        assert dataclass_from_obj(BackendSpec, self.BACKEND, "b") == BackendSpec("b", "mock:echo", "m")
 
     def test_set_keys_pass_through(self):
-        scorer = scorer_from_obj(dict(self.SCORER, score_range=[0, 5], timeout_ms=7, extra={"k": 1}))
+        obj = dict(self.SCORER, score_range=[0, 5], timeout_ms=7, extra={"k": 1})
+        scorer = dataclass_from_obj(ScorerEndpoint, obj, "s")
         assert (scorer.score_range, scorer.timeout_ms, scorer.extra) == ((0, 5), 7, {"k": 1})
-        backend = backend_from_obj(dict(self.BACKEND, timeout_ms=9, max_retries=0))
+        backend = dataclass_from_obj(BackendSpec, dict(self.BACKEND, timeout_ms=9, max_retries=0), "b")
         assert (backend.timeout_ms, backend.max_retries) == (9, 0)
 
     @pytest.mark.parametrize("obj", [
@@ -416,13 +420,13 @@ class TestSpecsFromObj:
     ])
     def test_bad_scorer_config_rejected(self, obj):
         with pytest.raises(ValidationError):
-            scorer_from_obj(obj)
+            dataclass_from_obj(ScorerEndpoint, obj, "s")
 
     @pytest.mark.parametrize("obj", [[1], {"name": "b", "endpoint": "mock:echo"}, dict(BACKEND, colour="red"),
                                      dict(BACKEND, endpoint="ftp://127.0.0.1/c")])
     def test_bad_backend_config_rejected(self, obj):
         with pytest.raises(ValidationError):
-            backend_from_obj(obj)
+            dataclass_from_obj(BackendSpec, obj, "b")
 
     @pytest.mark.parametrize("cls", [BackendSpec, GenerationParams, ScorerEndpoint])
     def test_field_table_names_every_field(self, cls):
@@ -437,7 +441,8 @@ class TestSpecsFromObj:
 
     def test_registered_scorer_keeps_its_range(self):
         assert ScorerEndpoint("c", "local_function", "chrf").score_range == (0.0, 100.0)
-        assert scorer_from_obj({"name": "c", "kind": "local_function", "config": "chrf"}).score_range == (0.0, 100.0)
+        obj = {"name": "c", "kind": "local_function", "config": "chrf"}
+        assert dataclass_from_obj(ScorerEndpoint, obj, "c").score_range == (0.0, 100.0)
         assert ScorerEndpoint("l", "local_function", "length_ratio").score_range == (0.0, 1.0)
         register_scorer("ten_point", lambda item: 7.0, (0.0, 10.0))
         assert ScorerEndpoint("t", "local_function", "ten_point").score_many([{}]) == [7.0]
@@ -455,7 +460,8 @@ class TestSpecsFromObj:
         assert scorer == ScorerEndpoint("r", "local_function", "resolved_once")
         assert "_fn" not in repr(scorer)
         with pytest.raises(ValidationError, match=r"unknown fields \['_fn'\]"):
-            scorer_from_obj({"name": "r", "kind": "local_function", "config": "resolved_once", "_fn": None})
+            dataclass_from_obj(ScorerEndpoint, {"name": "r", "kind": "local_function", "config": "resolved_once",
+                                                "_fn": None}, "r")
 
     def test_item_fields_a_scorer_reads_are_checked_against_what_is_sent(self):
         chrf = ScorerEndpoint("c", "local_function", "chrf")
@@ -476,12 +482,30 @@ class TestSpecsFromObj:
         monkeypatch.setenv("MTFORGE_BACKEND_TOKEN", token)
         monkeypatch.setenv("MTFORGE_SCORER_TOKEN", token)
         with pytest.raises(ValidationError, match=r"^cfg: backend: MTFORGE_BACKEND_TOKEN must hold printable ASCII"):
-            backend_from_obj({"name": "g", "endpoint": "http://127.0.0.1:9/c", "model_id": "m"}, "cfg: backend")
+            dataclass_from_obj(BackendSpec, {"name": "g", "endpoint": "http://127.0.0.1:9/c", "model_id": "m"},
+                               "cfg: backend")
         with pytest.raises(ValidationError, match=r"^qe\.json: MTFORGE_SCORER_TOKEN must hold printable ASCII"):
-            scorer_from_obj({"name": "qe", "kind": "remote_http", "config": "http://127.0.0.1:9/s"}, "qe.json")
+            dataclass_from_obj(ScorerEndpoint, {"name": "qe", "kind": "remote_http", "config": "http://127.0.0.1:9/s"},
+                               "qe.json")
         # endpoints that send no token do not read it
-        backend_from_obj({"name": "g", "endpoint": "mock:echo", "model_id": "m"})
-        scorer_from_obj({"name": "l", "kind": "local_function", "config": "length_ratio"})
+        dataclass_from_obj(BackendSpec, {"name": "g", "endpoint": "mock:echo", "model_id": "m"}, "g")
+        dataclass_from_obj(ScorerEndpoint, {"name": "l", "kind": "local_function", "config": "length_ratio"}, "l")
+
+    @pytest.mark.parametrize("token", ["secret\n", "sec\tret", "secr\u00e9t"])
+    @pytest.mark.parametrize("endpoint", ["http://127.0.0.1:9/c", "https://example.invalid/c"])
+    def test_remote_spec_built_directly_refuses_an_unsendable_token(self, monkeypatch, token, endpoint):
+        monkeypatch.setenv("MTFORGE_BACKEND_TOKEN", token)
+        monkeypatch.setenv("MTFORGE_SCORER_TOKEN", token)
+        with pytest.raises(ValidationError) as caught:
+            BackendSpec("g", endpoint, "m")
+        assert str(caught.value) == "MTFORGE_BACKEND_TOKEN must hold printable ASCII to be sent as a header"
+        with pytest.raises(ValidationError) as caught:
+            ScorerEndpoint("qe", "remote_http", endpoint)
+        assert str(caught.value) == "MTFORGE_SCORER_TOKEN must hold printable ASCII to be sent as a header"
+        # mock backends and local scorers send no token, so they still build
+        BackendSpec("g", "mock:echo", "m")
+        for config in ("length_ratio", "constant:0.5"):
+            ScorerEndpoint("l", "local_function", config)
 
     def test_unknown_local_scorer_rejected(self):
         with pytest.raises(ValidationError, match="unknown local scorer 'no-such-scorer'"):

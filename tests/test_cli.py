@@ -5,6 +5,7 @@ import math
 import os
 import re
 import socket
+import stat
 import subprocess
 import sys
 import threading
@@ -932,6 +933,19 @@ class TestOutputTransaction:
         assert err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{tmp_path / 'dropped'}'\n"
         assert _files(tmp_path) == before
         assert _files(tmp_path / "dropped") == []
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_outputs_get_the_umask_mode(self, tmp_path, umask):
+        # a new file and one the command replaces get the mode open() gives a new file
+        out, report = tmp_path / "mixtures.jsonl", tmp_path / "report.json"
+        report.write_text("{}")
+        report.chmod(0o640)
+        old = os.umask(umask)
+        try:
+            assert run("mix-sample", "--domains", "a,b", "--n", 4, "--out", out, "--report", report) == 0
+        finally:
+            os.umask(old)
+        assert [stat.S_IMODE(path.stat().st_mode) for path in (out, report)] == [0o666 & ~umask] * 2
 
     def test_nested_transaction_joins_the_outer_one(self, tmp_path):
         with pytest.raises(RuntimeError):

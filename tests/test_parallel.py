@@ -7,8 +7,10 @@ timeout, so a command that waits forever on a dead worker fails the test.
 """
 
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -104,6 +106,54 @@ class TestMapChunks:
                 finally:
                     assert len(staged) == 1 and staged[0].exists()
         assert list(tmp_path.iterdir()) == []
+
+
+# map_chunks at two processes, whatever the host's CPU count: the worker
+# prints its pid and returns more than a pipe buffer holds, while the
+# caller's own chunk sleeps, so the result is never read
+_ORPHANED_RUN = """
+import os, time
+from mtforge.parallel import map_chunks
+
+os.sched_getaffinity = lambda pid: {0, 1}
+
+def work(chunk):
+    if chunk == [1]:
+        print(os.getpid(), flush=True)
+        return b"x" * (4 << 20)
+    time.sleep(120)
+
+map_chunks(work, [0, 1], 2)
+"""
+
+
+def _alive(pid: int) -> bool:
+    """True while process `pid` runs; a zombie no one reaps has ended."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_worker_ends_when_its_parent_is_killed():
+    parent = subprocess.Popen([sys.executable, "-c", _ORPHANED_RUN], stdout=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT))
+    worker = None
+    try:
+        worker = int(parent.stdout.readline())
+        parent.kill()
+        parent.wait()
+        deadline = time.monotonic() + 10
+        while _alive(worker) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not _alive(worker), "the worker outlived its killed parent by 10 s"
+    finally:
+        parent.kill()
+        parent.wait()
+        parent.stdout.close()
+        if worker is not None and _alive(worker):
+            os.kill(worker, signal.SIGKILL)
 
 
 # `main` on argv[3:] in a fresh process whose worker for the document with

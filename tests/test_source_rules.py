@@ -83,7 +83,7 @@ def test_rule(handler, swallows):
 
 
 # (module, function) pairs that write or rename a file; any tempfile function
-_FILE_WRITERS = {("os", "replace"), ("os", "rename"), ("os", "fdopen")}
+_FILE_WRITERS = {("os", "replace"), ("os", "rename"), ("os", "fdopen"), ("os", "open")}
 
 
 def _mode(call: ast.Call, position: int) -> ast.expr | None:
@@ -121,8 +121,9 @@ def _is_file_write(node: ast.AST) -> bool:
 
 def file_writes(source: str, filename: str) -> list[str]:
     """`<filename>:<line>` of each call or import that writes or renames a
-    file: os.replace, os.rename, os.fdopen, tempfile, Path.write_text and
-    write_bytes, and open or Path.open with a mode that writes."""
+    file: os.replace, os.rename, os.fdopen, os.open, tempfile,
+    Path.write_text and write_bytes, and open or Path.open with a mode that
+    writes."""
     return [f"{filename}:{node.lineno}" for node in ast.walk(ast.parse(source, filename)) if _is_file_write(node)]
 
 
@@ -136,6 +137,7 @@ def test_only_ioutils_writes_files():
     ("os.replace(tmp, path)", True),
     ("os.rename(tmp, path)", True),
     ("handle = os.fdopen(fd, 'w')", True),
+    ("fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)", True),
     ("fd, tmp = tempfile.mkstemp()", True),
     ("import tempfile", True),
     ("from tempfile import mkstemp", True),
