@@ -107,7 +107,7 @@ def _run_stages(in_path, kind, stages, out, dropped=None, unscored=None, dropped
     if dropped:
         write_jsonl(dropped, (dropped_row(*row) for row in result.dropped))
     if unscored:
-        corpus_mod.write_corpus((record for _, record in result.unscored), unscored)
+        corpus_mod.write_corpus(result.unscored, unscored)
     return result
 
 
@@ -476,21 +476,21 @@ def reward_score(in_path, terms_path, scorer_spec, w_quality, w_terminology, w_r
     records = list(read_records(in_path, fields, required=("source", "hypothesis"), key="id", build=build))
     missing = [(lineno, obj, parts) for lineno, (obj, parts, reward) in records if reward is None]
     if missing and scorer is None:
-        lineno, obj, _ = missing[0]
-        raise ValidationError(f"record {obj.get('id', str(lineno))!r} has no quality score and no --scorer was given")
+        _, obj, _ = missing[0]
+        raise ValidationError(f"record {obj['id']!r} has no quality score and no --scorer was given")
 
     # the request pass: one request per record still without a reward
     def score(record):
         lineno, obj, parts = record
         [quality] = scorer.score_many([{name: obj[name] for name in REWARD_ITEM_FIELDS}])
         if quality is None:
-            raise OrchestrationError(f"quality scorer failed on record {obj.get('id', str(lineno))!r}")
+            raise OrchestrationError(f"quality scorer failed on record {obj['id']!r}")
         with at(in_path, f"line {lineno}"):
             return rewards_mod.composite_reward(quality, *parts, weights)
 
     scored = iter(_fan_out(score, missing, jobs))
-    out_rows = [dict(asdict(next(scored) if reward is None else reward), id=obj.get("id", str(lineno)))
-                for lineno, (obj, _, reward) in records]
+    out_rows = [dict(asdict(next(scored) if reward is None else reward), id=obj["id"])
+                for _, (obj, _, reward) in records]
     write_jsonl(out_path, out_rows)
     return {
         "counts": {"records": len(out_rows)},
@@ -508,8 +508,8 @@ def grpo_advantages_cmd(in_path, epsilon, out_path, seed):
     from . import rewards as rewards_mod
 
     out_rows = [
-        {"id": obj.get("id", str(lineno)), "rewards": obj["rewards"], "advantages": advantages}
-        for lineno, (obj, advantages) in read_records(
+        {"id": obj["id"], "rewards": obj["rewards"], "advantages": advantages}
+        for _, (obj, advantages) in read_records(
             in_path, {"id": "string", "rewards": "array"}, required=("rewards",), key="id",
             build=lambda obj: (obj, rewards_mod.grpo_advantages(obj["rewards"], epsilon=epsilon)))
     ]
@@ -679,14 +679,14 @@ def eval_cmd(pairs_path, hyps_path, metric, aggregation, out_path, text_mode, se
     pairs = corpus_mod.read_corpus(pairs_path, "parallel")
     fields = {"id": "string", "hypothesis": "string"}
     hyps = {obj["id"]: obj["hypothesis"] for _, obj in read_records(hyps_path, fields, required=fields, key="id")}
-    scored, failures = evalkit_mod.score_corpus(pairs, hyps, scorer)
+    scored, unscored = evalkit_mod.score_corpus(pairs, hyps, scorer)
     report = evalkit_mod.group_report(scored, scorer.name, aggregation=aggregation)
     if out_path:
         dump_json(out_path, report.to_obj())
     if text_mode:
         click.echo(report.render_text())
     return {
-        "counts": {"pairs": len(pairs), "scored": len(scored), "failed": len(failures)},
+        "counts": {"pairs": len(pairs), "scored": len(scored), "failed": len(unscored)},
         "result": report.to_obj(),
     }
 

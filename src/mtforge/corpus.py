@@ -2,8 +2,8 @@
 
 A language tag is a plain string validated against the closed registry below.
 Corpus files are JSON Lines, one record per line, UTF-8, with fixed field
-names. All record types are immutable; derive updated records with
-`dataclasses.replace` (or the `with_score` helper).
+names. All record types are immutable; `attach_scores` is the one way to
+put a score on a record, and derives scored copies.
 """
 
 from __future__ import annotations
@@ -199,11 +199,18 @@ class ParallelPair:
 Record = Document | ParallelPair
 
 
-def with_score(record: Record, name: str, value: float) -> Record:
-    """Copy of a record with one score added or replaced."""
-    scores = dict(record.scores)
-    scores[name] = float(value)
-    return replace(record, scores=scores)
+def attach_scores(records: Iterable[Record], name: str,
+                  scores: Iterable[float | None]) -> tuple[list[Record], list[Record]]:
+    """Pair each record with its score, in order: (copies of the records
+    whose score is a number, each holding float(score) under `name`, the
+    records whose score is None), both in input order."""
+    scored, unscored = [], []
+    for record, score in zip(records, scores, strict=True):
+        if score is None:
+            unscored.append(record)
+        else:
+            scored.append(replace(record, scores={**record.scores, name: float(score)}))
+    return scored, unscored
 
 
 def segment_tokens(text: str, lang: str | None) -> list[str]:

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .corpus import DirectionGroup, ParallelPair, char_ngram_levels, classify_direction, segment_tokens, with_score
+from .corpus import DirectionGroup, ParallelPair, attach_scores, char_ngram_levels, classify_direction, segment_tokens
 from .errors import ValidationError
 from .scorers import ScorerEndpoint
 
@@ -57,25 +57,19 @@ def score_corpus(
     pairs: Sequence[ParallelPair],
     hypotheses: Mapping[str, str],
     scorer: ScorerEndpoint,
-) -> tuple[list[ParallelPair], list[tuple[ParallelPair, str]]]:
-    """Score every pair's hypothesis against its reference (the target text).
+) -> tuple[list[ParallelPair], list[ParallelPair]]:
+    """Score every pair's hypothesis against its reference (the target text);
+    returns (scored, unscored).
 
-    Each scored pair comes back with its score under `scorer.name`. Scoring
-    failures are returned in the second list with a reason, never silently
-    dropped; a missing hypothesis violates the contract and raises.
+    Each scored pair comes back with its score under `scorer.name`. Pairs
+    the scorer failed on are returned unchanged in the second list, never
+    silently dropped; a missing hypothesis violates the contract and raises.
     """
     missing = [p.id for p in pairs if p.id not in hypotheses]
     if missing:
         raise ValidationError(f"missing hypotheses for ids: {missing[:5]}")
     items = [dict(zip(SCORE_ITEM_FIELDS, (p.src_text, hypotheses[p.id], p.tgt_text))) for p in pairs]
-    scored: list[ParallelPair] = []
-    failures: list[tuple[ParallelPair, str]] = []
-    for pair, value in zip(pairs, scorer.score_many(items)):
-        if value is None:
-            failures.append((pair, f"scorer {scorer.name!r} failed"))
-        else:
-            scored.append(with_score(pair, scorer.name, value))
-    return scored, failures
+    return attach_scores(pairs, scorer.name, scorer.score_many(items))
 
 
 @dataclass(frozen=True)

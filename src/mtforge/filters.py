@@ -12,7 +12,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import ClassVar, Protocol, Sequence
 
-from .corpus import QUALITY_COMPOSITE, Document, ParallelPair, Record, require_tag, with_score
+from .corpus import QUALITY_COMPOSITE, Document, ParallelPair, Record, attach_scores, require_tag
 from .errors import ValidationError, at
 from .ioutils import is_finite_number, is_number
 from .parallel import map_chunks
@@ -77,16 +77,15 @@ def score_documents(docs: Sequence[Document]) -> tuple[list[Document], list[Docu
     entry, to docs whose scores map carries all three dimension values;
     docs missing a dimension land in the second list. A dimension value
     not 0, 1 or 2 raises SchemaError naming the doc."""
-    scored: list[Document] = []
-    missing: list[Document] = []
-    for doc in docs:
+
+    def composite(doc: Document) -> float | None:
         if not all(key in doc.scores for key in DIMENSION_KEYS):
-            missing.append(doc)
-            continue
+            return None
         with at(f"document {doc.id!r}"):
             dims = QualityDimensions(*(doc.scores[key] for key in DIMENSION_KEYS))
-        scored.append(with_score(doc, QUALITY_COMPOSITE, composite_quality(dims, DEFAULT_PROFILES[doc.provenance])))
-    return scored, missing
+        return composite_quality(dims, DEFAULT_PROFILES[doc.provenance])
+
+    return attach_scores(docs, QUALITY_COMPOSITE, map(composite, docs))
 
 
 # the fields of the items threshold_filter sends to its scorer
@@ -105,15 +104,9 @@ def threshold_filter(
     QualityThresholdStage checks tau against the scorer's range.
     """
     items = [dict(zip(THRESHOLD_ITEM_FIELDS, (p.src_text, p.tgt_text, p.src_lang, p.tgt_lang))) for p in pairs]
-    kept: list[ParallelPair] = []
-    dropped: list[ParallelPair] = []
-    unscored: list[ParallelPair] = []
-    for pair, score in zip(pairs, scorer.score_many(items)):
-        if score is None:
-            unscored.append(pair)
-            continue
-        scored = with_score(pair, scorer.name, score)
-        (kept if score >= tau else dropped).append(scored)
+    scored, unscored = attach_scores(pairs, scorer.name, scorer.score_many(items))
+    kept = [pair for pair in scored if pair.scores[scorer.name] >= tau]
+    dropped = [pair for pair in scored if pair.scores[scorer.name] < tau]
     return kept, dropped, unscored
 
 
@@ -326,7 +319,7 @@ class PipelineResult:
     final: list[Record]
     reports: list[StageReport]
     dropped: list[tuple[str, Record, str, dict]]  # (stage name, record, reason, detail)
-    unscored: list[tuple[str, Record]]
+    unscored: list[Record]
 
 
 def run_pipeline(records: Sequence[Record], stages: Sequence[Stage], kind: str, jobs: int = 1) -> PipelineResult:
@@ -347,7 +340,7 @@ def run_pipeline(records: Sequence[Record], stages: Sequence[Stage], kind: str, 
     current = list(records)
     reports: list[StageReport] = []
     all_dropped: list[tuple[str, Record, str, dict]] = []
-    all_unscored: list[tuple[str, Record]] = []
+    all_unscored: list[Record] = []
     for stage in stages:
         kept, dropped, unscored = stage.apply(current, jobs)
         if len(kept) + len(dropped) + len(unscored) != len(current):
@@ -357,7 +350,7 @@ def run_pipeline(records: Sequence[Record], stages: Sequence[Stage], kind: str, 
             key = reason.split("=", 1)[0]
             reasons[key] = reasons.get(key, 0) + 1
             all_dropped.append((stage.name, record, reason, detail))
-        all_unscored.extend((stage.name, record) for record in unscored)
+        all_unscored.extend(unscored)
         reports.append(
             StageReport(
                 name=stage.name,

@@ -224,18 +224,23 @@ def read_records(path: str | Path, fields: Mapping[str, str], required: Collecti
     """Yield (1-based line number, `build(obj)`) for each object of a JSON
     Lines file, checked by `check_fields` before it is built. A
     ValidationError, from the line's syntax, the check or `build`, raises
-    SchemaError as `<path>: line <n>: <what>`. With `key`, a value of that
-    field seen on an earlier line raises `... duplicate <key> <value> (first on line <m>)`."""
+    SchemaError as `<path>: line <n>: <what>`. With `key`, an object without
+    that field gets its line number as a string there, before it is built,
+    and a value of it seen on an earlier line raises `... duplicate <key>
+    <value> (first on line <m>)`."""
     first_line: dict[str, int] = {}
     with at(path):
         for lineno, obj in read_jsonl(path):
             # a plain try, not a context entered per line: this runs on
             # every line of every input
             try:
-                record = build(check_fields(obj, fields, required, closed))
+                check_fields(obj, fields, required, closed)
+                if key is not None and key not in obj:
+                    obj[key] = str(lineno)
+                record = build(obj)
             except ValidationError as exc:
                 raise SchemaError(f"line {lineno}: {exc}") from None
-            if key in obj and first_line.setdefault(obj[key], lineno) != lineno:
+            if key is not None and first_line.setdefault(obj[key], lineno) != lineno:
                 raise SchemaError(f"line {lineno}: duplicate {key} {obj[key]!r} (first on line {first_line[obj[key]]})")
             yield lineno, record
 

@@ -401,6 +401,11 @@ class TestExitCodes:
                                      ("reward-score", "--in", "id 'r'"), ("grpo-advantages", "--in", "id 'g'"),
                                      ("translate", "--in", "id 's'"), ("fuse", "--in", "id 's'"),
                                      ("eval", "--hyps", "id 'p'"), ("judge-flag", "--in", "sample_id 's'")]],
+        # a record without an id is named by its line number, which no other record's id may repeat
+        *[(command, "--in", b"%s\n%s\n" % (json.dumps(row).encode(), json.dumps(dict(row, id="2")).encode()),
+           "error: {path}: line 3: duplicate id '2' (first on line 2)")
+          for command, row in [("reward-score", {"source": "s", "hypothesis": "h", "quality": 1.0}),
+                               ("grpo-advantages", {"rewards": [0.0, 1.0]})]],
     ])
     def test_malformed_jsonl_is_one_line_exit_1(self, tmp_path, command, flag, bad_line, message):
         pairs = tmp_path / "pairs.jsonl"

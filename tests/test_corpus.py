@@ -10,10 +10,10 @@ from mtforge.corpus import (
     DirectionGroup,
     Document,
     ParallelPair,
+    attach_scores,
     classify_direction,
     read_corpus,
     segment_tokens,
-    with_score,
     write_corpus,
 )
 from mtforge.errors import SchemaError, ValidationError, at
@@ -91,11 +91,14 @@ class TestRecordValidation:
         with pytest.raises(ValidationError, match="tags must be strings"):
             Document(id="d1", lang="en", text="hello", tags=tags)
 
-    def test_with_score_copies(self):
-        doc = Document(id="d1", lang="en", text="hello")
-        scored = with_score(doc, "ppl", 3.5)
-        assert scored.scores == {"ppl": 3.5}
-        assert doc.scores == {}
+    def test_attach_scores_copies(self):
+        docs = [Document(id=f"d{i}", lang="en", text="hello", scores={"old": 1.0}) for i in range(4)]
+        scored, unscored = attach_scores(docs, "ppl", [3.5, None, 2, None])
+        assert [doc.id for doc in scored] == ["d0", "d2"]
+        assert [doc.scores for doc in scored] == [{"old": 1.0, "ppl": 3.5}, {"old": 1.0, "ppl": 2.0}]
+        assert type(scored[1].scores["ppl"]) is float
+        assert unscored == [docs[1], docs[3]]
+        assert all(doc.scores == {"old": 1.0} for doc in docs)
 
 
 class TestCorpusIo:

@@ -24,6 +24,10 @@ In `cli.py`, no function both calls `_run_stages` and reads a corpus with
 builds its stages, loading their model files and scorers, before any input
 is read, and a bad stage is reported before a bad input.
 
+Only `corpus` makes a call with a `scores=` keyword: `corpus.attach_scores`
+is the one code that puts a score on a record, so every scored record holds
+a float under its scorer's name and every unscored one is left as it was.
+
 No function calls itself, by its bare name or, for a method, through its
 first parameter (`self.f()`, `cls.f()`): how deep a call goes may never
 depend on the input, such as the order in a model file, so no input can
@@ -158,6 +162,28 @@ def test_only_ioutils_writes_files():
 ])
 def test_file_write_rule(line, writes):
     assert file_writes(f"def f():\n    {line}\n", "m.py") == (["m.py:2"] if writes else [])
+
+
+def score_writes(source: str, filename: str) -> list[str]:
+    """`<filename>:<line>` of each call that passes a `scores=` keyword."""
+    return [f"{filename}:{node.lineno}" for node in ast.walk(ast.parse(source, filename))
+            if isinstance(node, ast.Call) and any(k.arg == "scores" for k in node.keywords)]
+
+
+def test_only_corpus_puts_a_score_on_a_record():
+    found = [place for path in sorted(PACKAGE.rglob("*.py")) if path.name != "corpus.py"
+             for place in score_writes(path.read_text(encoding="utf-8"), path.name)]
+    assert found == []
+
+
+@pytest.mark.parametrize("line, writes", [
+    ("scored = replace(pair, scores={**pair.scores, 'chrf': 1.0})", True),
+    ("scored = dataclasses.replace(doc, scores=scores)", True),
+    ("doc = Document(id='d', lang='en', text='t', scores={'ppl': 3.5})", True),
+    ("scored, unscored = attach_scores(pairs, scorer.name, scorer.score_many(items))", False),
+])
+def test_score_write_rule(line, writes):
+    assert score_writes(f"def f():\n    {line}\n", "m.py") == (["m.py:2"] if writes else [])
 
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
