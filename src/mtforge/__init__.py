@@ -13,7 +13,7 @@ from .corpus import (
     read_corpus,
     write_corpus,
 )
-from .errors import MtforgeError, OrchestrationError, SchemaError, ValidationError
+from .errors import MtforgeError, OrchestrationError, ValidationError
 
 __version__ = "0.1.0"
 
@@ -30,7 +30,6 @@ __all__ = [
     *_MINLSH_EXPORTS,
     "MtforgeError",
     "OrchestrationError",
-    "SchemaError",
     "ValidationError",
     "__version__",
 ]

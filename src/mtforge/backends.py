@@ -67,6 +67,8 @@ class BackendSpec:
     def __post_init__(self):
         if not (self.endpoint.startswith("mock:") or is_http_url(self.endpoint)):
             raise ValidationError(f"endpoint must be mock:<name> or an http(s) URL, got {self.endpoint!r}")
+        if self.endpoint.startswith("mock:") and self.endpoint[5:] not in _MOCKS:
+            raise ValidationError(f"unknown mock backend {self.endpoint[5:]!r}")
         if self.timeout_ms <= 0:
             raise ValidationError(f"timeout_ms must be > 0, got {self.timeout_ms}")
         if self.timeout_ms > MAX_TIMEOUT_MS:
@@ -88,7 +90,8 @@ _MOCKS: dict[str, MockFn] = {}
 
 
 def register_mock_backend(name: str, fn: MockFn) -> None:
-    """Install a deterministic fake reachable as endpoint "mock:<name>"."""
+    """Install a deterministic fake reachable as endpoint "mock:<name>"; a
+    BackendSpec naming a mock not yet installed is refused."""
     _MOCKS[name] = fn
 
 
@@ -198,10 +201,7 @@ def post_json(url: str, payload: dict, token_env: str, timeout_s: float, retries
 def complete(spec: BackendSpec, prompt: str, params: GenerationParams) -> str:
     """One completion, its request retried as post_json does; raises BackendFailure."""
     if spec.endpoint.startswith("mock:"):
-        name = spec.endpoint.split(":", 1)[1]
-        if name not in _MOCKS:
-            raise ValidationError(f"unknown mock backend {name!r}")
-        return _MOCKS[name](prompt, params, spec.model_id)
+        return _MOCKS[spec.endpoint[5:]](prompt, params, spec.model_id)
 
     payload = {"model": spec.model_id, "prompt": prompt, **asdict(params)}
     body = post_json(spec.endpoint, payload, BACKEND_TOKEN_ENV, spec.timeout_ms / 1000.0, spec.max_retries)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -27,7 +26,7 @@ import click
 from . import backends as backends_mod
 from . import corpus as corpus_mod
 from . import filters as filters_mod
-from .errors import MtforgeError, OrchestrationError, SchemaError, ValidationError, at
+from .errors import MtforgeError, OrchestrationError, ValidationError, at
 from .ioutils import (atomic_write, check_fields, dataclass_from_obj, dump_json, load_json, output_transaction,
                       read_records, required_fields, write_jsonl)
 from .scorers import ScorerEndpoint, is_local_scorer
@@ -46,7 +45,7 @@ def _load_config(path: str, fields: dict, required: tuple) -> dict:
     with schema_version 1."""
     config = check_fields(load_json(path), fields, required, closed=True, where=path)
     if config["schema_version"] != 1:
-        raise SchemaError(f"{path}: schema_version must be 1, got {config['schema_version']}")
+        raise ValidationError(f"{path}: schema_version must be 1, got {config['schema_version']}")
     return config
 
 
@@ -542,14 +541,14 @@ def _load_chimera_config(path: str):
     grid = chimera_mod.default_grid()
     if "grid" in obj:
         if len(obj["grid"]) < 2:
-            raise SchemaError(f"{path}: grid must have >= 2 entries, got {len(obj['grid'])}")
+            raise ValidationError(f"{path}: grid must have >= 2 entries, got {len(obj['grid'])}")
         grid = [dataclass_from_obj(backends_mod.GenerationParams, entry, f"{path}: grid[{i}]")
                 for i, entry in enumerate(obj["grid"])]
     per_slot = None
     if "per_slot_backends" in obj:
         if len(obj["per_slot_backends"]) != len(grid):
-            raise SchemaError(f"{path}: per_slot_backends must have one entry per grid entry ({len(grid)}), "
-                              f"got {len(obj['per_slot_backends'])}")
+            raise ValidationError(f"{path}: per_slot_backends must have one entry per grid entry ({len(grid)}), "
+                                  f"got {len(obj['per_slot_backends'])}")
         per_slot = [None if entry is None
                     else dataclass_from_obj(backends_mod.BackendSpec, entry, f"{path}: per_slot_backends[{i}]")
                     for i, entry in enumerate(obj["per_slot_backends"])]
@@ -713,7 +712,7 @@ def _build_stages(config: dict, seed: int, path: str):
         kind = check_fields(entry, {"type": tuple(filters_mod.STAGES)}, ("type",), where=where)["type"]
         make = filters_mod.STAGES[kind]
         if make.record_kind != config["kind"]:
-            raise SchemaError(f"{where}: stage {kind!r} expects {make.record_kind} records, not {config['kind']}")
+            raise ValidationError(f"{where}: stage {kind!r} expects {make.record_kind} records, not {config['kind']}")
         check_fields(entry, {"type": "string", **make.FIELDS}, required_fields(make), closed=True, where=where)
         params = {key: value for key, value in entry.items() if key != "type"}
         if kind == "langid":
@@ -747,10 +746,10 @@ def pipeline_run(config_path, jobs, seed):
     config = _load_config(config_path, _PIPELINE_FIELDS, _PIPELINE_REQUIRED)
     for key in ("input", "output"):
         if not config[key]:
-            raise SchemaError(f"{config_path}: field {key!r} must name a file, not be empty")
+            raise ValidationError(f"{config_path}: field {key!r} must name a file, not be empty")
     seed = config.get("seed", seed)
     if seed < 0:
-        raise SchemaError(f"{config_path}: field 'seed' must be >= 0, got {seed}")
+        raise ValidationError(f"{config_path}: field 'seed' must be >= 0, got {seed}")
     stages = _build_stages(config, seed, config_path)
     result = _run_stages(config["input"], config["kind"], stages, config["output"], config.get("dropped_output"),
                          config.get("unscored_output"), dropped_row=_dropped_with_stage, jobs=jobs)
@@ -785,7 +784,3 @@ def main(argv: list[str] | None = None) -> int:
         click.echo(f"error: out of memory: {exc}" if str(exc) else
                    "error: out of memory; no output was written", err=True)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

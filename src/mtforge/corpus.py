@@ -255,7 +255,7 @@ def read_corpus(path: str | Path, kind: str) -> list[Record]:
     """Parse a JSONL corpus file in file order.
 
     kind is "mono" (Document records) or "parallel" (ParallelPair records).
-    Malformed lines raise SchemaError naming the path and the line; duplicate
+    Malformed lines raise ValidationError naming the path and the line; duplicate
     ids are a schema violation.
     """
     if kind not in _KINDS:

@@ -14,14 +14,9 @@ class ValidationError(MtforgeError):
     """Bad input: unknown language tag, schema violation, invalid parameter."""
 
 
-class SchemaError(ValidationError):
-    """A corpus, model or config file violates its schema. The message
-    starts with the place, as `at` gives it: `<path>: line <n>: <what>`."""
-
-
 class at:
     """Context in which bad input names its place: a ValidationError raised
-    in `with at(path, f"line {n}"):` leaves it as SchemaError
+    in `with at(path, f"line {n}"):` leaves it as a ValidationError
     `<path>: line <n>: <message>`. Places nest, the outer one first."""
 
     __slots__ = ("place",)
@@ -34,7 +29,7 @@ class at:
 
     def __exit__(self, kind, exc, traceback) -> None:
         if isinstance(exc, ValidationError):
-            raise SchemaError(": ".join(map(str, (*self.place, exc)))) from None
+            raise ValidationError(": ".join(map(str, (*self.place, exc)))) from None
 
 
 class OrchestrationError(MtforgeError):

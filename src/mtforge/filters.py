@@ -76,7 +76,7 @@ def score_documents(docs: Sequence[Document]) -> tuple[list[Document], list[Docu
     """Attach the composite score, weighted by the doc's DEFAULT_PROFILES
     entry, to docs whose scores map carries all three dimension values;
     docs missing a dimension land in the second list. A dimension value
-    not 0, 1 or 2 raises SchemaError naming the doc."""
+    not 0, 1 or 2 raises ValidationError naming the doc."""
 
     def composite(doc: Document) -> float | None:
         if not all(key in doc.scores for key in DIMENSION_KEYS):
@@ -235,9 +235,8 @@ class DedupStage:
         from . import minlsh
 
         kept, drops = minlsh.dedup(records, **asdict(self), jobs=jobs)
-        by_id = {rec.id: rec for rec in records}
-        annotated = [(by_id[d.dropped_id], f"near_duplicate_of={d.kept_id}",
-                      {"kept_id": d.kept_id, "estimated_jaccard": d.estimated_jaccard}) for d in drops]
+        annotated = [(doc, f"near_duplicate_of={rep.id}", {"kept_id": rep.id, "estimated_jaccard": estimate})
+                     for doc, rep, estimate in drops]
         return kept, annotated, []
 
 

@@ -15,7 +15,7 @@ from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Any, Callable, Collection, Iterable, Iterator, Mapping
 
-from .errors import MtforgeError, SchemaError, ValidationError, at
+from .errors import MtforgeError, ValidationError, at
 
 
 # The open output transaction of this context: destination -> temp file, in
@@ -140,7 +140,7 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
 
     Lines are split at LF only (a CR before it is JSON whitespace). A line
     that is not UTF-8, not JSON, or holds a string with an unpaired surrogate
-    raises SchemaError `line <n>: <what>`.
+    raises ValidationError `line <n>: <what>`.
     """
     with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -150,7 +150,7 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                     continue
                 obj = parse_json(line.rstrip("\n"))
             except ValidationError as exc:
-                raise SchemaError(f"line {lineno}: {exc}") from None
+                raise ValidationError(f"line {lineno}: {exc}") from None
             yield lineno, obj
 
 
@@ -184,7 +184,7 @@ def is_finite_number(value: Any) -> bool:
 def check_fields(obj: Any, fields: Mapping[str, str | tuple[str, ...]], required: Collection[str] = (),
                  closed: bool = False, where: object = None) -> dict:
     """Return `obj` if it is a JSON object of the declared shape, else raise
-    SchemaError.
+    ValidationError.
 
     `fields` maps a field name to its JSON type ("string", "integer",
     "number", "array", "object", "null", or several joined by "|" as in
@@ -195,22 +195,22 @@ def check_fields(obj: Any, fields: Mapping[str, str | tuple[str, ...]], required
     record, and the caller adds the place."""
     prefix = f"{where}: " if where is not None else ""
     if type(obj) is not dict:
-        raise SchemaError(f"{prefix or 'record is '}a JSON {_TYPE_NAMES[type(obj)]}, not an object")
+        raise ValidationError(f"{prefix or 'record is '}a JSON {_TYPE_NAMES[type(obj)]}, not an object")
     for name in required:
         if name not in obj:
-            raise SchemaError(f"{prefix}missing fields {sorted(set(required) - obj.keys())}")
+            raise ValidationError(f"{prefix}missing fields {sorted(set(required) - obj.keys())}")
     for name, value in obj.items():  # only the fields present: absent ones cost nothing
         spec = fields.get(name)
         if spec is None:
             if closed:
-                raise SchemaError(f"{prefix}unknown fields {sorted(obj.keys() - fields.keys())}")
+                raise ValidationError(f"{prefix}unknown fields {sorted(obj.keys() - fields.keys())}")
         elif type(spec) is str:
             if type(value) not in _types_of(spec):
-                raise SchemaError(f"{prefix}field {name!r} must be {spec.replace('|', ' or ')}, "
-                                  f"not {_TYPE_NAMES[type(value)]}")
+                raise ValidationError(f"{prefix}field {name!r} must be {spec.replace('|', ' or ')}, "
+                                      f"not {_TYPE_NAMES[type(value)]}")
         elif value not in spec:
             got = repr(value) if type(value) is str else _TYPE_NAMES[type(value)]
-            raise SchemaError(f"{prefix}field {name!r} must be {' or '.join(map(repr, spec))}, not {got}")
+            raise ValidationError(f"{prefix}field {name!r} must be {' or '.join(map(repr, spec))}, not {got}")
     return obj
 
 
@@ -223,8 +223,8 @@ def read_records(path: str | Path, fields: Mapping[str, str], required: Collecti
                  key: str | None = None) -> Iterator[tuple[int, Any]]:
     """Yield (1-based line number, `build(obj)`) for each object of a JSON
     Lines file, checked by `check_fields` before it is built. A
-    ValidationError, from the line's syntax, the check or `build`, raises
-    SchemaError as `<path>: line <n>: <what>`. With `key`, an object without
+    ValidationError, from the line's syntax, the check or `build`, is raised
+    as `<path>: line <n>: <what>`. With `key`, an object without
     that field gets its line number as a string there, before it is built,
     and a value of it seen on an earlier line raises `... duplicate <key>
     <value> (first on line <m>)`."""
@@ -239,9 +239,9 @@ def read_records(path: str | Path, fields: Mapping[str, str], required: Collecti
                     obj[key] = str(lineno)
                 record = build(obj)
             except ValidationError as exc:
-                raise SchemaError(f"line {lineno}: {exc}") from None
-            if key is not None and first_line.setdefault(obj[key], lineno) != lineno:
-                raise SchemaError(f"line {lineno}: duplicate {key} {obj[key]!r} (first on line {first_line[obj[key]]})")
+                raise ValidationError(f"line {lineno}: {exc}") from None
+            if key is not None and (first := first_line.setdefault(obj[key], lineno)) != lineno:
+                raise ValidationError(f"line {lineno}: duplicate {key} {obj[key]!r} (first on line {first})")
             yield lineno, record
 
 
@@ -265,7 +265,7 @@ def dataclass_from_obj(cls: type, obj: Any, where: object) -> Any:
 
 def load_json(path: str | Path) -> Any:
     """Parse a whole JSON file; content that is not UTF-8 JSON, or holds a
-    string with an unpaired surrogate, raises SchemaError naming the path."""
+    string with an unpaired surrogate, raises ValidationError naming the path."""
     with at(path):
         return parse_json(decode_utf8(Path(path).read_bytes()))
 

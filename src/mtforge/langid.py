@@ -31,6 +31,10 @@ from .corpus import Document, char_ngram_levels, registry_order
 from .errors import ValidationError, at
 from .ioutils import check_fields, is_finite_number, load_json, write_jsonl
 
+# The widest n-gram a model may use. The grams of widths 1..n of a text of L
+# characters hold about L * n**2 / 2 characters, cubic in L when n nears L.
+MAX_NGRAM_N = 8
+
 
 def extract_ngrams(text: str, ngram_range: tuple[int, int]) -> Counter[str]:
     """Multiset of character n-grams for every n in the inclusive range,
@@ -73,6 +77,8 @@ def train_langid(
     """
     if alpha <= 0:
         raise ValidationError(f"smoothing alpha must be > 0, got {alpha}")
+    if ngram_range[1] > MAX_NGRAM_N:
+        raise ValidationError(f"n-gram width must be <= {MAX_NGRAM_N}, got {ngram_range[1]}")
     if not labeled_docs:
         raise ValidationError("no training documents")
 
@@ -163,8 +169,9 @@ def load_langid(path: str | Path) -> LangIdModel:
         if payload["version"] != 1:
             raise ValidationError(f"version must be 1, got {payload['version']}")
         lo_hi = tuple(payload["ngram_range"])
-        if len(lo_hi) != 2 or not all(type(n) is int for n in lo_hi) or not 1 <= lo_hi[0] <= lo_hi[1]:
-            raise ValidationError(f"ngram_range must be two integers 1 <= lo <= hi, got {list(lo_hi)}")
+        if len(lo_hi) != 2 or not all(type(n) is int for n in lo_hi) or not 1 <= lo_hi[0] <= lo_hi[1] <= MAX_NGRAM_N:
+            raise ValidationError(f"ngram_range must be two integers 1 <= lo <= hi <= {MAX_NGRAM_N}, "
+                                  f"got {list(lo_hi)}")
         alpha = payload["smoothing_alpha"]
         if not (is_finite_number(alpha) and alpha > 0):
             raise ValidationError(f"smoothing_alpha must be a finite number > 0, got {alpha}")

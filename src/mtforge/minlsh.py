@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,6 +28,11 @@ MERSENNE61 = _kernel.P_INT
 # The most hashes a signature may hold (bands x rows); the goldens and
 # workloads use at most 256.
 MAX_SIGNATURE_LENGTH = 4096
+
+# The widest shingle: the shingles of width n of a text of L units hold about
+# L * n units, quadratic in L when n nears L / 2. The goldens and workloads
+# use at most 5.
+MAX_SHINGLE_N = 32
 
 
 def _check_unit(unit: str) -> None:
@@ -160,12 +165,6 @@ class LshIndex:
         return self.buckets
 
 
-class DropRecord(NamedTuple):
-    dropped_id: str
-    kept_id: str
-    estimated_jaccard: float
-
-
 class _UnionFind:
     """Union-find over the integers 0..n-1."""
 
@@ -219,6 +218,8 @@ def check_dedup_params(shingle_n: int, bands: int, rows: int, threshold: float, 
     """Every check of `dedup`'s values, which filters.DedupStage also runs when built."""
     if shingle_n < 1:
         raise ValidationError(f"shingle width must be >= 1, got {shingle_n}")
+    if shingle_n > MAX_SHINGLE_N:
+        raise ValidationError(f"shingle width must be <= {MAX_SHINGLE_N}, got {shingle_n}")
     _check_unit(unit)
     if bands < 1 or rows < 1:
         raise ValidationError(f"bands and rows must be >= 1, got {bands}x{rows}")
@@ -231,7 +232,7 @@ def check_dedup_params(shingle_n: int, bands: int, rows: int, threshold: float, 
 
 
 def dedup(docs: Sequence[Document], *, shingle_n: int, bands: int, rows: int, threshold: float, unit: str, seed: int,
-          jobs: int = 1) -> tuple[list[Document], list[DropRecord]]:
+          jobs: int = 1) -> tuple[list[Document], list[tuple[Document, Document, float]]]:
     """Remove near-duplicates, keeping one representative per duplicate cluster.
 
     Each document is signed with bands x rows hashes. Candidate pairs are
@@ -240,7 +241,7 @@ def dedup(docs: Sequence[Document], *, shingle_n: int, bands: int, rows: int, th
     filters.DedupStage's fields, by name, whose defaults live there.
     Confirmed pairs are clustered with union-find, and each cluster keeps its
     first member in `_preference` order. The kept/dropped partition does not depend on input
-    order; kept docs are returned in input order.
+    order. Kept docs come in input order, drops as (dropped doc, kept doc, estimate) by dropped id.
 
     Docs with equal signatures are one node, banded once: they estimate 1.0
     against each other and share every bucket, so merging them first is exact.
@@ -279,7 +280,7 @@ def dedup(docs: Sequence[Document], *, shingle_n: int, bands: int, rows: int, th
     # one estimate per distinct row, against the row of its cluster's representative
     rep_rows = [row_of[rep_of[root]] for root in row_roots.tolist()]
     estimates = estimate_jaccard(distinct, distinct[rep_rows]).tolist()
-    dropped = sorted(DropRecord(docs[p].id, docs[rep_of[root]].id, estimates[row_of[p]])
-                     for p, root in enumerate(root_of) if rep_of[root] != p)  # by dropped id, which is unique
+    dropped = sorted(((docs[p], docs[rep_of[root]], estimates[row_of[p]])
+                      for p, root in enumerate(root_of) if rep_of[root] != p), key=lambda drop: drop[0].id)
     kept = [docs[pos] for pos in sorted(rep_of.values())]
     return kept, dropped

@@ -16,7 +16,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .errors import SchemaError, ValidationError
+from .errors import ValidationError
 from .ioutils import is_finite_number, read_records
 
 SIMPLEX_TOL = 1e-9
@@ -226,15 +226,15 @@ def _proxy_run(obj: dict) -> ProxyRun:
 
 def read_proxy_runs(path: str | Path) -> list[ProxyRun]:
     """The proxy runs of a JSON Lines file, at least one, all over the
-    first run's domain list; a fault raises SchemaError naming the file
+    first run's domain list; a fault raises ValidationError naming the file
     and, for a line, the line."""
     fields = {"domains": "array", "weights": "array", "loss": "number"}
     runs: list[ProxyRun] = []
     for lineno, run in read_records(path, fields, required=fields, build=_proxy_run):
         if runs and run.mixture.domains != runs[0].mixture.domains:
-            raise SchemaError(f"{path}: line {lineno}: domains {list(run.mixture.domains)} differ from "
-                              f"the first run's {list(runs[0].mixture.domains)}")
+            raise ValidationError(f"{path}: line {lineno}: domains {list(run.mixture.domains)} differ from "
+                                  f"the first run's {list(runs[0].mixture.domains)}")
         runs.append(run)
     if not runs:
-        raise SchemaError(f"{path}: no proxy runs to fit")
+        raise ValidationError(f"{path}: no proxy runs to fit")
     return runs

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import Document, registry_order, require_tag, segment_tokens
-from .errors import SchemaError, ValidationError, at
+from .errors import ValidationError, at
 from .ioutils import atomic_write, check_fields, decode_utf8, parse_json
 
 BOS = "<s>"
@@ -212,17 +212,17 @@ def load_lm(path: str | Path) -> NGramLm:
                 k_str, gram_str, count_str = line.rstrip("\n").split("\t")
                 k, count = int(k_str), int(count_str)
             except ValidationError as exc:
-                raise SchemaError(f"line {lineno}: {exc}") from None
+                raise ValidationError(f"line {lineno}: {exc}") from None
             except ValueError:
-                raise SchemaError(f"line {lineno}: expected k<TAB>gram<TAB>count") from None
+                raise ValidationError(f"line {lineno}: expected k<TAB>gram<TAB>count") from None
             table = counts.get(k)
             if table is None:
-                raise SchemaError(f"line {lineno}: order {k} outside 1..{order}")
+                raise ValidationError(f"line {lineno}: order {k} outside 1..{order}")
             gram = tuple(map(sys.intern, gram_str.split(" ")))
             if len(gram) != k or count < 1:
-                raise SchemaError(f"line {lineno}: an order-{k} line needs a {k}-token gram and a count >= 1")
+                raise ValidationError(f"line {lineno}: an order-{k} line needs a {k}-token gram and a count >= 1")
             if gram in table:
-                raise SchemaError(f"line {lineno}: repeated {k}-gram")
+                raise ValidationError(f"line {lineno}: repeated {k}-gram")
             table[gram] = count
         lm = NGramLm(order, header["discount"], header["min_count"], counts, header["default_lang"])
         if header["vocab_size"] != len(lm.vocab):

@@ -88,13 +88,13 @@ def test_criterion_02_dedup_end_to_end():
 
         kept, dropped = dedup(docs, shingle_n=5, seed=0, bands=16, rows=8, threshold=0.8, unit="word")
         elapsed = time.monotonic() - start
-        dropped_ids = {rec.dropped_id for rec in dropped}
+        dropped_ids = {doc.id for doc, _, _ in dropped}
         removed = sum(
             1 for j in range(20) if dups[j].id in dropped_ids or base[j].id in dropped_ids
         )
         assert removed >= 19, f"removed only {removed}/20 planted duplicates"
-        for rec in dropped:
-            truth = exact_jaccard(sets[rec.dropped_id], sets[rec.kept_id])
+        for doc, rep, _ in dropped:
+            truth = exact_jaccard(sets[doc.id], sets[rep.id])
             assert truth > 0.3, f"removed pair with true Jaccard {truth:.3f}"
         assert elapsed < 5.0, f"took {elapsed:.2f}s"
 

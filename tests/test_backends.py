@@ -17,7 +17,7 @@ import pytest
 
 from mtforge import backends
 from mtforge.backends import BackendFailure, BackendSpec, GenerationParams, complete, post_json
-from mtforge.errors import SchemaError, ValidationError
+from mtforge.errors import ValidationError
 from mtforge.ioutils import dataclass_from_obj
 from mtforge.scorers import ScorerEndpoint, register_scorer
 
@@ -260,9 +260,14 @@ class TestCompletionWire:
         with pytest.raises(ValidationError, match="endpoint must be mock:<name> or an http"):
             BackendSpec("inline", endpoint, "m", max_retries=0)
 
+    def test_unknown_mock_refused_when_built(self):
+        assert BackendSpec("b", "mock:echo", "m").endpoint == "mock:echo"
+        with pytest.raises(ValidationError, match="^unknown mock backend 'nope'$"):
+            BackendSpec("b", "mock:nope", "m")
+
     def test_endpoint_error_names_the_place(self):
         obj = {"name": "b", "endpoint": "ftp://127.0.0.1/c", "model_id": "m"}
-        with pytest.raises(SchemaError, match=r"^p\.json: backend: endpoint must be"):
+        with pytest.raises(ValidationError, match=r"^p\.json: backend: endpoint must be"):
             dataclass_from_obj(BackendSpec, obj, "p.json: backend")
 
     @pytest.mark.parametrize("url", ['data:application/json,{"text": "x"}', "ftp://127.0.0.1/c", "file:///etc/hosts"])
@@ -436,7 +441,7 @@ class TestSpecsFromObj:
         assert dataclass_from_obj(GenerationParams, {"seed": None}, "grid[0]") == GenerationParams()
         assert dataclass_from_obj(GenerationParams, {"temperature": 0, "seed": 3}, "grid[0]").temperature == 0
         for bad in ({"temperature": True}, {"max_tokens": 2.5}, {"seed": "1"}, {"top_p": 0}, {"colour": 1}, [1]):
-            with pytest.raises(SchemaError, match=r"^grid\[0\]"):
+            with pytest.raises(ValidationError, match=r"^grid\[0\]"):
                 dataclass_from_obj(GenerationParams, bad, "grid[0]")
 
     def test_registered_scorer_keeps_its_range(self):

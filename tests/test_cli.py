@@ -461,6 +461,7 @@ class TestExitCodes:
         ("langid-filter", "--model", _langid_model_json(log_likelihoods={"en": {"a": -0.5, "b": -1.5}})),
         ("langid-filter", "--model", _langid_model_json(log_priors={"en": -0.7})),
         ("langid-filter", "--model", _langid_model_json(ngram_range=[1, "x"])),
+        ("langid-filter", "--model", _langid_model_json(ngram_range=[1, 9])),
         ("langid-filter", "--model", _langid_model_json(vocab=["a", "b", "c"])),
         ("lm-filter", "--model", b'garbage'),
         ("lm-filter", "--model", b'{"format":"mtforge-ngram-lm"}'),
@@ -664,6 +665,8 @@ class TestExitCodes:
          "src_lang, tgt_lang"),
         ("pipeline-run", _pipeline_json({"type": "dedup", "shingle_n": 0}),
          "stages[0]: shingle width must be >= 1, got 0"),
+        ("pipeline-run", _pipeline_json({"type": "dedup", "shingle_n": 33}),
+         "stages[0]: shingle width must be <= 32, got 33"),
         ("pipeline-run", _pipeline_json({"type": "dedup", "threshold": 0}),
          "stages[0]: threshold must be in (0, 1], got 0"),
         # a top-level field, so no stage is blamed; a run without a dedup stage used it unchecked
@@ -762,6 +765,8 @@ class TestExitCodes:
          f"n {2**59} is more mixtures of 2 domains than NumPy can index"),
         (["mix-optimize", "--model", "{model}", "--out", "{out}", "--candidates", 10**19],
          f"n_candidates {10**19} is more mixtures of 2 domains than NumPy can index"),
+        (["langid-train", "--in", "{mono}", "--model", "{out}", "--max-n", 9], "n-gram width must be <= 8, got 9"),
+        (["dedup", "--in", "{mono}", "--out", "{out}", "--shingle-n", 33], "shingle width must be <= 32, got 33"),
     ])
     def test_bad_value_is_one_line_exit_1(self, tmp_path, capsys, args, message):
         run_line = {"domains": ["a", "b"], "weights": [0.5, 0.5], "loss": 1.0}
@@ -991,7 +996,7 @@ class TestDedupCommand:
         dropped_rows = [
             json.loads(line) for line in (tmp_path / "kept.jsonl.dropped.jsonl").read_text().splitlines()
         ]
-        assert {r["dropped_id"] for r in dropped_rows} == {d.dropped_id for d in dropped_ref}
+        assert {r["dropped_id"] for r in dropped_rows} == {doc.id for doc, _, _ in dropped_ref}
 
     def test_jobs_accepted_and_output_unchanged(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})  # so --jobs 3 runs 3 processes
@@ -1453,6 +1458,19 @@ class TestChimeraCommands:
             "mystery": True,
         }))
         assert run("translate", "--config", config, "--in", _sources(tmp_path), "--out", tmp_path / "o") == 1
+
+    @pytest.mark.parametrize("command, key", [("translate", "backend"), ("fuse", "backend"),
+                                              ("fuse", "fusion_backend")])
+    def test_unknown_mock_backend_refused_before_any_input_is_read(self, tmp_path, capsys, monkeypatch, command, key):
+        sources = _sources(tmp_path)
+        calls = []
+        monkeypatch.setattr(mtforge.ioutils, "read_jsonl", lambda *args: calls.append(args))
+        config = tmp_path / "chimera.json"
+        config.write_bytes(_fuse_json(**{key: dict(_BACKEND, endpoint="mock:nope")}))
+        assert run(command, "--config", config, "--in", sources, "--out", tmp_path / "out.jsonl") == 1
+        assert capsys.readouterr().err == f"error: {config}: {key}: unknown mock backend 'nope'\n"
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["chimera.json", "sources.jsonl"]
 
     def _failed_translate_error(self, tmp_path, capsys, endpoint):
         out_path = tmp_path / "cands.jsonl"

@@ -16,7 +16,7 @@ from mtforge.corpus import (
     segment_tokens,
     write_corpus,
 )
-from mtforge.errors import SchemaError, ValidationError, at
+from mtforge.errors import ValidationError, at
 from mtforge.ioutils import load_json, read_jsonl, read_records
 
 
@@ -133,7 +133,7 @@ class TestCorpusIo:
         ]
         path = tmp_path / "pairs.jsonl"
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-        with pytest.raises(SchemaError, match="line 2"):
+        with pytest.raises(ValidationError, match="line 2"):
             read_corpus(path, "parallel")
 
     def test_crlf_and_blank_lines(self, tmp_path):
@@ -148,19 +148,19 @@ class TestCorpusIo:
     def test_undecodable_line_named(self, tmp_path, line, message):
         path = tmp_path / "c.jsonl"
         path.write_bytes(b'{"id": "d1", "lang": "en", "text": "x"}\n' + line)
-        with pytest.raises(SchemaError, match=message):
+        with pytest.raises(ValidationError, match=message):
             read_corpus(path, "mono")
 
     def test_unknown_language_named_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(json.dumps({"id": "d1", "lang": "klingon", "text": "x"}) + "\n")
-        with pytest.raises(SchemaError, match="line 1"):
+        with pytest.raises(ValidationError, match="line 1"):
             read_corpus(path, "mono")
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(json.dumps({"id": "d1", "lang": "en", "text": "x", "extra": 1}) + "\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValidationError, match=rf"^{re.escape(str(path))}: line 1: unknown fields \['extra'\]$"):
             read_corpus(path, "mono")
 
     def test_duplicate_id_rejected(self, tmp_path):
@@ -168,7 +168,7 @@ class TestCorpusIo:
         path = tmp_path / "c.jsonl"
         path.write_text("\n".join(json.dumps(obj) for obj in (
             {"id": d.id, "lang": d.lang, "text": d.text} for d in docs)) + "\n")
-        with pytest.raises(SchemaError, match="line 2"):
+        with pytest.raises(ValidationError, match="line 2"):
             read_corpus(path, "mono")
 
 
@@ -249,16 +249,27 @@ class TestReadRecords:
     ])
     def test_bad_record_names_path_and_line(self, tmp_path, line, kwargs, message):
         path = tmp_path / "r.jsonl"
-        with pytest.raises(SchemaError) as info:
+        with pytest.raises(ValidationError) as info:
             self._read(tmp_path, line, **kwargs)
         assert str(info.value) == f"{path}: {message}"
+
+    def test_key_fills_a_missing_id_with_the_line_number_before_build(self, tmp_path):
+        _, rows = self._read(tmp_path, '{"n": 1}', key="id", build=lambda obj: obj["id"])
+        assert rows == [(1, "a"), (2, "2")]
+
+    def test_filled_id_is_checked_for_duplicates(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"id": "2"}\n{"n": 1}\n')
+        with pytest.raises(ValidationError) as info:
+            list(read_records(path, self.FIELDS, key="id"))
+        assert str(info.value) == f"{path}: line 2: duplicate id '2' (first on line 1)"
 
     def test_build_makes_each_record(self, tmp_path):
         _, rows = self._read(tmp_path, '{"id": "c"}', build=_not_b)
         assert rows == [(1, "a"), (2, "c")]
 
     def test_at_names_the_place_of_validation_errors_only(self):
-        with pytest.raises(SchemaError) as info:
+        with pytest.raises(ValidationError) as info:
             with at("p.json", "grid[1]"):
                 raise ValidationError("top_p must be in [0, 1]")
         assert str(info.value) == "p.json: grid[1]: top_p must be in [0, 1]"
@@ -280,11 +291,11 @@ class TestReadRecords:
     def test_lone_surrogate_rejected(self, tmp_path, escaped, code):
         path = tmp_path / "r.jsonl"
         path.write_text('{"id": "a"}\n{"id": "%s"}\n' % escaped)
-        with pytest.raises(SchemaError, match=rf"^line 2: unpaired surrogate \\u{code} in a string$"):
+        with pytest.raises(ValidationError, match=rf"^line 2: unpaired surrogate \\u{code} in a string$"):
             list(read_jsonl(path))
         config = tmp_path / "c.json"
         config.write_text('{"x": ["%s"]}' % escaped)
-        with pytest.raises(SchemaError, match=rf"^{re.escape(str(config))}: unpaired surrogate \\u{code}"):
+        with pytest.raises(ValidationError, match=rf"^{re.escape(str(config))}: unpaired surrogate \\u{code}"):
             load_json(config)
 
     @pytest.mark.parametrize("escaped, text", [("\\ud83d\\ude00", "\U0001f600"), ("\\\\ud800", "\\ud800"),
@@ -306,7 +317,7 @@ class TestReadRecords:
     def test_json_file_fault_names_its_place(self, tmp_path, content, message):
         path = tmp_path / "c.json"
         path.write_bytes(content)
-        with pytest.raises(SchemaError) as info:
+        with pytest.raises(ValidationError) as info:
             load_json(path)
         assert str(info.value) == f"{path}: {message}"
 

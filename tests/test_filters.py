@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtforge.corpus import Document, ParallelPair
+from mtforge.corpus import PROVENANCES, Document, ParallelPair
 from mtforge.errors import ValidationError
 from mtforge.filters import (
     DEFAULT_PROFILES,
@@ -85,6 +85,10 @@ class TestCompositeQuality:
         raised = list(dims)
         raised[bump] = min(2, raised[bump] + 1)
         assert composite_quality(QualityDimensions(*raised), profile) >= base - 1e-12
+
+    def test_every_provenance_has_a_profile(self):
+        # score_documents looks each doc's profile up by its provenance
+        assert set(DEFAULT_PROFILES) == set(PROVENANCES)
 
     def test_score_documents_routes_missing_dims(self):
         complete = Document(
@@ -226,10 +230,14 @@ class TestStages:
         (dict(seed=-1), "seed must be >= 0, got -1"),
         (dict(threshold=1.5), r"threshold must be in \(0, 1\], got 1.5"),
         (dict(unit="byte"), "shingle unit must be 'word' or 'char', not 'byte'"),
+        (dict(shingle_n=33), "shingle width must be <= 32, got 33"),
     ])
     def test_dedup_values_checked_when_built(self, params, message):
         with pytest.raises(ValidationError, match=message):
             DedupStage(**params)
+
+    def test_widest_shingle_accepted(self):
+        assert DedupStage(shingle_n=32).shingle_n == 32
 
     def test_dedup_apply_on_no_docs(self):
         assert DedupStage().apply([]) == ([], [], [])
@@ -242,8 +250,8 @@ class TestStages:
         kept_ref, dropped_ref = dedup(docs, shingle_n=1, seed=3, bands=8, rows=4, threshold=0.5, unit="char")
         assert kept == kept_ref and not unscored
         assert [(doc.id, reason, detail) for doc, reason, detail in dropped] == [
-            (d.dropped_id, f"near_duplicate_of={d.kept_id}",
-             {"kept_id": d.kept_id, "estimated_jaccard": d.estimated_jaccard}) for d in dropped_ref]
+            (doc.id, f"near_duplicate_of={rep.id}", {"kept_id": rep.id, "estimated_jaccard": estimate})
+            for doc, rep, estimate in dropped_ref]
         assert dropped_ref
 
 
@@ -259,6 +267,20 @@ class TestPipeline:
         assert result.final == docs
         report = result.reports[0]
         assert (report.input_count, report.kept, report.dropped, report.unscored) == (4, 4, 0, 0)
+
+    def test_stage_names_must_be_unique(self):
+        docs = [Document(id="d", lang="en", text="x")]
+        with pytest.raises(ValidationError, match="^stage names must be unique$"):
+            run_pipeline(docs, [_AlwaysPassStage(), _AlwaysPassStage()], "mono")
+
+    def test_stage_that_loses_a_record_is_refused(self):
+        class LosingStage(_AlwaysPassStage):
+            def apply(self, records, jobs):
+                return list(records)[1:], [], []
+
+        docs = [Document(id=f"d{i}", lang="en", text=f"t {i}") for i in range(3)]
+        with pytest.raises(RuntimeError, match="^stage 'always_pass' accounting does not reconcile$"):
+            run_pipeline(docs, [LosingStage()], "mono")
 
     def test_mixed_kinds_rejected_before_processing(self):
         scorer = ScorerEndpoint("c", "local_function", "constant:1.0")

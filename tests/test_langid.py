@@ -97,6 +97,13 @@ class TestTraining:
         with pytest.raises(ValidationError):
             train_langid([])
 
+    def test_ngram_width_is_bounded(self):
+        assert mtforge.langid.MAX_NGRAM_N == 8
+        docs = [_doc(0, "en", "aaaa aaa"), _doc(0, "fr", "bbbb bbb")]
+        assert train_langid(docs, ngram_range=(1, 8)).ngram_range == (1, 8)
+        with pytest.raises(ValidationError, match=r"^n-gram width must be <= 8, got 9$"):
+            train_langid(docs, ngram_range=(1, 9))
+
     def test_order_independence(self):
         docs = [_doc(0, "en", "one two"), _doc(0, "fr", "un deux"), _doc(1, "en", "three")]
         a = train_langid(docs)
@@ -306,7 +313,7 @@ class TestModelChecks:
     """A model file's tables are checked when it is loaded; every fault
     names the file."""
 
-    @pytest.mark.parametrize("ngram_range", [[2, 1], [0, 1], [1], [1, 2, 3], [1, "x"], [True, 2], [1.0, 2]])
+    @pytest.mark.parametrize("ngram_range", [[2, 1], [0, 1], [1], [1, 2, 3], [1, "x"], [True, 2], [1.0, 2], [1, 9]])
     def test_bad_ngram_range_rejected(self, ngram_range, tmp_path):
         with pytest.raises(ValidationError, match=r"langid\.json: ngram_range must be two integers"):
             _load_edited(tmp_path, _toy_payload(tmp_path), ngram_range=ngram_range)

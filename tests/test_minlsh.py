@@ -210,6 +210,13 @@ class TestKernelBackends:
         for doc, row in zip(docs, sigs, strict=True):
             assert [int(v) for v in row] == _bigint_min_hash(shingle(doc.text, 1), a, b)
 
+    def test_min_hash_refuses_no_shingles_and_unequal_coefficients(self):
+        a, b = hash_params(4, 0)
+        with pytest.raises(ValueError, match="^empty shingle set$"):
+            _minhash_py.min_hash(np.array([], dtype=np.uint64), a, b)
+        with pytest.raises(ValueError, match="^a and b length mismatch$"):
+            _minhash_py.min_hash(np.arange(1, 3, dtype=np.uint64), a, b[:3])
+
     def test_block_offsets_must_ascend_within_the_shingles(self):
         xs = np.arange(1, 6, dtype=np.uint64)
         assert signature(xs, 4, 0, starts=np.array([0, 2, 4])).shape == (3, 4)
@@ -290,6 +297,11 @@ def _dedup(docs, **params):
     return dedup(docs, **{**asdict(DedupStage()), **params})
 
 
+def _drop_ids(dropped):
+    """dedup's drops as (dropped id, kept id, estimate): a Document is unhashable."""
+    return [(doc.id, kept.id, estimate) for doc, kept, estimate in dropped]
+
+
 class TestDedup:
     def test_empty_corpus(self):
         assert _dedup([]) == ([], [])
@@ -299,8 +311,8 @@ class TestDedup:
         kept, dropped = _dedup(docs, shingle_n=2, seed=0, bands=8, rows=8, threshold=0.8)
         assert len(kept) == 1
         assert len(dropped) == 4
-        assert all(rec.kept_id == kept[0].id for rec in dropped)
-        assert all(rec.estimated_jaccard == 1.0 for rec in dropped)
+        assert all(rep is kept[0] for _, rep, _ in dropped)
+        assert all(estimate == 1.0 for _, _, estimate in dropped)
 
     def test_all_disjoint_keeps_all(self):
         docs = [
@@ -314,8 +326,8 @@ class TestDedup:
     def test_partition_is_exact(self):
         docs = [Document(id=f"d{i}", lang="en", text=f"text number {i} with shared suffix tokens") for i in range(12)]
         kept, dropped = _dedup(docs, shingle_n=3, seed=1, bands=8, rows=8, threshold=0.8)
-        assert {d.id for d in kept} | {rec.dropped_id for rec in dropped} == {d.id for d in docs}
-        assert not ({d.id for d in kept} & {rec.dropped_id for rec in dropped})
+        assert {d.id for d in kept} | {doc.id for doc, _, _ in dropped} == {d.id for d in docs}
+        assert not ({d.id for d in kept} & {doc.id for doc, _, _ in dropped})
 
     def test_planted_duplicates(self):
         rng = np.random.default_rng(505)
@@ -331,7 +343,7 @@ class TestDedup:
             true_dup_pairs.add((base[j].id, dup.id))
 
         kept, dropped = _dedup(docs, shingle_n=5, seed=0, bands=16, rows=8, threshold=0.8)
-        dropped_ids = {rec.dropped_id for rec in dropped}
+        dropped_ids = {doc.id for doc, _, _ in dropped}
 
         removed_dup_count = sum(
             1 for left, right in true_dup_pairs if left in dropped_ids or right in dropped_ids
@@ -340,9 +352,9 @@ class TestDedup:
 
         # nothing with true Jaccard <= 0.3 against its kept partner was removed
         kept_ids = {d.id for d in kept}
-        for rec in dropped:
-            truth = exact_jaccard(sets[rec.dropped_id], sets[rec.kept_id])
-            assert truth > 0.3, (rec, truth)
+        for doc, rep, estimate in dropped:
+            truth = exact_jaccard(sets[doc.id], sets[rep.id])
+            assert truth > 0.3, (doc.id, rep.id, estimate, truth)
         assert kept_ids | dropped_ids == {d.id for d in docs}
 
     def test_order_invariant_partition(self):
@@ -353,14 +365,14 @@ class TestDedup:
         perm = [docs[i] for i in rng.permutation(len(docs))]
         kept_b, dropped_b = _dedup(perm, shingle_n=5, seed=3, bands=16, rows=8)
         assert {d.id for d in kept_a} == {d.id for d in kept_b}
-        assert sorted(dropped_a) == sorted(dropped_b)
+        assert _drop_ids(dropped_a) == _drop_ids(dropped_b)
 
     def test_representative_prefers_quality_score(self):
         good = Document(id="zz", lang="en", text="alpha beta gamma delta", scores={"quality_composite": 0.9})
         bad = Document(id="aa", lang="en", text="alpha beta gamma delta", scores={"quality_composite": 0.2})
         kept, dropped = _dedup([bad, good], shingle_n=2, seed=0, bands=8, rows=8)
         assert [d.id for d in kept] == ["zz"]
-        assert dropped[0].dropped_id == "aa"
+        assert dropped[0][0].id == "aa"
 
     def test_representative_falls_back_to_length_then_id(self):
         long = Document(id="zz", lang="en", text="alpha beta gamma delta extra")
@@ -392,7 +404,7 @@ class TestDedup:
     def test_longest_signature_accepted(self):
         docs = [Document(id=f"d{i}", lang="en", text="x y z") for i in range(2)]
         kept, dropped = _dedup(docs, shingle_n=1, bands=64, rows=64)
-        assert [d.id for d in kept] == ["d0"] and [rec.dropped_id for rec in dropped] == ["d1"]
+        assert [d.id for d in kept] == ["d0"] and [doc.id for doc, _, _ in dropped] == ["d1"]
 
     def test_bucket_walk_skips_a_member_with_no_later_one_outside_its_component(self):
         rows = np.array([[1, 2, 3, 4], [5, 6, 7, 8], [5, 6, 7, 9]], dtype=np.uint64)
@@ -416,7 +428,7 @@ class TestDedup:
         docs = [Document(id=f"d{i}", lang="en", text=text) for i, text in enumerate(texts)]
         runs = [_dedup(docs, shingle_n=2, bands=16, rows=4, threshold=0.7, jobs=jobs) for jobs in (1, 2, 3)]
         assert runs[1:] == [runs[0]] * 2
-        assert [rec.dropped_id for rec in runs[0][1]] == (["d3"] if n_docs == 5 else [])
+        assert [doc.id for doc, _, _ in runs[0][1]] == (["d3"] if n_docs == 5 else [])
 
 
 _VOCAB = [f"v{i}" for i in range(30)]
@@ -457,8 +469,8 @@ def _reference_dedup(docs, n, k, seed, b, r, threshold):
         rep = min((docs[i] for i in members), key=minlsh._preference)
         rep_i = next(i for i in members if docs[i] is rep)
         kept_ids.add(rep.id)
-        drops += [minlsh.DropRecord(docs[i].id, rep.id, estimate(i, rep_i)) for i in members if i != rep_i]
-    return [d for d in docs if d.id in kept_ids], sorted(drops, key=lambda rec: rec.dropped_id)
+        drops += [(docs[i].id, rep.id, estimate(i, rep_i)) for i in members if i != rep_i]
+    return [d for d in docs if d.id in kept_ids], sorted(drops)
 
 
 @st.composite
@@ -490,8 +502,8 @@ class TestDifferential:
         kept, dropped = dedup(docs, shingle_n=n, seed=seed, bands=b, rows=r, threshold=threshold, unit="word")
         ref_kept, ref_dropped = _reference_dedup(docs, n, b * r, seed, b, r, threshold)
         assert [d.id for d in kept] == [d.id for d in ref_kept]
-        assert dropped == ref_dropped
-        assert all(type(rec.estimated_jaccard) is float for rec in dropped)
+        assert _drop_ids(dropped) == ref_dropped
+        assert all(type(estimate) is float for _, _, estimate in dropped)
 
 
 # a block of letters of each script written without spaces
@@ -527,8 +539,8 @@ class TestUnspacedScripts:
         docs = [Document(id="a", lang="zh", text=text), Document(id="b", lang="zh", text=text[:-1] + "好")]
         kept, dropped = _dedup(docs, shingle_n=3, bands=32, rows=4, threshold=0.6)
         assert [doc.id for doc in kept] == ["a"]
-        assert [(rec.dropped_id, rec.kept_id) for rec in dropped] == [("b", "a")]
-        assert dropped[0].estimated_jaccard > 0.8
+        assert [(doc.id, rep.id) for doc, rep, _ in dropped] == [("b", "a")]
+        assert dropped[0][2] > 0.8
 
 
 _FLOOD = """

@@ -17,7 +17,7 @@ import pytest
 
 import mtforge
 from mtforge.corpus import Document, write_corpus
-from mtforge.errors import SchemaError, ValidationError
+from mtforge.errors import ValidationError
 from mtforge.ioutils import atomic_write, output_transaction
 from mtforge.parallel import WorkerError, chunk_bounds, map_chunks
 
@@ -80,10 +80,10 @@ class TestMapChunks:
 
         def fail(chunk):
             if chunk[0] > 0:
-                raise SchemaError(f"bad chunk at {chunk[0]}")
+                raise ValidationError(f"bad chunk at {chunk[0]}")
             return chunk
 
-        with pytest.raises(SchemaError, match="^bad chunk at 2$"):
+        with pytest.raises(ValidationError, match="^bad chunk at 2$"):
             map_chunks(fail, list(range(6)), 3)
 
     def test_child_ending_without_result_raises_worker_error(self, cpus):
